@@ -22,7 +22,6 @@ from .errors import (
     TruncationError,
     UnreachableTargetError,
     UsageError,
-    ValidationFailure,
     WfGibbsError,
 )
 from .lattice import (

@@ -17,14 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import constrain, sampling, thermal, twostate
-from .constrain import CSV_SCHEMA_HEADER
-from .errors import (
-    ConfigurationError,
-    SolverError,
-    UsageError,
-    ValidationFailure,
-    WfGibbsError,
-)
+from .constrain import write_csv
+from .errors import ConfigurationError, SolverError, WfGibbsError
 from .lattice import GridSpec, ModelParams
 from .spectra import lowest_eigenpairs, parity_of
 from .lattice import assemble_hamiltonian
@@ -94,15 +88,6 @@ def _masses(cfg, section) -> list:
     return [float(m) for m in masses] if masses else [cfg["model"].mass]
 
 
-def _write_csv(path: Path, columns: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_SCHEMA_HEADER + "\n")
-        fh.write(f"# columns: {columns}\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-
-
 def _write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=float)
@@ -126,7 +111,7 @@ def cmd_eig(cfg, out: Path) -> int:
         print(f"E_{i} = {pair.energy:.9g}  parity={parity}  residual={pair.residual:.3e}")
         rows.append((i, pair.energy, parity, pair.residual))
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "eig.csv", "k,energy,parity,residual", rows)
+    write_csv(out / "eig.csv", "k,energy,parity,residual", rows)
     _write_json(out / "eig.json", {
         "model": mp.to_dict(), "grid": grid.to_dict(),
         "energies": [p.energy for p in pairs],
@@ -153,8 +138,8 @@ def cmd_veff(cfg, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for mass, ts, table, u, rescaled_exact, arc in results:
         tag = _mass_tag(mass)
-        _write_csv(out / f"veff_m{tag}.csv", "q_over_d,rescaled_exact,rescaled_two_state",
-                   zip(u.tolist(), rescaled_exact.tolist(), arc.tolist()))
+        write_csv(out / f"veff_m{tag}.csv", "q_over_d,rescaled_exact,rescaled_two_state",
+                  zip(u.tolist(), rescaled_exact.tolist(), arc.tolist()))
         table.save(out / f"veff_table_m{tag}.csv")
         print(f"m={mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g} "
               f"failed_points={len(table.meta['failed_points'])}")
@@ -163,16 +148,19 @@ def cmd_veff(cfg, out: Path) -> int:
 
 def cmd_twostate(cfg, out: Path) -> int:
     section = cfg["twostate"]
-    out.mkdir(parents=True, exist_ok=True)
-    summary = {}
+    results = []
     for mass in _masses(cfg, "twostate"):
         mp = _with_mass(cfg["model"], mass)
         ts = twostate.build_two_state(mp, cfg["grid"])
         q = np.linspace(-ts.d, ts.d, int(section["n_q"]))
         v = np.array([twostate.two_state_veff(ts, qi) for qi in q])
-        tag = _mass_tag(mass)
-        _write_csv(out / f"two_state_m{tag}.csv", "q,v_eff",
-                   zip(q.tolist(), v.tolist()))
+        results.append((mass, ts, q, v))
+
+    out.mkdir(parents=True, exist_ok=True)
+    summary = {}
+    for mass, ts, q, v in results:
+        write_csv(out / f"two_state_m{_mass_tag(mass)}.csv", "q,v_eff",
+                  zip(q.tolist(), v.tolist()))
         summary[str(mass)] = {"e1": ts.e1, "e2": ts.e2, "d": ts.d}
         print(f"m={mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
     _write_json(out / "two_state.json", summary)
@@ -222,15 +210,15 @@ def cmd_fluct(cfg, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for mass, curve, restricted in results:
         tag = _mass_tag(mass)
-        _write_csv(
+        write_csv(
             out / f"fluct_m{tag}.csv",
             "rescaled_temperature,delta_q_over_d,delta_q_over_d_restricted,mean_q",
             zip(curve.rescaled_temperature.tolist(), curve.delta_q_over_d.tolist(),
                 restricted.delta_q_over_d.tolist(), curve.mean_q.tolist()))
         print(f"m={mass}: delta_q/d ranges "
               f"[{curve.delta_q_over_d.min():.4g}, {curve.delta_q_over_d.max():.4g}]")
-    _write_csv(out / "fluct_two_state.csv", "rescaled_temperature,delta_q_over_d",
-               zip(t_grid.tolist(), reference.tolist()))
+    write_csv(out / "fluct_two_state.csv", "rescaled_temperature,delta_q_over_d",
+              zip(t_grid.tolist(), reference.tolist()))
     _write_json(out / "fluct.json", summary)
     return EXIT_OK
 
@@ -292,7 +280,7 @@ def _validate_marginal(run, mp, cfg, section):
                 "moments": run.moment_summary()}
 
 
-def cmd_sample(cfg, out: Path, threads: int = 1) -> int:
+def cmd_sample(cfg, out: Path) -> int:
     section = cfg["sample"]
     mp = cfg["model"]
     tm = sampling.build_truncated_model(mp, int(section["n_basis"]), cfg["grid"])
@@ -304,16 +292,13 @@ def cmd_sample(cfg, out: Path, threads: int = 1) -> int:
         proposal_scale=float(section["proposal_scale"]),
         keep_coefficients=bool(section["keep_coefficients"]),
     )
-    run = sampling.sample_ensemble(tm, float(section["beta"]), chain_cfg, threads=threads)
+    run = sampling.sample_ensemble(tm, float(section["beta"]), chain_cfg)
     passed, report = _validate_sample(section["validate"], run, tm, mp, cfg, section)
 
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for chain in range(run.chain_count):
-        for step in range(run.steps_per_chain):
-            rows.append((run.samples[chain, step, 0], run.samples[chain, step, 1],
-                         chain, step))
-    _write_csv(out / "samples.csv", "q,p,chain,step", rows)
+    write_csv(out / "samples.csv", "q,p,chain,step",
+              ((q, p, chain, step) for chain, qp in enumerate(run.samples)
+               for step, (q, p) in enumerate(qp.tolist())))
     _write_json(out / "sample_run.json", {
         "model": mp.to_dict(),
         "beta": run.beta,
@@ -344,8 +329,8 @@ def cmd_canonical(cfg, out: Path) -> int:
     canonical_dq = atoms.dispersion()
 
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "canonical_atoms.csv", "weight,q_k",
-               zip(atoms.weights.tolist(), atoms.positions.tolist()))
+    write_csv(out / "canonical_atoms.csv", "weight,q_k",
+              zip(atoms.weights.tolist(), atoms.positions.tolist()))
     _write_json(out / "canonical.json", {
         "beta": beta,
         "z": atoms.z,
@@ -369,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent chains")
     return parser
 
 
@@ -390,7 +373,7 @@ def main(argv=None) -> int:
         if args.command == "fluct":
             return cmd_fluct(cfg, out)
         if args.command == "sample":
-            return cmd_sample(cfg, out, threads=args.threads)
+            return cmd_sample(cfg, out)
         if args.command == "canonical":
             return cmd_canonical(cfg, out)
         raise ConfigurationError(f"unknown command {args.command}")
@@ -400,7 +383,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (UsageError, ValidationFailure, WfGibbsError) as exc:
+    except WfGibbsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -14,7 +14,6 @@ exp(i p x / hbar) * phi_lambda(q)(x).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +23,6 @@ import numpy as np
 from .errors import SolverError, UnreachableTargetError, UsageError
 from .lattice import (
     GridSpec,
-    Harmonic,
     ModelParams,
     QuarticDoubleWell,
     TridiagonalOperator,
@@ -45,6 +43,17 @@ MAX_BISECTIONS = 200
 CSV_SCHEMA_HEADER = "# wfgibbs-csv v1"
 
 
+def write_csv(path, columns: str, rows) -> None:
+    """Write rows (any iterable) under the schema and column header lines;
+    floats as .17g, lines ending in \\n."""
+    with open(path, "w", newline="") as fh:
+        fh.write(CSV_SCHEMA_HEADER + "\n")
+        fh.write(f"# columns: {columns}\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
 def default_grid(mp: ModelParams) -> GridSpec:
     """Grid wide and fine enough for the low-lying states of the model.
 
@@ -52,12 +61,7 @@ def default_grid(mp: ModelParams) -> GridSpec:
     points; wavefunction tails there are below 1e-12 for all studied masses.
     """
     pot = mp.potential
-    if isinstance(pot, QuarticDoubleWell):
-        half = max(6.0, 4.0 * pot.x0)
-    elif isinstance(pot, Harmonic):
-        half = 10.0
-    else:
-        half = 10.0
+    half = max(6.0, 4.0 * pot.x0) if isinstance(pot, QuarticDoubleWell) else 10.0
     return GridSpec(-half, half, 4001)
 
 
@@ -97,12 +101,8 @@ class EffectivePotentialTable:
     def save(self, csv_path) -> None:
         """Write (q, v_eff, lambda) CSV plus a JSON metadata sidecar."""
         csv_path = Path(csv_path)
-        with open(csv_path, "w", newline="") as fh:
-            fh.write(CSV_SCHEMA_HEADER + "\n")
-            fh.write("# columns: q,v_eff,lambda\n")
-            writer = csv.writer(fh)
-            for qi, vi, li in zip(self.q, self.v_eff, self.lam):
-                writer.writerow([f"{qi:.17g}", f"{vi:.17g}", f"{li:.17g}"])
+        write_csv(csv_path, "q,v_eff,lambda",
+                  zip(self.q.tolist(), self.v_eff.tolist(), self.lam.tolist()))
         sidecar = csv_path.with_suffix(".json")
         with open(sidecar, "w") as fh:
             json.dump(

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto process exit codes: ConfigurationError -> 2,
-SolverError -> 3, ValidationFailure -> 1. Everything else is a bug.
+SolverError -> 3, any other WfGibbsError -> 1; a failed validation
+comparison also exits 1. Everything else is a bug.
 """
 
 
@@ -44,7 +45,3 @@ class CoverageError(WfGibbsError):
 
 class TruncationError(ConfigurationError):
     """Basis truncation too small for the requested inverse temperature."""
-
-
-class ValidationFailure(WfGibbsError):
-    """A validation-mode comparison exceeded its tolerance."""

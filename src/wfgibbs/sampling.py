@@ -14,7 +14,7 @@ reproducible from (seed, chain index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +40,13 @@ class TruncatedModel:
         return len(self.energies)
 
     def expectations(self, c: np.ndarray):
-        """(<q>, <p>) for one unit-norm coefficient vector."""
-        q = float(np.real(np.vdot(c, self.q_matrix @ c)))
-        p = float(np.real(1j * np.vdot(c, self.p_matrix_imag @ c)))
+        """(<q>, <p>) for unit-norm coefficient vectors stacked on the last axis.
+
+        For c of shape (..., N) both results have shape (...).
+        """
+        cc = c.conj()
+        q = np.real(np.einsum("...k,kl,...l->...", cc, self.q_matrix, c))
+        p = np.real(1j * np.einsum("...k,kl,...l->...", cc, self.p_matrix_imag, c))
         return q, p
 
 
@@ -162,27 +166,28 @@ _TUNE_WINDOW = 200
 _NOISE_BLOCK = 4096
 
 
-def _run_chain_group(tm: TruncatedModel, beta: float, cfg: ChainConfig, chain_ids):
-    """Advance a group of chains in lockstep.
+def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> SampleRun:
+    """Run independent Metropolis chains in lockstep and merge their samples.
 
     Each chain draws all its randomness from a private generator seeded by
     (seed, chain index), in blocks; the vectorization across chains does not
     change any chain's trajectory.
     """
+    if beta < 0:
+        raise UsageError(f"beta must be >= 0, got {beta}")
     n = tm.n
-    n_chains = len(chain_ids)
+    n_chains = cfg.chain_count
     e_shift = tm.energies - tm.energies[0]  # avoids underflow at large beta
     if not np.all(np.isfinite(e_shift)):
         raise ConfigurationError("non-finite energies in truncated model")
-    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, int(i)]))
-            for i in chain_ids]
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
+            for i in range(n_chains)]
 
     c = np.stack([r.standard_normal(2 * n).view(np.complex128) for r in rngs])
     c /= np.linalg.norm(c, axis=1, keepdims=True)
     energy = (np.abs(c) ** 2) @ e_shift
     sigma = np.full(n_chains, cfg.proposal_scale)
 
-    qm, am = tm.q_matrix, tm.p_matrix_imag
     samples = np.empty((n_chains, cfg.steps_per_chain, 2))
     coeffs = (np.empty((n_chains, cfg.steps_per_chain, n), dtype=np.complex128)
               if cfg.keep_coefficients else None)
@@ -190,9 +195,10 @@ def _run_chain_group(tm: TruncatedModel, beta: float, cfg: ChainConfig, chain_id
     accepted = np.zeros(n_chains, dtype=np.int64)
     window_accepted = np.zeros(n_chains, dtype=np.int64)
     total = cfg.burn_in + cfg.steps_per_chain
-    step = 0
-    while step < total:
-        block = min(_NOISE_BLOCK, total - step)
+    # states of the current noise block; (<q>, <p>) are evaluated once per block
+    kept = np.empty((n_chains, min(_NOISE_BLOCK, total), n), dtype=np.complex128)
+    for start in range(0, total, _NOISE_BLOCK):
+        block = min(_NOISE_BLOCK, total - start)
         noise = np.stack([r.standard_normal((block, 2 * n)).view(np.complex128)
                           for r in rngs])
         uniforms = np.stack([r.random(block) for r in rngs])
@@ -212,9 +218,9 @@ def _run_chain_group(tm: TruncatedModel, beta: float, cfg: ChainConfig, chain_id
             c[accept] = prop[accept]
             energy[accept] = e_prop[accept]
             window_accepted += accept
-            if step < cfg.burn_in:
+            if start + j < cfg.burn_in:
                 # tune sigma toward acceptance in [0.3, 0.5]; frozen afterwards
-                if (step + 1) % _TUNE_WINDOW == 0:
+                if (start + j + 1) % _TUNE_WINDOW == 0:
                     rate = window_accepted / _TUNE_WINDOW
                     tune = (rate < 0.3) | (rate > 0.5)
                     sigma[tune] = np.clip(
@@ -222,39 +228,15 @@ def _run_chain_group(tm: TruncatedModel, beta: float, cfg: ChainConfig, chain_id
                     window_accepted[:] = 0
             else:
                 accepted += accept
-                i = step - cfg.burn_in
-                samples[:, i, 0] = np.real(np.einsum("ck,kl,cl->c", c.conj(), qm, c))
-                samples[:, i, 1] = np.real(
-                    1j * np.einsum("ck,kl,cl->c", c.conj(), am, c))
-                if coeffs is not None:
-                    coeffs[:, i] = c
-            step += 1
+                kept[:, j] = c
+        first = max(cfg.burn_in - start, 0)
+        if first < block:
+            retained = kept[:, first:block]
+            lo, hi = start + first - cfg.burn_in, start + block - cfg.burn_in
+            samples[:, lo:hi, 0], samples[:, lo:hi, 1] = tm.expectations(retained)
+            if coeffs is not None:
+                coeffs[:, lo:hi] = retained
 
-    rates = accepted / cfg.steps_per_chain
-    return samples, coeffs, rates, sigma
-
-
-def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig,
-                    threads: int = 1) -> SampleRun:
-    """Run independent Metropolis chains and merge their samples."""
-    if beta < 0:
-        raise UsageError(f"beta must be >= 0, got {beta}")
-    chain_ids = list(range(cfg.chain_count))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        groups = [chain_ids[i::threads] for i in range(threads) if chain_ids[i::threads]]
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            parts = list(pool.map(
-                lambda g: (g, _run_chain_group(tm, beta, cfg, g)), groups))
-        order = np.argsort([i for g, _ in parts for i in g])
-        samples = np.concatenate([r[0] for _, r in parts])[order]
-        coeffs = (np.concatenate([r[1] for _, r in parts])[order]
-                  if cfg.keep_coefficients else None)
-        rates = np.concatenate([r[2] for _, r in parts])[order]
-        sigmas = np.concatenate([r[3] for _, r in parts])[order]
-    else:
-        samples, coeffs, rates, sigmas = _run_chain_group(tm, beta, cfg, chain_ids)
     iat = float(np.mean([integrated_autocorrelation(s[:, 0]) for s in samples]))
     return SampleRun(
         beta=beta,
@@ -263,9 +245,9 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig,
         burn_in=cfg.burn_in,
         seed=cfg.seed,
         samples=samples,
-        acceptance_rate=float(rates.mean()),
+        acceptance_rate=float((accepted / cfg.steps_per_chain).mean()),
         integrated_autocorrelation_time=iat,
-        proposal_scales=sigmas,
+        proposal_scales=sigma,
         coefficients=coeffs,
     )
 
@@ -328,9 +310,7 @@ def unitary_flow_check(run: SampleRun, tm: TruncatedModel, t: float,
         raise UsageError("run did not retain coefficient vectors; "
                          "set keep_coefficients in the chain config")
     phases = np.exp(-1j * tm.energies * t / hbar)
-    flowed = run.coefficients * phases  # (chains, steps, N)
-    q_new = np.real(np.einsum("csk,kl,csl->cs", flowed.conj(), tm.q_matrix, flowed))
-    p_new = np.real(1j * np.einsum("csk,kl,csl->cs", flowed.conj(), tm.p_matrix_imag, flowed))
+    q_new, p_new = tm.expectations(run.coefficients * phases)
 
     report = {"t": t, "moments": {}}
     for name, before, after in (

@@ -123,7 +123,7 @@ def harmonic_run_n24(harmonic_grid):
     tm = build_truncated_model(harmonic(), 24, harmonic_grid)
     cfg = ChainConfig(chain_count=4, steps_per_chain=200_000, burn_in=10_000, seed=1)
     start = time.perf_counter()
-    run = sample_ensemble(tm, 2.0, cfg, threads=4)
+    run = sample_ensemble(tm, 2.0, cfg)
     return tm, run, time.perf_counter() - start
 
 
@@ -194,7 +194,7 @@ def test_criterion_7_low_temperature_marginal(dw_grid):
     beta = 20.0 / ts.splitting
     tm = build_truncated_model(mp, 8, dw_grid)
     cfg = ChainConfig(chain_count=8, steps_per_chain=125_000, burn_in=10_000, seed=2)
-    run = sample_ensemble(tm, beta, cfg, threads=4)
+    run = sample_ensemble(tm, beta, cfg)
     q = run.q
     assert len(q) >= 1_000_000
 

@@ -105,6 +105,18 @@ def test_twostate_command(tmp_path):
     assert summary["1.0"]["d"] > summary["0.5"]["d"]
 
 
+def test_twostate_failure_writes_nothing(tmp_path):
+    # the second mass is invalid: the run fails before any file is written
+    cfg = write_config(tmp_path, {
+        "model": DOUBLE_WELL_MODEL,
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 1201},
+        "twostate": {"masses": [0.5, -1.0], "n_q": 21},
+    })
+    out = tmp_path / "out"
+    assert main(["twostate", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_veff_command(tmp_path):
     cfg = write_config(tmp_path, {
         "model": DOUBLE_WELL_MODEL,
@@ -161,19 +173,6 @@ def test_sample_command_deterministic(tmp_path):
     assert (a / "samples.csv").read_bytes() != (c / "samples.csv").read_bytes()
     run = json.loads((a / "sample_run.json").read_text())
     assert run["seed"] == 4 and run["chains"] == 2
-
-
-def test_sample_threads_match_serial(tmp_path):
-    cfg = write_config(tmp_path, {
-        "model": HARMONIC_MODEL,
-        "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 801},
-        "sample": {"n_basis": 4, "beta": 2.0, "chains": 4,
-                   "steps_per_chain": 400, "burn_in": 100},
-    })
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["sample", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["sample", "--config", cfg, "--out", str(b), "--threads", "2"]) == 0
-    assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
 
 
 def test_sample_validation_failure_exits_1(tmp_path, capsys):

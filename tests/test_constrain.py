@@ -88,6 +88,7 @@ def test_table_roundtrip(tmp_path, dw_tables):
     table.save(path)
     text = path.read_text()
     assert text.startswith("# wfgibbs-csv v1")
+    assert b"\r" not in path.read_bytes()  # same line endings as every other CSV
     loaded = EffectivePotentialTable.load(path)
     assert np.array_equal(loaded.q, table.q)
     assert np.array_equal(loaded.v_eff, table.v_eff)

@@ -115,13 +115,6 @@ def test_bitwise_reproducibility(tm8):
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_threading_does_not_change_trajectories(tm8):
-    cfg = ChainConfig(chain_count=4, steps_per_chain=1500, burn_in=300, seed=5)
-    serial = sample_ensemble(tm8, 2.0, cfg, threads=1)
-    threaded = sample_ensemble(tm8, 2.0, cfg, threads=3)
-    assert np.array_equal(serial.samples, threaded.samples)
-
-
 def test_acceptance_rate_tuned(tm8):
     cfg = ChainConfig(chain_count=4, steps_per_chain=5000, burn_in=2000, seed=3)
     run = sample_ensemble(tm8, 2.0, cfg)
@@ -130,11 +123,42 @@ def test_acceptance_rate_tuned(tm8):
 
 
 def test_chain_states_stay_normalized(tm8):
-    cfg = ChainConfig(chain_count=2, steps_per_chain=1000, burn_in=200, seed=7,
+    # the first 4096-step noise block straddles the end of burn-in
+    cfg = ChainConfig(chain_count=2, steps_per_chain=5000, burn_in=4000, seed=7,
                       keep_coefficients=True)
     run = sample_ensemble(tm8, 2.0, cfg)
     norms = np.linalg.norm(run.coefficients, axis=2)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
+    # every retained sample is the quadratic form of its own retained state
+    assert np.array_equal(np.stack(tm8.expectations(run.coefficients), axis=-1),
+                          run.samples)
+
+
+def test_engine_matches_step_by_step_replay(tm8):
+    # burn-in ends inside the first noise block and is too short to tune sigma
+    cfg = ChainConfig(chain_count=1, steps_per_chain=5000, burn_in=150, seed=9)
+    run = sample_ensemble(tm8, 2.0, cfg)
+
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    e_shift = tm8.energies - tm8.energies[0]
+    c = rng.standard_normal(2 * tm8.n).view(np.complex128)[None]
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    energy = (np.abs(c) ** 2) @ e_shift
+    replay = []
+    total = cfg.burn_in + cfg.steps_per_chain
+    for start in range(0, total, 4096):
+        block = min(4096, total - start)
+        noise = rng.standard_normal((block, 2 * tm8.n)).view(np.complex128)
+        uniforms = rng.random(block)
+        for j in range(block):
+            prop = c + cfg.proposal_scale * noise[j]
+            prop /= np.sqrt(np.sum(prop.real**2 + prop.imag**2, axis=1))[:, None]
+            e_prop = (prop.real**2 + prop.imag**2) @ e_shift
+            if uniforms[j] < np.exp(-2.0 * max(e_prop[0] - energy[0], 0.0)):
+                c, energy = prop, e_prop
+            if start + j >= cfg.burn_in:
+                replay.append(tm8.expectations(c[0]))
+    assert np.array_equal(np.array(replay), run.samples[0])
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 10.0])
