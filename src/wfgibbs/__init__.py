@@ -13,7 +13,6 @@ from .constrain import (
     fig_q_grid,
     harmonic_qp_density,
     solve_lambda,
-    tilted_ground_state,
 )
 from .errors import (
     ConfigurationError,
@@ -34,7 +33,6 @@ from .lattice import (
     Tilted,
     TridiagonalOperator,
     assemble_hamiltonian,
-    energy_expectation,
     eval_potential,
     inner_product,
     make_grid,

@@ -167,24 +167,10 @@ def cmd_twostate(cfg, out: Path) -> int:
     return EXIT_OK
 
 
-def _two_state_reference_curve(t_grid) -> np.ndarray:
-    """Universal rescaled two-state fluctuation curve (unit dipole)."""
-    ref = constrain.EffectivePotentialTable(
-        q=np.linspace(-1.0, 1.0, 801),
-        v_eff=-np.sqrt(1.0 - np.linspace(-1.0, 1.0, 801) ** 2),
-        lam=np.zeros(801),
-        meta={"e1": -1.0, "e2": 1.0, "d": 1.0, "model": {"mass": 1.0}},
-        bounded_support=True,
-    )
-    curve = thermal.fluctuation_curve(ref, 1.0 / np.asarray(t_grid))
-    return curve.delta_q_over_d
-
-
 def cmd_fluct(cfg, out: Path) -> int:
     section = cfg["fluct"]
-    t_grid = np.logspace(np.log10(float(section["t_min"])),
-                         np.log10(float(section["t_max"])), int(section["n_t"]))
-    reference = _two_state_reference_curve(t_grid)
+    t_grid = thermal.default_temperature_grid(
+        int(section["n_t"]), float(section["t_min"]), float(section["t_max"]))
     results, summary = [], {}
     for mass in _masses(cfg, "fluct"):
         mp = _with_mass(cfg["model"], mass)
@@ -207,6 +193,9 @@ def cmd_fluct(cfg, out: Path) -> int:
                 np.max(np.abs(curve.delta_q_over_d - restricted.delta_q_over_d))),
         }
 
+    # the rescaled two-state curve is universal: any doublet gives the same
+    reference = thermal.fluctuation_curve(twostate.two_state_table(ts, 801), betas)
+
     out.mkdir(parents=True, exist_ok=True)
     for mass, curve, restricted in results:
         tag = _mass_tag(mass)
@@ -218,7 +207,7 @@ def cmd_fluct(cfg, out: Path) -> int:
         print(f"m={mass}: delta_q/d ranges "
               f"[{curve.delta_q_over_d.min():.4g}, {curve.delta_q_over_d.max():.4g}]")
     write_csv(out / "fluct_two_state.csv", "rescaled_temperature,delta_q_over_d",
-              zip(t_grid.tolist(), reference.tolist()))
+              zip(t_grid.tolist(), reference.delta_q_over_d.tolist()))
     _write_json(out / "fluct.json", summary)
     return EXIT_OK
 

@@ -27,31 +27,33 @@ from .lattice import (
     QuarticDoubleWell,
     TridiagonalOperator,
     assemble_hamiltonian,
-    energy_expectation,
-    eval_potential,
     make_grid,
     position_element,
     tilt_hamiltonian,
-    trapezoid_weights,
 )
-from .spectra import EigenPair, lowest_eigenpairs
+from .spectra import lowest_eigenpairs
 
 DEFAULT_ROOT_TOL_SCALE = 1e-8
 MAX_BRACKET_DOUBLINGS = 60
-MAX_BISECTIONS = 200
+MAX_ROOT_STEPS = 200
 
 CSV_SCHEMA_HEADER = "# wfgibbs-csv v1"
 
 
 def write_csv(path, columns: str, rows) -> None:
-    """Write rows (any iterable) under the schema and column header lines;
-    floats as .17g, lines ending in \\n."""
+    """Write tuples (any iterable of them) under the schema and column header
+    lines; floats as .17g, lines ending in \\n. The first row's value types
+    fix the format of every row."""
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", newline="") as fh:
         fh.write(CSV_SCHEMA_HEADER + "\n")
         fh.write(f"# columns: {columns}\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        if first is None:
+            return
+        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+        fh.write(fmt % first)
+        fh.writelines(fmt % row for row in rows)
 
 
 def default_grid(mp: ModelParams) -> GridSpec:
@@ -132,34 +134,67 @@ class EffectivePotentialTable:
         return EffectivePotentialTable(data[:, 0], data[:, 1], data[:, 2], meta, bounded)
 
 
-def tilted_ground_state(mp: ModelParams, lam: float, grid: GridSpec | None = None,
-                        op: TridiagonalOperator | None = None) -> EigenPair:
-    """Ground eigenpair of H + lam * q."""
-    if not np.isfinite(lam):
-        raise UsageError(f"tilt must be finite, got {lam}")
-    if op is None:
-        op = assemble_hamiltonian(mp, grid or default_grid(mp))
-    return lowest_eigenpairs(tilt_hamiltonian(op, lam), 1)[0]
+def decreasing_root(f, lo: float, hi: float, ftol: float):
+    """(x, f(x)) with |f(x)| <= ftol for a strictly decreasing f.
 
+    The bracket [lo, hi] is widened geometrically until f(lo) >= 0 >= f(hi),
+    then narrowed by Illinois regula falsi (Dowell & Jarratt 1971): the
+    secant root of the bracket ends, with the value kept at a stale end
+    halved, and the midpoint whenever the secant point leaves the bracket.
+    """
+    width, doublings = 0.5 * (hi - lo), 0
+    f_lo, f_hi = f(lo), f(hi)
+    while f_lo < 0 or f_hi > 0:
+        if doublings == MAX_BRACKET_DOUBLINGS:
+            raise UnreachableTargetError(
+                f"root not bracketed after {MAX_BRACKET_DOUBLINGS} doublings "
+                f"(grid too narrow?)", residual=min(abs(f_lo), abs(f_hi)))
+        # the end on the wrong side of the root becomes the other end
+        if f_lo < 0:
+            hi, f_hi, lo = lo, f_lo, lo - width
+            f_lo = f(lo)
+        else:
+            lo, f_lo, hi = hi, f_hi, hi + width
+            f_hi = f(hi)
+        width *= 2.0
+        doublings += 1
+    if abs(f_lo) <= ftol:
+        return lo, f_lo
+    if abs(f_hi) <= ftol:
+        return hi, f_hi
 
-def _curvature_estimate(mp: ModelParams, grid: GridSpec) -> float:
-    """Second difference of V at its grid minimum; scales the lambda bracket."""
-    x, dx = make_grid(grid)
-    v = eval_potential(mp.potential, x, mp.mass)
-    i = int(np.argmin(v[1:-1])) + 1
-    vpp = (v[i - 1] - 2 * v[i] + v[i + 1]) / dx**2
-    return max(vpp, 1e-3)
+    best, kept = min(abs(f_lo), abs(f_hi)), 0
+    for _ in range(MAX_ROOT_STEPS):
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if abs(fx) <= ftol:
+            return x, fx
+        best = min(best, abs(fx))
+        if fx > 0:
+            lo, f_lo = x, fx
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, fx
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
+    raise SolverError(f"root not within ftol={ftol} after {MAX_ROOT_STEPS} steps",
+                      residual=best)
 
 
 def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec | None = None,
-                 tol: float | None = None, bracket_center: float | None = None,
+                 tol: float | None = None, bracket_center: float = 0.0,
                  op: TridiagonalOperator | None = None) -> ConstrainedState:
     """Find lambda such that the tilted ground state has <q> = q_target.
 
-    Bracketing bisection with geometric bracket expansion; g(lambda) is
-    strictly decreasing, which makes bisection unconditionally convergent.
-    Newton is deliberately avoided: g is extremely steep near lambda = 0
-    when the tunneling splitting is small.
+    g(lambda) = <q>_lambda - q_target is strictly decreasing, so the
+    bracketed root of decreasing_root always converges. Newton is
+    deliberately avoided: g is extremely steep near lambda = 0 when the
+    tunneling splitting is small.
     """
     grid = grid or default_grid(mp)
     if op is None:
@@ -167,66 +202,25 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec | None = None,
     if tol is None:
         tol = DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target))
 
-    def ground(lam):
-        pair = lowest_eigenpairs(tilt_hamiltonian(op, lam), 1)[0]
-        return pair, position_element(pair.wavefunction, pair.wavefunction, grid)
+    pairs = {}
+
+    def g(lam):
+        pair = pairs[lam] = lowest_eigenpairs(tilt_hamiltonian(op, lam), 1)[0]
+        return position_element(pair.wavefunction, pair.wavefunction, grid) - q_target
 
     # symmetric potential at q = 0: lambda = 0 by parity, skip the stiff
     # root-finding region entirely
     if q_target == 0.0 and mp.potential.is_symmetric:
-        pair, q0 = ground(0.0)
+        resid = g(0.0)
+        pair = pairs[0.0]
         return ConstrainedState(0.0, 0.0, pair.energy, pair.energy,
-                                pair.wavefunction, abs(q0))
+                                pair.wavefunction, abs(resid))
 
-    if bracket_center is None:
-        bracket_center = -_curvature_estimate(mp, grid) * q_target
     width = max(1.0, 0.1 * abs(bracket_center))
-    lo, hi = bracket_center - width, bracket_center + width
-
-    pair_lo, q_lo = ground(lo)
-    pair_hi, q_hi = ground(hi)
-    doublings = 0
-    # need g(lo) >= 0 >= g(hi); g decreases in lambda
-    while q_lo - q_target < 0 or q_hi - q_target > 0:
-        if doublings >= MAX_BRACKET_DOUBLINGS:
-            raise UnreachableTargetError(
-                f"q_target={q_target} not bracketed after "
-                f"{MAX_BRACKET_DOUBLINGS} doublings (grid too narrow?)",
-                residual=min(abs(q_lo - q_target), abs(q_hi - q_target)),
-            )
-        if q_lo - q_target < 0:
-            lo -= width
-            pair_lo, q_lo = ground(lo)
-        if q_hi - q_target > 0:
-            hi += width
-            pair_hi, q_hi = ground(hi)
-        width *= 2.0
-        doublings += 1
-
-    best = (abs(q_lo - q_target), lo, pair_lo, q_lo)
-    if abs(q_hi - q_target) < best[0]:
-        best = (abs(q_hi - q_target), hi, pair_hi, q_hi)
-    for _ in range(MAX_BISECTIONS):
-        if best[0] <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        pair, q_mid = ground(mid)
-        g = q_mid - q_target
-        if abs(g) < best[0]:
-            best = (abs(g), mid, pair, q_mid)
-        if g > 0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise SolverError(
-            f"lambda bisection did not reach tol={tol} for q_target={q_target}",
-            residual=best[0],
-        )
-
-    resid, lam, pair, _ = best
+    lam, resid = decreasing_root(g, bracket_center - width, bracket_center + width, tol)
+    pair = pairs[lam]
     return ConstrainedState(q_target, lam, pair.energy,
-                            pair.energy - lam * q_target, pair.wavefunction, resid)
+                            pair.energy - lam * q_target, pair.wavefunction, abs(resid))
 
 
 def effective_potential(mp: ModelParams, q_grid, grid: GridSpec | None = None,
@@ -250,7 +244,7 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec | None = None,
     d = abs(position_element(pairs[0].wavefunction, pairs[1].wavefunction, grid))
 
     qs, vs, ls, failed = [], [], [], []
-    prev_lam = None
+    prev_lam = 0.0
     for qt in q_grid:
         try:
             cs = solve_lambda(mp, qt, grid=grid, tol=tol,

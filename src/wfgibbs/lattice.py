@@ -298,16 +298,3 @@ def momentum_expectation(psi, grid: GridSpec, hbar: float = 1.0) -> float:
     if abs(val.imag) > 1e-10:
         raise UsageError(f"momentum expectation has imaginary residue {val.imag}")
     return float(val.real)
-
-
-def energy_expectation(op: TridiagonalOperator, psi) -> float:
-    """<psi, H psi> for a normalized (possibly complex) grid state."""
-    psi = np.asarray(psi)
-    if len(psi) != op.n:
-        raise UsageError("state length does not match operator size")
-    hpsi_re = op.apply(np.ascontiguousarray(psi.real))
-    val = np.sum(psi.real * hpsi_re) if not np.iscomplexobj(psi) else None
-    if np.iscomplexobj(psi):
-        hpsi_im = op.apply(np.ascontiguousarray(psi.imag))
-        val = np.sum(psi.real * hpsi_re + psi.imag * hpsi_im)
-    return float(val * op.grid.dx)

@@ -13,9 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrain import EffectivePotentialTable, default_grid, effective_potential
-from .errors import CoverageError, TruncationError, UsageError
-from .lattice import GridSpec, ModelParams, assemble_hamiltonian, eval_potential, position_element
+from .constrain import EffectivePotentialTable, decreasing_root, default_grid, effective_potential
+from .errors import CoverageError, SolverError, TruncationError, UsageError
+from .lattice import (
+    GridSpec,
+    ModelParams,
+    assemble_hamiltonian,
+    eval_potential,
+    make_grid,
+    position_element,
+)
 from .spectra import lowest_eigenpairs
 
 BOUNDARY_TAIL = 1e-8  # coverage criterion: tail density / peak density
@@ -127,25 +134,29 @@ def default_temperature_grid(n: int = 60, t_min: float = 1e-2,
 
 
 def required_q_range(mp: ModelParams, beta: float, margin: float = 25.0) -> float:
-    """Half-range where exp(-beta V) drops below the coverage criterion.
+    """Half-range where exp(-beta (V - min V)) drops below the coverage criterion.
 
     Uses the bare potential as a proxy for V_eff (they agree far from the
     wells, where the ground state of the tilted problem is semiclassical).
+    Measured from the global minimum on the default grid, V - min V reaches
+    margin / beta at an outermost crossing on each side; the larger |x| of
+    the two is returned.
     """
-    target = margin / beta
-    lo, hi = 0.0, 1.0
-    v0 = float(np.min(eval_potential(mp.potential, np.linspace(-hi, hi, 101), mp.mass)))
-    while float(eval_potential(mp.potential, hi, mp.mass)) - v0 < target:
-        hi *= 2.0
-        if hi > 1e6:
-            raise CoverageError(f"potential too flat to cover beta={beta}", beta=beta)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(eval_potential(mp.potential, mid, mp.mass)) - v0 < target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    x, dx = make_grid(default_grid(mp))
+    v = eval_potential(mp.potential, x, mp.mass)
+    v0, target = float(v.min()), margin / beta
+    inside = np.flatnonzero(v - v0 < target)
+
+    def crossing(start, sign):
+        def below(s):  # decreasing in the outward distance s
+            return target + v0 - float(eval_potential(mp.potential, start + sign * s, mp.mass))
+        s, _ = decreasing_root(below, 0.0, dx, 1e-12 * (target + abs(v0)))
+        return abs(start + sign * s)
+
+    try:
+        return max(crossing(x[inside[0]], -1.0), crossing(x[inside[-1]], 1.0))
+    except SolverError as exc:
+        raise CoverageError(f"potential too flat to cover beta={beta}", beta=beta) from exc
 
 
 def table_for_betas(mp: ModelParams, betas, n_q: int = 161,

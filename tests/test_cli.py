@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -233,3 +236,12 @@ def test_preset_configs_parse():
     for preset in sorted(Path("configs").glob("*.json")):
         cfg = load_config(preset)
         assert cfg["model"].mass > 0
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # importing scipy.optimize adds about 20 MB of peak RSS and 0.2 s to every run
+    probe = "import sys, wfgibbs.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "False"

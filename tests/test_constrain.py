@@ -4,6 +4,7 @@ import pytest
 from wfgibbs import (
     EffectivePotentialTable,
     GridSpec,
+    SolverError,
     UnreachableTargetError,
     UsageError,
     coherent_state,
@@ -14,7 +15,8 @@ from wfgibbs import (
     position_element,
     solve_lambda,
 )
-from wfgibbs.constrain import default_grid
+from wfgibbs import constrain
+from wfgibbs.constrain import MAX_ROOT_STEPS, decreasing_root, default_grid
 
 from conftest import DOUBLE_WELL_MASSES, double_well, harmonic
 
@@ -48,6 +50,49 @@ def test_unreachable_target_raises():
     grid = GridSpec(-6.0, 6.0, 301)
     with pytest.raises(UnreachableTargetError):
         solve_lambda(double_well(0.5), 10.0, grid=grid)
+
+
+def test_decreasing_root_steep_tanh():
+    x, fx = decreasing_root(lambda x: -np.tanh(1e6 * (x - 0.3)), -1.0, 1.0, 1e-12)
+    assert abs(fx) <= 1e-12
+    assert x == pytest.approx(0.3, abs=1e-15)
+
+
+def test_decreasing_root_without_sign_change_is_unreachable():
+    with pytest.raises(UnreachableTargetError) as err:
+        decreasing_root(lambda x: 1.0 + np.exp(-x), -1.0, 1.0, 1e-12)
+    assert err.value.residual == pytest.approx(1.0)
+
+
+def test_decreasing_root_step_cap():
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return 1.0 if x < 0.3 else -1.0
+
+    with pytest.raises(SolverError) as err:
+        decreasing_root(step, -1.0, 1.0, 0.0)
+    assert not isinstance(err.value, UnreachableTargetError)
+    assert err.value.residual == 1.0
+    assert len(calls) == 2 + MAX_ROOT_STEPS
+
+
+@pytest.mark.parametrize("mass", [0.2, 0.5])
+def test_eigensolves_per_constrained_point(mass, two_state_models, dw_grid, monkeypatch):
+    k1_solves = []
+    solve = constrain.lowest_eigenpairs
+
+    def counted(op, k, *args, **kwargs):
+        if k == 1:
+            k1_solves.append(k)
+        return solve(op, k, *args, **kwargs)
+
+    monkeypatch.setattr(constrain, "lowest_eigenpairs", counted)
+    q = fig_q_grid(two_state_models[mass].d, 21)
+    table = effective_potential(double_well(mass), q, grid=dw_grid)
+    assert len(table.q) == len(q)
+    assert len(k1_solves) / len(q) <= 15
 
 
 @pytest.mark.parametrize("mass", DOUBLE_WELL_MASSES)

@@ -3,6 +3,8 @@ import pytest
 
 from wfgibbs import (
     CoverageError,
+    ModelParams,
+    QuarticDoubleWell,
     TruncationError,
     UsageError,
     canonical_atoms,
@@ -110,6 +112,16 @@ def test_required_q_range_harmonic_scaling():
     for beta in (1.0, 4.0):
         q = required_q_range(harmonic(), beta, margin=25.0)
         assert q == pytest.approx(np.sqrt(50.0 / beta), rel=1e-6)
+
+
+def test_required_q_range_measures_from_global_minimum():
+    # wells at +-0.8 with barrier 0.41: at beta = 200 the range must reach
+    # past the wells, and the table built on it must cover the marginal
+    mp = ModelParams(0.2, 1.0, QuarticDoubleWell(1.0, 0.8))
+    assert required_q_range(mp, 200.0) > 0.8
+    table = table_for_betas(mp, [200.0], n_q=41)
+    curve = fluctuation_curve(table, [200.0])
+    assert curve.delta_q[0] > 0
 
 
 def test_table_for_betas_covers_requested_range():
