@@ -128,7 +128,8 @@ def cmd_veff(cfg, out: Path) -> int:
         grid = cfg["grid"] or constrain.default_grid(mp)
         ts = twostate.build_two_state(mp, grid)
         q_grid = constrain.fig_q_grid(ts.d, int(section["n_q"]), float(section["frac"]))
-        table = constrain.effective_potential(mp, q_grid, grid=grid)
+        table = constrain.effective_potential(mp, q_grid, grid=grid,
+                                              doublet=(ts.e1, ts.e2, ts.d))
         if table.meta["failed_points"]:
             status = EXIT_SOLVER
         u, rescaled_exact = twostate.rescale(table, table.v_eff, table.q)

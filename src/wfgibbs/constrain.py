@@ -69,7 +69,9 @@ def default_grid(mp: ModelParams) -> GridSpec:
 
 @dataclass(frozen=True)
 class ConstrainedState:
-    """Self-consistent record (q, lambda(q), ground energy, wavefunction)."""
+    """Self-consistent record (q, lambda(q), ground energy, wavefunction),
+    with the number of k=1 eigensolves the root took and how many of the
+    warm-started ones fell back to a cold LAPACK solve."""
 
     q_target: float
     lam: float
@@ -77,6 +79,8 @@ class ConstrainedState:
     v_eff: float
     wavefunction: np.ndarray
     constraint_residual: float
+    eigensolves: int
+    lapack_fallbacks: int
 
 
 @dataclass(frozen=True)
@@ -188,13 +192,17 @@ def decreasing_root(f, lo: float, hi: float, ftol: float):
 
 def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec | None = None,
                  tol: float | None = None, bracket_center: float = 0.0,
-                 op: TridiagonalOperator | None = None) -> ConstrainedState:
+                 op: TridiagonalOperator | None = None, bracket_width: float = 1.0,
+                 start: np.ndarray | None = None) -> ConstrainedState:
     """Find lambda such that the tilted ground state has <q> = q_target.
 
     g(lambda) = <q>_lambda - q_target is strictly decreasing, so the
-    bracketed root of decreasing_root always converges. Newton is
-    deliberately avoided: g is extremely steep near lambda = 0 when the
-    tunneling splitting is small.
+    bracketed root of decreasing_root, opened at bracket_center +-
+    bracket_width, always converges. Newton is deliberately avoided: g is
+    extremely steep near lambda = 0 when the tunneling splitting is small.
+    Each eigensolve is warm-started from the cached ground state with the
+    nearest multiplier, or from start (e.g. the previous point's state)
+    before any is cached.
     """
     grid = grid or default_grid(mp)
     if op is None:
@@ -203,33 +211,42 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec | None = None,
         tol = DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target))
 
     pairs = {}
+    solves = fallbacks = 0
 
     def g(lam):
-        pair = pairs[lam] = lowest_eigenpairs(tilt_hamiltonian(op, lam), 1)[0]
+        nonlocal solves, fallbacks
+        near = min(pairs, key=lambda cached: abs(cached - lam), default=None)
+        seed = start if near is None else pairs[near].wavefunction
+        pair = pairs[lam] = lowest_eigenpairs(tilt_hamiltonian(op, lam), 1, start=seed)[0]
+        solves += 1
+        if seed is not None and pair.method == "lapack":
+            fallbacks += 1
         return position_element(pair.wavefunction, pair.wavefunction, grid) - q_target
 
     # symmetric potential at q = 0: lambda = 0 by parity, skip the stiff
     # root-finding region entirely
     if q_target == 0.0 and mp.potential.is_symmetric:
-        resid = g(0.0)
-        pair = pairs[0.0]
-        return ConstrainedState(0.0, 0.0, pair.energy, pair.energy,
-                                pair.wavefunction, abs(resid))
-
-    width = max(1.0, 0.1 * abs(bracket_center))
-    lam, resid = decreasing_root(g, bracket_center - width, bracket_center + width, tol)
+        lam, resid = 0.0, g(0.0)
+    else:
+        lam, resid = decreasing_root(g, bracket_center - bracket_width,
+                                     bracket_center + bracket_width, tol)
     pair = pairs[lam]
-    return ConstrainedState(q_target, lam, pair.energy,
-                            pair.energy - lam * q_target, pair.wavefunction, abs(resid))
+    return ConstrainedState(q_target, lam, pair.energy, pair.energy - lam * q_target,
+                            pair.wavefunction, abs(resid), solves, fallbacks)
 
 
 def effective_potential(mp: ModelParams, q_grid, grid: GridSpec | None = None,
-                        tol: float | None = None) -> EffectivePotentialTable:
+                        tol: float | None = None,
+                        doublet: tuple | None = None) -> EffectivePotentialTable:
     """Tabulate V_eff over an ascending q grid.
 
-    The multiplier found at each point seeds the bracket for the next
-    (continuation). Points whose solve fails are recorded in the metadata
-    and excluded from the table.
+    Continuation: each point's root bracket is centred on the multiplier
+    extrapolated from the last two points, lambda_prev + dlambda_prev, with
+    half-width |dlambda_prev| (1 at the first point), and its eigensolves
+    start from the previous point's ground state. Points whose solve fails
+    are recorded in the metadata and excluded from the table. doublet, the
+    (e1, e2, d) of the lowest doublet on the same grid when the caller has
+    already solved it, is stored as given; otherwise it is solved here.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     if len(q_grid) == 0:
@@ -239,20 +256,27 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec | None = None,
     grid = grid or default_grid(mp)
     op = assemble_hamiltonian(mp, grid)
 
-    pairs = lowest_eigenpairs(op, 2)
-    e1, e2 = pairs[0].energy, pairs[1].energy
-    d = abs(position_element(pairs[0].wavefunction, pairs[1].wavefunction, grid))
+    if doublet is None:
+        pairs = lowest_eigenpairs(op, 2)
+        doublet = (pairs[0].energy, pairs[1].energy,
+                   abs(position_element(pairs[0].wavefunction, pairs[1].wavefunction, grid)))
+    e1, e2, d = doublet
 
     qs, vs, ls, failed = [], [], [], []
-    prev_lam = 0.0
+    prev_lam, dlam, start = 0.0, 0.0, None
+    eigensolves = fallbacks = 0
     for qt in q_grid:
         try:
-            cs = solve_lambda(mp, qt, grid=grid, tol=tol,
-                              bracket_center=prev_lam, op=op)
+            cs = solve_lambda(mp, qt, grid=grid, tol=tol, bracket_center=prev_lam + dlam,
+                              op=op, bracket_width=abs(dlam) or 1.0, start=start)
         except SolverError as exc:
             failed.append({"q": float(qt), "error": str(exc)})
             continue
-        prev_lam = cs.lam
+        if qs:
+            dlam = cs.lam - prev_lam
+        prev_lam, start = cs.lam, cs.wavefunction
+        eigensolves += cs.eigensolves
+        fallbacks += cs.lapack_fallbacks
         qs.append(cs.q_target)
         vs.append(cs.v_eff)
         ls.append(cs.lam)
@@ -265,6 +289,8 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec | None = None,
         "grid": grid.to_dict(),
         "root_tol_scale": tol if tol is not None else DEFAULT_ROOT_TOL_SCALE,
         "failed_points": failed,
+        "eigensolves": eigensolves,
+        "lapack_fallbacks": fallbacks,
     }
     return EffectivePotentialTable(np.asarray(qs), np.asarray(vs), np.asarray(ls), meta)
 

@@ -1,10 +1,21 @@
 """Lowest eigenpairs of real symmetric tridiagonal operators.
 
-Eigenvalues are located by bisection on Sturm sequence counts and the
-eigenvectors by inverse iteration with deflation inside near-degenerate
-clusters (LAPACK stebz/stein via scipy.linalg.eigh_tridiagonal). This
-resolves tunneling doublets whose splitting is many orders of magnitude
-below the eigenvalue scale.
+Cold solves locate eigenvalues by bisection on Sturm sequence counts and
+the eigenvectors by inverse iteration with deflation inside
+near-degenerate clusters (LAPACK stebz/stein via
+scipy.linalg.eigh_tridiagonal). This resolves tunneling doublets whose
+splitting is many orders of magnitude below the eigenvalue scale.
+
+A ground state (k = 1) given a start vector, such as the ground state at a
+nearby multiplier, is refined instead by shifted inverse iteration: each
+shift sigma = rho - max(r, 1e3 eps ||H||) sits below the Rayleigh quotient
+rho by its residual r, and a successful LDL^T factorization of H - sigma
+(LAPACK dpttrf) certifies that H - sigma is positive definite, i.e. that
+sigma lies below the whole spectrum (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4), so the iteration can only converge to the ground state.
+It runs until the residual stops falling at roundoff. A failed
+factorization, or a residual that stalls above roundoff, falls back to the
+cold LAPACK solve.
 """
 
 from __future__ import annotations
@@ -13,11 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import SolverError, UsageError
 from .lattice import GridSpec, TridiagonalOperator, trapezoid_weights
 
 DEFAULT_TOL = 1e-10
+MAX_INVERSE_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -25,12 +38,14 @@ class EigenPair:
     """Energy and grid wavefunction, normalized with trapezoid weights.
 
     Sign convention: the first component exceeding 1e-8 in magnitude is
-    positive.
+    positive. ``method`` names the path that produced the pair: "lapack"
+    (stebz/stein) or "inverse_iteration" (warm start).
     """
 
     energy: float
     wavefunction: np.ndarray
     residual: float
+    method: str
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -40,22 +55,56 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL):
+def _inverse_iteration(op: TridiagonalOperator, start: np.ndarray):
+    """(energy, unit vector) of the ground state refined from start by
+    certified shifted inverse iteration, or None when a factorization
+    fails, the residual stalls above roundoff or MAX_INVERSE_STEPS pass."""
+    floor = 1e3 * np.finfo(float).eps * op.norm_estimate
+    vec = start / np.linalg.norm(start)
+    best = None
+    for _ in range(MAX_INVERSE_STEPS):
+        hv = op.apply(vec)
+        rho = float(vec @ hv)
+        resid = float(np.linalg.norm(hv - rho * vec))
+        if best is not None and resid >= best[2]:
+            # best's own shift passed dpttrf, so its rho < E0 + max(r, floor)
+            return best[:2] if best[2] <= floor else None
+        best = (rho, vec, resid)
+        dd, ee, info = dpttrf(op.diagonal - (rho - max(resid, floor)), op.off_diagonal)
+        if info != 0:
+            return None
+        vec = dpttrs(dd, ee, vec)[0]
+        vec /= np.linalg.norm(vec)
+    return None
+
+
+def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
+                      start: np.ndarray | None = None):
     """Return the k lowest eigenpairs in ascending order.
 
-    Raises SolverError if any residual ||H phi - E phi|| exceeds
-    tol * max(1, ||H||).
+    With k == 1 and a start vector the ground state is refined from start
+    by certified shifted inverse iteration, falling back to the cold LAPACK
+    solve when that fails (see the module docstring). Raises SolverError if
+    any residual ||H phi - E phi|| exceeds tol * max(1, ||H||).
     """
     if k < 1 or k > op.n:
         raise UsageError(f"k={k} outside [1, {op.n}]")
     if tol <= 0:
         raise UsageError(f"tol must be positive, got {tol}")
-    try:
-        energies, vectors = eigh_tridiagonal(
-            op.diagonal, op.off_diagonal, select="i", select_range=(0, k - 1)
-        )
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+    if start is not None and k != 1:
+        raise UsageError(f"a start vector needs k=1, got k={k}")
+    warm = None if start is None else _inverse_iteration(op, start)
+    if warm is not None:
+        energies, vectors = [warm[0]], warm[1][:, None]
+        method = "inverse_iteration"
+    else:
+        method = "lapack"
+        try:
+            energies, vectors = eigh_tridiagonal(
+                op.diagonal, op.off_diagonal, select="i", select_range=(0, k - 1)
+            )
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
 
     dx = op.grid.dx
     bound = tol * max(1.0, op.norm_estimate)
@@ -72,7 +121,7 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL)
         # renormalize in the trapezoid norm (endpoint weights)
         norm2 = np.sum(phi * phi * trapezoid_weights(op.grid))
         phi = phi / np.sqrt(norm2)
-        pairs.append(EigenPair(float(energies[i]), phi, resid))
+        pairs.append(EigenPair(float(energies[i]), phi, resid, method))
     return pairs
 
 

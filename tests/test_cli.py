@@ -135,8 +135,11 @@ def test_veff_command(tmp_path):
     assert min(us) >= -1.0 and max(us) <= 1.0
     # the raw table and its metadata sidecar are written alongside
     assert (out / "veff_table_m0p5.csv").exists()
-    meta = json.loads((out / "veff_table_m0p5.json").read_text())
-    assert meta["meta"]["failed_points"] == []
+    meta = json.loads((out / "veff_table_m0p5.json").read_text())["meta"]
+    assert meta["failed_points"] == []
+    # how the table converged: k=1 eigensolves and warm starts that fell back
+    assert 11 <= meta["eigensolves"]
+    assert 0 <= meta["lapack_fallbacks"] <= meta["eigensolves"]
 
 
 def test_fluct_command(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from wfgibbs import (
     GridSpec,
@@ -8,8 +9,10 @@ from wfgibbs import (
     QuarticDoubleWell,
     UsageError,
     assemble_hamiltonian,
+    inner_product,
     lowest_eigenpairs,
     parity_of,
+    tilt_hamiltonian,
 )
 from wfgibbs.lattice import trapezoid_weights
 
@@ -100,3 +103,68 @@ def test_bad_arguments_rejected(dw_grid):
         lowest_eigenpairs(op, 2, tol=-1.0)
     with pytest.raises(UsageError):
         parity_of(lowest_eigenpairs(op, 1)[0], GridSpec(0.0, 6.0, 11))
+    with pytest.raises(UsageError):
+        lowest_eigenpairs(op, 2, start=np.ones(op.n))
+
+
+@pytest.mark.parametrize("mass", [0.2, 1.5])
+@pytest.mark.parametrize("lam, near", [(0.3, 0.29), (-0.05, -0.045), (1.0, 0.9)])
+def test_warm_start_matches_lapack(mass, lam, near, dw_grid):
+    op = assemble_hamiltonian(double_well(mass), dw_grid)
+    start = lowest_eigenpairs(tilt_hamiltonian(op, near), 1)[0].wavefunction
+    tilted = tilt_hamiltonian(op, lam)
+    warm = lowest_eigenpairs(tilted, 1, start=start)[0]
+    cold = lowest_eigenpairs(tilted, 1)[0]
+    assert warm.method == "inverse_iteration" and cold.method == "lapack"
+    assert abs(warm.energy - cold.energy) <= 1e-9 * max(1.0, abs(cold.energy))
+    overlap = inner_product(warm.wavefunction, cold.wavefunction, dw_grid).real
+    assert overlap >= 1.0 - 1e-12
+    assert warm.residual <= 1e-10 * max(1.0, tilted.norm_estimate)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-4, -1e-3])
+@pytest.mark.parametrize("mix", [0.0, 1e-8, 1e-4, 1e-2, 0.3])
+def test_warm_start_from_odd_partner_never_returns_excited_state(lam, mix, dw_grid):
+    # m = 1.5: splitting ~9.5e-3, so a start on the odd partner has a small
+    # residual and a Rayleigh quotient near E2; the certified shift must
+    # still lead to the ground state, or to the cold solve
+    op = assemble_hamiltonian(double_well(1.5), dw_grid)
+    even, odd = lowest_eigenpairs(op, 2)
+    tilted = tilt_hamiltonian(op, lam)
+    cold = lowest_eigenpairs(tilted, 1)[0]
+    pair = lowest_eigenpairs(tilted, 1, start=odd.wavefunction + mix * even.wavefunction)[0]
+    assert abs(pair.energy - cold.energy) <= 1e-9 * max(1.0, abs(cold.energy))
+    assert inner_product(pair.wavefunction, cold.wavefunction, dw_grid).real >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("mass", [0.2, 1.5])
+def test_failed_factorization_falls_back_to_lapack(mass, dw_grid):
+    # H - sigma with sigma just below E2 is indefinite, so dpttrf fails at
+    # the first step and the cold solve runs
+    op = assemble_hamiltonian(double_well(mass), dw_grid)
+    odd = lowest_eigenpairs(op, 2)[1]
+    pair = lowest_eigenpairs(op, 1, start=odd.wavefunction)[0]
+    cold = lowest_eigenpairs(op, 1)[0]
+    assert pair.method == "lapack"
+    assert pair.energy == cold.energy
+    assert np.array_equal(pair.wavefunction, cold.wavefunction)
+    assert pair.residual == cold.residual
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_cold_path_is_unchanged(k, dw_grid):
+    # reference: the cold path as it stood before warm starts existed
+    op = assemble_hamiltonian(double_well(0.5), dw_grid)
+    energies, vectors = eigh_tridiagonal(op.diagonal, op.off_diagonal,
+                                         select="i", select_range=(0, k - 1))
+    wts = trapezoid_weights(dw_grid)
+    for i, pair in enumerate(lowest_eigenpairs(op, k, start=None)):
+        vec = vectors[:, i]
+        phi = vec / np.sqrt(dw_grid.dx)
+        if phi[np.abs(phi) > 1e-8][0] < 0:
+            phi = -phi
+        phi = phi / np.sqrt(np.sum(phi * phi * wts))
+        assert pair.method == "lapack"
+        assert pair.energy == float(energies[i])
+        assert np.array_equal(pair.wavefunction, phi)
+        assert pair.residual == float(np.linalg.norm(op.apply(vec) - energies[i] * vec))
