@@ -9,7 +9,7 @@ failure, 2 configuration error, 3 solver error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -232,7 +232,7 @@ def _validate_sample(mode, run, tm, mp, cfg, section):
         expected = sampling.oracle_two_level(
             tm.energies[0], tm.energies[1], tm.q_matrix, run.beta, tm.p_matrix_imag)
     elif mode == "marginal":
-        return _validate_marginal(run, mp, cfg, section)
+        return _validate_marginal(run, moments, mp, cfg, section)
     else:
         raise ConfigurationError(f"unknown validation mode {mode!r}")
 
@@ -248,7 +248,7 @@ def _validate_sample(mode, run, tm, mp, cfg, section):
     return passed, {"mode": mode, "moments": moments, "checks": checks}
 
 
-def _validate_marginal(run, mp, cfg, section):
+def _validate_marginal(run, moments, mp, cfg, section):
     """Total-variation comparison of the empirical q histogram against the
     exp(-beta V_eff) marginal."""
     q = run.q
@@ -267,7 +267,7 @@ def _validate_marginal(run, mp, cfg, section):
     ok = tv < tol
     print(f"{'PASS' if ok else 'FAIL'} total-variation: {tv:.4g} (tolerance {tol})")
     return ok, {"mode": "marginal", "tv_distance": tv, "tolerance": tol,
-                "moments": run.moment_summary()}
+                "moments": moments}
 
 
 def cmd_sample(cfg, out: Path) -> int:
@@ -286,9 +286,12 @@ def cmd_sample(cfg, out: Path) -> int:
     passed, report = _validate_sample(section["validate"], run, tm, mp, cfg, section)
 
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "samples.csv", "q,p,chain,step",
-              ((q, p, chain, step) for chain, qp in enumerate(run.samples)
-               for step, (q, p) in enumerate(qp.tolist())))
+    # columns built one chain at a time: 1M rows of Python objects would
+    # double the peak memory of a large run
+    write_csv(out / "samples.csv", "q,p,chain,step", itertools.chain.from_iterable(
+        zip(qp[:, 0].tolist(), qp[:, 1].tolist(), itertools.repeat(chain),
+            range(run.steps_per_chain))
+        for chain, qp in enumerate(run.samples)))
     _write_json(out / "sample_run.json", {
         "model": mp.to_dict(),
         "beta": run.beta,
@@ -298,6 +301,7 @@ def cmd_sample(cfg, out: Path) -> int:
         "burn_in": run.burn_in,
         "acceptance_rate": run.acceptance_rate,
         "integrated_autocorrelation_time": run.integrated_autocorrelation_time,
+        "per_chain": run.chain_records(),
         "validation": report,
     })
     print(f"acceptance={run.acceptance_rate:.3f} "

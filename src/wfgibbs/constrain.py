@@ -14,6 +14,7 @@ exp(i p x / hbar) * phi_lambda(q)(x).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,12 +39,14 @@ MAX_BRACKET_DOUBLINGS = 60
 MAX_ROOT_STEPS = 200
 
 CSV_SCHEMA_HEADER = "# wfgibbs-csv v1"
+_CSV_BATCH = 512  # rows per % operation in write_csv
 
 
 def write_csv(path, columns: str, rows) -> None:
     """Write tuples (any iterable of them) under the schema and column header
     lines; floats as .17g, lines ending in \\n. The first row's value types
-    fix the format of every row."""
+    fix the format of every row, and rows are formatted _CSV_BATCH at a time
+    by one % operation."""
     rows = iter(rows)
     first = next(rows, None)
     with open(path, "w", newline="") as fh:
@@ -53,7 +56,8 @@ def write_csv(path, columns: str, rows) -> None:
             return
         fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
         fh.write(fmt % first)
-        fh.writelines(fmt % row for row in rows)
+        while batch := tuple(itertools.chain.from_iterable(itertools.islice(rows, _CSV_BATCH))):
+            fh.write(fmt * (len(batch) // len(first)) % batch)
 
 
 def default_grid(mp: ModelParams) -> GridSpec:

@@ -9,7 +9,8 @@ same O(dx^2) order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -41,6 +42,19 @@ class GridSpec:
     def is_symmetric(self) -> bool:
         return abs(self.x_min + self.x_max) < 1e-12 * (self.x_max - self.x_min)
 
+    @cached_property
+    def x(self) -> np.ndarray:
+        """The grid nodes, computed once per grid and read-only."""
+        return _read_only(np.linspace(self.x_min, self.x_max, self.n_points))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights, computed once per grid and read-only."""
+        w = np.full(self.n_points, self.dx)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return _read_only(w)
+
     def to_dict(self) -> dict:
         return {"x_min": self.x_min, "x_max": self.x_max, "n_points": self.n_points}
 
@@ -49,17 +63,19 @@ class GridSpec:
         return GridSpec(float(d["x_min"]), float(d["x_max"]), int(d["n_points"]))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def make_grid(spec: GridSpec):
-    """Return (x, dx): the grid nodes and their spacing."""
-    x = np.linspace(spec.x_min, spec.x_max, spec.n_points)
-    return x, spec.dx
+    """Return (x, dx): the grid nodes (read-only) and their spacing."""
+    return spec.x, spec.dx
 
 
 def trapezoid_weights(spec: GridSpec) -> np.ndarray:
-    w = np.full(spec.n_points, spec.dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+    """The trapezoid weights of the grid (read-only)."""
+    return spec.weights
 
 
 # --- potentials -------------------------------------------------------------
@@ -219,7 +235,7 @@ class TridiagonalOperator:
     def n(self) -> int:
         return len(self.diagonal)
 
-    @property
+    @cached_property
     def norm_estimate(self) -> float:
         """Infinity-norm bound, used to scale residual tolerances."""
         return float(np.max(np.abs(self.diagonal)) + 2 * np.max(np.abs(self.off_diagonal)))
@@ -234,17 +250,15 @@ class TridiagonalOperator:
 
 def assemble_hamiltonian(mp: ModelParams, grid: GridSpec) -> TridiagonalOperator:
     """Central-difference discretization of p^2/2m + V with hard walls."""
-    x, dx = make_grid(grid)
-    t = mp.hbar**2 / (2.0 * mp.mass * dx**2)
-    diagonal = 2.0 * t + eval_potential(mp.potential, x, mp.mass)
+    t = mp.hbar**2 / (2.0 * mp.mass * grid.dx**2)
+    diagonal = 2.0 * t + eval_potential(mp.potential, grid.x, mp.mass)
     off_diagonal = np.full(grid.n_points - 1, -t)
     return TridiagonalOperator(diagonal, off_diagonal, grid)
 
 
 def tilt_hamiltonian(op: TridiagonalOperator, lam: float) -> TridiagonalOperator:
     """H + lam * q, reusing the kinetic part of an assembled operator."""
-    x, _ = make_grid(op.grid)
-    return TridiagonalOperator(op.diagonal + lam * x, op.off_diagonal, op.grid)
+    return TridiagonalOperator(op.diagonal + lam * op.grid.x, op.off_diagonal, op.grid)
 
 
 # --- matrix elements --------------------------------------------------------
@@ -261,7 +275,7 @@ def _check_same_grid(a, b, grid):
 def inner_product(a, b, grid: GridSpec) -> complex:
     """Trapezoid inner product <a, b> on the grid."""
     _check_same_grid(a, b, grid)
-    return np.sum(np.conj(a) * b * trapezoid_weights(grid))
+    return np.sum(np.conj(a) * b * grid.weights)
 
 
 def position_element(phi_a, phi_b, grid: GridSpec) -> float:
@@ -271,8 +285,7 @@ def position_element(phi_a, phi_b, grid: GridSpec) -> float:
     any imaginary residue beyond roundoff is rejected.
     """
     _check_same_grid(phi_a, phi_b, grid)
-    x, _ = make_grid(grid)
-    val = np.sum(np.conj(phi_a) * x * phi_b * trapezoid_weights(grid))
+    val = np.sum(np.conj(phi_a) * grid.x * phi_b * grid.weights)
     val = complex(val)
     if abs(val.imag) > 1e-10:
         raise UsageError(f"position element has imaginary residue {val.imag}")

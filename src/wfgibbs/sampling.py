@@ -8,19 +8,25 @@ angle between c and c', hence is symmetric, and the acceptance rule
 min(1, exp(-beta dE)) leaves exp(-beta E(c)) on the sphere invariant.
 
 Each retained step records the expectations (<q>, <p>) as quadratic forms
-c^dag Q c and c^dag P c. Chains are independently seeded and bit-for-bit
-reproducible from (seed, chain index).
+c^dag Q c and c^dag P c. Chains are independently seeded from
+(seed, chain index), and a run is bit-for-bit reproducible for a given
+seed and chain count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .lattice import GridSpec, ModelParams, assemble_hamiltonian, make_grid, trapezoid_weights
 from .spectra import lowest_eigenpairs
+
+_TUNE_WINDOW = 200  # burn-in steps per proposal-scale update
+_NOISE_BLOCK = 4096  # steps per block of random draws
+_FORM_ROWS = 1024  # coefficient vectors per gemm in TruncatedModel.expectations
 
 
 @dataclass(frozen=True)
@@ -39,14 +45,41 @@ class TruncatedModel:
     def n(self) -> int:
         return len(self.energies)
 
+    @cached_property
+    def _forms(self) -> np.ndarray:
+        """The (2N, 4N) real forms [sym(Q) (x) I2 | -anti(A) (x) J] of <q>, <p>.
+
+        On the float64 view x = (Re c_0, Im c_0, Re c_1, ...) of c,
+        Re(c^dag Q c) = x^T (sym(Q) (x) I2) x and Re(i c^dag A c) =
+        -x^T (anti(A) (x) J) x with J = [[0, 1], [-1, 0]]; both blocks are
+        symmetric.
+        """
+        q = np.asarray(self.q_matrix, dtype=float)
+        a = np.asarray(self.p_matrix_imag, dtype=float)
+        j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        return np.hstack([np.kron(0.5 * (q + q.T), np.eye(2)),
+                          np.kron(-0.5 * (a - a.T), j)])
+
     def expectations(self, c: np.ndarray):
         """(<q>, <p>) for unit-norm coefficient vectors stacked on the last axis.
 
         For c of shape (..., N) both results have shape (...).
         """
-        cc = c.conj()
-        q = np.real(np.einsum("...k,kl,...l->...", cc, self.q_matrix, c))
-        p = np.real(1j * np.einsum("...k,kl,...l->...", cc, self.p_matrix_imag, c))
+        c = np.ascontiguousarray(c, dtype=np.complex128)
+        q, p = self._real_expectations(c.view(np.float64).reshape(-1, 2 * self.n))
+        return q.reshape(c.shape[:-1])[()], p.reshape(c.shape[:-1])[()]
+
+    def _real_expectations(self, x: np.ndarray):
+        """(<q>, <p>) for the rows of x, float64 views (m, 2N) of coefficient
+        vectors: one gemm against the stacked forms and two row dots per
+        chunk of _FORM_ROWS rows, so memory stays bounded for any m."""
+        n2 = 2 * self.n
+        q, p = np.empty(len(x)), np.empty(len(x))
+        for lo in range(0, len(x), _FORM_ROWS):
+            rows = x[lo:lo + _FORM_ROWS]
+            y = rows @ self._forms
+            q[lo:lo + len(rows)] = np.einsum("ij,ij->i", rows, y[:, :n2])
+            p[lo:lo + len(rows)] = np.einsum("ij,ij->i", rows, y[:, n2:])
         return q, p
 
 
@@ -105,10 +138,25 @@ class SampleRun:
     burn_in: int
     seed: int
     samples: np.ndarray  # (chains, steps, 2)
-    acceptance_rate: float
-    integrated_autocorrelation_time: float
-    proposal_scales: np.ndarray
+    chain_acceptance: np.ndarray  # (chains,) acceptance after burn-in
+    chain_iat: np.ndarray  # (chains,) integrated autocorrelation time of <q>
+    proposal_scales: np.ndarray  # (chains,) tuned sigma
     coefficients: np.ndarray | None = None  # (chains, steps, N) when retained
+
+    @property
+    def acceptance_rate(self) -> float:
+        return float(self.chain_acceptance.mean())
+
+    @property
+    def integrated_autocorrelation_time(self) -> float:
+        return float(np.mean(self.chain_iat))
+
+    def chain_records(self) -> list:
+        """Per-chain acceptance, tuned sigma, IAT of <q> and ESS (steps / IAT)."""
+        return [{"acceptance": float(acc), "proposal_scale": float(sigma),
+                 "iat_q": float(iat), "ess_q": self.steps_per_chain / float(iat)}
+                for acc, sigma, iat in zip(self.chain_acceptance, self.proposal_scales,
+                                           self.chain_iat)]
 
     @property
     def q(self) -> np.ndarray:
@@ -162,16 +210,27 @@ def integrated_autocorrelation(series: np.ndarray, c: float = 6.0) -> float:
     return float(max(tau, 1.0))
 
 
-_TUNE_WINDOW = 200
-_NOISE_BLOCK = 4096
-
-
 def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> SampleRun:
     """Run independent Metropolis chains in lockstep and merge their samples.
 
+    The states are held as the float64 view (chains, 2N) of the
+    coefficients, real and imaginary parts interleaved. One step of every
+    chain is a handful of numpy calls: prop = c + sigma z, then one matmul
+    of prop**2 against F = [1, E - E0] (each energy repeated for the real
+    and the imaginary part) gives |prop|^2 and sum_k (E_k - E0) |prop_k|^2,
+    whose ratio is the energy of normalize(prop). The rule
+    u < exp(-beta max(dE, 0)) is applied as dE < -log(u) / beta, with the
+    thresholds taken per noise block (+inf at beta = 0, where every step is
+    accepted). An exactly zero proposal, which has probability zero, gets
+    the energy 0/0 = nan and is rejected. Sigma only changes at the tuning
+    boundaries of burn-in, so the noise is scaled in place once per tuning
+    segment, and acceptances are counted per segment.
+
     Each chain draws all its randomness from a private generator seeded by
-    (seed, chain index), in blocks; the vectorization across chains does not
-    change any chain's trajectory.
+    (seed, chain index), in blocks, so the chain count does not change any
+    chain's random stream. (The BLAS kernel behind the matmul depends on
+    the chain count, so a chain's states can differ in the last bit
+    between runs with different chain counts.)
     """
     if beta < 0:
         raise UsageError(f"beta must be >= 0, got {beta}")
@@ -180,64 +239,78 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
     e_shift = tm.energies - tm.energies[0]  # avoids underflow at large beta
     if not np.all(np.isfinite(e_shift)):
         raise ConfigurationError("non-finite energies in truncated model")
+    forms = np.column_stack([np.ones(2 * n), np.repeat(e_shift, 2)])
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
             for i in range(n_chains)]
 
-    c = np.stack([r.standard_normal(2 * n).view(np.complex128) for r in rngs])
-    c /= np.linalg.norm(c, axis=1, keepdims=True)
-    energy = (np.abs(c) ** 2) @ e_shift
-    sigma = np.full(n_chains, cfg.proposal_scale)
+    c = np.stack([rng.standard_normal(2 * n) for rng in rngs])
+    norm2_e = (c * c) @ forms
+    c /= np.sqrt(norm2_e[:, :1])
+    energy = norm2_e[:, 1:] / norm2_e[:, :1]  # (chains, 1), like the buffers below
+    sigma = np.full((n_chains, 1, 1), cfg.proposal_scale)
 
     samples = np.empty((n_chains, cfg.steps_per_chain, 2))
     coeffs = (np.empty((n_chains, cfg.steps_per_chain, n), dtype=np.complex128)
               if cfg.keep_coefficients else None)
 
+    total = cfg.burn_in + cfg.steps_per_chain
+    width = min(_NOISE_BLOCK, total)
+    noise = np.empty((n_chains, width, 2 * n))
+    uniforms = np.empty((n_chains, width))
+    kept = np.empty((n_chains, width, 2 * n))  # retained states of the block
+    accepts = np.empty((width, n_chains, 1), dtype=bool)
+    prop, sq = np.empty((n_chains, 2 * n)), np.empty((n_chains, 2 * n))
+    r, e, de = np.empty((n_chains, 2)), np.empty((n_chains, 1)), np.empty((n_chains, 1))
+    norm2, e_sum, root = r[:, :1], r[:, 1:], np.empty((n_chains, 1))
     accepted = np.zeros(n_chains, dtype=np.int64)
     window_accepted = np.zeros(n_chains, dtype=np.int64)
-    total = cfg.burn_in + cfg.steps_per_chain
-    # states of the current noise block; (<q>, <p>) are evaluated once per block
-    kept = np.empty((n_chains, min(_NOISE_BLOCK, total), n), dtype=np.complex128)
+    # cuts between tuning segments: every tuning boundary and the end of burn-in
+    cuts = [*range(_TUNE_WINDOW, cfg.burn_in + 1, _TUNE_WINDOW), cfg.burn_in]
     for start in range(0, total, _NOISE_BLOCK):
         block = min(_NOISE_BLOCK, total - start)
-        noise = np.stack([r.standard_normal((block, 2 * n)).view(np.complex128)
-                          for r in rngs])
-        uniforms = np.stack([r.random(block) for r in rngs])
-        for j in range(block):
-            prop = c + sigma[:, None] * noise[:, j]
-            norms = np.sqrt(np.sum(prop.real**2 + prop.imag**2, axis=1))
-            bad = norms <= 1e-12
-            if np.any(bad):  # probability ~0; redraw from the owning chain
-                for i in np.flatnonzero(bad):
-                    while norms[i] <= 1e-12:
-                        prop[i] = c[i] + sigma[i] * rngs[i].standard_normal(
-                            2 * n).view(np.complex128)
-                        norms[i] = np.linalg.norm(prop[i])
-            prop /= norms[:, None]
-            e_prop = (prop.real**2 + prop.imag**2) @ e_shift
-            accept = uniforms[:, j] < np.exp(-beta * np.maximum(e_prop - energy, 0.0))
-            c[accept] = prop[accept]
-            energy[accept] = e_prop[accept]
-            window_accepted += accept
-            if start + j < cfg.burn_in:
-                # tune sigma toward acceptance in [0.3, 0.5]; frozen afterwards
-                if (start + j + 1) % _TUNE_WINDOW == 0:
-                    rate = window_accepted / _TUNE_WINDOW
-                    tune = (rate < 0.3) | (rate > 0.5)
-                    sigma[tune] = np.clip(
-                        sigma[tune] * np.exp(rate[tune] - 0.4), 1e-4, 10.0)
-                    window_accepted[:] = 0
-            else:
-                accepted += accept
-                kept[:, j] = c
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[i, :block])
+            rng.random(out=uniforms[i, :block])
+        with np.errstate(divide="ignore"):  # u = 0 gives t = +inf
+            thresholds = (np.full((block, n_chains, 1), np.inf) if beta == 0 else
+                          (-np.log(uniforms[:, :block]) / beta).T[:, :, None])
+        bounds = sorted({0, block, *(k - start for k in cuts if start < k < start + block)})
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            steps = noise[:, lo:hi]
+            steps *= sigma
+            keep = start + lo >= cfg.burn_in
+            with np.errstate(invalid="ignore", divide="ignore"):
+                for j, step, t, acc in zip(range(lo, hi), steps.transpose(1, 0, 2),
+                                           thresholds[lo:hi], accepts[lo:hi]):
+                    np.add(c, step, out=prop)
+                    np.multiply(prop, prop, out=sq)
+                    np.matmul(sq, forms, out=r)
+                    np.divide(e_sum, norm2, out=e)
+                    np.less(np.subtract(e, energy, out=de), t, out=acc)
+                    np.divide(prop, np.sqrt(norm2, out=root), out=c, where=acc)
+                    np.copyto(energy, e, where=acc)
+                    if keep:
+                        kept[:, j] = c
+            if keep:
+                continue
+            window_accepted += accepts[lo:hi, :, 0].sum(axis=0)
+            if (start + hi) % _TUNE_WINDOW == 0:
+                # tune sigma toward acceptance in [0.3, 0.5]; frozen after burn-in
+                rate = window_accepted / _TUNE_WINDOW
+                tune = (rate < 0.3) | (rate > 0.5)
+                sigma[tune, 0, 0] = np.clip(
+                    sigma[tune, 0, 0] * np.exp(rate[tune] - 0.4), 1e-4, 10.0)
+                window_accepted[:] = 0
         first = max(cfg.burn_in - start, 0)
         if first < block:
-            retained = kept[:, first:block]
+            accepted += accepts[first:block, :, 0].sum(axis=0)
             lo, hi = start + first - cfg.burn_in, start + block - cfg.burn_in
-            samples[:, lo:hi, 0], samples[:, lo:hi, 1] = tm.expectations(retained)
-            if coeffs is not None:
-                coeffs[:, lo:hi] = retained
+            for i in range(n_chains):
+                retained = kept[i, first:block]
+                samples[i, lo:hi, 0], samples[i, lo:hi, 1] = tm._real_expectations(retained)
+                if coeffs is not None:
+                    coeffs[i, lo:hi] = retained.view(np.complex128)
 
-    iat = float(np.mean([integrated_autocorrelation(s[:, 0]) for s in samples]))
     return SampleRun(
         beta=beta,
         chain_count=cfg.chain_count,
@@ -245,9 +318,9 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
         burn_in=cfg.burn_in,
         seed=cfg.seed,
         samples=samples,
-        acceptance_rate=float((accepted / cfg.steps_per_chain).mean()),
-        integrated_autocorrelation_time=iat,
-        proposal_scales=sigma,
+        chain_acceptance=accepted / cfg.steps_per_chain,
+        chain_iat=np.array([integrated_autocorrelation(s[:, 0]) for s in samples]),
+        proposal_scales=sigma[:, 0, 0],
         coefficients=coeffs,
     )
 
@@ -310,7 +383,9 @@ def unitary_flow_check(run: SampleRun, tm: TruncatedModel, t: float,
         raise UsageError("run did not retain coefficient vectors; "
                          "set keep_coefficients in the chain config")
     phases = np.exp(-1j * tm.energies * t / hbar)
-    q_new, p_new = tm.expectations(run.coefficients * phases)
+    # one chain at a time: no copy of all retained coefficients at once
+    q_new, p_new = np.array([tm.expectations(chain * phases)
+                             for chain in run.coefficients]).transpose(1, 0, 2)
 
     report = {"t": t, "moments": {}}
     for name, before, after in (

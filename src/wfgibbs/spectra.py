@@ -27,7 +27,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import SolverError, UsageError
-from .lattice import GridSpec, TridiagonalOperator, trapezoid_weights
+from .lattice import GridSpec, TridiagonalOperator
 
 DEFAULT_TOL = 1e-10
 MAX_INVERSE_STEPS = 40
@@ -119,7 +119,7 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
             )
         phi = _fix_sign(vec / np.sqrt(dx))
         # renormalize in the trapezoid norm (endpoint weights)
-        norm2 = np.sum(phi * phi * trapezoid_weights(op.grid))
+        norm2 = np.sum(phi * phi * op.grid.weights)
         phi = phi / np.sqrt(norm2)
         pairs.append(EigenPair(float(energies[i]), phi, resid, method))
     return pairs

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from wfgibbs.cli import main
@@ -179,6 +180,17 @@ def test_sample_command_deterministic(tmp_path):
     assert (a / "samples.csv").read_bytes() != (c / "samples.csv").read_bytes()
     run = json.loads((a / "sample_run.json").read_text())
     assert run["seed"] == 4 and run["chains"] == 2
+    per_chain = run["per_chain"]
+    assert len(per_chain) == 2
+    for record in per_chain:
+        assert set(record) == {"acceptance", "proposal_scale", "iat_q", "ess_q"}
+        assert record["ess_q"] == pytest.approx(500 / record["iat_q"])
+    assert np.mean([r["acceptance"] for r in per_chain]) == pytest.approx(run["acceptance_rate"])
+    assert (np.mean([r["iat_q"] for r in per_chain])
+            == pytest.approx(run["integrated_autocorrelation_time"]))
+    rows = np.loadtxt(a / "samples.csv", delimiter=",")
+    assert np.array_equal(rows[:, 2], np.repeat([0, 1], 500))
+    assert np.array_equal(rows[:, 3], np.tile(np.arange(500), 2))
 
 
 def test_sample_validation_failure_exits_1(tmp_path, capsys):

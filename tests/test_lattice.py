@@ -185,3 +185,14 @@ def test_momentum_rejects_unnormalized(harmonic_grid):
 def test_trapezoid_weights_sum_to_length():
     grid = GridSpec(-2.0, 2.0, 41)
     assert trapezoid_weights(grid).sum() == pytest.approx(4.0)
+
+
+def test_grid_arrays_are_cached_and_read_only():
+    grid = GridSpec(-6.0, 6.0, 401)
+    x, _ = make_grid(grid)
+    assert make_grid(grid)[0] is x
+    assert trapezoid_weights(grid) is trapezoid_weights(grid)
+    assert np.array_equal(x, np.linspace(-6.0, 6.0, 401))
+    for shared in (x, trapezoid_weights(grid)):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0

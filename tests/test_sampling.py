@@ -7,6 +7,7 @@ from mpmath import mp
 from wfgibbs import (
     ChainConfig,
     ConfigurationError,
+    TruncatedModel,
     UsageError,
     build_truncated_model,
     integrated_autocorrelation,
@@ -134,31 +135,116 @@ def test_chain_states_stay_normalized(tm8):
                           run.samples)
 
 
+def _replay_chain0(tm, beta, cfg, arithmetic):
+    """Chain 0 of sample_ensemble, one step at a time with sigma tuning.
+
+    "engine" repeats the engine's arithmetic on the float64 view: the
+    energy of normalize(prop) as a ratio of one matmul's two columns and
+    the rule dE < -log(u) / beta. "reference" is the earlier step: normalize
+    the complex proposal, then take its energy, and accept when
+    u < exp(-beta max(dE, 0)). Returns (accept decisions, retained states
+    as complex vectors).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    e_shift = tm.energies - tm.energies[0]
+    forms = np.column_stack([np.ones(2 * tm.n), np.repeat(e_shift, 2)])
+    x = rng.standard_normal(2 * tm.n)[None]
+    if arithmetic == "engine":
+        r = (x * x) @ forms
+        c, energy = x / np.sqrt(r[:, :1]), r[0, 1] / r[0, 0]
+    else:
+        c = x.view(np.complex128) / np.linalg.norm(x.view(np.complex128))
+        energy = ((np.abs(c) ** 2) @ e_shift)[0]
+    sigma, window, accepts, kept = cfg.proposal_scale, 0, [], []
+    total = cfg.burn_in + cfg.steps_per_chain
+    for start in range(0, total, 4096):
+        block = min(4096, total - start)
+        noise = rng.standard_normal((block, 2 * tm.n))
+        uniforms = rng.random(block)
+        thresholds = -np.log(uniforms) / beta
+        for j in range(block):
+            if arithmetic == "engine":
+                prop = c + sigma * noise[j]
+                r = (prop * prop) @ forms
+                e = r[0, 1] / r[0, 0]
+                accept = e - energy < thresholds[j]
+                new = prop / np.sqrt(r[:, :1])
+            else:
+                prop = c + sigma * noise[j].view(np.complex128)
+                new = prop / np.sqrt(np.sum(prop.real**2 + prop.imag**2))
+                e = ((new.real**2 + new.imag**2) @ e_shift)[0]
+                accept = uniforms[j] < np.exp(-beta * max(e - energy, 0.0))
+            if accept:
+                c, energy = new, e
+            accepts.append(bool(accept))
+            window += bool(accept)
+            done = start + j + 1
+            if done <= cfg.burn_in and done % 200 == 0:
+                rate = window / 200
+                if not 0.3 <= rate <= 0.5:
+                    sigma = np.clip(sigma * np.exp(rate - 0.4), 1e-4, 10.0)
+                window = 0
+            elif done > cfg.burn_in:
+                kept.append(c[0])
+    kept = np.array(kept)
+    return accepts, kept.view(np.complex128) if arithmetic == "engine" else kept
+
+
+def _naive_expectations(tm, c):
+    cc = c.conj()
+    q = np.real(np.einsum("...k,kl,...l->...", cc, tm.q_matrix, c))
+    p = np.real(1j * np.einsum("...k,kl,...l->...", cc, tm.p_matrix_imag, c))
+    return q, p
+
+
 def test_engine_matches_step_by_step_replay(tm8):
     # burn-in ends inside the first noise block and is too short to tune sigma
     cfg = ChainConfig(chain_count=1, steps_per_chain=5000, burn_in=150, seed=9)
     run = sample_ensemble(tm8, 2.0, cfg)
+    accepts, kept = _replay_chain0(tm8, 2.0, cfg, "engine")
+    assert run.acceptance_rate == sum(accepts[cfg.burn_in:]) / cfg.steps_per_chain
+    assert np.array_equal(np.stack(tm8.expectations(kept), axis=-1), run.samples[0])
 
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    e_shift = tm8.energies - tm8.energies[0]
-    c = rng.standard_normal(2 * tm8.n).view(np.complex128)[None]
-    c /= np.linalg.norm(c, axis=1, keepdims=True)
-    energy = (np.abs(c) ** 2) @ e_shift
-    replay = []
-    total = cfg.burn_in + cfg.steps_per_chain
-    for start in range(0, total, 4096):
-        block = min(4096, total - start)
-        noise = rng.standard_normal((block, 2 * tm8.n)).view(np.complex128)
-        uniforms = rng.random(block)
-        for j in range(block):
-            prop = c + cfg.proposal_scale * noise[j]
-            prop /= np.sqrt(np.sum(prop.real**2 + prop.imag**2, axis=1))[:, None]
-            e_prop = (prop.real**2 + prop.imag**2) @ e_shift
-            if uniforms[j] < np.exp(-2.0 * max(e_prop[0] - energy[0], 0.0)):
-                c, energy = prop, e_prop
-            if start + j >= cfg.burn_in:
-                replay.append(tm8.expectations(c[0]))
-    assert np.array_equal(np.array(replay), run.samples[0])
+
+@pytest.mark.parametrize("seed", [9, 10])
+def test_engine_keeps_the_reference_accept_sequence(tm8, seed):
+    # the log-threshold rule on the ratio energy against the earlier
+    # normalize-then-energy step with the exp rule, through sigma tuning
+    cfg = ChainConfig(chain_count=1, steps_per_chain=4000, burn_in=1000, seed=seed)
+    run = sample_ensemble(tm8, 2.0, cfg)
+    engine_accepts, _ = _replay_chain0(tm8, 2.0, cfg, "engine")
+    reference_accepts, kept = _replay_chain0(tm8, 2.0, cfg, "reference")
+    assert engine_accepts == reference_accepts
+    assert 0 < sum(reference_accepts) < len(reference_accepts)
+    reference = np.stack(_naive_expectations(tm8, kept), axis=-1)
+    assert np.max(np.abs(reference - run.samples[0])) < 1e-12
+
+
+def test_every_step_is_accepted_at_infinite_temperature(tm8):
+    cfg = ChainConfig(chain_count=3, steps_per_chain=3000, burn_in=1000, seed=5)
+    run = sample_ensemble(tm8, 0.0, cfg)
+    assert np.array_equal(run.chain_acceptance, np.ones(3))
+    # burn-in pushed sigma up by exp(0.6) per tuning window
+    assert np.allclose(run.proposal_scales, 0.3 * np.exp(0.6 * 5))
+
+
+def test_expectations_match_naive_einsum():
+    rng = np.random.default_rng(4)
+    n = 7
+    q = rng.standard_normal((n, n))
+    a = rng.standard_normal((n, n))
+    tm = TruncatedModel(np.arange(n, dtype=float), 0.5 * (q + q.T), 0.5 * (a - a.T))
+    assert np.min(np.abs(np.diag(tm.q_matrix))) > 1e-3
+    # 3 x 2000 vectors: more rows than one gemm chunk
+    c = rng.standard_normal((3, 2000, 2 * n)).view(np.complex128)
+    c /= np.linalg.norm(c, axis=-1, keepdims=True)
+    got, want = tm.expectations(c), _naive_expectations(tm, c)
+    for g, w in zip(got, want):
+        assert g.shape == (3, 2000)
+        assert np.max(np.abs(g - w)) < 1e-13
+    single = tm.expectations(c[1, 7])
+    assert np.shape(single[0]) == () and np.shape(single[1]) == ()
+    assert np.allclose(single, (want[0][1, 7], want[1][1, 7]), rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 10.0])
