@@ -7,11 +7,9 @@ from .constrain import (
     CoherentState,
     ConstrainedState,
     EffectivePotentialTable,
-    coherent_state,
     default_grid,
     effective_potential,
     fig_q_grid,
-    harmonic_qp_density,
     solve_lambda,
 )
 from .errors import (
@@ -45,8 +43,8 @@ from .sampling import (
     SampleRun,
     TruncatedModel,
     build_truncated_model,
+    exact_moments,
     integrated_autocorrelation,
-    oracle_two_level,
     sample_ensemble,
     unitary_flow_check,
 )
@@ -66,9 +64,6 @@ from .twostate import (
     TwoStateModel,
     build_two_state,
     rescale,
-    two_state_coefficients,
-    two_state_coherent,
-    two_state_lambda,
     two_state_table,
     two_state_veff,
 )

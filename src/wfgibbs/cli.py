@@ -42,6 +42,8 @@ _SECTION_DEFAULTS = {
     "canonical": {"beta": 1.0, "k_max": 16},
 }
 
+_VALIDATE_MODES = ("none", "exact", "marginal")
+
 
 def _reject_unknown(d: dict, allowed, where: str) -> None:
     unknown = set(d) - set(allowed)
@@ -76,6 +78,9 @@ def load_config(path) -> dict:
             _reject_unknown(raw[name], defaults, f"section '{name}'")
             section.update(raw[name])
         cfg[name] = section
+    if cfg["sample"]["validate"] not in _VALIDATE_MODES:
+        raise ConfigurationError(f"unknown validation mode {cfg['sample']['validate']!r}; "
+                                 f"expected one of {', '.join(_VALIDATE_MODES)}")
     return cfg
 
 
@@ -213,39 +218,27 @@ def cmd_fluct(cfg, out: Path) -> int:
     return EXIT_OK
 
 
-def _validate_sample(mode, run, tm, mp, cfg, section):
+def _validate_sample(run, tm, mp, cfg, section):
     """Return (passed, report) comparing the run against its oracle."""
     moments = run.moment_summary()
-    n_se = float(section["tolerance_se"])
+    mode = section["validate"]
     if mode == "none":
         return True, {"mode": "none", "moments": moments}
-    if mode == "harmonic":
-        pot = mp.potential
-        expected = {
-            "mean_q": 0.0, "mean_p": 0.0,
-            "var_q": 1.0 / (run.beta * mp.mass * pot.omega**2),
-            "var_p": mp.mass / run.beta,
-        }
-    elif mode == "two_level":
-        if tm.n != 2:
-            raise ConfigurationError("two_level validation requires n_basis=2")
-        expected = sampling.oracle_two_level(
-            tm.energies[0], tm.energies[1], tm.q_matrix, run.beta, tm.p_matrix_imag)
-    elif mode == "marginal":
+    if mode == "marginal":
         return _validate_marginal(run, moments, mp, cfg, section)
-    else:
-        raise ConfigurationError(f"unknown validation mode {mode!r}")
 
+    n_se = float(section["tolerance_se"])
     checks, passed = {}, True
-    for key, target in expected.items():
+    for key, target in sampling.exact_moments(tm, run.beta).items():
         se = max(moments[f"{key}_se"], 1e-300)
-        ok = abs(moments[key] - target) <= n_se * se
+        z = abs(moments[key] - target) / se
+        ok = z <= n_se
         checks[key] = {"estimate": moments[key], "expected": target,
-                       "se": se, "pass": ok}
+                       "se": se, "z": z, "pass": ok}
         passed = passed and ok
         print(f"{'PASS' if ok else 'FAIL'} {key}: {moments[key]:.6g} "
-              f"vs {target:.6g} (se {se:.2g})")
-    return passed, {"mode": mode, "moments": moments, "checks": checks}
+              f"vs {target:.6g} (se {se:.2g}, z {z:.2f})")
+    return passed, {"mode": "exact", "moments": moments, "checks": checks}
 
 
 def _validate_marginal(run, moments, mp, cfg, section):
@@ -283,7 +276,7 @@ def cmd_sample(cfg, out: Path) -> int:
         keep_coefficients=bool(section["keep_coefficients"]),
     )
     run = sampling.sample_ensemble(tm, float(section["beta"]), chain_cfg)
-    passed, report = _validate_sample(section["validate"], run, tm, mp, cfg, section)
+    passed, report = _validate_sample(run, tm, mp, cfg, section)
 
     out.mkdir(parents=True, exist_ok=True)
     # columns built one chain at a time: 1M rows of Python objects would
@@ -336,6 +329,10 @@ def cmd_canonical(cfg, out: Path) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"eig": cmd_eig, "veff": cmd_veff, "twostate": cmd_twostate,
+            "fluct": cmd_fluct, "sample": cmd_sample, "canonical": cmd_canonical}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wfgibbs",
@@ -343,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "ensembles over wave functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("eig", "veff", "twostate", "fluct", "sample", "canonical"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=None, help="output directory")
@@ -358,19 +355,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         out = Path(args.out if args.out is not None else cfg["output"])
-        if args.command == "eig":
-            return cmd_eig(cfg, out)
-        if args.command == "veff":
-            return cmd_veff(cfg, out)
-        if args.command == "twostate":
-            return cmd_twostate(cfg, out)
-        if args.command == "fluct":
-            return cmd_fluct(cfg, out)
-        if args.command == "sample":
-            return cmd_sample(cfg, out)
-        if args.command == "canonical":
-            return cmd_canonical(cfg, out)
-        raise ConfigurationError(f"unknown command {args.command}")
+        return COMMANDS[args.command](cfg, out)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -125,13 +125,7 @@ class EffectivePotentialTable:
     @staticmethod
     def load(csv_path) -> "EffectivePotentialTable":
         csv_path = Path(csv_path)
-        rows = []
-        with open(csv_path) as fh:
-            for line in fh:
-                if line.startswith("#"):
-                    continue
-                rows.append([float(v) for v in line.strip().split(",")])
-        data = np.asarray(rows)
+        data = np.loadtxt(csv_path, delimiter=",", comments="#", ndmin=2)
         sidecar = csv_path.with_suffix(".json")
         meta, bounded = {}, False
         if sidecar.exists():
@@ -311,17 +305,3 @@ def coherent_state(cs: ConstrainedState, p: float, mp: ModelParams,
     psi = np.exp(1j * p * x / mp.hbar) * cs.wavefunction
     return CoherentState(cs.q_target, p, psi)
 
-
-def harmonic_qp_density(m: float, omega: float, hbar: float, beta: float,
-                        q, p):
-    """Exact density of (<q>, <p>) for the harmonic oscillator.
-
-    P(q, p) = (beta omega / 2 pi) exp[-beta (p^2/2m + m omega^2 q^2 / 2)].
-    Independent of hbar; the argument is kept for signature uniformity.
-    """
-    if beta <= 0:
-        raise UsageError(f"beta must be positive, got {beta}")
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    e = p**2 / (2.0 * m) + 0.5 * m * omega**2 * q**2
-    return beta * omega / (2.0 * np.pi) * np.exp(-beta * e)

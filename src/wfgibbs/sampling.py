@@ -196,7 +196,7 @@ def integrated_autocorrelation(series: np.ndarray, c: float = 6.0) -> float:
     series = np.asarray(series, dtype=float)
     n = len(series)
     x = series - series.mean()
-    var = np.dot(x, x) / n
+    var = np.sum(x * x) / n  # pairwise sum: no dependence on the BLAS threads
     if var == 0:
         return 1.0
     # FFT autocorrelation
@@ -325,48 +325,81 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
     )
 
 
-def oracle_two_level(e1: float, e2: float, q_matrix, beta: float,
-                     p_matrix_imag=None, n_w: int = 400, n_theta: int = 512) -> dict:
-    """Exact moments of (<q>, <p>) for a two-level model, by quadrature.
+def _exp_divided_differences(nodes: np.ndarray) -> np.ndarray:
+    """f[x_0, ..., x_j], j < n, for f = exp(-x) and each row x of nodes (rows, n).
 
-    The sphere of C^2 is parametrized by the excited-level weight
-    w = |c_2|^2 (uniform on [0, 1] under the round measure) and the
-    relative phase theta (uniform); the thermal density is
-    exp(-beta (e2 - e1) w). Gauss-Legendre in w and a trapezoid rule in
-    theta (spectrally accurate for the periodic integrand) give moments
-    to ~1e-10.
+    Repeated (confluent) nodes are allowed. By Opitz's theorem the results
+    are row 0 of exp(-J), J = diag(x) + U with U the ones above the
+    diagonal (McCurdy, Ng & Parlett, Math. Comp. 43, 1984). Conjugating by
+    diag((-1)^i) turns exp(-J) into e^-c exp(P) with P = c - diag(x) + U
+    entrywise nonnegative (c = max x), so after scaling P by 2^-m, a Taylor
+    sum and m squarings add only nonnegative terms and every entry keeps its
+    relative accuracy. (A Pade expm is accurate only relative to the norm:
+    at N = 24, beta = 0 its f[s] is wrong in every digit.)
     """
-    q_matrix = np.asarray(q_matrix, dtype=float)
-    if q_matrix.shape != (2, 2):
-        raise UsageError("oracle_two_level requires a 2x2 position matrix")
-    nodes, wts = np.polynomial.legendre.leggauss(n_w)
-    w = 0.5 * (nodes + 1.0)
-    ww = 0.5 * wts
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    rows, n = nodes.shape
+    c = nodes.max()
+    m = int(np.ceil(np.log2(c - nodes.min() + 1.0))) + 1  # entries of P 2^-m <= 1/2
+    scale = 2.0 ** -m
+    diag = (c - nodes)[:, :, None] * scale
+    eye = np.eye(n)
+    # Horner for sum_k (P 2^-m)^k / k!; the terms past k = n + 14 are below
+    # 1e-16 of every entry. P 2^-m @ t is a bidiagonal product, O(n^2).
+    t = np.broadcast_to(eye, (rows, n, n)).copy()
+    for k in range(n + 14, 0, -1):
+        pt = diag * t
+        pt[:, :-1] += scale * t[:, 1:]
+        pt /= k
+        pt += eye
+        t = pt
+    t *= np.exp(-c * scale)
+    for _ in range(m):
+        t = t @ t
+    return t[:, 0] * (-1.0) ** np.arange(n)
 
-    dens = np.exp(-beta * (e2 - e1) * w)
-    z = np.sum(dens * ww)
 
-    w2, t2 = np.meshgrid(w, theta, indexing="ij")
-    cross = 2.0 * np.sqrt(w2 * (1.0 - w2))
-    qv = q_matrix[0, 0] * (1 - w2) + q_matrix[1, 1] * w2 + q_matrix[0, 1] * cross * np.cos(t2)
-    if p_matrix_imag is not None:
-        a12 = float(np.asarray(p_matrix_imag)[0, 1])
-        pv = -a12 * cross * np.sin(t2)
-    else:
-        pv = np.zeros_like(qv)
+def exact_moments(tm: TruncatedModel, beta: float) -> dict:
+    """Exact means and variances of (<q>, <p>) under the sampled measure.
 
-    weight = (dens * ww)[:, None] / (z * n_theta)
+    Under exp(-beta E(c)) on the unit sphere the moduli w_k = |c_k|^2 follow
+    the flat simplex density tilted by exp(-sum_k s_k w_k), s = beta (E - E_0),
+    and the phases are independent and uniform. With f = exp(-x) and its
+    confluent divided differences f[...],
 
-    def mom(arr, k):
-        return float(np.sum(weight * arr**k))
+        E[w_k] = -f[s, s_k] / f[s],
+        E[w_k w_l] = (1 + delta_kl) f[s, s_k, s_l] / f[s].
 
-    mean_q, mean_p = mom(qv, 1), mom(pv, 1)
+    Averaging the phases out of <q> = sum_kl Q_kl conj(c_k) c_l gives
+    E<q> = sum_k Q_kk E[w_k] and
+    E<q>^2 = sum_kl Q_kk Q_ll E[w_k w_l] + sum_{k != l} Q_kl^2 E[w_k w_l];
+    <p> is the same with A, which has no diagonal, so E<p> = 0. Any N, any
+    potential: Q's diagonal (nonzero in tilted wells) is included.
+    """
+    if beta < 0:
+        raise UsageError(f"beta must be >= 0, got {beta}")
+    n = tm.n
+    s = beta * (tm.energies - tm.energies[0])
+    k, l = np.triu_indices(n)
+    # row i holds f[s], f[s, s_k], f[s, s_k, s_l] at columns n-1, n, n+1
+    f = _exp_divided_differences(np.column_stack([np.tile(s, (len(k), 1)), s[k], s[l]]))
+    z = f[0, n - 1]
+    ew = -f[k == l, n] / z
+    eww = np.empty((n, n))
+    eww[k, l] = eww[l, k] = f[:, n + 1] / z
+    eww[np.diag_indices(n)] *= 2.0
+
+    q = 0.5 * (tm.q_matrix + tm.q_matrix.T)
+    a = 0.5 * (tm.p_matrix_imag - tm.p_matrix_imag.T)
+    off_q = q - np.diag(np.diag(q))
+    # sum_k w_k = 1: the diagonal taken relative to Q_00 gives the same
+    # variance without cancelling against Q_00^2 when w_0 is near 1
+    dq = np.diag(q) - q[0, 0]
+    mean_dq = dq @ ew
     return {
-        "mean_q": mean_q,
-        "mean_p": mean_p,
-        "var_q": mom(qv, 2) - mean_q**2,
-        "var_p": mom(pv, 2) - mean_p**2,
+        "mean_q": float(q[0, 0] + mean_dq),
+        "mean_p": 0.0,
+        "var_q": float(dq @ eww @ dq - mean_dq**2 + np.sum(off_q**2 * eww)),
+        "var_p": float(np.sum(a**2 * eww)),
     }
 
 

@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from mpmath import mp
 
 from wfgibbs import (
     GridSpec,
@@ -9,6 +12,8 @@ from wfgibbs import (
     build_two_state,
     effective_potential,
 )
+
+mp.dps = 60  # digits of the divided-difference reference below
 
 # Reference doublet values for the quartic double well with hbar = 1,
 # w0 = 1, x0 = 1.5 (independent high-accuracy eigensolves; these are the
@@ -55,3 +60,44 @@ def dw_tables(two_state_models, dw_grid):
 @pytest.fixture(scope="session")
 def harmonic_grid():
     return GridSpec(-10.0, 10.0, 4001)
+
+
+def _dd_exp_neg(nodes):
+    """Divided differences of exp(-x), allowing repeated (confluent) nodes."""
+    xs = sorted(nodes)
+    n = len(xs)
+    table = [[mp.mpf(0)] * n for _ in range(n)]
+    for i in range(n):
+        table[i][i] = mp.e ** (-xs[i])
+    for width in range(1, n):
+        for i in range(n - width):
+            j = i + width
+            if xs[i] == xs[j]:
+                table[i][j] = (-1) ** width * mp.e ** (-xs[i]) / mp.factorial(width)
+            else:
+                table[i][j] = (table[i + 1][j] - table[i][j - 1]) / (xs[j] - xs[i])
+    return table[0][n - 1]
+
+
+@functools.lru_cache
+def _pair_moments(energies: tuple, beta: float) -> dict:
+    """E[w_k w_l], k < l, under the thermal measure of the truncation."""
+    s = [mp.mpf(beta) * mp.mpf(e - energies[0]) for e in energies]
+    denom = _dd_exp_neg(s)
+    return {(k, l): _dd_exp_neg(s + [s[k], s[l]]) / denom
+            for k in range(len(s)) for l in range(k + 1, len(s))}
+
+
+def exact_sphere_variance(energies, off_matrix, beta):
+    """Exact Var of c^dag M c over the thermal measure on the unit sphere.
+
+    Valid for Hermitian M with zero diagonal (then the mean vanishes and
+    Var = sum_{k<l} 2 |M_kl|^2 E[w_k w_l] with w_k = |c_k|^2). The moduli
+    w follow a flat simplex density tilted by exp(-beta <E, w>), whose
+    moments are ratios of confluent divided differences of exp.
+    """
+    off_matrix = np.asarray(off_matrix, dtype=float)
+    assert np.max(np.abs(np.diag(off_matrix))) < 1e-6
+    ew = _pair_moments(tuple(map(float, energies)), float(beta))
+    total = sum(2 * mp.mpf(float(off_matrix[k, l] ** 2)) * v for (k, l), v in ew.items())
+    return float(total)

@@ -21,20 +21,19 @@ from wfgibbs import (
     inner_product,
     lowest_eigenpairs,
     momentum_expectation,
-    oracle_two_level,
     position_element,
     position_marginal,
     sample_ensemble,
     solve_lambda,
     table_for_betas,
-    two_state_coherent,
     two_state_table,
     unitary_flow_check,
 )
 from wfgibbs.lattice import trapezoid_weights
+from wfgibbs.twostate import two_state_coherent
 
-from conftest import DOUBLE_WELL_MASSES, DOUBLE_WELL_REFERENCE, double_well, harmonic
-from test_sampling import exact_sphere_variance
+from conftest import (DOUBLE_WELL_MASSES, DOUBLE_WELL_REFERENCE, double_well,
+                      exact_sphere_variance, harmonic)
 
 
 def report(n, ok, detail):
@@ -164,12 +163,50 @@ def test_criterion_5_companion_exact_ensemble_variance(harmonic_run_n24):
            f"exact {var_p:.5f}; {elapsed:.1f}s")
 
 
+def two_level_quadrature(tm, beta: float, n_w: int = 400, n_theta: int = 512) -> dict:
+    """Exact moments of (<q>, <p>) for a two-level model, by quadrature.
+
+    The sphere of C^2 is parametrized by the excited-level weight
+    w = |c_2|^2 (uniform on [0, 1] under the round measure) and the
+    relative phase theta (uniform); the thermal density is
+    exp(-beta (e2 - e1) w). Gauss-Legendre in w and a trapezoid rule in
+    theta (spectrally accurate for the periodic integrand) give moments
+    to ~1e-10.
+    """
+    assert tm.n == 2
+    q, a12 = tm.q_matrix, tm.p_matrix_imag[0, 1]
+    nodes, wts = np.polynomial.legendre.leggauss(n_w)
+    w = 0.5 * (nodes + 1.0)
+    ww = 0.5 * wts
+    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+
+    dens = np.exp(-beta * (tm.energies[1] - tm.energies[0]) * w)
+    z = np.sum(dens * ww)
+
+    w2, t2 = np.meshgrid(w, theta, indexing="ij")
+    cross = 2.0 * np.sqrt(w2 * (1.0 - w2))
+    qv = q[0, 0] * (1 - w2) + q[1, 1] * w2 + q[0, 1] * cross * np.cos(t2)
+    pv = -a12 * cross * np.sin(t2)
+
+    weight = (dens * ww)[:, None] / (z * n_theta)
+
+    def mom(arr, k):
+        return float(np.sum(weight * arr**k))
+
+    mean_q, mean_p = mom(qv, 1), mom(pv, 1)
+    return {
+        "mean_q": mean_q,
+        "mean_p": mean_p,
+        "var_q": mom(qv, 2) - mean_q**2,
+        "var_p": mom(pv, 2) - mean_p**2,
+    }
+
+
 def test_criterion_6_two_level_oracle_equivalence(harmonic_grid):
     tm = build_truncated_model(harmonic(), 2, harmonic_grid)
     all_ok, details = True, []
     for beta in (0.0, 1.0, 10.0):
-        oracle = oracle_two_level(tm.energies[0], tm.energies[1], tm.q_matrix,
-                                  beta, tm.p_matrix_imag)
+        oracle = two_level_quadrature(tm, beta)
         cfg = ChainConfig(chain_count=4, steps_per_chain=30_000, burn_in=3000,
                           seed=42)
         mom = sample_ensemble(tm, beta, cfg).moment_summary()

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from wfgibbs import sampling
 from wfgibbs.cli import main
 
 HARMONIC_MODEL = {
@@ -206,14 +207,44 @@ def test_sample_validation_failure_exits_1(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_sample_unknown_validation_mode(tmp_path):
+def test_sample_unknown_validation_mode(tmp_path, monkeypatch, capsys):
+    # rejected while the config is read: nothing is sampled or written
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample_ensemble ran")
+
+    monkeypatch.setattr(sampling, "sample_ensemble", no_sampling)
+    for mode in ("bogus", "harmonic", "two_level"):
+        cfg = write_config(tmp_path, {
+            "model": HARMONIC_MODEL,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 401},
+            "sample": {"n_basis": 2, "beta": 1.0, "chains": 1,
+                       "steps_per_chain": 50, "burn_in": 10, "validate": mode},
+        })
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2, mode
+        assert "unknown validation mode" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_sample_exact_validation_on_tilted_model(tmp_path, capsys):
     cfg = write_config(tmp_path, {
-        "model": HARMONIC_MODEL,
-        "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 401},
-        "sample": {"n_basis": 2, "beta": 1.0, "chains": 1,
-                   "steps_per_chain": 50, "burn_in": 10, "validate": "bogus"},
+        "model": {"mass": 0.5, "hbar": 1.0,
+                  "potential": {"type": "tilted", "strength": 0.05,
+                                "base": DOUBLE_WELL_MODEL["potential"]}},
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        "seed": 3,
+        "sample": {"n_basis": 4, "beta": 1.0, "chains": 4,
+                   "steps_per_chain": 20_000, "burn_in": 2000, "validate": "exact"},
     })
-    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.count("PASS") == 4
+    report = json.loads((out / "sample_run.json").read_text())["validation"]
+    assert report["mode"] == "exact"
+    checks = report["checks"]
+    assert set(checks) == {"mean_q", "mean_p", "var_q", "var_p"}
+    assert all(c["pass"] and c["z"] <= 3.0 for c in checks.values())
+    assert abs(checks["mean_q"]["expected"]) > 0.01  # the tilt moves <q>
 
 
 def test_canonical_command(tmp_path, capsys):
@@ -251,6 +282,7 @@ def test_preset_configs_parse():
     for preset in sorted(Path("configs").glob("*.json")):
         cfg = load_config(preset)
         assert cfg["model"].mass > 0
+        assert cfg["sample"]["validate"] in {"none", "exact", "marginal"}
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -7,16 +7,14 @@ from wfgibbs import (
     SolverError,
     UnreachableTargetError,
     UsageError,
-    coherent_state,
     effective_potential,
     fig_q_grid,
-    harmonic_qp_density,
     momentum_expectation,
     position_element,
     solve_lambda,
 )
 from wfgibbs import constrain
-from wfgibbs.constrain import MAX_ROOT_STEPS, decreasing_root, default_grid
+from wfgibbs.constrain import MAX_ROOT_STEPS, coherent_state, decreasing_root, default_grid
 
 from conftest import DOUBLE_WELL_MASSES, double_well, harmonic
 
@@ -168,20 +166,6 @@ def test_coherent_state_expectations(dw_grid):
     state = coherent_state(cs, 1.7, mp, dw_grid)
     assert state.q == 0.6
     assert momentum_expectation(state.psi, dw_grid) == pytest.approx(1.7, abs=1e-4)
-
-
-def test_harmonic_density_normalized():
-    q = np.linspace(-8, 8, 401)
-    p = np.linspace(-8, 8, 401)
-    qq, pp = np.meshgrid(q, p, indexing="ij")
-    dens = harmonic_qp_density(1.0, 1.0, 1.0, 2.0, qq, pp)
-    total = np.trapezoid(np.trapezoid(dens, p, axis=1), q)
-    assert total == pytest.approx(1.0, abs=1e-8)
-
-
-def test_harmonic_density_rejects_bad_beta():
-    with pytest.raises(UsageError):
-        harmonic_qp_density(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 
 
 def test_default_grid_choices():

@@ -1,64 +1,28 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from mpmath import mp
 
 from wfgibbs import (
     ChainConfig,
     ConfigurationError,
+    ModelParams,
+    QuarticDoubleWell,
+    Tilted,
     TruncatedModel,
     UsageError,
     build_truncated_model,
+    exact_moments,
     integrated_autocorrelation,
-    oracle_two_level,
     sample_ensemble,
     unitary_flow_check,
 )
 
-from conftest import harmonic
-
-mp.dps = 60
-
-
-def _dd_exp_neg(nodes):
-    """Divided differences of exp(-x), allowing repeated (confluent) nodes."""
-    xs = sorted(nodes)
-    n = len(xs)
-    table = [[mp.mpf(0)] * n for _ in range(n)]
-    for i in range(n):
-        table[i][i] = mp.e ** (-xs[i])
-    for width in range(1, n):
-        for i in range(n - width):
-            j = i + width
-            if xs[i] == xs[j]:
-                table[i][j] = (-1) ** width * mp.e ** (-xs[i]) / mp.factorial(width)
-            else:
-                table[i][j] = (table[i + 1][j] - table[i][j - 1]) / (xs[j] - xs[i])
-    return table[0][n - 1]
-
-
-def exact_sphere_variance(energies, off_matrix, beta):
-    """Exact Var of c^dag M c over the thermal measure on the unit sphere.
-
-    Valid for Hermitian M with zero diagonal (then the mean vanishes and
-    Var = sum_{k<l} 2 |M_kl|^2 E[w_k w_l] with w_k = |c_k|^2). The moduli
-    w follow a flat simplex density tilted by exp(-beta <E, w>), whose
-    moments are ratios of confluent divided differences of exp.
-    """
-    off_matrix = np.asarray(off_matrix, dtype=float)
-    assert np.max(np.abs(np.diag(off_matrix))) < 1e-6
-    s = [mp.mpf(beta) * mp.mpf(float(e - energies[0])) for e in energies]
-    denom = _dd_exp_neg(s)
-    total = mp.mpf(0)
-    n = len(s)
-    for k in range(n):
-        for l in range(k + 1, n):
-            if off_matrix[k, l] == 0.0:
-                continue
-            ew = _dd_exp_neg(s + [s[k], s[l]]) / denom
-            total += 2 * mp.mpf(float(off_matrix[k, l] ** 2)) * ew
-    return float(total)
+from conftest import exact_sphere_variance, harmonic
+from test_acceptance import two_level_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +67,8 @@ def test_chain_config_validation():
 def test_negative_beta_rejected(tm8):
     with pytest.raises(UsageError):
         sample_ensemble(tm8, -1.0, ChainConfig(chain_count=1, steps_per_chain=10))
+    with pytest.raises(UsageError):
+        exact_moments(tm8, -1.0)
 
 
 def test_bitwise_reproducibility(tm8):
@@ -250,8 +216,7 @@ def test_expectations_match_naive_einsum():
 @pytest.mark.parametrize("beta", [0.0, 1.0, 10.0])
 def test_two_level_matches_quadrature_oracle(beta, harmonic_grid):
     tm = build_truncated_model(harmonic(), 2, harmonic_grid)
-    oracle = oracle_two_level(tm.energies[0], tm.energies[1], tm.q_matrix, beta,
-                              tm.p_matrix_imag)
+    oracle = exact_moments(tm, beta)
     cfg = ChainConfig(chain_count=4, steps_per_chain=20_000, burn_in=3000, seed=21)
     run = sample_ensemble(tm, beta, cfg)
     mom = run.moment_summary()
@@ -260,14 +225,30 @@ def test_two_level_matches_quadrature_oracle(beta, harmonic_grid):
         assert abs(mom[key] - oracle[key]) < 5 * se, (key, mom[key], oracle[key], se)
 
 
-def test_exact_oracle_agrees_with_quadrature(harmonic_grid):
-    # two independent oracles for N = 2: sphere quadrature vs divided
-    # differences of the tilted simplex measure
-    tm = build_truncated_model(harmonic(), 2, harmonic_grid)
-    for beta in (0.0, 1.0, 4.0):
-        quad = oracle_two_level(tm.energies[0], tm.energies[1], tm.q_matrix, beta)
-        exact = exact_sphere_variance(tm.energies, tm.q_matrix, beta)
-        assert exact == pytest.approx(quad["var_q"], abs=1e-9)
+def test_exact_oracle_agrees_with_quadrature(harmonic_grid, dw_grid):
+    # the divided differences against an independent sphere quadrature for
+    # N = 2; the tilted well has a nonzero diagonal of Q and a mean of <q>
+    tilted = build_truncated_model(
+        ModelParams(0.5, 1.0, Tilted(QuarticDoubleWell(1.0, 1.5), 0.05)), 2, dw_grid)
+    assert np.min(np.abs(np.diag(tilted.q_matrix))) > 0.1
+    for tm in (build_truncated_model(harmonic(), 2, harmonic_grid), tilted):
+        for beta in (0.0, 1.0, 4.0, 100.0):
+            exact = exact_moments(tm, beta)
+            quad = two_level_quadrature(tm, beta)
+            for key in ("mean_q", "mean_p", "var_q", "var_p"):
+                assert exact[key] == pytest.approx(quad[key], abs=1e-9), (beta, key)
+
+
+@pytest.mark.parametrize("n", [2, 8, 24])
+def test_exact_moments_match_mpmath_reference(n, harmonic_grid):
+    tm = build_truncated_model(harmonic(), n, harmonic_grid)
+    for beta in (0.0, 1.0, 2.0, 10.0):
+        exact = exact_moments(tm, beta)
+        var_q = exact_sphere_variance(tm.energies, tm.q_matrix, beta)
+        var_p = exact_sphere_variance(tm.energies, np.abs(tm.p_matrix_imag), beta)
+        assert exact["var_q"] == pytest.approx(var_q, rel=1e-12, abs=0), beta
+        assert exact["var_p"] == pytest.approx(var_p, rel=1e-12, abs=0), beta
+        assert abs(exact["mean_q"]) < 1e-9 and exact["mean_p"] == 0.0
 
 
 def test_sampler_matches_exact_variance(tm8):
@@ -326,3 +307,20 @@ def test_iat_of_correlated_series_is_large():
         x[i] = 0.95 * x[i - 1] + rng.standard_normal()
     tau = integrated_autocorrelation(x)
     assert 25 < tau < 55
+
+
+def test_iat_does_not_depend_on_blas_threads():
+    # a threaded ddot changes the variance in its last digit with the thread count
+    probe = ("from wfgibbs import (ChainConfig, GridSpec, Harmonic, ModelParams,\n"
+             "                     build_truncated_model, sample_ensemble)\n"
+             "tm = build_truncated_model(ModelParams(1.0, 1.0, Harmonic(1.0)), 4,\n"
+             "                           GridSpec(-10.0, 10.0, 801))\n"
+             "cfg = ChainConfig(chain_count=1, steps_per_chain=20_000, burn_in=1000, seed=1)\n"
+             "print(repr(sample_ensemble(tm, 2.0, cfg).chain_iat[0]))")
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": threads}
+        out.append(subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                  text=True, check=True, env=env).stdout)
+    assert out[0] == out[1]

@@ -7,13 +7,11 @@ from wfgibbs import (
     build_two_state,
     momentum_expectation,
     rescale,
-    two_state_coefficients,
-    two_state_coherent,
-    two_state_lambda,
     two_state_table,
     two_state_veff,
 )
-from wfgibbs.twostate import DomainError
+from wfgibbs.twostate import (DomainError, two_state_coefficients, two_state_coherent,
+                              two_state_lambda)
 
 from conftest import DOUBLE_WELL_MASSES, DOUBLE_WELL_REFERENCE, harmonic
 
