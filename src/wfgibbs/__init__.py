@@ -31,9 +31,7 @@ from .lattice import (
     Tilted,
     TridiagonalOperator,
     assemble_hamiltonian,
-    eval_potential,
     inner_product,
-    make_grid,
     momentum_expectation,
     position_element,
     tilt_hamiltonian,

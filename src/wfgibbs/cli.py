@@ -37,8 +37,8 @@ _SECTION_DEFAULTS = {
     "twostate": {"masses": None, "n_q": 201},
     "fluct": {"masses": None, "t_min": 1e-2, "t_max": 1e2, "n_t": 60, "n_q": 161},
     "sample": {"n_basis": 24, "beta": 2.0, "chains": 4, "steps_per_chain": 50_000,
-               "burn_in": 5_000, "proposal_scale": 0.3, "keep_coefficients": False,
-               "validate": "none", "tolerance_se": 3.0, "tv_tolerance": 0.05},
+               "burn_in": 5_000, "proposal_scale": 0.3, "validate": "none",
+               "tolerance_se": 3.0, "tv_tolerance": 0.05},
     "canonical": {"beta": 1.0, "k_max": 16},
 }
 
@@ -81,6 +81,25 @@ def load_config(path) -> dict:
     if cfg["sample"]["validate"] not in _VALIDATE_MODES:
         raise ConfigurationError(f"unknown validation mode {cfg['sample']['validate']!r}; "
                                  f"expected one of {', '.join(_VALIDATE_MODES)}")
+    # values no run can use are rejected here, before any work
+    fluct, sample = cfg["fluct"], cfg["sample"]
+    try:
+        beta = float(sample["beta"])
+        limits = {
+            "0 < fluct.t_min < inf": 0 < float(fluct["t_min"]) < np.inf,
+            "0 < fluct.t_max < inf": 0 < float(fluct["t_max"]) < np.inf,
+            "fluct.n_t >= 1": int(fluct["n_t"]) >= 1,
+            "fluct.n_q >= 2": int(fluct["n_q"]) >= 2,
+            "0 <= sample.beta < inf": 0 <= beta < np.inf,
+            "sample.beta > 0 with validate 'marginal'":
+                sample["validate"] != "marginal" or beta > 0,
+            "0 < canonical.beta < inf": 0 < float(cfg["canonical"]["beta"]) < np.inf,
+        }
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"non-numeric fluct, sample or canonical value: {exc}") from exc
+    broken = [rule for rule, ok in limits.items() if not ok]
+    if broken:
+        raise ConfigurationError(f"value out of range; requires {', '.join(broken)}")
     return cfg
 
 
@@ -242,20 +261,15 @@ def _validate_sample(run, tm, mp, cfg, section):
 
 
 def _validate_marginal(run, moments, mp, cfg, section):
-    """Total-variation comparison of the empirical q histogram against the
-    exp(-beta V_eff) marginal."""
+    """Total-variation distance between the histogram of the sampled q, on
+    101 bins over the samples' span, and the exp(-beta V_eff) marginal."""
     q = run.q
     span = 1.05 * float(np.max(np.abs(q)))
-    table = constrain.effective_potential(
-        mp, np.linspace(-span, span, 121), grid=cfg["grid"])
     bins = np.linspace(-span, span, 102)
     hist, _ = np.histogram(q, bins=bins)
-    hist = hist / hist.sum()
-    qq, dens = thermal.position_marginal(table, run.beta)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(qq))])
-    cdf /= cdf[-1]
-    model_mass = np.diff(np.interp(bins, qq, cdf))
-    tv = 0.5 * float(np.abs(hist - model_mass).sum())
+    table = thermal.table_for_betas(mp, [run.beta], n_q=121, grid=cfg["grid"])
+    model_mass = thermal.bin_masses(table, run.beta, bins)
+    tv = 0.5 * float(np.abs(hist / hist.sum() - model_mass).sum())
     tol = float(section["tv_tolerance"])
     ok = tv < tol
     print(f"{'PASS' if ok else 'FAIL'} total-variation: {tv:.4g} (tolerance {tol})")
@@ -273,7 +287,6 @@ def cmd_sample(cfg, out: Path) -> int:
         burn_in=int(section["burn_in"]),
         seed=cfg["seed"],
         proposal_scale=float(section["proposal_scale"]),
-        keep_coefficients=bool(section["keep_coefficients"]),
     )
     run = sampling.sample_ensemble(tm, float(section["beta"]), chain_cfg)
     passed, report = _validate_sample(run, tm, mp, cfg, section)
@@ -309,9 +322,7 @@ def cmd_canonical(cfg, out: Path) -> int:
     atoms = thermal.canonical_atoms(mp, beta, int(section["k_max"]), cfg["grid"])
 
     # effective-potential dispersion at the same beta for the contrast line
-    q_max = thermal.required_q_range(mp, beta)
-    table = constrain.effective_potential(
-        mp, np.linspace(-q_max, q_max, 81), grid=cfg["grid"])
+    table = thermal.table_for_betas(mp, [beta], n_q=81, grid=cfg["grid"])
     curve = thermal.fluctuation_curve(table, [beta])
     canonical_dq = atoms.dispersion()
 

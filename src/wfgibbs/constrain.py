@@ -28,7 +28,6 @@ from .lattice import (
     QuarticDoubleWell,
     TridiagonalOperator,
     assemble_hamiltonian,
-    make_grid,
     position_element,
     tilt_hamiltonian,
 )
@@ -189,9 +188,8 @@ def decreasing_root(f, lo: float, hi: float, ftol: float):
 
 
 def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec | None = None,
-                 tol: float | None = None, bracket_center: float = 0.0,
-                 op: TridiagonalOperator | None = None, bracket_width: float = 1.0,
-                 start: np.ndarray | None = None) -> ConstrainedState:
+                 bracket_center: float = 0.0, op: TridiagonalOperator | None = None,
+                 bracket_width: float = 1.0, start: np.ndarray | None = None) -> ConstrainedState:
     """Find lambda such that the tilted ground state has <q> = q_target.
 
     g(lambda) = <q>_lambda - q_target is strictly decreasing, so the
@@ -205,8 +203,6 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec | None = None,
     grid = grid or default_grid(mp)
     if op is None:
         op = assemble_hamiltonian(mp, grid)
-    if tol is None:
-        tol = DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target))
 
     pairs = {}
     solves = fallbacks = 0
@@ -227,14 +223,14 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec | None = None,
         lam, resid = 0.0, g(0.0)
     else:
         lam, resid = decreasing_root(g, bracket_center - bracket_width,
-                                     bracket_center + bracket_width, tol)
+                                     bracket_center + bracket_width,
+                                     DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target)))
     pair = pairs[lam]
     return ConstrainedState(q_target, lam, pair.energy, pair.energy - lam * q_target,
                             pair.wavefunction, abs(resid), solves, fallbacks)
 
 
 def effective_potential(mp: ModelParams, q_grid, grid: GridSpec | None = None,
-                        tol: float | None = None,
                         doublet: tuple | None = None) -> EffectivePotentialTable:
     """Tabulate V_eff over an ascending q grid.
 
@@ -265,7 +261,7 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec | None = None,
     eigensolves = fallbacks = 0
     for qt in q_grid:
         try:
-            cs = solve_lambda(mp, qt, grid=grid, tol=tol, bracket_center=prev_lam + dlam,
+            cs = solve_lambda(mp, qt, grid=grid, bracket_center=prev_lam + dlam,
                               op=op, bracket_width=abs(dlam) or 1.0, start=start)
         except SolverError as exc:
             failed.append({"q": float(qt), "error": str(exc)})
@@ -285,7 +281,7 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec | None = None,
         "d": d,
         "model": mp.to_dict(),
         "grid": grid.to_dict(),
-        "root_tol_scale": tol if tol is not None else DEFAULT_ROOT_TOL_SCALE,
+        "root_tol_scale": DEFAULT_ROOT_TOL_SCALE,
         "failed_points": failed,
         "eigensolves": eigensolves,
         "lapack_fallbacks": fallbacks,
@@ -301,7 +297,6 @@ def fig_q_grid(d: float, n: int = 81, frac: float = 0.995) -> np.ndarray:
 def coherent_state(cs: ConstrainedState, p: float, mp: ModelParams,
                    grid: GridSpec) -> CoherentState:
     """exp(i p x / hbar) times the constrained ground state."""
-    x, _ = make_grid(grid)
-    psi = np.exp(1j * p * x / mp.hbar) * cs.wavefunction
+    psi = np.exp(1j * p * grid.x / mp.hbar) * cs.wavefunction
     return CoherentState(cs.q_target, p, psi)
 

@@ -68,16 +68,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def make_grid(spec: GridSpec):
-    """Return (x, dx): the grid nodes (read-only) and their spacing."""
-    return spec.x, spec.dx
-
-
-def trapezoid_weights(spec: GridSpec) -> np.ndarray:
-    """The trapezoid weights of the grid (read-only)."""
-    return spec.weights
-
-
 # --- potentials -------------------------------------------------------------
 
 
@@ -187,11 +177,6 @@ def potential_from_dict(d: dict) -> PotentialSpec:
     return factory(d)
 
 
-def eval_potential(potential: PotentialSpec, x, mass: float = 1.0) -> np.ndarray:
-    """Pointwise V(x_i). Mass only matters for the harmonic variant."""
-    return potential.evaluate(x, mass)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Mass, hbar, and the potential; every Hamiltonian derives from this."""
@@ -251,7 +236,7 @@ class TridiagonalOperator:
 def assemble_hamiltonian(mp: ModelParams, grid: GridSpec) -> TridiagonalOperator:
     """Central-difference discretization of p^2/2m + V with hard walls."""
     t = mp.hbar**2 / (2.0 * mp.mass * grid.dx**2)
-    diagonal = 2.0 * t + eval_potential(mp.potential, grid.x, mp.mass)
+    diagonal = 2.0 * t + mp.potential.evaluate(grid.x, mp.mass)
     off_diagonal = np.full(grid.n_points - 1, -t)
     return TridiagonalOperator(diagonal, off_diagonal, grid)
 

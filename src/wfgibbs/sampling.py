@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .lattice import GridSpec, ModelParams, assemble_hamiltonian, make_grid, trapezoid_weights
+from .lattice import GridSpec, ModelParams, assemble_hamiltonian
 from .spectra import lowest_eigenpairs
 
 _TUNE_WINDOW = 200  # burn-in steps per proposal-scale update
@@ -93,15 +93,14 @@ def build_truncated_model(mp: ModelParams, n_basis: int,
     grid = grid or default_grid(mp)
     op = assemble_hamiltonian(mp, grid)
     pairs = lowest_eigenpairs(op, n_basis)
-    x, dx = make_grid(grid)
-    wts = trapezoid_weights(grid)
+    wts = grid.weights
     phis = np.stack([p.wavefunction for p in pairs])  # (N, n_grid)
 
-    q_matrix = (phis * wts * x) @ phis.T
+    q_matrix = (phis * wts * grid.x) @ phis.T
     q_matrix = 0.5 * (q_matrix + q_matrix.T)
 
     dphis = np.zeros_like(phis)
-    dphis[:, 1:-1] = (phis[:, 2:] - phis[:, :-2]) / (2.0 * dx)
+    dphis[:, 1:-1] = (phis[:, 2:] - phis[:, :-2]) / (2.0 * grid.dx)
     # <phi_k, p phi_l> = -i hbar <phi_k, phi_l'> = i * A_kl
     a = -mp.hbar * (phis * wts) @ dphis.T
     a = 0.5 * (a - a.T)

@@ -15,14 +15,7 @@ import numpy as np
 
 from .constrain import EffectivePotentialTable, decreasing_root, default_grid, effective_potential
 from .errors import CoverageError, SolverError, TruncationError, UsageError
-from .lattice import (
-    GridSpec,
-    ModelParams,
-    assemble_hamiltonian,
-    eval_potential,
-    make_grid,
-    position_element,
-)
+from .lattice import GridSpec, ModelParams, assemble_hamiltonian, position_element
 from .spectra import lowest_eigenpairs
 
 BOUNDARY_TAIL = 1e-8  # coverage criterion: tail density / peak density
@@ -54,28 +47,33 @@ class CanonicalAtoms:
         return float(np.sqrt(max(second - mean**2, 0.0)))
 
 
-def _fine_marginal(table: EffectivePotentialTable, beta: float, n_fine: int):
-    """Unnormalized density exp(-beta (V_eff - min)) on a refined grid.
+def position_marginal(table: EffectivePotentialTable, beta: float,
+                      n_fine: int = 4001):
+    """Normalized density of <q>, exp(-beta V_eff), on a refined grid over
+    the table's range.
 
     Interpolation is piecewise-linear in V_eff, not in the density, which
     preserves convexity and positivity.
     """
+    if not 0 < beta < np.inf:
+        raise UsageError(f"beta must be positive and finite, got {beta}")
     if len(table.q) < 2:
         raise UsageError("effective-potential table needs at least two points")
     qq = np.linspace(table.q[0], table.q[-1], n_fine)
     v = table.interpolate(qq)
     dens = np.exp(-beta * (v - v.min()))
-    return qq, dens
+    return qq, dens / np.trapezoid(dens, qq)
 
 
-def position_marginal(table: EffectivePotentialTable, beta: float,
-                      n_fine: int = 4001):
-    """Normalized marginal density of <q> on the table's range."""
-    if beta <= 0:
-        raise UsageError(f"beta must be positive, got {beta}")
-    qq, dens = _fine_marginal(table, beta, n_fine)
-    dens = dens / np.trapezoid(dens, qq)
-    return qq, dens
+def bin_masses(table: EffectivePotentialTable, beta: float, edges) -> np.ndarray:
+    """Probability of each bin between consecutive edges under the marginal.
+
+    The cumulative trapezoid integral of position_marginal is interpolated
+    at the edges, so mass outside the table's range counts as zero.
+    """
+    qq, dens = position_marginal(table, beta)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(qq))])
+    return np.diff(np.interp(edges, qq, cdf))
 
 
 def _check_coverage(table, beta, qq, dens):
@@ -107,11 +105,10 @@ def fluctuation_curve(table: EffectivePotentialTable, betas,
 
     mean_q, delta_q = [], []
     for beta in betas:
-        qq, dens = _fine_marginal(table, beta, n_fine)
+        qq, dens = position_marginal(table, beta, n_fine)
         _check_coverage(table, beta, qq, dens)
-        norm = np.trapezoid(dens, qq)
-        m1 = np.trapezoid(dens * qq, qq) / norm
-        m2 = np.trapezoid(dens * qq**2, qq) / norm
+        m1 = np.trapezoid(dens * qq, qq)
+        m2 = np.trapezoid(dens * qq**2, qq)
         mean_q.append(m1)
         delta_q.append(np.sqrt(max(m2 - m1**2, 0.0)))
 
@@ -142,19 +139,21 @@ def required_q_range(mp: ModelParams, beta: float, margin: float = 25.0) -> floa
     margin / beta at an outermost crossing on each side; the larger |x| of
     the two is returned.
     """
-    x, dx = make_grid(default_grid(mp))
-    v = eval_potential(mp.potential, x, mp.mass)
+    if not 0 < beta < np.inf:
+        raise UsageError(f"beta must be positive and finite, got {beta}")
+    grid = default_grid(mp)
+    v = mp.potential.evaluate(grid.x, mp.mass)
     v0, target = float(v.min()), margin / beta
     inside = np.flatnonzero(v - v0 < target)
 
     def crossing(start, sign):
         def below(s):  # decreasing in the outward distance s
-            return target + v0 - float(eval_potential(mp.potential, start + sign * s, mp.mass))
-        s, _ = decreasing_root(below, 0.0, dx, 1e-12 * (target + abs(v0)))
+            return target + v0 - float(mp.potential.evaluate(start + sign * s, mp.mass))
+        s, _ = decreasing_root(below, 0.0, grid.dx, 1e-12 * (target + abs(v0)))
         return abs(start + sign * s)
 
     try:
-        return max(crossing(x[inside[0]], -1.0), crossing(x[inside[-1]], 1.0))
+        return max(crossing(grid.x[inside[0]], -1.0), crossing(grid.x[inside[-1]], 1.0))
     except SolverError as exc:
         raise CoverageError(f"potential too flat to cover beta={beta}", beta=beta) from exc
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .constrain import CoherentState, EffectivePotentialTable, default_grid
 from .errors import UsageError
-from .lattice import GridSpec, ModelParams, assemble_hamiltonian, make_grid, position_element
+from .lattice import GridSpec, ModelParams, assemble_hamiltonian, position_element
 from .spectra import lowest_eigenpairs
 
 
@@ -95,8 +95,7 @@ def two_state_coefficients(ts: TwoStateModel, q: float):
 def two_state_coherent(ts: TwoStateModel, q: float, p: float, hbar: float) -> CoherentState:
     """Coherent state exp(ipx/hbar) (a1 phi_1 + a2 phi_2)."""
     a1, a2 = two_state_coefficients(ts, q)
-    x, _ = make_grid(ts.grid)
-    psi = np.exp(1j * p * x / hbar) * (a1 * ts.phi1 + a2 * ts.phi2)
+    psi = np.exp(1j * p * ts.grid.x / hbar) * (a1 * ts.phi1 + a2 * ts.phi2)
     return CoherentState(q, p, psi)
 
 

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from wfgibbs import (
     build_two_state,
     effective_potential,
 )
-
-mp.dps = 60  # digits of the divided-difference reference below
 
 # Reference doublet values for the quartic double well with hbar = 1,
 # w0 = 1, x0 = 1.5 (independent high-accuracy eigensolves; these are the
@@ -81,11 +80,18 @@ def _dd_exp_neg(nodes):
 
 @functools.lru_cache
 def _pair_moments(energies: tuple, beta: float) -> dict:
-    """E[w_k w_l], k < l, under the thermal measure of the truncation."""
-    s = [mp.mpf(beta) * mp.mpf(e - energies[0]) for e in energies]
-    denom = _dd_exp_neg(s)
-    return {(k, l): _dd_exp_neg(s + [s[k], s[l]]) / denom
-            for k in range(len(s)) for l in range(k + 1, len(s))}
+    """E[w_k w_l], k < l, under the thermal measure of the truncation.
+
+    The recursive table loses about log10(2 / h) digits per order at node
+    spacing h, so the working precision grows with N and with 1 / h.
+    """
+    gaps = np.diff(np.sort(beta * (np.asarray(energies) - energies[0])))
+    h = min(gaps[gaps > 0], default=2.0)
+    with mp.workdps(int(30 + (len(energies) + 2) * max(0.0, math.log10(2.0 / h)))):
+        s = [mp.mpf(beta) * mp.mpf(e - energies[0]) for e in energies]
+        denom = _dd_exp_neg(s)
+        return {(k, l): _dd_exp_neg(s + [s[k], s[l]]) / denom
+                for k in range(len(s)) for l in range(k + 1, len(s))}
 
 
 def exact_sphere_variance(energies, off_matrix, beta):

@@ -22,14 +22,13 @@ from wfgibbs import (
     lowest_eigenpairs,
     momentum_expectation,
     position_element,
-    position_marginal,
     sample_ensemble,
     solve_lambda,
     table_for_betas,
     two_state_table,
     unitary_flow_check,
 )
-from wfgibbs.lattice import trapezoid_weights
+from wfgibbs.thermal import bin_masses
 from wfgibbs.twostate import two_state_coherent
 
 from conftest import (DOUBLE_WELL_MASSES, DOUBLE_WELL_REFERENCE, double_well,
@@ -236,16 +235,11 @@ def test_criterion_7_low_temperature_marginal(dw_grid):
     assert len(q) >= 1_000_000
 
     span = 1.05 * float(np.max(np.abs(q)))
-    table = effective_potential(mp, np.linspace(-span, span, 121), grid=dw_grid)
     bins = np.linspace(-span, span, 102)
     hist, _ = np.histogram(q, bins=bins)
-    hist = hist / hist.sum()
-    qq, dens = position_marginal(table, beta)
-    cdf = np.concatenate([[0.0],
-                          np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(qq))])
-    cdf /= cdf[-1]
-    model_mass = np.diff(np.interp(bins, qq, cdf))
-    tv = 0.5 * float(np.abs(hist - model_mass).sum())
+    table = table_for_betas(mp, [beta], n_q=121, grid=dw_grid)
+    model_mass = bin_masses(table, beta, bins)
+    tv = 0.5 * float(np.abs(hist / hist.sum() - model_mass).sum())
     report(7, tv < 0.05,
            f"total variation {tv:.4f} < 0.05 with {len(q)} samples, "
            f"beta*(E2-E1)=20")
@@ -282,7 +276,7 @@ def test_criterion_9_structural_invariants(dw_tables, two_state_models, dw_grid)
         and abs(momentum_expectation(state.psi, dw_grid) - 0.8) < 1e-4)
 
     pairs = lowest_eigenpairs(assemble_hamiltonian(double_well(0.5), dw_grid), 6)
-    wts = trapezoid_weights(dw_grid)
+    wts = dw_grid.weights
     phis = np.stack([p.wavefunction for p in pairs])
     gram = (phis * wts) @ phis.T
     checks["orthonormality"] = bool(np.max(np.abs(gram - np.eye(6))) < 1e-8)

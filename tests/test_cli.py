@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from wfgibbs import sampling
+from wfgibbs import GridSpec, ModelParams, fluctuation_curve, sampling, table_for_betas
 from wfgibbs.cli import main
 
 HARMONIC_MODEL = {
@@ -260,6 +260,10 @@ def test_canonical_command(tmp_path, capsys):
     # the spread of the wave-function ensemble
     assert blob["canonical_delta_q"] < 1e-6
     assert blob["ensemble_delta_q"] == pytest.approx(2.0**-0.5, rel=1e-3)
+    # the contrast line is the fluct path at one beta, bit for bit
+    table = table_for_betas(ModelParams.from_dict(HARMONIC_MODEL), [2.0], n_q=81,
+                            grid=GridSpec(-10.0, 10.0, 801))
+    assert blob["ensemble_delta_q"] == fluctuation_curve(table, [2.0]).delta_q[0]
     header, rows = read_csv(out / "canonical_atoms.csv")
     assert len(rows) == 20
 
@@ -272,6 +276,32 @@ def test_canonical_truncation_too_small(tmp_path, capsys):
     })
     assert main(["canonical", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "k_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section", [
+    ("fluct", {"t_min": 0.0}),
+    ("fluct", {"t_min": -0.5}),
+    ("fluct", {"t_max": 0.0}),
+    ("fluct", {"t_max": float("inf")}),
+    ("fluct", {"n_t": 0}),
+    ("fluct", {"n_q": 1}),
+    ("sample", {"beta": -1.0}),
+    ("sample", {"beta": 0.0, "validate": "marginal"}),
+    ("canonical", {"beta": 0.0}),
+    ("canonical", {"beta": -2.0}),
+    ("fluct", {"t_min": "abc"}),
+])
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, section):
+    # rejected while the config is read: exit 2 and nothing written
+    cfg = write_config(tmp_path, {
+        "model": HARMONIC_MODEL,
+        "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 401},
+        command: section,
+    })
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_preset_configs_parse():

@@ -11,26 +11,22 @@ from wfgibbs import (
     Tilted,
     UsageError,
     assemble_hamiltonian,
-    eval_potential,
     lowest_eigenpairs,
-    make_grid,
     momentum_expectation,
     position_element,
 )
-from wfgibbs.lattice import trapezoid_weights
 
 from conftest import double_well, harmonic
 
 
 def test_make_grid_arithmetic_progression():
-    x, dx = make_grid(GridSpec(-6.0, 6.0, 5))
-    assert np.allclose(x, [-6.0, -3.0, 0.0, 3.0, 6.0])
-    assert dx == 3.0
+    grid = GridSpec(-6.0, 6.0, 5)
+    assert np.allclose(grid.x, [-6.0, -3.0, 0.0, 3.0, 6.0])
+    assert grid.dx == 3.0
 
 
 def test_make_grid_fine_spacing():
-    _, dx = make_grid(GridSpec(-6.0, 6.0, 4001))
-    assert dx == pytest.approx(0.003)
+    assert GridSpec(-6.0, 6.0, 4001).dx == pytest.approx(0.003)
 
 
 def test_degenerate_interval_rejected():
@@ -45,26 +41,26 @@ def test_too_few_points_rejected():
 
 def test_quartic_barrier_height():
     pot = QuarticDoubleWell(1.0, 1.5)
-    assert eval_potential(pot, 0.0) == pytest.approx(5.0625)
+    assert pot.evaluate(0.0, 1.0) == pytest.approx(5.0625)
 
 
 def test_quartic_minima_are_zero():
     pot = QuarticDoubleWell(1.0, 1.5)
-    assert eval_potential(pot, np.array([-1.5, 1.5])) == pytest.approx([0.0, 0.0])
+    assert pot.evaluate(np.array([-1.5, 1.5]), 1.0) == pytest.approx([0.0, 0.0])
 
 
 def test_zero_tilt_is_identity():
     base = Harmonic(1.0)
     tilted = Tilted(base, 0.0)
     x = np.linspace(-3, 3, 11)
-    assert np.array_equal(eval_potential(tilted, x), eval_potential(base, x))
+    assert np.array_equal(tilted.evaluate(x, 1.0), base.evaluate(x, 1.0))
 
 
 def test_tilted_adds_linear_term():
     pot = Tilted(QuarticDoubleWell(1.0, 1.5), 0.25)
     x = np.linspace(-2, 2, 9)
-    expected = eval_potential(QuarticDoubleWell(1.0, 1.5), x) + 0.25 * x
-    assert np.allclose(eval_potential(pot, x), expected)
+    expected = QuarticDoubleWell(1.0, 1.5).evaluate(x, 1.0) + 0.25 * x
+    assert np.allclose(pot.evaluate(x, 1.0), expected)
 
 
 def test_tilted_nesting_rejected():
@@ -76,7 +72,7 @@ def test_tilted_nesting_rejected():
 def test_symmetric_potentials_are_even():
     x = np.linspace(-5, 5, 201)
     for pot in (Harmonic(2.0), QuarticDoubleWell(1.0, 1.5), Polynomial((1.0, 0.0, 0.5))):
-        v = eval_potential(pot, x)
+        v = pot.evaluate(x, 1.0)
         assert pot.is_symmetric
         assert np.max(np.abs(v - v[::-1])) < 1e-12 * np.max(np.abs(v))
 
@@ -161,7 +157,7 @@ def test_momentum_of_real_state_vanishes(harmonic_grid):
 def test_momentum_phase_gradient(harmonic_grid):
     op = assemble_hamiltonian(harmonic(), harmonic_grid)
     phi = lowest_eigenpairs(op, 1)[0].wavefunction
-    x, _ = make_grid(harmonic_grid)
+    x = harmonic_grid.x
     psi = np.exp(1j * 0.7 * x) * phi
     assert momentum_expectation(psi, harmonic_grid) == pytest.approx(0.7, abs=1e-4)
 
@@ -169,7 +165,7 @@ def test_momentum_phase_gradient(harmonic_grid):
 def test_momentum_conjugation_flips_sign(harmonic_grid):
     op = assemble_hamiltonian(harmonic(), harmonic_grid)
     phi = lowest_eigenpairs(op, 1)[0].wavefunction
-    x, _ = make_grid(harmonic_grid)
+    x = harmonic_grid.x
     psi = np.exp(1j * 0.4 * x) * phi
     p = momentum_expectation(psi, harmonic_grid)
     assert momentum_expectation(np.conj(psi), harmonic_grid) == pytest.approx(-p, abs=1e-12)
@@ -184,15 +180,15 @@ def test_momentum_rejects_unnormalized(harmonic_grid):
 
 def test_trapezoid_weights_sum_to_length():
     grid = GridSpec(-2.0, 2.0, 41)
-    assert trapezoid_weights(grid).sum() == pytest.approx(4.0)
+    assert grid.weights.sum() == pytest.approx(4.0)
 
 
 def test_grid_arrays_are_cached_and_read_only():
     grid = GridSpec(-6.0, 6.0, 401)
-    x, _ = make_grid(grid)
-    assert make_grid(grid)[0] is x
-    assert trapezoid_weights(grid) is trapezoid_weights(grid)
+    x = grid.x
+    assert grid.x is x
+    assert grid.weights is grid.weights
     assert np.array_equal(x, np.linspace(-6.0, 6.0, 401))
-    for shared in (x, trapezoid_weights(grid)):
+    for shared in (x, grid.weights):
         with pytest.raises(ValueError):
             shared[0] = 1.0

@@ -14,7 +14,6 @@ from wfgibbs import (
     parity_of,
     tilt_hamiltonian,
 )
-from wfgibbs.lattice import trapezoid_weights
 
 from conftest import DOUBLE_WELL_REFERENCE, double_well, harmonic
 
@@ -35,7 +34,7 @@ def test_harmonic_ladder(harmonic_grid):
 
 def test_orthonormality_gram(dw_grid):
     pairs = lowest_eigenpairs(assemble_hamiltonian(double_well(0.5), dw_grid), 6)
-    wts = trapezoid_weights(dw_grid)
+    wts = dw_grid.weights
     phis = np.stack([p.wavefunction for p in pairs])
     gram = (phis * wts) @ phis.T
     assert np.max(np.abs(gram - np.eye(6))) < 1e-8
@@ -71,7 +70,7 @@ def test_residuals_are_small(dw_grid):
 
 def test_normalization_invariant(dw_grid):
     op = assemble_hamiltonian(double_well(1.0), dw_grid)
-    wts = trapezoid_weights(dw_grid)
+    wts = dw_grid.weights
     for pair in lowest_eigenpairs(op, 4):
         assert np.sum(pair.wavefunction**2 * wts) == pytest.approx(1.0, abs=1e-10)
 
@@ -157,7 +156,7 @@ def test_cold_path_is_unchanged(k, dw_grid):
     op = assemble_hamiltonian(double_well(0.5), dw_grid)
     energies, vectors = eigh_tridiagonal(op.diagonal, op.off_diagonal,
                                          select="i", select_range=(0, k - 1))
-    wts = trapezoid_weights(dw_grid)
+    wts = dw_grid.weights
     for i, pair in enumerate(lowest_eigenpairs(op, k, start=None)):
         vec = vectors[:, i]
         phi = vec / np.sqrt(dw_grid.dx)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from wfgibbs import (
     CoverageError,
+    EffectivePotentialTable,
     ModelParams,
     QuarticDoubleWell,
     TruncationError,
@@ -16,6 +18,7 @@ from wfgibbs import (
     table_for_betas,
     two_state_table,
 )
+from wfgibbs.thermal import bin_masses
 
 from conftest import double_well, harmonic
 
@@ -51,8 +54,21 @@ def test_marginal_narrows_as_temperature_drops(dw_tables):
 
 
 def test_marginal_rejects_bad_beta(dw_tables):
-    with pytest.raises(UsageError):
-        position_marginal(dw_tables[0.2], beta=0.0)
+    for beta in (0.0, np.inf):
+        with pytest.raises(UsageError):
+            position_marginal(dw_tables[0.2], beta=beta)
+
+
+def test_bin_masses_match_gaussian_cdf():
+    # exact harmonic V_eff = 1/2 + q^2/2 on the fine nodes: the marginal is
+    # the normal law with variance 1/beta
+    beta = 2.0
+    q = np.linspace(-6.0, 6.0, 4001)
+    table = EffectivePotentialTable(q, 0.5 + 0.5 * q**2, -q)
+    edges = np.linspace(-2.0, 2.5, 31)
+    expected = np.diff(ndtr(edges * np.sqrt(beta)))
+    assert np.max(np.abs(bin_masses(table, beta, edges) - expected)) < 1e-6
+    assert bin_masses(table, beta, [-7.0, 0.0, 7.0]).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_harmonic_dispersions_are_gaussian(harmonic_table):
@@ -112,6 +128,12 @@ def test_required_q_range_harmonic_scaling():
     for beta in (1.0, 4.0):
         q = required_q_range(harmonic(), beta, margin=25.0)
         assert q == pytest.approx(np.sqrt(50.0 / beta), rel=1e-6)
+
+
+def test_required_q_range_rejects_bad_beta():
+    for beta in (0.0, np.inf):
+        with pytest.raises(UsageError):
+            required_q_range(harmonic(), beta)
 
 
 def test_required_q_range_measures_from_global_minimum():
