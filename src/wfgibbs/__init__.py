@@ -9,7 +9,6 @@ from .constrain import (
     EffectivePotentialTable,
     default_grid,
     effective_potential,
-    fig_q_grid,
     solve_lambda,
 )
 from .errors import (
@@ -51,7 +50,6 @@ from .thermal import (
     CanonicalAtoms,
     ThermalCurve,
     canonical_atoms,
-    default_temperature_grid,
     fluctuation_curve,
     position_marginal,
     required_q_range,

@@ -17,20 +17,23 @@ from pathlib import Path
 import numpy as np
 
 from . import constrain, sampling, thermal, twostate
-from .constrain import write_csv
 from .errors import ConfigurationError, SolverError, WfGibbsError
-from .lattice import GridSpec, ModelParams
+from .lattice import GridSpec, ModelParams, assemble_hamiltonian
 from .spectra import lowest_eigenpairs, parity_of
-from .lattice import assemble_hamiltonian
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
+CSV_SCHEMA_HEADER = "# wfgibbs-csv v1"
+_CSV_BATCH = 512  # rows per % operation in write_csv
+
 _TOP_KEYS = {"model", "grid", "seed", "output",
              "eig", "veff", "twostate", "fluct", "sample", "canonical"}
 
+# every value is converted to the type of its default; masses (None: the
+# model's own mass) to a list of floats
 _SECTION_DEFAULTS = {
     "eig": {"k": 4, "tol": 1e-10},
     "veff": {"masses": None, "n_q": 81, "frac": 0.995},
@@ -52,6 +55,10 @@ def _reject_unknown(d: dict, allowed, where: str) -> None:
 
 
 def load_config(path) -> dict:
+    """Read a config file and resolve every input: the model, the grid (the
+    model's default grid when the section is absent), the seed, the output
+    directory and each section's values, converted to the types of their
+    defaults."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -64,39 +71,45 @@ def load_config(path) -> dict:
     _reject_unknown(raw, _TOP_KEYS, "config")
     if "model" not in raw:
         raise ConfigurationError("config requires a 'model' section")
-    cfg = {
-        "model": ModelParams.from_dict(raw["model"]),
-        "grid": GridSpec.from_dict(raw["grid"]) if "grid" in raw else None,
-        "seed": int(raw.get("seed", 0)),
-        "output": raw.get("output", "out"),
-    }
+    try:
+        model = ModelParams.from_dict(raw["model"])
+        cfg = {
+            "model": model,
+            "grid": (GridSpec.from_dict(raw["grid"]) if "grid" in raw
+                     else constrain.default_grid(model)),
+            "seed": int(raw.get("seed", 0)),
+            "output": Path(raw.get("output", "out")),
+        }
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"malformed model, grid, seed or output: {type(exc).__name__}: {exc}") from exc
     for name, defaults in _SECTION_DEFAULTS.items():
-        section = dict(defaults)
-        if name in raw:
-            if not isinstance(raw[name], dict):
-                raise ConfigurationError(f"section '{name}' must be an object")
-            _reject_unknown(raw[name], defaults, f"section '{name}'")
-            section.update(raw[name])
-        cfg[name] = section
+        given = raw.get(name, {})
+        if not isinstance(given, dict):
+            raise ConfigurationError(f"section '{name}' must be an object")
+        _reject_unknown(given, defaults, f"section '{name}'")
+        cfg[name] = section = {}
+        for key, default in defaults.items():
+            value = given.get(key, default)
+            try:
+                section[key] = ([float(m) for m in value or ()] or [model.mass]
+                                if key == "masses" else type(default)(value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigurationError(f"{name}.{key}: cannot convert {value!r}") from exc
     if cfg["sample"]["validate"] not in _VALIDATE_MODES:
         raise ConfigurationError(f"unknown validation mode {cfg['sample']['validate']!r}; "
                                  f"expected one of {', '.join(_VALIDATE_MODES)}")
     # values no run can use are rejected here, before any work
-    fluct, sample = cfg["fluct"], cfg["sample"]
-    try:
-        beta = float(sample["beta"])
-        limits = {
-            "0 < fluct.t_min < inf": 0 < float(fluct["t_min"]) < np.inf,
-            "0 < fluct.t_max < inf": 0 < float(fluct["t_max"]) < np.inf,
-            "fluct.n_t >= 1": int(fluct["n_t"]) >= 1,
-            "fluct.n_q >= 2": int(fluct["n_q"]) >= 2,
-            "0 <= sample.beta < inf": 0 <= beta < np.inf,
-            "sample.beta > 0 with validate 'marginal'":
-                sample["validate"] != "marginal" or beta > 0,
-            "0 < canonical.beta < inf": 0 < float(cfg["canonical"]["beta"]) < np.inf,
-        }
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"non-numeric fluct, sample or canonical value: {exc}") from exc
+    fluct, sample, beta = cfg["fluct"], cfg["sample"], cfg["sample"]["beta"]
+    limits = {
+        "0 < fluct.t_min < inf": 0 < fluct["t_min"] < np.inf,
+        "0 < fluct.t_max < inf": 0 < fluct["t_max"] < np.inf,
+        "fluct.n_t >= 1": fluct["n_t"] >= 1,
+        "fluct.n_q >= 2": fluct["n_q"] >= 2,
+        "0 <= sample.beta < inf": 0 <= beta < np.inf,
+        "sample.beta > 0 with validate 'marginal'": sample["validate"] != "marginal" or beta > 0,
+        "0 < canonical.beta < inf": 0 < cfg["canonical"]["beta"] < np.inf,
+    }
     broken = [rule for rule, ok in limits.items() if not ok]
     if broken:
         raise ConfigurationError(f"value out of range; requires {', '.join(broken)}")
@@ -107,9 +120,22 @@ def _with_mass(mp: ModelParams, mass: float) -> ModelParams:
     return ModelParams(mass, mp.hbar, mp.potential)
 
 
-def _masses(cfg, section) -> list:
-    masses = cfg[section]["masses"]
-    return [float(m) for m in masses] if masses else [cfg["model"].mass]
+def write_csv(path, columns: str, rows) -> None:
+    """Write tuples (any iterable of them) under the schema and column header
+    lines; floats as .17g, lines ending in \\n. The first row's value types
+    fix the format of every row, and rows are formatted _CSV_BATCH at a time
+    by one % operation."""
+    rows = iter(rows)
+    first = next(rows, None)
+    with open(path, "w", newline="") as fh:
+        fh.write(CSV_SCHEMA_HEADER + "\n")
+        fh.write(f"# columns: {columns}\n")
+        if first is None:
+            return
+        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+        fh.write(fmt % first)
+        while batch := tuple(itertools.chain.from_iterable(itertools.islice(rows, _CSV_BATCH))):
+            fh.write(fmt * (len(batch) // len(first)) % batch)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -125,10 +151,9 @@ def _mass_tag(mass: float) -> str:
 
 
 def cmd_eig(cfg, out: Path) -> int:
-    mp, grid = cfg["model"], cfg["grid"] or constrain.default_grid(cfg["model"])
-    section = cfg["eig"]
+    mp, grid, section = cfg["model"], cfg["grid"], cfg["eig"]
     op = assemble_hamiltonian(mp, grid)
-    pairs = lowest_eigenpairs(op, int(section["k"]), float(section["tol"]))
+    pairs = lowest_eigenpairs(op, section["k"], section["tol"])
     rows = []
     for i, pair in enumerate(pairs, start=1):
         parity = parity_of(pair, grid) if grid.is_symmetric else "none"
@@ -147,12 +172,11 @@ def cmd_veff(cfg, out: Path) -> int:
     section = cfg["veff"]
     status = EXIT_OK
     results = []
-    for mass in _masses(cfg, "veff"):
+    for mass in section["masses"]:
         mp = _with_mass(cfg["model"], mass)
-        grid = cfg["grid"] or constrain.default_grid(mp)
-        ts = twostate.build_two_state(mp, grid)
-        q_grid = constrain.fig_q_grid(ts.d, int(section["n_q"]), float(section["frac"]))
-        table = constrain.effective_potential(mp, q_grid, grid=grid,
+        ts = twostate.build_two_state(mp, cfg["grid"])
+        q_grid = np.linspace(-section["frac"] * ts.d, section["frac"] * ts.d, section["n_q"])
+        table = constrain.effective_potential(mp, q_grid, cfg["grid"],
                                               doublet=(ts.e1, ts.e2, ts.d))
         if table.meta["failed_points"]:
             status = EXIT_SOLVER
@@ -165,7 +189,10 @@ def cmd_veff(cfg, out: Path) -> int:
         tag = _mass_tag(mass)
         write_csv(out / f"veff_m{tag}.csv", "q_over_d,rescaled_exact,rescaled_two_state",
                   zip(u.tolist(), rescaled_exact.tolist(), arc.tolist()))
-        table.save(out / f"veff_table_m{tag}.csv")
+        write_csv(out / f"veff_table_m{tag}.csv", "q,v_eff,lambda",
+                  zip(table.q.tolist(), table.v_eff.tolist(), table.lam.tolist()))
+        _write_json(out / f"veff_table_m{tag}.json",
+                    {"meta": table.meta, "bounded_support": table.bounded_support})
         print(f"m={mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g} "
               f"failed_points={len(table.meta['failed_points'])}")
     return status
@@ -174,10 +201,10 @@ def cmd_veff(cfg, out: Path) -> int:
 def cmd_twostate(cfg, out: Path) -> int:
     section = cfg["twostate"]
     results = []
-    for mass in _masses(cfg, "twostate"):
+    for mass in section["masses"]:
         mp = _with_mass(cfg["model"], mass)
         ts = twostate.build_two_state(mp, cfg["grid"])
-        q = np.linspace(-ts.d, ts.d, int(section["n_q"]))
+        q = np.linspace(-ts.d, ts.d, section["n_q"])
         v = np.array([twostate.two_state_veff(ts, qi) for qi in q])
         results.append((mass, ts, q, v))
 
@@ -194,15 +221,14 @@ def cmd_twostate(cfg, out: Path) -> int:
 
 def cmd_fluct(cfg, out: Path) -> int:
     section = cfg["fluct"]
-    t_grid = thermal.default_temperature_grid(
-        int(section["n_t"]), float(section["t_min"]), float(section["t_max"]))
+    # log-spaced rescaled temperatures exposing both asymptotes
+    t_grid = np.logspace(np.log10(section["t_min"]), np.log10(section["t_max"]), section["n_t"])
     results, summary = [], {}
-    for mass in _masses(cfg, "fluct"):
+    for mass in section["masses"]:
         mp = _with_mass(cfg["model"], mass)
         ts = twostate.build_two_state(mp, cfg["grid"])
         betas = 2.0 / (t_grid * ts.splitting)
-        table = thermal.table_for_betas(mp, betas, n_q=int(section["n_q"]),
-                                        grid=cfg["grid"])
+        table = thermal.table_for_betas(mp, betas, section["n_q"], cfg["grid"])
         curve = thermal.fluctuation_curve(table, betas)
         # restricted variant: same V_eff confined to |q| <= d
         q_res = np.linspace(-ts.d, ts.d, 201)
@@ -246,7 +272,7 @@ def _validate_sample(run, tm, mp, cfg, section):
     if mode == "marginal":
         return _validate_marginal(run, moments, mp, cfg, section)
 
-    n_se = float(section["tolerance_se"])
+    n_se = section["tolerance_se"]
     checks, passed = {}, True
     for key, target in sampling.exact_moments(tm, run.beta).items():
         se = max(moments[f"{key}_se"], 1e-300)
@@ -267,10 +293,10 @@ def _validate_marginal(run, moments, mp, cfg, section):
     span = 1.05 * float(np.max(np.abs(q)))
     bins = np.linspace(-span, span, 102)
     hist, _ = np.histogram(q, bins=bins)
-    table = thermal.table_for_betas(mp, [run.beta], n_q=121, grid=cfg["grid"])
+    table = thermal.table_for_betas(mp, [run.beta], 121, cfg["grid"])
     model_mass = thermal.bin_masses(table, run.beta, bins)
     tv = 0.5 * float(np.abs(hist / hist.sum() - model_mass).sum())
-    tol = float(section["tv_tolerance"])
+    tol = section["tv_tolerance"]
     ok = tv < tol
     print(f"{'PASS' if ok else 'FAIL'} total-variation: {tv:.4g} (tolerance {tol})")
     return ok, {"mode": "marginal", "tv_distance": tv, "tolerance": tol,
@@ -280,15 +306,15 @@ def _validate_marginal(run, moments, mp, cfg, section):
 def cmd_sample(cfg, out: Path) -> int:
     section = cfg["sample"]
     mp = cfg["model"]
-    tm = sampling.build_truncated_model(mp, int(section["n_basis"]), cfg["grid"])
+    tm = sampling.build_truncated_model(mp, section["n_basis"], cfg["grid"])
     chain_cfg = sampling.ChainConfig(
-        chain_count=int(section["chains"]),
-        steps_per_chain=int(section["steps_per_chain"]),
-        burn_in=int(section["burn_in"]),
+        chain_count=section["chains"],
+        steps_per_chain=section["steps_per_chain"],
+        burn_in=section["burn_in"],
         seed=cfg["seed"],
-        proposal_scale=float(section["proposal_scale"]),
+        proposal_scale=section["proposal_scale"],
     )
-    run = sampling.sample_ensemble(tm, float(section["beta"]), chain_cfg)
+    run = sampling.sample_ensemble(tm, section["beta"], chain_cfg)
     passed, report = _validate_sample(run, tm, mp, cfg, section)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -318,11 +344,11 @@ def cmd_sample(cfg, out: Path) -> int:
 def cmd_canonical(cfg, out: Path) -> int:
     section = cfg["canonical"]
     mp = cfg["model"]
-    beta = float(section["beta"])
-    atoms = thermal.canonical_atoms(mp, beta, int(section["k_max"]), cfg["grid"])
+    beta = section["beta"]
+    atoms = thermal.canonical_atoms(mp, beta, section["k_max"], cfg["grid"])
 
     # effective-potential dispersion at the same beta for the contrast line
-    table = thermal.table_for_betas(mp, [beta], n_q=81, grid=cfg["grid"])
+    table = thermal.table_for_betas(mp, [beta], 81, cfg["grid"])
     curve = thermal.fluctuation_curve(table, [beta])
     canonical_dq = atoms.dispersion()
 
@@ -365,7 +391,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        out = Path(args.out if args.out is not None else cfg["output"])
+        out = Path(args.out) if args.out is not None else cfg["output"]
         return COMMANDS[args.command](cfg, out)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

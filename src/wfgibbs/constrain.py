@@ -14,10 +14,7 @@ exp(i p x / hbar) * phi_lambda(q)(x).
 
 from __future__ import annotations
 
-import itertools
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -36,28 +33,6 @@ from .spectra import lowest_eigenpairs
 DEFAULT_ROOT_TOL_SCALE = 1e-8
 MAX_BRACKET_DOUBLINGS = 60
 MAX_ROOT_STEPS = 200
-
-CSV_SCHEMA_HEADER = "# wfgibbs-csv v1"
-_CSV_BATCH = 512  # rows per % operation in write_csv
-
-
-def write_csv(path, columns: str, rows) -> None:
-    """Write tuples (any iterable of them) under the schema and column header
-    lines; floats as .17g, lines ending in \\n. The first row's value types
-    fix the format of every row, and rows are formatted _CSV_BATCH at a time
-    by one % operation."""
-    rows = iter(rows)
-    first = next(rows, None)
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_SCHEMA_HEADER + "\n")
-        fh.write(f"# columns: {columns}\n")
-        if first is None:
-            return
-        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
-        fh.write(fmt % first)
-        while batch := tuple(itertools.chain.from_iterable(itertools.islice(rows, _CSV_BATCH))):
-            fh.write(fmt * (len(batch) // len(first)) % batch)
-
 
 def default_grid(mp: ModelParams) -> GridSpec:
     """Grid wide and fine enough for the low-lying states of the model.
@@ -106,33 +81,6 @@ class EffectivePotentialTable:
     def interpolate(self, qq):
         """Piecewise-linear V_eff between table nodes."""
         return np.interp(qq, self.q, self.v_eff)
-
-    def save(self, csv_path) -> None:
-        """Write (q, v_eff, lambda) CSV plus a JSON metadata sidecar."""
-        csv_path = Path(csv_path)
-        write_csv(csv_path, "q,v_eff,lambda",
-                  zip(self.q.tolist(), self.v_eff.tolist(), self.lam.tolist()))
-        sidecar = csv_path.with_suffix(".json")
-        with open(sidecar, "w") as fh:
-            json.dump(
-                {"meta": self.meta, "bounded_support": self.bounded_support},
-                fh,
-                indent=2,
-                default=float,
-            )
-
-    @staticmethod
-    def load(csv_path) -> "EffectivePotentialTable":
-        csv_path = Path(csv_path)
-        data = np.loadtxt(csv_path, delimiter=",", comments="#", ndmin=2)
-        sidecar = csv_path.with_suffix(".json")
-        meta, bounded = {}, False
-        if sidecar.exists():
-            with open(sidecar) as fh:
-                blob = json.load(fh)
-            meta = blob.get("meta", {})
-            bounded = blob.get("bounded_support", False)
-        return EffectivePotentialTable(data[:, 0], data[:, 1], data[:, 2], meta, bounded)
 
 
 def decreasing_root(f, lo: float, hi: float, ftol: float):
@@ -187,7 +135,7 @@ def decreasing_root(f, lo: float, hi: float, ftol: float):
                       residual=best)
 
 
-def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec | None = None,
+def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
                  bracket_center: float = 0.0, op: TridiagonalOperator | None = None,
                  bracket_width: float = 1.0, start: np.ndarray | None = None) -> ConstrainedState:
     """Find lambda such that the tilted ground state has <q> = q_target.
@@ -200,7 +148,6 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec | None = None,
     nearest multiplier, or from start (e.g. the previous point's state)
     before any is cached.
     """
-    grid = grid or default_grid(mp)
     if op is None:
         op = assemble_hamiltonian(mp, grid)
 
@@ -230,7 +177,7 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec | None = None,
                             pair.wavefunction, abs(resid), solves, fallbacks)
 
 
-def effective_potential(mp: ModelParams, q_grid, grid: GridSpec | None = None,
+def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
                         doublet: tuple | None = None) -> EffectivePotentialTable:
     """Tabulate V_eff over an ascending q grid.
 
@@ -247,7 +194,6 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec | None = None,
         raise UsageError("empty q grid")
     if np.any(np.diff(q_grid) <= 0):
         raise UsageError("q grid must be strictly ascending")
-    grid = grid or default_grid(mp)
     op = assemble_hamiltonian(mp, grid)
 
     if doublet is None:
@@ -287,11 +233,6 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec | None = None,
         "lapack_fallbacks": fallbacks,
     }
     return EffectivePotentialTable(np.asarray(qs), np.asarray(vs), np.asarray(ls), meta)
-
-
-def fig_q_grid(d: float, n: int = 81, frac: float = 0.995) -> np.ndarray:
-    """Default q grid for the rescaled-potential comparison: |q/d| <= frac."""
-    return np.linspace(-frac * d, frac * d, n)
 
 
 def coherent_state(cs: ConstrainedState, p: float, mp: ModelParams,

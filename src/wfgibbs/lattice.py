@@ -277,7 +277,7 @@ def position_element(phi_a, phi_b, grid: GridSpec) -> float:
     return val.real
 
 
-def momentum_expectation(psi, grid: GridSpec, hbar: float = 1.0) -> float:
+def momentum_expectation(psi, grid: GridSpec, hbar: float) -> float:
     """<psi, p psi> with p = -i hbar d/dx (central differences).
 
     psi must be normalized on the grid; the imaginary residue of the

@@ -83,14 +83,10 @@ class TruncatedModel:
         return q, p
 
 
-def build_truncated_model(mp: ModelParams, n_basis: int,
-                          grid: GridSpec | None = None) -> TruncatedModel:
+def build_truncated_model(mp: ModelParams, n_basis: int, grid: GridSpec) -> TruncatedModel:
     """Project q and p onto the span of the lowest n_basis eigenstates."""
     if n_basis < 2:
         raise UsageError(f"n_basis must be >= 2, got {n_basis}")
-    from .constrain import default_grid  # local import avoids a cycle
-
-    grid = grid or default_grid(mp)
     op = assemble_hamiltonian(mp, grid)
     pairs = lowest_eigenpairs(op, n_basis)
     wts = grid.weights
@@ -270,9 +266,8 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=noise[i, :block])
             rng.random(out=uniforms[i, :block])
-        with np.errstate(divide="ignore"):  # u = 0 gives t = +inf
-            thresholds = (np.full((block, n_chains, 1), np.inf) if beta == 0 else
-                          (-np.log(uniforms[:, :block]) / beta).T[:, :, None])
+        with np.errstate(divide="ignore"):  # u = 0 or beta = 0 gives t = +inf
+            thresholds = (-np.log(uniforms[:, :block]) / beta).T[:, :, None]
         bounds = sorted({0, block, *(k - start for k in cuts if start < k < start + block)})
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             steps = noise[:, lo:hi]
@@ -403,7 +398,7 @@ def exact_moments(tm: TruncatedModel, beta: float) -> dict:
 
 
 def unitary_flow_check(run: SampleRun, tm: TruncatedModel, t: float,
-                       hbar: float = 1.0, n_batches: int = 32) -> dict:
+                       hbar: float, n_batches: int = 32) -> dict:
     """Compare sample moments before and after the free Schroedinger flow.
 
     Applies c_k -> exp(-i E_k t / hbar) c_k to every retained coefficient

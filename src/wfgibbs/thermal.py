@@ -19,6 +19,9 @@ from .lattice import GridSpec, ModelParams, assemble_hamiltonian, position_eleme
 from .spectra import lowest_eigenpairs
 
 BOUNDARY_TAIL = 1e-8  # coverage criterion: tail density / peak density
+# beta (V - min V) at the ends of required_q_range: exp(-25) ~ 1.4e-11 lies
+# below BOUNDARY_TAIL
+Q_RANGE_MARGIN = 25.0
 
 
 @dataclass(frozen=True)
@@ -124,26 +127,20 @@ def fluctuation_curve(table: EffectivePotentialTable, betas,
     )
 
 
-def default_temperature_grid(n: int = 60, t_min: float = 1e-2,
-                             t_max: float = 1e2) -> np.ndarray:
-    """Log-spaced rescaled temperatures exposing both asymptotes."""
-    return np.logspace(np.log10(t_min), np.log10(t_max), n)
-
-
-def required_q_range(mp: ModelParams, beta: float, margin: float = 25.0) -> float:
+def required_q_range(mp: ModelParams, beta: float) -> float:
     """Half-range where exp(-beta (V - min V)) drops below the coverage criterion.
 
     Uses the bare potential as a proxy for V_eff (they agree far from the
     wells, where the ground state of the tilted problem is semiclassical).
     Measured from the global minimum on the default grid, V - min V reaches
-    margin / beta at an outermost crossing on each side; the larger |x| of
-    the two is returned.
+    Q_RANGE_MARGIN / beta at an outermost crossing on each side; the larger
+    |x| of the two is returned.
     """
     if not 0 < beta < np.inf:
         raise UsageError(f"beta must be positive and finite, got {beta}")
     grid = default_grid(mp)
     v = mp.potential.evaluate(grid.x, mp.mass)
-    v0, target = float(v.min()), margin / beta
+    v0, target = float(v.min()), Q_RANGE_MARGIN / beta
     inside = np.flatnonzero(v - v0 < target)
 
     def crossing(start, sign):
@@ -158,23 +155,22 @@ def required_q_range(mp: ModelParams, beta: float, margin: float = 25.0) -> floa
         raise CoverageError(f"potential too flat to cover beta={beta}", beta=beta) from exc
 
 
-def table_for_betas(mp: ModelParams, betas, n_q: int = 161,
-                    grid: GridSpec | None = None) -> EffectivePotentialTable:
+def table_for_betas(mp: ModelParams, betas, n_q: int,
+                    grid: GridSpec) -> EffectivePotentialTable:
     """Effective-potential table wide enough for every requested beta.
 
     Extends the spatial grid together with the q range so the tilted
     ground states stay away from the hard walls.
     """
     q_max = max(required_q_range(mp, float(b)) for b in np.atleast_1d(betas))
-    base = grid or default_grid(mp)
-    half = max(base.x_max, q_max + 4.0)
-    n_points = int(np.ceil((base.n_points - 1) * half / base.x_max)) + 1
+    half = max(grid.x_max, q_max + 4.0)
+    n_points = int(np.ceil((grid.n_points - 1) * half / grid.x_max)) + 1
     wide = GridSpec(-half, half, n_points)
     return effective_potential(mp, np.linspace(-q_max, q_max, n_q), grid=wide)
 
 
 def canonical_atoms(mp: ModelParams, beta: float, k_max: int,
-                    grid: GridSpec | None = None) -> CanonicalAtoms:
+                    grid: GridSpec) -> CanonicalAtoms:
     """Boltzmann-weighted atoms (e^(-beta E_k)/Z, <phi_k, q phi_k>).
 
     Requires e^(-beta (E_kmax - E_1)) < 1e-10 so the truncation remainder
@@ -184,7 +180,6 @@ def canonical_atoms(mp: ModelParams, beta: float, k_max: int,
         raise UsageError(f"k_max must be >= 1, got {k_max}")
     if beta <= 0:
         raise UsageError(f"beta must be positive, got {beta}")
-    grid = grid or default_grid(mp)
     op = assemble_hamiltonian(mp, grid)
     pairs = lowest_eigenpairs(op, k_max)
     energies = np.array([p.energy for p in pairs])

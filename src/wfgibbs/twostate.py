@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrain import CoherentState, EffectivePotentialTable, default_grid
+from .constrain import CoherentState, EffectivePotentialTable
 from .errors import UsageError
 from .lattice import GridSpec, ModelParams, assemble_hamiltonian, position_element
 from .spectra import lowest_eigenpairs
@@ -47,7 +47,7 @@ class TwoStateModel:
         return 0.5 * (self.e1 + self.e2)
 
 
-def build_two_state(mp: ModelParams, grid: GridSpec | None = None) -> TwoStateModel:
+def build_two_state(mp: ModelParams, grid: GridSpec) -> TwoStateModel:
     """Solve the lowest doublet and its dipole matrix element.
 
     d is stored positive; the sign ambiguity of phi_2 is absorbed by
@@ -55,7 +55,6 @@ def build_two_state(mp: ModelParams, grid: GridSpec | None = None) -> TwoStateMo
     """
     if not mp.potential.is_symmetric:
         raise UsageError("two-state reduction requires a symmetric potential")
-    grid = grid or default_grid(mp)
     op = assemble_hamiltonian(mp, grid)
     pairs = lowest_eigenpairs(op, 2)
     phi1, phi2 = pairs[0].wavefunction, pairs[1].wavefunction
@@ -92,10 +91,10 @@ def two_state_coefficients(ts: TwoStateModel, q: float):
     return float(np.cos(theta)), float(np.sin(theta))
 
 
-def two_state_coherent(ts: TwoStateModel, q: float, p: float, hbar: float) -> CoherentState:
-    """Coherent state exp(ipx/hbar) (a1 phi_1 + a2 phi_2)."""
+def two_state_coherent(ts: TwoStateModel, q: float, p: float) -> CoherentState:
+    """Coherent state exp(ipx/hbar) (a1 phi_1 + a2 phi_2), hbar of ts.model."""
     a1, a2 = two_state_coefficients(ts, q)
-    psi = np.exp(1j * p * ts.grid.x / hbar) * (a1 * ts.phi1 + a2 * ts.phi2)
+    psi = np.exp(1j * p * ts.grid.x / ts.model.hbar) * (a1 * ts.phi1 + a2 * ts.phi2)
     return CoherentState(q, p, psi)
 
 

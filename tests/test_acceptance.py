@@ -250,7 +250,7 @@ def test_criterion_8_canonical_contrast(dw_grid, two_state_models):
     ts = two_state_models[0.2]
     beta = 1.0 / ts.splitting
     atoms = canonical_atoms(mp, beta, k_max=24, grid=dw_grid)
-    table = table_for_betas(mp, [beta], n_q=81)
+    table = table_for_betas(mp, [beta], n_q=81, grid=dw_grid)
     curve = fluctuation_curve(table, [beta])
     ok = np.max(np.abs(atoms.positions)) < 1e-8 and curve.delta_q[0] > 0.1 * ts.d
     report(8, ok,
@@ -269,11 +269,11 @@ def test_criterion_9_structural_invariants(dw_tables, two_state_models, dw_grid)
         np.max(np.abs(grad[5:-5] + table.lam[5:-5])) < 2e-3)
 
     ts = two_state_models[0.5]
-    state = two_state_coherent(ts, 0.4 * ts.d, 0.8, 1.0)
+    state = two_state_coherent(ts, 0.4 * ts.d, 0.8)
     checks["coherent-state closure"] = (
         abs(inner_product(state.psi, state.psi, dw_grid) - 1.0) < 1e-9
         and abs(position_element(state.psi, state.psi, dw_grid) - 0.4 * ts.d) < 1e-8
-        and abs(momentum_expectation(state.psi, dw_grid) - 0.8) < 1e-4)
+        and abs(momentum_expectation(state.psi, dw_grid, 1.0) - 0.8) < 1e-4)
 
     pairs = lowest_eigenpairs(assemble_hamiltonian(double_well(0.5), dw_grid), 6)
     wts = dw_grid.weights
@@ -285,7 +285,7 @@ def test_criterion_9_structural_invariants(dw_tables, two_state_models, dw_grid)
     cfg = ChainConfig(chain_count=4, steps_per_chain=10_000, burn_in=2000,
                       seed=19, keep_coefficients=True)
     run = sample_ensemble(tm, 2.0, cfg)
-    flow = unitary_flow_check(run, tm, t=0.9)
+    flow = unitary_flow_check(run, tm, t=0.9, hbar=1.0)
     checks["unitary-flow invariance"] = all(
         abs(e["diff"]) < 6 * e["se"] + 1e-10 for e in flow["moments"].values())
 

@@ -1,11 +1,14 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wfgibbs
 from wfgibbs import GridSpec, ModelParams, fluctuation_curve, sampling, table_for_betas
 from wfgibbs.cli import main
 
@@ -137,7 +140,12 @@ def test_veff_command(tmp_path):
     assert min(us) >= -1.0 and max(us) <= 1.0
     # the raw table and its metadata sidecar are written alongside
     assert (out / "veff_table_m0p5.csv").exists()
-    meta = json.loads((out / "veff_table_m0p5.json").read_text())["meta"]
+    assert (out / "veff_table_m0p5.csv").read_text().startswith("# wfgibbs-csv v1")
+    assert b"\r" not in (out / "veff_table_m0p5.csv").read_bytes()  # as in every other CSV
+    sidecar = json.loads((out / "veff_table_m0p5.json").read_text())
+    assert "bounded_support" in sidecar
+    meta = sidecar["meta"]
+    assert {"e1", "e2", "d"} <= set(meta)
     assert meta["failed_points"] == []
     # how the table converged: k=1 eigensolves and warm starts that fell back
     assert 11 <= meta["eigensolves"]
@@ -304,9 +312,48 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, sectio
     assert not out.exists()
 
 
-def test_preset_configs_parse():
-    from pathlib import Path
+@pytest.mark.parametrize("config", [
+    {"model": {"hbar": 1.0, "potential": HARMONIC_MODEL["potential"]}},
+    {"model": {**HARMONIC_MODEL, "potential": {"type": "harmonic"}}},
+    {"model": {**HARMONIC_MODEL, "mass": "x"}},
+    {"seed": "abc"},
+    {"seed": 1e400},
+    {"grid": {"x_min": -10.0, "n_points": 401}},
+    {"model": [1, 2]},
+    {"model": {**HARMONIC_MODEL, "potential": {"type": "polynomial", "coefficients": 5}}},
+    {"eig": {"k": "x"}},
+    {"veff": {"masses": 3}},
+    {"fluct": {"n_t": 1e400}},
+    {"output": 5},
+], ids=["no_mass", "no_omega", "mass_str", "seed_str", "seed_inf", "no_x_max", "model_list",
+        "coefficients_int", "eig_k_str", "masses_int", "n_t_inf", "output_int"])
+def test_malformed_inputs_are_config_errors(tmp_path, capsys, config):
+    cfg = write_config(tmp_path, {"model": HARMONIC_MODEL, **config})
+    out = tmp_path / "out"
+    assert main(["eig", "--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
 
+
+def test_only_cli_touches_files():
+    # reading the config and writing outputs belong to cli; the numerics
+    # modules take their inputs as arguments
+    for path in sorted(Path(wfgibbs.__file__).parent.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                imported = []
+            assert not {"json", "pathlib"} & {name.split(".")[0] for name in imported}, path.name
+            assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "open"), f"{path.name}:{node.lineno}"
+
+
+def test_preset_configs_parse():
     from wfgibbs.cli import load_config
 
     for preset in sorted(Path("configs").glob("*.json")):

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from wfgibbs import (
-    EffectivePotentialTable,
     GridSpec,
     SolverError,
     UnreachableTargetError,
     UsageError,
     effective_potential,
-    fig_q_grid,
     momentum_expectation,
     position_element,
     solve_lambda,
@@ -90,7 +88,8 @@ def test_eigensolves_per_constrained_point(mass, two_state_models, dw_grid, monk
         return pairs
 
     monkeypatch.setattr(constrain, "lowest_eigenpairs", counted)
-    q = fig_q_grid(two_state_models[mass].d, 21)
+    d = two_state_models[mass].d
+    q = np.linspace(-0.995 * d, 0.995 * d, 21)
     table = effective_potential(double_well(mass), q, grid=dw_grid)
     assert len(table.q) == len(q)
     # measured 7.05 (m=0.2) and 7.48 (m=0.5) k=1 solves per point; the
@@ -133,31 +132,9 @@ def test_q_grid_validation(dw_grid):
         effective_potential(mp, [0.5, 0.5, 1.0], grid=dw_grid)
 
 
-def test_table_roundtrip(tmp_path, dw_tables):
-    table = dw_tables[1.0]
-    path = tmp_path / "veff.csv"
-    table.save(path)
-    text = path.read_text()
-    assert text.startswith("# wfgibbs-csv v1")
-    assert b"\r" not in path.read_bytes()  # same line endings as every other CSV
-    loaded = EffectivePotentialTable.load(path)
-    assert np.array_equal(loaded.q, table.q)
-    assert np.array_equal(loaded.v_eff, table.v_eff)
-    assert loaded.meta["d"] == pytest.approx(table.meta["d"])
-    assert loaded.bounded_support == table.bounded_support
-
-
 def test_interpolation_matches_nodes(dw_tables):
     table = dw_tables[0.2]
     assert np.allclose(table.interpolate(table.q), table.v_eff)
-
-
-def test_fig_q_grid_shape():
-    q = fig_q_grid(2.0, n=11, frac=0.9)
-    assert len(q) == 11
-    assert q[0] == pytest.approx(-1.8)
-    assert q[-1] == pytest.approx(1.8)
-    assert np.allclose(q, -q[::-1])
 
 
 def test_coherent_state_expectations(dw_grid):
@@ -165,7 +142,7 @@ def test_coherent_state_expectations(dw_grid):
     cs = solve_lambda(mp, 0.6, grid=dw_grid)
     state = coherent_state(cs, 1.7, mp, dw_grid)
     assert state.q == 0.6
-    assert momentum_expectation(state.psi, dw_grid) == pytest.approx(1.7, abs=1e-4)
+    assert momentum_expectation(state.psi, dw_grid, 1.0) == pytest.approx(1.7, abs=1e-4)
 
 
 def test_default_grid_choices():

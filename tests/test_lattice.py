@@ -151,7 +151,7 @@ def test_position_element_grid_mismatch(dw_grid):
 def test_momentum_of_real_state_vanishes(harmonic_grid):
     op = assemble_hamiltonian(harmonic(), harmonic_grid)
     phi = lowest_eigenpairs(op, 1)[0].wavefunction
-    assert momentum_expectation(phi, harmonic_grid) == pytest.approx(0.0, abs=1e-12)
+    assert momentum_expectation(phi, harmonic_grid, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_momentum_phase_gradient(harmonic_grid):
@@ -159,7 +159,7 @@ def test_momentum_phase_gradient(harmonic_grid):
     phi = lowest_eigenpairs(op, 1)[0].wavefunction
     x = harmonic_grid.x
     psi = np.exp(1j * 0.7 * x) * phi
-    assert momentum_expectation(psi, harmonic_grid) == pytest.approx(0.7, abs=1e-4)
+    assert momentum_expectation(psi, harmonic_grid, 1.0) == pytest.approx(0.7, abs=1e-4)
 
 
 def test_momentum_conjugation_flips_sign(harmonic_grid):
@@ -167,15 +167,15 @@ def test_momentum_conjugation_flips_sign(harmonic_grid):
     phi = lowest_eigenpairs(op, 1)[0].wavefunction
     x = harmonic_grid.x
     psi = np.exp(1j * 0.4 * x) * phi
-    p = momentum_expectation(psi, harmonic_grid)
-    assert momentum_expectation(np.conj(psi), harmonic_grid) == pytest.approx(-p, abs=1e-12)
+    p = momentum_expectation(psi, harmonic_grid, 1.0)
+    assert momentum_expectation(np.conj(psi), harmonic_grid, 1.0) == pytest.approx(-p, abs=1e-12)
 
 
 def test_momentum_rejects_unnormalized(harmonic_grid):
     op = assemble_hamiltonian(harmonic(), harmonic_grid)
     phi = lowest_eigenpairs(op, 1)[0].wavefunction
     with pytest.raises(UsageError):
-        momentum_expectation(2.0 * phi, harmonic_grid)
+        momentum_expectation(2.0 * phi, harmonic_grid, 1.0)
 
 
 def test_trapezoid_weights_sum_to_length():

@@ -283,7 +283,7 @@ def test_unitary_flow_leaves_moments_invariant(tm8):
     cfg = ChainConfig(chain_count=4, steps_per_chain=8000, burn_in=2000, seed=9,
                       keep_coefficients=True)
     run = sample_ensemble(tm8, 2.0, cfg)
-    report = unitary_flow_check(run, tm8, t=0.7)
+    report = unitary_flow_check(run, tm8, t=0.7, hbar=1.0)
     for key, entry in report["moments"].items():
         assert abs(entry["diff"]) < 6 * entry["se"] + 1e-10, (key, entry)
 
@@ -291,7 +291,7 @@ def test_unitary_flow_leaves_moments_invariant(tm8):
 def test_unitary_flow_requires_coefficients(tm8):
     run = sample_ensemble(tm8, 2.0, ChainConfig(chain_count=1, steps_per_chain=100))
     with pytest.raises(UsageError):
-        unitary_flow_check(run, tm8, t=0.5)
+        unitary_flow_check(run, tm8, t=0.5, hbar=1.0)
 
 
 def test_iat_of_white_noise_is_one():

@@ -10,7 +10,7 @@ from wfgibbs import (
     TruncationError,
     UsageError,
     canonical_atoms,
-    default_temperature_grid,
+    default_grid,
     effective_potential,
     fluctuation_curve,
     position_marginal,
@@ -100,7 +100,7 @@ def test_two_state_high_temperature_asymptote(two_state_models):
 
 def test_fluctuations_increase_with_temperature(two_state_models):
     table = two_state_table(two_state_models[1.0])
-    t = default_temperature_grid(25)
+    t = np.logspace(-2, 2, 25)
     betas = 2.0 / (t * (table.meta["e2"] - table.meta["e1"]))
     curve = fluctuation_curve(table, betas)
     assert np.all(np.diff(curve.delta_q_over_d) > 0)
@@ -115,18 +115,10 @@ def test_coverage_error_names_beta(dw_tables):
     assert err.value.beta == pytest.approx(0.05)
 
 
-def test_default_temperature_grid_shape():
-    t = default_temperature_grid(60, 1e-2, 1e2)
-    assert len(t) == 60
-    assert t[0] == pytest.approx(1e-2)
-    assert t[-1] == pytest.approx(1e2)
-    assert np.allclose(np.diff(np.log(t)), np.diff(np.log(t))[0])
-
-
 def test_required_q_range_harmonic_scaling():
     # solves beta * m w^2 q^2 / 2 = margin: q = sqrt(2 margin / beta)
     for beta in (1.0, 4.0):
-        q = required_q_range(harmonic(), beta, margin=25.0)
+        q = required_q_range(harmonic(), beta)
         assert q == pytest.approx(np.sqrt(50.0 / beta), rel=1e-6)
 
 
@@ -141,14 +133,14 @@ def test_required_q_range_measures_from_global_minimum():
     # past the wells, and the table built on it must cover the marginal
     mp = ModelParams(0.2, 1.0, QuarticDoubleWell(1.0, 0.8))
     assert required_q_range(mp, 200.0) > 0.8
-    table = table_for_betas(mp, [200.0], n_q=41)
+    table = table_for_betas(mp, [200.0], n_q=41, grid=default_grid(mp))
     curve = fluctuation_curve(table, [200.0])
     assert curve.delta_q[0] > 0
 
 
 def test_table_for_betas_covers_requested_range():
     mp = double_well(0.2)
-    table = table_for_betas(mp, [1.0], n_q=21)
+    table = table_for_betas(mp, [1.0], n_q=21, grid=default_grid(mp))
     need = required_q_range(mp, 1.0)
     assert table.q[0] <= -need and table.q[-1] >= need
     assert table.meta["failed_points"] == []
