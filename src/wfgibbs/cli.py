@@ -147,6 +147,14 @@ def _mass_tag(mass: float) -> str:
     return f"{mass:g}".replace(".", "p")
 
 
+def _require_symmetric(mp: ModelParams) -> None:
+    """The two-state reduction behind veff, twostate and fluct needs a
+    symmetric potential; anything else is a configuration error."""
+    if not mp.potential.is_symmetric:
+        raise ConfigurationError(f"a symmetric potential is required for the two-state "
+                                 f"reduction, got {mp.potential.to_dict()}")
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -169,6 +177,7 @@ def cmd_eig(cfg, out: Path) -> int:
 
 
 def cmd_veff(cfg, out: Path) -> int:
+    _require_symmetric(cfg["model"])
     section = cfg["veff"]
     status = EXIT_OK
     results = []
@@ -199,6 +208,7 @@ def cmd_veff(cfg, out: Path) -> int:
 
 
 def cmd_twostate(cfg, out: Path) -> int:
+    _require_symmetric(cfg["model"])
     section = cfg["twostate"]
     results = []
     for mass in section["masses"]:
@@ -220,6 +230,7 @@ def cmd_twostate(cfg, out: Path) -> int:
 
 
 def cmd_fluct(cfg, out: Path) -> int:
+    _require_symmetric(cfg["model"])
     section = cfg["fluct"]
     # log-spaced rescaled temperatures exposing both asymptotes
     t_grid = np.logspace(np.log10(section["t_min"]), np.log10(section["t_max"]), section["n_t"])
@@ -228,7 +239,8 @@ def cmd_fluct(cfg, out: Path) -> int:
         mp = _with_mass(cfg["model"], mass)
         ts = twostate.build_two_state(mp, cfg["grid"])
         betas = 2.0 / (t_grid * ts.splitting)
-        table = thermal.table_for_betas(mp, betas, section["n_q"], cfg["grid"])
+        table = thermal.table_for_betas(mp, betas, section["n_q"], cfg["grid"],
+                                        doublet=(ts.e1, ts.e2, ts.d))
         curve = thermal.fluctuation_curve(table, betas)
         # restricted variant: same V_eff confined to |q| <= d
         q_res = np.linspace(-ts.d, ts.d, 201)
@@ -242,6 +254,9 @@ def cmd_fluct(cfg, out: Path) -> int:
             "delta_p": curve.delta_p.tolist(),
             "max_full_vs_restricted": float(
                 np.max(np.abs(curve.delta_q_over_d - restricted.delta_q_over_d))),
+            "table": {"nodes": len(table.q), "eigensolves": table.meta["eigensolves"],
+                      "lapack_fallbacks": table.meta["lapack_fallbacks"],
+                      "grid": table.meta["grid"]},
         }
 
     # the rescaled two-state curve is universal: any doublet gives the same

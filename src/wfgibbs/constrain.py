@@ -10,6 +10,11 @@ is strictly decreasing in lambda. The effective potential is
 a Legendre-type transform of the concave map lambda -> E0_lambda; it is
 convex with dV_eff/dq = -lambda(q). Generalized coherent states are
 exp(i p x / hbar) * phi_lambda(q)(x).
+
+Where the q nodes are prescribed (effective_potential), each is a root in
+lambda. Where they are free (lambda_walk_table), no root is needed: by
+Hellmann-Feynman every tilted ground state is itself an exact node
+(q(lambda), E0(lambda) - lambda q(lambda)).
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from .spectra import lowest_eigenpairs
 DEFAULT_ROOT_TOL_SCALE = 1e-8
 MAX_BRACKET_DOUBLINGS = 60
 MAX_ROOT_STEPS = 200
+MAX_STEP_HALVINGS = 40
+MAX_WALK_STEPS_PER_NODE = 8  # a lambda walk takes at most this many steps per n_q
 
 def default_grid(mp: ModelParams) -> GridSpec:
     """Grid wide and fine enough for the low-lying states of the model.
@@ -177,6 +184,13 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
                             pair.wavefunction, abs(resid), solves, fallbacks)
 
 
+def _doublet(op: TridiagonalOperator):
+    """The two lowest eigenpairs of op and their (e1, e2, |<phi_1, q phi_2>|)."""
+    pairs = lowest_eigenpairs(op, 2)
+    return pairs, (pairs[0].energy, pairs[1].energy,
+                   abs(position_element(pairs[0].wavefunction, pairs[1].wavefunction, op.grid)))
+
+
 def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
                         doublet: tuple | None = None) -> EffectivePotentialTable:
     """Tabulate V_eff over an ascending q grid.
@@ -195,12 +209,7 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
     if np.any(np.diff(q_grid) <= 0):
         raise UsageError("q grid must be strictly ascending")
     op = assemble_hamiltonian(mp, grid)
-
-    if doublet is None:
-        pairs = lowest_eigenpairs(op, 2)
-        doublet = (pairs[0].energy, pairs[1].energy,
-                   abs(position_element(pairs[0].wavefunction, pairs[1].wavefunction, grid)))
-    e1, e2, d = doublet
+    e1, e2, d = _doublet(op)[1] if doublet is None else doublet
 
     qs, vs, ls, failed = [], [], [], []
     prev_lam, dlam, start = 0.0, 0.0, None
@@ -233,6 +242,82 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
         "lapack_fallbacks": fallbacks,
     }
     return EffectivePotentialTable(np.asarray(qs), np.asarray(vs), np.asarray(ls), meta)
+
+
+def lambda_walk_table(mp: ModelParams, q_max: float, n_q: int, grid: GridSpec,
+                      doublet: tuple | None = None) -> EffectivePotentialTable:
+    """Tabulate V_eff on free nodes covering [-q_max, q_max], with no root
+    finding.
+
+    lambda is walked by continuation from 0, one ground state of H + lambda q
+    per node, each warm-started from the previous node's. Each step is aimed
+    at dq = h = 2 q_max / (n_q - 1) along the last secant dq/dlambda (the
+    two-level susceptibility -2 d^2 / (e2 - e1) before the first) and halved
+    while |dq| > 1.5 h, so no gap exceeds 1.5 h; a walk ends at its first
+    node past q_max. A symmetric potential on a symmetric grid is walked on
+    lambda <= 0 only and mirrored, (q, V, lambda) -> (-q, V, -lambda), about
+    the exact node (0, E0, 0). doublet is as in effective_potential. A walk
+    that stalls or exceeds its step bounds raises SolverError.
+    """
+    if not 0 < q_max < np.inf or n_q < 2:
+        raise UsageError(f"need 0 < q_max < inf and n_q >= 2, got {q_max}, {n_q}")
+    op = assemble_hamiltonian(mp, grid)
+    if doublet is None:
+        pairs, doublet = _doublet(op)
+        ground, eigensolves = pairs[0], 0
+    else:
+        ground, eigensolves = lowest_eigenpairs(op, 1)[0], 1
+    e1, e2, d = doublet
+    h = 2.0 * q_max / (n_q - 1)
+    mirror = mp.potential.is_symmetric and grid.is_symmetric
+    q0 = 0.0 if mirror else position_element(ground.wavefunction, ground.wavefunction, grid)
+    fallbacks = 0
+
+    def walk(direction):
+        """Nodes (q, V, lambda) from q0 out past direction * q_max."""
+        nonlocal eigensolves, fallbacks
+        lam, q, state = 0.0, q0, ground.wavefunction
+        slope = -2.0 * d**2 / (e2 - e1)
+        nodes = []
+        while direction * q < q_max:
+            if len(nodes) >= MAX_WALK_STEPS_PER_NODE * n_q:
+                raise SolverError(f"lambda walk passed {len(nodes)} nodes at q={q} "
+                                  f"without reaching |q| = {q_max}")
+            step = direction * h / slope
+            for _ in range(MAX_STEP_HALVINGS + 1):
+                pair = lowest_eigenpairs(tilt_hamiltonian(op, lam + step), 1, start=state)[0]
+                eigensolves += 1
+                fallbacks += pair.method == "lapack"
+                q_new = position_element(pair.wavefunction, pair.wavefunction, grid)
+                dq = q_new - q
+                if abs(dq) <= 1.5 * h:
+                    break
+                step *= 0.5
+            else:
+                raise SolverError(f"lambda step at q={q} still moves q by {dq:.3g} "
+                                  f"> 1.5 h after {MAX_STEP_HALVINGS} halvings")
+            if not direction * dq > 0:
+                raise UnreachableTargetError(
+                    f"<q> stalls at {q} short of |q| = {q_max} (grid too narrow?)")
+            slope = dq / step
+            lam, q, state = lam + step, q_new, pair.wavefunction
+            nodes.append((q, pair.energy - lam * q, lam))
+        return nodes
+
+    up = walk(1.0)
+    down = [(-q, v, -lam) for q, v, lam in up] if mirror else walk(-1.0)
+    q, v, lam = np.array(down[::-1] + [(q0, ground.energy, 0.0)] + up).T
+    meta = {
+        "e1": e1,
+        "e2": e2,
+        "d": d,
+        "model": mp.to_dict(),
+        "grid": grid.to_dict(),
+        "failed_points": [],
+        "eigensolves": eigensolves,
+        "lapack_fallbacks": fallbacks,
+    }
+    return EffectivePotentialTable(q, v, lam, meta)
 
 
 def coherent_state(cs: ConstrainedState, p: float, mp: ModelParams,

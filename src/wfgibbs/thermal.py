@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrain import EffectivePotentialTable, decreasing_root, default_grid, effective_potential
+from .constrain import EffectivePotentialTable, decreasing_root, default_grid, lambda_walk_table
 from .errors import CoverageError, SolverError, TruncationError, UsageError
 from .lattice import GridSpec, ModelParams, assemble_hamiltonian, position_element
 from .spectra import lowest_eigenpairs
@@ -155,18 +155,23 @@ def required_q_range(mp: ModelParams, beta: float) -> float:
         raise CoverageError(f"potential too flat to cover beta={beta}", beta=beta) from exc
 
 
-def table_for_betas(mp: ModelParams, betas, n_q: int,
-                    grid: GridSpec) -> EffectivePotentialTable:
+def table_for_betas(mp: ModelParams, betas, n_q: int, grid: GridSpec,
+                    doublet: tuple | None = None) -> EffectivePotentialTable:
     """Effective-potential table wide enough for every requested beta.
 
-    Extends the spatial grid together with the q range so the tilted
-    ground states stay away from the hard walls.
+    The nodes come from lambda_walk_table over [-q_max, q_max], q_max the
+    largest required_q_range, at target spacing 2 q_max / (n_q - 1). The
+    spatial grid is widened with them to the symmetric [-half, half], half =
+    max(-x_min, x_max, q_max + 4), at the spacing of grid (rounded down to
+    fit a whole number of intervals), so the tilted ground states stay away
+    from the hard walls. doublet is as in lambda_walk_table.
     """
     q_max = max(required_q_range(mp, float(b)) for b in np.atleast_1d(betas))
-    half = max(grid.x_max, q_max + 4.0)
-    n_points = int(np.ceil((grid.n_points - 1) * half / grid.x_max)) + 1
-    wide = GridSpec(-half, half, n_points)
-    return effective_potential(mp, np.linspace(-q_max, q_max, n_q), grid=wide)
+    half = float(max(-grid.x_min, grid.x_max, q_max + 4.0))
+    intervals = (grid.n_points - 1) * (2.0 * half) / (grid.x_max - grid.x_min)
+    # an exact integer ratio computed a hair above it must not add an interval
+    wide = GridSpec(-half, half, int(np.ceil(intervals - 1e-9)) + 1)
+    return lambda_walk_table(mp, q_max, n_q, wide, doublet)
 
 
 def canonical_atoms(mp: ModelParams, beta: float, k_max: int,

@@ -168,6 +168,50 @@ def test_fluct_command(tmp_path):
     assert len(ref_rows) == 5
     summary = json.loads((out / "fluct.json").read_text())
     assert "max_full_vs_restricted" in summary["1.0"]
+    # how the table was built: its nodes, eigensolves and widened grid
+    record = summary["1.0"]["table"]
+    assert set(record) == {"nodes", "eigensolves", "lapack_fallbacks", "grid"}
+    assert 41 <= record["nodes"] and 0 < record["eigensolves"] <= record["nodes"]
+    assert 0 <= record["lapack_fallbacks"] <= record["eigensolves"]
+    assert set(record["grid"]) == {"x_min", "x_max", "n_points"}
+    assert record["grid"]["x_min"] == -record["grid"]["x_max"]
+
+
+def test_fluct_solves_its_doublet_once(tmp_path, monkeypatch):
+    from wfgibbs import constrain, twostate
+
+    doublets = []
+    for module in (constrain, twostate):
+        def counted(op, k, *args, solve=module.lowest_eigenpairs, **kwargs):
+            doublets.extend([op.n] if k == 2 else [])
+            return solve(op, k, *args, **kwargs)
+
+        monkeypatch.setattr(module, "lowest_eigenpairs", counted)
+    cfg = write_config(tmp_path, {
+        "model": DOUBLE_WELL_MODEL,
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        "fluct": {"t_min": 0.1, "t_max": 10.0, "n_t": 5, "n_q": 41},
+    })
+    out = tmp_path / "out"
+    assert main(["fluct", "--config", cfg, "--out", str(out)]) == 0
+    assert doublets == [801]  # on the config grid only
+    # the rescaled temperatures come back from the same splitting, to one ulp
+    _, rows = read_csv(out / "fluct_m0p5.csv")
+    t = np.array([float(r[0]) for r in rows])
+    assert np.allclose(t, np.logspace(-1.0, 1.0, 5), rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("command", ["veff", "twostate", "fluct"])
+def test_asymmetric_potential_is_a_config_error(command, tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": {**DOUBLE_WELL_MODEL, "potential": {
+            "type": "tilted", "strength": 0.05, "base": DOUBLE_WELL_MODEL["potential"]}},
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+    })
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "symmetric potential" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_command_deterministic(tmp_path):

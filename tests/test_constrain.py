@@ -3,16 +3,22 @@ import pytest
 
 from wfgibbs import (
     GridSpec,
+    ModelParams,
+    QuarticDoubleWell,
     SolverError,
     UnreachableTargetError,
+    Tilted,
     UsageError,
+    build_two_state,
     effective_potential,
+    fluctuation_curve,
     momentum_expectation,
     position_element,
     solve_lambda,
 )
 from wfgibbs import constrain
-from wfgibbs.constrain import MAX_ROOT_STEPS, coherent_state, decreasing_root, default_grid
+from wfgibbs.constrain import (MAX_ROOT_STEPS, coherent_state, decreasing_root, default_grid,
+                                lambda_walk_table)
 
 from conftest import DOUBLE_WELL_MASSES, double_well, harmonic
 
@@ -150,3 +156,124 @@ def test_default_grid_choices():
     assert (g.x_min, g.x_max, g.n_points) == (-6.0, 6.0, 4001)
     g = default_grid(harmonic())
     assert (g.x_min, g.x_max, g.n_points) == (-10.0, 10.0, 4001)
+
+
+# --- free nodes by lambda walk ------------------------------------------------
+
+
+def counted_k1_solves(monkeypatch):
+    """List that grows by one per k=1 eigensolve made in constrain."""
+    calls = []
+    solve = constrain.lowest_eigenpairs
+
+    def counted(op, k, *args, **kwargs):
+        if k == 1:
+            calls.append(k)
+        return solve(op, k, *args, **kwargs)
+
+    monkeypatch.setattr(constrain, "lowest_eigenpairs", counted)
+    return calls
+
+
+WALK_CASES = {
+    # name: (model, grid, q_max, n_q, eigensolves per node at most)
+    "double_well_0.2": (double_well(0.2), GridSpec(-8.0, 8.0, 2001), 4.0, 81, 0.7),
+    "double_well_1.5": (double_well(1.5), GridSpec(-8.0, 8.0, 2001), 4.0, 81, 0.7),
+    "tilted": (ModelParams(0.5, 1.0, Tilted(QuarticDoubleWell(1.0, 1.5), 0.05)),
+               GridSpec(-8.0, 8.0, 2001), 4.0, 81, 1.3),
+    "harmonic": (harmonic(), GridSpec(-10.0, 10.0, 2001), 6.0, 61, 1.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CASES))
+def test_walk_nodes_cover_range_with_bounded_gaps(name, monkeypatch):
+    mp, grid, q_max, n_q, per_node = WALK_CASES[name]
+    solves = counted_k1_solves(monkeypatch)
+    table = lambda_walk_table(mp, q_max, n_q, grid)
+    h = 2.0 * q_max / (n_q - 1)
+    assert table.q[0] <= -q_max and table.q[-1] >= q_max
+    assert np.all(np.diff(table.q) > 0) and np.max(np.diff(table.q)) <= 1.5 * h
+    assert np.all(np.diff(table.lam) < 0)
+    # V_eff is convex on the walked nodes too
+    secant = np.diff(table.v_eff) / np.diff(table.q)
+    assert np.all(np.diff(secant) > -1e-9)
+    # measured 0.49 (the mirrored walks: double wells, harmonic) and 0.99
+    # (tilted) k=1 solves per node
+    assert table.meta["eigensolves"] == len(solves) <= per_node * len(table.q)
+    assert 0 <= table.meta["lapack_fallbacks"] <= len(solves)
+    assert table.meta["failed_points"] == []
+
+
+def test_walk_nodes_are_exact_hellmann_feynman_nodes():
+    # harmonic: every (q, V, lambda) node lies on V = 1/2 + q^2/2, lambda = -q
+    table = lambda_walk_table(harmonic(), 3.0, 31, GridSpec(-10.0, 10.0, 4001))
+    assert np.max(np.abs(table.v_eff - (0.5 + 0.5 * table.q**2))) < 1e-5
+    assert np.max(np.abs(table.lam + table.q)) < 1e-5
+
+
+def test_walk_table_of_symmetric_well_has_exact_parity(dw_grid):
+    table = lambda_walk_table(double_well(0.5), 3.0, 61, dw_grid)
+    assert len(table.q) % 2 == 1 and table.q[len(table.q) // 2] == 0.0
+    assert np.array_equal(table.q, -table.q[::-1])
+    assert np.array_equal(table.v_eff, table.v_eff[::-1])
+    assert np.array_equal(table.lam, -table.lam[::-1])
+    ts = build_two_state(double_well(0.5), dw_grid)
+    assert table.v_eff[len(table.q) // 2] == pytest.approx(ts.e1, abs=1e-12)
+    curve = fluctuation_curve(table, [5.0, 50.0])
+    assert np.all(np.abs(curve.mean_q) < 1e-15)
+
+
+def test_walk_curve_matches_fine_root_solved_reference():
+    # the fluct preset's temperature range on a coarser grid; the reference
+    # solves 641 prescribed nodes by root finding (measured 7.3e-4)
+    from wfgibbs.thermal import required_q_range, table_for_betas
+
+    mp, grid = double_well(0.2), GridSpec(-6.0, 6.0, 1201)
+    ts = build_two_state(mp, grid)
+    betas = 2.0 / (np.logspace(-2, 2, 13) * ts.splitting)
+    doublet = (ts.e1, ts.e2, ts.d)
+    table = table_for_betas(mp, betas, 161, grid, doublet=doublet)
+    q_max = max(required_q_range(mp, b) for b in betas)
+    reference = effective_potential(mp, np.linspace(-q_max, q_max, 641),
+                                    GridSpec.from_dict(table.meta["grid"]), doublet=doublet)
+    walked = fluctuation_curve(table, betas).delta_q_over_d
+    exact = fluctuation_curve(reference, betas).delta_q_over_d
+    assert np.max(np.abs(walked / exact - 1.0)) < 2e-3
+
+
+def test_walk_to_unreachable_range_raises(monkeypatch):
+    # the hard walls at +-6 stop <q> short of 10: the walk stalls and stops
+    solves = counted_k1_solves(monkeypatch)
+    with pytest.raises(UnreachableTargetError):
+        lambda_walk_table(double_well(0.5), 10.0, 41, GridSpec(-6.0, 6.0, 301))
+    assert len(solves) < 200
+
+
+def test_overshooting_steps_are_halved(dw_grid):
+    # a splitting 1e3 times too large aims the first step 1e3 times too far;
+    # halving brings it back, and every gap stays within 1.5 h
+    mp = double_well(0.5)
+    ts = build_two_state(mp, dw_grid)
+    table = lambda_walk_table(mp, 3.0, 61, dw_grid,
+                              doublet=(ts.e1, ts.e1 + 1e3 * ts.splitting, ts.d))
+    assert np.max(np.diff(table.q)) <= 1.5 * 0.1
+    assert table.q[-1] >= 3.0
+    assert table.meta["eigensolves"] > len(table.q) // 2 + 1
+
+
+def test_walk_step_bounds_raise(dw_grid, monkeypatch):
+    mp = double_well(0.5)
+    ts = build_two_state(mp, dw_grid)
+    # the same first step as above, with too few halvings allowed
+    monkeypatch.setattr(constrain, "MAX_STEP_HALVINGS", 2)
+    with pytest.raises(SolverError, match="halvings"):
+        lambda_walk_table(mp, 3.0, 61, dw_grid, doublet=(ts.e1, ts.e1 + 1e3 * ts.splitting, ts.d))
+    monkeypatch.setattr(constrain, "MAX_WALK_STEPS_PER_NODE", 0.25)
+    with pytest.raises(SolverError, match="without reaching"):
+        lambda_walk_table(mp, 3.0, 61, dw_grid)
+
+
+def test_walk_rejects_bad_range(dw_grid):
+    for q_max, n_q in ((0.0, 41), (np.inf, 41), (1.0, 1)):
+        with pytest.raises(UsageError):
+            lambda_walk_table(double_well(0.5), q_max, n_q, dw_grid)

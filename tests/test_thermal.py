@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -5,10 +8,12 @@ from scipy.special import ndtr
 from wfgibbs import (
     CoverageError,
     EffectivePotentialTable,
+    GridSpec,
     ModelParams,
     QuarticDoubleWell,
     TruncationError,
     UsageError,
+    build_two_state,
     canonical_atoms,
     default_grid,
     effective_potential,
@@ -18,6 +23,7 @@ from wfgibbs import (
     table_for_betas,
     two_state_table,
 )
+from wfgibbs.cli import load_config
 from wfgibbs.thermal import bin_masses
 
 from conftest import double_well, harmonic
@@ -147,6 +153,54 @@ def test_table_for_betas_covers_requested_range():
     # and the resulting curve clears the coverage check
     curve = fluctuation_curve(table, [1.0])
     assert curve.delta_q[0] > 0
+
+
+@pytest.mark.parametrize("grid, beta, n_points", [
+    (GridSpec(-5.0, 10.0, 1501), 1.0, 2216),  # widened to q_max + 4 = 11.07
+    # not widened past x_max = 7: 100 * 14 / 11.2 = 125 exactly, which is
+    # 125.00000000000001 in floating point and must not gain an interval
+    (GridSpec(-4.2, 7.0, 101), 10.0, 126),
+])
+def test_widened_grid_keeps_the_spacing_of_an_asymmetric_grid(grid, beta, n_points):
+    table = table_for_betas(harmonic(), [beta], n_q=41, grid=grid)
+    wide = GridSpec.from_dict(table.meta["grid"])
+    assert wide.is_symmetric and wide.n_points == n_points
+    assert wide.x_max == max(grid.x_max, required_q_range(harmonic(), beta) + 4.0)
+    assert grid.dx * (1.0 - 1.0 / wide.n_points) < wide.dx <= grid.dx * (1.0 + 1e-12)
+
+
+# widened grid points of every table the presets build: fluct per mass,
+# canonical at beta = 1 and the marginal validation of the sample preset
+PRESET_WIDENED_POINTS = {("fluct", 0.2): 7141, ("fluct", 0.5): 5727, ("fluct", 1.0): 4721,
+                         ("fluct", 1.5): 4258, ("canonical", None): 4463,
+                         ("marginal", None): 4001}
+
+
+def test_preset_widened_grids_are_unchanged():
+    # the marginal table is not widened at all: its interval count is an
+    # exact integer, (4001 - 1) * 12 / 12, which ceil must not round up
+    seen = set()
+    for preset in sorted((Path(__file__).parents[1] / "configs").glob("*.json")):
+        cfg, sections = load_config(preset), json.loads(preset.read_text())
+        grid, pot = cfg["grid"], cfg["model"].potential
+        cases = []
+        if "fluct" in sections:
+            t = np.logspace(np.log10(cfg["fluct"]["t_min"]), np.log10(cfg["fluct"]["t_max"]),
+                            cfg["fluct"]["n_t"])
+            for mass in cfg["fluct"]["masses"]:
+                mp = ModelParams(mass, cfg["model"].hbar, pot)
+                ts = build_two_state(mp, grid)
+                cases.append((("fluct", mass), mp, 2.0 / (t * ts.splitting),
+                              (ts.e1, ts.e2, ts.d)))
+        if "canonical" in sections:
+            cases.append((("canonical", None), cfg["model"], [cfg["canonical"]["beta"]], None))
+        if cfg["sample"]["validate"] == "marginal":
+            cases.append((("marginal", None), cfg["model"], [cfg["sample"]["beta"]], None))
+        for key, mp, betas, doublet in cases:
+            table = table_for_betas(mp, betas, 41, grid, doublet=doublet)
+            assert table.meta["grid"]["n_points"] == PRESET_WIDENED_POINTS[key], (preset, key)
+            seen.add(key)
+    assert seen == set(PRESET_WIDENED_POINTS)
 
 
 def test_canonical_atoms_basic(dw_grid):
