@@ -318,6 +318,26 @@ def _validate_marginal(run, moments, mp, cfg, section):
                 "moments": moments}
 
 
+def _formatted_qp(qp: np.ndarray) -> np.ndarray:
+    """The "q,p" text at .17g of each row of one chain's (steps, 2) samples,
+    as an object array. A rejected Metropolis step repeats its state bit for
+    bit, so each run of equal rows is formatted once (by one % operation)
+    and repeated."""
+    bits = np.ascontiguousarray(qp).view(np.uint64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    text = ("%.17g,%.17g\n" * len(starts) % tuple(qp[starts].ravel().tolist())).split("\n")
+    return np.repeat(np.array(text[:-1], dtype=object), np.diff(np.r_[starts, len(qp)]))
+
+
+def _sample_rows(samples: np.ndarray):
+    """(q_p_text, chain, step) rows of the (chains, steps, 2) samples, built
+    one chain at a time: 1M rows of Python objects would double the peak
+    memory of a large run."""
+    return itertools.chain.from_iterable(
+        zip(_formatted_qp(qp), itertools.repeat(chain), range(len(qp)))
+        for chain, qp in enumerate(samples))
+
+
 def cmd_sample(cfg, out: Path) -> int:
     section = cfg["sample"]
     mp = cfg["model"]
@@ -333,12 +353,7 @@ def cmd_sample(cfg, out: Path) -> int:
     passed, report = _validate_sample(run, tm, mp, cfg, section)
 
     out.mkdir(parents=True, exist_ok=True)
-    # columns built one chain at a time: 1M rows of Python objects would
-    # double the peak memory of a large run
-    write_csv(out / "samples.csv", "q,p,chain,step", itertools.chain.from_iterable(
-        zip(qp[:, 0].tolist(), qp[:, 1].tolist(), itertools.repeat(chain),
-            range(run.steps_per_chain))
-        for chain, qp in enumerate(run.samples)))
+    write_csv(out / "samples.csv", "q,p,chain,step", _sample_rows(run.samples))
     _write_json(out / "sample_run.json", {
         "model": mp.to_dict(),
         "beta": run.beta,

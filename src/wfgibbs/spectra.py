@@ -1,10 +1,11 @@
 """Lowest eigenpairs of real symmetric tridiagonal operators.
 
-Cold solves locate eigenvalues by bisection on Sturm sequence counts and
-the eigenvectors by inverse iteration with deflation inside
-near-degenerate clusters (LAPACK stebz/stein via
-scipy.linalg.eigh_tridiagonal). This resolves tunneling doublets whose
-splitting is many orders of magnitude below the eigenvalue scale.
+Cold solves locate eigenvalues by bisection on Sturm sequence counts
+(LAPACK dstebz) and the eigenvectors by inverse iteration with deflation
+inside near-degenerate clusters (LAPACK dstein), the same calls
+scipy.linalg.eigh_tridiagonal(select="i") makes. This resolves tunneling
+doublets whose splitting is many orders of magnitude below the eigenvalue
+scale.
 
 A ground state (k = 1) given a start vector, such as the ground state at a
 nearby multiplier, is refined instead by shifted inverse iteration: each
@@ -16,15 +17,23 @@ Problem, ch. 4), so the iteration can only converge to the ground state.
 It runs until the residual stops falling at roundoff. A failed
 factorization, or a residual that stalls above roundoff, falls back to the
 cold LAPACK solve.
+
+The four LAPACK routines (dstebz, dstein, dpttrf, dpttrs) are called
+through scipy's f2py extension scipy/linalg/_flapack, loaded from its file
+so that the scipy.linalg package __init__, which imports numpy.testing and
+numpy.f2py among others, never runs: it is most of the package's import
+time. When the file is not found, scipy.linalg.lapack, which exposes the
+same wrappers, is used instead.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import SolverError, UsageError
 from .lattice import GridSpec, TridiagonalOperator
@@ -33,13 +42,32 @@ DEFAULT_TOL = 1e-10
 MAX_INVERSE_STEPS = 40
 
 
+def _load_flapack():
+    """scipy's _flapack extension module, executed from its file without
+    importing any scipy package; scipy.linalg.lapack when there is none."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        dirs = [os.path.join(p, "linalg") for p in scipy_spec.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    from scipy.linalg import lapack
+    return lapack
+
+
+_lapack = _load_flapack()
+
+
 @dataclass(frozen=True)
 class EigenPair:
     """Energy and grid wavefunction, normalized with trapezoid weights.
 
     Sign convention: the first component exceeding 1e-8 in magnitude is
     positive. ``method`` names the path that produced the pair: "lapack"
-    (stebz/stein) or "inverse_iteration" (warm start).
+    (cold dstebz/dstein solve) or "inverse_iteration" (warm start, dpttrf
+    certified shifts and dpttrs solves).
     """
 
     energy: float
@@ -70,12 +98,29 @@ def _inverse_iteration(op: TridiagonalOperator, start: np.ndarray):
             # best's own shift passed dpttrf, so its rho < E0 + max(r, floor)
             return best[:2] if best[2] <= floor else None
         best = (rho, vec, resid)
-        dd, ee, info = dpttrf(op.diagonal - (rho - max(resid, floor)), op.off_diagonal)
+        dd, ee, info = _lapack.dpttrf(op.diagonal - (rho - max(resid, floor)),
+                                      op.off_diagonal)
         if info != 0:
             return None
-        vec = dpttrs(dd, ee, vec)[0]
+        vec = _lapack.dpttrs(dd, ee, vec)[0]
         vec /= np.linalg.norm(vec)
     return None
+
+
+def _cold_solve(op: TridiagonalOperator, k: int):
+    """(ascending energies, unit eigenvectors as columns) of the k lowest
+    eigenpairs: dstebz by index in block order, then dstein."""
+    d, e = op.diagonal, op.off_diagonal
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise SolverError("tridiagonal operator has non-finite entries")
+    m, w, iblock, isplit, info = _lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    if info == 0:
+        w = w[:m]
+        vectors, info = _lapack.dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        raise SolverError(f"tridiagonal eigensolve failed: LAPACK stebz/stein info={info}")
+    order = np.argsort(w)
+    return w[order], vectors[:, order]
 
 
 def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
@@ -99,12 +144,7 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
         method = "inverse_iteration"
     else:
         method = "lapack"
-        try:
-            energies, vectors = eigh_tridiagonal(
-                op.diagonal, op.off_diagonal, select="i", select_range=(0, k - 1)
-            )
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+        energies, vectors = _cold_solve(op, k)
 
     dx = op.grid.dx
     bound = tol * max(1.0, op.norm_estimate)

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import wfgibbs
 from wfgibbs import GridSpec, ModelParams, fluctuation_curve, sampling, table_for_betas
+from wfgibbs import cli
 from wfgibbs.cli import main
 
 HARMONIC_MODEL = {
@@ -413,3 +415,52 @@ def test_cli_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # the scipy.linalg package __init__ imports numpy.testing and numpy.f2py,
+    # about 0.3 s of every run; spectra loads the LAPACK extension directly
+    probe = ("import sys, wfgibbs.cli; "
+             "print(sorted({'scipy.linalg', 'numpy.testing', 'numpy.f2py'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "[]"
+
+
+def _per_float_rows(samples):
+    # the samples.csv rows as cmd_sample built them before runs of repeated
+    # states were formatted once: every q and p a float formatted by write_csv
+    return itertools.chain.from_iterable(
+        zip(qp[:, 0].tolist(), qp[:, 1].tolist(), itertools.repeat(chain), range(len(qp)))
+        for chain, qp in enumerate(samples))
+
+
+def _hand_built_samples():
+    # q repeats while p changes, p repeats while q changes, signed zeros
+    # (equal as floats, different as text) and a run of exact repeats
+    q = np.array([0.5, 0.5, 0.5, -0.0, 0.0, 0.0, 1e-300, 1e-300, 2.0, 2.0])
+    p = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, -1.0, 1.0, 0.1 + 0.2, 0.30000000000000004])
+    chain = np.stack([q, p], axis=1)
+    return np.stack([chain, chain[::-1]])
+
+
+@pytest.mark.parametrize("case", ["seeded", "beta_zero", "hand_built"])
+def test_sample_rows_match_per_float_formatting(case, tmp_path, harmonic_grid):
+    if case == "hand_built":
+        samples = _hand_built_samples()
+    else:
+        tm = sampling.build_truncated_model(ModelParams.from_dict(HARMONIC_MODEL), 6,
+                                            harmonic_grid)
+        beta = 2.0 if case == "seeded" else 0.0
+        run = sampling.sample_ensemble(tm, beta, sampling.ChainConfig(
+            chain_count=3, steps_per_chain=2000, burn_in=200, seed=13))
+        samples = run.samples
+        repeats = np.mean(np.all(samples[:, 1:] == samples[:, :-1], axis=2))
+        # rejected steps repeat their state; at beta = 0 none is rejected
+        assert repeats > 0.3 if case == "seeded" else repeats == 0.0
+    cli.write_csv(tmp_path / "per_float.csv", "q,p,chain,step", _per_float_rows(samples))
+    cli.write_csv(tmp_path / "runs.csv", "q,p,chain,step", cli._sample_rows(samples))
+    expected = (tmp_path / "per_float.csv").read_bytes()
+    assert (tmp_path / "runs.csv").read_bytes() == expected
+    assert expected.count(b"\n") == 2 + samples.shape[0] * samples.shape[1]

@@ -1,17 +1,23 @@
+import importlib.machinery
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import lapack as scipy_lapack
 
 from wfgibbs import (
     GridSpec,
     Tilted,
     ModelParams,
+    Polynomial,
     QuarticDoubleWell,
+    SolverError,
     UsageError,
     assemble_hamiltonian,
     inner_product,
     lowest_eigenpairs,
     parity_of,
+    spectra,
     tilt_hamiltonian,
 )
 
@@ -106,6 +112,16 @@ def test_bad_arguments_rejected(dw_grid):
         lowest_eigenpairs(op, 2, start=np.ones(op.n))
 
 
+def test_non_finite_operator_is_a_solver_error():
+    # a potential that overflows on the grid gives inf on the diagonal
+    mp = ModelParams(1.0, 1.0, Polynomial((0.0, 0.0, 1e308)))
+    with np.errstate(over="ignore"):
+        op = assemble_hamiltonian(mp, GridSpec(-6.0, 6.0, 101))
+    assert not np.isfinite(op.diagonal).all()
+    with pytest.raises(SolverError, match="non-finite"):
+        lowest_eigenpairs(op, 1)
+
+
 @pytest.mark.parametrize("mass", [0.2, 1.5])
 @pytest.mark.parametrize("lam, near", [(0.3, 0.29), (-0.05, -0.045), (1.0, 0.9)])
 def test_warm_start_matches_lapack(mass, lam, near, dw_grid):
@@ -150,10 +166,13 @@ def test_failed_factorization_falls_back_to_lapack(mass, dw_grid):
     assert pair.residual == cold.residual
 
 
-@pytest.mark.parametrize("k", [1, 3])
-def test_cold_path_is_unchanged(k, dw_grid):
-    # reference: the cold path as it stood before warm starts existed
-    op = assemble_hamiltonian(double_well(0.5), dw_grid)
+@pytest.mark.parametrize("mass", [0.2, 1.5])
+@pytest.mark.parametrize("k", [1, 2, 3, 24])
+def test_cold_path_is_unchanged(k, mass, dw_grid):
+    # reference: the cold path as it stood before warm starts existed, through
+    # scipy.linalg.eigh_tridiagonal; m = 1.5 holds the near-degenerate doublet
+    # that stein deflates
+    op = assemble_hamiltonian(double_well(mass), dw_grid)
     energies, vectors = eigh_tridiagonal(op.diagonal, op.off_diagonal,
                                          select="i", select_range=(0, k - 1))
     wts = dw_grid.weights
@@ -167,3 +186,28 @@ def test_cold_path_is_unchanged(k, dw_grid):
         assert pair.energy == float(energies[i])
         assert np.array_equal(pair.wavefunction, phi)
         assert pair.residual == float(np.linalg.norm(op.apply(vec) - energies[i] * vec))
+
+
+def test_loader_falls_back_to_scipy_linalg_lapack(monkeypatch, dw_grid):
+    # with no _flapack file to load, the public scipy.linalg.lapack module,
+    # which exposes the same wrappers, gives the same pairs cold and warm
+    loaded = spectra._load_flapack()
+    assert loaded is not scipy_lapack
+    assert all(hasattr(loaded, name) for name in ("dstebz", "dstein", "dpttrf", "dpttrs"))
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.machinery.PathFinder, "find_spec",
+                      classmethod(lambda cls, name, path=None, target=None: None))
+        fallback = spectra._load_flapack()
+    assert fallback is scipy_lapack
+
+    op = assemble_hamiltonian(double_well(1.5), dw_grid)
+    tilted = tilt_hamiltonian(op, 0.3)
+    start = lowest_eigenpairs(tilt_hamiltonian(op, 0.29), 1)[0].wavefunction
+    runs = []
+    for module in (loaded, fallback):
+        monkeypatch.setattr(spectra, "_lapack", module)
+        runs.append(lowest_eigenpairs(op, 3) + lowest_eigenpairs(tilted, 1, start=start))
+    assert [p.method for p in runs[1]] == ["lapack"] * 3 + ["inverse_iteration"]
+    for a, b in zip(*runs):
+        assert a.energy == b.energy and a.residual == b.residual and a.method == b.method
+        assert np.array_equal(a.wavefunction, b.wavefunction)
