@@ -5,7 +5,6 @@ truncated eigenbasis."""
 
 from .constrain import (
     CoherentState,
-    ConstrainedState,
     EffectivePotentialTable,
     default_grid,
     effective_potential,
@@ -30,8 +29,6 @@ from .lattice import (
     Tilted,
     TridiagonalOperator,
     assemble_hamiltonian,
-    inner_product,
-    momentum_expectation,
     position_element,
     tilt_hamiltonian,
 )
@@ -41,13 +38,10 @@ from .sampling import (
     TruncatedModel,
     build_truncated_model,
     exact_moments,
-    integrated_autocorrelation,
     sample_ensemble,
-    unitary_flow_check,
 )
 from .spectra import EigenPair, lowest_eigenpairs, parity_of
 from .thermal import (
-    CanonicalAtoms,
     ThermalCurve,
     canonical_atoms,
     fluctuation_curve,

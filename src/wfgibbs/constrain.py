@@ -12,7 +12,8 @@ convex with dV_eff/dq = -lambda(q). Generalized coherent states are
 exp(i p x / hbar) * phi_lambda(q)(x).
 
 Where the q nodes are prescribed (effective_potential), each is a root in
-lambda. Where they are free (lambda_walk_table), no root is needed: by
+lambda, found by Newton on the exact slope dq/dlambda (susceptibility).
+Where they are free (lambda_walk_table), no root is needed: by
 Hellmann-Feynman every tilted ground state is itself an exact node
 (q(lambda), E0(lambda) - lambda q(lambda)).
 """
@@ -33,11 +34,10 @@ from .lattice import (
     position_element,
     tilt_hamiltonian,
 )
-from .spectra import lowest_eigenpairs
+from .spectra import EigenPair, lowest_eigenpairs, reduced_resolvent
 
 DEFAULT_ROOT_TOL_SCALE = 1e-8
-MAX_BRACKET_DOUBLINGS = 60
-MAX_ROOT_STEPS = 200
+MAX_NEWTON_STEPS = 100
 MAX_STEP_HALVINGS = 40
 MAX_WALK_STEPS_PER_NODE = 8  # a lambda walk takes at most this many steps per n_q
 
@@ -90,98 +90,62 @@ class EffectivePotentialTable:
         return np.interp(qq, self.q, self.v_eff)
 
 
-def decreasing_root(f, lo: float, hi: float, ftol: float):
-    """(x, f(x)) with |f(x)| <= ftol for a strictly decreasing f.
+def susceptibility(op: TridiagonalOperator, ground: EigenPair) -> float:
+    """dq/dlambda of the ground state of op + lambda q at lambda = 0.
 
-    The bracket [lo, hi] is widened geometrically until f(lo) >= 0 >= f(hi),
-    then narrowed by Illinois regula falsi (Dowell & Jarratt 1971): the
-    secant root of the bracket ends, with the value kept at a stale end
-    halved, and the midpoint whenever the secant point leaves the bracket.
+    By second-order perturbation theory it is -2 <r, (H - E0)^+ r>, with
+    r = (x - <q>) phi0; it is negative.
     """
-    width, doublings = 0.5 * (hi - lo), 0
-    f_lo, f_hi = f(lo), f(hi)
-    while f_lo < 0 or f_hi > 0:
-        if doublings == MAX_BRACKET_DOUBLINGS:
-            raise UnreachableTargetError(
-                f"root not bracketed after {MAX_BRACKET_DOUBLINGS} doublings "
-                f"(grid too narrow?)", residual=min(abs(f_lo), abs(f_hi)))
-        # the end on the wrong side of the root becomes the other end
-        if f_lo < 0:
-            hi, f_hi, lo = lo, f_lo, lo - width
-            f_lo = f(lo)
-        else:
-            lo, f_lo, hi = hi, f_hi, hi + width
-            f_hi = f(hi)
-        width *= 2.0
-        doublings += 1
-    if abs(f_lo) <= ftol:
-        return lo, f_lo
-    if abs(f_hi) <= ftol:
-        return hi, f_hi
-
-    best, kept = min(abs(f_lo), abs(f_hi)), 0
-    for _ in range(MAX_ROOT_STEPS):
-        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if abs(fx) <= ftol:
-            return x, fx
-        best = min(best, abs(fx))
-        if fx > 0:
-            lo, f_lo = x, fx
-            if kept > 0:
-                f_hi *= 0.5
-            kept = 1
-        else:
-            hi, f_hi = x, fx
-            if kept < 0:
-                f_lo *= 0.5
-            kept = -1
-    raise SolverError(f"root not within ftol={ftol} after {MAX_ROOT_STEPS} steps",
-                      residual=best)
+    u = ground.wavefunction / np.linalg.norm(ground.wavefunction)
+    x = op.grid.x
+    r = (x - u @ (x * u)) * u
+    return -2.0 * float(r @ reduced_resolvent(op, ground, r))
 
 
 def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
-                 bracket_center: float = 0.0, op: TridiagonalOperator | None = None,
-                 bracket_width: float = 1.0, start: np.ndarray | None = None) -> ConstrainedState:
+                 op: TridiagonalOperator | None = None, start: np.ndarray | None = None,
+                 lam: float = 0.0) -> ConstrainedState:
     """Find lambda such that the tilted ground state has <q> = q_target.
 
-    g(lambda) = <q>_lambda - q_target is strictly decreasing, so the
-    bracketed root of decreasing_root, opened at bracket_center +-
-    bracket_width, always converges. Newton is deliberately avoided: g is
-    extremely steep near lambda = 0 when the tunneling splitting is small.
-    Each eigensolve is warm-started from the cached ground state with the
-    nearest multiplier, or from start (e.g. the previous point's state)
-    before any is cached.
+    Safeguarded Newton from lam on g(lambda) = <q>_lambda - q_target, with
+    the exact slope g' = susceptibility. g is strictly decreasing, so each
+    evaluated lambda bounds the root on one side, and a step that leaves
+    the bounds is replaced by their midpoint. The slope only steers: a
+    multiplier is accepted when |g| <= 1e-8 max(1, |q_target|), so an
+    inexact slope costs eigensolves, not accuracy. While the root is not
+    yet bracketed, a step that does not bring <q> closer to q_target means
+    the target is out of reach (UnreachableTargetError). Each eigensolve is
+    warm-started from the last ground state, or from start before the first.
     """
     if op is None:
         op = assemble_hamiltonian(mp, grid)
-
-    pairs = {}
+    tol = DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target))
+    lo, hi, best = -np.inf, np.inf, np.inf
     solves = fallbacks = 0
-
-    def g(lam):
-        nonlocal solves, fallbacks
-        near = min(pairs, key=lambda cached: abs(cached - lam), default=None)
-        seed = start if near is None else pairs[near].wavefunction
-        pair = pairs[lam] = lowest_eigenpairs(tilt_hamiltonian(op, lam), 1, start=seed)[0]
+    for _ in range(MAX_NEWTON_STEPS):
+        tilted = tilt_hamiltonian(op, lam)
+        pair = lowest_eigenpairs(tilted, 1, start=start)[0]
         solves += 1
-        if seed is not None and pair.method == "lapack":
-            fallbacks += 1
-        return position_element(pair.wavefunction, pair.wavefunction, grid) - q_target
-
-    # symmetric potential at q = 0: lambda = 0 by parity, skip the stiff
-    # root-finding region entirely
-    if q_target == 0.0 and mp.potential.is_symmetric:
-        lam, resid = 0.0, g(0.0)
-    else:
-        lam, resid = decreasing_root(g, bracket_center - bracket_width,
-                                     bracket_center + bracket_width,
-                                     DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target)))
-    pair = pairs[lam]
-    return ConstrainedState(q_target, lam, pair.energy, pair.energy - lam * q_target,
-                            pair.wavefunction, abs(resid), solves, fallbacks)
+        fallbacks += start is not None and pair.method == "lapack"
+        start = pair.wavefunction
+        resid = position_element(start, start, grid) - q_target
+        if abs(resid) <= tol:
+            return ConstrainedState(q_target, lam, pair.energy, pair.energy - lam * q_target,
+                                    start, abs(resid), solves, fallbacks)
+        if resid > 0:
+            lo = lam
+        else:
+            hi = lam
+        if abs(resid) >= best and (np.isinf(lo) or np.isinf(hi)):
+            raise UnreachableTargetError(
+                f"<q> stalls {abs(resid):.3g} short of {q_target} (grid too narrow?)",
+                residual=abs(resid))
+        best = min(best, abs(resid))
+        lam -= resid / susceptibility(tilted, pair)
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+    raise SolverError(f"<q> not within {tol:.3g} of {q_target} after {MAX_NEWTON_STEPS} "
+                      f"Newton steps", residual=best)
 
 
 def _doublet(op: TridiagonalOperator):
@@ -195,10 +159,10 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
                         doublet: tuple | None = None) -> EffectivePotentialTable:
     """Tabulate V_eff over an ascending q grid.
 
-    Continuation: each point's root bracket is centred on the multiplier
-    extrapolated from the last two points, lambda_prev + dlambda_prev, with
-    half-width |dlambda_prev| (1 at the first point), and its eigensolves
-    start from the previous point's ground state. Points whose solve fails
+    Continuation: each point's Newton solve starts from the multiplier
+    extrapolated along the secant dlambda/dq of the last two solved points
+    (lambda = 0 at the first point, the last lambda at the second), and
+    from the previous point's ground state. Points whose solve fails
     are recorded in the metadata and excluded from the table. doublet, the
     (e1, e2, d) of the lowest doublet on the same grid when the caller has
     already solved it, is stored as given; otherwise it is solved here.
@@ -212,18 +176,18 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
     e1, e2, d = _doublet(op)[1] if doublet is None else doublet
 
     qs, vs, ls, failed = [], [], [], []
-    prev_lam, dlam, start = 0.0, 0.0, None
+    secant, start = 0.0, None
     eigensolves = fallbacks = 0
     for qt in q_grid:
         try:
-            cs = solve_lambda(mp, qt, grid=grid, bracket_center=prev_lam + dlam,
-                              op=op, bracket_width=abs(dlam) or 1.0, start=start)
+            cs = solve_lambda(mp, qt, grid, op=op, start=start,
+                              lam=ls[-1] + secant * (qt - qs[-1]) if qs else 0.0)
         except SolverError as exc:
             failed.append({"q": float(qt), "error": str(exc)})
             continue
         if qs:
-            dlam = cs.lam - prev_lam
-        prev_lam, start = cs.lam, cs.wavefunction
+            secant = (cs.lam - ls[-1]) / (qt - qs[-1])
+        start = cs.wavefunction
         eigensolves += cs.eigensolves
         fallbacks += cs.lapack_fallbacks
         qs.append(cs.q_target)

@@ -18,12 +18,17 @@ It runs until the residual stops falling at roundoff. A failed
 factorization, or a residual that stalls above roundoff, falls back to the
 cold LAPACK solve.
 
-The four LAPACK routines (dstebz, dstein, dpttrf, dpttrs) are called
-through scipy's f2py extension scipy/linalg/_flapack, loaded from its file
-so that the scipy.linalg package __init__, which imports numpy.testing and
-numpy.f2py among others, never runs: it is most of the package's import
-time. When the file is not found, scipy.linalg.lapack, which exposes the
-same wrappers, is used instead.
+The reduced resolvent (H - E0)^+ of a ground state, which gives the
+susceptibility dq/dlambda of constrained ground states, is applied by the
+same LDL^T factorization at the shift E0 - 1e3 eps ||H|| just below E0.
+
+This is the only module that calls LAPACK. Its four routines (dstebz and
+dstein for cold solves; dpttrf and dpttrs for warm solves and the reduced
+resolvent) are called through scipy's f2py extension scipy/linalg/_flapack,
+loaded from its file so that the scipy.linalg package __init__, which
+imports numpy.testing and numpy.f2py among others, never runs: it is most
+of the package's import time. When the file is not found,
+scipy.linalg.lapack, which exposes the same wrappers, is used instead.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .lattice import GridSpec, TridiagonalOperator
 
 DEFAULT_TOL = 1e-10
 MAX_INVERSE_STEPS = 40
+SHIFT_FLOOR = 1e3 * np.finfo(float).eps  # least distance of a shift below E0, per ||H||
 
 
 def _load_flapack():
@@ -87,7 +93,7 @@ def _inverse_iteration(op: TridiagonalOperator, start: np.ndarray):
     """(energy, unit vector) of the ground state refined from start by
     certified shifted inverse iteration, or None when a factorization
     fails, the residual stalls above roundoff or MAX_INVERSE_STEPS pass."""
-    floor = 1e3 * np.finfo(float).eps * op.norm_estimate
+    floor = SHIFT_FLOOR * op.norm_estimate
     vec = start / np.linalg.norm(start)
     best = None
     for _ in range(MAX_INVERSE_STEPS):
@@ -98,13 +104,18 @@ def _inverse_iteration(op: TridiagonalOperator, start: np.ndarray):
             # best's own shift passed dpttrf, so its rho < E0 + max(r, floor)
             return best[:2] if best[2] <= floor else None
         best = (rho, vec, resid)
-        dd, ee, info = _lapack.dpttrf(op.diagonal - (rho - max(resid, floor)),
-                                      op.off_diagonal)
-        if info != 0:
+        vec = _shifted_solve(op, rho - max(resid, floor), vec)
+        if vec is None:
             return None
-        vec = _lapack.dpttrs(dd, ee, vec)[0]
         vec /= np.linalg.norm(vec)
     return None
+
+
+def _shifted_solve(op: TridiagonalOperator, shift: float, rhs: np.ndarray):
+    """(H - shift)^-1 rhs by an LDL^T factorization (dpttrf, dpttrs), or
+    None when it fails, i.e. when shift does not lie below the spectrum."""
+    dd, ee, info = _lapack.dpttrf(op.diagonal - shift, op.off_diagonal)
+    return _lapack.dpttrs(dd, ee, rhs)[0] if info == 0 else None
 
 
 def _cold_solve(op: TridiagonalOperator, k: int):
@@ -163,6 +174,24 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
         phi = phi / np.sqrt(norm2)
         pairs.append(EigenPair(float(energies[i]), phi, resid, method))
     return pairs
+
+
+def reduced_resolvent(op: TridiagonalOperator, ground: EigenPair,
+                      rhs: np.ndarray) -> np.ndarray:
+    """(H - E0)^+ rhs: the inverse of H - E0 on the orthogonal complement of
+    the ground state of op, applied to rhs projected onto it (Euclidean
+    inner product on grid vectors).
+
+    It is solved as (H - E0 + f)^-1 with f = 1e3 eps ||H|| by dpttrf/dpttrs,
+    so the component along each excited state k is off by the relative
+    amount f / (E_k - E0). Raises SolverError if the factorization fails.
+    """
+    u = ground.wavefunction / np.linalg.norm(ground.wavefunction)
+    shift = ground.energy - SHIFT_FLOOR * op.norm_estimate
+    y = _shifted_solve(op, shift, rhs - (u @ rhs) * u)
+    if y is None:
+        raise SolverError(f"H - E0 is not positive definite below E0={ground.energy}")
+    return y - (u @ y) * u
 
 
 def parity_of(pair: EigenPair, grid: GridSpec, tol: float = 1e-6) -> str:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrain import EffectivePotentialTable, decreasing_root, default_grid, lambda_walk_table
-from .errors import CoverageError, SolverError, TruncationError, UsageError
+from .constrain import EffectivePotentialTable, default_grid, lambda_walk_table
+from .errors import CoverageError, TruncationError, UsageError
 from .lattice import GridSpec, ModelParams, assemble_hamiltonian, position_element
 from .spectra import lowest_eigenpairs
 
@@ -22,6 +22,8 @@ BOUNDARY_TAIL = 1e-8  # coverage criterion: tail density / peak density
 # beta (V - min V) at the ends of required_q_range: exp(-25) ~ 1.4e-11 lies
 # below BOUNDARY_TAIL
 Q_RANGE_MARGIN = 25.0
+MAX_RANGE_DOUBLINGS = 60  # required_q_range looks at most dx 2^59 past the grid
+RANGE_SAMPLES = 4097  # required_q_range's linear interpolation nodes per crossing
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,10 @@ def required_q_range(mp: ModelParams, beta: float) -> float:
     wells, where the ground state of the tilted problem is semiclassical).
     Measured from the global minimum on the default grid, V - min V reaches
     Q_RANGE_MARGIN / beta at an outermost crossing on each side; the larger
-    |x| of the two is returned.
+    |x| of the two is returned. Each crossing is bracketed by the outward
+    offsets dx 2^j from the outermost grid node below that level, then
+    placed by linear interpolation between RANGE_SAMPLES points across the
+    bracket.
     """
     if not 0 < beta < np.inf:
         raise UsageError(f"beta must be positive and finite, got {beta}")
@@ -142,17 +147,22 @@ def required_q_range(mp: ModelParams, beta: float) -> float:
     v = mp.potential.evaluate(grid.x, mp.mass)
     v0, target = float(v.min()), Q_RANGE_MARGIN / beta
     inside = np.flatnonzero(v - v0 < target)
+    offsets = grid.dx * 2.0 ** np.arange(MAX_RANGE_DOUBLINGS)
 
     def crossing(start, sign):
-        def below(s):  # decreasing in the outward distance s
-            return target + v0 - float(mp.potential.evaluate(start + sign * s, mp.mass))
-        s, _ = decreasing_root(below, 0.0, grid.dx, 1e-12 * (target + abs(v0)))
-        return abs(start + sign * s)
+        def rise(s):
+            return mp.potential.evaluate(start + sign * s, mp.mass) - v0
 
-    try:
-        return max(crossing(grid.x[inside[0]], -1.0), crossing(grid.x[inside[-1]], 1.0))
-    except SolverError as exc:
-        raise CoverageError(f"potential too flat to cover beta={beta}", beta=beta) from exc
+        above = np.flatnonzero(rise(offsets) >= target)
+        if len(above) == 0:
+            raise CoverageError(f"potential too flat to cover beta={beta}", beta=beta)
+        j = above[0]
+        s = np.linspace(offsets[j - 1] if j else 0.0, offsets[j], RANGE_SAMPLES)
+        r = rise(s)
+        k = np.flatnonzero(r >= target)[0]  # r[0] < target <= r[-1]
+        return abs(start + sign * np.interp(target, r[k - 1:k + 1], s[k - 1:k + 1]))
+
+    return max(crossing(grid.x[inside[0]], -1.0), crossing(grid.x[inside[-1]], 1.0))
 
 
 def table_for_betas(mp: ModelParams, betas, n_q: int, grid: GridSpec,
@@ -160,13 +170,14 @@ def table_for_betas(mp: ModelParams, betas, n_q: int, grid: GridSpec,
     """Effective-potential table wide enough for every requested beta.
 
     The nodes come from lambda_walk_table over [-q_max, q_max], q_max the
-    largest required_q_range, at target spacing 2 q_max / (n_q - 1). The
+    required_q_range of the smallest beta (it grows as beta falls), at
+    target spacing 2 q_max / (n_q - 1). The
     spatial grid is widened with them to the symmetric [-half, half], half =
     max(-x_min, x_max, q_max + 4), at the spacing of grid (rounded down to
     fit a whole number of intervals), so the tilted ground states stay away
     from the hard walls. doublet is as in lambda_walk_table.
     """
-    q_max = max(required_q_range(mp, float(b)) for b in np.atleast_1d(betas))
+    q_max = required_q_range(mp, float(np.min(betas)))
     half = float(max(-grid.x_min, grid.x_max, q_max + 4.0))
     intervals = (grid.n_points - 1) * (2.0 * half) / (grid.x_max - grid.x_min)
     # an exact integer ratio computed a hair above it must not add an interval

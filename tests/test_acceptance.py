@@ -18,16 +18,15 @@ from wfgibbs import (
     canonical_atoms,
     effective_potential,
     fluctuation_curve,
-    inner_product,
     lowest_eigenpairs,
-    momentum_expectation,
     position_element,
     sample_ensemble,
     solve_lambda,
     table_for_betas,
     two_state_table,
-    unitary_flow_check,
 )
+from wfgibbs.lattice import inner_product, momentum_expectation
+from wfgibbs.sampling import unitary_flow_check
 from wfgibbs.thermal import bin_masses
 from wfgibbs.twostate import two_state_coherent
 

@@ -399,6 +399,25 @@ def test_only_cli_touches_files():
                         and node.func.id == "open"), f"{path.name}:{node.lineno}"
 
 
+def _identifiers(path: Path) -> set:
+    """Every name, attribute, imported module part and string constant in a file."""
+    words = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        for field in ("id", "attr", "name", "module", "value"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                words.update(value.split("."))
+    return words
+
+
+def test_only_spectra_references_lapack():
+    # spectra loads scipy's LAPACK extension and makes every call into it
+    lapack = {"_lapack", "_flapack"}
+    for path in sorted(Path(wfgibbs.__file__).parent.glob("*.py")):
+        found = lapack & _identifiers(path)
+        assert found == (lapack if path.stem == "spectra" else set()), path.name
+
+
 def test_preset_configs_parse():
     from wfgibbs.cli import load_config
 

@@ -12,13 +12,13 @@ from wfgibbs import (
     build_two_state,
     effective_potential,
     fluctuation_curve,
-    momentum_expectation,
     position_element,
     solve_lambda,
 )
 from wfgibbs import constrain
-from wfgibbs.constrain import (MAX_ROOT_STEPS, coherent_state, decreasing_root, default_grid,
-                                lambda_walk_table)
+from wfgibbs.constrain import coherent_state, default_grid, lambda_walk_table, susceptibility
+from wfgibbs.lattice import assemble_hamiltonian, momentum_expectation, tilt_hamiltonian
+from wfgibbs.spectra import lowest_eigenpairs
 
 from conftest import DOUBLE_WELL_MASSES, double_well, harmonic
 
@@ -48,36 +48,46 @@ def test_constraint_residual_within_tolerance(dw_grid):
         assert measured == pytest.approx(q, abs=1.1e-8)
 
 
-def test_unreachable_target_raises():
+def test_unreachable_target_raises(monkeypatch):
+    # the hard walls at +-6 stop <q> short of 10: Newton stalls and stops
+    solves = counted_k1_solves(monkeypatch)
     grid = GridSpec(-6.0, 6.0, 301)
     with pytest.raises(UnreachableTargetError):
         solve_lambda(double_well(0.5), 10.0, grid=grid)
+    assert len(solves) < 30
 
 
-def test_decreasing_root_steep_tanh():
-    x, fx = decreasing_root(lambda x: -np.tanh(1e6 * (x - 0.3)), -1.0, 1.0, 1e-12)
-    assert abs(fx) <= 1e-12
-    assert x == pytest.approx(0.3, abs=1e-15)
-
-
-def test_decreasing_root_without_sign_change_is_unreachable():
-    with pytest.raises(UnreachableTargetError) as err:
-        decreasing_root(lambda x: 1.0 + np.exp(-x), -1.0, 1.0, 1e-12)
-    assert err.value.residual == pytest.approx(1.0)
-
-
-def test_decreasing_root_step_cap():
-    calls = []
-
-    def step(x):
-        calls.append(x)
-        return 1.0 if x < 0.3 else -1.0
-
-    with pytest.raises(SolverError) as err:
-        decreasing_root(step, -1.0, 1.0, 0.0)
+def test_newton_step_cap_raises(dw_grid, monkeypatch):
+    monkeypatch.setattr(constrain, "MAX_NEWTON_STEPS", 1)
+    with pytest.raises(SolverError, match="Newton steps") as err:
+        solve_lambda(double_well(0.5), 0.9, grid=dw_grid)
     assert not isinstance(err.value, UnreachableTargetError)
-    assert err.value.residual == 1.0
-    assert len(calls) == 2 + MAX_ROOT_STEPS
+    assert err.value.residual > 1e-8
+
+
+def _ground_q(op, lam):
+    phi = lowest_eigenpairs(tilt_hamiltonian(op, lam), 1)[0].wavefunction
+    return position_element(phi, phi, op.grid)
+
+
+@pytest.mark.parametrize("mass, lam", [(0.2, 0.0), (0.5, 0.3), (1.5, -0.02), (1.5, 2.0)])
+def test_susceptibility_matches_central_difference(mass, lam, dw_grid):
+    op = assemble_hamiltonian(double_well(mass), dw_grid)
+    tilted = tilt_hamiltonian(op, lam)
+    chi = susceptibility(tilted, lowest_eigenpairs(tilted, 1)[0])
+    h = 1e-4 * max(abs(lam), 0.01)
+    central = (_ground_q(op, lam + h) - _ground_q(op, lam - h)) / (2.0 * h)
+    assert chi < 0
+    assert chi == pytest.approx(central, rel=1e-4)
+
+
+@pytest.mark.parametrize("mass, omega, lam", [(1.0, 1.0, 0.0), (1.0, 1.0, -2.0), (2.0, 0.5, 0.7)])
+def test_harmonic_susceptibility_closed_form(mass, omega, lam, harmonic_grid):
+    # H + lambda q shifts the oscillator by -lambda / (m w^2), so
+    # dq/dlambda = -1 / (m w^2) at every lambda
+    tilted = tilt_hamiltonian(assemble_hamiltonian(harmonic(mass, omega), harmonic_grid), lam)
+    chi = susceptibility(tilted, lowest_eigenpairs(tilted, 1)[0])
+    assert chi == pytest.approx(-1.0 / (mass * omega**2), rel=1e-5)
 
 
 @pytest.mark.parametrize("mass", [0.2, 0.5])
@@ -98,9 +108,9 @@ def test_eigensolves_per_constrained_point(mass, two_state_models, dw_grid, monk
     q = np.linspace(-0.995 * d, 0.995 * d, 21)
     table = effective_potential(double_well(mass), q, grid=dw_grid)
     assert len(table.q) == len(q)
-    # measured 7.05 (m=0.2) and 7.48 (m=0.5) k=1 solves per point; the
-    # bound leaves a margin of 1.5
-    assert len(k1_solves) / len(q) <= 9
+    # measured 3.71 (m=0.2) and 4.14 (m=0.5) k=1 solves per point; the
+    # bound leaves a margin of about 1.5
+    assert len(k1_solves) / len(q) <= 6
     # the table metadata records the same counts
     assert table.meta["eigensolves"] == len(k1_solves)
     assert table.meta["lapack_fallbacks"] == len(fallbacks) <= len(k1_solves)

@@ -12,9 +12,9 @@ from wfgibbs import (
     UsageError,
     assemble_hamiltonian,
     lowest_eigenpairs,
-    momentum_expectation,
     position_element,
 )
+from wfgibbs.lattice import momentum_expectation
 
 from conftest import double_well, harmonic
 

@@ -16,10 +16,9 @@ from wfgibbs import (
     UsageError,
     build_truncated_model,
     exact_moments,
-    integrated_autocorrelation,
     sample_ensemble,
-    unitary_flow_check,
 )
+from wfgibbs.sampling import integrated_autocorrelation, unitary_flow_check
 
 from conftest import exact_sphere_variance, harmonic
 from test_acceptance import two_level_quadrature

@@ -14,12 +14,12 @@ from wfgibbs import (
     SolverError,
     UsageError,
     assemble_hamiltonian,
-    inner_product,
     lowest_eigenpairs,
     parity_of,
     spectra,
     tilt_hamiltonian,
 )
+from wfgibbs.lattice import inner_product
 
 from conftest import DOUBLE_WELL_REFERENCE, double_well, harmonic
 

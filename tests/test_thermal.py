@@ -24,7 +24,7 @@ from wfgibbs import (
     two_state_table,
 )
 from wfgibbs.cli import load_config
-from wfgibbs.thermal import bin_masses
+from wfgibbs.thermal import Q_RANGE_MARGIN, bin_masses
 
 from conftest import double_well, harmonic
 
@@ -142,6 +142,30 @@ def test_required_q_range_measures_from_global_minimum():
     table = table_for_betas(mp, [200.0], n_q=41, grid=default_grid(mp))
     curve = fluctuation_curve(table, [200.0])
     assert curve.delta_q[0] > 0
+
+
+def test_required_q_range_crossing_outside_default_grid():
+    # the fluct preset's hottest temperature, T = 100 at m = 0.2: V - min V
+    # = w0 (x^2 - x0^2)^2 - v0 reaches 25 / beta past the default grid's edge
+    mp = double_well(0.2)
+    grid = default_grid(mp)
+    beta = 2.0 / (100.0 * build_two_state(mp, grid).splitting)
+    v0 = float(mp.potential.evaluate(grid.x, mp.mass).min())
+    exact = np.sqrt(1.5**2 + np.sqrt((Q_RANGE_MARGIN / beta + v0) / 1.0))
+    q = required_q_range(mp, beta)
+    assert q > grid.x_max
+    assert q == pytest.approx(exact, rel=1e-8)
+
+
+def test_table_for_betas_sizes_range_by_smallest_beta():
+    mp, grid = double_well(0.2), GridSpec(-6.0, 6.0, 1201)
+    betas = [5.0, 0.05, 1.0]
+    table = table_for_betas(mp, betas, n_q=41, grid=grid)
+    hottest = table_for_betas(mp, [min(betas)], n_q=41, grid=grid)
+    assert table.meta["grid"] == hottest.meta["grid"]
+    assert np.array_equal(table.q, hottest.q)
+    assert np.array_equal(table.v_eff, hottest.v_eff)
+    assert np.array_equal(table.lam, hottest.lam)
 
 
 def test_table_for_betas_covers_requested_range():

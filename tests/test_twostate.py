@@ -5,11 +5,11 @@ from wfgibbs import (
     GridSpec,
     UsageError,
     build_two_state,
-    momentum_expectation,
     rescale,
     two_state_table,
     two_state_veff,
 )
+from wfgibbs.lattice import momentum_expectation
 from wfgibbs.twostate import (DomainError, two_state_coefficients, two_state_coherent,
                               two_state_lambda)
 
@@ -88,7 +88,8 @@ def test_coefficients_limits(two_state_models):
 def test_coherent_state_expectations(two_state_models, dw_grid):
     ts = two_state_models[0.5]
     state = two_state_coherent(ts, 0.4 * ts.d, 0.9)
-    from wfgibbs import position_element, inner_product
+    from wfgibbs import position_element
+    from wfgibbs.lattice import inner_product
 
     norm = inner_product(state.psi, state.psi, dw_grid)
     assert norm == pytest.approx(1.0, abs=1e-9)
