@@ -102,13 +102,22 @@ def load_config(path) -> dict:
     # values no run can use are rejected here, before any work
     fluct, sample, beta = cfg["fluct"], cfg["sample"], cfg["sample"]["beta"]
     limits = {
+        "eig.k >= 1": cfg["eig"]["k"] >= 1,
+        "0 < eig.tol < inf": 0 < cfg["eig"]["tol"] < np.inf,
+        "veff.n_q >= 1": cfg["veff"]["n_q"] >= 1,
+        "0 < veff.frac <= 1": 0 < cfg["veff"]["frac"] <= 1,
+        "twostate.n_q >= 1": cfg["twostate"]["n_q"] >= 1,
         "0 < fluct.t_min < inf": 0 < fluct["t_min"] < np.inf,
         "0 < fluct.t_max < inf": 0 < fluct["t_max"] < np.inf,
         "fluct.n_t >= 1": fluct["n_t"] >= 1,
         "fluct.n_q >= 2": fluct["n_q"] >= 2,
         "0 <= sample.beta < inf": 0 <= beta < np.inf,
         "sample.beta > 0 with validate 'marginal'": sample["validate"] != "marginal" or beta > 0,
+        "sample.n_basis >= 2": sample["n_basis"] >= 2,
+        "0 < sample.tolerance_se < inf": 0 < sample["tolerance_se"] < np.inf,
+        "0 < sample.tv_tolerance < inf": 0 < sample["tv_tolerance"] < np.inf,
         "0 < canonical.beta < inf": 0 < cfg["canonical"]["beta"] < np.inf,
+        "canonical.k_max >= 1": cfg["canonical"]["k_max"] >= 1,
     }
     broken = [rule for rule, ok in limits.items() if not ok]
     if broken:

@@ -11,11 +11,12 @@ a Legendre-type transform of the concave map lambda -> E0_lambda; it is
 convex with dV_eff/dq = -lambda(q). Generalized coherent states are
 exp(i p x / hbar) * phi_lambda(q)(x).
 
-Where the q nodes are prescribed (effective_potential), each is a root in
-lambda, found by Newton on the exact slope dq/dlambda (susceptibility).
-Where they are free (lambda_walk_table), no root is needed: by
-Hellmann-Feynman every tilted ground state is itself an exact node
-(q(lambda), E0(lambda) - lambda q(lambda)).
+Both tables come from one continuation in lambda, outward from the
+untilted node (q0, E0, 0): by Hellmann-Feynman each tilted ground state is
+an exact node (q, E0 - lambda q, lambda). Prescribed nodes
+(effective_potential) are hit to the root tolerance, free ones
+(lambda_walk_table) wherever an advance of h/8 to 3h/2 lands; a symmetric
+problem is solved on one side and mirrored.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from .spectra import EigenPair, lowest_eigenpairs, reduced_resolvent
 
 DEFAULT_ROOT_TOL_SCALE = 1e-8
 MAX_NEWTON_STEPS = 100
-MAX_STEP_HALVINGS = 40
-MAX_WALK_STEPS_PER_NODE = 8  # a lambda walk takes at most this many steps per n_q
+
 
 def default_grid(mp: ModelParams) -> GridSpec:
     """Grid wide and fine enough for the low-lying states of the model.
@@ -104,7 +104,7 @@ def susceptibility(op: TridiagonalOperator, ground: EigenPair) -> float:
 
 def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
                  op: TridiagonalOperator | None = None, start: np.ndarray | None = None,
-                 lam: float = 0.0) -> ConstrainedState:
+                 lam: float = 0.0, *, _band: tuple | None = None) -> ConstrainedState:
     """Find lambda such that the tilted ground state has <q> = q_target.
 
     Safeguarded Newton from lam on g(lambda) = <q>_lambda - q_target, with
@@ -116,10 +116,13 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
     yet bracketed, a step that does not bring <q> closer to q_target means
     the target is out of reach (UnreachableTargetError). Each eigensolve is
     warm-started from the last ground state, or from start before the first.
+    The lambda continuation passes _band, the (low, high) g it accepts for a
+    free node, which is recorded at the <q> it reaches.
     """
     if op is None:
         op = assemble_hamiltonian(mp, grid)
     tol = DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target))
+    band = (-tol, tol) if _band is None else _band
     lo, hi, best = -np.inf, np.inf, np.inf
     solves = fallbacks = 0
     for _ in range(MAX_NEWTON_STEPS):
@@ -128,10 +131,12 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
         solves += 1
         fallbacks += start is not None and pair.method == "lapack"
         start = pair.wavefunction
-        resid = position_element(start, start, grid) - q_target
-        if abs(resid) <= tol:
-            return ConstrainedState(q_target, lam, pair.energy, pair.energy - lam * q_target,
-                                    start, abs(resid), solves, fallbacks)
+        q = position_element(start, start, grid)
+        resid = q - q_target
+        if band[0] <= resid <= band[1]:
+            at = q_target if _band is None else q
+            return ConstrainedState(at, lam, pair.energy, pair.energy - lam * at,
+                                    start, abs(q - at), solves, fallbacks)
         if resid > 0:
             lo = lam
         else:
@@ -144,144 +149,129 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
         lam -= resid / susceptibility(tilted, pair)
         if not lo < lam < hi:
             lam = 0.5 * (lo + hi)
-    raise SolverError(f"<q> not within {tol:.3g} of {q_target} after {MAX_NEWTON_STEPS} "
-                      f"Newton steps", residual=best)
+    raise SolverError(f"<q> - {q_target} not within [{band[0]:.3g}, {band[1]:.3g}] after "
+                      f"{MAX_NEWTON_STEPS} Newton steps", residual=best)
 
 
-def _doublet(op: TridiagonalOperator):
-    """The two lowest eigenpairs of op and their (e1, e2, |<phi_1, q phi_2>|)."""
-    pairs = lowest_eigenpairs(op, 2)
-    return pairs, (pairs[0].energy, pairs[1].energy,
-                   abs(position_element(pairs[0].wavefunction, pairs[1].wavefunction, op.grid)))
+def _anchor(mp: ModelParams, grid: GridSpec, doublet: tuple | None, mirror: bool):
+    """(doublet, k=1 eigensolves, branch start (op, ground pair, q0, dlambda/dq)),
+    with q0 the ground <q> (0 when mirrored) and the two-level -(e2 - e1) / 2d^2."""
+    op = assemble_hamiltonian(mp, grid)
+    given = doublet is not None
+    pairs = lowest_eigenpairs(op, 1 if given else 2)
+    if not given:
+        doublet = (pairs[0].energy, pairs[1].energy,
+                   abs(position_element(pairs[0].wavefunction, pairs[1].wavefunction, grid)))
+    e1, e2, d = doublet
+    q0 = 0.0 if mirror else position_element(pairs[0].wavefunction, pairs[0].wavefunction, grid)
+    return doublet, int(given), (op, pairs[0], q0, -(e2 - e1) / (2.0 * d**2))
+
+
+def _outward(mp, grid, branch, direction, targets=(), h=None, q_max=None):
+    """(nodes (q, V, lambda), eigensolves, lapack fallbacks) along direction:
+    one solve_lambda call per node, from the lambda extrapolated along the
+    last secant and from the last ground state. Prescribed nodes (targets, in
+    outward order) are recorded at the target, or as the error message of a
+    failed solve; free nodes (h given) where an advance in [h/8, 3h/2] of h
+    lands, up to the first past q_max, and a failed one raises."""
+    op, ground, q, dlam_dq = branch
+    lam, start, band = 0.0, ground.wavefunction, None
+    if h is not None:
+        band = (h / 8 - h, h / 2) if direction > 0 else (-h / 2, h - h / 8)
+        # free targets: one step on from the last node, until past q_max
+        targets = iter(lambda: q + direction * h if direction * q < q_max else None, None)
+    nodes, solves, fallbacks = [], 0, 0
+    for qt in targets:
+        try:
+            cs = solve_lambda(mp, qt, grid, op=op, start=start,
+                              lam=lam + dlam_dq * (qt - q), _band=band)
+        except SolverError as exc:
+            if h is not None:
+                raise
+            nodes.append(str(exc))
+            continue
+        dlam_dq = (cs.lam - lam) / (cs.q_target - q)
+        q, lam, start = cs.q_target, cs.lam, cs.wavefunction
+        solves += cs.eigensolves
+        fallbacks += cs.lapack_fallbacks
+        nodes.append((q, cs.v_eff, lam))
+    return nodes, solves, fallbacks
+
+
+def _table(mp, grid, doublet, q, v, lam, failed, solves, fallbacks, **extra):
+    e1, e2, d = doublet
+    meta = {"e1": e1, "e2": e2, "d": d, "model": mp.to_dict(), "grid": grid.to_dict(), **extra,
+            "failed_points": failed, "eigensolves": solves, "lapack_fallbacks": fallbacks}
+    return EffectivePotentialTable(np.asarray(q), np.asarray(v), np.asarray(lam), meta)
 
 
 def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
                         doublet: tuple | None = None) -> EffectivePotentialTable:
-    """Tabulate V_eff over an ascending q grid.
+    """Tabulate V_eff over an ascending q grid, by lambda continuation out
+    from the untilted ground state on each side of its <q>.
 
-    Continuation: each point's Newton solve starts from the multiplier
-    extrapolated along the secant dlambda/dq of the last two solved points
-    (lambda = 0 at the first point, the last lambda at the second), and
-    from the previous point's ground state. Points whose solve fails
-    are recorded in the metadata and excluded from the table. doublet, the
-    (e1, e2, d) of the lowest doublet on the same grid when the caller has
-    already solved it, is stored as given; otherwise it is solved here.
-    """
+    A symmetric potential on a symmetric x grid and q grid (to 1e-12 of its
+    span) is solved on q > 0 and mirrored, (q, V, lambda) -> (-q, V,
+    -lambda); a centre node is the untilted node. Failed points and their
+    mirrors go to meta["failed_points"], not the table. doublet, the (e1, e2,
+    d) of the lowest doublet on the same grid when the caller has already
+    solved it, is stored as given; otherwise it is solved here."""
     q_grid = np.asarray(q_grid, dtype=float)
     if len(q_grid) == 0:
         raise UsageError("empty q grid")
     if np.any(np.diff(q_grid) <= 0):
         raise UsageError("q grid must be strictly ascending")
-    op = assemble_hamiltonian(mp, grid)
-    e1, e2, d = _doublet(op)[1] if doublet is None else doublet
-
-    qs, vs, ls, failed = [], [], [], []
-    secant, start = 0.0, None
-    eigensolves = fallbacks = 0
-    for qt in q_grid:
-        try:
-            cs = solve_lambda(mp, qt, grid, op=op, start=start,
-                              lam=ls[-1] + secant * (qt - qs[-1]) if qs else 0.0)
-        except SolverError as exc:
-            failed.append({"q": float(qt), "error": str(exc)})
-            continue
-        if qs:
-            secant = (cs.lam - ls[-1]) / (qt - qs[-1])
-        start = cs.wavefunction
-        eigensolves += cs.eigensolves
-        fallbacks += cs.lapack_fallbacks
-        qs.append(cs.q_target)
-        vs.append(cs.v_eff)
-        ls.append(cs.lam)
-
-    meta = {
-        "e1": e1,
-        "e2": e2,
-        "d": d,
-        "model": mp.to_dict(),
-        "grid": grid.to_dict(),
-        "root_tol_scale": DEFAULT_ROOT_TOL_SCALE,
-        "failed_points": failed,
-        "eigensolves": eigensolves,
-        "lapack_fallbacks": fallbacks,
-    }
-    return EffectivePotentialTable(np.asarray(qs), np.asarray(vs), np.asarray(ls), meta)
+    n = len(q_grid)
+    mirror = bool(mp.potential.is_symmetric and grid.is_symmetric
+                  and np.all(np.abs(q_grid + q_grid[::-1]) < 1e-12 * (q_grid[-1] - q_grid[0])))
+    doublet, solves, branch = _anchor(mp, grid, doublet, mirror)
+    v, lam, errors, fallbacks = np.empty(n), np.empty(n), np.full(n, None), 0
+    upper = np.arange((n + 1) // 2, n)
+    if mirror:
+        sides = [(1.0, upper)]
+        if n % 2:
+            v[n // 2], lam[n // 2] = branch[1].energy, 0.0
+    else:
+        q0 = branch[2]
+        sides = [(1.0, np.flatnonzero(q_grid > q0)), (-1.0, np.flatnonzero(q_grid <= q0)[::-1])]
+    for direction, idx in sides:
+        nodes, s, f = _outward(mp, grid, branch, direction, q_grid[idx])
+        solves, fallbacks = solves + s, fallbacks + f
+        for i, node in zip(idx, nodes):
+            if isinstance(node, str):
+                errors[i] = node
+            else:
+                v[i], lam[i] = node[1:]
+    if mirror:
+        v[n - 1 - upper], lam[n - 1 - upper] = v[upper], -lam[upper]
+        errors[n - 1 - upper] = errors[upper]
+    ok = np.equal(errors, None)
+    failed = [{"q": float(q), "error": e} for q, e in zip(q_grid[~ok], errors[~ok])]
+    return _table(mp, grid, doublet, q_grid[ok], v[ok], lam[ok], failed, solves, fallbacks,
+                  root_tol_scale=DEFAULT_ROOT_TOL_SCALE)
 
 
 def lambda_walk_table(mp: ModelParams, q_max: float, n_q: int, grid: GridSpec,
                       doublet: tuple | None = None) -> EffectivePotentialTable:
     """Tabulate V_eff on free nodes covering [-q_max, q_max], with no root
-    finding.
-
-    lambda is walked by continuation from 0, one ground state of H + lambda q
-    per node, each warm-started from the previous node's. Each step is aimed
-    at dq = h = 2 q_max / (n_q - 1) along the last secant dq/dlambda (the
-    two-level susceptibility -2 d^2 / (e2 - e1) before the first) and halved
-    while |dq| > 1.5 h, so no gap exceeds 1.5 h; a walk ends at its first
-    node past q_max. A symmetric potential on a symmetric grid is walked on
-    lambda <= 0 only and mirrored, (q, V, lambda) -> (-q, V, -lambda), about
-    the exact node (0, E0, 0). doublet is as in effective_potential. A walk
-    that stalls or exceeds its step bounds raises SolverError.
-    """
+    finding: the lambda continuation accepts any advance in [h/8, 3h/2] of
+    h = 2 q_max / (n_q - 1), so no gap exceeds 1.5 h and each node gains at
+    least h/8. A side ends at its first node past q_max, or raises
+    UnreachableTargetError or SolverError if it cannot advance. A symmetric
+    potential on a symmetric grid is walked on q > 0 and mirrored about the
+    exact node (0, E0, 0). doublet is as in effective_potential."""
     if not 0 < q_max < np.inf or n_q < 2:
         raise UsageError(f"need 0 < q_max < inf and n_q >= 2, got {q_max}, {n_q}")
-    op = assemble_hamiltonian(mp, grid)
-    if doublet is None:
-        pairs, doublet = _doublet(op)
-        ground, eigensolves = pairs[0], 0
-    else:
-        ground, eigensolves = lowest_eigenpairs(op, 1)[0], 1
-    e1, e2, d = doublet
-    h = 2.0 * q_max / (n_q - 1)
     mirror = mp.potential.is_symmetric and grid.is_symmetric
-    q0 = 0.0 if mirror else position_element(ground.wavefunction, ground.wavefunction, grid)
-    fallbacks = 0
-
-    def walk(direction):
-        """Nodes (q, V, lambda) from q0 out past direction * q_max."""
-        nonlocal eigensolves, fallbacks
-        lam, q, state = 0.0, q0, ground.wavefunction
-        slope = -2.0 * d**2 / (e2 - e1)
-        nodes = []
-        while direction * q < q_max:
-            if len(nodes) >= MAX_WALK_STEPS_PER_NODE * n_q:
-                raise SolverError(f"lambda walk passed {len(nodes)} nodes at q={q} "
-                                  f"without reaching |q| = {q_max}")
-            step = direction * h / slope
-            for _ in range(MAX_STEP_HALVINGS + 1):
-                pair = lowest_eigenpairs(tilt_hamiltonian(op, lam + step), 1, start=state)[0]
-                eigensolves += 1
-                fallbacks += pair.method == "lapack"
-                q_new = position_element(pair.wavefunction, pair.wavefunction, grid)
-                dq = q_new - q
-                if abs(dq) <= 1.5 * h:
-                    break
-                step *= 0.5
-            else:
-                raise SolverError(f"lambda step at q={q} still moves q by {dq:.3g} "
-                                  f"> 1.5 h after {MAX_STEP_HALVINGS} halvings")
-            if not direction * dq > 0:
-                raise UnreachableTargetError(
-                    f"<q> stalls at {q} short of |q| = {q_max} (grid too narrow?)")
-            slope = dq / step
-            lam, q, state = lam + step, q_new, pair.wavefunction
-            nodes.append((q, pair.energy - lam * q, lam))
-        return nodes
-
-    up = walk(1.0)
-    down = [(-q, v, -lam) for q, v, lam in up] if mirror else walk(-1.0)
-    q, v, lam = np.array(down[::-1] + [(q0, ground.energy, 0.0)] + up).T
-    meta = {
-        "e1": e1,
-        "e2": e2,
-        "d": d,
-        "model": mp.to_dict(),
-        "grid": grid.to_dict(),
-        "failed_points": [],
-        "eigensolves": eigensolves,
-        "lapack_fallbacks": fallbacks,
-    }
-    return EffectivePotentialTable(q, v, lam, meta)
+    doublet, solves, branch = _anchor(mp, grid, doublet, mirror)
+    h = 2.0 * q_max / (n_q - 1)
+    up, s, fallbacks = _outward(mp, grid, branch, 1.0, h=h, q_max=q_max)
+    if mirror:
+        down, s2, f2 = [(-q, v, -lam) for q, v, lam in up], 0, 0
+    else:
+        down, s2, f2 = _outward(mp, grid, branch, -1.0, h=h, q_max=q_max)
+    q, v, lam = np.array(down[::-1] + [(branch[2], branch[1].energy, 0.0)] + up).T
+    return _table(mp, grid, doublet, q, v, lam, [], solves + s + s2, fallbacks + f2)
 
 
 def coherent_state(cs: ConstrainedState, p: float, mp: ModelParams,

@@ -30,7 +30,7 @@ class SolverError(WfGibbsError):
 
 
 class UnreachableTargetError(SolverError):
-    """Bracket expansion failed: the requested expectation value is not
+    """<q> stopped approaching the requested expectation value: it is not
     reachable on the configured grid."""
 
 

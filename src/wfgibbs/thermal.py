@@ -194,8 +194,8 @@ def canonical_atoms(mp: ModelParams, beta: float, k_max: int,
     """
     if k_max < 1:
         raise UsageError(f"k_max must be >= 1, got {k_max}")
-    if beta <= 0:
-        raise UsageError(f"beta must be positive, got {beta}")
+    if not 0 < beta < np.inf:
+        raise UsageError(f"beta must be positive and finite, got {beta}")
     op = assemble_hamiltonian(mp, grid)
     pairs = lowest_eigenpairs(op, k_max)
     energies = np.array([p.energy for p in pairs])

@@ -344,6 +344,20 @@ def test_canonical_truncation_too_small(tmp_path, capsys):
     ("canonical", {"beta": 0.0}),
     ("canonical", {"beta": -2.0}),
     ("fluct", {"t_min": "abc"}),
+    ("eig", {"k": 0}),
+    ("eig", {"tol": 0.0}),
+    ("eig", {"tol": float("nan")}),
+    ("eig", {"tol": float("inf")}),
+    ("veff", {"n_q": 0}),
+    ("veff", {"frac": 0.0}),
+    ("veff", {"frac": 1.2}),
+    ("twostate", {"n_q": 0}),
+    ("sample", {"n_basis": 1}),
+    ("sample", {"tolerance_se": 0.0}),
+    ("sample", {"tolerance_se": float("nan")}),
+    ("sample", {"tv_tolerance": float("nan"), "validate": "marginal"}),
+    ("sample", {"tv_tolerance": float("inf")}),
+    ("canonical", {"k_max": 0}),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, section):
     # rejected while the config is read: exit 2 and nothing written

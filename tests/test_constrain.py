@@ -108,12 +108,23 @@ def test_eigensolves_per_constrained_point(mass, two_state_models, dw_grid, monk
     q = np.linspace(-0.995 * d, 0.995 * d, 21)
     table = effective_potential(double_well(mass), q, grid=dw_grid)
     assert len(table.q) == len(q)
-    # measured 3.71 (m=0.2) and 4.14 (m=0.5) k=1 solves per point; the
-    # bound leaves a margin of about 1.5
-    assert len(k1_solves) / len(q) <= 6
+    # measured 1.62 (m=0.2) and 1.76 (m=0.5) k=1 solves per point; the
+    # bound leaves a margin of about 1.7
+    assert len(k1_solves) / len(q) <= 3
     # the table metadata records the same counts
     assert table.meta["eigensolves"] == len(k1_solves)
     assert table.meta["lapack_fallbacks"] == len(fallbacks) <= len(k1_solves)
+
+
+def test_mirrored_table_has_exact_parity(two_state_models, dw_grid):
+    # a symmetric q grid is solved on q > 0 and mirrored; the q column is the
+    # grid as given, although linspace is not bitwise odd
+    d = two_state_models[0.5].d
+    q = np.linspace(-0.995 * d, 0.995 * d, 21)
+    table = effective_potential(double_well(0.5), q, grid=dw_grid)
+    assert np.array_equal(table.q, q)
+    assert np.array_equal(table.v_eff, table.v_eff[::-1])
+    assert np.array_equal(table.lam, -table.lam[::-1])
 
 
 @pytest.mark.parametrize("mass", DOUBLE_WELL_MASSES)
@@ -261,7 +272,7 @@ def test_walk_to_unreachable_range_raises(monkeypatch):
 
 def test_overshooting_steps_are_halved(dw_grid):
     # a splitting 1e3 times too large aims the first step 1e3 times too far;
-    # halving brings it back, and every gap stays within 1.5 h
+    # Newton on the exact slope brings it back, and every gap stays within 1.5 h
     mp = double_well(0.5)
     ts = build_two_state(mp, dw_grid)
     table = lambda_walk_table(mp, 3.0, 61, dw_grid,
@@ -271,16 +282,14 @@ def test_overshooting_steps_are_halved(dw_grid):
     assert table.meta["eigensolves"] > len(table.q) // 2 + 1
 
 
-def test_walk_step_bounds_raise(dw_grid, monkeypatch):
+def test_walk_newton_step_cap_raises(dw_grid, monkeypatch):
     mp = double_well(0.5)
     ts = build_two_state(mp, dw_grid)
-    # the same first step as above, with too few halvings allowed
-    monkeypatch.setattr(constrain, "MAX_STEP_HALVINGS", 2)
-    with pytest.raises(SolverError, match="halvings"):
+    # the same first step as above, with no Newton correction allowed
+    monkeypatch.setattr(constrain, "MAX_NEWTON_STEPS", 1)
+    with pytest.raises(SolverError, match="Newton steps") as err:
         lambda_walk_table(mp, 3.0, 61, dw_grid, doublet=(ts.e1, ts.e1 + 1e3 * ts.splitting, ts.d))
-    monkeypatch.setattr(constrain, "MAX_WALK_STEPS_PER_NODE", 0.25)
-    with pytest.raises(SolverError, match="without reaching"):
-        lambda_walk_table(mp, 3.0, 61, dw_grid)
+    assert not isinstance(err.value, UnreachableTargetError)
 
 
 def test_walk_rejects_bad_range(dw_grid):

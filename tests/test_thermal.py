@@ -241,6 +241,9 @@ def test_canonical_truncation_guard(dw_grid):
         canonical_atoms(double_well(0.5), beta=0.1, k_max=4, grid=dw_grid)
     with pytest.raises(UsageError):
         canonical_atoms(double_well(0.5), beta=2.0, k_max=0, grid=dw_grid)
+    for beta in (np.inf, np.nan):
+        with pytest.raises(UsageError):
+            canonical_atoms(double_well(0.5), beta=beta, k_max=4, grid=dw_grid)
 
 
 def test_canonical_partition_function(harmonic_grid):
