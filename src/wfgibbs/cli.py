@@ -195,7 +195,7 @@ def cmd_veff(cfg, out: Path) -> int:
         ts = twostate.build_two_state(mp, cfg["grid"])
         q_grid = np.linspace(-section["frac"] * ts.d, section["frac"] * ts.d, section["n_q"])
         table = constrain.effective_potential(mp, q_grid, cfg["grid"],
-                                              doublet=(ts.e1, ts.e2, ts.d))
+                                              doublet=(ts.e1, ts.e2, ts.d), ground=ts.phi1)
         if table.meta["failed_points"]:
             status = EXIT_SOLVER
         u, rescaled_exact = twostate.rescale(table, table.v_eff, table.q)
@@ -249,7 +249,7 @@ def cmd_fluct(cfg, out: Path) -> int:
         ts = twostate.build_two_state(mp, cfg["grid"])
         betas = 2.0 / (t_grid * ts.splitting)
         table = thermal.table_for_betas(mp, betas, section["n_q"], cfg["grid"],
-                                        doublet=(ts.e1, ts.e2, ts.d))
+                                        doublet=(ts.e1, ts.e2, ts.d), ground=ts.phi1)
         curve = thermal.fluctuation_curve(table, betas)
         # restricted variant: same V_eff confined to |q| <= d
         q_res = np.linspace(-ts.d, ts.d, 201)
@@ -263,8 +263,9 @@ def cmd_fluct(cfg, out: Path) -> int:
             "delta_p": curve.delta_p.tolist(),
             "max_full_vs_restricted": float(
                 np.max(np.abs(curve.delta_q_over_d - restricted.delta_q_over_d))),
-            "table": {"nodes": len(table.q), "eigensolves": table.meta["eigensolves"],
-                      "lapack_fallbacks": table.meta["lapack_fallbacks"],
+            "table": {"nodes": len(table.q),
+                      **{key: table.meta[key] for key in ("eigensolves", "lapack_fallbacks",
+                                                          "cold_solves", "factorizations")},
                       "grid": table.meta["grid"]},
         }
 

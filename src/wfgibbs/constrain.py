@@ -16,7 +16,15 @@ untilted node (q0, E0, 0): by Hellmann-Feynman each tilted ground state is
 an exact node (q, E0 - lambda q, lambda). Prescribed nodes
 (effective_potential) are hit to the root tolerance, free ones
 (lambda_walk_table) wherever an advance of h/8 to 3h/2 lands; a symmetric
-problem is solved on one side and mirrored.
+problem is solved on one side and mirrored. A prescribed node's lambda is
+predicted by quadratic extrapolation through the last three nodes (by the
+secant before that), a free node's by the secant.
+
+Each Newton step's slope comes with the first-order change of the ground
+state, dphi/dlambda = -(H - E0)^+ (x - q) phi, and every eigensolve after
+one, in the same node or at the next, starts from phi + dlambda dphi/dlambda
+instead of phi while that correction is a perturbation (below half of phi
+in norm).
 """
 
 from __future__ import annotations
@@ -55,8 +63,10 @@ def default_grid(mp: ModelParams) -> GridSpec:
 @dataclass(frozen=True)
 class ConstrainedState:
     """Self-consistent record (q, lambda(q), ground energy, wavefunction),
-    with the number of k=1 eigensolves the root took and how many of the
-    warm-started ones fell back to a cold LAPACK solve."""
+    with the number of k=1 eigensolves the root took, how many of the
+    warm-started ones fell back to a cold LAPACK solve, the cold solves and
+    the dpttrf factorizations (eigensolves and slopes), and dphi/dlambda of
+    the unit ground state at the last Newton step (None without one)."""
 
     q_target: float
     lam: float
@@ -66,6 +76,9 @@ class ConstrainedState:
     constraint_residual: float
     eigensolves: int
     lapack_fallbacks: int
+    cold_solves: int
+    factorizations: int
+    tangent: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -90,16 +103,33 @@ class EffectivePotentialTable:
         return np.interp(qq, self.q, self.v_eff)
 
 
+def _slope(op: TridiagonalOperator, ground: EigenPair):
+    """(dq/dlambda, dphi/dlambda) of the ground state of op + lambda q at
+    lambda = 0, phi the unit ground state: with r = (x - <q>) phi,
+    dphi/dlambda = -(H - E0)^+ r and dq/dlambda = -2 <r, (H - E0)^+ r>."""
+    u = ground.wavefunction / np.linalg.norm(ground.wavefunction)
+    x = op.grid.x
+    r = (x - u @ (x * u)) * u
+    y = reduced_resolvent(op, ground, r)
+    return -2.0 * float(r @ y), -y
+
+
 def susceptibility(op: TridiagonalOperator, ground: EigenPair) -> float:
     """dq/dlambda of the ground state of op + lambda q at lambda = 0.
 
     By second-order perturbation theory it is -2 <r, (H - E0)^+ r>, with
     r = (x - <q>) phi0; it is negative.
     """
-    u = ground.wavefunction / np.linalg.norm(ground.wavefunction)
-    x = op.grid.x
-    r = (x - u @ (x * u)) * u
-    return -2.0 * float(r @ reduced_resolvent(op, ground, r))
+    return _slope(op, ground)[0]
+
+
+def _first_order(phi: np.ndarray, dlam: float, tangent: np.ndarray | None) -> np.ndarray:
+    """Start vector for the ground state at lambda + dlam, from phi at lambda:
+    phi/|phi| + dlam dphi/dlambda while the correction is below 1/2 in norm,
+    phi itself otherwise (or without a tangent)."""
+    if tangent is None or not abs(dlam) * np.linalg.norm(tangent) < 0.5:
+        return phi
+    return phi / np.linalg.norm(phi) + dlam * tangent
 
 
 def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
@@ -115,28 +145,33 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
     inexact slope costs eigensolves, not accuracy. While the root is not
     yet bracketed, a step that does not bring <q> closer to q_target means
     the target is out of reach (UnreachableTargetError). Each eigensolve is
-    warm-started from the last ground state, or from start before the first.
-    The lambda continuation passes _band, the (low, high) g it accepts for a
-    free node, which is recorded at the <q> it reaches.
+    warm-started from start, then from the first-order change of the last
+    ground state (see the module docstring). The lambda continuation passes
+    _band, the (low, high) g it accepts for a free node, which is recorded
+    at the <q> it reaches.
     """
     if op is None:
         op = assemble_hamiltonian(mp, grid)
     tol = DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target))
     band = (-tol, tol) if _band is None else _band
     lo, hi, best = -np.inf, np.inf, np.inf
-    solves = fallbacks = 0
+    solves = fallbacks = cold = factorizations = 0
+    tangent = None
     for _ in range(MAX_NEWTON_STEPS):
         tilted = tilt_hamiltonian(op, lam)
         pair = lowest_eigenpairs(tilted, 1, start=start)[0]
         solves += 1
+        cold += pair.method == "lapack"
         fallbacks += start is not None and pair.method == "lapack"
-        start = pair.wavefunction
-        q = position_element(start, start, grid)
+        factorizations += pair.factorizations
+        phi = pair.wavefunction
+        q = position_element(phi, phi, grid)
         resid = q - q_target
         if band[0] <= resid <= band[1]:
             at = q_target if _band is None else q
-            return ConstrainedState(at, lam, pair.energy, pair.energy - lam * at,
-                                    start, abs(q - at), solves, fallbacks)
+            return ConstrainedState(at, lam, pair.energy, pair.energy - lam * at, phi,
+                                    abs(q - at), solves, fallbacks, cold, factorizations,
+                                    tangent)
         if resid > 0:
             lo = lam
         else:
@@ -146,67 +181,87 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
                 f"<q> stalls {abs(resid):.3g} short of {q_target} (grid too narrow?)",
                 residual=abs(resid))
         best = min(best, abs(resid))
-        lam -= resid / susceptibility(tilted, pair)
-        if not lo < lam < hi:
-            lam = 0.5 * (lo + hi)
+        chi, tangent = _slope(tilted, pair)
+        factorizations += 1
+        lam_next = lam - resid / chi
+        if not lo < lam_next < hi:
+            lam_next = 0.5 * (lo + hi)
+        start, lam = _first_order(phi, lam_next - lam, tangent), lam_next
     raise SolverError(f"<q> - {q_target} not within [{band[0]:.3g}, {band[1]:.3g}] after "
                       f"{MAX_NEWTON_STEPS} Newton steps", residual=best)
 
 
-def _anchor(mp: ModelParams, grid: GridSpec, doublet: tuple | None, mirror: bool):
-    """(doublet, k=1 eigensolves, branch start (op, ground pair, q0, dlambda/dq)),
-    with q0 the ground <q> (0 when mirrored) and the two-level -(e2 - e1) / 2d^2."""
+_COUNTS = ("eigensolves", "lapack_fallbacks", "cold_solves", "factorizations")
+
+
+def _anchor(mp: ModelParams, grid: GridSpec, doublet: tuple | None, ground, mirror: bool):
+    """(doublet, counts, branch start (op, ground pair, q0, dlambda/dq)),
+    with q0 the ground <q> (0 when mirrored) and the two-level
+    -(e2 - e1) / 2d^2. A given doublet needs only the ground state, warm
+    from ground when given; otherwise the doublet is solved cold."""
     op = assemble_hamiltonian(mp, grid)
     given = doublet is not None
-    pairs = lowest_eigenpairs(op, 1 if given else 2)
+    pairs = lowest_eigenpairs(op, 1, start=ground) if given else lowest_eigenpairs(op, 2)
     if not given:
         doublet = (pairs[0].energy, pairs[1].energy,
                    abs(position_element(pairs[0].wavefunction, pairs[1].wavefunction, grid)))
+    cold = pairs[0].method == "lapack"
+    counts = {"eigensolves": int(given), "lapack_fallbacks": int(ground is not None and cold),
+              "cold_solves": int(cold), "factorizations": pairs[0].factorizations}
     e1, e2, d = doublet
     q0 = 0.0 if mirror else position_element(pairs[0].wavefunction, pairs[0].wavefunction, grid)
-    return doublet, int(given), (op, pairs[0], q0, -(e2 - e1) / (2.0 * d**2))
+    return doublet, counts, (op, pairs[0], q0, -(e2 - e1) / (2.0 * d**2))
 
 
-def _outward(mp, grid, branch, direction, targets=(), h=None, q_max=None):
-    """(nodes (q, V, lambda), eigensolves, lapack fallbacks) along direction:
-    one solve_lambda call per node, from the lambda extrapolated along the
-    last secant and from the last ground state. Prescribed nodes (targets, in
-    outward order) are recorded at the target, or as the error message of a
-    failed solve; free nodes (h given) where an advance in [h/8, 3h/2] of h
-    lands, up to the first past q_max, and a failed one raises."""
-    op, ground, q, dlam_dq = branch
-    lam, start, band = 0.0, ground.wavefunction, None
+def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None):
+    """Nodes (q, V, lambda) along direction, adding the work to counts: one
+    solve_lambda call per node, from the predicted lambda (see the module
+    docstring) and the first-order change of the last ground state.
+    Prescribed nodes (targets, in outward order) are recorded at the
+    target, or as the error message of a failed solve; free nodes (h given)
+    where an advance in [h/8, 3h/2] of h lands, up to the first past q_max,
+    and a failed one raises."""
+    op, ground, q, slope = branch
+    lam, phi, tangent, band = 0.0, ground.wavefunction, None, None
+    # lambda(qt) ~ lam + (qt - q) (slope + curvature (qt - q_back)), Newton
+    # form through the last three nodes; q_back == q while slope is two-level
+    q_back, curvature = q, 0.0
     if h is not None:
         band = (h / 8 - h, h / 2) if direction > 0 else (-h / 2, h - h / 8)
         # free targets: one step on from the last node, until past q_max
         targets = iter(lambda: q + direction * h if direction * q < q_max else None, None)
-    nodes, solves, fallbacks = [], 0, 0
+    nodes = []
     for qt in targets:
+        aim = lam + (qt - q) * (slope + curvature * (qt - q_back))
         try:
-            cs = solve_lambda(mp, qt, grid, op=op, start=start,
-                              lam=lam + dlam_dq * (qt - q), _band=band)
+            cs = solve_lambda(mp, qt, grid, op=op, start=_first_order(phi, aim - lam, tangent),
+                              lam=aim, _band=band)
         except SolverError as exc:
             if h is not None:
                 raise
             nodes.append(str(exc))
             continue
-        dlam_dq = (cs.lam - lam) / (cs.q_target - q)
-        q, lam, start = cs.q_target, cs.lam, cs.wavefunction
-        solves += cs.eigensolves
-        fallbacks += cs.lapack_fallbacks
+        secant = (cs.lam - lam) / (cs.q_target - q)
+        if h is None and q_back != q:
+            curvature = (secant - slope) / (cs.q_target - q_back)
+        q_back, q, lam, slope = q, cs.q_target, cs.lam, secant
+        phi, tangent = cs.wavefunction, cs.tangent
+        for key in _COUNTS:
+            counts[key] += getattr(cs, key)
         nodes.append((q, cs.v_eff, lam))
-    return nodes, solves, fallbacks
+    return nodes
 
 
-def _table(mp, grid, doublet, q, v, lam, failed, solves, fallbacks, **extra):
+def _table(mp, grid, doublet, q, v, lam, failed, counts, **extra):
     e1, e2, d = doublet
     meta = {"e1": e1, "e2": e2, "d": d, "model": mp.to_dict(), "grid": grid.to_dict(), **extra,
-            "failed_points": failed, "eigensolves": solves, "lapack_fallbacks": fallbacks}
+            "failed_points": failed, **counts}
     return EffectivePotentialTable(np.asarray(q), np.asarray(v), np.asarray(lam), meta)
 
 
 def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
-                        doublet: tuple | None = None) -> EffectivePotentialTable:
+                        doublet: tuple | None = None,
+                        ground: np.ndarray | None = None) -> EffectivePotentialTable:
     """Tabulate V_eff over an ascending q grid, by lambda continuation out
     from the untilted ground state on each side of its <q>.
 
@@ -215,7 +270,10 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
     -lambda); a centre node is the untilted node. Failed points and their
     mirrors go to meta["failed_points"], not the table. doublet, the (e1, e2,
     d) of the lowest doublet on the same grid when the caller has already
-    solved it, is stored as given; otherwise it is solved here."""
+    solved it, is stored as given; otherwise it is solved here. With a
+    doublet, ground, the caller's ground state on grid, warm-starts the
+    untilted solve. meta records the work done: k=1 eigensolves, warm
+    starts that fell back, cold solves and dpttrf factorizations."""
     q_grid = np.asarray(q_grid, dtype=float)
     if len(q_grid) == 0:
         raise UsageError("empty q grid")
@@ -224,8 +282,8 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
     n = len(q_grid)
     mirror = bool(mp.potential.is_symmetric and grid.is_symmetric
                   and np.all(np.abs(q_grid + q_grid[::-1]) < 1e-12 * (q_grid[-1] - q_grid[0])))
-    doublet, solves, branch = _anchor(mp, grid, doublet, mirror)
-    v, lam, errors, fallbacks = np.empty(n), np.empty(n), np.full(n, None), 0
+    doublet, counts, branch = _anchor(mp, grid, doublet, ground, mirror)
+    v, lam, errors = np.empty(n), np.empty(n), np.full(n, None)
     upper = np.arange((n + 1) // 2, n)
     if mirror:
         sides = [(1.0, upper)]
@@ -235,9 +293,7 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
         q0 = branch[2]
         sides = [(1.0, np.flatnonzero(q_grid > q0)), (-1.0, np.flatnonzero(q_grid <= q0)[::-1])]
     for direction, idx in sides:
-        nodes, s, f = _outward(mp, grid, branch, direction, q_grid[idx])
-        solves, fallbacks = solves + s, fallbacks + f
-        for i, node in zip(idx, nodes):
+        for i, node in zip(idx, _outward(mp, grid, branch, direction, counts, q_grid[idx])):
             if isinstance(node, str):
                 errors[i] = node
             else:
@@ -247,31 +303,33 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
         errors[n - 1 - upper] = errors[upper]
     ok = np.equal(errors, None)
     failed = [{"q": float(q), "error": e} for q, e in zip(q_grid[~ok], errors[~ok])]
-    return _table(mp, grid, doublet, q_grid[ok], v[ok], lam[ok], failed, solves, fallbacks,
+    return _table(mp, grid, doublet, q_grid[ok], v[ok], lam[ok], failed, counts,
                   root_tol_scale=DEFAULT_ROOT_TOL_SCALE)
 
 
 def lambda_walk_table(mp: ModelParams, q_max: float, n_q: int, grid: GridSpec,
-                      doublet: tuple | None = None) -> EffectivePotentialTable:
+                      doublet: tuple | None = None,
+                      ground: np.ndarray | None = None) -> EffectivePotentialTable:
     """Tabulate V_eff on free nodes covering [-q_max, q_max], with no root
     finding: the lambda continuation accepts any advance in [h/8, 3h/2] of
     h = 2 q_max / (n_q - 1), so no gap exceeds 1.5 h and each node gains at
     least h/8. A side ends at its first node past q_max, or raises
     UnreachableTargetError or SolverError if it cannot advance. A symmetric
     potential on a symmetric grid is walked on q > 0 and mirrored about the
-    exact node (0, E0, 0). doublet is as in effective_potential."""
+    exact node (0, E0, 0). doublet, ground and meta are as in
+    effective_potential."""
     if not 0 < q_max < np.inf or n_q < 2:
         raise UsageError(f"need 0 < q_max < inf and n_q >= 2, got {q_max}, {n_q}")
     mirror = mp.potential.is_symmetric and grid.is_symmetric
-    doublet, solves, branch = _anchor(mp, grid, doublet, mirror)
+    doublet, counts, branch = _anchor(mp, grid, doublet, ground, mirror)
     h = 2.0 * q_max / (n_q - 1)
-    up, s, fallbacks = _outward(mp, grid, branch, 1.0, h=h, q_max=q_max)
+    up = _outward(mp, grid, branch, 1.0, counts, h=h, q_max=q_max)
     if mirror:
-        down, s2, f2 = [(-q, v, -lam) for q, v, lam in up], 0, 0
+        down = [(-q, v, -lam) for q, v, lam in up]
     else:
-        down, s2, f2 = _outward(mp, grid, branch, -1.0, h=h, q_max=q_max)
+        down = _outward(mp, grid, branch, -1.0, counts, h=h, q_max=q_max)
     q, v, lam = np.array(down[::-1] + [(branch[2], branch[1].energy, 0.0)] + up).T
-    return _table(mp, grid, doublet, q, v, lam, [], solves + s + s2, fallbacks + f2)
+    return _table(mp, grid, doublet, q, v, lam, [], counts)
 
 
 def coherent_state(cs: ConstrainedState, p: float, mp: ModelParams,

@@ -197,12 +197,11 @@ def integrated_autocorrelation(series: np.ndarray, c: float = 6.0) -> float:
     # FFT autocorrelation
     f = np.fft.rfft(x, 2 * n)
     acf = np.fft.irfft(f * np.conj(f))[:n] / (var * n)
-    tau = 1.0
-    for m in range(1, n):
-        tau += 2.0 * acf[m]
-        if m >= c * tau:
-            break
-    return float(max(tau, 1.0))
+    # taus[m] = 1 + 2 sum_{t=1..m} acf[t], summed in order; the window is the
+    # first m >= c taus[m], or the whole series
+    taus = np.cumsum(np.r_[1.0, 2.0 * acf[1:]])
+    window = np.flatnonzero(np.arange(1, n) >= c * taus[1:])
+    return float(max(taus[window[0] + 1 if len(window) else n - 1], 1.0))
 
 
 def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> SampleRun:

@@ -14,9 +14,11 @@ rho by its residual r, and a successful LDL^T factorization of H - sigma
 (LAPACK dpttrf) certifies that H - sigma is positive definite, i.e. that
 sigma lies below the whole spectrum (Parlett, The Symmetric Eigenvalue
 Problem, ch. 4), so the iteration can only converge to the ground state.
-It runs until the residual stops falling at roundoff. A failed
-factorization, or a residual that stalls above roundoff, falls back to the
-cold LAPACK solve.
+Once the residual is at roundoff (at most 1e3 eps ||H||) the iteration
+stops at the first step that fails to halve it, and returns the vector
+whose own shift was certified; started from an exact eigenvector it takes
+one factorization. A failed factorization, or a residual that stalls above
+roundoff, falls back to the cold LAPACK solve.
 
 The reduced resolvent (H - E0)^+ of a ground state, which gives the
 susceptibility dq/dlambda of constrained ground states, is applied by the
@@ -73,13 +75,15 @@ class EigenPair:
     Sign convention: the first component exceeding 1e-8 in magnitude is
     positive. ``method`` names the path that produced the pair: "lapack"
     (cold dstebz/dstein solve) or "inverse_iteration" (warm start, dpttrf
-    certified shifts and dpttrs solves).
+    certified shifts and dpttrs solves). ``factorizations`` counts the
+    dpttrf calls made for it, those of a warm start that fell back included.
     """
 
     energy: float
     wavefunction: np.ndarray
     residual: float
     method: str
+    factorizations: int
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -90,25 +94,27 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 def _inverse_iteration(op: TridiagonalOperator, start: np.ndarray):
-    """(energy, unit vector) of the ground state refined from start by
-    certified shifted inverse iteration, or None when a factorization
-    fails, the residual stalls above roundoff or MAX_INVERSE_STEPS pass."""
+    """((energy, unit vector, residual) of the ground state refined from start
+    by certified shifted inverse iteration, or None when a factorization
+    fails, the residual stalls above roundoff or MAX_INVERSE_STEPS pass;
+    dpttrf calls made)."""
     floor = SHIFT_FLOOR * op.norm_estimate
     vec = start / np.linalg.norm(start)
     best = None
-    for _ in range(MAX_INVERSE_STEPS):
+    for step in range(MAX_INVERSE_STEPS):
         hv = op.apply(vec)
         rho = float(vec @ hv)
         resid = float(np.linalg.norm(hv - rho * vec))
-        if best is not None and resid >= best[2]:
-            # best's own shift passed dpttrf, so its rho < E0 + max(r, floor)
-            return best[:2] if best[2] <= floor else None
+        # best's own shift passed dpttrf, so its rho < E0 + max(r, floor); at
+        # roundoff a step that fails to halve the residual ends the iteration
+        if best is not None and resid > 0.5 * best[2] and (best[2] <= floor or resid >= best[2]):
+            return (best if best[2] <= floor else None), step
         best = (rho, vec, resid)
         vec = _shifted_solve(op, rho - max(resid, floor), vec)
         if vec is None:
-            return None
+            return None, step + 1
         vec /= np.linalg.norm(vec)
-    return None
+    return None, MAX_INVERSE_STEPS
 
 
 def _shifted_solve(op: TridiagonalOperator, shift: float, rhs: np.ndarray):
@@ -149,7 +155,7 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
         raise UsageError(f"tol must be positive, got {tol}")
     if start is not None and k != 1:
         raise UsageError(f"a start vector needs k=1, got k={k}")
-    warm = None if start is None else _inverse_iteration(op, start)
+    warm, factorizations = (None, 0) if start is None else _inverse_iteration(op, start)
     if warm is not None:
         energies, vectors = [warm[0]], warm[1][:, None]
         method = "inverse_iteration"
@@ -162,7 +168,8 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
     pairs = []
     for i in range(k):
         vec = vectors[:, i]
-        resid = float(np.linalg.norm(op.apply(vec) - energies[i] * vec))
+        resid = (warm[2] if warm is not None
+                 else float(np.linalg.norm(op.apply(vec) - energies[i] * vec)))
         if resid > bound:
             raise SolverError(
                 f"eigenpair {i} residual {resid:.3e} exceeds bound {bound:.3e}",
@@ -172,7 +179,7 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
         # renormalize in the trapezoid norm (endpoint weights)
         norm2 = np.sum(phi * phi * op.grid.weights)
         phi = phi / np.sqrt(norm2)
-        pairs.append(EigenPair(float(energies[i]), phi, resid, method))
+        pairs.append(EigenPair(float(energies[i]), phi, resid, method, factorizations))
     return pairs
 
 

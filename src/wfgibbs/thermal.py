@@ -166,7 +166,8 @@ def required_q_range(mp: ModelParams, beta: float) -> float:
 
 
 def table_for_betas(mp: ModelParams, betas, n_q: int, grid: GridSpec,
-                    doublet: tuple | None = None) -> EffectivePotentialTable:
+                    doublet: tuple | None = None,
+                    ground: np.ndarray | None = None) -> EffectivePotentialTable:
     """Effective-potential table wide enough for every requested beta.
 
     The nodes come from lambda_walk_table over [-q_max, q_max], q_max the
@@ -175,14 +176,18 @@ def table_for_betas(mp: ModelParams, betas, n_q: int, grid: GridSpec,
     spatial grid is widened with them to the symmetric [-half, half], half =
     max(-x_min, x_max, q_max + 4), at the spacing of grid (rounded down to
     fit a whole number of intervals), so the tilted ground states stay away
-    from the hard walls. doublet is as in lambda_walk_table.
+    from the hard walls. doublet is as in lambda_walk_table; ground, the
+    caller's ground state on grid, is moved onto the widened grid by linear
+    interpolation (zero outside grid) to warm-start its untilted solve.
     """
     q_max = required_q_range(mp, float(np.min(betas)))
     half = float(max(-grid.x_min, grid.x_max, q_max + 4.0))
     intervals = (grid.n_points - 1) * (2.0 * half) / (grid.x_max - grid.x_min)
     # an exact integer ratio computed a hair above it must not add an interval
     wide = GridSpec(-half, half, int(np.ceil(intervals - 1e-9)) + 1)
-    return lambda_walk_table(mp, q_max, n_q, wide, doublet)
+    if ground is not None:
+        ground = np.interp(wide.x, grid.x, ground, left=0.0, right=0.0)
+    return lambda_walk_table(mp, q_max, n_q, wide, doublet, ground)
 
 
 def canonical_atoms(mp: ModelParams, beta: float, k_max: int,

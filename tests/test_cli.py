@@ -149,9 +149,11 @@ def test_veff_command(tmp_path):
     meta = sidecar["meta"]
     assert {"e1", "e2", "d"} <= set(meta)
     assert meta["failed_points"] == []
-    # how the table converged: k=1 eigensolves and warm starts that fell back
+    # how the table converged: k=1 eigensolves, warm starts that fell back,
+    # cold solves and dpttrf factorizations
     assert 11 <= meta["eigensolves"]
     assert 0 <= meta["lapack_fallbacks"] <= meta["eigensolves"]
+    assert 0 <= meta["cold_solves"] and meta["eigensolves"] <= meta["factorizations"]
 
 
 def test_fluct_command(tmp_path):
@@ -170,9 +172,10 @@ def test_fluct_command(tmp_path):
     assert len(ref_rows) == 5
     summary = json.loads((out / "fluct.json").read_text())
     assert "max_full_vs_restricted" in summary["1.0"]
-    # how the table was built: its nodes, eigensolves and widened grid
+    # how the table was built: its nodes, eigensolves, LAPACK work and widened grid
     record = summary["1.0"]["table"]
-    assert set(record) == {"nodes", "eigensolves", "lapack_fallbacks", "grid"}
+    assert set(record) == {"nodes", "eigensolves", "lapack_fallbacks", "cold_solves",
+                           "factorizations", "grid"}
     assert 41 <= record["nodes"] and 0 < record["eigensolves"] <= record["nodes"]
     assert 0 <= record["lapack_fallbacks"] <= record["eigensolves"]
     assert set(record["grid"]) == {"x_min", "x_max", "n_points"}
@@ -201,6 +204,39 @@ def test_fluct_solves_its_doublet_once(tmp_path, monkeypatch):
     _, rows = read_csv(out / "fluct_m0p5.csv")
     t = np.array([float(r[0]) for r in rows])
     assert np.allclose(t, np.logspace(-1.0, 1.0, 5), rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("command", ["veff", "fluct"])
+def test_one_cold_solve_per_mass(command, tmp_path, monkeypatch):
+    # the doublet solve is the only cold LAPACK solve: the untilted ground
+    # state of each table starts warm from the doublet's even state
+    from wfgibbs import spectra
+
+    cold = []
+
+    def counted(op, k, solve=spectra._cold_solve):
+        cold.append((op.n, k))
+        return solve(op, k)
+
+    monkeypatch.setattr(spectra, "_cold_solve", counted)
+    cfg = write_config(tmp_path, {
+        "model": DOUBLE_WELL_MODEL,
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        "veff": {"masses": [0.5, 1.5], "n_q": 11},
+        "fluct": {"masses": [0.5, 1.5], "t_min": 0.1, "t_max": 10.0, "n_t": 5, "n_q": 41},
+    })
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert cold == [(801, 2), (801, 2)]
+    if command == "veff":
+        records = [json.loads((out / f"veff_table_m{tag}.json").read_text())["meta"]
+                   for tag in ("0p5", "1p5")]
+    else:
+        records = [record["table"] for record in
+                   json.loads((out / "fluct.json").read_text()).values()]
+    for record in records:
+        assert record["cold_solves"] == record["lapack_fallbacks"] == 0
+        assert record["eigensolves"] <= record["factorizations"]
 
 
 @pytest.mark.parametrize("command", ["veff", "twostate", "fluct"])
@@ -246,6 +282,26 @@ def test_sample_command_deterministic(tmp_path):
     rows = np.loadtxt(a / "samples.csv", delimiter=",")
     assert np.array_equal(rows[:, 2], np.repeat([0, 1], 500))
     assert np.array_equal(rows[:, 3], np.tile(np.arange(500), 2))
+
+
+def test_sample_run_record_matches_sequential_iat(tmp_path, monkeypatch):
+    # the IAT window by cumulative sum leaves every byte of a seeded run as
+    # the sequential loop gave it
+    from test_sampling import sequential_iat
+
+    cfg = write_config(tmp_path, {
+        "model": DOUBLE_WELL_MODEL,
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        "seed": 3,
+        "sample": {"n_basis": 6, "beta": 4.0, "chains": 3,
+                   "steps_per_chain": 4000, "burn_in": 500},
+    })
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["sample", "--config", cfg, "--out", str(a)]) == 0
+    monkeypatch.setattr(sampling, "integrated_autocorrelation", sequential_iat)
+    assert main(["sample", "--config", cfg, "--out", str(b)]) == 0
+    for name in ("sample_run.json", "samples.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_sample_validation_failure_exits_1(tmp_path, capsys):

@@ -309,6 +309,40 @@ def test_iat_of_correlated_series_is_large():
     assert 25 < tau < 55
 
 
+def sequential_iat(series, c=6.0):
+    """integrated_autocorrelation with Sokal's window found by a Python loop,
+    the form it had before the cumulative sum."""
+    x = np.asarray(series, dtype=float)
+    n = len(x)
+    x = x - x.mean()
+    var = np.sum(x * x) / n
+    if var == 0:
+        return 1.0
+    f = np.fft.rfft(x, 2 * n)
+    acf = np.fft.irfft(f * np.conj(f))[:n] / (var * n)
+    tau = 1.0
+    for m in range(1, n):
+        tau += 2.0 * acf[m]
+        if m >= c * tau:
+            break
+    return float(max(tau, 1.0))
+
+
+@pytest.mark.parametrize("case", ["white", "ar1", "short", "trend", "two", "anti"])
+def test_iat_matches_sequential_window_loop(case):
+    # the cumulative sum adds in the loop's order, so the result is bitwise equal,
+    # also when no window closes ("trend") and when the sum dips below 1 ("anti")
+    rng = np.random.default_rng(7)
+    noise = rng.standard_normal(5000)
+    series = {"white": noise, "ar1": np.zeros(5000), "short": noise[:3],
+              "trend": np.arange(50.0), "two": np.array([0.0, 1.0]),
+              "anti": np.tile([1.0, -1.0], 200) + 0.1 * noise[:400]}[case]
+    if case == "ar1":
+        for i in range(1, len(series)):
+            series[i] = 0.9 * series[i - 1] + noise[i]
+    assert integrated_autocorrelation(series) == sequential_iat(series)
+
+
 def test_iat_does_not_depend_on_blas_threads():
     # a threaded ddot changes the variance in its last digit with the thread count
     probe = ("from wfgibbs import (ChainConfig, GridSpec, Harmonic, ModelParams,\n"

@@ -137,6 +137,21 @@ def test_warm_start_matches_lapack(mass, lam, near, dw_grid):
     assert warm.residual <= 1e-10 * max(1.0, tilted.norm_estimate)
 
 
+@pytest.mark.parametrize("mass", [0.2, 1.5])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_warm_start_from_exact_eigenvector_stops_at_roundoff(mass, lam, dw_grid):
+    # the start's residual is already at roundoff and the next step cannot
+    # halve it, so the start itself comes back after one or two factorizations
+    tilted = tilt_hamiltonian(assemble_hamiltonian(double_well(mass), dw_grid), lam)
+    cold = lowest_eigenpairs(tilted, 1)[0]
+    warm = lowest_eigenpairs(tilted, 1, start=cold.wavefunction)[0]
+    assert warm.method == "inverse_iteration" and cold.factorizations == 0
+    assert 1 <= warm.factorizations <= 2
+    assert abs(warm.energy - cold.energy) <= 1e-10 * max(1.0, abs(cold.energy))
+    assert np.max(np.abs(warm.wavefunction - cold.wavefunction)) <= 1e-10
+    assert warm.residual <= 1e-10 * max(1.0, tilted.norm_estimate)
+
+
 @pytest.mark.parametrize("lam", [0.0, 1e-4, -1e-3])
 @pytest.mark.parametrize("mix", [0.0, 1e-8, 1e-4, 1e-2, 0.3])
 def test_warm_start_from_odd_partner_never_returns_excited_state(lam, mix, dw_grid):
