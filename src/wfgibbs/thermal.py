@@ -15,8 +15,8 @@ import numpy as np
 
 from .constrain import EffectivePotentialTable, default_grid, lambda_walk_table
 from .errors import CoverageError, TruncationError, UsageError
-from .lattice import GridSpec, ModelParams, assemble_hamiltonian, position_element
-from .spectra import lowest_eigenpairs
+from .lattice import GridSpec, ModelParams
+from .sampling import TruncatedModel
 
 BOUNDARY_TAIL = 1e-8  # coverage criterion: tail density / peak density
 # beta (V - min V) at the ends of required_q_range: exp(-25) ~ 1.4e-11 lies
@@ -190,29 +190,22 @@ def table_for_betas(mp: ModelParams, betas, n_q: int, grid: GridSpec,
     return lambda_walk_table(mp, q_max, n_q, wide, doublet, ground)
 
 
-def canonical_atoms(mp: ModelParams, beta: float, k_max: int,
-                    grid: GridSpec) -> CanonicalAtoms:
-    """Boltzmann-weighted atoms (e^(-beta E_k)/Z, <phi_k, q phi_k>).
+def canonical_atoms(tm: TruncatedModel, beta: float) -> CanonicalAtoms:
+    """Boltzmann-weighted atoms (e^(-beta E_k)/Z, <phi_k, q phi_k>) of the
+    k_max = tm.n levels of a truncated model.
 
     Requires e^(-beta (E_kmax - E_1)) < 1e-10 so the truncation remainder
     is negligible.
     """
-    if k_max < 1:
-        raise UsageError(f"k_max must be >= 1, got {k_max}")
     if not 0 < beta < np.inf:
         raise UsageError(f"beta must be positive and finite, got {beta}")
-    op = assemble_hamiltonian(mp, grid)
-    pairs = lowest_eigenpairs(op, k_max)
-    energies = np.array([p.energy for p in pairs])
+    energies = tm.energies
     rel = np.exp(-beta * (energies - energies[0]))
     if rel[-1] >= 1e-10:
         raise TruncationError(
-            f"k_max={k_max} too small at beta={beta}: top-level weight "
+            f"k_max={tm.n} too small at beta={beta}: top-level weight "
             f"{rel[-1]:.2e} >= 1e-10; increase k_max"
         )
     weights = rel / rel.sum()
-    positions = np.array(
-        [position_element(p.wavefunction, p.wavefunction, grid) for p in pairs]
-    )
     z = float(np.exp(-beta * energies[0]) * rel.sum())
-    return CanonicalAtoms(weights, positions, z)
+    return CanonicalAtoms(weights, np.diag(tm.q_matrix), z)

@@ -65,20 +65,22 @@ def build_two_state(mp: ModelParams, grid: GridSpec) -> TwoStateModel:
     return TwoStateModel(pairs[0].energy, pairs[1].energy, d, phi1, phi2, grid, mp)
 
 
-def _check_domain(ts: TwoStateModel, q: float) -> None:
-    if abs(q) > ts.d * (1.0 + 1e-12):
-        raise DomainError(f"|q|={abs(q)} exceeds the dipole d={ts.d}")
+def _check_domain(ts: TwoStateModel, q) -> None:
+    q_max = float(np.max(np.abs(q), initial=0.0))
+    if q_max > ts.d * (1.0 + 1e-12):
+        raise DomainError(f"|q|={q_max} exceeds the dipole d={ts.d}")
 
 
-def two_state_veff(ts: TwoStateModel, q: float) -> float:
-    """Closed-form effective potential on [-d, d]."""
+def two_state_veff(ts: TwoStateModel, q):
+    """Closed-form effective potential on [-d, d], at a q or an array of them."""
     _check_domain(ts, q)
-    u = min(1.0, abs(q) / ts.d)
+    u = np.minimum(1.0, np.abs(q) / ts.d)
     return ts.mean_level - 0.5 * ts.splitting * np.sqrt(1.0 - u * u)
 
 
-def two_state_lambda(ts: TwoStateModel, q: float) -> float:
-    """Analytic multiplier -dV_eff/dq of the two-state arc."""
+def two_state_lambda(ts: TwoStateModel, q):
+    """Analytic multiplier -dV_eff/dq of the two-state arc, at a q or an
+    array of them."""
     _check_domain(ts, q)
     u = q / ts.d
     return -ts.splitting * q / (2.0 * ts.d**2 * np.sqrt(1.0 - u * u))
@@ -105,9 +107,8 @@ def two_state_table(ts: TwoStateModel, n: int = 401) -> EffectivePotentialTable:
     there; thermal statistics only use the v_eff column.
     """
     q = np.linspace(-ts.d, ts.d, n)
-    v = np.array([two_state_veff(ts, qi) for qi in q])
     lam = np.full(n, np.nan)
-    lam[1:-1] = [two_state_lambda(ts, qi) for qi in q[1:-1]]
+    lam[1:-1] = two_state_lambda(ts, q[1:-1])
     meta = {
         "e1": ts.e1,
         "e2": ts.e2,
@@ -116,7 +117,7 @@ def two_state_table(ts: TwoStateModel, n: int = 401) -> EffectivePotentialTable:
         "grid": ts.grid.to_dict(),
         "kind": "two_state",
     }
-    return EffectivePotentialTable(q, v, lam, meta, bounded_support=True)
+    return EffectivePotentialTable(q, two_state_veff(ts, q), lam, meta, bounded_support=True)
 
 
 def rescale(table_or_ts, v_eff, q=None):

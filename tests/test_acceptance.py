@@ -248,7 +248,7 @@ def test_criterion_8_canonical_contrast(dw_grid, two_state_models):
     mp = double_well(0.2)
     ts = two_state_models[0.2]
     beta = 1.0 / ts.splitting
-    atoms = canonical_atoms(mp, beta, k_max=24, grid=dw_grid)
+    atoms = canonical_atoms(build_truncated_model(mp, 24, dw_grid), beta)
     table = table_for_betas(mp, [beta], n_q=81, grid=dw_grid)
     curve = fluctuation_curve(table, [beta])
     ok = np.max(np.abs(atoms.positions)) < 1e-8 and curve.delta_q[0] > 0.1 * ts.d

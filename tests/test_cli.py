@@ -239,6 +239,52 @@ def test_one_cold_solve_per_mass(command, tmp_path, monkeypatch):
         assert record["eigensolves"] <= record["factorizations"]
 
 
+@pytest.mark.parametrize("command, section", [
+    ("sample", {"n_basis": 4, "beta": 5.0, "chains": 2, "steps_per_chain": 2000, "burn_in": 200,
+                "validate": "marginal", "tv_tolerance": 1.0}),
+    ("canonical", {"beta": 2.0, "k_max": 16}),
+], ids=["sample", "canonical"])
+def test_one_cold_multi_level_solve(command, section, tmp_path, monkeypatch):
+    # the truncated model's levels give the V_eff table its doublet, so the
+    # table's untilted node is a cold k=1 solve, not a second doublet solve
+    from wfgibbs import spectra
+
+    cold = []
+
+    def counted(op, k, solve=spectra._cold_solve):
+        cold.append((op.n, k))
+        return solve(op, k)
+
+    monkeypatch.setattr(spectra, "_cold_solve", counted)
+    cfg = write_config(tmp_path, {
+        "model": DOUBLE_WELL_MODEL,
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        command: section,
+    })
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    levels = section.get("n_basis", section.get("k_max"))
+    assert [solve for solve in cold if solve[1] >= 2] == [(801, levels)]
+    assert [k for _, k in cold].count(1) == 1
+
+
+def test_unsolvable_veff_node_fails_the_run(tmp_path, capsys, monkeypatch):
+    # a V_eff table with a hole is not V_eff: the first node that cannot be
+    # solved ends the run with exit 3, naming its q, before any file is written
+    from wfgibbs import constrain, twostate
+
+    monkeypatch.setattr(constrain, "MAX_NEWTON_STEPS", 1)
+    grid = {"x_min": -6.0, "x_max": 6.0, "n_points": 801}
+    cfg = write_config(tmp_path, {"model": DOUBLE_WELL_MODEL, "grid": grid, "veff": {"n_q": 11}})
+    out = tmp_path / "out"
+    assert main(["veff", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    mp = ModelParams.from_dict(DOUBLE_WELL_MODEL)
+    ts = twostate.build_two_state(mp, GridSpec.from_dict(grid))
+    first = np.linspace(-0.995 * ts.d, 0.995 * ts.d, 11)[6]  # the first node out from q = 0
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and f"{first}" in err
+
+
 @pytest.mark.parametrize("command", ["veff", "twostate", "fluct"])
 def test_asymmetric_potential_is_a_config_error(command, tmp_path, capsys):
     cfg = write_config(tmp_path, {
@@ -370,9 +416,12 @@ def test_canonical_command(tmp_path, capsys):
     # the spread of the wave-function ensemble
     assert blob["canonical_delta_q"] < 1e-6
     assert blob["ensemble_delta_q"] == pytest.approx(2.0**-0.5, rel=1e-3)
-    # the contrast line is the fluct path at one beta, bit for bit
-    table = table_for_betas(ModelParams.from_dict(HARMONIC_MODEL), [2.0], n_q=81,
-                            grid=GridSpec(-10.0, 10.0, 801))
+    # the contrast line is the fluct path at one beta, bit for bit, with the
+    # doublet of the truncated model behind the atoms
+    mp, grid = ModelParams.from_dict(HARMONIC_MODEL), GridSpec(-10.0, 10.0, 801)
+    tm = sampling.build_truncated_model(mp, 20, grid)
+    table = table_for_betas(mp, [2.0], n_q=81, grid=grid,
+                            doublet=(tm.energies[0], tm.energies[1], abs(tm.q_matrix[0, 1])))
     assert blob["ensemble_delta_q"] == fluctuation_curve(table, [2.0]).delta_q[0]
     header, rows = read_csv(out / "canonical_atoms.csv")
     assert len(rows) == 20
@@ -414,6 +463,7 @@ def test_canonical_truncation_too_small(tmp_path, capsys):
     ("sample", {"tv_tolerance": float("nan"), "validate": "marginal"}),
     ("sample", {"tv_tolerance": float("inf")}),
     ("canonical", {"k_max": 0}),
+    ("canonical", {"k_max": 1}),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, section):
     # rejected while the config is read: exit 2 and nothing written
@@ -467,6 +517,22 @@ def test_only_cli_touches_files():
             assert not {"json", "pathlib"} & {name.split(".")[0] for name in imported}, path.name
             assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id == "open"), f"{path.name}:{node.lineno}"
+
+
+def test_only_cli_catches_library_errors():
+    # one failure policy: a library error raises through the numerics
+    # modules, and only cli maps it to an exit code
+    from wfgibbs import errors
+
+    names = {name for name, value in vars(errors).items()
+             if isinstance(value, type) and issubclass(value, errors.WfGibbsError)}
+    for path in sorted(Path(wfgibbs.__file__).parent.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+                assert not names & caught, f"{path.name}:{node.lineno}"
 
 
 def _identifiers(path: Path) -> set:

@@ -57,6 +57,20 @@ def test_unreachable_target_raises(monkeypatch):
     assert len(solves) < 30
 
 
+@pytest.mark.parametrize("potential", ["mirrored", "tilted"])
+def test_unreachable_table_node_raises(potential):
+    # a table with a hole is not V_eff: a node beyond the hard walls at +-6
+    # raises, on the solved side of a mirrored problem and on the second,
+    # lower side of a tilted one
+    grid = GridSpec(-6.0, 6.0, 301)
+    if potential == "mirrored":
+        mp, q_grid = double_well(0.5), [-10.0, 0.0, 10.0]
+    else:
+        mp, q_grid = ModelParams(0.5, 1.0, Tilted(QuarticDoubleWell(1.0, 1.5), 0.05)), [-10.0, 1.0]
+    with pytest.raises(UnreachableTargetError, match="10.0"):
+        effective_potential(mp, q_grid, grid)
+
+
 def test_newton_step_cap_raises(dw_grid, monkeypatch):
     monkeypatch.setattr(constrain, "MAX_NEWTON_STEPS", 1)
     with pytest.raises(SolverError, match="Newton steps") as err:

@@ -13,6 +13,7 @@ from wfgibbs import (
     QuarticDoubleWell,
     TruncationError,
     UsageError,
+    build_truncated_model,
     build_two_state,
     canonical_atoms,
     default_grid,
@@ -228,7 +229,7 @@ def test_preset_widened_grids_are_unchanged():
 
 
 def test_canonical_atoms_basic(dw_grid):
-    atoms = canonical_atoms(double_well(0.5), beta=2.0, k_max=16, grid=dw_grid)
+    atoms = canonical_atoms(build_truncated_model(double_well(0.5), 16, dw_grid), beta=2.0)
     assert atoms.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(atoms.weights[:-1] >= atoms.weights[1:])
     # every eigenstate of a symmetric well has <q> = 0: zero dispersion
@@ -237,18 +238,19 @@ def test_canonical_atoms_basic(dw_grid):
 
 
 def test_canonical_truncation_guard(dw_grid):
+    tm = build_truncated_model(double_well(0.5), 4, dw_grid)
     with pytest.raises(TruncationError):
-        canonical_atoms(double_well(0.5), beta=0.1, k_max=4, grid=dw_grid)
+        canonical_atoms(tm, beta=0.1)
     with pytest.raises(UsageError):
-        canonical_atoms(double_well(0.5), beta=2.0, k_max=0, grid=dw_grid)
+        build_truncated_model(double_well(0.5), 0, dw_grid)
     for beta in (np.inf, np.nan):
         with pytest.raises(UsageError):
-            canonical_atoms(double_well(0.5), beta=beta, k_max=4, grid=dw_grid)
+            canonical_atoms(tm, beta=beta)
 
 
 def test_canonical_partition_function(harmonic_grid):
     # Z = sum e^(-beta (k + 1/2)) for the harmonic ladder
     beta = 2.0
-    atoms = canonical_atoms(harmonic(), beta=beta, k_max=20, grid=harmonic_grid)
+    atoms = canonical_atoms(build_truncated_model(harmonic(), 20, harmonic_grid), beta=beta)
     exact = np.exp(-beta * 0.5) / (1.0 - np.exp(-beta))
     assert atoms.z == pytest.approx(exact, rel=1e-4)
