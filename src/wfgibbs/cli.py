@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: eig, veff, twostate, fluct, sample, canonical. Each reads a
-single JSON configuration file (unknown keys rejected), computes first and
-writes data files only on success. Exit codes: 0 success, 1 validation
-failure, 2 configuration error, 3 solver error.
+single JSON configuration file (unknown keys rejected) and returns (exit
+code, files): files maps each output file name to (columns, rows) for a .csv
+file or to the payload of a JSON file. main alone creates the output
+directory and writes them, so a failed run writes nothing. Exit codes: 0
+success, 1 validation failure, 2 configuration error, 3 solver error.
 """
 
 from __future__ import annotations
@@ -101,8 +103,9 @@ def load_config(path) -> dict:
                                  f"expected one of {', '.join(_VALIDATE_MODES)}")
     # values no run can use are rejected here, before any work
     fluct, sample, beta = cfg["fluct"], cfg["sample"], cfg["sample"]["beta"]
+    n_points = cfg["grid"].n_points
     limits = {
-        "eig.k >= 1": cfg["eig"]["k"] >= 1,
+        "1 <= eig.k <= grid.n_points": 1 <= cfg["eig"]["k"] <= n_points,
         "0 < eig.tol < inf": 0 < cfg["eig"]["tol"] < np.inf,
         "veff.n_q >= 1": cfg["veff"]["n_q"] >= 1,
         "0 < veff.frac <= 1": 0 < cfg["veff"]["frac"] <= 1,
@@ -113,20 +116,22 @@ def load_config(path) -> dict:
         "fluct.n_q >= 2": fluct["n_q"] >= 2,
         "0 <= sample.beta < inf": 0 <= beta < np.inf,
         "sample.beta > 0 with validate 'marginal'": sample["validate"] != "marginal" or beta > 0,
-        "sample.n_basis >= 2": sample["n_basis"] >= 2,
+        "2 <= sample.n_basis <= grid.n_points": 2 <= sample["n_basis"] <= n_points,
+        "sample.chains >= 1": sample["chains"] >= 1,
+        "sample.steps_per_chain >= 1": sample["steps_per_chain"] >= 1,
+        "sample.burn_in >= 0": sample["burn_in"] >= 0,
+        "0 < sample.proposal_scale < inf": 0 < sample["proposal_scale"] < np.inf,
         "0 < sample.tolerance_se < inf": 0 < sample["tolerance_se"] < np.inf,
         "0 < sample.tv_tolerance < inf": 0 < sample["tv_tolerance"] < np.inf,
         "0 < canonical.beta < inf": 0 < cfg["canonical"]["beta"] < np.inf,
-        "canonical.k_max >= 2": cfg["canonical"]["k_max"] >= 2,
+        "2 <= canonical.k_max <= grid.n_points": 2 <= cfg["canonical"]["k_max"] <= n_points,
+        **{f"0 < {name}.masses < inf": all(0 < m < np.inf for m in cfg[name]["masses"])
+           for name in ("veff", "twostate", "fluct")},
     }
     broken = [rule for rule, ok in limits.items() if not ok]
     if broken:
         raise ConfigurationError(f"value out of range; requires {', '.join(broken)}")
     return cfg
-
-
-def _with_mass(mp: ModelParams, mass: float) -> ModelParams:
-    return ModelParams(mass, mp.hbar, mp.potential)
 
 
 def write_csv(path, columns: str, rows) -> None:
@@ -147,32 +152,30 @@ def write_csv(path, columns: str, rows) -> None:
             fh.write(fmt * (len(batch) // len(first)) % batch)
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=float)
-
-
-def _mass_tag(mass: float) -> str:
-    return f"{mass:g}".replace(".", "p")
-
-
 def _doublet(tm: sampling.TruncatedModel) -> tuple:
     """(E0, E1, |Q01|) of a truncated model's two lowest levels."""
     return tm.energies[0], tm.energies[1], abs(tm.q_matrix[0, 1])
 
 
-def _require_symmetric(mp: ModelParams) -> None:
-    """The two-state reduction behind veff, twostate and fluct needs a
-    symmetric potential; anything else is a configuration error."""
+def _doublets(cfg, section):
+    """(mass tag, model, two-state model) for each mass of a section. The
+    two-state reduction behind veff, twostate and fluct needs a symmetric
+    potential; anything else is a configuration error, raised before any
+    work."""
+    mp = cfg["model"]
     if not mp.potential.is_symmetric:
         raise ConfigurationError(f"a symmetric potential is required for the two-state "
                                  f"reduction, got {mp.potential.to_dict()}")
+    for mass in section["masses"]:
+        model = ModelParams(mass, mp.hbar, mp.potential)
+        tag = f"{mass:g}".replace(".", "p")
+        yield tag, model, twostate.build_two_state(model, cfg["grid"])
 
 
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_eig(cfg, out: Path) -> int:
+def cmd_eig(cfg):
     mp, grid, section = cfg["model"], cfg["grid"], cfg["eig"]
     op = assemble_hamiltonian(mp, grid)
     pairs = lowest_eigenpairs(op, section["k"], section["tol"])
@@ -181,71 +184,48 @@ def cmd_eig(cfg, out: Path) -> int:
         parity = parity_of(pair, grid) if grid.is_symmetric else "none"
         print(f"E_{i} = {pair.energy:.9g}  parity={parity}  residual={pair.residual:.3e}")
         rows.append((i, pair.energy, parity, pair.residual))
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "eig.csv", "k,energy,parity,residual", rows)
-    _write_json(out / "eig.json", {
-        "model": mp.to_dict(), "grid": grid.to_dict(),
-        "energies": [p.energy for p in pairs],
-    })
-    return EXIT_OK
+    return EXIT_OK, {
+        "eig.csv": ("k,energy,parity,residual", rows),
+        "eig.json": {"model": mp.to_dict(), "grid": grid.to_dict(),
+                     "energies": [p.energy for p in pairs]},
+    }
 
 
-def cmd_veff(cfg, out: Path) -> int:
-    _require_symmetric(cfg["model"])
-    section = cfg["veff"]
-    results = []
-    for mass in section["masses"]:
-        mp = _with_mass(cfg["model"], mass)
-        ts = twostate.build_two_state(mp, cfg["grid"])
+def cmd_veff(cfg):
+    section, files = cfg["veff"], {}
+    for tag, mp, ts in _doublets(cfg, section):
         q_grid = np.linspace(-section["frac"] * ts.d, section["frac"] * ts.d, section["n_q"])
         table = constrain.effective_potential(mp, q_grid, cfg["grid"],
                                               doublet=(ts.e1, ts.e2, ts.d), ground=ts.phi1)
         u, rescaled_exact = twostate.rescale(table, table.v_eff, table.q)
         arc = -np.sqrt(1.0 - u**2)
-        results.append((mass, ts, table, u, rescaled_exact, arc))
-
-    out.mkdir(parents=True, exist_ok=True)
-    for mass, ts, table, u, rescaled_exact, arc in results:
-        tag = _mass_tag(mass)
-        write_csv(out / f"veff_m{tag}.csv", "q_over_d,rescaled_exact,rescaled_two_state",
-                  zip(u.tolist(), rescaled_exact.tolist(), arc.tolist()))
-        write_csv(out / f"veff_table_m{tag}.csv", "q,v_eff,lambda",
-                  zip(table.q.tolist(), table.v_eff.tolist(), table.lam.tolist()))
-        _write_json(out / f"veff_table_m{tag}.json",
-                    {"meta": table.meta, "bounded_support": table.bounded_support})
-        print(f"m={mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
-    return EXIT_OK
+        files[f"veff_m{tag}.csv"] = ("q_over_d,rescaled_exact,rescaled_two_state",
+                                     zip(u.tolist(), rescaled_exact.tolist(), arc.tolist()))
+        files[f"veff_table_m{tag}.csv"] = ("q,v_eff,lambda", zip(
+            table.q.tolist(), table.v_eff.tolist(), table.lam.tolist()))
+        files[f"veff_table_m{tag}.json"] = {"meta": table.meta,
+                                            "bounded_support": table.bounded_support}
+        print(f"m={mp.mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
+    return EXIT_OK, files
 
 
-def cmd_twostate(cfg, out: Path) -> int:
-    _require_symmetric(cfg["model"])
-    section = cfg["twostate"]
-    results = []
-    for mass in section["masses"]:
-        mp = _with_mass(cfg["model"], mass)
-        ts = twostate.build_two_state(mp, cfg["grid"])
-        results.append((mass, ts, twostate.two_state_table(ts, section["n_q"])))
-
-    out.mkdir(parents=True, exist_ok=True)
-    summary = {}
-    for mass, ts, table in results:
-        write_csv(out / f"two_state_m{_mass_tag(mass)}.csv", "q,v_eff",
-                  zip(table.q.tolist(), table.v_eff.tolist()))
-        summary[str(mass)] = {"e1": ts.e1, "e2": ts.e2, "d": ts.d}
-        print(f"m={mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
-    _write_json(out / "two_state.json", summary)
-    return EXIT_OK
+def cmd_twostate(cfg):
+    section, files, summary = cfg["twostate"], {}, {}
+    for tag, mp, ts in _doublets(cfg, section):
+        table = twostate.two_state_table(ts, section["n_q"])
+        files[f"two_state_m{tag}.csv"] = ("q,v_eff", zip(table.q.tolist(),
+                                                         table.v_eff.tolist()))
+        summary[str(mp.mass)] = {"e1": ts.e1, "e2": ts.e2, "d": ts.d}
+        print(f"m={mp.mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
+    files["two_state.json"] = summary
+    return EXIT_OK, files
 
 
-def cmd_fluct(cfg, out: Path) -> int:
-    _require_symmetric(cfg["model"])
-    section = cfg["fluct"]
+def cmd_fluct(cfg):
+    section, files, summary = cfg["fluct"], {}, {}
     # log-spaced rescaled temperatures exposing both asymptotes
     t_grid = np.logspace(np.log10(section["t_min"]), np.log10(section["t_max"]), section["n_t"])
-    results, summary = [], {}
-    for mass in section["masses"]:
-        mp = _with_mass(cfg["model"], mass)
-        ts = twostate.build_two_state(mp, cfg["grid"])
+    for tag, mp, ts in _doublets(cfg, section):
         betas = 2.0 / (t_grid * ts.splitting)
         table = thermal.table_for_betas(mp, betas, section["n_q"], cfg["grid"],
                                         doublet=(ts.e1, ts.e2, ts.d), ground=ts.phi1)
@@ -256,8 +236,11 @@ def cmd_fluct(cfg, out: Path) -> int:
             q_res, table.interpolate(q_res), np.zeros_like(q_res),
             table.meta, bounded_support=True)
         restricted = thermal.fluctuation_curve(clipped, betas)
-        results.append((mass, curve, restricted))
-        summary[str(mass)] = {
+        files[f"fluct_m{tag}.csv"] = (
+            "rescaled_temperature,delta_q_over_d,delta_q_over_d_restricted,mean_q",
+            zip(curve.rescaled_temperature.tolist(), curve.delta_q_over_d.tolist(),
+                restricted.delta_q_over_d.tolist(), curve.mean_q.tolist()))
+        summary[str(mp.mass)] = {
             "e1": ts.e1, "e2": ts.e2, "d": ts.d,
             "delta_p": curve.delta_p.tolist(),
             "max_full_vs_restricted": float(
@@ -267,24 +250,15 @@ def cmd_fluct(cfg, out: Path) -> int:
                                                           "cold_solves", "factorizations")},
                       "grid": table.meta["grid"]},
         }
+        print(f"m={mp.mass}: delta_q/d ranges "
+              f"[{curve.delta_q_over_d.min():.4g}, {curve.delta_q_over_d.max():.4g}]")
 
     # the rescaled two-state curve is universal: any doublet gives the same
     reference = thermal.fluctuation_curve(twostate.two_state_table(ts, 801), betas)
-
-    out.mkdir(parents=True, exist_ok=True)
-    for mass, curve, restricted in results:
-        tag = _mass_tag(mass)
-        write_csv(
-            out / f"fluct_m{tag}.csv",
-            "rescaled_temperature,delta_q_over_d,delta_q_over_d_restricted,mean_q",
-            zip(curve.rescaled_temperature.tolist(), curve.delta_q_over_d.tolist(),
-                restricted.delta_q_over_d.tolist(), curve.mean_q.tolist()))
-        print(f"m={mass}: delta_q/d ranges "
-              f"[{curve.delta_q_over_d.min():.4g}, {curve.delta_q_over_d.max():.4g}]")
-    write_csv(out / "fluct_two_state.csv", "rescaled_temperature,delta_q_over_d",
-              zip(t_grid.tolist(), reference.delta_q_over_d.tolist()))
-    _write_json(out / "fluct.json", summary)
-    return EXIT_OK
+    files["fluct_two_state.csv"] = ("rescaled_temperature,delta_q_over_d",
+                                    zip(t_grid.tolist(), reference.delta_q_over_d.tolist()))
+    files["fluct.json"] = summary
+    return EXIT_OK, files
 
 
 def _validate_sample(run, tm, mp, cfg, section):
@@ -347,7 +321,7 @@ def _sample_rows(samples: np.ndarray):
         for chain, qp in enumerate(samples))
 
 
-def cmd_sample(cfg, out: Path) -> int:
+def cmd_sample(cfg):
     section = cfg["sample"]
     mp = cfg["model"]
     tm = sampling.build_truncated_model(mp, section["n_basis"], cfg["grid"])
@@ -360,27 +334,20 @@ def cmd_sample(cfg, out: Path) -> int:
     )
     run = sampling.sample_ensemble(tm, section["beta"], chain_cfg)
     passed, report = _validate_sample(run, tm, mp, cfg, section)
-
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "samples.csv", "q,p,chain,step", _sample_rows(run.samples))
-    _write_json(out / "sample_run.json", {
-        "model": mp.to_dict(),
-        "beta": run.beta,
-        "seed": run.seed,
-        "chains": run.chain_count,
-        "steps_per_chain": run.steps_per_chain,
-        "burn_in": run.burn_in,
-        "acceptance_rate": run.acceptance_rate,
-        "integrated_autocorrelation_time": run.integrated_autocorrelation_time,
-        "per_chain": run.chain_records(),
-        "validation": report,
-    })
     print(f"acceptance={run.acceptance_rate:.3f} "
           f"iat={run.integrated_autocorrelation_time:.1f}")
-    return EXIT_OK if passed else EXIT_VALIDATION
+    return EXIT_OK if passed else EXIT_VALIDATION, {
+        "samples.csv": ("q,p,chain,step", _sample_rows(run.samples)),
+        "sample_run.json": {
+            "model": mp.to_dict(), "beta": run.beta, "seed": run.seed,
+            "chains": run.chain_count, "steps_per_chain": run.steps_per_chain,
+            "burn_in": run.burn_in, "acceptance_rate": run.acceptance_rate,
+            "integrated_autocorrelation_time": run.integrated_autocorrelation_time,
+            "per_chain": run.chain_records(), "validation": report},
+    }
 
 
-def cmd_canonical(cfg, out: Path) -> int:
+def cmd_canonical(cfg):
     section = cfg["canonical"]
     mp = cfg["model"]
     beta = section["beta"]
@@ -391,19 +358,14 @@ def cmd_canonical(cfg, out: Path) -> int:
     table = thermal.table_for_betas(mp, [beta], 81, cfg["grid"], doublet=_doublet(tm))
     curve = thermal.fluctuation_curve(table, [beta])
     canonical_dq = atoms.dispersion()
-
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "canonical_atoms.csv", "weight,q_k",
-              zip(atoms.weights.tolist(), atoms.positions.tolist()))
-    _write_json(out / "canonical.json", {
-        "beta": beta,
-        "z": atoms.z,
-        "canonical_delta_q": canonical_dq,
-        "ensemble_delta_q": float(curve.delta_q[0]),
-    })
     print(f"canonical delta_q = {canonical_dq:.6g}; "
           f"wave-function-ensemble delta_q = {curve.delta_q[0]:.6g}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "canonical_atoms.csv": ("weight,q_k", zip(atoms.weights.tolist(),
+                                                  atoms.positions.tolist())),
+        "canonical.json": {"beta": beta, "z": atoms.z, "canonical_delta_q": canonical_dq,
+                           "ensemble_delta_q": float(curve.delta_q[0])},
+    }
 
 
 COMMANDS = {"eig": cmd_eig, "veff": cmd_veff, "twostate": cmd_twostate,
@@ -426,13 +388,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write the files it returns, all or none: a run
+    that fails creates no output directory."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
         out = Path(args.out) if args.out is not None else cfg["output"]
-        return COMMANDS[args.command](cfg, out)
+        code, files = COMMANDS[args.command](cfg)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            if name.endswith(".csv"):
+                write_csv(out / name, *content)
+            else:
+                with open(out / name, "w") as fh:
+                    json.dump(content, fh, indent=2, default=float)
+        return code
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,9 +27,9 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
+        if not -np.inf < self.x_min < self.x_max < np.inf:
             raise ConfigurationError(
-                f"degenerate interval [{self.x_min}, {self.x_max}]"
+                f"degenerate or unbounded interval [{self.x_min}, {self.x_max}]"
             )
         if self.n_points < 3:
             raise ConfigurationError(f"n_points={self.n_points} < 3")
@@ -69,6 +69,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 # --- potentials -------------------------------------------------------------
+# Every potential is a polynomial in x: evaluate(x, mass) gives its values and
+# power_series(mass) its coefficients, lowest order first.
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,16 @@ class Harmonic:
     omega: float
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ConfigurationError(f"harmonic requires omega > 0, got {self.omega}")
+        if not 0 < self.omega < np.inf:
+            raise ConfigurationError(f"harmonic requires 0 < omega < inf, got {self.omega}")
 
     is_symmetric = True
 
     def evaluate(self, x, mass):
         return 0.5 * mass * self.omega**2 * np.asarray(x) ** 2
+
+    def power_series(self, mass):
+        return (0.0, 0.0, 0.5 * mass * self.omega**2)
 
     def to_dict(self):
         return {"type": "harmonic", "omega": self.omega}
@@ -98,9 +103,9 @@ class QuarticDoubleWell:
     x0: float
 
     def __post_init__(self):
-        if self.w0 <= 0 or self.x0 <= 0:
+        if not (0 < self.w0 < np.inf and 0 < self.x0 < np.inf):
             raise ConfigurationError(
-                f"quartic double well requires w0 > 0 and x0 > 0, got "
+                f"quartic double well requires finite w0 > 0 and x0 > 0, got "
                 f"w0={self.w0}, x0={self.x0}"
             )
 
@@ -108,6 +113,9 @@ class QuarticDoubleWell:
 
     def evaluate(self, x, mass):
         return self.w0 * (np.asarray(x) ** 2 - self.x0**2) ** 2
+
+    def power_series(self, mass):
+        return (self.w0 * self.x0**4, 0.0, -2.0 * self.w0 * self.x0**2, 0.0, self.w0)
 
     def to_dict(self):
         return {"type": "quartic_double_well", "w0": self.w0, "x0": self.x0}
@@ -121,8 +129,9 @@ class Polynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        if len(self.coefficients) == 0:
-            raise ConfigurationError("polynomial potential needs coefficients")
+        if len(self.coefficients) == 0 or not np.all(np.isfinite(self.coefficients)):
+            raise ConfigurationError(
+                f"polynomial potential needs finite coefficients, got {self.coefficients}")
 
     @property
     def is_symmetric(self) -> bool:
@@ -130,6 +139,9 @@ class Polynomial:
 
     def evaluate(self, x, mass):
         return np.polynomial.polynomial.polyval(np.asarray(x), self.coefficients)
+
+    def power_series(self, mass):
+        return self.coefficients
 
     def to_dict(self):
         return {"type": "polynomial", "coefficients": list(self.coefficients)}
@@ -145,6 +157,8 @@ class Tilted:
     def __post_init__(self):
         if isinstance(self.base, Tilted):
             raise ConfigurationError("tilted potentials cannot nest")
+        if not np.isfinite(self.strength):
+            raise ConfigurationError(f"tilt strength must be finite, got {self.strength}")
 
     @property
     def is_symmetric(self) -> bool:
@@ -153,6 +167,10 @@ class Tilted:
     def evaluate(self, x, mass):
         x = np.asarray(x)
         return self.base.evaluate(x, mass) + self.strength * x
+
+    def power_series(self, mass):
+        c = self.base.power_series(mass) + (0.0, 0.0)
+        return (c[0], c[1] + self.strength) + c[2:]
 
     def to_dict(self):
         return {"type": "tilted", "base": self.base.to_dict(), "strength": self.strength}
@@ -186,10 +204,10 @@ class ModelParams:
     potential: PotentialSpec
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ConfigurationError(f"mass must be positive, got {self.mass}")
-        if self.hbar <= 0:
-            raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
+        if not 0 < self.mass < np.inf:
+            raise ConfigurationError(f"mass must be positive and finite, got {self.mass}")
+        if not 0 < self.hbar < np.inf:
+            raise ConfigurationError(f"hbar must be positive and finite, got {self.hbar}")
 
     def to_dict(self):
         return {

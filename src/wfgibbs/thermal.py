@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrain import EffectivePotentialTable, default_grid, lambda_walk_table
+from .constrain import EffectivePotentialTable, lambda_walk_table
 from .errors import CoverageError, TruncationError, UsageError
 from .lattice import GridSpec, ModelParams
 from .sampling import TruncatedModel
@@ -22,8 +22,6 @@ BOUNDARY_TAIL = 1e-8  # coverage criterion: tail density / peak density
 # beta (V - min V) at the ends of required_q_range: exp(-25) ~ 1.4e-11 lies
 # below BOUNDARY_TAIL
 Q_RANGE_MARGIN = 25.0
-MAX_RANGE_DOUBLINGS = 60  # required_q_range looks at most dx 2^59 past the grid
-RANGE_SAMPLES = 4097  # required_q_range's linear interpolation nodes per crossing
 
 
 @dataclass(frozen=True)
@@ -134,35 +132,24 @@ def required_q_range(mp: ModelParams, beta: float) -> float:
 
     Uses the bare potential as a proxy for V_eff (they agree far from the
     wells, where the ground state of the tilted problem is semiclassical).
-    Measured from the global minimum on the default grid, V - min V reaches
-    Q_RANGE_MARGIN / beta at an outermost crossing on each side; the larger
-    |x| of the two is returned. Each crossing is bracketed by the outward
-    offsets dx 2^j from the outermost grid node below that level, then
-    placed by linear interpolation between RANGE_SAMPLES points across the
-    bracket.
+    Every potential is a polynomial, so both steps are exact: min V is taken
+    over the real roots of V', at x0, and the largest |x| of the real roots
+    of V - min V - Q_RANGE_MARGIN / beta is returned. A potential that does not
+    confine (degree below 2, odd degree or a negative leading coefficient)
+    covers no beta.
     """
     if not 0 < beta < np.inf:
         raise UsageError(f"beta must be positive and finite, got {beta}")
-    grid = default_grid(mp)
-    v = mp.potential.evaluate(grid.x, mp.mass)
-    v0, target = float(v.min()), Q_RANGE_MARGIN / beta
-    inside = np.flatnonzero(v - v0 < target)
-    offsets = grid.dx * 2.0 ** np.arange(MAX_RANGE_DOUBLINGS)
-
-    def crossing(start, sign):
-        def rise(s):
-            return mp.potential.evaluate(start + sign * s, mp.mass) - v0
-
-        above = np.flatnonzero(rise(offsets) >= target)
-        if len(above) == 0:
-            raise CoverageError(f"potential too flat to cover beta={beta}", beta=beta)
-        j = above[0]
-        s = np.linspace(offsets[j - 1] if j else 0.0, offsets[j], RANGE_SAMPLES)
-        r = rise(s)
-        k = np.flatnonzero(r >= target)[0]  # r[0] < target <= r[-1]
-        return abs(start + sign * np.interp(target, r[k - 1:k + 1], s[k - 1:k + 1]))
-
-    return max(crossing(grid.x[inside[0]], -1.0), crossing(grid.x[inside[-1]], 1.0))
+    v = np.polynomial.Polynomial(mp.potential.power_series(mp.mass)).trim()
+    if v.degree() < 2 or v.degree() % 2 or v.coef[-1] < 0:
+        raise CoverageError(f"potential does not confine; cannot cover beta={beta}", beta=beta)
+    critical = v.deriv().roots().real
+    x0 = critical[np.argmin(v(critical))]
+    roots = (v - v(x0) - Q_RANGE_MARGIN / beta).roots()
+    # a crossing lies on each side of x0, so the range is at least |x0|; a
+    # root nearly double (at a huge beta) comes out with a small imaginary part
+    real = roots.real[np.abs(roots.imag) <= 1e-6 * (1 + np.abs(roots))]
+    return float(np.max(np.abs(np.append(real, x0))))
 
 
 def table_for_betas(mp: ModelParams, betas, n_q: int, grid: GridSpec,

@@ -74,6 +74,44 @@ def test_out_flag_overrides_config(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+# a small run of each command and the files it returns
+COMMAND_RUNS = {
+    "eig": (HARMONIC_MODEL, {"k": 2}, {"eig.csv", "eig.json"}),
+    "veff": (DOUBLE_WELL_MODEL, {"n_q": 11},
+             {"veff_m0p5.csv", "veff_table_m0p5.csv", "veff_table_m0p5.json"}),
+    "twostate": (DOUBLE_WELL_MODEL, {"n_q": 21}, {"two_state_m0p5.csv", "two_state.json"}),
+    "fluct": (DOUBLE_WELL_MODEL, {"t_min": 0.1, "t_max": 10.0, "n_t": 5, "n_q": 41},
+              {"fluct_m0p5.csv", "fluct_two_state.csv", "fluct.json"}),
+    "sample": (HARMONIC_MODEL, {"n_basis": 4, "chains": 2, "steps_per_chain": 200,
+                                "burn_in": 50}, {"samples.csv", "sample_run.json"}),
+    "canonical": (HARMONIC_MODEL, {"beta": 2.0, "k_max": 20},
+                  {"canonical_atoms.csv", "canonical.json"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_commands_return_their_files_and_write_none(command, tmp_path, monkeypatch):
+    # a command computes and returns (exit code, files); main writes them
+    assert set(COMMAND_RUNS) == set(cli.COMMANDS)
+    model, section, names = COMMAND_RUNS[command]
+    monkeypatch.chdir(tmp_path)
+    cfg = cli.load_config(write_config(tmp_path, {
+        "model": model, "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        command: section}))
+    before = sorted(tmp_path.rglob("*"))
+    code, files = cli.COMMANDS[command](cfg)
+    assert code == 0 and set(files) == names
+    assert sorted(tmp_path.rglob("*")) == before  # no output directory, no file
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            columns, rows = content
+            assert isinstance(columns, str) and next(iter(rows), None) is not None
+        else:
+            assert isinstance(content, dict)
+    if command == "sample":  # 1M rows of samples.csv stay lazy until main writes them
+        assert not isinstance(files["samples.csv"][1], (list, tuple))
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     assert main(["eig", "--config", str(tmp_path / "nope.json")]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -464,9 +502,35 @@ def test_canonical_truncation_too_small(tmp_path, capsys):
     ("sample", {"tv_tolerance": float("inf")}),
     ("canonical", {"k_max": 0}),
     ("canonical", {"k_max": 1}),
+    # every mass is checked before the first one is solved
+    ("veff", {"masses": [0.5, -1.0]}),
+    ("twostate", {"masses": [0.5, -1.0]}),
+    ("fluct", {"masses": [float("nan")]}),
+    ("veff", {"masses": [float("inf")]}),
+    ("twostate", {"masses": [0.5, 0.0]}),
+    # the chain values are checked before the truncated model is built
+    ("sample", {"chains": 0}),
+    ("sample", {"steps_per_chain": 0}),
+    ("sample", {"burn_in": -1}),
+    ("sample", {"proposal_scale": 0.0}),
+    ("sample", {"proposal_scale": float("inf")}),
+    ("sample", {"proposal_scale": float("nan")}),
+    # no grid of 401 points has more than 401 levels
+    ("eig", {"k": 402}),
+    ("sample", {"n_basis": 402}),
+    ("canonical", {"k_max": 402}),
 ])
-def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, section):
-    # rejected while the config is read: exit 2 and nothing written
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, monkeypatch, command, section):
+    # rejected while the config is read: exit 2, before any work, and
+    # nothing written
+    from wfgibbs import twostate
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for module, name in ((twostate, "build_two_state"), (sampling, "build_truncated_model"),
+                         (cli, "assemble_hamiltonian")):
+        monkeypatch.setattr(module, name, no_work)
     cfg = write_config(tmp_path, {
         "model": HARMONIC_MODEL,
         "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 401},
@@ -491,8 +555,24 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, sectio
     {"veff": {"masses": 3}},
     {"fluct": {"n_t": 1e400}},
     {"output": 5},
+    {"model": {**HARMONIC_MODEL, "mass": float("inf")}},
+    {"model": {**HARMONIC_MODEL, "mass": float("nan")}},
+    {"model": {**HARMONIC_MODEL, "hbar": float("nan")}},
+    {"model": {**HARMONIC_MODEL, "potential": {"type": "harmonic", "omega": float("nan")}}},
+    {"model": {**DOUBLE_WELL_MODEL, "potential": {"type": "quartic_double_well",
+                                                  "w0": float("nan"), "x0": 1.5}}},
+    {"model": {**DOUBLE_WELL_MODEL, "potential": {"type": "quartic_double_well",
+                                                  "w0": 1.0, "x0": float("nan")}}},
+    {"model": {**DOUBLE_WELL_MODEL, "potential": {
+        "type": "tilted", "strength": float("nan"), "base": DOUBLE_WELL_MODEL["potential"]}}},
+    {"model": {**HARMONIC_MODEL, "potential": {"type": "polynomial",
+                                               "coefficients": [0.0, 0.0, float("inf")]}}},
+    {"grid": {"x_min": float("-inf"), "x_max": 10.0, "n_points": 401}},
+    {"grid": {"x_min": -10.0, "x_max": float("inf"), "n_points": 401}},
 ], ids=["no_mass", "no_omega", "mass_str", "seed_str", "seed_inf", "no_x_max", "model_list",
-        "coefficients_int", "eig_k_str", "masses_int", "n_t_inf", "output_int"])
+        "coefficients_int", "eig_k_str", "masses_int", "n_t_inf", "output_int", "mass_inf",
+        "mass_nan", "hbar_nan", "omega_nan", "w0_nan", "x0_nan", "strength_nan",
+        "coefficient_inf", "x_min_inf", "x_max_inf"])
 def test_malformed_inputs_are_config_errors(tmp_path, capsys, config):
     cfg = write_config(tmp_path, {"model": HARMONIC_MODEL, **config})
     out = tmp_path / "out"
@@ -517,6 +597,24 @@ def test_only_cli_touches_files():
             assert not {"json", "pathlib"} & {name.split(".")[0] for name in imported}, path.name
             assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id == "open"), f"{path.name}:{node.lineno}"
+
+
+def test_only_main_writes_files():
+    # every command returns its files: in cli, only main creates the output
+    # directory and writes, beside load_config's read of the config and the
+    # open in write_csv, the CSV writer main calls
+    allowed = {"open": {"main", "load_config", "write_csv"}, "mkdir": {"main"},
+               "write_csv": {"main"}}
+    seen = set()
+    for statement in ast.parse(Path(cli.__file__).read_text()).body:
+        owner = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in allowed:
+                    assert owner in allowed[name], f"{owner} calls {name} (line {node.lineno})"
+                    seen.add((owner, name))
+    assert {("main", name) for name in allowed} <= seen
 
 
 def test_only_cli_catches_library_errors():

@@ -63,6 +63,17 @@ def test_tilted_adds_linear_term():
     assert np.allclose(pot.evaluate(x, 1.0), expected)
 
 
+@pytest.mark.parametrize("pot", [
+    Harmonic(2.0), QuarticDoubleWell(1.0, 1.5), Polynomial((0.3, -1.0, 0.0, 0.5, 0.25)),
+    Tilted(QuarticDoubleWell(0.5, 0.8), 0.25), Tilted(Polynomial((1.0,)), -0.5),
+], ids=["harmonic", "double_well", "polynomial", "tilted_well", "tilted_constant"])
+def test_power_series_is_the_potential(pot):
+    x = np.linspace(-3, 3, 61)
+    for mass in (0.2, 1.5):
+        series = np.polynomial.polynomial.polyval(x, pot.power_series(mass))
+        assert np.allclose(series, pot.evaluate(x, mass), rtol=1e-13, atol=1e-13)
+
+
 def test_tilted_nesting_rejected():
     inner = Tilted(Harmonic(1.0), 0.1)
     with pytest.raises(ConfigurationError):
@@ -84,6 +95,19 @@ def test_invalid_potential_parameters():
         QuarticDoubleWell(0.0, 1.5)
     with pytest.raises(ConfigurationError):
         ModelParams(-1.0, 1.0, Harmonic(1.0))
+    # every parameter is finite: an infinite mass would drop the kinetic term
+    for bad in (np.inf, np.nan):
+        for build in (lambda v: ModelParams(v, 1.0, Harmonic(1.0)),
+                      lambda v: ModelParams(1.0, v, Harmonic(1.0)),
+                      Harmonic,
+                      lambda v: QuarticDoubleWell(v, 1.5),
+                      lambda v: QuarticDoubleWell(1.0, v),
+                      lambda v: Polynomial((0.0, 0.0, v)),
+                      lambda v: Tilted(Harmonic(1.0), v),
+                      lambda v: GridSpec(-v, 1.0, 11),
+                      lambda v: GridSpec(-1.0, v, 11)):
+            with pytest.raises(ConfigurationError):
+                build(bad)
 
 
 def test_free_particle_stencil():

@@ -9,8 +9,11 @@ from wfgibbs import (
     CoverageError,
     EffectivePotentialTable,
     GridSpec,
+    Harmonic,
     ModelParams,
+    Polynomial,
     QuarticDoubleWell,
+    Tilted,
     TruncationError,
     UsageError,
     build_truncated_model,
@@ -133,6 +136,26 @@ def test_required_q_range_rejects_bad_beta():
     for beta in (0.0, np.inf):
         with pytest.raises(UsageError):
             required_q_range(harmonic(), beta)
+
+
+def test_required_q_range_is_exact():
+    # wells at +-0.8: (x^2 - 0.64)^2 = 25 / 200 at x^2 = 0.64 + sqrt(0.125),
+    # with no grid node at the minimum to shift min V
+    mp = ModelParams(0.2, 1.0, QuarticDoubleWell(1.0, 0.8))
+    assert required_q_range(mp, 200.0) == pytest.approx(np.sqrt(0.64 + np.sqrt(0.125)),
+                                                        rel=1e-12)
+    # a tilted oscillator x^2/2 + s x rises by (x + s)^2 / 2 from its minimum at -s
+    tilted = ModelParams(1.0, 1.0, Tilted(Harmonic(1.0), 0.3))
+    assert required_q_range(tilted, 2.0) == pytest.approx(0.3 + np.sqrt(25.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("coefficients", [(1.0,), (0.0, 1.0), (0.0, 0.0, 0.0, 1.0),
+                                          (0.0, 0.0, -1.0), (0.0, 0.0, 0.0)],
+                         ids=["constant", "linear", "cubic", "inverted", "zero"])
+def test_required_q_range_needs_a_confining_potential(coefficients):
+    mp = ModelParams(1.0, 1.0, Polynomial(coefficients))
+    with pytest.raises(CoverageError):
+        required_q_range(mp, 1.0)
 
 
 def test_required_q_range_measures_from_global_minimum():
