@@ -152,13 +152,8 @@ def write_csv(path, columns: str, rows) -> None:
             fh.write(fmt * (len(batch) // len(first)) % batch)
 
 
-def _doublet(tm: sampling.TruncatedModel) -> tuple:
-    """(E0, E1, |Q01|) of a truncated model's two lowest levels."""
-    return tm.energies[0], tm.energies[1], abs(tm.q_matrix[0, 1])
-
-
 def _doublets(cfg, section):
-    """(mass tag, model, two-state model) for each mass of a section. The
+    """(mass tag, two-state model) for each mass of a section. The
     two-state reduction behind veff, twostate and fluct needs a symmetric
     potential; anything else is a configuration error, raised before any
     work."""
@@ -168,8 +163,7 @@ def _doublets(cfg, section):
                                  f"reduction, got {mp.potential.to_dict()}")
     for mass in section["masses"]:
         model = ModelParams(mass, mp.hbar, mp.potential)
-        tag = f"{mass:g}".replace(".", "p")
-        yield tag, model, twostate.build_two_state(model, cfg["grid"])
+        yield f"{mass:g}".replace(".", "p"), twostate.build_two_state(model, cfg["grid"])
 
 
 # --- subcommands -------------------------------------------------------------
@@ -193,11 +187,10 @@ def cmd_eig(cfg):
 
 def cmd_veff(cfg):
     section, files = cfg["veff"], {}
-    for tag, mp, ts in _doublets(cfg, section):
+    for tag, ts in _doublets(cfg, section):
         q_grid = np.linspace(-section["frac"] * ts.d, section["frac"] * ts.d, section["n_q"])
-        table = constrain.effective_potential(mp, q_grid, cfg["grid"],
-                                              doublet=(ts.e1, ts.e2, ts.d), ground=ts.phi1)
-        u, rescaled_exact = twostate.rescale(table, table.v_eff, table.q)
+        table = constrain.effective_potential(ts, q_grid, cfg["grid"])
+        u, rescaled_exact = twostate.rescale(ts, table.v_eff, table.q)
         arc = -np.sqrt(1.0 - u**2)
         files[f"veff_m{tag}.csv"] = ("q_over_d,rescaled_exact,rescaled_two_state",
                                      zip(u.tolist(), rescaled_exact.tolist(), arc.tolist()))
@@ -205,18 +198,18 @@ def cmd_veff(cfg):
             table.q.tolist(), table.v_eff.tolist(), table.lam.tolist()))
         files[f"veff_table_m{tag}.json"] = {"meta": table.meta,
                                             "bounded_support": table.bounded_support}
-        print(f"m={mp.mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
+        print(f"m={ts.model.mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
     return EXIT_OK, files
 
 
 def cmd_twostate(cfg):
     section, files, summary = cfg["twostate"], {}, {}
-    for tag, mp, ts in _doublets(cfg, section):
+    for tag, ts in _doublets(cfg, section):
         table = twostate.two_state_table(ts, section["n_q"])
         files[f"two_state_m{tag}.csv"] = ("q,v_eff", zip(table.q.tolist(),
                                                          table.v_eff.tolist()))
-        summary[str(mp.mass)] = {"e1": ts.e1, "e2": ts.e2, "d": ts.d}
-        print(f"m={mp.mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
+        summary[str(ts.model.mass)] = {"e1": ts.e1, "e2": ts.e2, "d": ts.d}
+        print(f"m={ts.model.mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
     files["two_state.json"] = summary
     return EXIT_OK, files
 
@@ -225,10 +218,9 @@ def cmd_fluct(cfg):
     section, files, summary = cfg["fluct"], {}, {}
     # log-spaced rescaled temperatures exposing both asymptotes
     t_grid = np.logspace(np.log10(section["t_min"]), np.log10(section["t_max"]), section["n_t"])
-    for tag, mp, ts in _doublets(cfg, section):
+    for tag, ts in _doublets(cfg, section):
         betas = 2.0 / (t_grid * ts.splitting)
-        table = thermal.table_for_betas(mp, betas, section["n_q"], cfg["grid"],
-                                        doublet=(ts.e1, ts.e2, ts.d), ground=ts.phi1)
+        table = thermal.table_for_betas(ts, betas, section["n_q"], cfg["grid"])
         curve = thermal.fluctuation_curve(table, betas)
         # restricted variant: same V_eff confined to |q| <= d
         q_res = np.linspace(-ts.d, ts.d, 201)
@@ -240,7 +232,7 @@ def cmd_fluct(cfg):
             "rescaled_temperature,delta_q_over_d,delta_q_over_d_restricted,mean_q",
             zip(curve.rescaled_temperature.tolist(), curve.delta_q_over_d.tolist(),
                 restricted.delta_q_over_d.tolist(), curve.mean_q.tolist()))
-        summary[str(mp.mass)] = {
+        summary[str(ts.model.mass)] = {
             "e1": ts.e1, "e2": ts.e2, "d": ts.d,
             "delta_p": curve.delta_p.tolist(),
             "max_full_vs_restricted": float(
@@ -250,7 +242,7 @@ def cmd_fluct(cfg):
                                                           "cold_solves", "factorizations")},
                       "grid": table.meta["grid"]},
         }
-        print(f"m={mp.mass}: delta_q/d ranges "
+        print(f"m={ts.model.mass}: delta_q/d ranges "
               f"[{curve.delta_q_over_d.min():.4g}, {curve.delta_q_over_d.max():.4g}]")
 
     # the rescaled two-state curve is universal: any doublet gives the same
@@ -261,14 +253,14 @@ def cmd_fluct(cfg):
     return EXIT_OK, files
 
 
-def _validate_sample(run, tm, mp, cfg, section):
+def _validate_sample(run, tm, cfg, section):
     """Return (passed, report) comparing the run against its oracle."""
     moments = run.moment_summary()
     mode = section["validate"]
     if mode == "none":
         return True, {"mode": "none", "moments": moments}
     if mode == "marginal":
-        return _validate_marginal(run, moments, tm, mp, cfg, section)
+        return _validate_marginal(run, moments, tm, cfg, section)
 
     n_se = section["tolerance_se"]
     checks, passed = {}, True
@@ -284,14 +276,14 @@ def _validate_sample(run, tm, mp, cfg, section):
     return passed, {"mode": "exact", "moments": moments, "checks": checks}
 
 
-def _validate_marginal(run, moments, tm, mp, cfg, section):
+def _validate_marginal(run, moments, tm, cfg, section):
     """Total-variation distance between the histogram of the sampled q, on
     101 bins over the samples' span, and the exp(-beta V_eff) marginal."""
     q = run.q
     span = 1.05 * float(np.max(np.abs(q)))
     bins = np.linspace(-span, span, 102)
     hist, _ = np.histogram(q, bins=bins)
-    table = thermal.table_for_betas(mp, [run.beta], 121, cfg["grid"], doublet=_doublet(tm))
+    table = thermal.table_for_betas(tm.doublet, [run.beta], 121, cfg["grid"])
     model_mass = thermal.bin_masses(table, run.beta, bins)
     tv = 0.5 * float(np.abs(hist / hist.sum() - model_mass).sum())
     tol = section["tv_tolerance"]
@@ -333,7 +325,7 @@ def cmd_sample(cfg):
         proposal_scale=section["proposal_scale"],
     )
     run = sampling.sample_ensemble(tm, section["beta"], chain_cfg)
-    passed, report = _validate_sample(run, tm, mp, cfg, section)
+    passed, report = _validate_sample(run, tm, cfg, section)
     print(f"acceptance={run.acceptance_rate:.3f} "
           f"iat={run.integrated_autocorrelation_time:.1f}")
     return EXIT_OK if passed else EXIT_VALIDATION, {
@@ -355,7 +347,7 @@ def cmd_canonical(cfg):
     atoms = thermal.canonical_atoms(tm, beta)
 
     # effective-potential dispersion at the same beta for the contrast line
-    table = thermal.table_for_betas(mp, [beta], 81, cfg["grid"], doublet=_doublet(tm))
+    table = thermal.table_for_betas(tm.doublet, [beta], 81, cfg["grid"])
     curve = thermal.fluctuation_curve(table, [beta])
     canonical_dq = atoms.dispersion()
     print(f"canonical delta_q = {canonical_dq:.6g}; "

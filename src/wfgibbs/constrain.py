@@ -12,7 +12,9 @@ convex with dV_eff/dq = -lambda(q). Generalized coherent states are
 exp(i p x / hbar) * phi_lambda(q)(x).
 
 Both tables come from one continuation in lambda, outward from the
-untilted node (q0, E0, 0): by Hellmann-Feynman each tilted ground state is
+untilted node (q0, E0, 0), whose ground state is refined warm from the even
+state of the caller's lowest doublet (a twostate.TwoStateModel, which every
+table takes and records): by Hellmann-Feynman each tilted ground state is
 an exact node (q, E0 - lambda q, lambda). Prescribed nodes
 (effective_potential) are hit to the root tolerance, free ones
 (lambda_walk_table) wherever an advance of h/8 to 3h/2 lands; a symmetric
@@ -31,6 +33,7 @@ in norm).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,6 +48,9 @@ from .lattice import (
     tilt_hamiltonian,
 )
 from .spectra import EigenPair, lowest_eigenpairs, reduced_resolvent
+
+if TYPE_CHECKING:
+    from .twostate import TwoStateModel
 
 DEFAULT_ROOT_TOL_SCALE = 1e-8
 MAX_NEWTON_STEPS = 100
@@ -115,15 +121,6 @@ def _slope(op: TridiagonalOperator, ground: EigenPair):
     return -2.0 * float(r @ y), -y
 
 
-def susceptibility(op: TridiagonalOperator, ground: EigenPair) -> float:
-    """dq/dlambda of the ground state of op + lambda q at lambda = 0.
-
-    By second-order perturbation theory it is -2 <r, (H - E0)^+ r>, with
-    r = (x - <q>) phi0; it is negative.
-    """
-    return _slope(op, ground)[0]
-
-
 def _first_order(phi: np.ndarray, dlam: float, tangent: np.ndarray | None) -> np.ndarray:
     """Start vector for the ground state at lambda + dlam, from phi at lambda:
     phi/|phi| + dlam dphi/dlambda while the correction is below 1/2 in norm,
@@ -139,7 +136,7 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
     """Find lambda such that the tilted ground state has <q> = q_target.
 
     Safeguarded Newton from lam on g(lambda) = <q>_lambda - q_target, with
-    the exact slope g' = susceptibility. g is strictly decreasing, so each
+    the exact slope g' of _slope. g is strictly decreasing, so each
     evaluated lambda bounds the root on one side, and a step that leaves
     the bounds is replaced by their midpoint. The slope only steers: a
     multiplier is accepted when |g| <= 1e-8 max(1, |q_target|), so an
@@ -195,23 +192,19 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
 _COUNTS = ("eigensolves", "lapack_fallbacks", "cold_solves", "factorizations")
 
 
-def _anchor(mp: ModelParams, grid: GridSpec, doublet: tuple | None, ground, mirror: bool):
-    """(doublet, counts, branch start (op, ground pair, q0, dlambda/dq)),
-    with q0 the ground <q> (0 when mirrored) and the two-level
-    -(e2 - e1) / 2d^2. A given doublet needs only the ground state, warm
-    from ground when given; otherwise the doublet is solved cold."""
-    op = assemble_hamiltonian(mp, grid)
-    given = doublet is not None
-    pairs = lowest_eigenpairs(op, 1, start=ground) if given else lowest_eigenpairs(op, 2)
-    if not given:
-        doublet = (pairs[0].energy, pairs[1].energy,
-                   abs(position_element(pairs[0].wavefunction, pairs[1].wavefunction, grid)))
-    cold = pairs[0].method == "lapack"
-    counts = {"eigensolves": int(given), "lapack_fallbacks": int(ground is not None and cold),
-              "cold_solves": int(cold), "factorizations": pairs[0].factorizations}
-    e1, e2, d = doublet
-    q0 = 0.0 if mirror else position_element(pairs[0].wavefunction, pairs[0].wavefunction, grid)
-    return doublet, counts, (op, pairs[0], q0, -(e2 - e1) / (2.0 * d**2))
+def _anchor(ts: TwoStateModel, grid: GridSpec, mirror: bool):
+    """(counts, branch start (op, ground pair, q0, dlambda/dq)) of ts.model
+    on grid: the untilted ground state, warm from ts.phi1 moved onto grid by
+    linear interpolation (zero outside ts.grid), q0 its <q> (0 when
+    mirrored) and the two-level -(e2 - e1) / 2d^2."""
+    op = assemble_hamiltonian(ts.model, grid)
+    start = np.interp(grid.x, ts.grid.x, ts.phi1, left=0.0, right=0.0)
+    ground = lowest_eigenpairs(op, 1, start=start)[0]
+    cold = int(ground.method == "lapack")
+    counts = {"eigensolves": 1, "lapack_fallbacks": cold, "cold_solves": cold,
+              "factorizations": ground.factorizations}
+    q0 = 0.0 if mirror else position_element(ground.wavefunction, ground.wavefunction, grid)
+    return counts, (op, ground, q0, -ts.splitting / (2.0 * ts.d**2))
 
 
 def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None):
@@ -257,69 +250,55 @@ def _columns(mp, grid, branch, counts, mirror, up=(), down=(), centre=True, **fr
     return np.array(down[::-1] + [(branch[2], branch[1].energy, 0.0)] * centre + up).T
 
 
-def _table(mp, grid, doublet, q, v, lam, counts, **extra):
-    e1, e2, d = doublet
+def _table(ts, grid, q, v, lam, counts, **extra):
     # always empty, as an unsolvable node raises; kept for readers of the key
-    meta = {"e1": e1, "e2": e2, "d": d, "model": mp.to_dict(), "grid": grid.to_dict(), **extra,
-            "failed_points": [], **counts}
+    meta = {"e1": ts.e1, "e2": ts.e2, "d": ts.d, "model": ts.model.to_dict(),
+            "grid": grid.to_dict(), **extra, "failed_points": [], **counts}
     return EffectivePotentialTable(np.asarray(q), np.asarray(v), np.asarray(lam), meta)
 
 
-def effective_potential(mp: ModelParams, q_grid, grid: GridSpec,
-                        doublet: tuple | None = None,
-                        ground: np.ndarray | None = None) -> EffectivePotentialTable:
-    """Tabulate V_eff over an ascending q grid, by lambda continuation out
-    from the untilted ground state on each side of its <q>.
+def effective_potential(ts: TwoStateModel, q_grid, grid: GridSpec) -> EffectivePotentialTable:
+    """Tabulate V_eff of ts.model over an ascending q grid, by lambda
+    continuation out from the untilted ground state on each side of its <q>.
 
-    A symmetric potential on a symmetric x grid and q grid (to 1e-12 of its
-    span) is solved on q > 0 and mirrored, (q, V, lambda) -> (-q, V,
+    ts, the model's lowest doublet, gives meta its (e1, e2, d) and the
+    untilted solve its warm start, so no solve is cold unless a warm start
+    fails. A symmetric potential on a symmetric x grid and q grid (to 1e-12
+    of its span) is solved on q > 0 and mirrored, (q, V, lambda) -> (-q, V,
     -lambda); a centre node is the untilted node. A node that cannot be
-    solved raises UnreachableTargetError or SolverError. doublet, the (e1,
-    e2, d) of the lowest doublet on the same grid when the caller has
-    already solved it, is stored as given; otherwise it is solved here.
-    With a doublet, ground, the caller's ground state on grid, warm-starts
-    the untilted solve. meta records the work done: k=1 eigensolves, warm
-    starts that fell back, cold solves and dpttrf factorizations."""
+    solved raises UnreachableTargetError or SolverError. meta records the
+    work done: k=1 eigensolves, warm starts that fell back, cold solves and
+    dpttrf factorizations."""
     q_grid = np.asarray(q_grid, dtype=float)
     if len(q_grid) == 0:
         raise UsageError("empty q grid")
     if np.any(np.diff(q_grid) <= 0):
         raise UsageError("q grid must be strictly ascending")
-    n = len(q_grid)
+    mp, n = ts.model, len(q_grid)
     mirror = bool(mp.potential.is_symmetric and grid.is_symmetric
                   and np.all(np.abs(q_grid + q_grid[::-1]) < 1e-12 * (q_grid[-1] - q_grid[0])))
-    doublet, counts, branch = _anchor(mp, grid, doublet, ground, mirror)
+    counts, branch = _anchor(ts, grid, mirror)
     # the upper side starts at the first node above q0 (past the centre)
     k = (n + 1) // 2 if mirror else int(np.searchsorted(q_grid, branch[2], side="right"))
     _, v, lam = _columns(mp, grid, branch, counts, mirror, q_grid[k:], q_grid[:k][::-1],
                          centre=mirror and n % 2)
-    return _table(mp, grid, doublet, q_grid, v, lam, counts,
-                  root_tol_scale=DEFAULT_ROOT_TOL_SCALE)
+    return _table(ts, grid, q_grid, v, lam, counts, root_tol_scale=DEFAULT_ROOT_TOL_SCALE)
 
 
-def lambda_walk_table(mp: ModelParams, q_max: float, n_q: int, grid: GridSpec,
-                      doublet: tuple | None = None,
-                      ground: np.ndarray | None = None) -> EffectivePotentialTable:
-    """Tabulate V_eff on free nodes covering [-q_max, q_max], with no root
-    finding: the lambda continuation accepts any advance in [h/8, 3h/2] of
-    h = 2 q_max / (n_q - 1), so no gap exceeds 1.5 h and each node gains at
-    least h/8. A side ends at its first node past q_max, or raises
-    UnreachableTargetError or SolverError if it cannot advance. A symmetric
-    potential on a symmetric grid is walked on q > 0 and mirrored about the
-    exact node (0, E0, 0). doublet, ground and meta are as in
+def lambda_walk_table(ts: TwoStateModel, q_max: float, n_q: int,
+                      grid: GridSpec) -> EffectivePotentialTable:
+    """Tabulate V_eff of ts.model on free nodes covering [-q_max, q_max],
+    with no root finding: the lambda continuation accepts any advance in
+    [h/8, 3h/2] of h = 2 q_max / (n_q - 1), so no gap exceeds 1.5 h and each
+    node gains at least h/8. A side ends at its first node past q_max, or
+    raises UnreachableTargetError or SolverError if it cannot advance. A
+    symmetric potential on a symmetric grid is walked on q > 0 and mirrored
+    about the exact node (0, E0, 0). ts and meta are as in
     effective_potential."""
     if not 0 < q_max < np.inf or n_q < 2:
         raise UsageError(f"need 0 < q_max < inf and n_q >= 2, got {q_max}, {n_q}")
-    mirror = mp.potential.is_symmetric and grid.is_symmetric
-    doublet, counts, branch = _anchor(mp, grid, doublet, ground, mirror)
-    q, v, lam = _columns(mp, grid, branch, counts, mirror, h=2.0 * q_max / (n_q - 1),
+    mirror = ts.model.potential.is_symmetric and grid.is_symmetric
+    counts, branch = _anchor(ts, grid, mirror)
+    q, v, lam = _columns(ts.model, grid, branch, counts, mirror, h=2.0 * q_max / (n_q - 1),
                          q_max=q_max)
-    return _table(mp, grid, doublet, q, v, lam, counts)
-
-
-def coherent_state(cs: ConstrainedState, p: float, mp: ModelParams,
-                   grid: GridSpec) -> CoherentState:
-    """exp(i p x / hbar) times the constrained ground state."""
-    psi = np.exp(1j * p * grid.x / mp.hbar) * cs.wavefunction
-    return CoherentState(cs.q_target, p, psi)
-
+    return _table(ts, grid, q, v, lam, counts)

@@ -275,12 +275,6 @@ def _check_same_grid(a, b, grid):
         )
 
 
-def inner_product(a, b, grid: GridSpec) -> complex:
-    """Trapezoid inner product <a, b> on the grid."""
-    _check_same_grid(a, b, grid)
-    return np.sum(np.conj(a) * b * grid.weights)
-
-
 def position_element(phi_a, phi_b, grid: GridSpec) -> float:
     """<phi_a, q phi_b> with trapezoid weights.
 
@@ -293,24 +287,3 @@ def position_element(phi_a, phi_b, grid: GridSpec) -> float:
     if abs(val.imag) > 1e-10:
         raise UsageError(f"position element has imaginary residue {val.imag}")
     return val.real
-
-
-def momentum_expectation(psi, grid: GridSpec, hbar: float) -> float:
-    """<psi, p psi> with p = -i hbar d/dx (central differences).
-
-    psi must be normalized on the grid; the imaginary residue of the
-    quadratic form is verified to be below 1e-10 and discarded.
-    """
-    psi = np.asarray(psi)
-    norm = np.real(inner_product(psi, psi, grid))
-    if abs(norm - 1.0) > 1e-6:
-        raise UsageError(f"momentum_expectation requires a normalized state, |psi|^2 = {norm}")
-    dx = grid.dx
-    # interior central differences; the Dirichlet tails make the boundary
-    # contribution negligible
-    deriv = np.zeros_like(psi)
-    deriv[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * dx)
-    val = np.sum(np.conj(psi) * (-1j * hbar) * deriv) * dx
-    if abs(val.imag) > 1e-10:
-        raise UsageError(f"momentum expectation has imaginary residue {val.imag}")
-    return float(val.real)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, UsageError
 from .lattice import GridSpec, ModelParams, assemble_hamiltonian
 from .spectra import lowest_eigenpairs
+from .twostate import TwoStateModel, two_state_from_pairs
 
 _TUNE_WINDOW = 200  # burn-in steps per proposal-scale update
 _NOISE_BLOCK = 4096  # steps per block of random draws
@@ -40,6 +41,8 @@ class TruncatedModel:
     energies: np.ndarray
     q_matrix: np.ndarray
     p_matrix_imag: np.ndarray
+    # the lowest doublet of the levels; None for a model given as matrices
+    doublet: TwoStateModel | None = None
 
     @property
     def n(self) -> int:
@@ -84,7 +87,8 @@ class TruncatedModel:
 
 
 def build_truncated_model(mp: ModelParams, n_basis: int, grid: GridSpec) -> TruncatedModel:
-    """Project q and p onto the span of the lowest n_basis eigenstates."""
+    """Project q and p onto the span of the lowest n_basis eigenstates,
+    whose two lowest give the model its doublet."""
     if n_basis < 2:
         raise UsageError(f"n_basis must be >= 2, got {n_basis}")
     op = assemble_hamiltonian(mp, grid)
@@ -102,7 +106,7 @@ def build_truncated_model(mp: ModelParams, n_basis: int, grid: GridSpec) -> Trun
     a = 0.5 * (a - a.T)
 
     energies = np.array([p.energy for p in pairs])
-    return TruncatedModel(energies, q_matrix, a)
+    return TruncatedModel(energies, q_matrix, a, two_state_from_pairs(mp, grid, pairs))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .constrain import EffectivePotentialTable, lambda_walk_table
 from .errors import CoverageError, TruncationError, UsageError
 from .lattice import GridSpec, ModelParams
 from .sampling import TruncatedModel
+from .twostate import TwoStateModel
 
 BOUNDARY_TAIL = 1e-8  # coverage criterion: tail density / peak density
 # beta (V - min V) at the ends of required_q_range: exp(-25) ~ 1.4e-11 lies
@@ -152,10 +153,9 @@ def required_q_range(mp: ModelParams, beta: float) -> float:
     return float(np.max(np.abs(np.append(real, x0))))
 
 
-def table_for_betas(mp: ModelParams, betas, n_q: int, grid: GridSpec,
-                    doublet: tuple | None = None,
-                    ground: np.ndarray | None = None) -> EffectivePotentialTable:
-    """Effective-potential table wide enough for every requested beta.
+def table_for_betas(ts: TwoStateModel, betas, n_q: int,
+                    grid: GridSpec) -> EffectivePotentialTable:
+    """V_eff table of ts.model wide enough for every requested beta.
 
     The nodes come from lambda_walk_table over [-q_max, q_max], q_max the
     required_q_range of the smallest beta (it grows as beta falls), at
@@ -163,18 +163,16 @@ def table_for_betas(mp: ModelParams, betas, n_q: int, grid: GridSpec,
     spatial grid is widened with them to the symmetric [-half, half], half =
     max(-x_min, x_max, q_max + 4), at the spacing of grid (rounded down to
     fit a whole number of intervals), so the tilted ground states stay away
-    from the hard walls. doublet is as in lambda_walk_table; ground, the
-    caller's ground state on grid, is moved onto the widened grid by linear
-    interpolation (zero outside grid) to warm-start its untilted solve.
+    from the hard walls. ts, the lowest doublet, anchors the table as in
+    lambda_walk_table: its even state warm-starts the untilted solve on the
+    widened grid.
     """
-    q_max = required_q_range(mp, float(np.min(betas)))
+    q_max = required_q_range(ts.model, float(np.min(betas)))
     half = float(max(-grid.x_min, grid.x_max, q_max + 4.0))
     intervals = (grid.n_points - 1) * (2.0 * half) / (grid.x_max - grid.x_min)
     # an exact integer ratio computed a hair above it must not add an interval
     wide = GridSpec(-half, half, int(np.ceil(intervals - 1e-9)) + 1)
-    if ground is not None:
-        ground = np.interp(wide.x, grid.x, ground, left=0.0, right=0.0)
-    return lambda_walk_table(mp, q_max, n_q, wide, doublet, ground)
+    return lambda_walk_table(ts, q_max, n_q, wide)
 
 
 def canonical_atoms(tm: TruncatedModel, beta: float) -> CanonicalAtoms:

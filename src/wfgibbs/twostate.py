@@ -30,6 +30,9 @@ class DomainError(UsageError):
 
 @dataclass(frozen=True)
 class TwoStateModel:
+    """The lowest doublet of model on grid: the one record of (e1, e2, d)
+    that every V_eff table is anchored on and rescaled by."""
+
     e1: float
     e2: float
     d: float
@@ -47,22 +50,23 @@ class TwoStateModel:
         return 0.5 * (self.e1 + self.e2)
 
 
-def build_two_state(mp: ModelParams, grid: GridSpec) -> TwoStateModel:
-    """Solve the lowest doublet and its dipole matrix element.
+def two_state_from_pairs(mp: ModelParams, grid: GridSpec, pairs) -> TwoStateModel:
+    """The doublet of the two lowest eigenpairs of mp on grid.
 
     d is stored positive; the sign ambiguity of phi_2 is absorbed by
     flipping it so that <phi_1, q phi_2> > 0.
     """
-    if not mp.potential.is_symmetric:
-        raise UsageError("two-state reduction requires a symmetric potential")
-    op = assemble_hamiltonian(mp, grid)
-    pairs = lowest_eigenpairs(op, 2)
     phi1, phi2 = pairs[0].wavefunction, pairs[1].wavefunction
     d = position_element(phi1, phi2, grid)
     if d < 0:
         phi2 = -phi2
         d = -d
     return TwoStateModel(pairs[0].energy, pairs[1].energy, d, phi1, phi2, grid, mp)
+
+
+def build_two_state(mp: ModelParams, grid: GridSpec) -> TwoStateModel:
+    """Solve the lowest doublet and its dipole matrix element."""
+    return two_state_from_pairs(mp, grid, lowest_eigenpairs(assemble_hamiltonian(mp, grid), 2))
 
 
 def _check_domain(ts: TwoStateModel, q) -> None:
@@ -120,14 +124,9 @@ def two_state_table(ts: TwoStateModel, n: int = 401) -> EffectivePotentialTable:
     return EffectivePotentialTable(q, two_state_veff(ts, q), lam, meta, bounded_support=True)
 
 
-def rescale(table_or_ts, v_eff, q=None):
+def rescale(ts: TwoStateModel, v_eff, q=None):
     """Map energies to ((v - mean)/half-splitting); q to q/d when given."""
-    if isinstance(table_or_ts, TwoStateModel):
-        e1, e2, d = table_or_ts.e1, table_or_ts.e2, table_or_ts.d
-    else:
-        meta = table_or_ts.meta
-        e1, e2, d = meta["e1"], meta["e2"], meta["d"]
-    scaled_v = (np.asarray(v_eff) - 0.5 * (e1 + e2)) / (0.5 * (e2 - e1))
+    scaled_v = (np.asarray(v_eff) - ts.mean_level) / (0.5 * ts.splitting)
     if q is None:
         return scaled_v
-    return np.asarray(q) / d, scaled_v
+    return np.asarray(q) / ts.d, scaled_v

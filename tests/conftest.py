@@ -6,13 +6,16 @@ import pytest
 from mpmath import mp
 
 from wfgibbs import (
+    CoherentState,
     GridSpec,
     Harmonic,
     ModelParams,
     QuarticDoubleWell,
+    UsageError,
     build_two_state,
     effective_potential,
 )
+from wfgibbs.lattice import _check_same_grid
 
 # Reference doublet values for the quartic double well with hbar = 1,
 # w0 = 1, x0 = 1.5 (independent high-accuracy eigensolves; these are the
@@ -35,6 +38,39 @@ def harmonic(mass: float = 1.0, omega: float = 1.0) -> ModelParams:
     return ModelParams(mass, 1.0, Harmonic(omega))
 
 
+def inner_product(a, b, grid: GridSpec) -> complex:
+    """Trapezoid inner product <a, b> on the grid."""
+    _check_same_grid(a, b, grid)
+    return np.sum(np.conj(a) * b * grid.weights)
+
+
+def momentum_expectation(psi, grid: GridSpec, hbar: float) -> float:
+    """<psi, p psi> with p = -i hbar d/dx (central differences).
+
+    psi must be normalized on the grid; the imaginary residue of the
+    quadratic form is verified to be below 1e-10 and discarded.
+    """
+    psi = np.asarray(psi)
+    norm = np.real(inner_product(psi, psi, grid))
+    if abs(norm - 1.0) > 1e-6:
+        raise UsageError(f"momentum_expectation requires a normalized state, |psi|^2 = {norm}")
+    dx = grid.dx
+    # interior central differences; the Dirichlet tails make the boundary
+    # contribution negligible
+    deriv = np.zeros_like(psi)
+    deriv[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * dx)
+    val = np.sum(np.conj(psi) * (-1j * hbar) * deriv) * dx
+    if abs(val.imag) > 1e-10:
+        raise UsageError(f"momentum expectation has imaginary residue {val.imag}")
+    return float(val.real)
+
+
+def coherent_state(cs, p: float, model: ModelParams, grid: GridSpec) -> CoherentState:
+    """exp(i p x / hbar) times the constrained ground state cs."""
+    psi = np.exp(1j * p * grid.x / model.hbar) * cs.wavefunction
+    return CoherentState(cs.q_target, p, psi)
+
+
 @pytest.fixture(scope="session")
 def dw_grid():
     return GridSpec(-6.0, 6.0, 4001)
@@ -52,7 +88,7 @@ def dw_tables(two_state_models, dw_grid):
     tables = {}
     for m, ts in two_state_models.items():
         q = np.linspace(-0.995 * ts.d, 0.995 * ts.d, 41)
-        tables[m] = effective_potential(double_well(m), q, grid=dw_grid)
+        tables[m] = effective_potential(ts, q, dw_grid)
     return tables
 
 

@@ -25,13 +25,12 @@ from wfgibbs import (
     table_for_betas,
     two_state_table,
 )
-from wfgibbs.lattice import inner_product, momentum_expectation
 from wfgibbs.sampling import unitary_flow_check
 from wfgibbs.thermal import bin_masses
 from wfgibbs.twostate import two_state_coherent
 
 from conftest import (DOUBLE_WELL_MASSES, DOUBLE_WELL_REFERENCE, double_well,
-                      exact_sphere_variance, harmonic)
+                      exact_sphere_variance, harmonic, inner_product, momentum_expectation)
 
 
 def report(n, ok, detail):
@@ -77,7 +76,7 @@ def test_criterion_2_companion_exact_below_arc_gap_shrinks(two_state_models, dw_
     for mass in DOUBLE_WELL_MASSES:
         ts = two_state_models[mass]
         q = np.array([0.0, 0.5 * ts.d])
-        table = effective_potential(double_well(mass), q, grid=dw_grid)
+        table = effective_potential(ts, q, dw_grid)
         rescaled = (table.v_eff - ts.mean_level) / (0.5 * ts.splitting)
         arc = -np.sqrt(1.0 - (q / ts.d) ** 2)
         assert rescaled[0] == pytest.approx(arc[0], abs=1e-9)  # touch at q = 0
@@ -236,7 +235,7 @@ def test_criterion_7_low_temperature_marginal(dw_grid):
     span = 1.05 * float(np.max(np.abs(q)))
     bins = np.linspace(-span, span, 102)
     hist, _ = np.histogram(q, bins=bins)
-    table = table_for_betas(mp, [beta], n_q=121, grid=dw_grid)
+    table = table_for_betas(ts, [beta], n_q=121, grid=dw_grid)
     model_mass = bin_masses(table, beta, bins)
     tv = 0.5 * float(np.abs(hist / hist.sum() - model_mass).sum())
     report(7, tv < 0.05,
@@ -249,7 +248,7 @@ def test_criterion_8_canonical_contrast(dw_grid, two_state_models):
     ts = two_state_models[0.2]
     beta = 1.0 / ts.splitting
     atoms = canonical_atoms(build_truncated_model(mp, 24, dw_grid), beta)
-    table = table_for_betas(mp, [beta], n_q=81, grid=dw_grid)
+    table = table_for_betas(ts, [beta], n_q=81, grid=dw_grid)
     curve = fluctuation_curve(table, [beta])
     ok = np.max(np.abs(atoms.positions)) < 1e-8 and curve.delta_q[0] > 0.1 * ts.d
     report(8, ok,

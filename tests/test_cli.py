@@ -278,13 +278,16 @@ def test_one_cold_solve_per_mass(command, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command, section", [
+    ("veff", {"n_q": 11}),
+    ("fluct", {"t_min": 0.1, "t_max": 10.0, "n_t": 5, "n_q": 41}),
     ("sample", {"n_basis": 4, "beta": 5.0, "chains": 2, "steps_per_chain": 2000, "burn_in": 200,
                 "validate": "marginal", "tv_tolerance": 1.0}),
     ("canonical", {"beta": 2.0, "k_max": 16}),
-], ids=["sample", "canonical"])
+], ids=["veff", "fluct", "sample", "canonical"])
 def test_one_cold_multi_level_solve(command, section, tmp_path, monkeypatch):
-    # the truncated model's levels give the V_eff table its doublet, so the
-    # table's untilted node is a cold k=1 solve, not a second doublet solve
+    # a run's only cold solve is its doublet (k=2) or its truncated model
+    # (k=N), whose two lowest levels are the doublet: every V_eff table
+    # starts warm from the doublet's even state
     from wfgibbs import spectra
 
     cold = []
@@ -300,9 +303,8 @@ def test_one_cold_multi_level_solve(command, section, tmp_path, monkeypatch):
         command: section,
     })
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    levels = section.get("n_basis", section.get("k_max"))
-    assert [solve for solve in cold if solve[1] >= 2] == [(801, levels)]
-    assert [k for _, k in cold].count(1) == 1
+    levels = section.get("n_basis", section.get("k_max", 2))
+    assert cold == [(801, levels)]
 
 
 def test_unsolvable_veff_node_fails_the_run(tmp_path, capsys, monkeypatch):
@@ -458,8 +460,7 @@ def test_canonical_command(tmp_path, capsys):
     # doublet of the truncated model behind the atoms
     mp, grid = ModelParams.from_dict(HARMONIC_MODEL), GridSpec(-10.0, 10.0, 801)
     tm = sampling.build_truncated_model(mp, 20, grid)
-    table = table_for_betas(mp, [2.0], n_q=81, grid=grid,
-                            doublet=(tm.energies[0], tm.energies[1], abs(tm.q_matrix[0, 1])))
+    table = table_for_betas(tm.doublet, [2.0], n_q=81, grid=grid)
     assert blob["ensemble_delta_q"] == fluctuation_curve(table, [2.0]).delta_q[0]
     header, rows = read_csv(out / "canonical_atoms.csv")
     assert len(rows) == 20

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,12 @@ from wfgibbs import (
     solve_lambda,
 )
 from wfgibbs import constrain
-from wfgibbs.constrain import coherent_state, default_grid, lambda_walk_table, susceptibility
-from wfgibbs.lattice import assemble_hamiltonian, momentum_expectation, tilt_hamiltonian
+from wfgibbs.constrain import default_grid, lambda_walk_table
+from wfgibbs.lattice import assemble_hamiltonian, tilt_hamiltonian
 from wfgibbs.spectra import lowest_eigenpairs
 
-from conftest import DOUBLE_WELL_MASSES, double_well, harmonic
+from conftest import (DOUBLE_WELL_MASSES, coherent_state, double_well, harmonic,
+                      momentum_expectation)
 
 
 def test_symmetric_zero_target_shortcut(dw_grid):
@@ -67,8 +70,9 @@ def test_unreachable_table_node_raises(potential):
         mp, q_grid = double_well(0.5), [-10.0, 0.0, 10.0]
     else:
         mp, q_grid = ModelParams(0.5, 1.0, Tilted(QuarticDoubleWell(1.0, 1.5), 0.05)), [-10.0, 1.0]
+    ts = build_two_state(mp, grid)
     with pytest.raises(UnreachableTargetError, match="10.0"):
-        effective_potential(mp, q_grid, grid)
+        effective_potential(ts, q_grid, grid)
 
 
 def test_newton_step_cap_raises(dw_grid, monkeypatch):
@@ -88,7 +92,7 @@ def _ground_q(op, lam):
 def test_susceptibility_matches_central_difference(mass, lam, dw_grid):
     op = assemble_hamiltonian(double_well(mass), dw_grid)
     tilted = tilt_hamiltonian(op, lam)
-    chi = susceptibility(tilted, lowest_eigenpairs(tilted, 1)[0])
+    chi = constrain._slope(tilted, lowest_eigenpairs(tilted, 1)[0])[0]
     h = 1e-4 * max(abs(lam), 0.01)
     central = (_ground_q(op, lam + h) - _ground_q(op, lam - h)) / (2.0 * h)
     assert chi < 0
@@ -100,7 +104,7 @@ def test_harmonic_susceptibility_closed_form(mass, omega, lam, harmonic_grid):
     # H + lambda q shifts the oscillator by -lambda / (m w^2), so
     # dq/dlambda = -1 / (m w^2) at every lambda
     tilted = tilt_hamiltonian(assemble_hamiltonian(harmonic(mass, omega), harmonic_grid), lam)
-    chi = susceptibility(tilted, lowest_eigenpairs(tilted, 1)[0])
+    chi = constrain._slope(tilted, lowest_eigenpairs(tilted, 1)[0])[0]
     assert chi == pytest.approx(-1.0 / (mass * omega**2), rel=1e-5)
 
 
@@ -118,19 +122,20 @@ def test_eigensolves_per_constrained_point(mass, two_state_models, dw_grid, monk
         return pairs
 
     monkeypatch.setattr(constrain, "lowest_eigenpairs", counted)
-    d = two_state_models[mass].d
-    q = np.linspace(-0.995 * d, 0.995 * d, 21)
-    table = effective_potential(double_well(mass), q, grid=dw_grid)
+    ts = two_state_models[mass]
+    q = np.linspace(-0.995 * ts.d, 0.995 * ts.d, 21)
+    table = effective_potential(ts, q, dw_grid)
     assert len(table.q) == len(q)
     # measured 1.52 (m=0.2) and 1.62 (m=0.5) k=1 solves per point; the
     # bound leaves a margin of about 1.25
     assert len(k1_solves) / len(q) <= 2
-    # the table metadata records the same counts: here the doublet is solved
-    # cold, and every other solve is warm; measured 4.8 and 5.3 dpttrf
-    # factorizations per point
+    # the table metadata records the same counts: every solve starts warm,
+    # the untilted one from the doublet's even state, so the only cold
+    # solves are fallbacks; measured 4.8 and 5.3 dpttrf factorizations per
+    # point
     assert table.meta["eigensolves"] == len(k1_solves)
     assert table.meta["lapack_fallbacks"] == len(fallbacks) <= len(k1_solves)
-    assert table.meta["cold_solves"] == 1 + len(fallbacks)
+    assert table.meta["cold_solves"] == len(fallbacks)
     assert len(k1_solves) <= table.meta["factorizations"] <= 6 * len(q)
 
 
@@ -181,8 +186,7 @@ def test_quadratic_prediction_saves_newton_steps(mass, two_state_models, dw_grid
     monkeypatch.setattr(constrain, "solve_lambda", counted)
     ts = two_state_models[mass]
     q = np.linspace(-0.995 * ts.d, 0.995 * ts.d, 81)
-    effective_potential(double_well(mass), q, dw_grid, doublet=(ts.e1, ts.e2, ts.d),
-                        ground=ts.phi1)
+    effective_potential(ts, q, dw_grid)
     assert len(steps) == 40
     assert steps.count(1) >= 15
 
@@ -190,9 +194,9 @@ def test_quadratic_prediction_saves_newton_steps(mass, two_state_models, dw_grid
 def test_mirrored_table_has_exact_parity(two_state_models, dw_grid):
     # a symmetric q grid is solved on q > 0 and mirrored; the q column is the
     # grid as given, although linspace is not bitwise odd
-    d = two_state_models[0.5].d
-    q = np.linspace(-0.995 * d, 0.995 * d, 21)
-    table = effective_potential(double_well(0.5), q, grid=dw_grid)
+    ts = two_state_models[0.5]
+    q = np.linspace(-0.995 * ts.d, 0.995 * ts.d, 21)
+    table = effective_potential(ts, q, dw_grid)
     assert np.array_equal(table.q, q)
     assert np.array_equal(table.v_eff, table.v_eff[::-1])
     assert np.array_equal(table.lam, -table.lam[::-1])
@@ -222,12 +226,12 @@ def test_minimum_at_zero_equals_ground_energy(dw_tables, two_state_models):
         assert np.argmin(table.v_eff) == i
 
 
-def test_q_grid_validation(dw_grid):
-    mp = double_well(0.5)
+def test_q_grid_validation(two_state_models, dw_grid):
+    ts = two_state_models[0.5]
     with pytest.raises(UsageError):
-        effective_potential(mp, [], grid=dw_grid)
+        effective_potential(ts, [], dw_grid)
     with pytest.raises(UsageError):
-        effective_potential(mp, [0.5, 0.5, 1.0], grid=dw_grid)
+        effective_potential(ts, [0.5, 0.5, 1.0], dw_grid)
 
 
 def test_interpolation_matches_nodes(dw_tables):
@@ -281,7 +285,7 @@ WALK_CASES = {
 def test_walk_nodes_cover_range_with_bounded_gaps(name, monkeypatch):
     mp, grid, q_max, n_q, per_node = WALK_CASES[name]
     solves = counted_k1_solves(monkeypatch)
-    table = lambda_walk_table(mp, q_max, n_q, grid)
+    table = lambda_walk_table(build_two_state(mp, grid), q_max, n_q, grid)
     h = 2.0 * q_max / (n_q - 1)
     assert table.q[0] <= -q_max and table.q[-1] >= q_max
     assert np.all(np.diff(table.q) > 0) and np.max(np.diff(table.q)) <= 1.5 * h
@@ -298,19 +302,25 @@ def test_walk_nodes_cover_range_with_bounded_gaps(name, monkeypatch):
 
 def test_walk_nodes_are_exact_hellmann_feynman_nodes():
     # harmonic: every (q, V, lambda) node lies on V = 1/2 + q^2/2, lambda = -q
-    table = lambda_walk_table(harmonic(), 3.0, 31, GridSpec(-10.0, 10.0, 4001))
+    grid = GridSpec(-10.0, 10.0, 4001)
+    table = lambda_walk_table(build_two_state(harmonic(), grid), 3.0, 31, grid)
     assert np.max(np.abs(table.v_eff - (0.5 + 0.5 * table.q**2))) < 1e-5
     assert np.max(np.abs(table.lam + table.q)) < 1e-5
 
 
-def test_walk_table_of_symmetric_well_has_exact_parity(dw_grid):
-    table = lambda_walk_table(double_well(0.5), 3.0, 61, dw_grid)
+def test_walk_table_of_symmetric_well_has_exact_parity(two_state_models, dw_grid):
+    ts = two_state_models[0.5]
+    table = lambda_walk_table(ts, 3.0, 61, dw_grid)
     assert len(table.q) % 2 == 1 and table.q[len(table.q) // 2] == 0.0
     assert np.array_equal(table.q, -table.q[::-1])
     assert np.array_equal(table.v_eff, table.v_eff[::-1])
     assert np.array_equal(table.lam, -table.lam[::-1])
-    ts = build_two_state(double_well(0.5), dw_grid)
-    assert table.v_eff[len(table.q) // 2] == pytest.approx(ts.e1, abs=1e-12)
+    # the centre node is the warm ground state refined from ts.phi1: its
+    # energy is the Rayleigh quotient of phi1, which the bisected e1 misses
+    # by about 2e-11
+    op = assemble_hamiltonian(ts.model, dw_grid)
+    u = ts.phi1 / np.linalg.norm(ts.phi1)
+    assert table.v_eff[len(table.q) // 2] == pytest.approx(u @ op.apply(u), abs=1e-12)
     curve = fluctuation_curve(table, [5.0, 50.0])
     assert np.all(np.abs(curve.mean_q) < 1e-15)
 
@@ -323,11 +333,10 @@ def test_walk_curve_matches_fine_root_solved_reference():
     mp, grid = double_well(0.2), GridSpec(-6.0, 6.0, 1201)
     ts = build_two_state(mp, grid)
     betas = 2.0 / (np.logspace(-2, 2, 13) * ts.splitting)
-    doublet = (ts.e1, ts.e2, ts.d)
-    table = table_for_betas(mp, betas, 161, grid, doublet=doublet)
+    table = table_for_betas(ts, betas, 161, grid)
     q_max = max(required_q_range(mp, b) for b in betas)
-    reference = effective_potential(mp, np.linspace(-q_max, q_max, 641),
-                                    GridSpec.from_dict(table.meta["grid"]), doublet=doublet)
+    reference = effective_potential(ts, np.linspace(-q_max, q_max, 641),
+                                    GridSpec.from_dict(table.meta["grid"]))
     walked = fluctuation_curve(table, betas).delta_q_over_d
     exact = fluctuation_curve(reference, betas).delta_q_over_d
     assert np.max(np.abs(walked / exact - 1.0)) < 2e-3
@@ -336,34 +345,35 @@ def test_walk_curve_matches_fine_root_solved_reference():
 def test_walk_to_unreachable_range_raises(monkeypatch):
     # the hard walls at +-6 stop <q> short of 10: the walk stalls and stops
     solves = counted_k1_solves(monkeypatch)
+    grid = GridSpec(-6.0, 6.0, 301)
+    ts = build_two_state(double_well(0.5), grid)
     with pytest.raises(UnreachableTargetError):
-        lambda_walk_table(double_well(0.5), 10.0, 41, GridSpec(-6.0, 6.0, 301))
+        lambda_walk_table(ts, 10.0, 41, grid)
     assert len(solves) < 200
 
 
 def test_overshooting_steps_are_halved(dw_grid):
     # a splitting 1e3 times too large aims the first step 1e3 times too far;
     # Newton on the exact slope brings it back, and every gap stays within 1.5 h
-    mp = double_well(0.5)
-    ts = build_two_state(mp, dw_grid)
-    table = lambda_walk_table(mp, 3.0, 61, dw_grid,
-                              doublet=(ts.e1, ts.e1 + 1e3 * ts.splitting, ts.d))
+    ts = build_two_state(double_well(0.5), dw_grid)
+    table = lambda_walk_table(dataclasses.replace(ts, e2=ts.e1 + 1e3 * ts.splitting), 3.0, 61,
+                              dw_grid)
     assert np.max(np.diff(table.q)) <= 1.5 * 0.1
     assert table.q[-1] >= 3.0
     assert table.meta["eigensolves"] > len(table.q) // 2 + 1
 
 
 def test_walk_newton_step_cap_raises(dw_grid, monkeypatch):
-    mp = double_well(0.5)
-    ts = build_two_state(mp, dw_grid)
+    ts = build_two_state(double_well(0.5), dw_grid)
     # the same first step as above, with no Newton correction allowed
     monkeypatch.setattr(constrain, "MAX_NEWTON_STEPS", 1)
     with pytest.raises(SolverError, match="Newton steps") as err:
-        lambda_walk_table(mp, 3.0, 61, dw_grid, doublet=(ts.e1, ts.e1 + 1e3 * ts.splitting, ts.d))
+        lambda_walk_table(dataclasses.replace(ts, e2=ts.e1 + 1e3 * ts.splitting), 3.0, 61,
+                          dw_grid)
     assert not isinstance(err.value, UnreachableTargetError)
 
 
-def test_walk_rejects_bad_range(dw_grid):
+def test_walk_rejects_bad_range(two_state_models, dw_grid):
     for q_max, n_q in ((0.0, 41), (np.inf, 41), (1.0, 1)):
         with pytest.raises(UsageError):
-            lambda_walk_table(double_well(0.5), q_max, n_q, dw_grid)
+            lambda_walk_table(two_state_models[0.5], q_max, n_q, dw_grid)

@@ -14,9 +14,8 @@ from wfgibbs import (
     lowest_eigenpairs,
     position_element,
 )
-from wfgibbs.lattice import momentum_expectation
 
-from conftest import double_well, harmonic
+from conftest import double_well, harmonic, momentum_expectation
 
 
 def test_make_grid_arithmetic_progression():

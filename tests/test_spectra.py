@@ -19,9 +19,7 @@ from wfgibbs import (
     spectra,
     tilt_hamiltonian,
 )
-from wfgibbs.lattice import inner_product
-
-from conftest import DOUBLE_WELL_REFERENCE, double_well, harmonic
+from conftest import DOUBLE_WELL_REFERENCE, double_well, harmonic, inner_product
 
 
 @pytest.mark.parametrize("mass", sorted(DOUBLE_WELL_REFERENCE))

@@ -37,7 +37,7 @@ from conftest import double_well, harmonic
 def harmonic_table(harmonic_grid):
     # V_eff = 1/2 + q^2/2 exactly; tabulated wide enough for beta >= 1
     q = np.linspace(-6.0, 6.0, 49)
-    return effective_potential(harmonic(), q, grid=harmonic_grid)
+    return effective_potential(build_two_state(harmonic(), harmonic_grid), q, harmonic_grid)
 
 
 def test_marginal_is_normalized_and_even(dw_tables):
@@ -163,7 +163,8 @@ def test_required_q_range_measures_from_global_minimum():
     # past the wells, and the table built on it must cover the marginal
     mp = ModelParams(0.2, 1.0, QuarticDoubleWell(1.0, 0.8))
     assert required_q_range(mp, 200.0) > 0.8
-    table = table_for_betas(mp, [200.0], n_q=41, grid=default_grid(mp))
+    grid = default_grid(mp)
+    table = table_for_betas(build_two_state(mp, grid), [200.0], n_q=41, grid=grid)
     curve = fluctuation_curve(table, [200.0])
     assert curve.delta_q[0] > 0
 
@@ -182,10 +183,11 @@ def test_required_q_range_crossing_outside_default_grid():
 
 
 def test_table_for_betas_sizes_range_by_smallest_beta():
-    mp, grid = double_well(0.2), GridSpec(-6.0, 6.0, 1201)
+    grid = GridSpec(-6.0, 6.0, 1201)
+    ts = build_two_state(double_well(0.2), grid)
     betas = [5.0, 0.05, 1.0]
-    table = table_for_betas(mp, betas, n_q=41, grid=grid)
-    hottest = table_for_betas(mp, [min(betas)], n_q=41, grid=grid)
+    table = table_for_betas(ts, betas, n_q=41, grid=grid)
+    hottest = table_for_betas(ts, [min(betas)], n_q=41, grid=grid)
     assert table.meta["grid"] == hottest.meta["grid"]
     assert np.array_equal(table.q, hottest.q)
     assert np.array_equal(table.v_eff, hottest.v_eff)
@@ -194,7 +196,8 @@ def test_table_for_betas_sizes_range_by_smallest_beta():
 
 def test_table_for_betas_covers_requested_range():
     mp = double_well(0.2)
-    table = table_for_betas(mp, [1.0], n_q=21, grid=default_grid(mp))
+    grid = default_grid(mp)
+    table = table_for_betas(build_two_state(mp, grid), [1.0], n_q=21, grid=grid)
     need = required_q_range(mp, 1.0)
     assert table.q[0] <= -need and table.q[-1] >= need
     assert table.meta["failed_points"] == []
@@ -210,7 +213,7 @@ def test_table_for_betas_covers_requested_range():
     (GridSpec(-4.2, 7.0, 101), 10.0, 126),
 ])
 def test_widened_grid_keeps_the_spacing_of_an_asymmetric_grid(grid, beta, n_points):
-    table = table_for_betas(harmonic(), [beta], n_q=41, grid=grid)
+    table = table_for_betas(build_two_state(harmonic(), grid), [beta], n_q=41, grid=grid)
     wide = GridSpec.from_dict(table.meta["grid"])
     assert wide.is_symmetric and wide.n_points == n_points
     assert wide.x_max == max(grid.x_max, required_q_range(harmonic(), beta) + 4.0)
@@ -236,16 +239,15 @@ def test_preset_widened_grids_are_unchanged():
             t = np.logspace(np.log10(cfg["fluct"]["t_min"]), np.log10(cfg["fluct"]["t_max"]),
                             cfg["fluct"]["n_t"])
             for mass in cfg["fluct"]["masses"]:
-                mp = ModelParams(mass, cfg["model"].hbar, pot)
-                ts = build_two_state(mp, grid)
-                cases.append((("fluct", mass), mp, 2.0 / (t * ts.splitting),
-                              (ts.e1, ts.e2, ts.d)))
+                ts = build_two_state(ModelParams(mass, cfg["model"].hbar, pot), grid)
+                cases.append((("fluct", mass), ts, 2.0 / (t * ts.splitting)))
+        ts = build_two_state(cfg["model"], grid)
         if "canonical" in sections:
-            cases.append((("canonical", None), cfg["model"], [cfg["canonical"]["beta"]], None))
+            cases.append((("canonical", None), ts, [cfg["canonical"]["beta"]]))
         if cfg["sample"]["validate"] == "marginal":
-            cases.append((("marginal", None), cfg["model"], [cfg["sample"]["beta"]], None))
-        for key, mp, betas, doublet in cases:
-            table = table_for_betas(mp, betas, 41, grid, doublet=doublet)
+            cases.append((("marginal", None), ts, [cfg["sample"]["beta"]]))
+        for key, ts, betas in cases:
+            table = table_for_betas(ts, betas, 41, grid)
             assert table.meta["grid"]["n_points"] == PRESET_WIDENED_POINTS[key], (preset, key)
             seen.add(key)
     assert seen == set(PRESET_WIDENED_POINTS)

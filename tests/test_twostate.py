@@ -3,17 +3,16 @@ import pytest
 
 from wfgibbs import (
     GridSpec,
-    UsageError,
     build_two_state,
     rescale,
     two_state_table,
     two_state_veff,
 )
-from wfgibbs.lattice import momentum_expectation
 from wfgibbs.twostate import (DomainError, two_state_coefficients, two_state_coherent,
                               two_state_lambda)
 
-from conftest import DOUBLE_WELL_MASSES, DOUBLE_WELL_REFERENCE, harmonic
+from conftest import (DOUBLE_WELL_MASSES, DOUBLE_WELL_REFERENCE, harmonic, inner_product,
+                      momentum_expectation)
 
 
 @pytest.mark.parametrize("mass", DOUBLE_WELL_MASSES)
@@ -24,14 +23,6 @@ def test_doublet_and_dipole_regression(mass, two_state_models):
     assert ts.e2 == pytest.approx(ref["e2"], rel=5e-4)
     assert ts.d == pytest.approx(ref["d"], rel=5e-4)
     assert ts.d > 0
-
-
-def test_requires_symmetric_potential(dw_grid):
-    from wfgibbs import ModelParams, Tilted, QuarticDoubleWell
-
-    mp = ModelParams(0.5, 1.0, Tilted(QuarticDoubleWell(1.0, 1.5), 0.1))
-    with pytest.raises(UsageError):
-        build_two_state(mp, dw_grid)
 
 
 def test_arc_endpoints_and_center(two_state_models):
@@ -89,7 +80,6 @@ def test_coherent_state_expectations(two_state_models, dw_grid):
     ts = two_state_models[0.5]
     state = two_state_coherent(ts, 0.4 * ts.d, 0.9)
     from wfgibbs import position_element
-    from wfgibbs.lattice import inner_product
 
     norm = inner_product(state.psi, state.psi, dw_grid)
     assert norm == pytest.approx(1.0, abs=1e-9)
@@ -116,14 +106,7 @@ def test_rescale_maps_arc_to_unit_circle(two_state_models):
         v = np.array([two_state_veff(ts, qi) for qi in q])
         u, s = rescale(ts, v, q)
         assert np.allclose(s, -np.sqrt(1.0 - u**2), atol=1e-12)
-
-
-def test_rescale_from_table_meta(dw_tables):
-    table = dw_tables[0.2]
-    s = rescale(table, table.v_eff)
-    u2, s2 = rescale(table, table.v_eff, table.q)
-    assert np.array_equal(s, s2)
-    assert np.allclose(u2, table.q / table.meta["d"])
+        assert np.array_equal(rescale(ts, v), s)
 
 
 def test_harmonic_two_state_dipole(harmonic_grid):
