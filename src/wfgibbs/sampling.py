@@ -27,7 +27,12 @@ from .twostate import TwoStateModel, two_state_from_pairs
 
 _TUNE_WINDOW = 200  # burn-in steps per proposal-scale update
 _NOISE_BLOCK = 4096  # steps per block of random draws
-_FORM_ROWS = 1024  # coefficient vectors per gemm in TruncatedModel.expectations
+# OpenBLAS keeps a dgemm of m * n * k <= 65536 * 4 on one thread
+# (interface/gemm.c). Larger ones may wake its thread pool: with the
+# OpenBLAS 0.3.31 bundled with numpy 2.4 on 2 cores, products from about
+# 1e6 ran on both threads and took 2 to 25 times as long as one of half
+# the size on one thread
+_SERIAL_GEMM_SIZE = 65536 * 4
 
 
 @dataclass(frozen=True)
@@ -75,14 +80,22 @@ class TruncatedModel:
     def _real_expectations(self, x: np.ndarray):
         """(<q>, <p>) for the rows of x, float64 views (m, 2N) of coefficient
         vectors: one gemm against the stacked forms and two row dots per
-        chunk of _FORM_ROWS rows, so memory stays bounded for any m."""
+        chunk of rows, sized so that each gemm runs on one thread and memory
+        stays bounded for any m.
+
+        Every row goes through gemm, a lone one included (numpy would hand a
+        single row to gemv, whose last bits differ), so a row's result does
+        not depend on which rows share its chunk.
+        """
         n2 = 2 * self.n
+        forms = self._forms
+        chunk = max(_SERIAL_GEMM_SIZE // forms.size, 2)
         q, p = np.empty(len(x)), np.empty(len(x))
-        for lo in range(0, len(x), _FORM_ROWS):
-            rows = x[lo:lo + _FORM_ROWS]
-            y = rows @ self._forms
-            q[lo:lo + len(rows)] = np.einsum("ij,ij->i", rows, y[:, :n2])
-            p[lo:lo + len(rows)] = np.einsum("ij,ij->i", rows, y[:, n2:])
+        for lo in range(0, len(x), chunk):
+            rows = x[lo:lo + chunk]
+            y = np.dot(rows if len(rows) > 1 else np.vstack([rows, rows]), forms)
+            q[lo:lo + len(rows)] = np.einsum("ij,ij->i", rows, y[:len(rows), :n2])
+            p[lo:lo + len(rows)] = np.einsum("ij,ij->i", rows, y[:len(rows), n2:])
         return q, p
 
 
@@ -213,22 +226,31 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
 
     The states are held as the float64 view (chains, 2N) of the
     coefficients, real and imaginary parts interleaved. One step of every
-    chain is a handful of numpy calls: prop = c + sigma z, then one matmul
-    of prop**2 against F = [1, E - E0] (each energy repeated for the real
-    and the imaginary part) gives |prop|^2 and sum_k (E_k - E0) |prop_k|^2,
-    whose ratio is the energy of normalize(prop). The rule
-    u < exp(-beta max(dE, 0)) is applied as dE < -log(u) / beta, with the
-    thresholds taken per noise block (+inf at beta = 0, where every step is
-    accepted). An exactly zero proposal, which has probability zero, gets
-    the energy 0/0 = nan and is rejected. Sigma only changes at the tuning
-    boundaries of burn-in, so the noise is scaled in place once per tuning
-    segment, and acceptances are counted per segment.
+    chain is a handful of numpy calls on contiguous (chains, 2N) slabs and
+    (chains,) vectors: prop = c + sigma z, then one dot of prop**2 against
+    F = [1, E - E0] (each energy repeated for the real and the imaginary
+    part) gives |prop|^2 and sum_k (E_k - E0) |prop_k|^2, whose ratio is
+    the energy of normalize(prop). The rule u < exp(-beta max(dE, 0)) is
+    applied as dE < -log(u) / beta, with the thresholds taken per noise
+    block (+inf at beta = 0, where every step is accepted). An exactly zero
+    proposal, which has probability zero, gets the energy 0/0 = nan and is
+    rejected. Sigma only changes at the tuning boundaries of burn-in, so the
+    noise is scaled in place once per tuning segment, and acceptances are
+    counted per segment.
+
+    The noise, thresholds, accept flags and retained states of a block are
+    step-major, (steps, chains, ...), and one loop runs burn-in and retained
+    steps alike. At the end of a block (<q>, <p>) is evaluated only for each
+    chain's first retained state and the states of accepted steps, and
+    repeated over the rejected steps after them, which repeat their state
+    bit for bit.
 
     Each chain draws all its randomness from a private generator seeded by
-    (seed, chain index), in blocks, so the chain count does not change any
-    chain's random stream. (The BLAS kernel behind the matmul depends on
-    the chain count, so a chain's states can differ in the last bit
-    between runs with different chain counts.)
+    (seed, chain index), in blocks of normals then uniforms, so the chain
+    count does not change any chain's random stream. (The BLAS kernel behind
+    the dot depends on the chain count, gemv for one chain and gemm for
+    more, so a chain's states can differ in the last bit between runs with
+    different chain counts.)
     """
     if beta < 0:
         raise UsageError(f"beta must be >= 0, got {beta}")
@@ -244,8 +266,8 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
     c = np.stack([rng.standard_normal(2 * n) for rng in rngs])
     norm2_e = (c * c) @ forms
     c /= np.sqrt(norm2_e[:, :1])
-    energy = norm2_e[:, 1:] / norm2_e[:, :1]  # (chains, 1), like the buffers below
-    sigma = np.full((n_chains, 1, 1), cfg.proposal_scale)
+    energy = norm2_e[:, 1] / norm2_e[:, 0]
+    sigma = np.full((n_chains, 1), cfg.proposal_scale)
 
     samples = np.empty((n_chains, cfg.steps_per_chain, 2))
     coeffs = (np.empty((n_chains, cfg.steps_per_chain, n), dtype=np.complex128)
@@ -253,60 +275,75 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
 
     total = cfg.burn_in + cfg.steps_per_chain
     width = min(_NOISE_BLOCK, total)
-    noise = np.empty((n_chains, width, 2 * n))
-    uniforms = np.empty((n_chains, width))
-    kept = np.empty((n_chains, width, 2 * n))  # retained states of the block
-    accepts = np.empty((width, n_chains, 1), dtype=bool)
+    # step-major block buffers: each step reads and writes (chains, 2N) slabs
+    # and (chains,) vectors
+    noise = np.empty((width, n_chains, 2 * n))
+    kept = np.empty((width, n_chains, 2 * n))  # retained states of the block
+    uniforms, thresholds = np.empty((n_chains, width)), np.empty((width, n_chains))
+    accepts = np.empty((width, n_chains), dtype=bool)
     prop, sq = np.empty((n_chains, 2 * n)), np.empty((n_chains, 2 * n))
-    r, e, de = np.empty((n_chains, 2)), np.empty((n_chains, 1)), np.empty((n_chains, 1))
-    norm2, e_sum, root = r[:, :1], r[:, 1:], np.empty((n_chains, 1))
+    r, root = np.empty((n_chains, 2)), np.empty((n_chains, 1))
+    norm2, e_sum, root_flat = r[:, 0], r[:, 1], root[:, 0]
+    e, de = np.empty(n_chains), np.empty(n_chains)
     accepted = np.zeros(n_chains, dtype=np.int64)
     window_accepted = np.zeros(n_chains, dtype=np.int64)
     # cuts between tuning segments: every tuning boundary and the end of burn-in
     cuts = [*range(_TUNE_WINDOW, cfg.burn_in + 1, _TUNE_WINDOW), cfg.burn_in]
     for start in range(0, total, _NOISE_BLOCK):
         block = min(_NOISE_BLOCK, total - start)
+        # each chain draws its normals into a contiguous chain-major slab of
+        # kept (free until the block's steps run), then its uniforms
+        drawn = kept.reshape(-1)[:n_chains * block * 2 * n].reshape(n_chains, block, 2 * n)
         for i, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[i, :block])
+            rng.standard_normal(out=drawn[i])
             rng.random(out=uniforms[i, :block])
+        noise[:block] = drawn.transpose(1, 0, 2)
         with np.errstate(divide="ignore"):  # u = 0 or beta = 0 gives t = +inf
-            thresholds = (-np.log(uniforms[:, :block]) / beta).T[:, :, None]
+            np.divide(-np.log(uniforms[:, :block].T), beta, out=thresholds[:block])
         bounds = sorted({0, block, *(k - start for k in cuts if start < k < start + block)})
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            steps = noise[:, lo:hi]
-            steps *= sigma
+            noise[lo:hi] *= sigma
             keep = start + lo >= cfg.burn_in
             with np.errstate(invalid="ignore", divide="ignore"):
-                for j, step, t, acc in zip(range(lo, hi), steps.transpose(1, 0, 2),
-                                           thresholds[lo:hi], accepts[lo:hi]):
+                for step, t, acc, acc_col, state in zip(
+                        noise[lo:hi], thresholds[lo:hi], accepts[lo:hi],
+                        accepts[lo:hi, :, None], kept[lo:hi]):
                     np.add(c, step, out=prop)
                     np.multiply(prop, prop, out=sq)
-                    np.matmul(sq, forms, out=r)
+                    np.dot(sq, forms, out=r)
                     np.divide(e_sum, norm2, out=e)
                     np.less(np.subtract(e, energy, out=de), t, out=acc)
-                    np.divide(prop, np.sqrt(norm2, out=root), out=c, where=acc)
+                    np.sqrt(norm2, out=root_flat)
+                    np.divide(prop, root, out=c, where=acc_col)
                     np.copyto(energy, e, where=acc)
                     if keep:
-                        kept[:, j] = c
+                        state[...] = c
             if keep:
                 continue
-            window_accepted += accepts[lo:hi, :, 0].sum(axis=0)
+            window_accepted += accepts[lo:hi].sum(axis=0)
             if (start + hi) % _TUNE_WINDOW == 0:
                 # tune sigma toward acceptance in [0.3, 0.5]; frozen after burn-in
                 rate = window_accepted / _TUNE_WINDOW
                 tune = (rate < 0.3) | (rate > 0.5)
-                sigma[tune, 0, 0] = np.clip(
-                    sigma[tune, 0, 0] * np.exp(rate[tune] - 0.4), 1e-4, 10.0)
+                sigma[tune, 0] = np.clip(sigma[tune, 0] * np.exp(rate[tune] - 0.4), 1e-4, 10.0)
                 window_accepted[:] = 0
         first = max(cfg.burn_in - start, 0)
         if first < block:
-            accepted += accepts[first:block, :, 0].sum(axis=0)
+            accepted += accepts[first:block].sum(axis=0)
             lo, hi = start + first - cfg.burn_in, start + block - cfg.burn_in
+            fresh = accepts[first:block].copy()
+            fresh[0] = True
             for i in range(n_chains):
-                retained = kept[i, first:block]
-                samples[i, lo:hi, 0], samples[i, lo:hi, 1] = tm._real_expectations(retained)
+                rows = np.flatnonzero(fresh[:, i])
+                runs = np.diff(rows, append=block - first)
+                # gathered into the spent noise; "clip" (rows are in range)
+                # lets take write to out without an intermediate buffer
+                retained = np.take(kept[first:block, i], rows, axis=0, mode="clip",
+                                   out=noise.reshape(-1, 2 * n)[:len(rows)])
+                q, p = tm._real_expectations(retained)
+                samples[i, lo:hi, 0], samples[i, lo:hi, 1] = np.repeat(q, runs), np.repeat(p, runs)
                 if coeffs is not None:
-                    coeffs[i, lo:hi] = retained.view(np.complex128)
+                    coeffs[i, lo:hi] = kept[first:block, i].view(np.complex128)
 
     return SampleRun(
         beta=beta,
@@ -317,7 +354,7 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
         samples=samples,
         chain_acceptance=accepted / cfg.steps_per_chain,
         chain_iat=np.array([integrated_autocorrelation(s[:, 0]) for s in samples]),
-        proposal_scales=sigma[:, 0, 0],
+        proposal_scales=sigma[:, 0],
         coefficients=coeffs,
     )
 

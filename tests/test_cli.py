@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -718,3 +719,34 @@ def test_sample_rows_match_per_float_formatting(case, tmp_path, harmonic_grid):
     expected = (tmp_path / "per_float.csv").read_bytes()
     assert (tmp_path / "runs.csv").read_bytes() == expected
     assert expected.count(b"\n") == 2 + samples.shape[0] * samples.shape[1]
+
+
+def test_sampler_and_csv_writer_memory_stay_bounded(tmp_path, harmonic_grid):
+    # numpy reports its buffers to tracemalloc. The bound is the samples
+    # array, the engine's step-major block buffers (noise, retained states,
+    # uniforms, thresholds, accept flags) and 4 MiB, which holds the IAT's
+    # FFT temporaries (about 2 MiB) but not one more noise-sized buffer
+    tm = sampling.build_truncated_model(ModelParams.from_dict(HARMONIC_MODEL), 8,
+                                        harmonic_grid)
+    cfg = sampling.ChainConfig(chain_count=8, steps_per_chain=20_000, burn_in=1000, seed=5)
+    width, n2 = sampling._NOISE_BLOCK, 2 * tm.n
+    block_buffers = width * cfg.chain_count * (2 * n2 * 8 + 8 + 8 + 1)
+    tracemalloc.start()
+    try:
+        run = sampling.sample_ensemble(tm, 2.0, cfg)
+        engine_peak = tracemalloc.get_traced_memory()[1]
+        writer_peaks = []
+        # 1x and 2x the rows by doubling the chains: the writer formats one
+        # chain at a time, so its peak must not grow with the row count
+        for copies in (1, 2):
+            samples = np.concatenate([run.samples[:, :2500]] * copies)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            cli.write_csv(tmp_path / "samples.csv", "q,p,chain,step", cli._sample_rows(samples))
+            writer_peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    bound = run.samples.nbytes + block_buffers + 4 * 2**20
+    assert engine_peak < bound
+    assert max(writer_peaks) < bound
+    assert writer_peaks[1] < 1.1 * writer_peaks[0]

@@ -100,6 +100,17 @@ def test_chain_states_stay_normalized(tm8):
                           run.samples)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_samples_are_the_forms_of_their_states_with_lone_rows(tm8, seed):
+    # 1025 retained steps per chain: chunking a chain's rows can leave a
+    # lone row, which numpy would hand to gemv, not gemm
+    cfg = ChainConfig(chain_count=2, steps_per_chain=1025, burn_in=0, seed=seed,
+                      keep_coefficients=True)
+    run = sample_ensemble(tm8, 2.0, cfg)
+    assert np.array_equal(np.stack(tm8.expectations(run.coefficients), axis=-1),
+                          run.samples)
+
+
 def _replay_chain0(tm, beta, cfg, arithmetic):
     """Chain 0 of sample_ensemble, one step at a time with sigma tuning.
 
@@ -153,6 +164,68 @@ def _replay_chain0(tm, beta, cfg, arithmetic):
                 kept.append(c[0])
     kept = np.array(kept)
     return accepts, kept.view(np.complex128) if arithmetic == "engine" else kept
+
+
+def _lockstep_reference(tm, beta, cfg):
+    """sample_ensemble written out one lockstep step at a time: every chain
+    advances through the same (chains, 2N) @ (2N, 2) product, sigma is tuned
+    every 200 burn-in steps, and there are no step blocks or buffers. Each
+    chain's stream is drawn up front, in the engine's order: per 4096-step
+    block, its normals, then its uniforms. Returns (samples, acceptance,
+    tuned sigma, retained coefficients)."""
+    chains, n2, total = cfg.chain_count, 2 * tm.n, cfg.burn_in + cfg.steps_per_chain
+    e_shift = tm.energies - tm.energies[0]
+    forms = np.column_stack([np.ones(n2), np.repeat(e_shift, 2)])
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
+            for i in range(chains)]
+    c = np.stack([rng.standard_normal(n2) for rng in rngs])
+    noise, uniforms = np.empty((chains, total, n2)), np.empty((chains, total))
+    for i, rng in enumerate(rngs):
+        for start in range(0, total, 4096):
+            stop = min(start + 4096, total)
+            noise[i, start:stop] = rng.standard_normal((stop - start, n2))
+            uniforms[i, start:stop] = rng.random(stop - start)
+    with np.errstate(divide="ignore"):
+        thresholds = -np.log(uniforms) / beta
+    r = (c * c) @ forms
+    c, energy = c / np.sqrt(r[:, :1]), r[:, 1] / r[:, 0]
+    sigma = np.full(chains, cfg.proposal_scale)
+    window, accepted, kept = np.zeros(chains), np.zeros(chains), []
+    for step in range(total):
+        prop = c + sigma[:, None] * noise[:, step]
+        r = (prop * prop) @ forms
+        with np.errstate(invalid="ignore", divide="ignore"):
+            e = r[:, 1] / r[:, 0]
+            accept = e - energy < thresholds[:, step]
+            c = np.where(accept[:, None], prop / np.sqrt(r[:, :1]), c)
+        energy = np.where(accept, e, energy)
+        if step < cfg.burn_in:
+            window += accept
+            if (step + 1) % 200 == 0:
+                rate = window / 200
+                tune = (rate < 0.3) | (rate > 0.5)
+                sigma[tune] = np.clip(sigma[tune] * np.exp(rate[tune] - 0.4), 1e-4, 10.0)
+                window[:] = 0
+        else:
+            accepted += accept
+            kept.append(c)
+    coefficients = np.stack(kept, axis=1).view(np.complex128)
+    samples = np.stack(tm.expectations(coefficients), axis=-1)
+    return samples, accepted / cfg.steps_per_chain, sigma, coefficients
+
+
+@pytest.mark.parametrize("beta", [2.0, 0.0])
+def test_engine_matches_lockstep_reference(tm8, beta):
+    # burn-in ends inside the second 4096-step noise block
+    cfg = ChainConfig(chain_count=3, steps_per_chain=4000, burn_in=5000, seed=21,
+                      keep_coefficients=True)
+    run = sample_ensemble(tm8, beta, cfg)
+    samples, acceptance, sigma, coefficients = _lockstep_reference(tm8, beta, cfg)
+    assert np.array_equal(run.samples, samples)
+    assert np.array_equal(run.chain_acceptance, acceptance)
+    assert np.array_equal(run.proposal_scales, sigma)
+    assert np.array_equal(run.coefficients, coefficients)
+    assert np.all(acceptance == 1.0) if beta == 0 else np.all(acceptance < 0.9)
 
 
 def _naive_expectations(tm, c):
@@ -210,6 +283,20 @@ def test_expectations_match_naive_einsum():
     single = tm.expectations(c[1, 7])
     assert np.shape(single[0]) == () and np.shape(single[1]) == ()
     assert np.allclose(single, (want[0][1, 7], want[1][1, 7]), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n, rows", [(8, 200), (24, 57), (24, 200)])
+def test_each_row_alone_equals_its_row_in_a_batch(n, rows):
+    # 57 rows at N = 24 are one full 56-row chunk and a lone row
+    rng = np.random.default_rng(n)
+    q = rng.standard_normal((n, n))
+    a = rng.standard_normal((n, n))
+    tm = TruncatedModel(np.arange(n, dtype=float), 0.5 * (q + q.T), 0.5 * (a - a.T))
+    c = rng.standard_normal((rows, 2 * n)).view(np.complex128)
+    c /= np.linalg.norm(c, axis=-1, keepdims=True)
+    batch = np.stack(tm.expectations(c), axis=-1)
+    alone = np.array([tm.expectations(row) for row in c])
+    assert np.array_equal(alone, batch)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 10.0])
