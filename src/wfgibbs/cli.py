@@ -34,8 +34,8 @@ _CSV_BATCH = 512  # rows per % operation in write_csv
 _TOP_KEYS = {"model", "grid", "seed", "output",
              "eig", "veff", "twostate", "fluct", "sample", "canonical"}
 
-# every value is converted to the type of its default; masses (None: the
-# model's own mass) to a list of floats
+# every value is converted to the type of its default, an int only from an
+# integral number; masses (None: the model's own mass) to a list of floats
 _SECTION_DEFAULTS = {
     "eig": {"k": 4, "tol": 1e-10},
     "veff": {"masses": None, "n_q": 81, "frac": 0.995},
@@ -54,6 +54,29 @@ def _reject_unknown(d: dict, allowed, where: str) -> None:
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _number(value) -> bool:
+    """Whether value is a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value, where: str) -> int:
+    """An integral JSON number as an int: 59.99 is no count and 1.9 no seed,
+    so neither is truncated."""
+    if not (_number(value) and (isinstance(value, int) or value.is_integer())):
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _masses(value, model: ModelParams, where: str) -> list:
+    """Absent or null: the model's own mass; else a non-empty list of numbers."""
+    if value is None:
+        return [model.mass]
+    if not (isinstance(value, list) and value and all(map(_number, value))):
+        raise ConfigurationError(f"{where} must be null or a non-empty list of numbers, "
+                                 f"got {value!r}")
+    return [float(m) for m in value]
 
 
 def load_config(path) -> dict:
@@ -75,11 +98,14 @@ def load_config(path) -> dict:
         raise ConfigurationError("config requires a 'model' section")
     try:
         model = ModelParams.from_dict(raw["model"])
+        grid = constrain.default_grid(model)
+        if "grid" in raw:
+            n_points = _integer(raw["grid"]["n_points"], "grid.n_points")
+            grid = GridSpec.from_dict({**raw["grid"], "n_points": n_points})
         cfg = {
             "model": model,
-            "grid": (GridSpec.from_dict(raw["grid"]) if "grid" in raw
-                     else constrain.default_grid(model)),
-            "seed": int(raw.get("seed", 0)),
+            "grid": grid,
+            "seed": _integer(raw.get("seed", 0), "seed"),
             "output": Path(raw.get("output", "out")),
         }
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -92,12 +118,13 @@ def load_config(path) -> dict:
         _reject_unknown(given, defaults, f"section '{name}'")
         cfg[name] = section = {}
         for key, default in defaults.items():
-            value = given.get(key, default)
+            value, where = given.get(key, default), f"{name}.{key}"
             try:
-                section[key] = ([float(m) for m in value or ()] or [model.mass]
-                                if key == "masses" else type(default)(value))
+                section[key] = (_masses(value, model, where) if key == "masses"
+                                else _integer(value, where) if type(default) is int
+                                else type(default)(value))
             except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigurationError(f"{name}.{key}: cannot convert {value!r}") from exc
+                raise ConfigurationError(f"{where}: cannot convert {value!r}") from exc
     if cfg["sample"]["validate"] not in _VALIDATE_MODES:
         raise ConfigurationError(f"unknown validation mode {cfg['sample']['validate']!r}; "
                                  f"expected one of {', '.join(_VALIDATE_MODES)}")
@@ -196,8 +223,10 @@ def cmd_veff(cfg):
                                      zip(u.tolist(), rescaled_exact.tolist(), arc.tolist()))
         files[f"veff_table_m{tag}.csv"] = ("q,v_eff,lambda", zip(
             table.q.tolist(), table.v_eff.tolist(), table.lam.tolist()))
-        files[f"veff_table_m{tag}.json"] = {"meta": table.meta,
-                                            "bounded_support": table.bounded_support}
+        files[f"veff_table_m{tag}.json"] = {
+            "meta": {"e1": ts.e1, "e2": ts.e2, "d": ts.d, "model": ts.model.to_dict(),
+                     **table.meta},
+            "bounded_support": table.bounded_support}
         print(f"m={ts.model.mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
     return EXIT_OK, files
 
@@ -222,11 +251,11 @@ def cmd_fluct(cfg):
         betas = 2.0 / (t_grid * ts.splitting)
         table = thermal.table_for_betas(ts, betas, section["n_q"], cfg["grid"])
         curve = thermal.fluctuation_curve(table, betas)
-        # restricted variant: same V_eff confined to |q| <= d
+        # restricted variant: same V_eff and slopes confined to |q| <= d
         q_res = np.linspace(-ts.d, ts.d, 201)
         clipped = constrain.EffectivePotentialTable(
-            q_res, table.interpolate(q_res), np.zeros_like(q_res),
-            table.meta, bounded_support=True)
+            q_res, table.interpolate(q_res), np.interp(q_res, table.q, table.lam), ts,
+            bounded_support=True)
         restricted = thermal.fluctuation_curve(clipped, betas)
         files[f"fluct_m{tag}.csv"] = (
             "rescaled_temperature,delta_q_over_d,delta_q_over_d_restricted,mean_q",
@@ -238,8 +267,8 @@ def cmd_fluct(cfg):
             "max_full_vs_restricted": float(
                 np.max(np.abs(curve.delta_q_over_d - restricted.delta_q_over_d))),
             "table": {"nodes": len(table.q),
-                      **{key: table.meta[key] for key in ("eigensolves", "lapack_fallbacks",
-                                                          "cold_solves", "factorizations")},
+                      **{key: table.meta[key]
+                         for key in ("eigensolves", "lapack_fallbacks", "factorizations")},
                       "grid": table.meta["grid"]},
         }
         print(f"m={ts.model.mass}: delta_q/d ranges "

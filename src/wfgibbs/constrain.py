@@ -14,7 +14,7 @@ exp(i p x / hbar) * phi_lambda(q)(x).
 Both tables come from one continuation in lambda, outward from the
 untilted node (q0, E0, 0), whose ground state is refined warm from the even
 state of the caller's lowest doublet (a twostate.TwoStateModel, which every
-table takes and records): by Hellmann-Feynman each tilted ground state is
+table takes and holds): by Hellmann-Feynman each tilted ground state is
 an exact node (q, E0 - lambda q, lambda). Prescribed nodes
 (effective_potential) are hit to the root tolerance, free ones
 (lambda_walk_table) wherever an advance of h/8 to 3h/2 lands; a symmetric
@@ -32,6 +32,7 @@ in norm).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -70,10 +71,10 @@ def default_grid(mp: ModelParams) -> GridSpec:
 @dataclass(frozen=True)
 class ConstrainedState:
     """Self-consistent record (q, lambda(q), ground energy, wavefunction),
-    with the number of k=1 eigensolves the root took, how many of the
-    warm-started ones fell back to a cold LAPACK solve, the cold solves and
-    the dpttrf factorizations (eigensolves and slopes), and dphi/dlambda of
-    the unit ground state at the last Newton step (None without one)."""
+    with the work the root took (k=1 eigensolves, warm starts that fell
+    back to a cold LAPACK solve, dpttrf factorizations of eigensolves and
+    slopes) and dphi/dlambda of the unit ground state at the last Newton
+    step (None without one)."""
 
     q_target: float
     lam: float
@@ -81,10 +82,7 @@ class ConstrainedState:
     v_eff: float
     wavefunction: np.ndarray
     constraint_residual: float
-    eigensolves: int
-    lapack_fallbacks: int
-    cold_solves: int
-    factorizations: int
+    work: Counter
     tangent: np.ndarray | None
 
 
@@ -97,11 +95,13 @@ class CoherentState:
 
 @dataclass
 class EffectivePotentialTable:
-    """Sampled V_eff(q) with the doublet metadata used for rescaling."""
+    """Sampled V_eff(q) of doublet.model, rescaled by its doublet; meta is
+    the work record of a solved table (grid, counts), empty otherwise."""
 
     q: np.ndarray
     v_eff: np.ndarray
     lam: np.ndarray
+    doublet: TwoStateModel
     meta: dict = field(default_factory=dict)
     bounded_support: bool = False
 
@@ -153,23 +153,21 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
     tol = DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target))
     band = (-tol, tol) if _band is None else _band
     lo, hi, best = -np.inf, np.inf, np.inf
-    solves = fallbacks = cold = factorizations = 0
+    work = Counter(eigensolves=0, lapack_fallbacks=0, factorizations=0)
     tangent = None
     for _ in range(MAX_NEWTON_STEPS):
         tilted = tilt_hamiltonian(op, lam)
         pair = lowest_eigenpairs(tilted, 1, start=start)[0]
-        solves += 1
-        cold += pair.method == "lapack"
-        fallbacks += start is not None and pair.method == "lapack"
-        factorizations += pair.factorizations
+        work["eigensolves"] += 1
+        work["lapack_fallbacks"] += start is not None and pair.method == "lapack"
+        work["factorizations"] += pair.factorizations
         phi = pair.wavefunction
         q = position_element(phi, phi, grid)
         resid = q - q_target
         if band[0] <= resid <= band[1]:
             at = q_target if _band is None else q
             return ConstrainedState(at, lam, pair.energy, pair.energy - lam * at, phi,
-                                    abs(q - at), solves, fallbacks, cold, factorizations,
-                                    tangent)
+                                    abs(q - at), work, tangent)
         if resid > 0:
             lo = lam
         else:
@@ -180,7 +178,7 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
                 residual=abs(resid))
         best = min(best, abs(resid))
         chi, tangent = _slope(tilted, pair)
-        factorizations += 1
+        work["factorizations"] += 1
         lam_next = lam - resid / chi
         if not lo < lam_next < hi:
             lam_next = 0.5 * (lo + hi)
@@ -189,20 +187,16 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
                       f"{MAX_NEWTON_STEPS} Newton steps (best residual {best:.3g})", residual=best)
 
 
-_COUNTS = ("eigensolves", "lapack_fallbacks", "cold_solves", "factorizations")
-
-
 def _anchor(ts: TwoStateModel, grid: GridSpec, mirror: bool):
-    """(counts, branch start (op, ground pair, q0, dlambda/dq)) of ts.model
-    on grid: the untilted ground state, warm from ts.phi1 moved onto grid by
-    linear interpolation (zero outside ts.grid), q0 its <q> (0 when
+    """(work counts, branch start (op, ground pair, q0, dlambda/dq)) of
+    ts.model on grid: the untilted ground state, warm from ts.phi1 moved onto
+    grid by linear interpolation (zero outside ts.grid), q0 its <q> (0 when
     mirrored) and the two-level -(e2 - e1) / 2d^2."""
     op = assemble_hamiltonian(ts.model, grid)
     start = np.interp(grid.x, ts.grid.x, ts.phi1, left=0.0, right=0.0)
     ground = lowest_eigenpairs(op, 1, start=start)[0]
-    cold = int(ground.method == "lapack")
-    counts = {"eigensolves": 1, "lapack_fallbacks": cold, "cold_solves": cold,
-              "factorizations": ground.factorizations}
+    counts = Counter(eigensolves=1, lapack_fallbacks=int(ground.method == "lapack"),
+                     factorizations=ground.factorizations)
     q0 = 0.0 if mirror else position_element(ground.wavefunction, ground.wavefunction, grid)
     return counts, (op, ground, q0, -ts.splitting / (2.0 * ts.d**2))
 
@@ -233,8 +227,7 @@ def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None
             curvature = (secant - slope) / (cs.q_target - q_back)
         q_back, q, lam, slope = q, cs.q_target, cs.lam, secant
         phi, tangent = cs.wavefunction, cs.tangent
-        for key in _COUNTS:
-            counts[key] += getattr(cs, key)
+        counts.update(cs.work)  # not +=, which drops the zero counts
         nodes.append((q, cs.v_eff, lam))
     return nodes
 
@@ -251,23 +244,23 @@ def _columns(mp, grid, branch, counts, mirror, up=(), down=(), centre=True, **fr
 
 
 def _table(ts, grid, q, v, lam, counts, **extra):
-    # always empty, as an unsolvable node raises; kept for readers of the key
-    meta = {"e1": ts.e1, "e2": ts.e2, "d": ts.d, "model": ts.model.to_dict(),
-            "grid": grid.to_dict(), **extra, "failed_points": [], **counts}
-    return EffectivePotentialTable(np.asarray(q), np.asarray(v), np.asarray(lam), meta)
+    # failed_points is always empty, as an unsolvable node raises; kept for
+    # readers of the key
+    meta = {"grid": grid.to_dict(), **extra, "failed_points": [], **counts}
+    return EffectivePotentialTable(np.asarray(q), np.asarray(v), np.asarray(lam), ts, meta)
 
 
 def effective_potential(ts: TwoStateModel, q_grid, grid: GridSpec) -> EffectivePotentialTable:
     """Tabulate V_eff of ts.model over an ascending q grid, by lambda
     continuation out from the untilted ground state on each side of its <q>.
 
-    ts, the model's lowest doublet, gives meta its (e1, e2, d) and the
-    untilted solve its warm start, so no solve is cold unless a warm start
-    fails. A symmetric potential on a symmetric x grid and q grid (to 1e-12
-    of its span) is solved on q > 0 and mirrored, (q, V, lambda) -> (-q, V,
-    -lambda); a centre node is the untilted node. A node that cannot be
+    ts, the model's lowest doublet, becomes the table's doublet and gives
+    the untilted solve its warm start, so no solve is cold unless a warm
+    start fails. A symmetric potential on a symmetric x grid and q grid (to
+    1e-12 of its span) is solved on q > 0 and mirrored, (q, V, lambda) ->
+    (-q, V, -lambda); a centre node is the untilted node. A node that cannot be
     solved raises UnreachableTargetError or SolverError. meta records the
-    work done: k=1 eigensolves, warm starts that fell back, cold solves and
+    grid and the work done: k=1 eigensolves, warm starts that fell back and
     dpttrf factorizations."""
     q_grid = np.asarray(q_grid, dtype=float)
     if len(q_grid) == 0:

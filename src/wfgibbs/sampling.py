@@ -27,6 +27,8 @@ from .twostate import TwoStateModel, two_state_from_pairs
 
 _TUNE_WINDOW = 200  # burn-in steps per proposal-scale update
 _NOISE_BLOCK = 4096  # steps per block of random draws
+_BATCHES = 32  # batches per chain of a batch-means standard error
+_SOKAL_C = 6.0  # IAT window: the first m >= _SOKAL_C tau(m)
 # OpenBLAS keeps a dgemm of m * n * k <= 65536 * 4 on one thread
 # (interface/gemm.c). Larger ones may wake its thread pool: with the
 # OpenBLAS 0.3.31 bundled with numpy 2.4 on 2 cores, products from about
@@ -174,28 +176,25 @@ class SampleRun:
     def q(self) -> np.ndarray:
         return self.samples[:, :, 0].ravel()
 
-    @property
-    def p(self) -> np.ndarray:
-        return self.samples[:, :, 1].ravel()
-
-    def moment_summary(self, n_batches: int = 32) -> dict:
+    def moment_summary(self) -> dict:
         """Means and variances of q and p with batch-means standard errors."""
         out = {}
         for name, series in (("q", self.samples[:, :, 0]), ("p", self.samples[:, :, 1])):
             flat = series.ravel()
             mean = float(flat.mean())
             out[f"mean_{name}"] = mean
-            out[f"mean_{name}_se"] = _batch_se(series, n_batches)
+            out[f"mean_{name}_se"] = _batch_se(series)
             centered = (series - mean) ** 2
             out[f"var_{name}"] = float(centered.mean())
-            out[f"var_{name}_se"] = _batch_se(centered, n_batches)
+            out[f"var_{name}_se"] = _batch_se(centered)
         return out
 
 
-def _batch_se(series: np.ndarray, n_batches: int) -> float:
-    """Batch-means standard error over per-chain batches."""
+def _batch_se(series: np.ndarray) -> float:
+    """Batch-means standard error over _BATCHES batches per chain (or one
+    step per batch when a chain is shorter)."""
     chains, steps = series.shape
-    per = steps // n_batches
+    per, n_batches = steps // _BATCHES, _BATCHES
     if per < 1:
         per, n_batches = 1, steps
     trimmed = series[:, : per * n_batches].reshape(chains, n_batches, per)
@@ -203,7 +202,7 @@ def _batch_se(series: np.ndarray, n_batches: int) -> float:
     return float(means.std(ddof=1) / np.sqrt(len(means)))
 
 
-def integrated_autocorrelation(series: np.ndarray, c: float = 6.0) -> float:
+def integrated_autocorrelation(series: np.ndarray) -> float:
     """Initial-sequence IAT estimate with Sokal's adaptive window."""
     series = np.asarray(series, dtype=float)
     n = len(series)
@@ -215,9 +214,9 @@ def integrated_autocorrelation(series: np.ndarray, c: float = 6.0) -> float:
     f = np.fft.rfft(x, 2 * n)
     acf = np.fft.irfft(f * np.conj(f))[:n] / (var * n)
     # taus[m] = 1 + 2 sum_{t=1..m} acf[t], summed in order; the window is the
-    # first m >= c taus[m], or the whole series
+    # first m >= _SOKAL_C taus[m], or the whole series
     taus = np.cumsum(np.r_[1.0, 2.0 * acf[1:]])
-    window = np.flatnonzero(np.arange(1, n) >= c * taus[1:])
+    window = np.flatnonzero(np.arange(1, n) >= _SOKAL_C * taus[1:])
     return float(max(taus[window[0] + 1 if len(window) else n - 1], 1.0))
 
 
@@ -437,8 +436,7 @@ def exact_moments(tm: TruncatedModel, beta: float) -> dict:
     }
 
 
-def unitary_flow_check(run: SampleRun, tm: TruncatedModel, t: float,
-                       hbar: float, n_batches: int = 32) -> dict:
+def unitary_flow_check(run: SampleRun, tm: TruncatedModel, t: float, hbar: float) -> dict:
     """Compare sample moments before and after the free Schroedinger flow.
 
     Applies c_k -> exp(-i E_k t / hbar) c_k to every retained coefficient
@@ -461,7 +459,7 @@ def unitary_flow_check(run: SampleRun, tm: TruncatedModel, t: float,
     ):
         for order in (1, 2, 3, 4):
             b, a = before**order, after**order
-            se = max(_batch_se(b, n_batches), _batch_se(a, n_batches))
+            se = max(_batch_se(b), _batch_se(a))
             report["moments"][f"{name}^{order}"] = {
                 "before": float(b.mean()),
                 "after": float(a.mean()),

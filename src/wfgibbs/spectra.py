@@ -48,6 +48,7 @@ from .lattice import GridSpec, TridiagonalOperator
 DEFAULT_TOL = 1e-10
 MAX_INVERSE_STEPS = 40
 SHIFT_FLOOR = 1e3 * np.finfo(float).eps  # least distance of a shift below E0, per ||H||
+PARITY_TOL = 1e-6  # max |phi(x) -+ phi(-x)| of an even or odd state
 
 
 def _load_flapack():
@@ -201,13 +202,13 @@ def reduced_resolvent(op: TridiagonalOperator, ground: EigenPair,
     return y - (u @ y) * u
 
 
-def parity_of(pair: EigenPair, grid: GridSpec, tol: float = 1e-6) -> str:
+def parity_of(pair: EigenPair, grid: GridSpec) -> str:
     """Classify a wavefunction as 'even', 'odd', or 'none' on a symmetric grid."""
     if not grid.is_symmetric:
         raise UsageError("parity classification requires a symmetric grid")
     phi = pair.wavefunction
-    if np.max(np.abs(phi - phi[::-1])) < tol:
+    if np.max(np.abs(phi - phi[::-1])) < PARITY_TOL:
         return "even"
-    if np.max(np.abs(phi + phi[::-1])) < tol:
+    if np.max(np.abs(phi + phi[::-1])) < PARITY_TOL:
         return "odd"
     return "none"

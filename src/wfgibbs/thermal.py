@@ -102,11 +102,7 @@ def fluctuation_curve(table: EffectivePotentialTable, betas,
     intrinsically bounded support, e.g. the two-state arc on [-d, d]).
     """
     betas = np.asarray(betas, dtype=float)
-    meta = table.meta
-    mass = meta["model"]["mass"]
-    splitting = meta["e2"] - meta["e1"]
-    d = meta["d"]
-
+    doublet = table.doublet
     mean_q, delta_q = [], []
     for beta in betas:
         qq, dens = position_marginal(table, beta, n_fine)
@@ -120,11 +116,11 @@ def fluctuation_curve(table: EffectivePotentialTable, betas,
     delta_q = np.asarray(delta_q)
     return ThermalCurve(
         beta=betas,
-        rescaled_temperature=2.0 / (betas * splitting),
+        rescaled_temperature=2.0 / (betas * doublet.splitting),
         mean_q=mean_q,
         delta_q=delta_q,
-        delta_q_over_d=delta_q / d,
-        delta_p=np.sqrt(mass / betas),
+        delta_q_over_d=delta_q / doublet.d,
+        delta_p=np.sqrt(doublet.model.mass / betas),
     )
 
 

@@ -113,15 +113,7 @@ def two_state_table(ts: TwoStateModel, n: int = 401) -> EffectivePotentialTable:
     q = np.linspace(-ts.d, ts.d, n)
     lam = np.full(n, np.nan)
     lam[1:-1] = two_state_lambda(ts, q[1:-1])
-    meta = {
-        "e1": ts.e1,
-        "e2": ts.e2,
-        "d": ts.d,
-        "model": ts.model.to_dict(),
-        "grid": ts.grid.to_dict(),
-        "kind": "two_state",
-    }
-    return EffectivePotentialTable(q, two_state_veff(ts, q), lam, meta, bounded_support=True)
+    return EffectivePotentialTable(q, two_state_veff(ts, q), lam, ts, bounded_support=True)
 
 
 def rescale(ts: TwoStateModel, v_eff, q=None):

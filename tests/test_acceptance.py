@@ -53,6 +53,7 @@ def test_criterion_1_golden_doublet_values(two_state_models):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the exact curves lie BELOW the two-state arc: the arc is the "
     "constrained minimum over a two-dimensional subspace, so the full "
     "minimization can only do better (lower); the stated ordering is "
@@ -61,9 +62,9 @@ def test_criterion_1_golden_doublet_values(two_state_models):
 def test_criterion_2_stated_exact_above_arc(dw_tables):
     for mass in DOUBLE_WELL_MASSES:
         table = dw_tables[mass]
-        u = table.q / table.meta["d"]
-        rescaled = (table.v_eff - 0.5 * (table.meta["e1"] + table.meta["e2"])) / (
-            0.5 * (table.meta["e2"] - table.meta["e1"]))
+        ts = table.doublet
+        u = table.q / ts.d
+        rescaled = (table.v_eff - ts.mean_level) / (0.5 * ts.splitting)
         arc = -np.sqrt(1.0 - u**2)
         interior = np.abs(u) < 0.999
         assert np.all(rescaled[interior] > arc[interior] + 1e-12)
@@ -125,6 +126,7 @@ def harmonic_run_n24(harmonic_grid):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the Gaussian law Var(q)=1/(beta m w^2) for the harmonic "
     "oscillator holds only in the beta*w -> infinity limit of the "
     "truncated-sphere ensemble; at beta=2 the exact variance of the "

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import wfgibbs
-from wfgibbs import GridSpec, ModelParams, fluctuation_curve, sampling, table_for_betas
+from wfgibbs import (GridSpec, ModelParams, build_two_state, fluctuation_curve, sampling,
+                     table_for_betas)
 from wfgibbs import cli
 from wfgibbs.cli import main
 
@@ -188,11 +189,31 @@ def test_veff_command(tmp_path):
     meta = sidecar["meta"]
     assert {"e1", "e2", "d"} <= set(meta)
     assert meta["failed_points"] == []
-    # how the table converged: k=1 eigensolves, warm starts that fell back,
-    # cold solves and dpttrf factorizations
+    # how the table converged: k=1 eigensolves, warm starts that fell back
+    # and dpttrf factorizations
     assert 11 <= meta["eigensolves"]
     assert 0 <= meta["lapack_fallbacks"] <= meta["eigensolves"]
-    assert 0 <= meta["cold_solves"] and meta["eigensolves"] <= meta["factorizations"]
+    assert meta["eigensolves"] <= meta["factorizations"]
+
+
+def test_veff_table_record_contract(tmp_path):
+    # cli assembles each table's record, and the benchmark reads it in this
+    # key order: the doublet of build_two_state, bit for bit, then the
+    # table's own work record
+    grid = {"x_min": -6.0, "x_max": 6.0, "n_points": 801}
+    cfg = write_config(tmp_path, {"model": DOUBLE_WELL_MODEL, "grid": grid,
+                                  "veff": {"masses": [0.5, 1.5], "n_q": 11}})
+    out = tmp_path / "out"
+    assert main(["veff", "--config", cfg, "--out", str(out)]) == 0
+    for mass, tag in ((0.5, "0p5"), (1.5, "1p5")):
+        meta = json.loads((out / f"veff_table_m{tag}.json").read_text())["meta"]
+        assert list(meta) == ["e1", "e2", "d", "model", "grid", "root_tol_scale",
+                              "failed_points", "eigensolves", "lapack_fallbacks",
+                              "factorizations"]
+        ts = build_two_state(ModelParams.from_dict({**DOUBLE_WELL_MODEL, "mass": mass}),
+                             GridSpec.from_dict(grid))
+        assert (meta["e1"], meta["e2"], meta["d"]) == (ts.e1, ts.e2, ts.d)
+        assert meta["model"] == ts.model.to_dict() and meta["grid"] == grid
 
 
 def test_fluct_command(tmp_path):
@@ -213,8 +234,8 @@ def test_fluct_command(tmp_path):
     assert "max_full_vs_restricted" in summary["1.0"]
     # how the table was built: its nodes, eigensolves, LAPACK work and widened grid
     record = summary["1.0"]["table"]
-    assert set(record) == {"nodes", "eigensolves", "lapack_fallbacks", "cold_solves",
-                           "factorizations", "grid"}
+    assert set(record) == {"nodes", "eigensolves", "lapack_fallbacks", "factorizations",
+                           "grid"}
     assert 41 <= record["nodes"] and 0 < record["eigensolves"] <= record["nodes"]
     assert 0 <= record["lapack_fallbacks"] <= record["eigensolves"]
     assert set(record["grid"]) == {"x_min", "x_max", "n_points"}
@@ -274,7 +295,7 @@ def test_one_cold_solve_per_mass(command, tmp_path, monkeypatch):
         records = [record["table"] for record in
                    json.loads((out / "fluct.json").read_text()).values()]
     for record in records:
-        assert record["cold_solves"] == record["lapack_fallbacks"] == 0
+        assert record["lapack_fallbacks"] == 0 and "cold_solves" not in record
         assert record["eigensolves"] <= record["factorizations"]
 
 
@@ -477,6 +498,20 @@ def test_canonical_truncation_too_small(tmp_path, capsys):
     assert "k_max" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a run starts: its doublet, truncated model or
+    Hamiltonian is never built."""
+    from wfgibbs import twostate
+
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for module, name in ((twostate, "build_two_state"), (sampling, "build_truncated_model"),
+                         (cli, "assemble_hamiltonian")):
+        monkeypatch.setattr(module, name, started)
+
+
 @pytest.mark.parametrize("command, section", [
     ("fluct", {"t_min": 0.0}),
     ("fluct", {"t_min": -0.5}),
@@ -522,17 +557,9 @@ def test_canonical_truncation_too_small(tmp_path, capsys):
     ("sample", {"n_basis": 402}),
     ("canonical", {"k_max": 402}),
 ])
-def test_out_of_range_values_are_config_errors(tmp_path, capsys, monkeypatch, command, section):
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, no_work, command, section):
     # rejected while the config is read: exit 2, before any work, and
     # nothing written
-    from wfgibbs import twostate
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("the run started")
-
-    for module, name in ((twostate, "build_two_state"), (sampling, "build_truncated_model"),
-                         (cli, "assemble_hamiltonian")):
-        monkeypatch.setattr(module, name, no_work)
     cfg = write_config(tmp_path, {
         "model": HARMONIC_MODEL,
         "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 401},
@@ -571,16 +598,44 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, monkeypatch, co
                                                "coefficients": [0.0, 0.0, float("inf")]}}},
     {"grid": {"x_min": float("-inf"), "x_max": 10.0, "n_points": 401}},
     {"grid": {"x_min": -10.0, "x_max": float("inf"), "n_points": 401}},
+    # an integer key takes an integral number, never truncated, and no bool
+    {"fluct": {"n_t": 59.99}},
+    {"sample": {"chains": 2.7}},
+    {"seed": 1.9},
+    {"grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 4001.5}},
+    {"eig": {"k": True}},
+    {"seed": False},
+    {"sample": {"steps_per_chain": "100"}},
+    # masses: absent, null or a non-empty list of numbers
+    {"veff": {"masses": 0}},
+    {"twostate": {"masses": []}},
+    {"fluct": {"masses": [0.5, True]}},
+    {"veff": {"masses": ["0.5"]}},
+    {"veff": {"masses": 0.5}},
 ], ids=["no_mass", "no_omega", "mass_str", "seed_str", "seed_inf", "no_x_max", "model_list",
         "coefficients_int", "eig_k_str", "masses_int", "n_t_inf", "output_int", "mass_inf",
         "mass_nan", "hbar_nan", "omega_nan", "w0_nan", "x0_nan", "strength_nan",
-        "coefficient_inf", "x_min_inf", "x_max_inf"])
-def test_malformed_inputs_are_config_errors(tmp_path, capsys, config):
+        "coefficient_inf", "x_min_inf", "x_max_inf", "n_t_fraction", "chains_fraction",
+        "seed_fraction", "n_points_fraction", "k_bool", "seed_bool", "steps_str",
+        "masses_zero", "masses_empty", "masses_bool", "masses_str", "masses_float"])
+def test_malformed_inputs_are_config_errors(tmp_path, capsys, no_work, config):
     cfg = write_config(tmp_path, {"model": HARMONIC_MODEL, **config})
     out = tmp_path / "out"
     assert main(["eig", "--config", cfg, "--out", str(out)]) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_integral_numbers_are_integers(tmp_path):
+    # an integral float is the integer it names; null masses are the model's
+    cfg = cli.load_config(write_config(tmp_path, {
+        "model": HARMONIC_MODEL, "seed": 7.0,
+        "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 401.0},
+        "fluct": {"n_t": 60.0, "masses": None}, "veff": {"masses": [2, 0.5]}}))
+    integers = (cfg["seed"], cfg["grid"].n_points, cfg["fluct"]["n_t"])
+    assert integers == (7, 401, 60) and all(type(n) is int for n in integers)
+    assert cfg["fluct"]["masses"] == [HARMONIC_MODEL["mass"]]
+    assert cfg["veff"]["masses"] == [2.0, 0.5]
 
 
 def test_only_cli_touches_files():
@@ -652,6 +707,14 @@ def test_only_spectra_references_lapack():
     for path in sorted(Path(wfgibbs.__file__).parent.glob("*.py")):
         found = lapack & _identifiers(path)
         assert found == (lapack if path.stem == "spectra" else set()), path.name
+
+
+def test_thermal_and_twostate_never_read_meta():
+    # a table's doublet is its TwoStateModel field; meta is the table's work
+    # record, which only cli serializes
+    for stem in ("thermal", "twostate"):
+        path = Path(wfgibbs.__file__).parent / f"{stem}.py"
+        assert "meta" not in _identifiers(path), path.name
 
 
 def test_preset_configs_parse():

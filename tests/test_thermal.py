@@ -71,10 +71,11 @@ def test_marginal_rejects_bad_beta(dw_tables):
 
 def test_bin_masses_match_gaussian_cdf():
     # exact harmonic V_eff = 1/2 + q^2/2 on the fine nodes: the marginal is
-    # the normal law with variance 1/beta
+    # the normal law with variance 1/beta (bin_masses never reads the doublet)
     beta = 2.0
     q = np.linspace(-6.0, 6.0, 4001)
-    table = EffectivePotentialTable(q, 0.5 + 0.5 * q**2, -q)
+    doublet = build_two_state(harmonic(), GridSpec(-10.0, 10.0, 801))
+    table = EffectivePotentialTable(q, 0.5 + 0.5 * q**2, -q, doublet)
     edges = np.linspace(-2.0, 2.5, 31)
     expected = np.diff(ndtr(edges * np.sqrt(beta)))
     assert np.max(np.abs(bin_masses(table, beta, edges) - expected)) < 1e-6
@@ -94,7 +95,7 @@ def test_two_state_low_temperature_asymptote(two_state_models):
     # on the arc, delta_q/d -> sqrt(t) as the rescaled temperature t -> 0
     table = two_state_table(two_state_models[0.5])
     t = np.array([1e-4, 4e-4])
-    betas = 2.0 / (t * (table.meta["e2"] - table.meta["e1"]))
+    betas = 2.0 / (t * table.doublet.splitting)
     curve = fluctuation_curve(table, betas, n_fine=20001)
     assert np.allclose(curve.rescaled_temperature, t, rtol=1e-12)
     assert np.allclose(curve.delta_q_over_d, np.sqrt(t), rtol=2e-2)
@@ -103,7 +104,7 @@ def test_two_state_low_temperature_asymptote(two_state_models):
 def test_two_state_high_temperature_asymptote(two_state_models):
     # beta -> 0 gives a uniform density on [-d, d]: delta_q/d -> 1/sqrt(3)
     table = two_state_table(two_state_models[0.5])
-    betas = 2.0 / (np.array([1e3, 1e4]) * (table.meta["e2"] - table.meta["e1"]))
+    betas = 2.0 / (np.array([1e3, 1e4]) * table.doublet.splitting)
     curve = fluctuation_curve(table, betas)
     assert np.allclose(curve.delta_q_over_d, 1.0 / np.sqrt(3.0), rtol=1e-3)
 
@@ -111,7 +112,7 @@ def test_two_state_high_temperature_asymptote(two_state_models):
 def test_fluctuations_increase_with_temperature(two_state_models):
     table = two_state_table(two_state_models[1.0])
     t = np.logspace(-2, 2, 25)
-    betas = 2.0 / (t * (table.meta["e2"] - table.meta["e1"]))
+    betas = 2.0 / (t * table.doublet.splitting)
     curve = fluctuation_curve(table, betas)
     assert np.all(np.diff(curve.delta_q_over_d) > 0)
     assert curve.delta_q_over_d[0] > 0

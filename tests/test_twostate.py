@@ -96,7 +96,7 @@ def test_table_covers_full_domain(two_state_models):
     assert table.q[-1] == pytest.approx(ts.d)
     assert np.isnan(table.lam[0]) and np.isnan(table.lam[-1])
     assert np.all(np.isfinite(table.lam[1:-1]))
-    assert table.meta["kind"] == "two_state"
+    assert table.doublet is ts and table.meta == {}
 
 
 def test_rescale_maps_arc_to_unit_circle(two_state_models):
