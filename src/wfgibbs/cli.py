@@ -34,8 +34,8 @@ _CSV_BATCH = 512  # rows per % operation in write_csv
 _TOP_KEYS = {"model", "grid", "seed", "output",
              "eig", "veff", "twostate", "fluct", "sample", "canonical"}
 
-# every value is converted to the type of its default, an int only from an
-# integral number; masses (None: the model's own mass) to a list of floats
+# every value is converted to the type of its default and must read back as
+# given (_read_back); masses (None: the model's own mass) to a list of floats
 _SECTION_DEFAULTS = {
     "eig": {"k": 4, "tol": 1e-10},
     "veff": {"masses": None, "n_q": 81, "frac": 0.995},
@@ -56,34 +56,33 @@ def _reject_unknown(d: dict, allowed, where: str) -> None:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _number(value) -> bool:
-    """Whether value is a JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _read_back(given, resolved, where: str):
+    """Return resolved if it writes back as the JSON given it was read from:
+    the same dict keys, list lengths and strings, and equal numbers, none a
+    bool. "123" is no list, true no mass, 59.99 no count and NaN no number."""
+    if isinstance(given, dict) and isinstance(resolved, dict):
+        if keys := sorted(set(given) ^ set(resolved)):
+            raise ConfigurationError(f"{where}: unknown or missing keys {keys}")
+        for key in given:
+            _read_back(given[key], resolved[key], f"{where}.{key}")
+    elif isinstance(given, list) and isinstance(resolved, list) and len(given) == len(resolved):
+        for i, (g, r) in enumerate(zip(given, resolved)):
+            _read_back(g, r, f"{where}[{i}]")
+    elif isinstance(given, bool) or isinstance(resolved, bool) or given != resolved:
+        raise ConfigurationError(f"{where}: {given!r} does not read as {resolved!r}")
+    return resolved
 
 
-def _integer(value, where: str) -> int:
-    """An integral JSON number as an int: 59.99 is no count and 1.9 no seed,
-    so neither is truncated."""
-    if not (_number(value) and (isinstance(value, int) or value.is_integer())):
-        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
-    return int(value)
+def _tag(mass: float) -> str:
+    """The mass in output file names: 0.5 -> 0p5."""
+    return f"{mass:g}".replace(".", "p")
 
 
-def _masses(value, model: ModelParams, where: str) -> list:
-    """Absent or null: the model's own mass; else a non-empty list of numbers."""
-    if value is None:
-        return [model.mass]
-    if not (isinstance(value, list) and value and all(map(_number, value))):
-        raise ConfigurationError(f"{where} must be null or a non-empty list of numbers, "
-                                 f"got {value!r}")
-    return [float(m) for m in value]
-
-
-def load_config(path) -> dict:
+def load_config(path, seed=None) -> dict:
     """Read a config file and resolve every input: the model, the grid (the
-    model's default grid when the section is absent), the seed, the output
-    directory and each section's values, converted to the types of their
-    defaults."""
+    model's default grid when the section is absent), the seed (the argument,
+    from --seed, when given), the output directory and each section's values,
+    converted to the types of their defaults; each must read back as given."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -96,18 +95,16 @@ def load_config(path) -> dict:
     _reject_unknown(raw, _TOP_KEYS, "config")
     if "model" not in raw:
         raise ConfigurationError("config requires a 'model' section")
+    seed = raw.get("seed", 0) if seed is None else seed
     try:
         model = ModelParams.from_dict(raw["model"])
+        _read_back(raw["model"], model.to_dict(), "model")
         grid = constrain.default_grid(model)
         if "grid" in raw:
-            n_points = _integer(raw["grid"]["n_points"], "grid.n_points")
-            grid = GridSpec.from_dict({**raw["grid"], "n_points": n_points})
-        cfg = {
-            "model": model,
-            "grid": grid,
-            "seed": _integer(raw.get("seed", 0), "seed"),
-            "output": Path(raw.get("output", "out")),
-        }
+            grid = GridSpec.from_dict(raw["grid"])
+            _read_back(raw["grid"], grid.to_dict(), "grid")
+        cfg = {"model": model, "grid": grid, "seed": _read_back(seed, int(seed), "seed"),
+               "output": Path(raw.get("output", "out"))}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(
             f"malformed model, grid, seed or output: {type(exc).__name__}: {exc}") from exc
@@ -119,12 +116,13 @@ def load_config(path) -> dict:
         cfg[name] = section = {}
         for key, default in defaults.items():
             value, where = given.get(key, default), f"{name}.{key}"
+            if key == "masses" and value is None:
+                value = [model.mass]
             try:
-                section[key] = (_masses(value, model, where) if key == "masses"
-                                else _integer(value, where) if type(default) is int
-                                else type(default)(value))
+                resolved = [float(m) for m in value] if key == "masses" else type(default)(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigurationError(f"{where}: cannot convert {value!r}") from exc
+            section[key] = _read_back(value, resolved, where)
     if cfg["sample"]["validate"] not in _VALIDATE_MODES:
         raise ConfigurationError(f"unknown validation mode {cfg['sample']['validate']!r}; "
                                  f"expected one of {', '.join(_VALIDATE_MODES)}")
@@ -132,6 +130,7 @@ def load_config(path) -> dict:
     fluct, sample, beta = cfg["fluct"], cfg["sample"], cfg["sample"]["beta"]
     n_points = cfg["grid"].n_points
     limits = {
+        "seed >= 0": cfg["seed"] >= 0,
         "1 <= eig.k <= grid.n_points": 1 <= cfg["eig"]["k"] <= n_points,
         "0 < eig.tol < inf": 0 < cfg["eig"]["tol"] < np.inf,
         "veff.n_q >= 1": cfg["veff"]["n_q"] >= 1,
@@ -152,9 +151,12 @@ def load_config(path) -> dict:
         "0 < sample.tv_tolerance < inf": 0 < sample["tv_tolerance"] < np.inf,
         "0 < canonical.beta < inf": 0 < cfg["canonical"]["beta"] < np.inf,
         "2 <= canonical.k_max <= grid.n_points": 2 <= cfg["canonical"]["k_max"] <= n_points,
-        **{f"0 < {name}.masses < inf": all(0 < m < np.inf for m in cfg[name]["masses"])
-           for name in ("veff", "twostate", "fluct")},
     }
+    for name in ("veff", "twostate", "fluct"):
+        ms = cfg[name]["masses"]
+        limits[f"0 < {name}.masses < inf"] = all(0 < m < np.inf for m in ms)
+        limits[f"{name}.masses {ms} non-empty, with distinct file tags"] = (
+            0 < len(set(map(_tag, ms))) == len(ms))
     broken = [rule for rule, ok in limits.items() if not ok]
     if broken:
         raise ConfigurationError(f"value out of range; requires {', '.join(broken)}")
@@ -190,7 +192,7 @@ def _doublets(cfg, section):
                                  f"reduction, got {mp.potential.to_dict()}")
     for mass in section["masses"]:
         model = ModelParams(mass, mp.hbar, mp.potential)
-        yield f"{mass:g}".replace(".", "p"), twostate.build_two_state(model, cfg["grid"])
+        yield _tag(mass), twostate.build_two_state(model, cfg["grid"])
 
 
 # --- subcommands -------------------------------------------------------------
@@ -413,10 +415,10 @@ def main(argv=None) -> int:
     that fails creates no output directory."""
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = load_config(args.config, args.seed)
         out = Path(args.out) if args.out is not None else cfg["output"]
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise ConfigurationError(f"output directory {out}: a file is in its way")
         code, files = COMMANDS[args.command](cfg)
         out.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():

@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -571,6 +572,38 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, no_work, comman
     assert not out.exists()
 
 
+# values whose conversion would not write back as the JSON they were read
+# from, each with the part of the message that names its key path
+MISREAD = {
+    "model_extra_key": ({"model": {**HARMONIC_MODEL, "omega": 1.0}},
+                        "model: unknown or missing keys ['omega']"),
+    "potential_extra_key": ({"model": {**DOUBLE_WELL_MODEL, "potential": {
+        **DOUBLE_WELL_MODEL["potential"], "omega": 1.0}}},
+        "model.potential: unknown or missing keys ['omega']"),
+    "tilted_base_extra_key": ({"model": {**HARMONIC_MODEL, "potential": {
+        "type": "tilted", "strength": 0.1,
+        "base": {"type": "harmonic", "omega": 1.0, "w0": 1.0}}}},
+        "model.potential.base: unknown or missing keys ['w0']"),
+    "grid_extra_key": ({"grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 401, "dx": 0.05}},
+                       "grid: unknown or missing keys ['dx']"),
+    "mass_bool": ({"model": {**HARMONIC_MODEL, "mass": True}}, "model.mass: True"),
+    "hbar_str": ({"model": {**HARMONIC_MODEL, "hbar": "1.0"}}, "model.hbar: '1.0'"),
+    "omega_str": ({"model": {**HARMONIC_MODEL, "potential": {"type": "harmonic", "omega": "1"}}},
+                  "model.potential.omega: '1'"),
+    "coefficients_str": ({"model": {**HARMONIC_MODEL, "potential": {
+        "type": "polynomial", "coefficients": "123"}}}, "model.potential.coefficients: '123'"),
+    "coefficients_bool": ({"model": {**HARMONIC_MODEL, "potential": {
+        "type": "polynomial", "coefficients": [0, True, 1]}}},
+        "model.potential.coefficients[1]: True"),
+    "x_max_bool": ({"grid": {"x_min": -10.0, "x_max": True, "n_points": 401}}, "grid.x_max: True"),
+    "beta_bool": ({"sample": {"beta": True}}, "sample.beta: True"),
+    "t_min_str": ({"fluct": {"t_min": "0.01"}}, "fluct.t_min: '0.01'"),
+    "frac_bool": ({"veff": {"frac": False}}, "veff.frac: False"),
+    "validate_int": ({"sample": {"validate": 5}}, "sample.validate: 5"),
+    "seed_negative": ({"seed": -1}, "requires seed >= 0"),
+}
+
+
 @pytest.mark.parametrize("config", [
     {"model": {"hbar": 1.0, "potential": HARMONIC_MODEL["potential"]}},
     {"model": {**HARMONIC_MODEL, "potential": {"type": "harmonic"}}},
@@ -612,18 +645,72 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, no_work, comman
     {"fluct": {"masses": [0.5, True]}},
     {"veff": {"masses": ["0.5"]}},
     {"veff": {"masses": 0.5}},
+    # every value reads back as given (MISREAD)
+    *(config for config, _ in MISREAD.values()),
 ], ids=["no_mass", "no_omega", "mass_str", "seed_str", "seed_inf", "no_x_max", "model_list",
         "coefficients_int", "eig_k_str", "masses_int", "n_t_inf", "output_int", "mass_inf",
         "mass_nan", "hbar_nan", "omega_nan", "w0_nan", "x0_nan", "strength_nan",
         "coefficient_inf", "x_min_inf", "x_max_inf", "n_t_fraction", "chains_fraction",
         "seed_fraction", "n_points_fraction", "k_bool", "seed_bool", "steps_str",
-        "masses_zero", "masses_empty", "masses_bool", "masses_str", "masses_float"])
+        "masses_zero", "masses_empty", "masses_bool", "masses_str", "masses_float", *MISREAD])
 def test_malformed_inputs_are_config_errors(tmp_path, capsys, no_work, config):
     cfg = write_config(tmp_path, {"model": HARMONIC_MODEL, **config})
     out = tmp_path / "out"
     assert main(["eig", "--config", cfg, "--out", str(out)]) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", MISREAD.values(), ids=MISREAD)
+def test_misread_values_name_their_key_path(tmp_path, capsys, no_work, config, message):
+    cfg = write_config(tmp_path, {"model": HARMONIC_MODEL, **config})
+    assert main(["eig", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_config_error(tmp_path, capsys, no_work):
+    # --seed meets the rules of the config's seed before any work
+    cfg = write_config(tmp_path, {"model": HARMONIC_MODEL, "seed": 3,
+                                  "sample": {"n_basis": 4, "steps_per_chain": 100}})
+    out = tmp_path / "out"
+    assert main(["sample", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert "configuration error: value out of range; requires seed >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["veff", "twostate", "fluct"])
+@pytest.mark.parametrize("masses", [[1.0000001, 1.0000004], [0.5, 0.5]], ids=["near", "equal"])
+def test_colliding_mass_tags_are_config_errors(tmp_path, capsys, no_work, command, masses):
+    # two masses with one file tag would write one mass's files over the other's
+    cfg = write_config(tmp_path, {"model": DOUBLE_WELL_MODEL, command: {"masses": masses}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and f"{command}.masses {masses}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_naming_a_file_is_config_error(tmp_path, capsys, no_work, out):
+    # an output directory that cannot be made is refused before the run
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    cfg = write_config(tmp_path, {"model": HARMONIC_MODEL})
+    assert main(["eig", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert afile.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+
+def test_readme_example_config_is_valid(tmp_path):
+    # the README's example names every key and loads as a config
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    example = json.loads(re.sub(r"//.*", "", block))
+    assert set(example) == cli._TOP_KEYS
+    for name, defaults in cli._SECTION_DEFAULTS.items():
+        assert set(example[name]) == set(defaults), name
+    cli.load_config(write_config(tmp_path, example))
 
 
 def test_integral_numbers_are_integers(tmp_path):
