@@ -6,13 +6,18 @@ code, files): files maps each output file name to (columns, rows) for a .csv
 file or to the payload of a JSON file. main alone creates the output
 directory and writes them, so a failed run writes nothing. Exit codes: 0
 success, 1 validation failure, 2 configuration error, 3 solver error.
+veff and fluct may build their per-mass tables in forked processes (_per_mass).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
+import os
+import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -181,8 +186,8 @@ def write_csv(path, columns: str, rows) -> None:
             fh.write(fmt * (len(batch) // len(first)) % batch)
 
 
-def _doublets(cfg, section):
-    """(mass tag, two-state model) for each mass of a section. The
+def _doublets(cfg, section) -> list:
+    """The two-state model of each mass of a section, in mass order. The
     two-state reduction behind veff, twostate and fluct needs a symmetric
     potential; anything else is a configuration error, raised before any
     work."""
@@ -190,9 +195,64 @@ def _doublets(cfg, section):
     if not mp.potential.is_symmetric:
         raise ConfigurationError(f"a symmetric potential is required for the two-state "
                                  f"reduction, got {mp.potential.to_dict()}")
-    for mass in section["masses"]:
-        model = ModelParams(mass, mp.hbar, mp.potential)
-        yield _tag(mass), twostate.build_two_state(model, cfg["grid"])
+    return [twostate.build_two_state(ModelParams(mass, mp.hbar, mp.potential), cfg["grid"])
+            for mass in section["masses"]]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _per_mass(work, doublets):
+    """Yield (ts, work(ts)) for each doublet in mass order, work running on
+    min(len(doublets), usable CPUs) processes: the masses are dealt in turn
+    to this process and to forked children, each of which pickles back its
+    results one mass at a time, or the library error that ended it, through
+    a pipe. A child's error is raised at its mass's turn, so the masses
+    before it have been yielded. Close the generator to reap every child:
+    on every path, no child outlives it. With one worker, or without
+    os.fork, the work runs in this process and starts none."""
+    workers = min(len(doublets), _usable_cpus()) if hasattr(os, "fork") else 1
+    pids, readers = [], []  # of the children, in worker order
+    try:
+        for index in range(1, workers):
+            read, write = os.pipe()
+            readers.append(os.fdopen(read, "rb"))
+            with os.fdopen(write, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:  # the child sends its masses' results and never returns
+                    try:
+                        for ts in doublets[index::workers]:
+                            pickle.dump((True, work(ts)), sink)
+                            sink.flush()
+                    except BaseException as exc:
+                        pickle.dump((False, exc), sink)
+                        sink.flush()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        for i, ts in enumerate(doublets):
+            if i % workers == 0:
+                yield ts, work(ts)
+                continue
+            try:
+                ok, result = pickle.load(readers[i % workers - 1])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"the process solving mass {ts.model.mass} "
+                                   f"ended without a result") from None
+            if not ok:
+                raise result
+            yield ts, result
+    finally:
+        for reader in readers:
+            reader.close()
+        # a child that has sent all its results has nothing left to do
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -216,26 +276,32 @@ def cmd_eig(cfg):
 
 def cmd_veff(cfg):
     section, files = cfg["veff"], {}
-    for tag, ts in _doublets(cfg, section):
+
+    def solve(ts):
         q_grid = np.linspace(-section["frac"] * ts.d, section["frac"] * ts.d, section["n_q"])
-        table = constrain.effective_potential(ts, q_grid, cfg["grid"])
-        u, rescaled_exact = twostate.rescale(ts, table.v_eff, table.q)
-        arc = -np.sqrt(1.0 - u**2)
-        files[f"veff_m{tag}.csv"] = ("q_over_d,rescaled_exact,rescaled_two_state",
-                                     zip(u.tolist(), rescaled_exact.tolist(), arc.tolist()))
-        files[f"veff_table_m{tag}.csv"] = ("q,v_eff,lambda", zip(
-            table.q.tolist(), table.v_eff.tolist(), table.lam.tolist()))
-        files[f"veff_table_m{tag}.json"] = {
-            "meta": {"e1": ts.e1, "e2": ts.e2, "d": ts.d, "model": ts.model.to_dict(),
-                     **table.meta},
-            "bounded_support": table.bounded_support}
-        print(f"m={ts.model.mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
+        return constrain.effective_potential(ts, q_grid, cfg["grid"])
+
+    with contextlib.closing(_per_mass(solve, _doublets(cfg, section))) as tables:
+        for ts, table in tables:
+            tag = _tag(ts.model.mass)
+            u, rescaled_exact = twostate.rescale(ts, table.v_eff, table.q)
+            arc = -np.sqrt(1.0 - u**2)
+            files[f"veff_m{tag}.csv"] = ("q_over_d,rescaled_exact,rescaled_two_state",
+                                         zip(u.tolist(), rescaled_exact.tolist(), arc.tolist()))
+            files[f"veff_table_m{tag}.csv"] = ("q,v_eff,lambda", zip(
+                table.q.tolist(), table.v_eff.tolist(), table.lam.tolist()))
+            files[f"veff_table_m{tag}.json"] = {
+                "meta": {"e1": ts.e1, "e2": ts.e2, "d": ts.d, "model": ts.model.to_dict(),
+                         **table.meta},
+                "bounded_support": table.bounded_support}
+            print(f"m={ts.model.mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
     return EXIT_OK, files
 
 
 def cmd_twostate(cfg):
     section, files, summary = cfg["twostate"], {}, {}
-    for tag, ts in _doublets(cfg, section):
+    for ts in _doublets(cfg, section):
+        tag = _tag(ts.model.mass)
         table = twostate.two_state_table(ts, section["n_q"])
         files[f"two_state_m{tag}.csv"] = ("q,v_eff", zip(table.q.tolist(),
                                                          table.v_eff.tolist()))
@@ -249,35 +315,39 @@ def cmd_fluct(cfg):
     section, files, summary = cfg["fluct"], {}, {}
     # log-spaced rescaled temperatures exposing both asymptotes
     t_grid = np.logspace(np.log10(section["t_min"]), np.log10(section["t_max"]), section["n_t"])
-    for tag, ts in _doublets(cfg, section):
+
+    def curves(ts):
         betas = 2.0 / (t_grid * ts.splitting)
         table = thermal.table_for_betas(ts, betas, section["n_q"], cfg["grid"])
-        curve = thermal.fluctuation_curve(table, betas)
         # restricted variant: same V_eff and slopes confined to |q| <= d
         q_res = np.linspace(-ts.d, ts.d, 201)
         clipped = constrain.EffectivePotentialTable(
             q_res, table.interpolate(q_res), np.interp(q_res, table.q, table.lam), ts,
             bounded_support=True)
-        restricted = thermal.fluctuation_curve(clipped, betas)
-        files[f"fluct_m{tag}.csv"] = (
-            "rescaled_temperature,delta_q_over_d,delta_q_over_d_restricted,mean_q",
-            zip(curve.rescaled_temperature.tolist(), curve.delta_q_over_d.tolist(),
-                restricted.delta_q_over_d.tolist(), curve.mean_q.tolist()))
-        summary[str(ts.model.mass)] = {
-            "e1": ts.e1, "e2": ts.e2, "d": ts.d,
-            "delta_p": curve.delta_p.tolist(),
-            "max_full_vs_restricted": float(
-                np.max(np.abs(curve.delta_q_over_d - restricted.delta_q_over_d))),
-            "table": {"nodes": len(table.q),
-                      **{key: table.meta[key]
-                         for key in ("eigensolves", "lapack_fallbacks", "factorizations")},
-                      "grid": table.meta["grid"]},
-        }
-        print(f"m={ts.model.mass}: delta_q/d ranges "
-              f"[{curve.delta_q_over_d.min():.4g}, {curve.delta_q_over_d.max():.4g}]")
+        return (table, thermal.fluctuation_curve(table, betas),
+                thermal.fluctuation_curve(clipped, betas))
+
+    with contextlib.closing(_per_mass(curves, _doublets(cfg, section))) as results:
+        for ts, (table, curve, restricted) in results:
+            files[f"fluct_m{_tag(ts.model.mass)}.csv"] = (
+                "rescaled_temperature,delta_q_over_d,delta_q_over_d_restricted,mean_q",
+                zip(curve.rescaled_temperature.tolist(), curve.delta_q_over_d.tolist(),
+                    restricted.delta_q_over_d.tolist(), curve.mean_q.tolist()))
+            summary[str(ts.model.mass)] = {
+                "e1": ts.e1, "e2": ts.e2, "d": ts.d,
+                "delta_p": curve.delta_p.tolist(),
+                "max_full_vs_restricted": float(
+                    np.max(np.abs(curve.delta_q_over_d - restricted.delta_q_over_d))),
+                "table": {"nodes": len(table.q),
+                          **{key: table.meta[key]
+                             for key in ("eigensolves", "lapack_fallbacks", "factorizations")},
+                          "grid": table.meta["grid"]},
+            }
+            print(f"m={ts.model.mass}: delta_q/d ranges "
+                  f"[{curve.delta_q_over_d.min():.4g}, {curve.delta_q_over_d.max():.4g}]")
 
     # the rescaled two-state curve is universal: any doublet gives the same
-    reference = thermal.fluctuation_curve(twostate.two_state_table(ts, 801), betas)
+    reference = thermal.fluctuation_curve(twostate.two_state_table(ts, 801), curve.beta)
     files["fluct_two_state.csv"] = ("rescaled_temperature,delta_q_over_d",
                                     zip(t_grid.tolist(), reference.delta_q_over_d.tolist()))
     files["fluct.json"] = summary

@@ -19,7 +19,8 @@ class UsageError(WfGibbsError):
 
 
 class SolverError(WfGibbsError):
-    """An iterative solver failed to converge.
+    """An iterative solver failed to converge, or an exact evaluation left
+    the range of doubles.
 
     Carries the best residual reached, when available.
     """

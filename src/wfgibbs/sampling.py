@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, SolverError, UsageError
 from .lattice import GridSpec, ModelParams, assemble_hamiltonian
 from .spectra import lowest_eigenpairs
 from .twostate import TwoStateModel, two_state_from_pairs
@@ -177,16 +177,20 @@ class SampleRun:
         return self.samples[:, :, 0].ravel()
 
     def moment_summary(self) -> dict:
-        """Means and variances of q and p with batch-means standard errors."""
+        """Means and variances of q and p with batch-means standard errors.
+        Each column is copied once into one contiguous (chains, steps)
+        buffer, which is then centered and squared in place."""
         out = {}
-        for name, series in (("q", self.samples[:, :, 0]), ("p", self.samples[:, :, 1])):
-            flat = series.ravel()
-            mean = float(flat.mean())
+        series = np.empty(self.samples.shape[:2])
+        for column, name in enumerate("qp"):
+            np.copyto(series, self.samples[:, :, column])
+            mean = float(series.mean())
             out[f"mean_{name}"] = mean
             out[f"mean_{name}_se"] = _batch_se(series)
-            centered = (series - mean) ** 2
-            out[f"var_{name}"] = float(centered.mean())
-            out[f"var_{name}_se"] = _batch_se(centered)
+            series -= mean
+            np.square(series, out=series)
+            out[f"var_{name}"] = float(series.mean())
+            out[f"var_{name}_se"] = _batch_se(series)
         return out
 
 
@@ -407,6 +411,9 @@ def exact_moments(tm: TruncatedModel, beta: float) -> dict:
     E<q>^2 = sum_kl Q_kk Q_ll E[w_k w_l] + sum_{k != l} Q_kl^2 E[w_k w_l];
     <p> is the same with A, which has no diagonal, so E<p> = 0. Any N, any
     potential: Q's diagonal (nonzero in tilted wells) is included.
+
+    Raises SolverError naming beta when f[s] is zero, subnormal or not
+    finite: every ratio above would be nan or lose its digits.
     """
     if beta < 0:
         raise UsageError(f"beta must be >= 0, got {beta}")
@@ -416,6 +423,9 @@ def exact_moments(tm: TruncatedModel, beta: float) -> dict:
     # row i holds f[s], f[s, s_k], f[s, s_k, s_l] at columns n-1, n, n+1
     f = _exp_divided_differences(np.column_stack([np.tile(s, (len(k), 1)), s[k], s[l]]))
     z = f[0, n - 1]
+    if not np.finfo(float).tiny <= abs(z) < np.inf:
+        raise SolverError(f"exact moments at beta = {beta}: f[s] = {z} is not a normal "
+                          f"double (the weights exp(-beta (E - E_0)) underflow)")
     ew = -f[k == l, n] / z
     eww = np.empty((n, n))
     eww[k, l] = eww[l, k] = f[:, n + 1] / z

@@ -348,6 +348,101 @@ def test_unsolvable_veff_node_fails_the_run(tmp_path, capsys, monkeypatch):
     assert err.startswith("solver error:") and f"{first}" in err
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts in this process."""
+    pids = []
+
+    def fork(real=os.fork):
+        pid = real()
+        pids.extend([pid] if pid else [])
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.mark.parametrize("command", ["veff", "fluct"])
+@pytest.mark.parametrize("masses", [[0.5], [0.5, 1.5], [0.5, 1.0, 1.5]], ids=["1", "2", "3"])
+def test_forked_and_one_worker_runs_write_the_same_files(command, masses, tmp_path,
+                                                          monkeypatch, capsys, forks):
+    # two workers take the masses in turn (three masses: this process solves
+    # the first and the third); one worker, or one mass, starts no process
+    cfg = write_config(tmp_path, {
+        "model": DOUBLE_WELL_MODEL,
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        "veff": {"masses": masses, "n_q": 11},
+        "fluct": {"masses": masses, "t_min": 0.1, "t_max": 10.0, "n_t": 5, "n_q": 41},
+    })
+    runs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        runs.append(({p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr().out))
+        assert len(forks) == (len(masses) > 1)
+    assert runs[0] == runs[1]
+    assert [line.split(":")[0] for line in runs[0][1].splitlines()] == [
+        f"m={m}" for m in masses]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failing", [0.5, 1.5], ids=["this_process", "child"])
+def test_failed_mass_fails_the_run_in_mass_order(failing, tmp_path, capsys, monkeypatch, forks):
+    # the first node out from q = 0 of the failing mass cannot be solved:
+    # exit 3 naming its q, the lines of the masses before it printed, no
+    # output directory and no child left, whichever process solved it
+    from wfgibbs import constrain, twostate
+
+    parent = os.getpid()
+
+    def solve(ts, q_grid, grid, real=constrain.effective_potential):
+        if ts.model.mass == failing:
+            assert (os.getpid() == parent) == (failing == 0.5)
+            monkeypatch.setattr(constrain, "MAX_NEWTON_STEPS", 1)
+        return real(ts, q_grid, grid)
+
+    monkeypatch.setattr(constrain, "effective_potential", solve)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    grid = {"x_min": -6.0, "x_max": 6.0, "n_points": 801}
+    cfg = write_config(tmp_path, {"model": DOUBLE_WELL_MODEL, "grid": grid,
+                                  "veff": {"masses": [0.5, 1.5], "n_q": 11}})
+    out = tmp_path / "out"
+    assert main(["veff", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists() and len(forks) == 1
+    mp = ModelParams.from_dict({**DOUBLE_WELL_MODEL, "mass": failing})
+    ts = twostate.build_two_state(mp, GridSpec.from_dict(grid))
+    first = np.linspace(-0.995 * ts.d, 0.995 * ts.d, 11)[6]
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solver error:") and f"{first}" in captured.err
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == (
+        ["m=0.5"] if failing == 1.5 else [])
+    _no_child_left()
+
+
+def test_interrupt_reaps_every_child(tmp_path, monkeypatch, forks):
+    from wfgibbs import constrain
+
+    def interrupted(ts, q_grid, grid):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(constrain, "effective_potential", interrupted)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, {"model": DOUBLE_WELL_MODEL,
+                                  "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+                                  "veff": {"masses": [0.5, 1.5], "n_q": 11}})
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["veff", "--config", cfg, "--out", str(out)])
+    assert not out.exists() and len(forks) == 1
+    _no_child_left()
+
+
 @pytest.mark.parametrize("command", ["veff", "twostate", "fluct"])
 def test_asymmetric_potential_is_a_config_error(command, tmp_path, capsys):
     cfg = write_config(tmp_path, {
@@ -464,6 +559,22 @@ def test_sample_exact_validation_on_tilted_model(tmp_path, capsys):
     assert set(checks) == {"mean_q", "mean_p", "var_q", "var_p"}
     assert all(c["pass"] and c["z"] <= 3.0 for c in checks.values())
     assert abs(checks["mean_q"]["expected"]) > 0.01  # the tilt moves <q>
+
+
+def test_exact_validation_underflow_is_a_solver_error(tmp_path, capsys):
+    # at beta = 1e15 the N=24 weights underflow: exact_moments read nan for
+    # every moment; now the run exits 3, naming beta, and writes nothing
+    cfg = write_config(tmp_path, {
+        "model": DOUBLE_WELL_MODEL,
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        "sample": {"n_basis": 24, "beta": 1e15, "chains": 1, "steps_per_chain": 200,
+                   "burn_in": 0, "validate": "exact"},
+    })
+    out = tmp_path / "out"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and f"beta = {1e15}:" in err
 
 
 def test_canonical_command(tmp_path, capsys):
@@ -794,6 +905,16 @@ def test_only_spectra_references_lapack():
     for path in sorted(Path(wfgibbs.__file__).parent.glob("*.py")):
         found = lapack & _identifiers(path)
         assert found == (lapack if path.stem == "spectra" else set()), path.name
+
+
+def test_only_cli_starts_processes():
+    # cli forks the per-mass workers; the numerics modules start no process,
+    # as they do no I/O
+    fork = {"fork", "pipe", "_exit"}
+    process = fork | {"multiprocessing", "concurrent", "subprocess"}
+    for path in sorted(Path(wfgibbs.__file__).parent.glob("*.py")):
+        found = process & _identifiers(path)
+        assert found == (fork if path.stem == "cli" else set()), path.name
 
 
 def test_thermal_and_twostate_never_read_meta():

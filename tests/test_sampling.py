@@ -9,8 +9,10 @@ import pytest
 from wfgibbs import (
     ChainConfig,
     ConfigurationError,
+    GridSpec,
     ModelParams,
     QuarticDoubleWell,
+    SolverError,
     Tilted,
     TruncatedModel,
     UsageError,
@@ -18,9 +20,9 @@ from wfgibbs import (
     exact_moments,
     sample_ensemble,
 )
-from wfgibbs.sampling import integrated_autocorrelation, unitary_flow_check
+from wfgibbs.sampling import _batch_se, integrated_autocorrelation, unitary_flow_check
 
-from conftest import exact_sphere_variance, harmonic
+from conftest import double_well, exact_sphere_variance, harmonic
 from test_acceptance import two_level_quadrature
 
 
@@ -336,6 +338,36 @@ def test_exact_moments_match_mpmath_reference(n, harmonic_grid):
         assert exact["var_q"] == pytest.approx(var_q, rel=1e-12, abs=0), beta
         assert exact["var_p"] == pytest.approx(var_p, rel=1e-12, abs=0), beta
         assert abs(exact["mean_q"]) < 1e-9 and exact["mean_p"] == 0.0
+
+
+def test_exact_moments_underflow_names_beta():
+    # N=24 double well: f[s] is normal at beta = 1e11, subnormal at 1e12
+    # (var_q read 19% below its 1/beta trend) and zero at 1e15 (every moment
+    # read nan, with two RuntimeWarnings)
+    tm = build_truncated_model(double_well(0.5), 24, GridSpec(-6.0, 6.0, 801))
+    assert exact_moments(tm, 1e11)["var_q"] > 0
+    for beta in (1e12, 1e15):
+        with pytest.raises(SolverError, match=f"beta = {beta}: f\\[s\\] = "):
+            exact_moments(tm, beta)
+
+
+def _column_moments(run):
+    """moment_summary as one column at a time: the reference it keeps to the bit."""
+    out = {}
+    for name, series in (("q", run.samples[:, :, 0]), ("p", run.samples[:, :, 1])):
+        mean = float(series.ravel().mean())
+        centered = (series - mean) ** 2
+        out.update({f"mean_{name}": mean, f"mean_{name}_se": _batch_se(series),
+                    f"var_{name}": float(centered.mean()),
+                    f"var_{name}_se": _batch_se(centered)})
+    return out
+
+
+@pytest.mark.parametrize("steps", [20, 1000, 4099])
+def test_moment_summary_matches_column_reference(tm8, steps):
+    cfg = ChainConfig(chain_count=3, steps_per_chain=steps, burn_in=100, seed=5)
+    run = sample_ensemble(tm8, 2.0, cfg)
+    assert run.moment_summary() == _column_moments(run)
 
 
 def test_sampler_matches_exact_variance(tm8):
