@@ -23,11 +23,14 @@ predicted by quadratic extrapolation through the last three nodes (by the
 secant before that), a free node's by the secant. A node that cannot be
 solved raises out of either builder: a table with a hole is not V_eff.
 
-Each Newton step's slope comes with the first-order change of the ground
-state, dphi/dlambda = -(H - E0)^+ (x - q) phi, and every eigensolve after
-one, in the same node or at the next, starts from phi + dlambda dphi/dlambda
-instead of phi while that correction is a perturbation (below half of phi
-in norm).
+Each node's first eigensolve starts from the ground state extrapolated in
+lambda to the predicted multiplier, in the same form: the quadratic through
+the last three nodes' (lambda, phi), the line through two before that, the
+untilted phi at the first node. Each Newton step's slope comes with the
+first-order change of the ground state, dphi/dlambda = -(H - E0)^+ (x - q)
+phi, and the node's next eigensolve starts from phi + dlambda dphi/dlambda.
+Either start is used only while its correction to the last phi is a
+perturbation (below half of phi in norm), phi itself otherwise.
 """
 
 from __future__ import annotations
@@ -73,8 +76,7 @@ class ConstrainedState:
     """Self-consistent record (q, lambda(q), ground energy, wavefunction),
     with the work the root took (k=1 eigensolves, warm starts that fell
     back to a cold LAPACK solve, dpttrf factorizations of eigensolves and
-    slopes) and dphi/dlambda of the unit ground state at the last Newton
-    step (None without one)."""
+    slopes)."""
 
     q_target: float
     lam: float
@@ -83,7 +85,6 @@ class ConstrainedState:
     wavefunction: np.ndarray
     constraint_residual: float
     work: Counter
-    tangent: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -121,13 +122,34 @@ def _slope(op: TridiagonalOperator, ground: EigenPair):
     return -2.0 * float(r @ y), -y
 
 
-def _first_order(phi: np.ndarray, dlam: float, tangent: np.ndarray | None) -> np.ndarray:
-    """Start vector for the ground state at lambda + dlam, from phi at lambda:
-    phi/|phi| + dlam dphi/dlambda while the correction is below 1/2 in norm,
-    phi itself otherwise (or without a tangent)."""
-    if tangent is None or not abs(dlam) * np.linalg.norm(tangent) < 0.5:
-        return phi
-    return phi / np.linalg.norm(phi) + dlam * tangent
+def _perturbed(phi: np.ndarray, correction: np.ndarray) -> np.ndarray:
+    """phi + correction while the correction is below half of phi in norm (a
+    perturbation), phi itself otherwise."""
+    return phi + correction if np.linalg.norm(correction) < 0.5 * np.linalg.norm(phi) else phi
+
+
+def _first_order(phi: np.ndarray, dlam: float, tangent: np.ndarray) -> np.ndarray:
+    """Start vector for the ground state at lambda + dlam, from phi at lambda
+    and tangent, dphi/dlambda of the unit ground state: phi + dlam |phi|
+    tangent."""
+    return _perturbed(phi, dlam * np.linalg.norm(phi) * tangent)
+
+
+def _extrapolated(known, lam: float) -> np.ndarray:
+    """Start vector for the ground state at lam from known, the last (at most
+    three) nodes' (lambda, phi) in walk order: their polynomial in lambda, in
+    Newton form from the last node."""
+    (lam1, phi1), *older = known[::-1]
+    if not older:
+        return phi1
+    lam2, phi2 = older[0]
+    slope = (phi1 - phi2) / (lam1 - lam2)
+    correction = (lam - lam1) * slope
+    if len(older) == 2:
+        lam3, phi3 = older[1]
+        curvature = (slope - (phi2 - phi3) / (lam2 - lam3)) / (lam1 - lam3)
+        correction += (lam - lam1) * (lam - lam2) * curvature
+    return _perturbed(phi1, correction)
 
 
 def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
@@ -154,7 +176,6 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
     band = (-tol, tol) if _band is None else _band
     lo, hi, best = -np.inf, np.inf, np.inf
     work = Counter(eigensolves=0, lapack_fallbacks=0, factorizations=0)
-    tangent = None
     for _ in range(MAX_NEWTON_STEPS):
         tilted = tilt_hamiltonian(op, lam)
         pair = lowest_eigenpairs(tilted, 1, start=start)[0]
@@ -167,7 +188,7 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
         if band[0] <= resid <= band[1]:
             at = q_target if _band is None else q
             return ConstrainedState(at, lam, pair.energy, pair.energy - lam * at, phi,
-                                    abs(q - at), work, tangent)
+                                    abs(q - at), work)
         if resid > 0:
             lo = lam
         else:
@@ -203,13 +224,14 @@ def _anchor(ts: TwoStateModel, grid: GridSpec, mirror: bool):
 
 def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None):
     """Nodes (q, V, lambda) along direction, adding the work to counts: one
-    solve_lambda call per node, from the predicted lambda (see the module
-    docstring) and the first-order change of the last ground state.
+    solve_lambda call per node, from the predicted lambda and the ground
+    state extrapolated to it (see the module docstring).
     Prescribed nodes (targets, in outward order) are recorded at the
     target, free nodes (h given) where an advance in [h/8, 3h/2] of h lands,
     up to the first past q_max. A node that cannot be solved raises."""
     op, ground, q, slope = branch
-    lam, phi, tangent, band = 0.0, ground.wavefunction, None, None
+    lam, band = 0.0, None
+    known = [(lam, ground.wavefunction)]  # (lambda, phi) of the last three nodes
     # lambda(qt) ~ lam + (qt - q) (slope + curvature (qt - q_back)), Newton
     # form through the last three nodes; q_back == q while slope is two-level
     q_back, curvature = q, 0.0
@@ -220,13 +242,13 @@ def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None
     nodes = []
     for qt in targets:
         aim = lam + (qt - q) * (slope + curvature * (qt - q_back))
-        cs = solve_lambda(mp, qt, grid, op=op, start=_first_order(phi, aim - lam, tangent),
-                          lam=aim, _band=band)
+        cs = solve_lambda(mp, qt, grid, op=op, start=_extrapolated(known, aim), lam=aim,
+                          _band=band)
         secant = (cs.lam - lam) / (cs.q_target - q)
         if h is None and q_back != q:
             curvature = (secant - slope) / (cs.q_target - q_back)
         q_back, q, lam, slope = q, cs.q_target, cs.lam, secant
-        phi, tangent = cs.wavefunction, cs.tangent
+        known = known[-2:] + [(lam, cs.wavefunction)]
         counts.update(cs.work)  # not +=, which drops the zero counts
         nodes.append((q, cs.v_eff, lam))
     return nodes

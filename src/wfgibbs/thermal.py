@@ -10,6 +10,7 @@ ensemble comparator whose position distribution is a sum of point atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,6 +52,24 @@ class CanonicalAtoms:
         return float(np.sqrt(max(second - mean**2, 0.0)))
 
 
+def _refined(table: EffectivePotentialTable, n_fine: int):
+    """(refined grid, its spacing, V_eff - min V_eff on it): n_fine points
+    over the table's range, V_eff interpolated piecewise-linearly."""
+    if len(table.q) < 2:
+        raise UsageError("effective-potential table needs at least two points")
+    qq = np.linspace(table.q[0], table.q[-1], n_fine)
+    v = table.interpolate(qq)
+    return qq, np.diff(qq), v - v.min()
+
+
+def _density(beta: float, excess: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """exp(-beta excess), normalized by the trapezoid rule at spacing dq."""
+    if not 0 < beta < np.inf:
+        raise UsageError(f"beta must be positive and finite, got {beta}")
+    dens = np.exp(-beta * excess)
+    return dens / np.trapezoid(dens, dx=dq)
+
+
 def position_marginal(table: EffectivePotentialTable, beta: float,
                       n_fine: int = 4001):
     """Normalized density of <q>, exp(-beta V_eff), on a refined grid over
@@ -59,14 +78,8 @@ def position_marginal(table: EffectivePotentialTable, beta: float,
     Interpolation is piecewise-linear in V_eff, not in the density, which
     preserves convexity and positivity.
     """
-    if not 0 < beta < np.inf:
-        raise UsageError(f"beta must be positive and finite, got {beta}")
-    if len(table.q) < 2:
-        raise UsageError("effective-potential table needs at least two points")
-    qq = np.linspace(table.q[0], table.q[-1], n_fine)
-    v = table.interpolate(qq)
-    dens = np.exp(-beta * (v - v.min()))
-    return qq, dens / np.trapezoid(dens, qq)
+    qq, dq, excess = _refined(table, n_fine)
+    return qq, _density(beta, excess, dq)
 
 
 def bin_masses(table: EffectivePotentialTable, beta: float, edges) -> np.ndarray:
@@ -94,7 +107,8 @@ def _check_coverage(table, beta, qq, dens):
 
 def fluctuation_curve(table: EffectivePotentialTable, betas,
                       n_fine: int = 4001) -> ThermalCurve:
-    """Mean and dispersion of <q> at each beta, by trapezoid quadrature.
+    """Mean and dispersion of <q> at each beta, by trapezoid quadrature of
+    the position_marginal density (the table is interpolated once).
 
     The Gaussian momentum dispersion sqrt(m/beta) is reported alongside.
     Raises CoverageError naming the offending beta when the table does not
@@ -103,12 +117,13 @@ def fluctuation_curve(table: EffectivePotentialTable, betas,
     """
     betas = np.asarray(betas, dtype=float)
     doublet = table.doublet
+    qq, dq, excess = _refined(table, n_fine)
     mean_q, delta_q = [], []
     for beta in betas:
-        qq, dens = position_marginal(table, beta, n_fine)
+        dens = _density(beta, excess, dq)
         _check_coverage(table, beta, qq, dens)
-        m1 = np.trapezoid(dens * qq, qq)
-        m2 = np.trapezoid(dens * qq**2, qq)
+        m1 = np.trapezoid(dens * qq, dx=dq)
+        m2 = np.trapezoid(dens * qq**2, dx=dq)
         mean_q.append(m1)
         delta_q.append(np.sqrt(max(m2 - m1**2, 0.0)))
 
@@ -130,23 +145,54 @@ def required_q_range(mp: ModelParams, beta: float) -> float:
     Uses the bare potential as a proxy for V_eff (they agree far from the
     wells, where the ground state of the tilted problem is semiclassical).
     Every potential is a polynomial, so both steps are exact: min V is taken
-    over the real roots of V', at x0, and the largest |x| of the real roots
-    of V - min V - Q_RANGE_MARGIN / beta is returned. A potential that does not
-    confine (degree below 2, odd degree or a negative leading coefficient)
-    covers no beta.
+    over the real roots of V', and the largest |x| where V - min V reaches
+    Q_RANGE_MARGIN / beta is returned, found on each side by bisection on
+    the sign of that difference evaluated in exact rational arithmetic,
+    which a nearly double crossing (at a huge beta) does not disturb. A
+    potential that does not confine (degree below 2, odd degree or a
+    negative leading coefficient) covers no beta.
     """
     if not 0 < beta < np.inf:
         raise UsageError(f"beta must be positive and finite, got {beta}")
     v = np.polynomial.Polynomial(mp.potential.power_series(mp.mass)).trim()
     if v.degree() < 2 or v.degree() % 2 or v.coef[-1] < 0:
         raise CoverageError(f"potential does not confine; cannot cover beta={beta}", beta=beta)
+    ratios = [float(c).as_integer_ratio() for c in v.coef[::-1]]
+    scale = max(den for _, den in ratios)  # a power of 2, as every den
+    coef = [num * (scale // den) for num, den in ratios]
+
+    def exact(x):
+        # V(n / d) scale d^deg = sum_k coef_k n^k d^(deg - k), by Horner
+        n, d = float(x).as_integer_ratio()
+        value, power = coef[0], 1
+        for c in coef[1:]:
+            power *= d
+            value = value * n + c * power
+        return Fraction(value, scale * power)
+
     critical = v.deriv().roots().real
-    x0 = critical[np.argmin(v(critical))]
-    roots = (v - v(x0) - Q_RANGE_MARGIN / beta).roots()
-    # a crossing lies on each side of x0, so the range is at least |x0|; a
-    # root nearly double (at a huge beta) comes out with a small imaginary part
-    real = roots.real[np.abs(roots.imag) <= 1e-6 * (1 + np.abs(roots))]
-    return float(np.max(np.abs(np.append(real, x0))))
+    level = min(map(exact, critical)) + Fraction(Q_RANGE_MARGIN / beta)
+    # V is monotone between critical points, so beyond the outermost one
+    # below the level V crosses it once on each side
+    below = [x for x in critical if exact(x) < level]
+    return max(_crossing(exact, level, max(below), 1.0),
+               -_crossing(exact, level, min(below), -1.0))
+
+
+def _crossing(value, level, inside, step):
+    """The first float past inside, along the sign of step, where value
+    reaches level; value is below level at inside and crosses it once past
+    it. Steps doubling outward bracket the crossing, and bisection closes
+    the bracket to adjacent floats."""
+    while value(inside + step) < level:
+        inside, step = inside + step, 2.0 * step
+    outside = inside + step
+    while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+        if value(mid) < level:
+            inside = mid
+        else:
+            outside = mid
+    return float(outside)
 
 
 def table_for_betas(ts: TwoStateModel, betas, n_q: int,

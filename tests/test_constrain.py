@@ -126,23 +126,57 @@ def test_eigensolves_per_constrained_point(mass, two_state_models, dw_grid, monk
     q = np.linspace(-0.995 * ts.d, 0.995 * ts.d, 21)
     table = effective_potential(ts, q, dw_grid)
     assert len(table.q) == len(q)
-    # measured 1.52 (m=0.2) and 1.62 (m=0.5) k=1 solves per point; the
-    # bound leaves a margin of about 1.25
+    # measured 1.57 (m=0.2) and 1.67 (m=0.5) k=1 solves per point; the
+    # bound leaves a margin of about 1.2
     assert len(k1_solves) / len(q) <= 2
     # the table metadata records the same counts: every solve starts warm,
     # the untilted one from the doublet's even state, so the only cold
-    # solves are fallbacks; measured 4.8 and 5.3 dpttrf factorizations per
-    # point
+    # solves are fallbacks; measured 4.76 and 5.24 dpttrf factorizations
+    # per point
     assert table.meta["eigensolves"] == len(k1_solves)
     assert table.meta["lapack_fallbacks"] == len(fallbacks) <= len(k1_solves)
     assert len(k1_solves) <= table.meta["factorizations"] <= 6 * len(q)
+
+
+def test_extrapolated_start_is_the_polynomial_through_the_last_nodes():
+    # phi(lambda) quadratic in lambda: three nodes reproduce it, two give
+    # the line through the last two, one gives phi itself
+    rng = np.random.default_rng(0)
+    a, b, c = rng.normal(size=(3, 50))
+
+    def phi(lam):
+        return a + b * lam + c * lam**2
+
+    known = [(lam, phi(lam)) for lam in (0.0, -0.02, -0.05)]
+    assert np.allclose(constrain._extrapolated(known, -0.08), phi(-0.08), rtol=0, atol=1e-14)
+    line = phi(-0.05) + (phi(-0.05) - phi(-0.02)) / (-0.05 + 0.02) * (-0.08 + 0.05)
+    assert np.allclose(constrain._extrapolated(known[1:], -0.08), line, rtol=0, atol=1e-14)
+    assert constrain._extrapolated(known[2:], -0.08) is known[2][1]
+    # a correction not below half of the last phi in norm is not used
+    assert constrain._extrapolated(known, 10.0) is known[2][1]
+
+
+def test_fluct_preset_table_work(two_state_models, dw_grid):
+    # the fluct preset at m = 0.2: 175 free nodes on the widened 7141-point
+    # grid; each node's first eigensolve starts from the ground state
+    # extrapolated through the last three nodes (measured 337 dpttrf
+    # factorizations, 3.8 per eigensolve; 421, or 4.8, from the last phi)
+    from wfgibbs.thermal import table_for_betas
+
+    ts = two_state_models[0.2]
+    betas = 2.0 / (np.logspace(-2, 2, 60) * ts.splitting)
+    table = table_for_betas(ts, betas, 161, dw_grid)
+    assert table.meta["grid"]["n_points"] == 7141 and len(table.q) == 175
+    assert table.meta["eigensolves"] == 88
+    assert table.meta["lapack_fallbacks"] == 0
+    assert table.meta["factorizations"] <= 4 * table.meta["eigensolves"]
 
 
 @pytest.mark.parametrize("mass, q_target", [(0.2, 0.3), (0.5, 0.9), (1.5, -1.2)])
 def test_newton_first_order_start_is_closer(mass, q_target, dw_grid):
     # one Newton step from a multiplier 10% past the root: u + dlam dphi/dlambda
     # lies closer to the ground state at the new multiplier than u itself
-    # (measured 15-90 times), and the warm solve from it takes fewer
+    # (measured 13-150 times), and the warm solve from it takes fewer
     # factorizations (measured 3 against 4)
     mp = double_well(mass)
     op = assemble_hamiltonian(mp, dw_grid)

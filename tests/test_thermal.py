@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -30,7 +31,7 @@ from wfgibbs import (
 from wfgibbs.cli import load_config
 from wfgibbs.thermal import Q_RANGE_MARGIN, bin_masses
 
-from conftest import double_well, harmonic
+from conftest import DOUBLE_WELL_MASSES, double_well, harmonic
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,96 @@ def test_coverage_error_names_beta(dw_tables):
     with pytest.raises(CoverageError) as err:
         fluctuation_curve(dw_tables[0.2], [0.05])
     assert err.value.beta == pytest.approx(0.05)
+    # of several betas too hot for it, the first in the given order
+    for betas in ([50.0, 0.05, 0.01], [50.0, 0.01, 0.05]):
+        with pytest.raises(CoverageError) as err:
+            fluctuation_curve(dw_tables[0.2], betas)
+        assert err.value.beta == betas[1]
+
+
+def _per_beta_curve(table, betas, n_fine=4001):
+    """(mean_q, delta_q) by the per-beta formula: position_marginal's body,
+    then the trapezoid rule on q and q^2 against the refined grid."""
+    mean_q, delta_q = [], []
+    for beta in betas:
+        qq = np.linspace(table.q[0], table.q[-1], n_fine)
+        v = np.interp(qq, table.q, table.v_eff)
+        dens = np.exp(-beta * (v - v.min()))
+        dens = dens / np.trapezoid(dens, qq)
+        m1 = np.trapezoid(dens * qq, qq)
+        m2 = np.trapezoid(dens * qq**2, qq)
+        mean_q.append(m1)
+        delta_q.append(np.sqrt(max(m2 - m1**2, 0.0)))
+    return np.array(mean_q), np.array(delta_q)
+
+
+def test_curve_quadrature_is_bit_identical_to_per_beta_formula(two_state_models, dw_grid):
+    # the table is interpolated once per curve, not once per beta; the full
+    # walk table, its restriction to |q| <= d and the two-state arc, as fluct
+    # builds them
+    ts = two_state_models[0.5]
+    betas = 2.0 / (np.logspace(-2, 2, 9) * ts.splitting)
+    full = table_for_betas(ts, betas, 41, dw_grid)
+    q_res = np.linspace(-ts.d, ts.d, 201)
+    clipped = EffectivePotentialTable(q_res, full.interpolate(q_res),
+                                      np.interp(q_res, full.q, full.lam), ts,
+                                      bounded_support=True)
+    for table in (full, clipped, two_state_table(ts, 801)):
+        curve = fluctuation_curve(table, betas)
+        mean_q, delta_q = _per_beta_curve(table, betas)
+        assert np.array_equal(curve.mean_q, mean_q)
+        assert np.array_equal(curve.delta_q, delta_q)
+        assert np.array_equal(curve.delta_q_over_d, delta_q / ts.d)
+        qq, dens = position_marginal(table, betas[3])
+        assert np.array_equal(qq, np.linspace(table.q[0], table.q[-1], 4001))
+        v = np.interp(qq, table.q, table.v_eff)
+        reference = np.exp(-betas[3] * (v - v.min()))
+        assert np.array_equal(dens, reference / np.trapezoid(reference, qq))
+
+
+def _mpmath_q_range(model, beta):
+    """Largest |x| where V - min V reaches the float Q_RANGE_MARGIN / beta,
+    for V the float coefficients of model, at 60 digits."""
+    with mpmath.workdps(60):
+        c = [mpmath.mpf(float(x)) for x in
+             np.polynomial.Polynomial(model.potential.power_series(model.mass)).trim().coef]
+        dc = [k * c[k] for k in range(1, len(c))]
+        tiny = mpmath.mpf(10) ** -40  # imaginary part of a real root
+        critical = [mpmath.re(r) for r in mpmath.polyroots(dc[::-1], maxsteps=200, extraprec=200)
+                    if abs(mpmath.im(r)) < tiny]
+        level = (min(mpmath.polyval(c[::-1], x) for x in critical)
+                 + mpmath.mpf(Q_RANGE_MARGIN / beta))
+        roots = mpmath.polyroots(([c[0] - level] + c[1:])[::-1], maxsteps=400, extraprec=400)
+        return float(max(abs(mpmath.re(r)) for r in roots if abs(mpmath.im(r)) < tiny))
+
+
+@pytest.mark.parametrize("beta", [1e8, 1e12, 1e16, 1e20])
+@pytest.mark.parametrize("potential", ["symmetric", "tilted"])
+def test_required_q_range_at_a_nearly_double_crossing(potential, beta):
+    # at a huge beta the crossing lies within sqrt(25 / (beta V''/2)) of a
+    # well's floor, a nearly double root of V - min V - 25/beta, which
+    # companion-matrix roots split by sqrt(eps) (1.5000000517 for the
+    # symmetric well at 1e16, against 1.5000000167)
+    well = QuarticDoubleWell(1.0, 1.5)
+    model = ModelParams(0.5, 1.0, well if potential == "symmetric" else Tilted(well, 0.05))
+    assert required_q_range(model, beta) == pytest.approx(_mpmath_q_range(model, beta), rel=1e-12)
+    if potential == "symmetric":
+        exact = np.sqrt(2.25 + np.sqrt(Q_RANGE_MARGIN / beta))
+        assert required_q_range(model, beta) == pytest.approx(exact, rel=1e-15)
+
+
+def test_required_q_range_of_preset_betas_is_exact():
+    # the smallest beta of each fluct mass, the canonical beta and the
+    # sample_dw beta: within 2 ulp of the 60-digit crossing
+    cases = []
+    for mass in DOUBLE_WELL_MASSES:
+        model = double_well(mass)
+        ts = build_two_state(model, default_grid(model))
+        cases += [(model, 2.0 / (100.0 * ts.splitting)), (model, 1.0)]
+    cases.append((double_well(0.2), 13.675730546881546))
+    for model, beta in cases:
+        assert required_q_range(model, beta) == pytest.approx(_mpmath_q_range(model, beta),
+                                                              rel=4.5e-16, abs=0.0)
 
 
 def test_required_q_range_harmonic_scaling():
