@@ -340,7 +340,8 @@ def cmd_fluct(cfg):
                     np.max(np.abs(curve.delta_q_over_d - restricted.delta_q_over_d))),
                 "table": {"nodes": len(table.q),
                           **{key: table.meta[key]
-                             for key in ("eigensolves", "lapack_fallbacks", "factorizations")},
+                             for key in ("eigensolves", "lapack_fallbacks", "factorizations",
+                                         "factorized_rows")},
                           "grid": table.meta["grid"]},
             }
             print(f"m={ts.model.mass}: delta_q/d ranges "
@@ -436,6 +437,7 @@ def cmd_sample(cfg):
             "chains": run.chain_count, "steps_per_chain": run.steps_per_chain,
             "burn_in": run.burn_in, "acceptance_rate": run.acceptance_rate,
             "integrated_autocorrelation_time": run.integrated_autocorrelation_time,
+            "top_level_wall_weight": tm.top_level_wall_weight,
             "per_chain": run.chain_records(), "validation": report},
     }
 
@@ -457,7 +459,8 @@ def cmd_canonical(cfg):
         "canonical_atoms.csv": ("weight,q_k", zip(atoms.weights.tolist(),
                                                   atoms.positions.tolist())),
         "canonical.json": {"beta": beta, "z": atoms.z, "canonical_delta_q": canonical_dq,
-                           "ensemble_delta_q": float(curve.delta_q[0])},
+                           "ensemble_delta_q": float(curve.delta_q[0]),
+                           "top_level_wall_weight": tm.top_level_wall_weight},
     }
 
 

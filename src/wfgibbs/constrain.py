@@ -75,8 +75,8 @@ def default_grid(mp: ModelParams) -> GridSpec:
 class ConstrainedState:
     """Self-consistent record (q, lambda(q), ground energy, wavefunction),
     with the work the root took (k=1 eigensolves, warm starts that fell
-    back to a cold LAPACK solve, dpttrf factorizations of eigensolves and
-    slopes)."""
+    back to a cold LAPACK solve, dptsv factorizations of eigensolves and
+    slopes and the rows they factored)."""
 
     q_target: float
     lam: float
@@ -175,13 +175,14 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
     tol = DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target))
     band = (-tol, tol) if _band is None else _band
     lo, hi, best = -np.inf, np.inf, np.inf
-    work = Counter(eigensolves=0, lapack_fallbacks=0, factorizations=0)
+    work = Counter(eigensolves=0, lapack_fallbacks=0, factorizations=0, factorized_rows=0)
     for _ in range(MAX_NEWTON_STEPS):
         tilted = tilt_hamiltonian(op, lam)
         pair = lowest_eigenpairs(tilted, 1, start=start)[0]
         work["eigensolves"] += 1
         work["lapack_fallbacks"] += start is not None and pair.method == "lapack"
         work["factorizations"] += pair.factorizations
+        work["factorized_rows"] += pair.factorized_rows
         phi = pair.wavefunction
         q = position_element(phi, phi, grid)
         resid = q - q_target
@@ -200,6 +201,7 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
         best = min(best, abs(resid))
         chi, tangent = _slope(tilted, pair)
         work["factorizations"] += 1
+        work["factorized_rows"] += op.n
         lam_next = lam - resid / chi
         if not lo < lam_next < hi:
             lam_next = 0.5 * (lo + hi)
@@ -217,7 +219,8 @@ def _anchor(ts: TwoStateModel, grid: GridSpec, mirror: bool):
     start = np.interp(grid.x, ts.grid.x, ts.phi1, left=0.0, right=0.0)
     ground = lowest_eigenpairs(op, 1, start=start)[0]
     counts = Counter(eigensolves=1, lapack_fallbacks=int(ground.method == "lapack"),
-                     factorizations=ground.factorizations)
+                     factorizations=ground.factorizations,
+                     factorized_rows=ground.factorized_rows)
     q0 = 0.0 if mirror else position_element(ground.wavefunction, ground.wavefunction, grid)
     return counts, (op, ground, q0, -ts.splitting / (2.0 * ts.d**2))
 
@@ -282,8 +285,8 @@ def effective_potential(ts: TwoStateModel, q_grid, grid: GridSpec) -> EffectiveP
     1e-12 of its span) is solved on q > 0 and mirrored, (q, V, lambda) ->
     (-q, V, -lambda); a centre node is the untilted node. A node that cannot be
     solved raises UnreachableTargetError or SolverError. meta records the
-    grid and the work done: k=1 eigensolves, warm starts that fell back and
-    dpttrf factorizations."""
+    grid and the work done: k=1 eigensolves, warm starts that fell back,
+    dptsv factorizations and the rows they factored."""
     q_grid = np.asarray(q_grid, dtype=float)
     if len(q_grid) == 0:
         raise UsageError("empty q grid")

@@ -35,6 +35,7 @@ _SOKAL_C = 6.0  # IAT window: the first m >= _SOKAL_C tau(m)
 # 1e6 ran on both threads and took 2 to 25 times as long as one of half
 # the size on one thread
 _SERIAL_GEMM_SIZE = 65536 * 4
+_WALL_ROWS = 8  # grid rows next to each hard wall whose weight of the top level is recorded
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,11 @@ class TruncatedModel:
     energies: np.ndarray
     q_matrix: np.ndarray
     p_matrix_imag: np.ndarray
-    # the lowest doublet of the levels; None for a model given as matrices
+    # the lowest doublet of the levels and the top level's trapezoid weight
+    # within _WALL_ROWS rows of the grid's walls; None for a model given as
+    # matrices
     doublet: TwoStateModel | None = None
+    top_level_wall_weight: float | None = None
 
     @property
     def n(self) -> int:
@@ -103,7 +107,8 @@ class TruncatedModel:
 
 def build_truncated_model(mp: ModelParams, n_basis: int, grid: GridSpec) -> TruncatedModel:
     """Project q and p onto the span of the lowest n_basis eigenstates,
-    whose two lowest give the model its doublet."""
+    whose two lowest give the model its doublet. The top level's weight
+    next to the walls measures how much the truncation feels the box."""
     if n_basis < 2:
         raise UsageError(f"n_basis must be >= 2, got {n_basis}")
     op = assemble_hamiltonian(mp, grid)
@@ -121,7 +126,10 @@ def build_truncated_model(mp: ModelParams, n_basis: int, grid: GridSpec) -> Trun
     a = 0.5 * (a - a.T)
 
     energies = np.array([p.energy for p in pairs])
-    return TruncatedModel(energies, q_matrix, a, two_state_from_pairs(mp, grid, pairs))
+    density = phis[-1] ** 2 * wts
+    wall_weight = float(density[:_WALL_ROWS].sum() + density[-_WALL_ROWS:].sum())
+    return TruncatedModel(energies, q_matrix, a, two_state_from_pairs(mp, grid, pairs),
+                          wall_weight)
 
 
 @dataclass(frozen=True)

@@ -11,32 +11,54 @@ A ground state (k = 1) given a start vector, such as the ground state at a
 nearby multiplier, is refined instead by shifted inverse iteration: each
 shift sigma = rho - max(r, 1e3 eps ||H||) sits below the Rayleigh quotient
 rho by its residual r, and a successful LDL^T factorization of H - sigma
-(LAPACK dpttrf) certifies that H - sigma is positive definite, i.e. that
-sigma lies below the whole spectrum (Parlett, The Symmetric Eigenvalue
-Problem, ch. 4), so the iteration can only converge to the ground state.
-Once the residual is at roundoff (at most 1e3 eps ||H||) the iteration
-stops at the first step that fails to halve it, and returns the vector
-whose own shift was certified; started from an exact eigenvector it takes
-one factorization. A failed factorization, or a residual that stalls above
-roundoff, falls back to the cold LAPACK solve.
+certifies that H - sigma is positive definite, i.e. that sigma lies below
+the whole spectrum (Parlett, The Symmetric Eigenvalue Problem, ch. 4), so
+the iteration can only converge to the ground state. Once the residual is
+at roundoff (at most 1e3 eps ||H||) the iteration stops at the first step
+that fails to halve it, and returns the vector whose own shift was
+certified; started from an exact eigenvector it takes one factorization.
+
+A tilted ground state decays exponentially where the potential exceeds its
+energy, so the iteration runs on the window [lo, hi) of rows where the
+start exceeds 1e-20 of its peak, plus 64 rows on each side (the edges are
+found on every 32nd row, so lo is a multiple of 32), and its vectors are
+zero outside. A window of more than 3/4 of the grid is the whole grid.
+Each shifted solve factors the window block with its two end diagonals
+lowered by their couplings |e| to the rows outside, and a shift is used
+only if it lies strictly below min(diag_i - |e_(i-1)| - |e_i|) over the
+rows outside. Eliminating from row 0, every outside pivot then exceeds its
+coupling by induction (a pivot d > |e| passes on e^2 / d < |e|), each
+window pivot is at least the lowered block's (the last one by more than
+its coupling to row hi), and the rows past hi follow as the first ones
+did: a successful window factorization certifies H - sigma on the whole
+grid. The residual adds the two couplings |e| |v_edge| to the rows just
+outside, so rho and r are exactly those of the zero-padded vector on the
+whole grid. An iteration that fails on a window (a shift not certified,
+or a residual that stalls above roundoff, say because the ground state
+reaches past an edge) goes on once over the whole grid from its best
+vector; a failure there falls back to the cold LAPACK solve.
+EigenPair.factorized_rows counts the rows factored.
 
 The reduced resolvent (H - E0)^+ of a ground state, which gives the
 susceptibility dq/dlambda of constrained ground states, is applied by the
-same LDL^T factorization at the shift E0 - 1e3 eps ||H|| just below E0.
+same LDL^T solve over the whole grid at the shift E0 - 1e3 eps ||H|| just
+below E0.
 
-This is the only module that calls LAPACK. Its four routines (dstebz and
-dstein for cold solves; dpttrf and dpttrs for warm solves and the reduced
-resolvent) are called through scipy's f2py extension scipy/linalg/_flapack,
-loaded from its file so that the scipy.linalg package __init__, which
-imports numpy.testing and numpy.f2py among others, never runs: it is most
-of the package's import time. When the file is not found,
-scipy.linalg.lapack, which exposes the same wrappers, is used instead.
+This is the only module that calls LAPACK. Its three routines (dstebz and
+dstein for cold solves; dptsv, an LDL^T factorization and solve, for warm
+solves and the reduced resolvent) are called through scipy's f2py
+extension scipy/linalg/_flapack, loaded from its file so that the
+scipy.linalg package __init__, which imports numpy.testing and numpy.f2py
+among others, never runs: it is most of the package's import time. When
+the file is not found, scipy.linalg.lapack, which exposes the same
+wrappers, is used instead.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 from dataclasses import dataclass
 
@@ -49,6 +71,10 @@ DEFAULT_TOL = 1e-10
 MAX_INVERSE_STEPS = 40
 SHIFT_FLOOR = 1e3 * np.finfo(float).eps  # least distance of a shift below E0, per ||H||
 PARITY_TOL = 1e-6  # max |phi(x) -+ phi(-x)| of an even or odd state
+WINDOW_CUT = 1e-20  # share of its peak below which a start row may lie outside the window
+WINDOW_STRIDE = 32  # the window's edges are found on every 32nd row
+WINDOW_MARGIN = 64  # rows kept beyond them
+WINDOW_SHARE = 0.75  # a wider window is the whole grid
 
 
 def _load_flapack():
@@ -75,9 +101,10 @@ class EigenPair:
 
     Sign convention: the first component exceeding 1e-8 in magnitude is
     positive. ``method`` names the path that produced the pair: "lapack"
-    (cold dstebz/dstein solve) or "inverse_iteration" (warm start, dpttrf
-    certified shifts and dpttrs solves). ``factorizations`` counts the
-    dpttrf calls made for it, those of a warm start that fell back included.
+    (cold dstebz/dstein solve) or "inverse_iteration" (warm start, dptsv
+    solves at certified shifts). ``factorizations`` counts the dptsv calls
+    made for it, those of a warm start that fell back included, and
+    ``factorized_rows`` the rows they factored.
     """
 
     energy: float
@@ -85,6 +112,7 @@ class EigenPair:
     residual: float
     method: str
     factorizations: int
+    factorized_rows: int
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -94,35 +122,113 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _window(op: TridiagonalOperator, start: np.ndarray):
+    """Rows [lo, hi) of the warm solve from start: those where start exceeds
+    WINDOW_CUT of its peak, found on every WINDOW_STRIDE-th row (so lo is a
+    multiple of it), plus WINDOW_MARGIN rows; the whole grid when that is
+    more than WINDOW_SHARE of it or start has no such row."""
+    coarse = np.abs(start[::WINDOW_STRIDE])
+    # argmax and nonzero take microseconds less than max and flatnonzero,
+    # and this runs before every warm solve
+    above = (coarse > WINDOW_CUT * coarse[coarse.argmax()]).nonzero()[0]
+    if not len(above):
+        return 0, op.n
+    lo = max(WINDOW_STRIDE * (int(above[0]) - 1) - WINDOW_MARGIN, 0)
+    hi = min(WINDOW_STRIDE * (int(above[-1]) + 1) + WINDOW_MARGIN, op.n)
+    return (lo, hi) if hi - lo <= WINDOW_SHARE * op.n else (0, op.n)
+
+
 def _inverse_iteration(op: TridiagonalOperator, start: np.ndarray):
     """((energy, unit vector, residual) of the ground state refined from start
-    by certified shifted inverse iteration, or None when a factorization
-    fails, the residual stalls above roundoff or MAX_INVERSE_STEPS pass;
-    dpttrf calls made)."""
+    by certified shifted inverse iteration, or None when that fails; dptsv
+    calls made; rows they factored). The iteration runs on the window of
+    start and, if it fails there, once more on the whole grid from its best
+    vector."""
+    lo, hi = _window(op, start)
+    warm, best, count = _iterate(op, start, lo, hi)
+    rows = count * (hi - lo)
+    if warm is None and hi - lo < op.n:
+        warm, _, more = _iterate(op, best, 0, op.n)
+        count, rows = count + more, rows + more * op.n
+    return warm, count, rows
+
+
+def _iterate(op: TridiagonalOperator, start: np.ndarray, lo: int, hi: int):
+    """(energy, unit vector, residual) of the ground state refined from start
+    on rows [lo, hi), zero outside, or None when a shift is not certified,
+    the residual stalls above roundoff or MAX_INVERSE_STEPS pass; the vector
+    of least residual, zero-padded; dptsv calls made."""
     floor = SHIFT_FLOOR * op.norm_estimate
-    vec = start / np.linalg.norm(start)
+    d, e, lowered, left, right, wall = _block(op, lo, hi)
+
+    def padded(vec):
+        if hi - lo == op.n:
+            return vec
+        full = np.zeros(op.n)
+        full[lo:hi] = vec
+        return full
+
+    # x / sqrt(x.dot(x)) is x / np.linalg.norm(x) bit for bit, without its
+    # microseconds of argument handling on each step
+    vec = start[lo:hi]
+    vec = vec / math.sqrt(vec.dot(vec))
     best = None
     for step in range(MAX_INVERSE_STEPS):
-        hv = op.apply(vec)
+        hv = d * vec
+        hv[:-1] += e * vec[1:]
+        hv[1:] += e * vec[:-1]
         rho = float(vec @ hv)
-        resid = float(np.linalg.norm(hv - rho * vec))
-        # best's own shift passed dpttrf, so its rho < E0 + max(r, floor); at
+        r = hv - rho * vec
+        # the residual of vec padded with zeros: the window rows and the two
+        # rows just outside
+        resid = math.sqrt(r.dot(r) + (left * vec[0]) ** 2 + (right * vec[-1]) ** 2)
+        # best's own shift was certified, so its rho < E0 + max(r, floor); at
         # roundoff a step that fails to halve the residual ends the iteration
         if best is not None and resid > 0.5 * best[2] and (best[2] <= floor or resid >= best[2]):
-            return (best if best[2] <= floor else None), step
+            found = (best[0], padded(best[1]), best[2]) if best[2] <= floor else None
+            return found, padded(best[1]), step
         best = (rho, vec, resid)
-        vec = _shifted_solve(op, rho - max(resid, floor), vec)
+        shift = rho - max(resid, floor)
+        if not shift < wall:
+            return None, padded(best[1]), step
+        vec = _solve(lowered - shift, e, vec)
         if vec is None:
-            return None, step + 1
-        vec /= np.linalg.norm(vec)
-    return None, MAX_INVERSE_STEPS
+            return None, padded(best[1]), step + 1
+        vec /= math.sqrt(vec.dot(vec))
+    return None, padded(best[1]), MAX_INVERSE_STEPS
 
 
-def _shifted_solve(op: TridiagonalOperator, shift: float, rhs: np.ndarray):
-    """(H - shift)^-1 rhs by an LDL^T factorization (dpttrf, dpttrs), or
-    None when it fails, i.e. when shift does not lie below the spectrum."""
-    dd, ee, info = _lapack.dpttrf(op.diagonal - shift, op.off_diagonal)
-    return _lapack.dpttrs(dd, ee, rhs)[0] if info == 0 else None
+def _block(op: TridiagonalOperator, lo: int, hi: int):
+    """(diagonal, off-diagonal, the diagonal with its two ends lowered by
+    their couplings |e| to the rows just outside, those couplings on the
+    left and right, least Gershgorin bound diag_i - |e_(i-1)| - |e_i| of
+    the rows outside) of rows [lo, hi) of op. With no rows outside, the
+    lowered diagonal is the diagonal and the bound inf. A shift below the
+    bound makes the pivot of every outside row exceed its coupling (see
+    the module docstring)."""
+    d, e = op.diagonal[lo:hi], op.off_diagonal[lo:hi - 1]
+    if lo == 0 and hi == op.n:
+        return d, e, d, 0.0, 0.0, np.inf
+    left = abs(op.off_diagonal[lo - 1]) if lo else 0.0
+    right = abs(op.off_diagonal[hi - 1]) if hi < op.n else 0.0
+    lowered = d.copy()
+    lowered[0] -= left
+    lowered[-1] -= right
+    coupling = np.abs(op.off_diagonal)
+    bound = op.diagonal.copy()
+    bound[:-1] -= coupling
+    bound[1:] -= coupling
+    return d, e, lowered, left, right, float(min(bound[:lo].min(initial=np.inf),
+                                                 bound[hi:].min(initial=np.inf)))
+
+
+def _solve(diagonal: np.ndarray, off_diagonal: np.ndarray, rhs: np.ndarray):
+    """The solution of the symmetric tridiagonal system by an LDL^T
+    factorization (dptsv), or None when a pivot is not positive, i.e. when
+    the matrix is not positive definite. diagonal, a temporary of the
+    caller, is overwritten (which spares dptsv a copy of it)."""
+    x, info = _lapack.dptsv(diagonal, off_diagonal, rhs, overwrite_d=1)[2:]
+    return x if info == 0 else None
 
 
 def _cold_solve(op: TridiagonalOperator, k: int):
@@ -156,7 +262,7 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
         raise UsageError(f"tol must be positive, got {tol}")
     if start is not None and k != 1:
         raise UsageError(f"a start vector needs k=1, got k={k}")
-    warm, factorizations = (None, 0) if start is None else _inverse_iteration(op, start)
+    warm, factorizations, rows = (None, 0, 0) if start is None else _inverse_iteration(op, start)
     if warm is not None:
         energies, vectors = [warm[0]], warm[1][:, None]
         method = "inverse_iteration"
@@ -180,7 +286,7 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
         # renormalize in the trapezoid norm (endpoint weights)
         norm2 = np.sum(phi * phi * op.grid.weights)
         phi = phi / np.sqrt(norm2)
-        pairs.append(EigenPair(float(energies[i]), phi, resid, method, factorizations))
+        pairs.append(EigenPair(float(energies[i]), phi, resid, method, factorizations, rows))
     return pairs
 
 
@@ -190,13 +296,13 @@ def reduced_resolvent(op: TridiagonalOperator, ground: EigenPair,
     the ground state of op, applied to rhs projected onto it (Euclidean
     inner product on grid vectors).
 
-    It is solved as (H - E0 + f)^-1 with f = 1e3 eps ||H|| by dpttrf/dpttrs,
+    It is solved as (H - E0 + f)^-1 with f = 1e3 eps ||H|| by dptsv,
     so the component along each excited state k is off by the relative
     amount f / (E_k - E0). Raises SolverError if the factorization fails.
     """
     u = ground.wavefunction / np.linalg.norm(ground.wavefunction)
     shift = ground.energy - SHIFT_FLOOR * op.norm_estimate
-    y = _shifted_solve(op, shift, rhs - (u @ rhs) * u)
+    y = _solve(op.diagonal - shift, op.off_diagonal, rhs - (u @ rhs) * u)
     if y is None:
         raise SolverError(f"H - E0 is not positive definite below E0={ground.energy}")
     return y - (u @ y) * u

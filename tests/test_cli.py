@@ -191,7 +191,7 @@ def test_veff_command(tmp_path):
     assert {"e1", "e2", "d"} <= set(meta)
     assert meta["failed_points"] == []
     # how the table converged: k=1 eigensolves, warm starts that fell back
-    # and dpttrf factorizations
+    # and dptsv factorizations
     assert 11 <= meta["eigensolves"]
     assert 0 <= meta["lapack_fallbacks"] <= meta["eigensolves"]
     assert meta["eigensolves"] <= meta["factorizations"]
@@ -210,7 +210,7 @@ def test_veff_table_record_contract(tmp_path):
         meta = json.loads((out / f"veff_table_m{tag}.json").read_text())["meta"]
         assert list(meta) == ["e1", "e2", "d", "model", "grid", "root_tol_scale",
                               "failed_points", "eigensolves", "lapack_fallbacks",
-                              "factorizations"]
+                              "factorizations", "factorized_rows"]
         ts = build_two_state(ModelParams.from_dict({**DOUBLE_WELL_MODEL, "mass": mass}),
                              GridSpec.from_dict(grid))
         assert (meta["e1"], meta["e2"], meta["d"]) == (ts.e1, ts.e2, ts.d)
@@ -236,9 +236,13 @@ def test_fluct_command(tmp_path):
     # how the table was built: its nodes, eigensolves, LAPACK work and widened grid
     record = summary["1.0"]["table"]
     assert set(record) == {"nodes", "eigensolves", "lapack_fallbacks", "factorizations",
-                           "grid"}
+                           "factorized_rows", "grid"}
     assert 41 <= record["nodes"] and 0 < record["eigensolves"] <= record["nodes"]
     assert 0 <= record["lapack_fallbacks"] <= record["eigensolves"]
+    # each factorization covers at most the whole widened grid
+    n_points = record["grid"]["n_points"]
+    assert record["factorizations"] <= record["factorized_rows"]
+    assert record["factorized_rows"] <= record["factorizations"] * n_points
     assert set(record["grid"]) == {"x_min", "x_max", "n_points"}
     assert record["grid"]["x_min"] == -record["grid"]["x_max"]
 
@@ -475,6 +479,7 @@ def test_sample_command_deterministic(tmp_path):
     assert (a / "samples.csv").read_bytes() != (c / "samples.csv").read_bytes()
     run = json.loads((a / "sample_run.json").read_text())
     assert run["seed"] == 4 and run["chains"] == 2
+    assert 0.0 <= run["top_level_wall_weight"] < 1e-3
     per_chain = run["per_chain"]
     assert len(per_chain) == 2
     for record in per_chain:
@@ -596,6 +601,7 @@ def test_canonical_command(tmp_path, capsys):
     tm = sampling.build_truncated_model(mp, 20, grid)
     table = table_for_betas(tm.doublet, [2.0], n_q=81, grid=grid)
     assert blob["ensemble_delta_q"] == fluctuation_curve(table, [2.0]).delta_q[0]
+    assert blob["top_level_wall_weight"] == tm.top_level_wall_weight
     header, rows = read_csv(out / "canonical_atoms.csv")
     assert len(rows) == 20
 

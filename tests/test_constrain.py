@@ -131,7 +131,7 @@ def test_eigensolves_per_constrained_point(mass, two_state_models, dw_grid, monk
     assert len(k1_solves) / len(q) <= 2
     # the table metadata records the same counts: every solve starts warm,
     # the untilted one from the doublet's even state, so the only cold
-    # solves are fallbacks; measured 4.76 and 5.24 dpttrf factorizations
+    # solves are fallbacks; measured 4.76 and 5.24 dptsv factorizations
     # per point
     assert table.meta["eigensolves"] == len(k1_solves)
     assert table.meta["lapack_fallbacks"] == len(fallbacks) <= len(k1_solves)
@@ -156,11 +156,12 @@ def test_extrapolated_start_is_the_polynomial_through_the_last_nodes():
     assert constrain._extrapolated(known, 10.0) is known[2][1]
 
 
-def test_fluct_preset_table_work(two_state_models, dw_grid):
+def test_fluct_preset_table_work(two_state_models, dw_grid, monkeypatch):
     # the fluct preset at m = 0.2: 175 free nodes on the widened 7141-point
     # grid; each node's first eigensolve starts from the ground state
-    # extrapolated through the last three nodes (measured 337 dpttrf
+    # extrapolated through the last three nodes (measured 337 dptsv
     # factorizations, 3.8 per eigensolve; 421, or 4.8, from the last phi)
+    from wfgibbs import spectra
     from wfgibbs.thermal import table_for_betas
 
     ts = two_state_models[0.2]
@@ -170,6 +171,17 @@ def test_fluct_preset_table_work(two_state_models, dw_grid):
     assert table.meta["eigensolves"] == 88
     assert table.meta["lapack_fallbacks"] == 0
     assert table.meta["factorizations"] <= 4 * table.meta["eigensolves"]
+    # each warm solve factors the window of its start (measured 1137056
+    # rows, 47% of the whole grid's), and the table is that of whole-grid
+    # solves
+    monkeypatch.setattr(spectra, "WINDOW_SHARE", 0.0)
+    whole = table_for_betas(ts, betas, 161, dw_grid)
+    assert whole.meta["factorized_rows"] == 7141 * whole.meta["factorizations"]
+    assert table.meta["factorized_rows"] < 0.55 * whole.meta["factorized_rows"]
+    assert {k: whole.meta[k] for k in ("eigensolves", "lapack_fallbacks", "factorizations")} \
+        == {k: table.meta[k] for k in ("eigensolves", "lapack_fallbacks", "factorizations")}
+    for column in ("q", "v_eff", "lam"):
+        assert np.allclose(getattr(table, column), getattr(whole, column), rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("mass, q_target", [(0.2, 0.3), (0.5, 0.9), (1.5, -1.2)])

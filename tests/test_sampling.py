@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from wfgibbs import (
     exact_moments,
     sample_ensemble,
 )
+from wfgibbs.cli import load_config
 from wfgibbs.sampling import _batch_se, integrated_autocorrelation, unitary_flow_check
 
 from conftest import double_well, exact_sphere_variance, harmonic
@@ -43,6 +45,21 @@ def test_truncated_model_harmonic_structure(harmonic_grid):
     assert np.allclose(tm.q_matrix, tm.q_matrix.T)
     assert np.allclose(tm.p_matrix_imag, -tm.p_matrix_imag.T)
     assert np.allclose(np.abs(np.diag(tm.p_matrix_imag, 1)), ladder, atol=1e-3)
+
+
+@pytest.mark.parametrize("preset, n_basis, low, high", [
+    ("harmonic_sample.json", 24, 1e-18, 1e-16),
+    ("dw_m0.2.json", 24, 1e-22, 1e-20),
+    ("dw_m0.2.json", 96, 1e-4, 1e-2),
+])
+def test_top_level_wall_weight_order_of_magnitude(preset, n_basis, low, high):
+    # the top level's trapezoid weight within 8 rows of the walls: measured
+    # 4.0e-17 (harmonic, N = 24, top level 23.5 below V(+-10) = 50) and
+    # 1.8e-21 (double well m = 0.2, N = 24, 241 below V(+-6) = 1139); at
+    # N = 96 the double well's top level, 1804, is above the wall: 7.1e-4
+    cfg = load_config(Path(__file__).parents[1] / "configs" / preset)
+    tm = build_truncated_model(cfg["model"], n_basis, cfg["grid"])
+    assert low < tm.top_level_wall_weight < high
 
 
 def test_expectations_of_simple_states(tm8):
