@@ -18,14 +18,15 @@ table takes and holds): by Hellmann-Feynman each tilted ground state is
 an exact node (q, E0 - lambda q, lambda). Prescribed nodes
 (effective_potential) are hit to the root tolerance, free ones
 (lambda_walk_table) wherever an advance of h/8 to 3h/2 lands; a symmetric
-problem is solved on one side and mirrored. A prescribed node's lambda is
-predicted by quadratic extrapolation through the last three nodes (by the
-secant before that), a free node's by the secant. A node that cannot be
-solved raises out of either builder: a table with a hole is not V_eff.
+problem is solved on one side and mirrored. A node that cannot be solved
+raises out of either builder: a table with a hole is not V_eff.
 
-Each node's first eigensolve starts from the ground state extrapolated in
-lambda to the predicted multiplier, in the same form: the quadratic through
-the last three nodes' (lambda, phi), the line through two before that, the
+Each node starts from one rule, _lagrange: the polynomial through the last
+(at most three) nodes, sum_i w_i y_i with scalar or vector y_i. It predicts
+the node's multiplier from lambda(q), quadratic through three nodes for a
+prescribed node and the secant for a free one (the two-level slope at the
+first node), and starts its first eigensolve from phi(lambda) at that
+multiplier: quadratic through three nodes, the line through two, the
 untilted phi at the first node. Each Newton step's slope comes with the
 first-order change of the ground state, dphi/dlambda = -(H - E0)^+ (x - q)
 phi, and the node's next eigensolve starts from phi + dlambda dphi/dlambda.
@@ -35,6 +36,7 @@ perturbation (below half of phi in norm), phi itself otherwise.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -122,34 +124,35 @@ def _slope(op: TridiagonalOperator, ground: EigenPair):
     return -2.0 * float(r @ y), -y
 
 
-def _perturbed(phi: np.ndarray, correction: np.ndarray) -> np.ndarray:
-    """phi + correction while the correction is below half of phi in norm (a
+def _perturbed(phi: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """start while its correction to phi is below half of phi in norm (a
     perturbation), phi itself otherwise."""
-    return phi + correction if np.linalg.norm(correction) < 0.5 * np.linalg.norm(phi) else phi
+    return start if np.linalg.norm(start - phi) < 0.5 * np.linalg.norm(phi) else phi
 
 
 def _first_order(phi: np.ndarray, dlam: float, tangent: np.ndarray) -> np.ndarray:
     """Start vector for the ground state at lambda + dlam, from phi at lambda
     and tangent, dphi/dlambda of the unit ground state: phi + dlam |phi|
     tangent."""
-    return _perturbed(phi, dlam * np.linalg.norm(phi) * tangent)
+    return _perturbed(phi, phi + dlam * np.linalg.norm(phi) * tangent)
 
 
-def _extrapolated(known, lam: float) -> np.ndarray:
-    """Start vector for the ground state at lam from known, the last (at most
-    three) nodes' (lambda, phi) in walk order: their polynomial in lambda, in
-    Newton form from the last node."""
-    (lam1, phi1), *older = known[::-1]
-    if not older:
-        return phi1
-    lam2, phi2 = older[0]
-    slope = (phi1 - phi2) / (lam1 - lam2)
-    correction = (lam - lam1) * slope
-    if len(older) == 2:
-        lam3, phi3 = older[1]
-        curvature = (slope - (phi2 - phi3) / (lam2 - lam3)) / (lam1 - lam3)
-        correction += (lam - lam1) * (lam - lam2) * curvature
-    return _perturbed(phi1, correction)
+def _lagrange(points, x):
+    """The polynomial through points, (x_i, y_i) with each y_i a scalar or a
+    vector, at x: sum_i w_i y_i with the Lagrange weights
+    w_i = prod_(j != i) (x - x_j) / (x_i - x_j)."""
+    total = 0.0
+    for i, (xi, yi) in enumerate(points):
+        w = math.prod((x - xj) / (xi - xj) for j, (xj, _) in enumerate(points) if j != i)
+        total = total + w * yi
+    return total
+
+
+def _eigensolve_work(pair: EigenPair, warm: bool) -> Counter:
+    """The work record of one k=1 eigensolve: itself, a warm start that fell
+    back to the cold LAPACK solve, its dptsv factorizations and their rows."""
+    return Counter(eigensolves=1, lapack_fallbacks=int(warm and pair.method == "lapack"),
+                   factorizations=pair.factorizations, factorized_rows=pair.factorized_rows)
 
 
 def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
@@ -175,14 +178,11 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
     tol = DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target))
     band = (-tol, tol) if _band is None else _band
     lo, hi, best = -np.inf, np.inf, np.inf
-    work = Counter(eigensolves=0, lapack_fallbacks=0, factorizations=0, factorized_rows=0)
+    work = Counter()
     for _ in range(MAX_NEWTON_STEPS):
         tilted = tilt_hamiltonian(op, lam)
         pair = lowest_eigenpairs(tilted, 1, start=start)[0]
-        work["eigensolves"] += 1
-        work["lapack_fallbacks"] += start is not None and pair.method == "lapack"
-        work["factorizations"] += pair.factorizations
-        work["factorized_rows"] += pair.factorized_rows
+        work.update(_eigensolve_work(pair, start is not None))
         phi = pair.wavefunction
         q = position_element(phi, phi, grid)
         resid = q - q_target
@@ -218,42 +218,35 @@ def _anchor(ts: TwoStateModel, grid: GridSpec, mirror: bool):
     op = assemble_hamiltonian(ts.model, grid)
     start = np.interp(grid.x, ts.grid.x, ts.phi1, left=0.0, right=0.0)
     ground = lowest_eigenpairs(op, 1, start=start)[0]
-    counts = Counter(eigensolves=1, lapack_fallbacks=int(ground.method == "lapack"),
-                     factorizations=ground.factorizations,
-                     factorized_rows=ground.factorized_rows)
     q0 = 0.0 if mirror else position_element(ground.wavefunction, ground.wavefunction, grid)
-    return counts, (op, ground, q0, -ts.splitting / (2.0 * ts.d**2))
+    return _eigensolve_work(ground, True), (op, ground, q0, -ts.splitting / (2.0 * ts.d**2))
 
 
 def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None):
     """Nodes (q, V, lambda) along direction, adding the work to counts: one
-    solve_lambda call per node, from the predicted lambda and the ground
-    state extrapolated to it (see the module docstring).
+    solve_lambda call per node, from the lambda and the ground state that
+    _lagrange extrapolates (see the module docstring).
     Prescribed nodes (targets, in outward order) are recorded at the
     target, free nodes (h given) where an advance in [h/8, 3h/2] of h lands,
     up to the first past q_max. A node that cannot be solved raises."""
     op, ground, q, slope = branch
-    lam, band = 0.0, None
-    known = [(lam, ground.wavefunction)]  # (lambda, phi) of the last three nodes
-    # lambda(qt) ~ lam + (qt - q) (slope + curvature (qt - q_back)), Newton
-    # form through the last three nodes; q_back == q while slope is two-level
-    q_back, curvature = q, 0.0
+    band, order = None, 3  # lambda(q) through the last three nodes
     if h is not None:
         band = (h / 8 - h, h / 2) if direction > 0 else (-h / 2, h - h / 8)
+        order = 2  # the secant
         # free targets: one step on from the last node, until past q_max
         targets = iter(lambda: q + direction * h if direction * q < q_max else None, None)
+    known = [(q, 0.0, ground.wavefunction)]  # (q, lambda, phi) of the last three nodes
     nodes = []
     for qt in targets:
-        aim = lam + (qt - q) * (slope + curvature * (qt - q_back))
-        cs = solve_lambda(mp, qt, grid, op=op, start=_extrapolated(known, aim), lam=aim,
-                          _band=band)
-        secant = (cs.lam - lam) / (cs.q_target - q)
-        if h is None and q_back != q:
-            curvature = (secant - slope) / (cs.q_target - q_back)
-        q_back, q, lam, slope = q, cs.q_target, cs.lam, secant
-        known = known[-2:] + [(lam, cs.wavefunction)]
+        aim = (_lagrange([(qk, lk) for qk, lk, _ in known[-order:]], qt) if len(known) > 1
+               else (qt - q) * slope)
+        start = _perturbed(known[-1][2], _lagrange([(lk, phi) for _, lk, phi in known], aim))
+        cs = solve_lambda(mp, qt, grid, op=op, start=start, lam=aim, _band=band)
+        q = cs.q_target
+        known = known[-2:] + [(q, cs.lam, cs.wavefunction)]
         counts.update(cs.work)  # not +=, which drops the zero counts
-        nodes.append((q, cs.v_eff, lam))
+        nodes.append((q, cs.v_eff, cs.lam))
     return nodes
 
 

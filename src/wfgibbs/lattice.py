@@ -69,12 +69,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 # --- potentials -------------------------------------------------------------
-# Every potential is a polynomial in x: evaluate(x, mass) gives its values and
-# power_series(mass) its coefficients, lowest order first.
+# Every potential is a polynomial in x, defined once by power_series(mass), its
+# coefficients lowest order first; its values and its parity derive from them.
+
+
+class _PowerSeries:
+    """A potential given by power_series(mass) alone."""
+
+    def evaluate(self, x, mass):
+        return np.polynomial.polynomial.polyval(np.asarray(x), self.power_series(mass))
+
+    @property
+    def is_symmetric(self) -> bool:
+        """Even in x: every odd coefficient is zero (the mass only scales them)."""
+        return all(c == 0.0 for c in self.power_series(1.0)[1::2])
 
 
 @dataclass(frozen=True)
-class Harmonic:
+class Harmonic(_PowerSeries):
     """V(x) = m omega^2 x^2 / 2 (the mass enters through ModelParams)."""
 
     omega: float
@@ -82,11 +94,6 @@ class Harmonic:
     def __post_init__(self):
         if not 0 < self.omega < np.inf:
             raise ConfigurationError(f"harmonic requires 0 < omega < inf, got {self.omega}")
-
-    is_symmetric = True
-
-    def evaluate(self, x, mass):
-        return 0.5 * mass * self.omega**2 * np.asarray(x) ** 2
 
     def power_series(self, mass):
         return (0.0, 0.0, 0.5 * mass * self.omega**2)
@@ -96,7 +103,7 @@ class Harmonic:
 
 
 @dataclass(frozen=True)
-class QuarticDoubleWell:
+class QuarticDoubleWell(_PowerSeries):
     """V(x) = w0 (x^2 - x0^2)^2: symmetric wells at +-x0, barrier w0*x0^4."""
 
     w0: float
@@ -109,11 +116,6 @@ class QuarticDoubleWell:
                 f"w0={self.w0}, x0={self.x0}"
             )
 
-    is_symmetric = True
-
-    def evaluate(self, x, mass):
-        return self.w0 * (np.asarray(x) ** 2 - self.x0**2) ** 2
-
     def power_series(self, mass):
         return (self.w0 * self.x0**4, 0.0, -2.0 * self.w0 * self.x0**2, 0.0, self.w0)
 
@@ -122,7 +124,7 @@ class QuarticDoubleWell:
 
 
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_PowerSeries):
     """V(x) = sum_k coefficients[k] x^k."""
 
     coefficients: tuple
@@ -133,13 +135,6 @@ class Polynomial:
             raise ConfigurationError(
                 f"polynomial potential needs finite coefficients, got {self.coefficients}")
 
-    @property
-    def is_symmetric(self) -> bool:
-        return all(c == 0.0 for c in self.coefficients[1::2])
-
-    def evaluate(self, x, mass):
-        return np.polynomial.polynomial.polyval(np.asarray(x), self.coefficients)
-
     def power_series(self, mass):
         return self.coefficients
 
@@ -148,7 +143,7 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class Tilted:
+class Tilted(_PowerSeries):
     """base(x) + strength * x; at most one level of nesting."""
 
     base: Union[Harmonic, QuarticDoubleWell, Polynomial]
@@ -159,14 +154,6 @@ class Tilted:
             raise ConfigurationError("tilted potentials cannot nest")
         if not np.isfinite(self.strength):
             raise ConfigurationError(f"tilt strength must be finite, got {self.strength}")
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.strength == 0.0 and self.base.is_symmetric
-
-    def evaluate(self, x, mass):
-        x = np.asarray(x)
-        return self.base.evaluate(x, mass) + self.strength * x
 
     def power_series(self, mass):
         c = self.base.power_series(mass) + (0.0, 0.0)
@@ -245,10 +232,16 @@ class TridiagonalOperator:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-vector product H @ vec."""
-        out = self.diagonal * vec
-        out[:-1] += self.off_diagonal * vec[1:]
-        out[1:] += self.off_diagonal * vec[:-1]
-        return out
+        return tridiagonal_product(self.diagonal, self.off_diagonal, vec)
+
+
+def tridiagonal_product(diagonal: np.ndarray, off_diagonal: np.ndarray,
+                        vec: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix (diagonal, off_diagonal) times vec."""
+    out = diagonal * vec
+    out[:-1] += off_diagonal * vec[1:]
+    out[1:] += off_diagonal * vec[:-1]
+    return out
 
 
 def assemble_hamiltonian(mp: ModelParams, grid: GridSpec) -> TridiagonalOperator:

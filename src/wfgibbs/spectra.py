@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, UsageError
-from .lattice import GridSpec, TridiagonalOperator
+from .lattice import GridSpec, TridiagonalOperator, tridiagonal_product
 
 DEFAULT_TOL = 1e-10
 MAX_INVERSE_STEPS = 40
@@ -174,9 +174,7 @@ def _iterate(op: TridiagonalOperator, start: np.ndarray, lo: int, hi: int):
     vec = vec / math.sqrt(vec.dot(vec))
     best = None
     for step in range(MAX_INVERSE_STEPS):
-        hv = d * vec
-        hv[:-1] += e * vec[1:]
-        hv[1:] += e * vec[:-1]
+        hv = tridiagonal_product(d, e, vec)
         rho = float(vec @ hv)
         r = hv - rho * vec
         # the residual of vec padded with zeros: the window rows and the two

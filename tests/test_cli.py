@@ -460,6 +460,24 @@ def test_asymmetric_potential_is_a_config_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("base, strength, code", [
+    ({"type": "polynomial", "coefficients": [0.0, -0.25, 1.0]}, 0.25, 0),
+    (DOUBLE_WELL_MODEL["potential"], 0.1, 2),
+], ids=["even_series", "tilted_well"])
+def test_veff_takes_the_symmetry_of_the_power_series(base, strength, code, tmp_path):
+    # x^2 - x/4 tilted by x/4 is x^2: its power series is even, so veff
+    # accepts it; a tilted double well stays asymmetric
+    cfg = write_config(tmp_path, {
+        "model": {**HARMONIC_MODEL, "potential": {"type": "tilted", "strength": strength,
+                                                  "base": base}},
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        "veff": {"masses": [1.0], "n_q": 11},
+    })
+    out = tmp_path / "out"
+    assert main(["veff", "--config", cfg, "--out", str(out)]) == code
+    assert (out / "veff_table_m1.csv").exists() == (code == 0)
+
+
 def test_sample_command_deterministic(tmp_path):
     payload = {
         "model": HARMONIC_MODEL,

@@ -139,8 +139,8 @@ def test_eigensolves_per_constrained_point(mass, two_state_models, dw_grid, monk
 
 
 def test_extrapolated_start_is_the_polynomial_through_the_last_nodes():
-    # phi(lambda) quadratic in lambda: three nodes reproduce it, two give
-    # the line through the last two, one gives phi itself
+    # _lagrange is exact on a quadratic, for scalar and vector values: three
+    # nodes reproduce it, two give the line through them, one gives itself
     rng = np.random.default_rng(0)
     a, b, c = rng.normal(size=(3, 50))
 
@@ -148,12 +148,18 @@ def test_extrapolated_start_is_the_polynomial_through_the_last_nodes():
         return a + b * lam + c * lam**2
 
     known = [(lam, phi(lam)) for lam in (0.0, -0.02, -0.05)]
-    assert np.allclose(constrain._extrapolated(known, -0.08), phi(-0.08), rtol=0, atol=1e-14)
+    assert np.allclose(constrain._lagrange(known, -0.08), phi(-0.08), rtol=0, atol=1e-14)
     line = phi(-0.05) + (phi(-0.05) - phi(-0.02)) / (-0.05 + 0.02) * (-0.08 + 0.05)
-    assert np.allclose(constrain._extrapolated(known[1:], -0.08), line, rtol=0, atol=1e-14)
-    assert constrain._extrapolated(known[2:], -0.08) is known[2][1]
-    # a correction not below half of the last phi in norm is not used
-    assert constrain._extrapolated(known, 10.0) is known[2][1]
+    assert np.allclose(constrain._lagrange(known[1:], -0.08), line, rtol=0, atol=1e-14)
+    assert np.array_equal(constrain._lagrange(known[2:], -0.08), known[2][1])
+    lam_of_q = [(q, 0.3 - 1.2 * q + 0.7 * q**2) for q in (0.0, 0.1, 0.25)]
+    assert constrain._lagrange(lam_of_q, 0.4) == pytest.approx(0.3 - 0.48 + 0.112, abs=1e-15)
+    assert constrain._lagrange(lam_of_q[2:], 0.4) == lam_of_q[2][1]
+    # the start is used only while its correction to the last phi is below
+    # half of that phi in norm
+    near = constrain._lagrange(known, -0.08)
+    assert constrain._perturbed(known[2][1], near) is near
+    assert constrain._perturbed(known[2][1], constrain._lagrange(known, 10.0)) is known[2][1]
 
 
 def test_fluct_preset_table_work(two_state_models, dw_grid, monkeypatch):

@@ -62,15 +62,21 @@ def test_tilted_adds_linear_term():
     assert np.allclose(pot.evaluate(x, 1.0), expected)
 
 
-@pytest.mark.parametrize("pot", [
-    Harmonic(2.0), QuarticDoubleWell(1.0, 1.5), Polynomial((0.3, -1.0, 0.0, 0.5, 0.25)),
-    Tilted(QuarticDoubleWell(0.5, 0.8), 0.25), Tilted(Polynomial((1.0,)), -0.5),
+@pytest.mark.parametrize("pot, closed_form", [
+    (Harmonic(2.0), lambda x, m: 2.0 * m * x**2),
+    (QuarticDoubleWell(1.0, 1.5), lambda x, m: (x**2 - 2.25) ** 2),
+    (Polynomial((0.3, -1.0, 0.0, 0.5, 0.25)), lambda x, m: 0.3 - x + 0.5 * x**3 + 0.25 * x**4),
+    (Tilted(QuarticDoubleWell(0.5, 0.8), 0.25), lambda x, m: 0.5 * (x**2 - 0.64) ** 2 + 0.25 * x),
+    (Tilted(Polynomial((1.0,)), -0.5), lambda x, m: 1.0 - 0.5 * x),
 ], ids=["harmonic", "double_well", "polynomial", "tilted_well", "tilted_constant"])
-def test_power_series_is_the_potential(pot):
+def test_power_series_is_the_potential(pot, closed_form):
+    # evaluate is the polynomial of power_series, so both are held to the
+    # closed form of each potential
     x = np.linspace(-3, 3, 61)
     for mass in (0.2, 1.5):
+        assert np.allclose(pot.evaluate(x, mass), closed_form(x, mass), rtol=1e-13, atol=1e-13)
         series = np.polynomial.polynomial.polyval(x, pot.power_series(mass))
-        assert np.allclose(series, pot.evaluate(x, mass), rtol=1e-13, atol=1e-13)
+        assert np.array_equal(series, pot.evaluate(x, mass))
 
 
 def test_tilted_nesting_rejected():
@@ -85,6 +91,15 @@ def test_symmetric_potentials_are_even():
         v = pot.evaluate(x, 1.0)
         assert pot.is_symmetric
         assert np.max(np.abs(v - v[::-1])) < 1e-12 * np.max(np.abs(v))
+
+
+def test_symmetry_is_read_from_the_power_series():
+    # every odd coefficient zero: a tilt that cancels an odd term is even
+    assert Tilted(Polynomial((0.0, -0.25, 1.0)), 0.25).is_symmetric
+    assert Tilted(Harmonic(1.0), 0.0).is_symmetric
+    for pot in (Tilted(QuarticDoubleWell(1.0, 1.5), 0.1), Tilted(Harmonic(1.0), 1e-300),
+                Polynomial((0.0, 0.0, 1.0, 1e-3))):
+        assert not pot.is_symmetric
 
 
 def test_invalid_potential_parameters():
