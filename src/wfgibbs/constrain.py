@@ -233,7 +233,9 @@ def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None
     band, order = None, 3  # lambda(q) through the last three nodes
     if h is not None:
         band = (h / 8 - h, h / 2) if direction > 0 else (-h / 2, h - h / 8)
-        order = 2  # the secant
+        # the secant: a quadratic lays other free nodes, which moves the
+        # linearly interpolated fluctuation curve by up to 1e-3
+        order = 2
         # free targets: one step on from the last node, until past q_max
         targets = iter(lambda: q + direction * h if direction * q < q_max else None, None)
     known = [(q, 0.0, ground.wavefunction)]  # (q, lambda, phi) of the last three nodes
