@@ -3,13 +3,7 @@ normalized wave functions: constrained ground states, effective potentials,
 low-temperature fluctuation curves, and direct Monte Carlo sampling on a
 truncated eigenbasis."""
 
-from .constrain import (
-    CoherentState,
-    EffectivePotentialTable,
-    default_grid,
-    effective_potential,
-    solve_lambda,
-)
+from .constrain import EffectivePotentialTable, default_grid, effective_potential
 from .errors import (
     ConfigurationError,
     CoverageError,
@@ -19,43 +13,18 @@ from .errors import (
     UsageError,
     WfGibbsError,
 )
-from .lattice import (
-    GridSpec,
-    Harmonic,
-    ModelParams,
-    Polynomial,
-    PotentialSpec,
-    QuarticDoubleWell,
-    Tilted,
-    TridiagonalOperator,
-    assemble_hamiltonian,
-    position_element,
-    tilt_hamiltonian,
-)
+from .lattice import GridSpec, Harmonic, ModelParams, Polynomial, QuarticDoubleWell, Tilted
 from .sampling import (
     ChainConfig,
     SampleRun,
     TruncatedModel,
     build_truncated_model,
+    canonical_atoms,
     exact_moments,
     sample_ensemble,
 )
-from .spectra import EigenPair, lowest_eigenpairs, parity_of
-from .thermal import (
-    ThermalCurve,
-    canonical_atoms,
-    fluctuation_curve,
-    position_marginal,
-    required_q_range,
-    table_for_betas,
-)
-from .twostate import (
-    DomainError,
-    TwoStateModel,
-    build_two_state,
-    rescale,
-    two_state_table,
-    two_state_veff,
-)
+from .spectra import lowest_eigenpairs
+from .thermal import ThermalCurve, fluctuation_curve, table_for_betas
+from .twostate import TwoStateModel, build_two_state, two_state_table, two_state_veff
 
 __version__ = "0.1.0"

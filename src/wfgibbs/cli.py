@@ -447,19 +447,19 @@ def cmd_canonical(cfg):
     mp = cfg["model"]
     beta = section["beta"]
     tm = sampling.build_truncated_model(mp, section["k_max"], cfg["grid"])
-    atoms = thermal.canonical_atoms(tm, beta)
+    atoms = sampling.canonical_atoms(tm, beta)
 
-    # effective-potential dispersion at the same beta for the contrast line
-    table = thermal.table_for_betas(tm.doublet, [beta], 81, cfg["grid"])
-    curve = thermal.fluctuation_curve(table, [beta])
+    # the wave-function ensemble on the same levels, by its exact law
+    ensemble_dq = float(np.sqrt(sampling.exact_moments(tm, beta)["var_q"]))
     canonical_dq = atoms.dispersion()
     print(f"canonical delta_q = {canonical_dq:.6g}; "
-          f"wave-function-ensemble delta_q = {curve.delta_q[0]:.6g}")
+          f"wave-function-ensemble delta_q = {ensemble_dq:.6g} "
+          f"(exact law on the same {tm.n} levels)")
     return EXIT_OK, {
         "canonical_atoms.csv": ("weight,q_k", zip(atoms.weights.tolist(),
                                                   atoms.positions.tolist())),
         "canonical.json": {"beta": beta, "z": atoms.z, "canonical_delta_q": canonical_dq,
-                           "ensemble_delta_q": float(curve.delta_q[0]),
+                           "ensemble_delta_q": ensemble_dq,
                            "top_level_wall_weight": tm.top_level_wall_weight},
     }
 

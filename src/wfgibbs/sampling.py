@@ -1,4 +1,5 @@
-"""Monte Carlo sampling of the Gibbs measure over normalized wave functions.
+"""The Gibbs measure over normalized wave functions on N levels: Monte Carlo
+sampling, its exact moments, and the canonical atoms it is contrasted with.
 
 On a truncated eigenbasis of size N a state is a complex coefficient
 vector c on the unit sphere, with energy E(c) = sum_k |c_k|^2 E_k. A
@@ -10,7 +11,9 @@ min(1, exp(-beta dE)) leaves exp(-beta E(c)) on the sphere invariant.
 Each retained step records the expectations (<q>, <p>) as quadratic forms
 c^dag Q c and c^dag P c. Chains are independently seeded from
 (seed, chain index), and a run is bit-for-bit reproducible for a given
-seed and chain count.
+seed and chain count. exact_moments gives the measure's exact means and
+variances; canonical_atoms gives the canonical density matrix's
+distribution of <q> on the same levels.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError, UsageError
+from .errors import ConfigurationError, SolverError, TruncationError, UsageError
 from .lattice import GridSpec, ModelParams, assemble_hamiltonian
 from .spectra import lowest_eigenpairs
 from .twostate import TwoStateModel, two_state_from_pairs
@@ -49,9 +52,9 @@ class TruncatedModel:
     energies: np.ndarray
     q_matrix: np.ndarray
     p_matrix_imag: np.ndarray
-    # the lowest doublet of the levels and the top level's trapezoid weight
-    # within _WALL_ROWS rows of the grid's walls; None for a model given as
-    # matrices
+    # the lowest doublet of the levels, which anchors the V_eff table of
+    # validate: marginal, and the top level's trapezoid weight within
+    # _WALL_ROWS rows of the grid's walls; None for a model given as matrices
     doublet: TwoStateModel | None = None
     top_level_wall_weight: float | None = None
 
@@ -370,20 +373,26 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
     )
 
 
-def _exp_divided_differences(nodes: np.ndarray) -> np.ndarray:
-    """f[x_0, ..., x_j], j < n, for f = exp(-x) and each row x of nodes (rows, n).
+def _exp_divided_differences(nodes: np.ndarray):
+    """(T, g) with T[r, i, j] = g^(j-i) f[x_i, ..., x_j], i <= j, for f = exp(-x)
+    and each row x of nodes (rows, n), and g = max(max x - min x, 1) over all
+    rows; T is zero below the diagonal.
 
-    Repeated (confluent) nodes are allowed. By Opitz's theorem the results
-    are row 0 of exp(-J), J = diag(x) + U with U the ones above the
-    diagonal (McCurdy, Ng & Parlett, Math. Comp. 43, 1984). Conjugating by
-    diag((-1)^i) turns exp(-J) into e^-c exp(P) with P = c - diag(x) + U
-    entrywise nonnegative (c = max x), so after scaling P by 2^-m, a Taylor
-    sum and m squarings add only nonnegative terms and every entry keeps its
-    relative accuracy. (A Pade expm is accurate only relative to the norm:
-    at N = 24, beta = 0 its f[s] is wrong in every digit.)
+    Repeated (confluent) nodes are allowed. By Opitz's theorem f[x_i, ...,
+    x_j] is entry (i, j) of exp(-J), J = diag(x) + U with U the ones above
+    the diagonal (McCurdy, Ng & Parlett, Math. Comp. 43, 1984). Taking g U
+    in place of U is the similarity diag(g^i), which scales entry (i, j) by
+    g^(j-i) and keeps it in range where f[x_i, ..., x_j] itself underflows.
+    Conjugating by diag((-1)^i) turns exp(-J) into e^-c exp(P) with
+    P = c - diag(x) + g U entrywise nonnegative (c = max x), so after
+    scaling P by 2^-m, a Taylor sum and m squarings add only nonnegative
+    terms and every entry keeps its relative accuracy. (A Pade expm is
+    accurate only relative to the norm: at N = 24, beta = 0 its f[s] is
+    wrong in every digit.)
     """
     rows, n = nodes.shape
     c = nodes.max()
+    g = max(c - nodes.min(), 1.0)
     m = int(np.ceil(np.log2(c - nodes.min() + 1.0))) + 1  # entries of P 2^-m <= 1/2
     scale = 2.0 ** -m
     diag = (c - nodes)[:, :, None] * scale
@@ -393,14 +402,20 @@ def _exp_divided_differences(nodes: np.ndarray) -> np.ndarray:
     t = np.broadcast_to(eye, (rows, n, n)).copy()
     for k in range(n + 14, 0, -1):
         pt = diag * t
-        pt[:, :-1] += scale * t[:, 1:]
+        pt[:, :-1] += (g * scale) * t[:, 1:]
         pt /= k
         pt += eye
         t = pt
     t *= np.exp(-c * scale)
-    for _ in range(m):
-        t = t @ t
-    return t[:, 0] * (-1.0) ** np.arange(n)
+    # squaring doubles the relative error of a diagonal entry, so each
+    # squaring starts from the exact diagonal exp(-x 2^(k-m)) (Al-Mohy &
+    # Higham, SIAM J. Matrix Anal. Appl. 31, 2009)
+    i = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(m):
+            t[:, i, i] = np.exp(-nodes * (scale * 2.0**k))
+            t = t @ t
+    return t * (-1.0) ** np.add.outer(i, i), g
 
 
 def exact_moments(tm: TruncatedModel, beta: float) -> dict:
@@ -414,30 +429,38 @@ def exact_moments(tm: TruncatedModel, beta: float) -> dict:
         E[w_k] = -f[s, s_k] / f[s],
         E[w_k w_l] = (1 + delta_kl) f[s, s_k, s_l] / f[s].
 
+    One exponential per level gives them all: row k of the nodes (s, s_k, s)
+    holds f[s, s_k] in its window [0, N] and f[s, s_k, s_l] in its window
+    [l, N + 1 + l].
+
     Averaging the phases out of <q> = sum_kl Q_kl conj(c_k) c_l gives
     E<q> = sum_k Q_kk E[w_k] and
     E<q>^2 = sum_kl Q_kk Q_ll E[w_k w_l] + sum_{k != l} Q_kl^2 E[w_k w_l];
     <p> is the same with A, which has no diagonal, so E<p> = 0. Any N, any
     potential: Q's diagonal (nonzero in tilted wells) is included.
 
-    Raises SolverError naming beta when f[s] is zero, subnormal or not
-    finite: every ratio above would be nan or lose its digits.
+    Raises SolverError naming beta when a scaled divided difference it
+    needs is not finite or g^(N-1) f[s] is not a normal double: every
+    ratio above would be nan or lose its digits. That happens once
+    g = beta (E_max - E_0) reaches about 1e141 at N = 24 (3e152 at N = 8).
     """
     if beta < 0:
         raise UsageError(f"beta must be >= 0, got {beta}")
     n = tm.n
     s = beta * (tm.energies - tm.energies[0])
-    k, l = np.triu_indices(n)
-    # row i holds f[s], f[s, s_k], f[s, s_k, s_l] at columns n-1, n, n+1
-    f = _exp_divided_differences(np.column_stack([np.tile(s, (len(k), 1)), s[k], s[l]]))
-    z = f[0, n - 1]
-    if not np.finfo(float).tiny <= abs(z) < np.inf:
-        raise SolverError(f"exact moments at beta = {beta}: f[s] = {z} is not a normal "
-                          f"double (the weights exp(-beta (E - E_0)) underflow)")
-    ew = -f[k == l, n] / z
-    eww = np.empty((n, n))
-    eww[k, l] = eww[l, k] = f[:, n + 1] / z
-    eww[np.diag_indices(n)] *= 2.0
+    rows = np.tile(s, (n, 1))
+    t, g = _exp_divided_differences(np.column_stack([rows, s, rows]))
+    z = t[0, 0, n - 1]
+    l = np.arange(n)
+    first, second = t[:, 0, n], t[:, l, n + 1 + l]
+    if not (np.finfo(float).tiny <= abs(z) < np.inf
+            and np.isfinite(first).all() and np.isfinite(second).all()):
+        raise SolverError(f"exact moments at beta = {beta}: the divided differences, "
+                          f"scaled by g = {g:.3g}, leave the double range "
+                          f"(g^(N-1) f[s] = {z})")
+    ew = -first / g / z
+    eww = second / g / g / z
+    eww[l, l] *= 2.0
 
     q = 0.5 * (tm.q_matrix + tm.q_matrix.T)
     a = 0.5 * (tm.p_matrix_imag - tm.p_matrix_imag.T)
@@ -452,6 +475,41 @@ def exact_moments(tm: TruncatedModel, beta: float) -> dict:
         "var_q": float(dq @ eww @ dq - mean_dq**2 + np.sum(off_q**2 * eww)),
         "var_p": float(np.sum(a**2 * eww)),
     }
+
+
+@dataclass(frozen=True)
+class CanonicalAtoms:
+    """Point atoms (weight, q_k) of the canonical expectation distribution."""
+
+    weights: np.ndarray
+    positions: np.ndarray
+    z: float
+
+    def dispersion(self) -> float:
+        mean = float(np.sum(self.weights * self.positions))
+        second = float(np.sum(self.weights * self.positions**2))
+        return float(np.sqrt(max(second - mean**2, 0.0)))
+
+
+def canonical_atoms(tm: TruncatedModel, beta: float) -> CanonicalAtoms:
+    """Boltzmann-weighted atoms (e^(-beta E_k)/Z, <phi_k, q phi_k>) of the
+    k_max = tm.n levels of a truncated model.
+
+    Requires e^(-beta (E_kmax - E_1)) < 1e-10 so the truncation remainder
+    is negligible.
+    """
+    if not 0 < beta < np.inf:
+        raise UsageError(f"beta must be positive and finite, got {beta}")
+    energies = tm.energies
+    rel = np.exp(-beta * (energies - energies[0]))
+    if rel[-1] >= 1e-10:
+        raise TruncationError(
+            f"k_max={tm.n} too small at beta={beta}: top-level weight "
+            f"{rel[-1]:.2e} >= 1e-10; increase k_max"
+        )
+    weights = rel / rel.sum()
+    z = float(np.exp(-beta * energies[0]) * rel.sum())
+    return CanonicalAtoms(weights, np.diag(tm.q_matrix), z)
 
 
 def unitary_flow_check(run: SampleRun, tm: TruncatedModel, t: float, hbar: float) -> dict:

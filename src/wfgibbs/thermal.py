@@ -3,8 +3,8 @@
 The low-temperature density of (<q>, <p>) factorizes into a Gaussian
 momentum marginal with variance m/beta and a position marginal
 proportional to exp(-beta V_eff(q)). This module computes moments and
-fluctuation curves from an effective-potential table, and the canonical
-ensemble comparator whose position distribution is a sum of point atoms.
+fluctuation curves from an effective-potential table, the V_eff law of
+the paper; the exact law of the N-level measure is sampling's.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .constrain import EffectivePotentialTable, lambda_walk_table
-from .errors import CoverageError, TruncationError, UsageError
+from .errors import CoverageError, UsageError
 from .lattice import GridSpec, ModelParams
-from .sampling import TruncatedModel
 from .twostate import TwoStateModel
 
 BOUNDARY_TAIL = 1e-8  # coverage criterion: tail density / peak density
@@ -36,20 +35,6 @@ class ThermalCurve:
     delta_q: np.ndarray
     delta_q_over_d: np.ndarray
     delta_p: np.ndarray
-
-
-@dataclass(frozen=True)
-class CanonicalAtoms:
-    """Point atoms (weight, q_k) of the canonical expectation distribution."""
-
-    weights: np.ndarray
-    positions: np.ndarray
-    z: float
-
-    def dispersion(self) -> float:
-        mean = float(np.sum(self.weights * self.positions))
-        second = float(np.sum(self.weights * self.positions**2))
-        return float(np.sqrt(max(second - mean**2, 0.0)))
 
 
 def _refined(table: EffectivePotentialTable, n_fine: int):
@@ -215,24 +200,3 @@ def table_for_betas(ts: TwoStateModel, betas, n_q: int,
     # an exact integer ratio computed a hair above it must not add an interval
     wide = GridSpec(-half, half, int(np.ceil(intervals - 1e-9)) + 1)
     return lambda_walk_table(ts, q_max, n_q, wide)
-
-
-def canonical_atoms(tm: TruncatedModel, beta: float) -> CanonicalAtoms:
-    """Boltzmann-weighted atoms (e^(-beta E_k)/Z, <phi_k, q phi_k>) of the
-    k_max = tm.n levels of a truncated model.
-
-    Requires e^(-beta (E_kmax - E_1)) < 1e-10 so the truncation remainder
-    is negligible.
-    """
-    if not 0 < beta < np.inf:
-        raise UsageError(f"beta must be positive and finite, got {beta}")
-    energies = tm.energies
-    rel = np.exp(-beta * (energies - energies[0]))
-    if rel[-1] >= 1e-10:
-        raise TruncationError(
-            f"k_max={tm.n} too small at beta={beta}: top-level weight "
-            f"{rel[-1]:.2e} >= 1e-10; increase k_max"
-        )
-    weights = rel / rel.sum()
-    z = float(np.exp(-beta * energies[0]) * rel.sum())
-    return CanonicalAtoms(weights, np.diag(tm.q_matrix), z)

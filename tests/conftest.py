@@ -6,7 +6,6 @@ import pytest
 from mpmath import mp
 
 from wfgibbs import (
-    CoherentState,
     GridSpec,
     Harmonic,
     ModelParams,
@@ -15,6 +14,7 @@ from wfgibbs import (
     build_two_state,
     effective_potential,
 )
+from wfgibbs.constrain import CoherentState
 from wfgibbs.lattice import _check_same_grid
 
 # Reference doublet values for the quartic double well with hbar = 1,

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import wfgibbs
-from wfgibbs import (GridSpec, ModelParams, build_two_state, fluctuation_curve, sampling,
-                     table_for_betas)
+from wfgibbs import GridSpec, ModelParams, build_two_state, sampling
 from wfgibbs import cli
 from wfgibbs.cli import main
 
@@ -584,20 +583,25 @@ def test_sample_exact_validation_on_tilted_model(tmp_path, capsys):
     assert abs(checks["mean_q"]["expected"]) > 0.01  # the tilt moves <q>
 
 
-def test_exact_validation_underflow_is_a_solver_error(tmp_path, capsys):
-    # at beta = 1e15 the N=24 weights underflow: exact_moments read nan for
-    # every moment; now the run exits 3, naming beta, and writes nothing
+def test_exact_validation_at_huge_beta(tmp_path, capsys):
+    # at beta = 1e15 the N=24 weights exp(-beta (E - E_0)) underflow, but
+    # the scaled divided differences do not: the expected moments are finite
+    # and are those of exact_moments
+    grid = {"x_min": -6.0, "x_max": 6.0, "n_points": 801}
     cfg = write_config(tmp_path, {
         "model": DOUBLE_WELL_MODEL,
-        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        "grid": grid,
         "sample": {"n_basis": 24, "beta": 1e15, "chains": 1, "steps_per_chain": 200,
                    "burn_in": 0, "validate": "exact"},
     })
     out = tmp_path / "out"
-    assert main(["sample", "--config", cfg, "--out", str(out)]) == 3
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("solver error:") and f"beta = {1e15}:" in err
+    assert main(["sample", "--config", cfg, "--out", str(out)]) in (0, 1)
+    assert "solver error" not in capsys.readouterr().err
+    checks = json.loads((out / "sample_run.json").read_text())["validation"]["checks"]
+    tm = sampling.build_truncated_model(ModelParams.from_dict(DOUBLE_WELL_MODEL), 24,
+                                        GridSpec.from_dict(grid))
+    assert {key: c["expected"] for key, c in checks.items()} == sampling.exact_moments(tm, 1e15)
+    assert all(np.isfinite(c["expected"]) for c in checks.values())
 
 
 def test_canonical_command(tmp_path, capsys):
@@ -612,13 +616,13 @@ def test_canonical_command(tmp_path, capsys):
     # canonical atoms of a symmetric well all sit at q = 0, in contrast to
     # the spread of the wave-function ensemble
     assert blob["canonical_delta_q"] < 1e-6
-    assert blob["ensemble_delta_q"] == pytest.approx(2.0**-0.5, rel=1e-3)
-    # the contrast line is the fluct path at one beta, bit for bit, with the
-    # doublet of the truncated model behind the atoms
+    # the contrast line is the exact law of the N-level measure, bit for
+    # bit, on the truncated model behind the atoms (the exp(-beta V_eff)
+    # asymptote reads 2^-1/2 here)
     mp, grid = ModelParams.from_dict(HARMONIC_MODEL), GridSpec(-10.0, 10.0, 801)
     tm = sampling.build_truncated_model(mp, 20, grid)
-    table = table_for_betas(tm.doublet, [2.0], n_q=81, grid=grid)
-    assert blob["ensemble_delta_q"] == fluctuation_curve(table, [2.0]).delta_q[0]
+    assert blob["ensemble_delta_q"] == float(np.sqrt(sampling.exact_moments(tm, 2.0)["var_q"]))
+    assert blob["ensemble_delta_q"] == pytest.approx(0.52346, abs=1e-5)
     assert blob["top_level_wall_weight"] == tm.top_level_wall_weight
     header, rows = read_csv(out / "canonical_atoms.csv")
     assert len(rows) == 20
@@ -947,6 +951,27 @@ def test_thermal_and_twostate_never_read_meta():
     for stem in ("thermal", "twostate"):
         path = Path(wfgibbs.__file__).parent / f"{stem}.py"
         assert "meta" not in _identifiers(path), path.name
+
+
+def test_canonical_reads_only_the_n_level_model():
+    # canonical's ensemble side is the exact law of the N-level measure:
+    # cmd_canonical builds no V_eff table and calls no package module but
+    # sampling, and thermal, the module of the V_eff law, imports nothing
+    # from sampling
+    package = {path.stem for path in Path(wfgibbs.__file__).parent.glob("*.py")}
+    command = next(node for node in ast.parse(Path(cli.__file__).read_text()).body
+                   if getattr(node, "name", None) == "cmd_canonical")
+    calls = [node.func for node in ast.walk(command) if isinstance(node, ast.Call)]
+    called = {getattr(f, "id", getattr(f, "attr", None)) for f in calls}
+    assert not called & {"table_for_betas", "lambda_walk_table", "effective_potential",
+                         "fluctuation_curve"}
+    modules = {f.value.id for f in calls
+               if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)}
+    assert modules & package == {"sampling"}
+    thermal = ast.parse((Path(wfgibbs.__file__).parent / "thermal.py").read_text())
+    imported = {name for node in ast.walk(thermal) if isinstance(node, ast.ImportFrom)
+                for name in (node.module or "", *(alias.name for alias in node.names))}
+    assert "sampling" not in imported
 
 
 def test_preset_configs_parse():

@@ -14,12 +14,10 @@ from wfgibbs import (
     build_two_state,
     effective_potential,
     fluctuation_curve,
-    position_element,
-    solve_lambda,
 )
 from wfgibbs import constrain
-from wfgibbs.constrain import default_grid, lambda_walk_table
-from wfgibbs.lattice import assemble_hamiltonian, tilt_hamiltonian
+from wfgibbs.constrain import default_grid, lambda_walk_table, solve_lambda
+from wfgibbs.lattice import assemble_hamiltonian, position_element, tilt_hamiltonian
 from wfgibbs.spectra import lowest_eigenpairs
 
 from conftest import (DOUBLE_WELL_MASSES, coherent_state, double_well, harmonic,

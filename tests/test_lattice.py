@@ -10,10 +10,9 @@ from wfgibbs import (
     QuarticDoubleWell,
     Tilted,
     UsageError,
-    assemble_hamiltonian,
     lowest_eigenpairs,
-    position_element,
 )
+from wfgibbs.lattice import assemble_hamiltonian, position_element
 
 from conftest import double_well, harmonic, momentum_expectation
 

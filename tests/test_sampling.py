@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import warnings
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +24,8 @@ from wfgibbs import (
     sample_ensemble,
 )
 from wfgibbs.cli import load_config
-from wfgibbs.sampling import _batch_se, integrated_autocorrelation, unitary_flow_check
+from wfgibbs.sampling import (_batch_se, _exp_divided_differences, integrated_autocorrelation,
+                              unitary_flow_check)
 
 from conftest import double_well, exact_sphere_variance, harmonic
 from test_acceptance import two_level_quadrature
@@ -357,15 +360,50 @@ def test_exact_moments_match_mpmath_reference(n, harmonic_grid):
         assert abs(exact["mean_q"]) < 1e-9 and exact["mean_p"] == 0.0
 
 
-def test_exact_moments_underflow_names_beta():
-    # N=24 double well: f[s] is normal at beta = 1e11, subnormal at 1e12
-    # (var_q read 19% below its 1/beta trend) and zero at 1e15 (every moment
-    # read nan, with two RuntimeWarnings)
+def test_exact_moments_at_huge_beta_match_mpmath():
+    # N=24 double well: f[s] itself is subnormal at beta = 1e12 and zero at
+    # 1e15, but the divided differences scaled by g = beta (E_23 - E_0) stay
+    # in range; at 1e19 (m = 72 squarings) they stay exact only because
+    # each squaring restarts from the exact diagonal
     tm = build_truncated_model(double_well(0.5), 24, GridSpec(-6.0, 6.0, 801))
-    assert exact_moments(tm, 1e11)["var_q"] > 0
-    for beta in (1e12, 1e15):
-        with pytest.raises(SolverError, match=f"beta = {beta}: f\\[s\\] = "):
-            exact_moments(tm, beta)
+    for beta in (1e11, 1e12, 1e15, 1e19):
+        exact = exact_moments(tm, beta)
+        var_q = exact_sphere_variance(tm.energies, tm.q_matrix, beta)
+        var_p = exact_sphere_variance(tm.energies, np.abs(tm.p_matrix_imag), beta)
+        assert exact["var_q"] == pytest.approx(var_q, rel=1e-12, abs=0), beta
+        assert exact["var_p"] == pytest.approx(var_p, rel=1e-12, abs=0), beta
+
+
+def test_exact_moments_out_of_range_names_beta(tm8):
+    # nodes 0, 1e-200 and 1e200 leave the double range however they are
+    # scaled, and so does the harmonic ladder once g^2 overflows: both raise,
+    # naming beta, with no RuntimeWarning on the way
+    q = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
+    pathological = TruncatedModel(np.array([0.0, 1e-200, 1e200]), q, np.zeros((3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tm, beta in ((pathological, 1.0), (tm8, 1e200)):
+            with pytest.raises(SolverError, match=re.escape(f"beta = {beta}: ")):
+                exact_moments(tm, beta)
+
+
+@pytest.mark.parametrize("kind", ["random", "clustered"])
+def test_divided_difference_windows_match_sliced_nodes(kind):
+    # entry (i, j) of the triangle is f[x_i, ..., x_j]: the last entry of
+    # row 0 computed from the nodes x[i:j+1] alone, each with its own
+    # g^(j-i) undone; clustered nodes repeat some values exactly and put
+    # others 1e-9 apart
+    rng = np.random.default_rng(3)
+    if kind == "random":
+        x = rng.uniform(0.0, 30.0, 50)
+    else:
+        x = rng.choice([0.0, 2.0, 7.5, 20.0], 50) + rng.choice([0.0, 1e-9, 3e-9], 50)
+    t, g = _exp_divided_differences(x[None, :])
+    for i in range(50):
+        for j in range(i, 50):
+            sliced, g_sliced = _exp_divided_differences(x[None, i:j + 1])
+            expected = sliced[0, 0, -1] / g_sliced ** (j - i)
+            assert t[0, i, j] / g ** (j - i) == pytest.approx(expected, rel=1e-13, abs=0), (i, j)
 
 
 def _column_moments(run):

@@ -14,13 +14,11 @@ from wfgibbs import (
     QuarticDoubleWell,
     SolverError,
     UsageError,
-    assemble_hamiltonian,
     lowest_eigenpairs,
-    parity_of,
     spectra,
-    tilt_hamiltonian,
 )
-from wfgibbs.lattice import TridiagonalOperator
+from wfgibbs.lattice import TridiagonalOperator, assemble_hamiltonian, tilt_hamiltonian
+from wfgibbs.spectra import parity_of
 from conftest import DOUBLE_WELL_REFERENCE, double_well, harmonic, inner_product
 
 

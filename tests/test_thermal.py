@@ -23,13 +23,11 @@ from wfgibbs import (
     default_grid,
     effective_potential,
     fluctuation_curve,
-    position_marginal,
-    required_q_range,
     table_for_betas,
     two_state_table,
 )
 from wfgibbs.cli import load_config
-from wfgibbs.thermal import Q_RANGE_MARGIN, bin_masses
+from wfgibbs.thermal import Q_RANGE_MARGIN, bin_masses, position_marginal, required_q_range
 
 from conftest import DOUBLE_WELL_MASSES, double_well, harmonic
 
@@ -312,11 +310,10 @@ def test_widened_grid_keeps_the_spacing_of_an_asymmetric_grid(grid, beta, n_poin
     assert grid.dx * (1.0 - 1.0 / wide.n_points) < wide.dx <= grid.dx * (1.0 + 1e-12)
 
 
-# widened grid points of every table the presets build: fluct per mass,
-# canonical at beta = 1 and the marginal validation of the sample preset
+# widened grid points of every table the presets build: fluct per mass and
+# the marginal validation of the sample preset
 PRESET_WIDENED_POINTS = {("fluct", 0.2): 7141, ("fluct", 0.5): 5727, ("fluct", 1.0): 4721,
-                         ("fluct", 1.5): 4258, ("canonical", None): 4463,
-                         ("marginal", None): 4001}
+                         ("fluct", 1.5): 4258, ("marginal", None): 4001}
 
 
 def test_preset_widened_grids_are_unchanged():
@@ -333,10 +330,8 @@ def test_preset_widened_grids_are_unchanged():
             for mass in cfg["fluct"]["masses"]:
                 ts = build_two_state(ModelParams(mass, cfg["model"].hbar, pot), grid)
                 cases.append((("fluct", mass), ts, 2.0 / (t * ts.splitting)))
-        ts = build_two_state(cfg["model"], grid)
-        if "canonical" in sections:
-            cases.append((("canonical", None), ts, [cfg["canonical"]["beta"]]))
         if cfg["sample"]["validate"] == "marginal":
+            ts = build_two_state(cfg["model"], grid)
             cases.append((("marginal", None), ts, [cfg["sample"]["beta"]]))
         for key, ts, betas in cases:
             table = table_for_betas(ts, betas, 41, grid)

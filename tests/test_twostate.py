@@ -4,11 +4,10 @@ import pytest
 from wfgibbs import (
     GridSpec,
     build_two_state,
-    rescale,
     two_state_table,
     two_state_veff,
 )
-from wfgibbs.twostate import (DomainError, two_state_coefficients, two_state_coherent,
+from wfgibbs.twostate import (DomainError, rescale, two_state_coefficients, two_state_coherent,
                               two_state_lambda)
 
 from conftest import (DOUBLE_WELL_MASSES, DOUBLE_WELL_REFERENCE, harmonic, inner_product,
@@ -79,7 +78,7 @@ def test_coefficients_limits(two_state_models):
 def test_coherent_state_expectations(two_state_models, dw_grid):
     ts = two_state_models[0.5]
     state = two_state_coherent(ts, 0.4 * ts.d, 0.9)
-    from wfgibbs import position_element
+    from wfgibbs.lattice import position_element
 
     norm = inner_product(state.psi, state.psi, dw_grid)
     assert norm == pytest.approx(1.0, abs=1e-9)
