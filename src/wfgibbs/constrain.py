@@ -28,10 +28,13 @@ prescribed node and the secant for a free one (the two-level slope at the
 first node), and starts its first eigensolve from phi(lambda) at that
 multiplier: quadratic through three nodes, the line through two, the
 untilted phi at the first node. Each Newton step's slope comes with the
-first-order change of the ground state, dphi/dlambda = -(H - E0)^+ (x - q)
-phi, and the node's next eigensolve starts from phi + dlambda dphi/dlambda.
+first-order change of the ground state, dphi/dlambda (spectra.tilt_response),
+and the node's next eigensolve starts from phi + dlambda dphi/dlambda.
 Either start is used only while its correction to the last phi is a
 perturbation (below half of phi in norm), phi itself otherwise.
+
+The walk holds one operator, H, and sums the work records that spectra
+returns with each eigensolve and tilt response; it counts no solve itself.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .lattice import (
     position_element,
     tilt_hamiltonian,
 )
-from .spectra import EigenPair, lowest_eigenpairs, reduced_resolvent
+from .spectra import lowest_eigenpairs, tilt_response
 
 if TYPE_CHECKING:
     from .twostate import TwoStateModel
@@ -76,9 +79,8 @@ def default_grid(mp: ModelParams) -> GridSpec:
 @dataclass(frozen=True)
 class ConstrainedState:
     """Self-consistent record (q, lambda(q), ground energy, wavefunction),
-    with the work the root took (k=1 eigensolves, warm starts that fell
-    back to a cold LAPACK solve, dptsv factorizations of eigensolves and
-    slopes and the rows they factored)."""
+    with the work the root took: the sum of the work records of its
+    eigensolves and tilt responses."""
 
     q_target: float
     lam: float
@@ -113,17 +115,6 @@ class EffectivePotentialTable:
         return np.interp(qq, self.q, self.v_eff)
 
 
-def _slope(op: TridiagonalOperator, ground: EigenPair):
-    """(dq/dlambda, dphi/dlambda) of the ground state of op + lambda q at
-    lambda = 0, phi the unit ground state: with r = (x - <q>) phi,
-    dphi/dlambda = -(H - E0)^+ r and dq/dlambda = -2 <r, (H - E0)^+ r>."""
-    u = ground.wavefunction / np.linalg.norm(ground.wavefunction)
-    x = op.grid.x
-    r = (x - u @ (x * u)) * u
-    y = reduced_resolvent(op, ground, r)
-    return -2.0 * float(r @ y), -y
-
-
 def _perturbed(phi: np.ndarray, start: np.ndarray) -> np.ndarray:
     """start while its correction to phi is below half of phi in norm (a
     perturbation), phi itself otherwise."""
@@ -148,20 +139,13 @@ def _lagrange(points, x):
     return total
 
 
-def _eigensolve_work(pair: EigenPair, warm: bool) -> Counter:
-    """The work record of one k=1 eigensolve: itself, a warm start that fell
-    back to the cold LAPACK solve, its dptsv factorizations and their rows."""
-    return Counter(eigensolves=1, lapack_fallbacks=int(warm and pair.method == "lapack"),
-                   factorizations=pair.factorizations, factorized_rows=pair.factorized_rows)
-
-
-def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
-                 op: TridiagonalOperator | None = None, start: np.ndarray | None = None,
+def solve_lambda(op: TridiagonalOperator, q_target: float, start: np.ndarray | None = None,
                  lam: float = 0.0, *, _band: tuple | None = None) -> ConstrainedState:
-    """Find lambda such that the tilted ground state has <q> = q_target.
+    """Find lambda such that the ground state of op + lambda q has
+    <q> = q_target.
 
     Safeguarded Newton from lam on g(lambda) = <q>_lambda - q_target, with
-    the exact slope g' of _slope. g is strictly decreasing, so each
+    the exact slope g' of tilt_response. g is strictly decreasing, so each
     evaluated lambda bounds the root on one side, and a step that leaves
     the bounds is replaced by their midpoint. The slope only steers: a
     multiplier is accepted when |g| <= 1e-8 max(1, |q_target|), so an
@@ -173,8 +157,6 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
     _band, the (low, high) g it accepts for a free node, which is recorded
     at the <q> it reaches.
     """
-    if op is None:
-        op = assemble_hamiltonian(mp, grid)
     tol = DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target))
     band = (-tol, tol) if _band is None else _band
     lo, hi, best = -np.inf, np.inf, np.inf
@@ -182,9 +164,9 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
     for _ in range(MAX_NEWTON_STEPS):
         tilted = tilt_hamiltonian(op, lam)
         pair = lowest_eigenpairs(tilted, 1, start=start)[0]
-        work.update(_eigensolve_work(pair, start is not None))
+        work.update(pair.work)
         phi = pair.wavefunction
-        q = position_element(phi, phi, grid)
+        q = position_element(phi, phi, op.grid)
         resid = q - q_target
         if band[0] <= resid <= band[1]:
             at = q_target if _band is None else q
@@ -199,9 +181,8 @@ def solve_lambda(mp: ModelParams, q_target: float, grid: GridSpec,
                 f"<q> stalls {abs(resid):.3g} short of {q_target} (grid too narrow?)",
                 residual=abs(resid))
         best = min(best, abs(resid))
-        chi, tangent = _slope(tilted, pair)
-        work["factorizations"] += 1
-        work["factorized_rows"] += op.n
+        chi, tangent, slope_work = tilt_response(tilted, pair)
+        work.update(slope_work)
         lam_next = lam - resid / chi
         if not lo < lam_next < hi:
             lam_next = 0.5 * (lo + hi)
@@ -219,10 +200,10 @@ def _anchor(ts: TwoStateModel, grid: GridSpec, mirror: bool):
     start = np.interp(grid.x, ts.grid.x, ts.phi1, left=0.0, right=0.0)
     ground = lowest_eigenpairs(op, 1, start=start)[0]
     q0 = 0.0 if mirror else position_element(ground.wavefunction, ground.wavefunction, grid)
-    return _eigensolve_work(ground, True), (op, ground, q0, -ts.splitting / (2.0 * ts.d**2))
+    return Counter(ground.work), (op, ground, q0, -ts.splitting / (2.0 * ts.d**2))
 
 
-def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None):
+def _outward(branch, direction, counts, targets=(), h=None, q_max=None):
     """Nodes (q, V, lambda) along direction, adding the work to counts: one
     solve_lambda call per node, from the lambda and the ground state that
     _lagrange extrapolates (see the module docstring).
@@ -244,7 +225,7 @@ def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None
         aim = (_lagrange([(qk, lk) for qk, lk, _ in known[-order:]], qt) if len(known) > 1
                else (qt - q) * slope)
         start = _perturbed(known[-1][2], _lagrange([(lk, phi) for _, lk, phi in known], aim))
-        cs = solve_lambda(mp, qt, grid, op=op, start=start, lam=aim, _band=band)
+        cs = solve_lambda(op, qt, start=start, lam=aim, _band=band)
         q = cs.q_target
         known = known[-2:] + [(q, cs.lam, cs.wavefunction)]
         counts.update(cs.work)  # not +=, which drops the zero counts
@@ -252,14 +233,14 @@ def _outward(mp, grid, branch, direction, counts, targets=(), h=None, q_max=None
     return nodes
 
 
-def _columns(mp, grid, branch, counts, mirror, up=(), down=(), centre=True, **free):
+def _columns(branch, counts, mirror, up=(), down=(), centre=True, **free):
     """Ascending (q, V, lambda) columns: _outward on each side of the
     untilted node (up and down hold each side's targets in outward order),
     the lower side mirrored when mirror, the untilted node between the
     sides when centre."""
-    up = _outward(mp, grid, branch, 1.0, counts, up, **free)
+    up = _outward(branch, 1.0, counts, up, **free)
     down = ([(-q, v, -lam) for q, v, lam in up] if mirror
-            else _outward(mp, grid, branch, -1.0, counts, down, **free))
+            else _outward(branch, -1.0, counts, down, **free))
     return np.array(down[::-1] + [(branch[2], branch[1].energy, 0.0)] * centre + up).T
 
 
@@ -293,7 +274,7 @@ def effective_potential(ts: TwoStateModel, q_grid, grid: GridSpec) -> EffectiveP
     counts, branch = _anchor(ts, grid, mirror)
     # the upper side starts at the first node above q0 (past the centre)
     k = (n + 1) // 2 if mirror else int(np.searchsorted(q_grid, branch[2], side="right"))
-    _, v, lam = _columns(mp, grid, branch, counts, mirror, q_grid[k:], q_grid[:k][::-1],
+    _, v, lam = _columns(branch, counts, mirror, q_grid[k:], q_grid[:k][::-1],
                          centre=mirror and n % 2)
     return _table(ts, grid, q_grid, v, lam, counts, root_tol_scale=DEFAULT_ROOT_TOL_SCALE)
 
@@ -312,6 +293,5 @@ def lambda_walk_table(ts: TwoStateModel, q_max: float, n_q: int,
         raise UsageError(f"need 0 < q_max < inf and n_q >= 2, got {q_max}, {n_q}")
     mirror = ts.model.potential.is_symmetric and grid.is_symmetric
     counts, branch = _anchor(ts, grid, mirror)
-    q, v, lam = _columns(ts.model, grid, branch, counts, mirror, h=2.0 * q_max / (n_q - 1),
-                         q_max=q_max)
+    q, v, lam = _columns(branch, counts, mirror, h=2.0 * q_max / (n_q - 1), q_max=q_max)
     return _table(ts, grid, q, v, lam, counts)

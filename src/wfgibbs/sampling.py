@@ -266,8 +266,8 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
     more, so a chain's states can differ in the last bit between runs with
     different chain counts.)
     """
-    if beta < 0:
-        raise UsageError(f"beta must be >= 0, got {beta}")
+    if not 0 <= beta < np.inf:
+        raise UsageError(f"beta must be finite and >= 0, got {beta}")
     n = tm.n
     n_chains = cfg.chain_count
     e_shift = tm.energies - tm.energies[0]  # avoids underflow at large beta
@@ -444,8 +444,8 @@ def exact_moments(tm: TruncatedModel, beta: float) -> dict:
     ratio above would be nan or lose its digits. That happens once
     g = beta (E_max - E_0) reaches about 1e141 at N = 24 (3e152 at N = 8).
     """
-    if beta < 0:
-        raise UsageError(f"beta must be >= 0, got {beta}")
+    if not 0 <= beta < np.inf:
+        raise UsageError(f"beta must be finite and >= 0, got {beta}")
     n = tm.n
     s = beta * (tm.energies - tm.energies[0])
     rows = np.tile(s, (n, 1))

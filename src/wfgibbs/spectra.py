@@ -37,16 +37,18 @@ whole grid. An iteration that fails on a window (a shift not certified,
 or a residual that stalls above roundoff, say because the ground state
 reaches past an edge) goes on once over the whole grid from its best
 vector; a failure there falls back to the cold LAPACK solve.
-EigenPair.factorized_rows counts the rows factored.
 
-The reduced resolvent (H - E0)^+ of a ground state, which gives the
-susceptibility dq/dlambda of constrained ground states, is applied by the
-same LDL^T solve over the whole grid at the shift E0 - 1e3 eps ||H|| just
-below E0.
+The tilt response of a ground state, dq/dlambda and dphi/dlambda of the
+ground state of H + lambda q, comes from its reduced resolvent (H - E0)^+,
+applied by the same LDL^T solve over the whole grid at the shift
+E0 - 1e3 eps ||H|| just below E0.
+
+Every solve returns its own work record, a Counter of its solves, dptsv
+factorizations and the rows they factored: a caller sums the records.
 
 This is the only module that calls LAPACK. Its three routines (dstebz and
 dstein for cold solves; dptsv, an LDL^T factorization and solve, for warm
-solves and the reduced resolvent) are called through scipy's f2py
+solves and the tilt response) are called through scipy's f2py
 extension scipy/linalg/_flapack, loaded from its file so that the
 scipy.linalg package __init__, which imports numpy.testing and numpy.f2py
 among others, never runs: it is most of the package's import time. When
@@ -60,6 +62,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,17 +105,18 @@ class EigenPair:
     Sign convention: the first component exceeding 1e-8 in magnitude is
     positive. ``method`` names the path that produced the pair: "lapack"
     (cold dstebz/dstein solve) or "inverse_iteration" (warm start, dptsv
-    solves at certified shifts). ``factorizations`` counts the dptsv calls
-    made for it, those of a warm start that fell back included, and
-    ``factorized_rows`` the rows they factored.
+    solves at certified shifts). ``work`` is the record of the call that
+    made it, the same for each of its k pairs: ``eigensolves`` (1),
+    ``lapack_fallbacks`` (1 when a start was given and the cold solve ran),
+    ``factorizations`` (the dptsv calls, those of a warm start that fell
+    back included) and ``factorized_rows`` (the rows they factored).
     """
 
     energy: float
     wavefunction: np.ndarray
     residual: float
     method: str
-    factorizations: int
-    factorized_rows: int
+    work: Counter
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -256,8 +260,8 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
     """
     if k < 1 or k > op.n:
         raise UsageError(f"k={k} outside [1, {op.n}]")
-    if tol <= 0:
-        raise UsageError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise UsageError(f"tol must be positive and finite, got {tol}")
     if start is not None and k != 1:
         raise UsageError(f"a start vector needs k=1, got k={k}")
     warm, factorizations, rows = (None, 0, 0) if start is None else _inverse_iteration(op, start)
@@ -284,26 +288,34 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
         # renormalize in the trapezoid norm (endpoint weights)
         norm2 = np.sum(phi * phi * op.grid.weights)
         phi = phi / np.sqrt(norm2)
-        pairs.append(EigenPair(float(energies[i]), phi, resid, method, factorizations, rows))
+        work = Counter(eigensolves=1, lapack_fallbacks=int(start is not None and warm is None),
+                       factorizations=factorizations, factorized_rows=rows)
+        pairs.append(EigenPair(float(energies[i]), phi, resid, method, work))
     return pairs
 
 
-def reduced_resolvent(op: TridiagonalOperator, ground: EigenPair,
-                      rhs: np.ndarray) -> np.ndarray:
-    """(H - E0)^+ rhs: the inverse of H - E0 on the orthogonal complement of
-    the ground state of op, applied to rhs projected onto it (Euclidean
-    inner product on grid vectors).
+def tilt_response(op: TridiagonalOperator, ground: EigenPair):
+    """(dq/dlambda, dphi/dlambda, work) of the ground state of op + lambda q
+    at lambda = 0, phi the unit ground state (Euclidean norm on grid
+    vectors): with r = (x - <q>) phi, dphi/dlambda = -(H - E0)^+ r and
+    dq/dlambda = -2 <r, (H - E0)^+ r>.
 
-    It is solved as (H - E0 + f)^-1 with f = 1e3 eps ||H|| by dptsv,
-    so the component along each excited state k is off by the relative
-    amount f / (E_k - E0). Raises SolverError if the factorization fails.
+    The reduced resolvent (H - E0)^+, the inverse of H - E0 on the
+    orthogonal complement of phi, is solved as (H - E0 + f)^-1 with
+    f = 1e3 eps ||H|| by one dptsv over the whole grid, so the component
+    along each excited state k is off by the relative amount f / (E_k - E0);
+    work counts that factorization and its rows. Raises SolverError if the
+    factorization fails.
     """
     u = ground.wavefunction / np.linalg.norm(ground.wavefunction)
+    x = op.grid.x
+    r = (x - u @ (x * u)) * u
     shift = ground.energy - SHIFT_FLOOR * op.norm_estimate
-    y = _solve(op.diagonal - shift, op.off_diagonal, rhs - (u @ rhs) * u)
+    y = _solve(op.diagonal - shift, op.off_diagonal, r - (u @ r) * u)
     if y is None:
         raise SolverError(f"H - E0 is not positive definite below E0={ground.energy}")
-    return y - (u @ y) * u
+    y = y - (u @ y) * u
+    return -2.0 * float(r @ y), -y, Counter(factorizations=1, factorized_rows=op.n)
 
 
 def parity_of(pair: EigenPair, grid: GridSpec) -> str:

@@ -90,10 +90,10 @@ def test_criterion_2_companion_exact_below_arc_gap_shrinks(two_state_models, dw_
 
 def test_criterion_3_harmonic_closed_forms(harmonic_grid):
     start = time.perf_counter()
-    mp = harmonic()
+    op = assemble_hamiltonian(harmonic(), harmonic_grid)
     worst_v = worst_l = 0.0
     for q in np.linspace(-3.0, 3.0, 13):
-        cs = solve_lambda(mp, float(q), grid=harmonic_grid)
+        cs = solve_lambda(op, float(q))
         worst_v = max(worst_v, abs(cs.v_eff - (0.5 + 0.5 * q**2)))
         worst_l = max(worst_l, abs(cs.lam + q))
     elapsed = time.perf_counter() - start

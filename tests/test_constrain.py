@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,17 +16,17 @@ from wfgibbs import (
     effective_potential,
     fluctuation_curve,
 )
-from wfgibbs import constrain
+from wfgibbs import constrain, spectra
 from wfgibbs.constrain import default_grid, lambda_walk_table, solve_lambda
 from wfgibbs.lattice import assemble_hamiltonian, position_element, tilt_hamiltonian
-from wfgibbs.spectra import lowest_eigenpairs
+from wfgibbs.spectra import lowest_eigenpairs, tilt_response
 
 from conftest import (DOUBLE_WELL_MASSES, coherent_state, double_well, harmonic,
                       momentum_expectation)
 
 
 def test_symmetric_zero_target_shortcut(dw_grid):
-    cs = solve_lambda(double_well(0.5), 0.0, grid=dw_grid)
+    cs = solve_lambda(assemble_hamiltonian(double_well(0.5), dw_grid), 0.0)
     assert cs.lam == 0.0
     assert cs.v_eff == cs.ground_energy
     assert cs.constraint_residual < 1e-10
@@ -35,15 +36,15 @@ def test_symmetric_zero_target_shortcut(dw_grid):
 def test_harmonic_multiplier_closed_form(q, harmonic_grid):
     # for V = m w^2 x^2 / 2 the exact multiplier is -m w^2 q and the
     # effective potential is hbar w / 2 + m w^2 q^2 / 2
-    cs = solve_lambda(harmonic(), q, grid=harmonic_grid)
+    cs = solve_lambda(assemble_hamiltonian(harmonic(), harmonic_grid), q)
     assert cs.lam == pytest.approx(-q, abs=1e-5)
     assert cs.v_eff == pytest.approx(0.5 + 0.5 * q**2, abs=1e-5)
 
 
 def test_constraint_residual_within_tolerance(dw_grid):
-    mp = double_well(0.2)
+    op = assemble_hamiltonian(double_well(0.2), dw_grid)
     for q in (0.3, 0.9):
-        cs = solve_lambda(mp, q, grid=dw_grid)
+        cs = solve_lambda(op, q)
         assert cs.constraint_residual <= 1e-8 * max(1.0, abs(q))
         measured = position_element(cs.wavefunction, cs.wavefunction, dw_grid)
         assert measured == pytest.approx(q, abs=1.1e-8)
@@ -54,7 +55,7 @@ def test_unreachable_target_raises(monkeypatch):
     solves = counted_k1_solves(monkeypatch)
     grid = GridSpec(-6.0, 6.0, 301)
     with pytest.raises(UnreachableTargetError):
-        solve_lambda(double_well(0.5), 10.0, grid=grid)
+        solve_lambda(assemble_hamiltonian(double_well(0.5), grid), 10.0)
     assert len(solves) < 30
 
 
@@ -76,7 +77,7 @@ def test_unreachable_table_node_raises(potential):
 def test_newton_step_cap_raises(dw_grid, monkeypatch):
     monkeypatch.setattr(constrain, "MAX_NEWTON_STEPS", 1)
     with pytest.raises(SolverError, match="Newton steps") as err:
-        solve_lambda(double_well(0.5), 0.9, grid=dw_grid)
+        solve_lambda(assemble_hamiltonian(double_well(0.5), dw_grid), 0.9)
     assert not isinstance(err.value, UnreachableTargetError)
     assert err.value.residual > 1e-8
 
@@ -90,7 +91,7 @@ def _ground_q(op, lam):
 def test_susceptibility_matches_central_difference(mass, lam, dw_grid):
     op = assemble_hamiltonian(double_well(mass), dw_grid)
     tilted = tilt_hamiltonian(op, lam)
-    chi = constrain._slope(tilted, lowest_eigenpairs(tilted, 1)[0])[0]
+    chi = tilt_response(tilted, lowest_eigenpairs(tilted, 1)[0])[0]
     h = 1e-4 * max(abs(lam), 0.01)
     central = (_ground_q(op, lam + h) - _ground_q(op, lam - h)) / (2.0 * h)
     assert chi < 0
@@ -102,7 +103,7 @@ def test_harmonic_susceptibility_closed_form(mass, omega, lam, harmonic_grid):
     # H + lambda q shifts the oscillator by -lambda / (m w^2), so
     # dq/dlambda = -1 / (m w^2) at every lambda
     tilted = tilt_hamiltonian(assemble_hamiltonian(harmonic(mass, omega), harmonic_grid), lam)
-    chi = constrain._slope(tilted, lowest_eigenpairs(tilted, 1)[0])[0]
+    chi = tilt_response(tilted, lowest_eigenpairs(tilted, 1)[0])[0]
     assert chi == pytest.approx(-1.0 / (mass * omega**2), rel=1e-5)
 
 
@@ -136,6 +137,54 @@ def test_eigensolves_per_constrained_point(mass, two_state_models, dw_grid, monk
     assert len(k1_solves) <= table.meta["factorizations"] <= 6 * len(q)
 
 
+WORK_KEYS = ["eigensolves", "lapack_fallbacks", "factorizations", "factorized_rows"]
+
+
+def counted_work(monkeypatch):
+    """Counter that grows, as a table is built, by every dptsv solve and its
+    rows, every k=1 eigensolve made in constrain and every one of those
+    given a start that ran the cold solve."""
+    seen = Counter()
+    solve, eigenpairs = spectra._solve, constrain.lowest_eigenpairs
+
+    def counted_solve(diagonal, off_diagonal, rhs):
+        seen.update(factorizations=1, factorized_rows=len(diagonal))
+        return solve(diagonal, off_diagonal, rhs)
+
+    def counted_eigenpairs(op, k, *args, **kwargs):
+        pairs = eigenpairs(op, k, *args, **kwargs)
+        if k == 1:
+            cold = kwargs.get("start") is not None and pairs[0].method == "lapack"
+            seen.update(eigensolves=1, lapack_fallbacks=int(cold))
+        return pairs
+
+    monkeypatch.setattr(spectra, "_solve", counted_solve)
+    monkeypatch.setattr(constrain, "lowest_eigenpairs", counted_eigenpairs)
+    return seen
+
+
+@pytest.mark.parametrize("build", ["mirrored", "two_sided", "walk", "walk_falling_back"])
+def test_table_work_record_is_exact(build, monkeypatch):
+    # the table's meta counts every solve made for it, in a fixed key order,
+    # on one side and mirrored, on both sides of an asymmetric grid, on free
+    # nodes, and with every warm start falling back to the cold solve
+    grid = GridSpec(-6.0, 6.0, 801) if build == "mirrored" else GridSpec(-6.0, 7.0, 1001)
+    ts = build_two_state(double_well(0.5), grid)
+    if build == "walk_falling_back":
+        # one step, then a return without a certified roundoff residual
+        monkeypatch.setattr(spectra, "MAX_INVERSE_STEPS", 1)
+    seen = counted_work(monkeypatch)
+    if build.startswith("walk"):
+        table = lambda_walk_table(ts, 2.0, 21, grid)
+    else:
+        table = effective_potential(ts, np.linspace(-0.99 * ts.d, 0.99 * ts.d, 21), grid)
+    assert list(table.meta)[-4:] == WORK_KEYS
+    assert [table.meta[k] for k in WORK_KEYS] == [seen[k] for k in WORK_KEYS]
+    assert seen["factorizations"] >= seen["eigensolves"] > 0
+    if build == "walk_falling_back":
+        assert seen["lapack_fallbacks"] == seen["eigensolves"]
+
+
 def test_extrapolated_start_is_the_polynomial_through_the_last_nodes():
     # _lagrange is exact on a quadratic, for scalar and vector values: three
     # nodes reproduce it, two give the line through them, one gives itself
@@ -165,7 +214,6 @@ def test_fluct_preset_table_work(two_state_models, dw_grid, monkeypatch):
     # grid; each node's first eigensolve starts from the ground state
     # extrapolated through the last three nodes (measured 337 dptsv
     # factorizations, 3.8 per eigensolve; 421, or 4.8, from the last phi)
-    from wfgibbs import spectra
     from wfgibbs.thermal import table_for_betas
 
     ts = two_state_models[0.2]
@@ -194,13 +242,12 @@ def test_newton_first_order_start_is_closer(mass, q_target, dw_grid):
     # lies closer to the ground state at the new multiplier than u itself
     # (measured 13-150 times), and the warm solve from it takes fewer
     # factorizations (measured 3 against 4)
-    mp = double_well(mass)
-    op = assemble_hamiltonian(mp, dw_grid)
-    lam = 1.1 * solve_lambda(mp, q_target, grid=dw_grid).lam
+    op = assemble_hamiltonian(double_well(mass), dw_grid)
+    lam = 1.1 * solve_lambda(op, q_target).lam
     tilted = tilt_hamiltonian(op, lam)
     pair = lowest_eigenpairs(tilted, 1)[0]
     phi = pair.wavefunction
-    chi, tangent = constrain._slope(tilted, pair)
+    chi, tangent, _ = tilt_response(tilted, pair)
     step = -(position_element(phi, phi, dw_grid) - q_target) / chi
     target = tilt_hamiltonian(op, lam + step)
     exact = lowest_eigenpairs(target, 1)[0].wavefunction
@@ -214,7 +261,7 @@ def test_newton_first_order_start_is_closer(mass, q_target, dw_grid):
     warm = lowest_eigenpairs(target, 1, start=first_order)[0]
     plain = lowest_eigenpairs(target, 1, start=phi)[0]
     assert warm.method == plain.method == "inverse_iteration"
-    assert warm.factorizations < plain.factorizations
+    assert warm.work["factorizations"] < plain.work["factorizations"]
     # a correction as large as the state itself is not used
     assert constrain._first_order(phi, 1.0 / np.linalg.norm(tangent), tangent) is phi
 
@@ -290,7 +337,7 @@ def test_interpolation_matches_nodes(dw_tables):
 
 def test_coherent_state_expectations(dw_grid):
     mp = double_well(0.5)
-    cs = solve_lambda(mp, 0.6, grid=dw_grid)
+    cs = solve_lambda(assemble_hamiltonian(mp, dw_grid), 0.6)
     state = coherent_state(cs, 1.7, mp, dw_grid)
     assert state.q == 0.6
     assert momentum_expectation(state.psi, dw_grid, 1.0) == pytest.approx(1.7, abs=1e-4)

@@ -86,10 +86,13 @@ def test_chain_config_validation():
 
 
 def test_negative_beta_rejected(tm8):
-    with pytest.raises(UsageError):
-        sample_ensemble(tm8, -1.0, ChainConfig(chain_count=1, steps_per_chain=10))
-    with pytest.raises(UsageError):
-        exact_moments(tm8, -1.0)
+    # nan and inf too: a usage error, not a bare ValueError from the divided
+    # differences or a chain that accepts nothing
+    for beta in (-1.0, np.nan, np.inf):
+        with pytest.raises(UsageError, match="beta"):
+            sample_ensemble(tm8, beta, ChainConfig(chain_count=1, steps_per_chain=10))
+        with pytest.raises(UsageError, match="beta"):
+            exact_moments(tm8, beta)
 
 
 def test_bitwise_reproducibility(tm8):

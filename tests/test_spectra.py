@@ -104,6 +104,10 @@ def test_bad_arguments_rejected(dw_grid):
         lowest_eigenpairs(op, 0)
     with pytest.raises(UsageError):
         lowest_eigenpairs(op, 2, tol=-1.0)
+    # nan or inf would turn the residual check off
+    for tol in (np.nan, np.inf):
+        with pytest.raises(UsageError):
+            lowest_eigenpairs(op, 2, tol=tol)
     with pytest.raises(UsageError):
         parity_of(lowest_eigenpairs(op, 1)[0], GridSpec(0.0, 6.0, 11))
     with pytest.raises(UsageError):
@@ -143,8 +147,8 @@ def test_warm_start_from_exact_eigenvector_stops_at_roundoff(mass, lam, dw_grid)
     tilted = tilt_hamiltonian(assemble_hamiltonian(double_well(mass), dw_grid), lam)
     cold = lowest_eigenpairs(tilted, 1)[0]
     warm = lowest_eigenpairs(tilted, 1, start=cold.wavefunction)[0]
-    assert warm.method == "inverse_iteration" and cold.factorizations == 0
-    assert 1 <= warm.factorizations <= 2
+    assert warm.method == "inverse_iteration" and cold.work["factorizations"] == 0
+    assert 1 <= warm.work["factorizations"] <= 2
     assert abs(warm.energy - cold.energy) <= 1e-10 * max(1.0, abs(cold.energy))
     assert np.max(np.abs(warm.wavefunction - cold.wavefunction)) <= 1e-10
     assert warm.residual <= 1e-10 * max(1.0, tilted.norm_estimate)
@@ -250,8 +254,9 @@ def test_window_that_cuts_the_ground_state_is_finished_on_the_whole_grid(lam):
     warm = lowest_eigenpairs(op, 1, start=start)[0]
     assert warm.method == "inverse_iteration"
     # some factorizations of the window, then some of the whole grid
-    assert any(warm.factorized_rows == (warm.factorizations - k) * (hi - lo) + k * op.n
-               for k in range(1, warm.factorizations))
+    rows, factorizations = warm.work["factorized_rows"], warm.work["factorizations"]
+    assert any(rows == (factorizations - k) * (hi - lo) + k * op.n
+               for k in range(1, factorizations))
     assert abs(warm.energy - cold.energy) <= 1e-9 * max(1.0, abs(cold.energy))
     assert inner_product(warm.wavefunction, cold.wavefunction, grid).real >= 1.0 - 1e-12
 
