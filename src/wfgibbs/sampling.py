@@ -28,6 +28,7 @@ from .lattice import GridSpec, ModelParams, assemble_hamiltonian
 from .spectra import lowest_eigenpairs
 from .twostate import TwoStateModel, two_state_from_pairs
 
+_PROPOSAL_SCALE = 0.3  # every chain's sigma at its first step; burn-in tunes it
 _TUNE_WINDOW = 200  # burn-in steps per proposal-scale update
 _NOISE_BLOCK = 4096  # steps per block of random draws
 _BATCHES = 32  # batches per chain of a batch-means standard error
@@ -141,7 +142,6 @@ class ChainConfig:
     steps_per_chain: int = 50_000
     burn_in: int = 5_000
     seed: int = 0
-    proposal_scale: float = 0.3
     keep_coefficients: bool = False
 
     def __post_init__(self):
@@ -149,8 +149,6 @@ class ChainConfig:
             raise ConfigurationError("chain_count and steps_per_chain must be >= 1")
         if self.burn_in < 0:
             raise ConfigurationError("burn_in must be >= 0")
-        if not np.isfinite(self.proposal_scale) or self.proposal_scale <= 0:
-            raise ConfigurationError(f"bad proposal scale {self.proposal_scale}")
 
 
 @dataclass
@@ -281,7 +279,7 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
     norm2_e = (c * c) @ forms
     c /= np.sqrt(norm2_e[:, :1])
     energy = norm2_e[:, 1] / norm2_e[:, 0]
-    sigma = np.full((n_chains, 1), cfg.proposal_scale)
+    sigma = np.full((n_chains, 1), _PROPOSAL_SCALE)
 
     samples = np.empty((n_chains, cfg.steps_per_chain, 2))
     coeffs = (np.empty((n_chains, cfg.steps_per_chain, n), dtype=np.complex128)

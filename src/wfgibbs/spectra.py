@@ -70,7 +70,7 @@ import numpy as np
 from .errors import SolverError, UsageError
 from .lattice import GridSpec, TridiagonalOperator, tridiagonal_product
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-10  # bound on every residual ||H phi - E phi||, per max(1, ||H||)
 MAX_INVERSE_STEPS = 40
 SHIFT_FLOOR = 1e3 * np.finfo(float).eps  # least distance of a shift below E0, per ||H||
 PARITY_TOL = 1e-6  # max |phi(x) -+ phi(-x)| of an even or odd state
@@ -249,19 +249,16 @@ def _cold_solve(op: TridiagonalOperator, k: int):
     return w[order], vectors[:, order]
 
 
-def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
-                      start: np.ndarray | None = None):
+def lowest_eigenpairs(op: TridiagonalOperator, k: int, start: np.ndarray | None = None):
     """Return the k lowest eigenpairs in ascending order.
 
     With k == 1 and a start vector the ground state is refined from start
     by certified shifted inverse iteration, falling back to the cold LAPACK
     solve when that fails (see the module docstring). Raises SolverError if
-    any residual ||H phi - E phi|| exceeds tol * max(1, ||H||).
+    any residual ||H phi - E phi|| exceeds DEFAULT_TOL * max(1, ||H||).
     """
     if k < 1 or k > op.n:
         raise UsageError(f"k={k} outside [1, {op.n}]")
-    if not 0 < tol < np.inf:
-        raise UsageError(f"tol must be positive and finite, got {tol}")
     if start is not None and k != 1:
         raise UsageError(f"a start vector needs k=1, got k={k}")
     warm, factorizations, rows = (None, 0, 0) if start is None else _inverse_iteration(op, start)
@@ -273,7 +270,7 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, tol: float = DEFAULT_TOL,
         energies, vectors = _cold_solve(op, k)
 
     dx = op.grid.dx
-    bound = tol * max(1.0, op.norm_estimate)
+    bound = DEFAULT_TOL * max(1.0, op.norm_estimate)
     pairs = []
     for i in range(k):
         vec = vectors[:, i]

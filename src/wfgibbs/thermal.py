@@ -23,6 +23,7 @@ BOUNDARY_TAIL = 1e-8  # coverage criterion: tail density / peak density
 # beta (V - min V) at the ends of required_q_range: exp(-25) ~ 1.4e-11 lies
 # below BOUNDARY_TAIL
 Q_RANGE_MARGIN = 25.0
+FINE_POINTS = 4001  # points of the refined quadrature grid
 
 
 @dataclass(frozen=True)
@@ -55,15 +56,14 @@ def _density(beta: float, excess: np.ndarray, dq: np.ndarray) -> np.ndarray:
     return dens / np.trapezoid(dens, dx=dq)
 
 
-def position_marginal(table: EffectivePotentialTable, beta: float,
-                      n_fine: int = 4001):
-    """Normalized density of <q>, exp(-beta V_eff), on a refined grid over
-    the table's range.
+def position_marginal(table: EffectivePotentialTable, beta: float):
+    """Normalized density of <q>, exp(-beta V_eff), on a refined grid of
+    FINE_POINTS points over the table's range.
 
     Interpolation is piecewise-linear in V_eff, not in the density, which
     preserves convexity and positivity.
     """
-    qq, dq, excess = _refined(table, n_fine)
+    qq, dq, excess = _refined(table, FINE_POINTS)
     return qq, _density(beta, excess, dq)
 
 
@@ -91,7 +91,7 @@ def _check_coverage(table, beta, qq, dens):
 
 
 def fluctuation_curve(table: EffectivePotentialTable, betas,
-                      n_fine: int = 4001) -> ThermalCurve:
+                      n_fine: int = FINE_POINTS) -> ThermalCurve:
     """Mean and dispersion of <q> at each beta, by trapezoid quadrature of
     the position_marginal density (the table is interpolated once).
 

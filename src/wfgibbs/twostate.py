@@ -116,9 +116,7 @@ def two_state_table(ts: TwoStateModel, n: int = 401) -> EffectivePotentialTable:
     return EffectivePotentialTable(q, two_state_veff(ts, q), lam, ts, bounded_support=True)
 
 
-def rescale(ts: TwoStateModel, v_eff, q=None):
-    """Map energies to ((v - mean)/half-splitting); q to q/d when given."""
-    scaled_v = (np.asarray(v_eff) - ts.mean_level) / (0.5 * ts.splitting)
-    if q is None:
-        return scaled_v
-    return np.asarray(q) / ts.d, scaled_v
+def rescale(ts: TwoStateModel, v_eff, q):
+    """(q/d, (v - mean)/half-splitting): positions and energies in the
+    doublet's units."""
+    return np.asarray(q) / ts.d, (np.asarray(v_eff) - ts.mean_level) / (0.5 * ts.splitting)

@@ -127,12 +127,26 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     assert not out.exists()  # nothing written on failure
 
 
-def test_unknown_keys_rejected(tmp_path):
+def test_unknown_keys_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": HARMONIC_MODEL, "bogus": 1})
     assert main(["eig", "--config", cfg, "--out", str(tmp_path / "o1")]) == 2
     cfg = write_config(tmp_path, {"model": HARMONIC_MODEL, "eig": {"kk": 2}})
     assert main(["eig", "--config", cfg, "--out", str(tmp_path / "o2")]) == 2
     assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
+    capsys.readouterr()
+    # retired settings: the residual bound, the z threshold and the first
+    # Metropolis step are constants, so any value of theirs is unknown
+    for command, section in [
+            ("eig", {"tol": 0.0}), ("eig", {"tol": float("nan")}),
+            ("eig", {"tol": float("inf")}),
+            ("sample", {"tolerance_se": 0.0}), ("sample", {"tolerance_se": float("nan")}),
+            ("sample", {"proposal_scale": 0.0}), ("sample", {"proposal_scale": float("inf")}),
+            ("sample", {"proposal_scale": float("nan")})]:
+        cfg = write_config(tmp_path, {"model": HARMONIC_MODEL, command: section})
+        out = tmp_path / "o3"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"unknown keys in section '{command}': {list(section)}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_model_section(tmp_path):
@@ -665,16 +679,16 @@ def no_work(monkeypatch):
     ("canonical", {"beta": -2.0}),
     ("fluct", {"t_min": "abc"}),
     ("eig", {"k": 0}),
-    ("eig", {"tol": 0.0}),
-    ("eig", {"tol": float("nan")}),
-    ("eig", {"tol": float("inf")}),
+    ("fluct", {"t_min": float("inf")}),
+    ("canonical", {"beta": float("inf")}),
+    ("sample", {"beta": float("inf")}),
     ("veff", {"n_q": 0}),
     ("veff", {"frac": 0.0}),
     ("veff", {"frac": 1.2}),
     ("twostate", {"n_q": 0}),
     ("sample", {"n_basis": 1}),
-    ("sample", {"tolerance_se": 0.0}),
-    ("sample", {"tolerance_se": float("nan")}),
+    ("sample", {"tv_tolerance": 0.0}),
+    ("sample", {"tv_tolerance": -1.0, "validate": "marginal"}),
     ("sample", {"tv_tolerance": float("nan"), "validate": "marginal"}),
     ("sample", {"tv_tolerance": float("inf")}),
     ("canonical", {"k_max": 0}),
@@ -689,9 +703,10 @@ def no_work(monkeypatch):
     ("sample", {"chains": 0}),
     ("sample", {"steps_per_chain": 0}),
     ("sample", {"burn_in": -1}),
-    ("sample", {"proposal_scale": 0.0}),
-    ("sample", {"proposal_scale": float("inf")}),
-    ("sample", {"proposal_scale": float("nan")}),
+    # a batch-means standard error needs two batches, whatever the oracle
+    ("sample", {"chains": 1, "steps_per_chain": 1, "burn_in": 0}),
+    ("sample", {"chains": 1, "steps_per_chain": 1, "validate": "exact"}),
+    ("sample", {"chains": 1, "steps_per_chain": 1, "validate": "marginal"}),
     # no grid of 401 points has more than 401 levels
     ("eig", {"k": 402}),
     ("sample", {"n_basis": 402}),

@@ -24,8 +24,8 @@ from wfgibbs import (
     sample_ensemble,
 )
 from wfgibbs.cli import load_config
-from wfgibbs.sampling import (_batch_se, _exp_divided_differences, integrated_autocorrelation,
-                              unitary_flow_check)
+from wfgibbs.sampling import (_PROPOSAL_SCALE, _batch_se, _exp_divided_differences,
+                              integrated_autocorrelation, unitary_flow_check)
 
 from conftest import double_well, exact_sphere_variance, harmonic
 from test_acceptance import two_level_quadrature
@@ -81,8 +81,6 @@ def test_chain_config_validation():
         ChainConfig(chain_count=0)
     with pytest.raises(ConfigurationError):
         ChainConfig(burn_in=-1)
-    with pytest.raises(ConfigurationError):
-        ChainConfig(proposal_scale=0.0)
 
 
 def test_negative_beta_rejected(tm8):
@@ -156,7 +154,7 @@ def _replay_chain0(tm, beta, cfg, arithmetic):
     else:
         c = x.view(np.complex128) / np.linalg.norm(x.view(np.complex128))
         energy = ((np.abs(c) ** 2) @ e_shift)[0]
-    sigma, window, accepts, kept = cfg.proposal_scale, 0, [], []
+    sigma, window, accepts, kept = _PROPOSAL_SCALE, 0, [], []
     total = cfg.burn_in + cfg.steps_per_chain
     for start in range(0, total, 4096):
         block = min(4096, total - start)
@@ -214,7 +212,7 @@ def _lockstep_reference(tm, beta, cfg):
         thresholds = -np.log(uniforms) / beta
     r = (c * c) @ forms
     c, energy = c / np.sqrt(r[:, :1]), r[:, 1] / r[:, 0]
-    sigma = np.full(chains, cfg.proposal_scale)
+    sigma = np.full(chains, _PROPOSAL_SCALE)
     window, accepted, kept = np.zeros(chains), np.zeros(chains), []
     for step in range(total):
         prop = c + sigma[:, None] * noise[:, step]
