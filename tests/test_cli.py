@@ -679,9 +679,10 @@ def no_work(monkeypatch):
     ("canonical", {"beta": -2.0}),
     ("fluct", {"t_min": "abc"}),
     ("eig", {"k": 0}),
-    ("fluct", {"t_min": float("inf")}),
-    ("canonical", {"beta": float("inf")}),
-    ("sample", {"beta": float("inf")}),
+    # the residual bound is a constant: any value of eig.tol is an unknown key
+    ("eig", {"tol": 0.0}),
+    ("eig", {"tol": float("nan")}),
+    ("eig", {"tol": float("inf")}),
     ("veff", {"n_q": 0}),
     ("veff", {"frac": 0.0}),
     ("veff", {"frac": 1.2}),
@@ -711,6 +712,9 @@ def no_work(monkeypatch):
     ("eig", {"k": 402}),
     ("sample", {"n_basis": 402}),
     ("canonical", {"k_max": 402}),
+    ("fluct", {"t_min": float("inf")}),
+    ("canonical", {"beta": float("inf")}),
+    ("sample", {"beta": float("inf")}),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, no_work, command, section):
     # rejected while the config is read: exit 2, before any work, and
