@@ -8,8 +8,6 @@ from .errors import (
     ConfigurationError,
     CoverageError,
     SolverError,
-    TruncationError,
-    UnreachableTargetError,
     UsageError,
     WfGibbsError,
 )

@@ -5,7 +5,8 @@ single JSON configuration file (unknown keys rejected) and returns (exit
 code, files): files maps each output file name to (columns, rows) for a .csv
 file or to the payload of a JSON file. main alone creates the output
 directory and writes them, so a failed run writes nothing. Exit codes: 0
-success, 1 validation failure, 2 configuration error, 3 solver error.
+success, 1 validation failure, usage error or coverage error, 2
+configuration error, 3 solver error (errors.py).
 veff and fluct may build their per-mass tables in forked processes (_per_mass).
 """
 
@@ -211,9 +212,11 @@ def _per_mass(work, doublets):
     to this process and to forked children, each of which pickles back its
     results one mass at a time, or the library error that ended it, through
     a pipe. A child's error is raised at its mass's turn, so the masses
-    before it have been yielded. Close the generator to reap every child:
-    on every path, no child outlives it. With one worker, or without
-    os.fork, the work runs in this process and starts none.
+    before it have been yielded; a child that dies before it sends a mass's
+    result (killed, say, for want of memory) raises SolverError there. Close
+    the generator to reap every child: on every path, no child outlives it.
+    With one worker, or without os.fork, the work runs in this process and
+    starts none.
 
     Forked by hand: on 2 cores (Python 3.11) importing concurrent.futures'
     ProcessPoolExecutor took 17-22 ms, and starting it and mapping two
@@ -247,8 +250,8 @@ def _per_mass(work, doublets):
             try:
                 ok, result = pickle.load(readers[i % workers - 1])
             except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"the process solving mass {ts.model.mass} "
-                                   f"ended without a result") from None
+                raise SolverError(f"the process solving mass {ts.model.mass} "
+                                  f"ended without a result") from None
             if not ok:
                 raise result
             yield ts, result

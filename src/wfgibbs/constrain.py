@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import SolverError, UnreachableTargetError, UsageError
+from .errors import SolverError, UsageError
 from .lattice import (
     GridSpec,
     ModelParams,
@@ -151,7 +151,7 @@ def solve_lambda(op: TridiagonalOperator, q_target: float, start: np.ndarray | N
     multiplier is accepted when |g| <= 1e-8 max(1, |q_target|), so an
     inexact slope costs eigensolves, not accuracy. While the root is not
     yet bracketed, a step that does not bring <q> closer to q_target means
-    the target is out of reach (UnreachableTargetError). Each eigensolve is
+    the target is out of reach (SolverError). Each eigensolve is
     warm-started from start, then from the first-order change of the last
     ground state (see the module docstring). The lambda continuation passes
     _band, the (low, high) g it accepts for a free node, which is recorded
@@ -177,7 +177,7 @@ def solve_lambda(op: TridiagonalOperator, q_target: float, start: np.ndarray | N
         else:
             hi = lam
         if abs(resid) >= best and (np.isinf(lo) or np.isinf(hi)):
-            raise UnreachableTargetError(
+            raise SolverError(
                 f"<q> stalls {abs(resid):.3g} short of {q_target} (grid too narrow?)",
                 residual=abs(resid))
         best = min(best, abs(resid))
@@ -260,9 +260,9 @@ def effective_potential(ts: TwoStateModel, q_grid, grid: GridSpec) -> EffectiveP
     start fails. A symmetric potential on a symmetric x grid and q grid (to
     1e-12 of its span) is solved on q > 0 and mirrored, (q, V, lambda) ->
     (-q, V, -lambda); a centre node is the untilted node. A node that cannot be
-    solved raises UnreachableTargetError or SolverError. meta records the
-    grid and the work done: k=1 eigensolves, warm starts that fell back,
-    dptsv factorizations and the rows they factored."""
+    solved raises SolverError. meta records the grid and the work done: k=1
+    eigensolves, warm starts that fell back, dptsv factorizations and the
+    rows they factored."""
     q_grid = np.asarray(q_grid, dtype=float)
     if len(q_grid) == 0:
         raise UsageError("empty q grid")
@@ -285,10 +285,9 @@ def lambda_walk_table(ts: TwoStateModel, q_max: float, n_q: int,
     with no root finding: the lambda continuation accepts any advance in
     [h/8, 3h/2] of h = 2 q_max / (n_q - 1), so no gap exceeds 1.5 h and each
     node gains at least h/8. A side ends at its first node past q_max, or
-    raises UnreachableTargetError or SolverError if it cannot advance. A
-    symmetric potential on a symmetric grid is walked on q > 0 and mirrored
-    about the exact node (0, E0, 0). ts and meta are as in
-    effective_potential."""
+    raises SolverError if it cannot advance. A symmetric potential on a
+    symmetric grid is walked on q > 0 and mirrored about the exact node
+    (0, E0, 0). ts and meta are as in effective_potential."""
     if not 0 < q_max < np.inf or n_q < 2:
         raise UsageError(f"need 0 < q_max < inf and n_q >= 2, got {q_max}, {n_q}")
     mirror = ts.model.potential.is_symmetric and grid.is_symmetric

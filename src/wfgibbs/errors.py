@@ -1,7 +1,7 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules: one base and four leaves.
 
-The CLI maps these onto process exit codes: ConfigurationError -> 2,
-SolverError -> 3, any other WfGibbsError -> 1; a failed validation
+The CLI maps the leaves onto process exit codes: ConfigurationError -> 2,
+SolverError -> 3, UsageError and CoverageError -> 1; a failed validation
 comparison also exits 1. Everything else is a bug.
 """
 
@@ -11,7 +11,8 @@ class WfGibbsError(Exception):
 
 
 class ConfigurationError(WfGibbsError):
-    """Invalid user-supplied configuration (grid, potential, config file)."""
+    """Invalid user-supplied configuration (grid, potential, config file,
+    or a basis truncation too small for the requested inverse temperature)."""
 
 
 class UsageError(WfGibbsError):
@@ -19,8 +20,9 @@ class UsageError(WfGibbsError):
 
 
 class SolverError(WfGibbsError):
-    """An iterative solver failed to converge, or an exact evaluation left
-    the range of doubles.
+    """An iterative solver failed to converge or its target is out of
+    reach, an exact evaluation left the range of doubles, or a worker
+    process ended without a result.
 
     Carries the best residual reached, when available.
     """
@@ -30,19 +32,10 @@ class SolverError(WfGibbsError):
         self.residual = residual
 
 
-class UnreachableTargetError(SolverError):
-    """<q> stopped approaching the requested expectation value: it is not
-    reachable on the configured grid."""
-
-
 class CoverageError(WfGibbsError):
-    """An effective-potential table does not cover the thermally relevant
-    range for a requested inverse temperature."""
+    """No effective-potential table, or none that fits in memory, covers
+    the thermally relevant range for a requested inverse temperature."""
 
     def __init__(self, message, beta=None):
         super().__init__(message)
         self.beta = beta
-
-
-class TruncationError(ConfigurationError):
-    """Basis truncation too small for the requested inverse temperature."""

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError, TruncationError, UsageError
+from .errors import ConfigurationError, SolverError, UsageError
 from .lattice import GridSpec, ModelParams, assemble_hamiltonian
 from .spectra import lowest_eigenpairs
 from .twostate import TwoStateModel, two_state_from_pairs
@@ -40,6 +40,7 @@ _SOKAL_C = 6.0  # IAT window: the first m >= _SOKAL_C tau(m)
 # the size on one thread
 _SERIAL_GEMM_SIZE = 65536 * 4
 _WALL_ROWS = 8  # grid rows next to each hard wall whose weight of the top level is recorded
+_ORACLE_BYTES = 1 << 20  # exact_moments' exponentials are built this many bytes at a time
 
 
 @dataclass(frozen=True)
@@ -310,7 +311,8 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
             rng.standard_normal(out=drawn[i])
             rng.random(out=uniforms[i, :block])
         noise[:block] = drawn.transpose(1, 0, 2)
-        with np.errstate(divide="ignore"):  # u = 0 or beta = 0 gives t = +inf
+        # u = 0, beta = 0 or a beta below about 1e-307 gives t = +inf
+        with np.errstate(divide="ignore", over="ignore"):
             np.divide(-np.log(uniforms[:, :block].T), beta, out=thresholds[:block])
         bounds = sorted({0, block, *(k - start for k in cuts if start < k < start + block)})
         for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -429,7 +431,10 @@ def exact_moments(tm: TruncatedModel, beta: float) -> dict:
 
     One exponential per level gives them all: row k of the nodes (s, s_k, s)
     holds f[s, s_k] in its window [0, N] and f[s, s_k, s_l] in its window
-    [l, N + 1 + l].
+    [l, N + 1 + l]. They are built in batches of levels that take at most
+    _ORACLE_BYTES (all at once up to N = 31), so memory grows as N^2, not
+    N^3; every row holds the same nodes, so a batch scales and squares as
+    the whole would.
 
     Averaging the phases out of <q> = sum_kl Q_kl conj(c_k) c_l gives
     E<q> = sum_k Q_kk E[w_k] and
@@ -447,10 +452,16 @@ def exact_moments(tm: TruncatedModel, beta: float) -> dict:
     n = tm.n
     s = beta * (tm.energies - tm.energies[0])
     rows = np.tile(s, (n, 1))
-    t, g = _exp_divided_differences(np.column_stack([rows, s, rows]))
-    z = t[0, 0, n - 1]
+    nodes = np.column_stack([rows, s, rows])
+    batch = max(1, _ORACLE_BYTES // (8 * (2 * n + 1) ** 2))
     l = np.arange(n)
-    first, second = t[:, 0, n], t[:, l, n + 1 + l]
+    first, second = np.empty(n), np.empty((n, n))
+    for k in range(0, n, batch):
+        t, g = _exp_divided_differences(nodes[k:k + batch])
+        first[k:k + batch], second[k:k + batch] = t[:, 0, n], t[:, l, n + 1 + l]
+        if k == 0:
+            z = t[0, 0, n - 1]
+        del t  # freed before the next batch is built
     if not (np.finfo(float).tiny <= abs(z) < np.inf
             and np.isfinite(first).all() and np.isfinite(second).all()):
         raise SolverError(f"exact moments at beta = {beta}: the divided differences, "
@@ -494,14 +505,14 @@ def canonical_atoms(tm: TruncatedModel, beta: float) -> CanonicalAtoms:
     k_max = tm.n levels of a truncated model.
 
     Requires e^(-beta (E_kmax - E_1)) < 1e-10 so the truncation remainder
-    is negligible.
+    is negligible, and raises ConfigurationError naming k_max otherwise.
     """
     if not 0 < beta < np.inf:
         raise UsageError(f"beta must be positive and finite, got {beta}")
     energies = tm.energies
     rel = np.exp(-beta * (energies - energies[0]))
     if rel[-1] >= 1e-10:
-        raise TruncationError(
+        raise ConfigurationError(
             f"k_max={tm.n} too small at beta={beta}: top-level weight "
             f"{rel[-1]:.2e} >= 1e-10; increase k_max"
         )

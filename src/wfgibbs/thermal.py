@@ -24,6 +24,7 @@ BOUNDARY_TAIL = 1e-8  # coverage criterion: tail density / peak density
 # below BOUNDARY_TAIL
 Q_RANGE_MARGIN = 25.0
 FINE_POINTS = 4001  # points of the refined quadrature grid
+MAX_GRID_POINTS = 1 << 20  # of a widened grid: 8 MiB per grid vector
 
 
 @dataclass(frozen=True)
@@ -135,13 +136,18 @@ def required_q_range(mp: ModelParams, beta: float) -> float:
     the sign of that difference evaluated in exact rational arithmetic,
     which a nearly double crossing (at a huge beta) does not disturb. A
     potential that does not confine (degree below 2, odd degree or a
-    negative leading coefficient) covers no beta.
+    negative leading coefficient) covers no beta, nor does any potential a
+    beta so small that Q_RANGE_MARGIN / beta overflows.
     """
     if not 0 < beta < np.inf:
         raise UsageError(f"beta must be positive and finite, got {beta}")
     v = np.polynomial.Polynomial(mp.potential.power_series(mp.mass)).trim()
     if v.degree() < 2 or v.degree() % 2 or v.coef[-1] < 0:
         raise CoverageError(f"potential does not confine; cannot cover beta={beta}", beta=beta)
+    margin = Q_RANGE_MARGIN / beta
+    if not np.isfinite(margin):
+        raise CoverageError(f"{Q_RANGE_MARGIN}/beta is not finite; cannot cover beta={beta}",
+                            beta=beta)
     ratios = [float(c).as_integer_ratio() for c in v.coef[::-1]]
     scale = max(den for _, den in ratios)  # a power of 2, as every den
     coef = [num * (scale // den) for num, den in ratios]
@@ -156,7 +162,7 @@ def required_q_range(mp: ModelParams, beta: float) -> float:
         return Fraction(value, scale * power)
 
     critical = v.deriv().roots().real
-    level = min(map(exact, critical)) + Fraction(Q_RANGE_MARGIN / beta)
+    level = min(map(exact, critical)) + Fraction(margin)
     # V is monotone between critical points, so beyond the outermost one
     # below the level V crosses it once on each side
     below = [x for x in critical if exact(x) < level]
@@ -192,11 +198,17 @@ def table_for_betas(ts: TwoStateModel, betas, n_q: int,
     fit a whole number of intervals), so the tilted ground states stay away
     from the hard walls. ts, the lowest doublet, anchors the table as in
     lambda_walk_table: its even state warm-starts the untilted solve on the
-    widened grid.
+    widened grid. A widened grid of more than MAX_GRID_POINTS points covers
+    no beta: CoverageError names the smallest one before any is allocated.
     """
-    q_max = required_q_range(ts.model, float(np.min(betas)))
+    beta = float(np.min(betas))
+    q_max = required_q_range(ts.model, beta)
     half = float(max(-grid.x_min, grid.x_max, q_max + 4.0))
     intervals = (grid.n_points - 1) * (2.0 * half) / (grid.x_max - grid.x_min)
     # an exact integer ratio computed a hair above it must not add an interval
-    wide = GridSpec(-half, half, int(np.ceil(intervals - 1e-9)) + 1)
-    return lambda_walk_table(ts, q_max, n_q, wide)
+    points = np.ceil(intervals - 1e-9) + 1
+    if not points <= MAX_GRID_POINTS:
+        raise CoverageError(f"covering beta={beta} needs a grid of {points:.3g} points on "
+                            f"[{-half:.3g}, {half:.3g}], over the bound {MAX_GRID_POINTS}",
+                            beta=beta)
+    return lambda_walk_table(ts, q_max, n_q, GridSpec(-half, half, int(points)))

@@ -24,10 +24,6 @@ from .lattice import GridSpec, ModelParams, assemble_hamiltonian, position_eleme
 from .spectra import lowest_eigenpairs
 
 
-class DomainError(UsageError):
-    """Requested |q| exceeds the reachable range [-d, d]."""
-
-
 @dataclass(frozen=True)
 class TwoStateModel:
     """The lowest doublet of model on grid: the one record of (e1, e2, d)
@@ -72,7 +68,7 @@ def build_two_state(mp: ModelParams, grid: GridSpec) -> TwoStateModel:
 def _check_domain(ts: TwoStateModel, q) -> None:
     q_max = float(np.max(np.abs(q), initial=0.0))
     if q_max > ts.d * (1.0 + 1e-12):
-        raise DomainError(f"|q|={q_max} exceeds the dipole d={ts.d}")
+        raise UsageError(f"|q|={q_max} exceeds the dipole d={ts.d}")
 
 
 def two_state_veff(ts: TwoStateModel, q):

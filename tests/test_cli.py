@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -442,6 +443,33 @@ def test_failed_mass_fails_the_run_in_mass_order(failing, tmp_path, capsys, monk
     _no_child_left()
 
 
+def test_killed_worker_fails_the_run(tmp_path, capsys, monkeypatch, forks):
+    # a child killed before it sends its table, as by the OOM killer: exit 3
+    # naming its mass, the mass before it printed, no output directory and
+    # no child left
+    from wfgibbs import constrain
+
+    parent = os.getpid()
+
+    def solve(ts, q_grid, grid, real=constrain.effective_potential):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(ts, q_grid, grid)
+
+    monkeypatch.setattr(constrain, "effective_potential", solve)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, {"model": DOUBLE_WELL_MODEL,
+                                  "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+                                  "veff": {"masses": [0.5, 1.5], "n_q": 11}})
+    out = tmp_path / "out"
+    assert main(["veff", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists() and len(forks) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "solver error: the process solving mass 1.5 ended without a result\n"
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["m=0.5"]
+    _no_child_left()
+
+
 def test_interrupt_reaps_every_child(tmp_path, monkeypatch, forks):
     from wfgibbs import constrain
 
@@ -618,6 +646,29 @@ def test_exact_validation_at_huge_beta(tmp_path, capsys):
     assert all(np.isfinite(c["expected"]) for c in checks.values())
 
 
+@pytest.mark.parametrize("command, section", [
+    ("sample", {"n_basis": 4, "beta": 1e-300, "chains": 2, "steps_per_chain": 10,
+                "burn_in": 0, "validate": "marginal"}),
+    ("fluct", {"t_max": 1e300}),
+    # 25/beta overflows before any grid is sized
+    ("sample", {"n_basis": 4, "beta": 1e-308, "chains": 2, "steps_per_chain": 10,
+                "burn_in": 0, "validate": "marginal"}),
+], ids=["sample-beta=1e-300", "fluct-t_max=1e300", "sample-beta=1e-308"])
+def test_uncoverable_temperature_is_a_coverage_error(command, section, tmp_path, capsys):
+    # no V_eff table of at most MAX_GRID_POINTS grid points covers such a
+    # small beta: exit 1 naming it, before the grid is allocated, and nothing
+    # written
+    cfg = write_config(tmp_path, {
+        "model": {**DOUBLE_WELL_MODEL, "mass": 0.2},
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 401},
+        command: section,
+    })
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert re.fullmatch(r"error: [^\n]*beta=\d[^\n]*\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_canonical_command(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "model": HARMONIC_MODEL,
@@ -666,59 +717,61 @@ def no_work(monkeypatch):
         monkeypatch.setattr(module, name, started)
 
 
-@pytest.mark.parametrize("command, section", [
-    ("fluct", {"t_min": 0.0}),
-    ("fluct", {"t_min": -0.5}),
-    ("fluct", {"t_max": 0.0}),
-    ("fluct", {"t_max": float("inf")}),
-    ("fluct", {"n_t": 0}),
-    ("fluct", {"n_q": 1}),
-    ("sample", {"beta": -1.0}),
-    ("sample", {"beta": 0.0, "validate": "marginal"}),
-    ("canonical", {"beta": 0.0}),
-    ("canonical", {"beta": -2.0}),
-    ("fluct", {"t_min": "abc"}),
-    ("eig", {"k": 0}),
-    # the residual bound is a constant: any value of eig.tol is an unknown key
-    ("eig", {"tol": 0.0}),
-    ("eig", {"tol": float("nan")}),
-    ("eig", {"tol": float("inf")}),
-    ("veff", {"n_q": 0}),
-    ("veff", {"frac": 0.0}),
-    ("veff", {"frac": 1.2}),
-    ("twostate", {"n_q": 0}),
-    ("sample", {"n_basis": 1}),
-    ("sample", {"tv_tolerance": 0.0}),
-    ("sample", {"tv_tolerance": -1.0, "validate": "marginal"}),
-    ("sample", {"tv_tolerance": float("nan"), "validate": "marginal"}),
-    ("sample", {"tv_tolerance": float("inf")}),
-    ("canonical", {"k_max": 0}),
-    ("canonical", {"k_max": 1}),
+# each case under a fixed id, so that a case can be added or removed
+# without renaming the others
+OUT_OF_RANGE = {
+    "fluct-section0": ("fluct", {"t_min": 0.0}),
+    "fluct-section1": ("fluct", {"t_min": -0.5}),
+    "fluct-section2": ("fluct", {"t_max": 0.0}),
+    "fluct-section3": ("fluct", {"t_max": float("inf")}),
+    "fluct-section4": ("fluct", {"n_t": 0}),
+    "fluct-section5": ("fluct", {"n_q": 1}),
+    "sample-section6": ("sample", {"beta": -1.0}),
+    "sample-section7": ("sample", {"beta": 0.0, "validate": "marginal"}),
+    "canonical-section8": ("canonical", {"beta": 0.0}),
+    "canonical-section9": ("canonical", {"beta": -2.0}),
+    "fluct-section10": ("fluct", {"t_min": "abc"}),
+    "eig-section11": ("eig", {"k": 0}),
+    "veff-section15": ("veff", {"n_q": 0}),
+    "veff-section16": ("veff", {"frac": 0.0}),
+    "veff-section17": ("veff", {"frac": 1.2}),
+    "twostate-section18": ("twostate", {"n_q": 0}),
+    "sample-section19": ("sample", {"n_basis": 1}),
+    "sample-section20": ("sample", {"tv_tolerance": 0.0}),
+    "sample-section21": ("sample", {"tv_tolerance": -1.0, "validate": "marginal"}),
+    "sample-section22": ("sample", {"tv_tolerance": float("nan"), "validate": "marginal"}),
+    "sample-section23": ("sample", {"tv_tolerance": float("inf")}),
+    "canonical-section24": ("canonical", {"k_max": 0}),
+    "canonical-section25": ("canonical", {"k_max": 1}),
     # every mass is checked before the first one is solved
-    ("veff", {"masses": [0.5, -1.0]}),
-    ("twostate", {"masses": [0.5, -1.0]}),
-    ("fluct", {"masses": [float("nan")]}),
-    ("veff", {"masses": [float("inf")]}),
-    ("twostate", {"masses": [0.5, 0.0]}),
+    "veff-section26": ("veff", {"masses": [0.5, -1.0]}),
+    "twostate-section27": ("twostate", {"masses": [0.5, -1.0]}),
+    "fluct-section28": ("fluct", {"masses": [float("nan")]}),
+    "veff-section29": ("veff", {"masses": [float("inf")]}),
+    "twostate-section30": ("twostate", {"masses": [0.5, 0.0]}),
     # the chain values are checked before the truncated model is built
-    ("sample", {"chains": 0}),
-    ("sample", {"steps_per_chain": 0}),
-    ("sample", {"burn_in": -1}),
+    "sample-section31": ("sample", {"chains": 0}),
+    "sample-section32": ("sample", {"steps_per_chain": 0}),
+    "sample-section33": ("sample", {"burn_in": -1}),
     # a batch-means standard error needs two batches, whatever the oracle
-    ("sample", {"chains": 1, "steps_per_chain": 1, "burn_in": 0}),
-    ("sample", {"chains": 1, "steps_per_chain": 1, "validate": "exact"}),
-    ("sample", {"chains": 1, "steps_per_chain": 1, "validate": "marginal"}),
+    "sample-section34": ("sample", {"chains": 1, "steps_per_chain": 1, "burn_in": 0}),
+    "sample-section35": ("sample", {"chains": 1, "steps_per_chain": 1, "validate": "exact"}),
+    "sample-section36": ("sample", {"chains": 1, "steps_per_chain": 1, "validate": "marginal"}),
     # no grid of 401 points has more than 401 levels
-    ("eig", {"k": 402}),
-    ("sample", {"n_basis": 402}),
-    ("canonical", {"k_max": 402}),
-    ("fluct", {"t_min": float("inf")}),
-    ("canonical", {"beta": float("inf")}),
-    ("sample", {"beta": float("inf")}),
-])
-def test_out_of_range_values_are_config_errors(tmp_path, capsys, no_work, command, section):
+    "eig-section37": ("eig", {"k": 402}),
+    "sample-section38": ("sample", {"n_basis": 402}),
+    "canonical-section39": ("canonical", {"k_max": 402}),
+    "fluct-section40": ("fluct", {"t_min": float("inf")}),
+    "canonical-section41": ("canonical", {"beta": float("inf")}),
+    "sample-section42": ("sample", {"beta": float("inf")}),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, no_work, case):
     # rejected while the config is read: exit 2, before any work, and
     # nothing written
+    command, section = OUT_OF_RANGE[case]
     cfg = write_config(tmp_path, {
         "model": HARMONIC_MODEL,
         "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 401},
@@ -933,6 +986,36 @@ def test_only_cli_catches_library_errors():
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 caught = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
                 assert not names & caught, f"{path.name}:{node.lineno}"
+
+
+def test_every_library_raise_is_a_leaf():
+    # one base and four leaves, each mapped to an exit code by cli.main, so
+    # no failed run ends in a traceback: every raise in the package builds a
+    # leaf or re-raises a caught error by name (a worker's, in _per_mass)
+    import builtins
+    import importlib
+
+    from wfgibbs import errors
+
+    leaves = {"ConfigurationError", "SolverError", "UsageError", "CoverageError"}
+    assert errors.WfGibbsError.__bases__ == (Exception,)
+    assert {leaf.__name__ for leaf in errors.WfGibbsError.__subclasses__()} == leaves
+    stray = [sub.__name__ for leaf in errors.WfGibbsError.__subclasses__()
+             for sub in leaf.__subclasses__()]
+    for path in sorted(Path(wfgibbs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = importlib.import_module(f"wfgibbs.{path.stem}")
+        if path.stem != "errors":
+            stray += [node.name for node in tree.body if isinstance(node, ast.ClassDef)
+                      and issubclass(getattr(module, node.name), BaseException)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc
+                built = isinstance(exc, ast.Call) and getattr(exc.func, "id", None) in leaves
+                reraised = isinstance(exc, ast.Name) and not (
+                    hasattr(builtins, exc.id) or hasattr(errors, exc.id))
+                stray += [] if built or reraised else [f"{path.name}:{node.lineno}"]
+    assert not stray
 
 
 def _identifiers(path: Path) -> set:

@@ -4,6 +4,7 @@ import re
 import warnings
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from wfgibbs import (
     exact_moments,
     sample_ensemble,
 )
+from wfgibbs import sampling
 from wfgibbs.cli import load_config
 from wfgibbs.sampling import (_PROPOSAL_SCALE, _batch_se, _exp_divided_differences,
                               integrated_autocorrelation, unitary_flow_check)
@@ -386,6 +388,25 @@ def test_exact_moments_out_of_range_names_beta(tm8):
         for tm, beta in ((pathological, 1.0), (tm8, 1e200)):
             with pytest.raises(SolverError, match=re.escape(f"beta = {beta}: ")):
                 exact_moments(tm, beta)
+
+
+def test_exact_moments_memory_grows_as_n_squared(dw_grid, monkeypatch):
+    # the levels' exponentials are built at most 1 MiB at a time: at N=64
+    # all of them at once had a peak of 26 MB
+    tm = build_truncated_model(double_well(0.2), 64, dw_grid)
+    tracemalloc.start()
+    try:
+        exact_moments(tm, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # every level holds the same nodes, so batches of 5 of the N=24 levels
+    # give the bits of one batch of all 24
+    tm = build_truncated_model(double_well(0.2), 24, dw_grid)
+    whole = {beta: exact_moments(tm, beta) for beta in (0.0, 1.0, 13.7, 1e6)}
+    monkeypatch.setattr(sampling, "_ORACLE_BYTES", 5 * 8 * 49**2)
+    assert {beta: exact_moments(tm, beta) for beta in whole} == whole
 
 
 @pytest.mark.parametrize("kind", ["random", "clustered"])

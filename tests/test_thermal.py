@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from wfgibbs import (
+    ConfigurationError,
     CoverageError,
     EffectivePotentialTable,
     GridSpec,
@@ -15,7 +16,6 @@ from wfgibbs import (
     Polynomial,
     QuarticDoubleWell,
     Tilted,
-    TruncationError,
     UsageError,
     build_truncated_model,
     build_two_state,
@@ -351,7 +351,7 @@ def test_canonical_atoms_basic(dw_grid):
 
 def test_canonical_truncation_guard(dw_grid):
     tm = build_truncated_model(double_well(0.5), 4, dw_grid)
-    with pytest.raises(TruncationError):
+    with pytest.raises(ConfigurationError, match="too small at beta"):
         canonical_atoms(tm, beta=0.1)
     with pytest.raises(UsageError):
         build_truncated_model(double_well(0.5), 0, dw_grid)

@@ -3,11 +3,12 @@ import pytest
 
 from wfgibbs import (
     GridSpec,
+    UsageError,
     build_two_state,
     two_state_table,
     two_state_veff,
 )
-from wfgibbs.twostate import (DomainError, rescale, two_state_coefficients, two_state_coherent,
+from wfgibbs.twostate import (rescale, two_state_coefficients, two_state_coherent,
                               two_state_lambda)
 
 from conftest import (DOUBLE_WELL_MASSES, DOUBLE_WELL_REFERENCE, harmonic, inner_product,
@@ -41,9 +42,9 @@ def test_arc_is_even_and_convex(two_state_models):
 
 def test_domain_guard(two_state_models):
     ts = two_state_models[0.2]
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="exceeds the dipole"):
         two_state_veff(ts, 1.01 * ts.d)
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="exceeds the dipole"):
         two_state_lambda(ts, -1.5 * ts.d)
 
 
