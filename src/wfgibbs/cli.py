@@ -340,7 +340,7 @@ def cmd_fluct(cfg):
         for ts, (table, curve, restricted) in results:
             files[f"fluct_m{_tag(ts.model.mass)}.csv"] = (
                 "rescaled_temperature,delta_q_over_d,delta_q_over_d_restricted,mean_q",
-                zip(curve.rescaled_temperature.tolist(), curve.delta_q_over_d.tolist(),
+                zip(t_grid.tolist(), curve.delta_q_over_d.tolist(),
                     restricted.delta_q_over_d.tolist(), curve.mean_q.tolist()))
             summary[str(ts.model.mass)] = {
                 "e1": ts.e1, "e2": ts.e2, "d": ts.d,

@@ -12,7 +12,8 @@ Each retained step records the expectations (<q>, <p>) as quadratic forms
 c^dag Q c and c^dag P c. Chains are independently seeded from
 (seed, chain index), and a run is bit-for-bit reproducible for a given
 seed and chain count. exact_moments gives the measure's exact means and
-variances; canonical_atoms gives the canonical density matrix's
+variances at any beta, from one contour sum over the tilted simplex of the
+moduli |c_k|^2; canonical_atoms gives the canonical density matrix's
 distribution of <q> on the same levels.
 """
 
@@ -40,7 +41,7 @@ _SOKAL_C = 6.0  # IAT window: the first m >= _SOKAL_C tau(m)
 # the size on one thread
 _SERIAL_GEMM_SIZE = 65536 * 4
 _WALL_ROWS = 8  # grid rows next to each hard wall whose weight of the top level is recorded
-_ORACLE_BYTES = 1 << 20  # exact_moments' exponentials are built this many bytes at a time
+_CONTOUR_TAIL = 50.0  # exact_moments' contour ends where |e^z| is e^-50 of its saddle value
 
 
 @dataclass(frozen=True)
@@ -373,68 +374,66 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
     )
 
 
-def _exp_divided_differences(nodes: np.ndarray):
-    """(T, g) with T[r, i, j] = g^(j-i) f[x_i, ..., x_j], i <= j, for f = exp(-x)
-    and each row x of nodes (rows, n), and g = max(max x - min x, 1) over all
-    rows; T is zero below the diagonal.
+def _weight_moments(s: np.ndarray):
+    """(E[w], E[w w^T]) of the moduli w on the flat simplex tilted by
+    exp(-s . w), for shifts s >= 0 with min s = 0.
 
-    Repeated (confluent) nodes are allowed. By Opitz's theorem f[x_i, ...,
-    x_j] is entry (i, j) of exp(-J), J = diag(x) + U with U the ones above
-    the diagonal (McCurdy, Ng & Parlett, Math. Comp. 43, 1984). Taking g U
-    in place of U is the similarity diag(g^i), which scales entry (i, j) by
-    g^(j-i) and keeps it in range where f[x_i, ..., x_j] itself underflows.
-    Conjugating by diag((-1)^i) turns exp(-J) into e^-c exp(P) with
-    P = c - diag(x) + g U entrywise nonnegative (c = max x), so after
-    scaling P by 2^-m, a Taylor sum and m squarings add only nonnegative
-    terms and every entry keeps its relative accuracy. (A Pade expm is
-    accurate only relative to the norm: at N = 24, beta = 0 its f[s] is
-    wrong in every digit.)
+    The tilted volume is the Bromwich integral
+    D(s) = (1 / 2 pi i) int e^z prod_k a_k dz with a_k = 1 / (z + s_k), whose
+    poles -s_k lie at or left of 0; E[w_k] and E[w_k w_l] put a_k and
+    (1 + delta_kl) a_k a_l under the same integral, over D. The contour is
+    the parabola z = z* (1 + i t)^2 through the saddle z* of
+    e^z prod_k a_k (sum_k a_k(z*) = 1), which puts every pole at Im t = 1,
+    and the integrals are trapezoid sums in t with step
+    2 pi / (_CONTOUR_TAIL + 3 z*) out to where Re z = -_CONTOUR_TAIL
+    (Weideman & Trefethen, Math. Comp. 76, 2007). The terms come from their
+    logarithms, taken relative to the saddle's and then to the largest, so
+    no product of the a_k under- or overflows at any finite scale of s.
     """
-    rows, n = nodes.shape
-    c = nodes.max()
-    g = max(c - nodes.min(), 1.0)
-    m = int(np.ceil(np.log2(c - nodes.min() + 1.0))) + 1  # entries of P 2^-m <= 1/2
-    scale = 2.0 ** -m
-    diag = (c - nodes)[:, :, None] * scale
-    eye = np.eye(n)
-    # Horner for sum_k (P 2^-m)^k / k!; the terms past k = n + 14 are below
-    # 1e-16 of every entry. P 2^-m @ t is a bidiagonal product, O(n^2).
-    t = np.broadcast_to(eye, (rows, n, n)).copy()
-    for k in range(n + 14, 0, -1):
-        pt = diag * t
-        pt[:, :-1] += (g * scale) * t[:, 1:]
-        pt /= k
-        pt += eye
-        t = pt
-    t *= np.exp(-c * scale)
-    # squaring doubles the relative error of a diagonal entry, so each
-    # squaring starts from the exact diagonal exp(-x 2^(k-m)) (Al-Mohy &
-    # Higham, SIAM J. Matrix Anal. Appl. 31, 2009)
-    i = np.arange(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(m):
-            t[:, i, i] = np.exp(-nodes * (scale * 2.0**k))
-            t = t @ t
-    return t * (-1.0) ** np.add.outer(i, i), g
+    # Newton on the concave 1 / sum_k a_k(z), from z = 1 <= z*, rises to
+    # z* without overshoot; a poor z* only costs digits, which the sum
+    # rules of exact_moments catch
+    z = 1.0
+    for _ in range(100):
+        inv = 1.0 / (z + s)
+        total = inv.sum()
+        step = (total - 1.0) * total / (inv @ inv)
+        z += step
+        if abs(step) <= 1e-14 * z:
+            break
+    h = 2.0 * np.pi / (_CONTOUR_TAIL + 3.0 * z)
+    t = h * np.arange(int(np.sqrt(_CONTOUR_TAIL / z + 1.0) / h) + 1)
+    u = 1.0 + 1j * t
+    nodes = z * u * u
+    a = 1.0 / (nodes[:, None] + s)  # (M, N)
+    # log prod_k a_k relative to its value at z*: -sum_k log(1 + x_k) with
+    # x_k = (z - z*) / (z* + s_k), in real and imaginary parts that keep the
+    # digits of a tiny x_k (a sum of plain log a_k would lose about
+    # N log(s_max) ulps: 1e-11 in the sum rules at N = 400, beta = 1e300)
+    x = (nodes - z)[:, None] / (z + s)
+    log_b = (nodes + np.log(u) - 0.5 * np.log1p(2.0 * x.real + abs(x) ** 2).sum(axis=1)
+             - 1j * np.arctan2(x.imag, 1.0 + x.real).sum(axis=1))
+    b = np.exp(log_b - log_b.real.max())
+    b[0] *= 0.5  # t < 0 is the conjugate half
+    ba = b[:, None] * a
+    d = b.real.sum()
+    # Re(a^T diag(b) a) as real products of row blocks that each run on
+    # one thread
+    left = np.concatenate([ba.real, -ba.imag]).T
+    right = np.concatenate([a.real, a.imag])
+    rows = max(_SERIAL_GEMM_SIZE // right.size, 1)
+    eww = np.concatenate([left[lo:lo + rows] @ right for lo in range(0, len(s), rows)]) / d
+    eww[np.diag_indices_from(eww)] *= 2.0
+    return ba.real.sum(axis=0) / d, eww
 
 
 def exact_moments(tm: TruncatedModel, beta: float) -> dict:
     """Exact means and variances of (<q>, <p>) under the sampled measure.
 
     Under exp(-beta E(c)) on the unit sphere the moduli w_k = |c_k|^2 follow
-    the flat simplex density tilted by exp(-sum_k s_k w_k), s = beta (E - E_0),
-    and the phases are independent and uniform. With f = exp(-x) and its
-    confluent divided differences f[...],
-
-        E[w_k] = -f[s, s_k] / f[s],
-        E[w_k w_l] = (1 + delta_kl) f[s, s_k, s_l] / f[s].
-
-    One exponential per level gives them all: row k of the nodes (s, s_k, s)
-    holds f[s, s_k] in its window [0, N] and f[s, s_k, s_l] in its window
-    [l, N + 1 + l]. They are built in batches of levels that take at most
-    _ORACLE_BYTES (all at once up to N = 31), so memory grows as N^2, not
-    N^3; every row holds the same nodes, so a batch scales and squares as
-    the whole would.
+    the flat simplex density tilted by exp(-sum_k s_k w_k),
+    s = beta (E - min E), and the phases are independent and uniform;
+    _weight_moments gives E[w] and E[w w^T] by one contour sum.
 
     Averaging the phases out of <q> = sum_kl Q_kl conj(c_k) c_l gives
     E<q> = sum_k Q_kk E[w_k] and
@@ -442,34 +441,16 @@ def exact_moments(tm: TruncatedModel, beta: float) -> dict:
     <p> is the same with A, which has no diagonal, so E<p> = 0. Any N, any
     potential: Q's diagonal (nonzero in tilted wells) is included.
 
-    Raises SolverError naming beta when a scaled divided difference it
-    needs is not finite or g^(N-1) f[s] is not a normal double: every
-    ratio above would be nan or lose its digits. That happens once
-    g = beta (E_max - E_0) reaches about 1e141 at N = 24 (3e152 at N = 8).
+    Raises SolverError naming beta when the moments miss the sum rules
+    sum_k E[w_k] = 1 or sum_l E[w_k w_l] = E[w_k] by more than 1e-10.
     """
     if not 0 <= beta < np.inf:
         raise UsageError(f"beta must be finite and >= 0, got {beta}")
-    n = tm.n
-    s = beta * (tm.energies - tm.energies[0])
-    rows = np.tile(s, (n, 1))
-    nodes = np.column_stack([rows, s, rows])
-    batch = max(1, _ORACLE_BYTES // (8 * (2 * n + 1) ** 2))
-    l = np.arange(n)
-    first, second = np.empty(n), np.empty((n, n))
-    for k in range(0, n, batch):
-        t, g = _exp_divided_differences(nodes[k:k + batch])
-        first[k:k + batch], second[k:k + batch] = t[:, 0, n], t[:, l, n + 1 + l]
-        if k == 0:
-            z = t[0, 0, n - 1]
-        del t  # freed before the next batch is built
-    if not (np.finfo(float).tiny <= abs(z) < np.inf
-            and np.isfinite(first).all() and np.isfinite(second).all()):
-        raise SolverError(f"exact moments at beta = {beta}: the divided differences, "
-                          f"scaled by g = {g:.3g}, leave the double range "
-                          f"(g^(N-1) f[s] = {z})")
-    ew = -first / g / z
-    eww = second / g / g / z
-    eww[l, l] *= 2.0
+    ew, eww = _weight_moments(beta * (tm.energies - tm.energies.min()))
+    miss = np.max(np.abs(np.append(eww.sum(axis=1) - ew, ew.sum() - 1.0)))
+    if not miss <= 1e-10:
+        raise SolverError(f"exact moments at beta = {beta}: the weight moments "
+                          f"miss their sum rules by {miss:.3g}")
 
     q = 0.5 * (tm.q_matrix + tm.q_matrix.T)
     a = 0.5 * (tm.p_matrix_imag - tm.p_matrix_imag.T)

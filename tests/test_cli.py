@@ -279,10 +279,11 @@ def test_fluct_solves_its_doublet_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["fluct", "--config", cfg, "--out", str(out)]) == 0
     assert doublets == [801]  # on the config grid only
-    # the rescaled temperatures come back from the same splitting, to one ulp
+    # both curves are written on the temperature grid itself, bit for bit
     _, rows = read_csv(out / "fluct_m0p5.csv")
-    t = np.array([float(r[0]) for r in rows])
-    assert np.allclose(t, np.logspace(-1.0, 1.0, 5), rtol=4e-16, atol=0.0)
+    _, two_state = read_csv(out / "fluct_two_state.csv")
+    assert [r[0] for r in rows] == [r[0] for r in two_state]
+    assert np.array_equal([float(r[0]) for r in rows], np.logspace(-1.0, 1.0, 5))
 
 
 @pytest.mark.parametrize("command", ["veff", "fluct"])
@@ -627,8 +628,8 @@ def test_sample_exact_validation_on_tilted_model(tmp_path, capsys):
 
 def test_exact_validation_at_huge_beta(tmp_path, capsys):
     # at beta = 1e15 the N=24 weights exp(-beta (E - E_0)) underflow, but
-    # the scaled divided differences do not: the expected moments are finite
-    # and are those of exact_moments
+    # the contour sum's terms do not: the expected moments are finite and
+    # are those of exact_moments
     grid = {"x_min": -6.0, "x_max": 6.0, "n_points": 801}
     cfg = write_config(tmp_path, {
         "model": DOUBLE_WELL_MODEL,

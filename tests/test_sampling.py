@@ -26,7 +26,7 @@ from wfgibbs import (
 )
 from wfgibbs import sampling
 from wfgibbs.cli import load_config
-from wfgibbs.sampling import (_PROPOSAL_SCALE, _batch_se, _exp_divided_differences,
+from wfgibbs.sampling import (_PROPOSAL_SCALE, _batch_se, _weight_moments,
                               integrated_autocorrelation, unitary_flow_check)
 
 from conftest import double_well, exact_sphere_variance, harmonic
@@ -86,8 +86,8 @@ def test_chain_config_validation():
 
 
 def test_negative_beta_rejected(tm8):
-    # nan and inf too: a usage error, not a bare ValueError from the divided
-    # differences or a chain that accepts nothing
+    # nan and inf too: a usage error, not a nan from the contour sum or a
+    # chain that accepts nothing
     for beta in (-1.0, np.nan, np.inf):
         with pytest.raises(UsageError, match="beta"):
             sample_ensemble(tm8, beta, ChainConfig(chain_count=1, steps_per_chain=10))
@@ -337,7 +337,7 @@ def test_two_level_matches_quadrature_oracle(beta, harmonic_grid):
 
 
 def test_exact_oracle_agrees_with_quadrature(harmonic_grid, dw_grid):
-    # the divided differences against an independent sphere quadrature for
+    # the contour sum against an independent sphere quadrature for
     # N = 2; the tilted well has a nonzero diagonal of Q and a mean of <q>
     tilted = build_truncated_model(
         ModelParams(0.5, 1.0, Tilted(QuarticDoubleWell(1.0, 1.5), 0.05)), 2, dw_grid)
@@ -364,10 +364,9 @@ def test_exact_moments_match_mpmath_reference(n, harmonic_grid):
 
 
 def test_exact_moments_at_huge_beta_match_mpmath():
-    # N=24 double well: f[s] itself is subnormal at beta = 1e12 and zero at
-    # 1e15, but the divided differences scaled by g = beta (E_23 - E_0) stay
-    # in range; at 1e19 (m = 72 squarings) they stay exact only because
-    # each squaring restarts from the exact diagonal
+    # N=24 double well: the weights exp(-beta (E - E_0)) are subnormal at
+    # beta = 1e12 and zero at 1e15, but the contour's terms are taken
+    # relative to the largest, in logarithms, and stay in range
     tm = build_truncated_model(double_well(0.5), 24, GridSpec(-6.0, 6.0, 801))
     for beta in (1e11, 1e12, 1e15, 1e19):
         exact = exact_moments(tm, beta)
@@ -377,22 +376,41 @@ def test_exact_moments_at_huge_beta_match_mpmath():
         assert exact["var_p"] == pytest.approx(var_p, rel=1e-12, abs=0), beta
 
 
-def test_exact_moments_out_of_range_names_beta(tm8):
-    # nodes 0, 1e-200 and 1e200 leave the double range however they are
-    # scaled, and so does the harmonic ladder once g^2 overflows: both raise,
-    # naming beta, with no RuntimeWarning on the way
-    q = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
-    pathological = TruncatedModel(np.array([0.0, 1e-200, 1e200]), q, np.zeros((3, 3)))
+def test_exact_moments_follow_the_cold_law_at_any_beta(tm8):
+    # as beta -> oo only w_0 w_k survives, with E[w_0 w_k] -> 1 / (beta (E_k - E_0)),
+    # so beta var_q -> 2 sum_k Q_0k^2 / (E_k - E_0), and likewise with A,
+    # up to any beta at which beta (E - E_0) is a double
+    dw = build_truncated_model(double_well(0.5), 24, GridSpec(-6.0, 6.0, 801))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for tm, beta in ((pathological, 1.0), (tm8, 1e200)):
-            with pytest.raises(SolverError, match=re.escape(f"beta = {beta}: ")):
-                exact_moments(tm, beta)
+        for tm in (tm8, dw):
+            gaps = tm.energies[1:] - tm.energies[0]
+            cold_q = 2.0 * np.sum(tm.q_matrix[0, 1:] ** 2 / gaps)
+            cold_p = 2.0 * np.sum(tm.p_matrix_imag[0, 1:] ** 2 / gaps)
+            for beta in (1e15, 1e100, 1e200):
+                exact = exact_moments(tm, beta)
+                assert beta * exact["var_q"] == pytest.approx(cold_q, rel=1e-12, abs=0), beta
+                assert beta * exact["var_p"] == pytest.approx(cold_p, rel=1e-12, abs=0), beta
+        # nodes 0, 1e-200 and 1e200: the top level is frozen out and the two
+        # others are flat on their simplex, where E[w_0 w_1] = 1/6
+        q = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
+        pathological = TruncatedModel(np.array([0.0, 1e-200, 1e200]), q, np.zeros((3, 3)))
+        assert exact_moments(pathological, 1.0)["var_q"] == pytest.approx(1 / 3, rel=1e-12)
 
 
-def test_exact_moments_memory_grows_as_n_squared(dw_grid, monkeypatch):
-    # the levels' exponentials are built at most 1 MiB at a time: at N=64
-    # all of them at once had a peak of 26 MB
+def test_exact_moments_names_beta_when_the_sum_rules_fail(tm8, monkeypatch):
+    # a contour cut off where |e^z| is only e^-10 of its saddle value misses
+    # the sum rules by about 1e-5
+    monkeypatch.setattr(sampling, "_CONTOUR_TAIL", 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=re.escape("beta = 2.0: ")):
+            exact_moments(tm8, 2.0)
+
+
+def test_exact_moments_memory_grows_as_n_squared(dw_grid):
+    # one (M, N) array of contour terms and a few (N, N) ones: a peak of
+    # 0.22 MiB at N=64
     tm = build_truncated_model(double_well(0.2), 64, dw_grid)
     tracemalloc.start()
     try:
@@ -401,31 +419,16 @@ def test_exact_moments_memory_grows_as_n_squared(dw_grid, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    # every level holds the same nodes, so batches of 5 of the N=24 levels
-    # give the bits of one batch of all 24
-    tm = build_truncated_model(double_well(0.2), 24, dw_grid)
-    whole = {beta: exact_moments(tm, beta) for beta in (0.0, 1.0, 13.7, 1e6)}
-    monkeypatch.setattr(sampling, "_ORACLE_BYTES", 5 * 8 * 49**2)
-    assert {beta: exact_moments(tm, beta) for beta in whole} == whole
 
 
-@pytest.mark.parametrize("kind", ["random", "clustered"])
-def test_divided_difference_windows_match_sliced_nodes(kind):
-    # entry (i, j) of the triangle is f[x_i, ..., x_j]: the last entry of
-    # row 0 computed from the nodes x[i:j+1] alone, each with its own
-    # g^(j-i) undone; clustered nodes repeat some values exactly and put
-    # others 1e-9 apart
-    rng = np.random.default_rng(3)
-    if kind == "random":
-        x = rng.uniform(0.0, 30.0, 50)
-    else:
-        x = rng.choice([0.0, 2.0, 7.5, 20.0], 50) + rng.choice([0.0, 1e-9, 3e-9], 50)
-    t, g = _exp_divided_differences(x[None, :])
-    for i in range(50):
-        for j in range(i, 50):
-            sliced, g_sliced = _exp_divided_differences(x[None, i:j + 1])
-            expected = sliced[0, 0, -1] / g_sliced ** (j - i)
-            assert t[0, i, j] / g ** (j - i) == pytest.approx(expected, rel=1e-13, abs=0), (i, j)
+def test_exact_moments_at_the_largest_basis_a_grid_allows():
+    # n_basis and k_max may be as large as grid.n_points: all 401 levels of
+    # a 401-point grid, in one contour sum
+    tm = build_truncated_model(double_well(0.2), 401, GridSpec(-6.0, 6.0, 401))
+    ew, eww = _weight_moments(tm.energies - tm.energies.min())
+    assert abs(ew.sum() - 1.0) <= 1e-10
+    assert np.max(np.abs(eww.sum(axis=1) - ew)) <= 1e-10
+    assert np.isfinite(list(exact_moments(tm, 1.0).values())).all()
 
 
 def _column_moments(run):
