@@ -84,11 +84,13 @@ def _tag(mass: float) -> str:
     return f"{mass:g}".replace(".", "p")
 
 
-def load_config(path, seed=None) -> dict:
+def load_config(path, seed=None, command=None) -> dict:
     """Read a config file and resolve every input: the model, the grid (the
     model's default grid when the section is absent), the seed (the argument,
     from --seed, when given), the output directory and each section's values,
-    converted to the types of their defaults; each must read back as given."""
+    converted to the types of their defaults; each must read back as given.
+    The level counts of sample and canonical are held to grid.n_points only
+    for their own command, or for every command when none is named."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -133,8 +135,11 @@ def load_config(path, seed=None) -> dict:
         raise ConfigurationError(f"unknown validation mode {cfg['sample']['validate']!r}; "
                                  f"expected one of {', '.join(_VALIDATE_MODES)}")
     # values no run can use are rejected here, before any work
-    fluct, sample, beta = cfg["fluct"], cfg["sample"], cfg["sample"]["beta"]
+    fluct, sample, canonical = cfg["fluct"], cfg["sample"], cfg["canonical"]
+    beta = sample["beta"]
     n_points = cfg["grid"].n_points
+    cap = {name: n_points if command in (None, name) else np.inf
+           for name in ("sample", "canonical")}
     limits = {
         "seed >= 0": cfg["seed"] >= 0,
         "1 <= eig.k <= grid.n_points": 1 <= cfg["eig"]["k"] <= n_points,
@@ -147,15 +152,15 @@ def load_config(path, seed=None) -> dict:
         "fluct.n_q >= 2": fluct["n_q"] >= 2,
         "0 <= sample.beta < inf": 0 <= beta < np.inf,
         "sample.beta > 0 with validate 'marginal'": sample["validate"] != "marginal" or beta > 0,
-        "2 <= sample.n_basis <= grid.n_points": 2 <= sample["n_basis"] <= n_points,
+        "2 <= sample.n_basis <= grid.n_points": 2 <= sample["n_basis"] <= cap["sample"],
         "sample.chains >= 1": sample["chains"] >= 1,
         "sample.steps_per_chain >= 1": sample["steps_per_chain"] >= 1,
         "sample.chains * sample.steps_per_chain >= 2":  # two batches for a standard error
             sample["chains"] * sample["steps_per_chain"] >= 2,
         "sample.burn_in >= 0": sample["burn_in"] >= 0,
         "0 < sample.tv_tolerance < inf": 0 < sample["tv_tolerance"] < np.inf,
-        "0 < canonical.beta < inf": 0 < cfg["canonical"]["beta"] < np.inf,
-        "2 <= canonical.k_max <= grid.n_points": 2 <= cfg["canonical"]["k_max"] <= n_points,
+        "0 < canonical.beta < inf": 0 < canonical["beta"] < np.inf,
+        "2 <= canonical.k_max <= grid.n_points": 2 <= canonical["k_max"] <= cap["canonical"],
     }
     for name in ("veff", "twostate", "fluct"):
         ms = cfg[name]["masses"]
@@ -495,7 +500,7 @@ def main(argv=None) -> int:
     that fails creates no output directory."""
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.seed)
+        cfg = load_config(args.config, args.seed, args.command)
         out = Path(args.out) if args.out is not None else cfg["output"]
         if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
             raise ConfigurationError(f"output directory {out}: a file is in its way")

@@ -23,11 +23,10 @@ raises out of either builder: a table with a hole is not V_eff.
 
 Each node starts from one rule, _lagrange: the polynomial through the last
 (at most three) nodes, sum_i w_i y_i with scalar or vector y_i. It predicts
-the node's multiplier from lambda(q), quadratic through three nodes for a
-prescribed node and the secant for a free one (the two-level slope at the
-first node), and starts its first eigensolve from phi(lambda) at that
-multiplier: quadratic through three nodes, the line through two, the
-untilted phi at the first node. Each Newton step's slope comes with the
+the node's multiplier from lambda(q) and starts its first eigensolve from
+phi(lambda) at that multiplier, each quadratic through three nodes and the
+line through two; at the first node they are the two-level slope and the
+untilted phi. Each Newton step's slope comes with the
 first-order change of the ground state, dphi/dlambda (spectra.tilt_response),
 and the node's next eigensolve starts from phi + dlambda dphi/dlambda.
 Either start is used only while its correction to the last phi is a
@@ -111,8 +110,21 @@ class EffectivePotentialTable:
     bounded_support: bool = False
 
     def interpolate(self, qq):
-        """Piecewise-linear V_eff between table nodes."""
-        return np.interp(qq, self.q, self.v_eff)
+        """V_eff at qq, the end values outside the table's range: cubic
+        Hermite on the nodes' values and exact slopes dV_eff/dq = -lambda
+        when every lambda is finite, piecewise-linear otherwise (the
+        two-state arc's lambda is nan at +-d)."""
+        q, v, lam = self.q, self.v_eff, self.lam
+        if len(q) < 2 or not np.isfinite(lam).all():
+            return np.interp(qq, q, v)
+        x = np.clip(qq, q[0], q[-1])
+        i = np.clip(np.searchsorted(q, x, side="right") - 1, 0, len(q) - 2)
+        h = q[i + 1] - q[i]
+        t, u = (x - q[i]) / h, (q[i + 1] - x) / h
+        # symmetric in (t, V_i, lambda_i) <-> (u, V_i+1, -lambda_i+1): a
+        # mirrored table gives mirrored values, bit for bit
+        return (u * u * (3.0 - 2.0 * u) * v[i] + t * t * (3.0 - 2.0 * t) * v[i + 1]
+                - h * (t * u) * (u * lam[i] - t * lam[i + 1]))
 
 
 def _perturbed(phi: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -211,18 +223,15 @@ def _outward(branch, direction, counts, targets=(), h=None, q_max=None):
     target, free nodes (h given) where an advance in [h/8, 3h/2] of h lands,
     up to the first past q_max. A node that cannot be solved raises."""
     op, ground, q, slope = branch
-    band, order = None, 3  # lambda(q) through the last three nodes
+    band = None
     if h is not None:
         band = (h / 8 - h, h / 2) if direction > 0 else (-h / 2, h - h / 8)
-        # the secant: a quadratic lays other free nodes, which moves the
-        # linearly interpolated fluctuation curve by up to 1e-3
-        order = 2
         # free targets: one step on from the last node, until past q_max
         targets = iter(lambda: q + direction * h if direction * q < q_max else None, None)
     known = [(q, 0.0, ground.wavefunction)]  # (q, lambda, phi) of the last three nodes
     nodes = []
     for qt in targets:
-        aim = (_lagrange([(qk, lk) for qk, lk, _ in known[-order:]], qt) if len(known) > 1
+        aim = (_lagrange([(qk, lk) for qk, lk, _ in known], qt) if len(known) > 1
                else (qt - q) * slope)
         start = _perturbed(known[-1][2], _lagrange([(lk, phi) for _, lk, phi in known], aim))
         cs = solve_lambda(op, qt, start=start, lam=aim, _band=band)

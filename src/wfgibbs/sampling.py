@@ -441,12 +441,17 @@ def exact_moments(tm: TruncatedModel, beta: float) -> dict:
     <p> is the same with A, which has no diagonal, so E<p> = 0. Any N, any
     potential: Q's diagonal (nonzero in tilted wells) is included.
 
-    Raises SolverError naming beta when the moments miss the sum rules
-    sum_k E[w_k] = 1 or sum_l E[w_k w_l] = E[w_k] by more than 1e-10.
+    Raises SolverError naming beta when some beta (E_k - min E) overflows,
+    or when the moments miss the sum rules sum_k E[w_k] = 1 or
+    sum_l E[w_k w_l] = E[w_k] by more than 1e-10.
     """
     if not 0 <= beta < np.inf:
         raise UsageError(f"beta must be finite and >= 0, got {beta}")
-    ew, eww = _weight_moments(beta * (tm.energies - tm.energies.min()))
+    with np.errstate(over="ignore"):
+        s = beta * (tm.energies - tm.energies.min())
+    if not np.isfinite(s).all():
+        raise SolverError(f"exact moments at beta = {beta}: beta (E - min E) overflows")
+    ew, eww = _weight_moments(s)
     miss = np.max(np.abs(np.append(eww.sum(axis=1) - ew, ew.sum() - 1.0)))
     if not miss <= 1e-10:
         raise SolverError(f"exact moments at beta = {beta}: the weight moments "

@@ -4,7 +4,8 @@ The low-temperature density of (<q>, <p>) factorizes into a Gaussian
 momentum marginal with variance m/beta and a position marginal
 proportional to exp(-beta V_eff(q)). This module computes moments and
 fluctuation curves from an effective-potential table, the V_eff law of
-the paper; the exact law of the N-level measure is sampling's.
+the paper, interpolated between nodes by the table (cubic Hermite on the
+exact slopes -lambda); the exact law of the N-level measure is sampling's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ BOUNDARY_TAIL = 1e-8  # coverage criterion: tail density / peak density
 # beta (V - min V) at the ends of required_q_range: exp(-25) ~ 1.4e-11 lies
 # below BOUNDARY_TAIL
 Q_RANGE_MARGIN = 25.0
-FINE_POINTS = 4001  # points of the refined quadrature grid
+FINE_POINTS = 4001  # points of position_marginal's grid
+GAUSS_POINTS = 6  # of fluctuation_curve's Gauss-Legendre rule on each table segment
 MAX_GRID_POINTS = 1 << 20  # of a widened grid: 8 MiB per grid vector
 
 
@@ -39,33 +41,23 @@ class ThermalCurve:
     delta_p: np.ndarray
 
 
-def _refined(table: EffectivePotentialTable, n_fine: int):
-    """(refined grid, its spacing, V_eff - min V_eff on it): n_fine points
-    over the table's range, V_eff interpolated piecewise-linearly."""
-    if len(table.q) < 2:
-        raise UsageError("effective-potential table needs at least two points")
-    qq = np.linspace(table.q[0], table.q[-1], n_fine)
-    v = table.interpolate(qq)
-    return qq, np.diff(qq), v - v.min()
-
-
-def _density(beta: float, excess: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """exp(-beta excess), normalized by the trapezoid rule at spacing dq."""
+def _check_beta(beta: float) -> None:
     if not 0 < beta < np.inf:
         raise UsageError(f"beta must be positive and finite, got {beta}")
-    dens = np.exp(-beta * excess)
-    return dens / np.trapezoid(dens, dx=dq)
 
 
 def position_marginal(table: EffectivePotentialTable, beta: float):
-    """Normalized density of <q>, exp(-beta V_eff), on a refined grid of
-    FINE_POINTS points over the table's range.
-
-    Interpolation is piecewise-linear in V_eff, not in the density, which
-    preserves convexity and positivity.
-    """
-    qq, dq, excess = _refined(table, FINE_POINTS)
-    return qq, _density(beta, excess, dq)
+    """Normalized density of <q>, exp(-beta V_eff), on a grid of FINE_POINTS
+    points over the table's range: V_eff is the table's interpolate, not the
+    density, which preserves convexity and positivity, and the
+    normalization is the trapezoid rule."""
+    if len(table.q) < 2:
+        raise UsageError("effective-potential table needs at least two points")
+    _check_beta(beta)
+    qq = np.linspace(table.q[0], table.q[-1], FINE_POINTS)
+    v = table.interpolate(qq)
+    dens = np.exp(-beta * (v - v.min()))
+    return qq, dens / np.trapezoid(dens, qq)
 
 
 def bin_masses(table: EffectivePotentialTable, beta: float, edges) -> np.ndarray:
@@ -79,42 +71,42 @@ def bin_masses(table: EffectivePotentialTable, beta: float, edges) -> np.ndarray
     return np.diff(np.interp(edges, qq, cdf))
 
 
-def _check_coverage(table, beta, qq, dens):
-    if table.bounded_support:
-        return
-    tail = max(dens[0], dens[-1]) / dens.max()
-    if tail > BOUNDARY_TAIL:
-        raise CoverageError(
-            f"table range [{qq[0]}, {qq[-1]}] too narrow at beta={beta}: "
-            f"boundary density {tail:.2e} of peak exceeds {BOUNDARY_TAIL}",
-            beta=beta,
-        )
-
-
-def fluctuation_curve(table: EffectivePotentialTable, betas,
-                      n_fine: int = FINE_POINTS) -> ThermalCurve:
-    """Mean and dispersion of <q> at each beta, by trapezoid quadrature of
-    the position_marginal density (the table is interpolated once).
+def fluctuation_curve(table: EffectivePotentialTable, betas) -> ThermalCurve:
+    """Mean and dispersion of <q> at each beta under exp(-beta V_eff), V_eff
+    the table's interpolate, by the GAUSS_POINTS-point Gauss-Legendre rule
+    on each segment between table nodes; the three forms (1, q, q^2) are
+    weighted once per curve and each beta costs one exponential.
 
     The Gaussian momentum dispersion sqrt(m/beta) is reported alongside.
-    Raises CoverageError naming the offending beta when the table does not
-    contain the thermally relevant range (skipped for tables with
-    intrinsically bounded support, e.g. the two-state arc on [-d, d]).
+    Raises CoverageError naming the first beta, in the given order, at which
+    the density at the table's ends exceeds BOUNDARY_TAIL of its peak
+    (skipped for tables with intrinsically bounded support, e.g. the
+    two-state arc on [-d, d]).
     """
+    q = table.q
+    if len(q) < 2:
+        raise UsageError("effective-potential table needs at least two points")
     betas = np.asarray(betas, dtype=float)
-    doublet = table.doublet
-    qq, dq, excess = _refined(table, n_fine)
-    mean_q, delta_q = [], []
-    for beta in betas:
-        dens = _density(beta, excess, dq)
-        _check_coverage(table, beta, qq, dens)
-        m1 = np.trapezoid(dens * qq, dx=dq)
-        m2 = np.trapezoid(dens * qq**2, dx=dq)
-        mean_q.append(m1)
-        delta_q.append(np.sqrt(max(m2 - m1**2, 0.0)))
+    x, w = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+    half = 0.5 * np.diff(q)[:, None]
+    points = (0.5 * (q[:-1] + q[1:])[:, None] + half * x).ravel()
+    forms = (half * w).ravel() * np.array([np.ones_like(points), points, points**2])
+    v = table.interpolate(points)
+    low = min(v.min(), table.v_eff.min())
+    excess, edge = v - low, min(table.v_eff[0], table.v_eff[-1]) - low
+    mean_q, delta_q = np.empty(len(betas)), np.empty(len(betas))
+    for i, beta in enumerate(betas):
+        _check_beta(beta)
+        tail = np.exp(-beta * edge)
+        if not table.bounded_support and tail > BOUNDARY_TAIL:
+            raise CoverageError(f"table range [{q[0]}, {q[-1]}] too narrow at beta={beta}: "
+                                f"boundary density {tail:.2e} of peak exceeds {BOUNDARY_TAIL}",
+                                beta=beta)
+        m0, m1, m2 = forms @ np.exp(-beta * excess)
+        mean_q[i] = m1 / m0
+        delta_q[i] = np.sqrt(max(m2 / m0 - mean_q[i] ** 2, 0.0))
 
-    mean_q = np.asarray(mean_q)
-    delta_q = np.asarray(delta_q)
+    doublet = table.doublet
     return ThermalCurve(
         beta=betas,
         rescaled_temperature=2.0 / (betas * doublet.splitting),
@@ -139,8 +131,7 @@ def required_q_range(mp: ModelParams, beta: float) -> float:
     negative leading coefficient) covers no beta, nor does any potential a
     beta so small that Q_RANGE_MARGIN / beta overflows.
     """
-    if not 0 < beta < np.inf:
-        raise UsageError(f"beta must be positive and finite, got {beta}")
+    _check_beta(beta)
     v = np.polynomial.Polynomial(mp.potential.power_series(mp.mass)).trim()
     if v.degree() < 2 or v.degree() % 2 or v.coef[-1] < 0:
         raise CoverageError(f"potential does not confine; cannot cover beta={beta}", beta=beta)

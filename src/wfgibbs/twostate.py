@@ -104,7 +104,7 @@ def two_state_table(ts: TwoStateModel, n: int = 401) -> EffectivePotentialTable:
     """Tabulated arc on [-d, d], flagged as having bounded support.
 
     The analytic multiplier diverges at the endpoints and is stored as nan
-    there; thermal statistics only use the v_eff column.
+    there, so the table interpolates V_eff piecewise-linearly.
     """
     q = np.linspace(-ts.d, ts.d, n)
     lam = np.full(n, np.nan)

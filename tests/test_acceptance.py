@@ -106,7 +106,7 @@ def test_criterion_4_two_state_asymptotes(two_state_models):
     table = two_state_table(ts)
     t = np.array([0.01, 100.0])
     betas = 2.0 / (t * ts.splitting)
-    curve = fluctuation_curve(table, betas, n_fine=20001)
+    curve = fluctuation_curve(table, betas)
     cold, hot = curve.delta_q_over_d
     ok_hot = abs(hot - 1.0 / np.sqrt(3.0)) < 1e-3
     ok_cold = abs(cold - np.sqrt(0.01)) / np.sqrt(0.01) < 0.05

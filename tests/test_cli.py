@@ -784,6 +784,22 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, no_work, case):
     assert not out.exists()
 
 
+def test_level_counts_bind_only_their_own_commands(tmp_path, capsys):
+    # the default sample.n_basis (24) and canonical.k_max (16) exceed an
+    # 11-point grid: eig, which reads neither, runs; sample exits 2 naming
+    # its own count, and a caller that names no command keeps both rules
+    cfg = write_config(tmp_path, {"model": HARMONIC_MODEL, "eig": {"k": 3},
+                                  "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 11}})
+    assert main(["eig", "--config", cfg, "--out", str(tmp_path / "eig")]) == 0
+    out = tmp_path / "sample"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sample.n_basis" in err and "canonical.k_max" not in err
+    assert not out.exists()
+    with pytest.raises(wfgibbs.ConfigurationError, match="sample.n_basis .* canonical.k_max"):
+        cli.load_config(cfg)
+
+
 # values whose conversion would not write back as the JSON they were read
 # from, each with the part of the message that names its key path
 MISREAD = {

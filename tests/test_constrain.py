@@ -208,20 +208,20 @@ def test_extrapolated_start_is_the_polynomial_through_the_last_nodes():
 
 
 def test_fluct_preset_table_work(two_state_models, dw_grid, monkeypatch):
-    # the fluct preset at m = 0.2: 175 free nodes on the widened 7141-point
+    # the fluct preset at m = 0.2: 163 free nodes on the widened 7141-point
     # grid; each node's first eigensolve starts from the ground state
-    # extrapolated through the last three nodes (measured 337 dptsv
-    # factorizations, 3.8 per eigensolve; 421, or 4.8, from the last phi)
+    # extrapolated through the last three nodes (measured 315 dptsv
+    # factorizations, 3.8 per eigensolve)
     from wfgibbs.thermal import table_for_betas
 
     ts = two_state_models[0.2]
     betas = 2.0 / (np.logspace(-2, 2, 60) * ts.splitting)
     table = table_for_betas(ts, betas, 161, dw_grid)
-    assert table.meta["grid"]["n_points"] == 7141 and len(table.q) == 175
-    assert table.meta["eigensolves"] == 88
+    assert table.meta["grid"]["n_points"] == 7141 and len(table.q) == 163
+    assert table.meta["eigensolves"] == 82
     assert table.meta["lapack_fallbacks"] == 0
     assert table.meta["factorizations"] <= 4 * table.meta["eigensolves"]
-    # each warm solve factors the window of its start (measured 1137056
+    # each warm solve factors the window of its start (measured 1058560
     # rows, 47% of the whole grid's), and the table is that of whole-grid
     # solves
     monkeypatch.setattr(spectra, "WINDOW_SHARE", 0.0)
@@ -421,7 +421,7 @@ def test_walk_table_of_symmetric_well_has_exact_parity(two_state_models, dw_grid
 
 def test_walk_curve_matches_fine_root_solved_reference():
     # the fluct preset's temperature range on a coarser grid; the reference
-    # solves 641 prescribed nodes by root finding (measured 7.3e-4)
+    # solves 641 prescribed nodes by root finding (measured 2.2e-6)
     from wfgibbs.thermal import required_q_range, table_for_betas
 
     mp, grid = double_well(0.2), GridSpec(-6.0, 6.0, 1201)
@@ -433,7 +433,7 @@ def test_walk_curve_matches_fine_root_solved_reference():
                                     GridSpec.from_dict(table.meta["grid"]))
     walked = fluctuation_curve(table, betas).delta_q_over_d
     exact = fluctuation_curve(reference, betas).delta_q_over_d
-    assert np.max(np.abs(walked / exact - 1.0)) < 2e-3
+    assert np.max(np.abs(walked / exact - 1.0)) < 1e-5
 
 
 def test_walk_to_unreachable_range_raises(monkeypatch):

@@ -408,6 +408,14 @@ def test_exact_moments_names_beta_when_the_sum_rules_fail(tm8, monkeypatch):
             exact_moments(tm8, 2.0)
 
 
+def test_exact_moments_name_an_overflowing_beta(tm8):
+    # beta (E_k - E_0) overflows at beta = 1.7e308: a SolverError naming
+    # beta, with no warning and no level dropped as frozen out; 1e307 returns
+    with pytest.raises(SolverError, match=re.escape("beta = 1.7e+308: ")):
+        exact_moments(tm8, 1.7e308)
+    assert np.isfinite(list(exact_moments(tm8, 1e307).values())).all()
+
+
 def test_exact_moments_memory_grows_as_n_squared(dw_grid):
     # one (M, N) array of contour terms and a few (N, N) ones: a peak of
     # 0.22 MiB at N=64

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -85,9 +86,25 @@ def test_harmonic_dispersions_are_gaussian(harmonic_table):
     # exp(-beta q^2 / 2) marginal: delta_q = 1/sqrt(beta); delta_p likewise
     betas = np.array([2.0, 4.0, 8.0])
     curve = fluctuation_curve(harmonic_table, betas)
-    assert np.allclose(curve.delta_q, 1.0 / np.sqrt(betas), rtol=1e-4)
+    assert np.allclose(curve.delta_q, 1.0 / np.sqrt(betas), rtol=1e-10)
     assert np.allclose(curve.delta_p, 1.0 / np.sqrt(betas), rtol=1e-12)
     assert np.allclose(curve.mean_q, 0.0, atol=1e-10)
+
+
+def test_interpolation_is_hermite_on_exact_slopes(harmonic_table):
+    # between the 49 nodes the cubic on the nodes' values and slopes -lambda
+    # is off from 1/2 + q^2/2 by the nodes' own error (measured 7.8e-7; the
+    # chords miss by 7.8e-3), and it keeps the end values outside the range
+    qq = np.linspace(-6.0, 6.0, 2001)
+    assert np.max(np.abs(harmonic_table.interpolate(qq) - (0.5 + 0.5 * qq**2))) < 1e-6
+    assert np.array_equal(harmonic_table.interpolate([-7.0, 7.0]),
+                          harmonic_table.v_eff[[0, -1]])
+    # one missing slope, as at the two-state arc's ends: the chords
+    lam = harmonic_table.lam.copy()
+    lam[0] = np.nan
+    chords = dataclasses.replace(harmonic_table, lam=lam)
+    assert np.array_equal(chords.interpolate(qq),
+                          np.interp(qq, harmonic_table.q, harmonic_table.v_eff))
 
 
 def test_two_state_low_temperature_asymptote(two_state_models):
@@ -95,7 +112,7 @@ def test_two_state_low_temperature_asymptote(two_state_models):
     table = two_state_table(two_state_models[0.5])
     t = np.array([1e-4, 4e-4])
     betas = 2.0 / (t * table.doublet.splitting)
-    curve = fluctuation_curve(table, betas, n_fine=20001)
+    curve = fluctuation_curve(table, betas)
     assert np.allclose(curve.rescaled_temperature, t, rtol=1e-12)
     assert np.allclose(curve.delta_q_over_d, np.sqrt(t), rtol=2e-2)
 
@@ -130,13 +147,13 @@ def test_coverage_error_names_beta(dw_tables):
         assert err.value.beta == betas[1]
 
 
-def _per_beta_curve(table, betas, n_fine=4001):
-    """(mean_q, delta_q) by the per-beta formula: position_marginal's body,
-    then the trapezoid rule on q and q^2 against the refined grid."""
+def _trapezoid_curve(table, betas, n_points=200001):
+    """(mean_q, delta_q) by the trapezoid rule on n_points of the table's
+    own interpolate over its range."""
+    qq = np.linspace(table.q[0], table.q[-1], n_points)
+    v = table.interpolate(qq)
     mean_q, delta_q = [], []
     for beta in betas:
-        qq = np.linspace(table.q[0], table.q[-1], n_fine)
-        v = np.interp(qq, table.q, table.v_eff)
         dens = np.exp(-beta * (v - v.min()))
         dens = dens / np.trapezoid(dens, qq)
         m1 = np.trapezoid(dens * qq, qq)
@@ -146,26 +163,30 @@ def _per_beta_curve(table, betas, n_fine=4001):
     return np.array(mean_q), np.array(delta_q)
 
 
-def test_curve_quadrature_is_bit_identical_to_per_beta_formula(two_state_models, dw_grid):
-    # the table is interpolated once per curve, not once per beta; the full
-    # walk table, its restriction to |q| <= d and the two-state arc, as fluct
-    # builds them
+def test_curve_quadrature_matches_fine_trapezoid_of_the_interpolant(two_state_models,
+                                                                     dw_grid):
+    # the Gauss rule on each segment integrates the table's own interpolant:
+    # Hermite on the full walk table and its restriction to |q| <= d,
+    # piecewise-linear on the two-state arc, as fluct builds them at its
+    # default n_q (measured 2.5e-11 and 5e-11 on the last two, the
+    # trapezoid's error; a 41-node walk, whose segments are wider than the
+    # coldest density, reads 1.4e-8)
     ts = two_state_models[0.5]
     betas = 2.0 / (np.logspace(-2, 2, 9) * ts.splitting)
-    full = table_for_betas(ts, betas, 41, dw_grid)
+    full = table_for_betas(ts, betas, 161, dw_grid)
     q_res = np.linspace(-ts.d, ts.d, 201)
     clipped = EffectivePotentialTable(q_res, full.interpolate(q_res),
                                       np.interp(q_res, full.q, full.lam), ts,
                                       bounded_support=True)
     for table in (full, clipped, two_state_table(ts, 801)):
         curve = fluctuation_curve(table, betas)
-        mean_q, delta_q = _per_beta_curve(table, betas)
-        assert np.array_equal(curve.mean_q, mean_q)
-        assert np.array_equal(curve.delta_q, delta_q)
-        assert np.array_equal(curve.delta_q_over_d, delta_q / ts.d)
+        mean_q, delta_q = _trapezoid_curve(table, betas)
+        assert np.max(np.abs(curve.mean_q - mean_q)) < 1e-9
+        assert np.max(np.abs(curve.delta_q / delta_q - 1.0)) < 1e-9
+        assert np.array_equal(curve.delta_q_over_d, curve.delta_q / ts.d)
         qq, dens = position_marginal(table, betas[3])
         assert np.array_equal(qq, np.linspace(table.q[0], table.q[-1], 4001))
-        v = np.interp(qq, table.q, table.v_eff)
+        v = table.interpolate(qq)
         reference = np.exp(-betas[3] * (v - v.min()))
         assert np.array_equal(dens, reference / np.trapezoid(reference, qq))
 
