@@ -22,7 +22,7 @@ from .sampling import (
     sample_ensemble,
 )
 from .spectra import lowest_eigenpairs
-from .thermal import ThermalCurve, fluctuation_curve, table_for_betas
-from .twostate import TwoStateModel, build_two_state, two_state_table, two_state_veff
+from .thermal import ThermalCurve, fluctuation_curve, table_for_betas, two_state_curve
+from .twostate import TwoStateModel, build_two_state, two_state_veff
 
 __version__ = "0.1.0"

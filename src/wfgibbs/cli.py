@@ -306,8 +306,7 @@ def cmd_veff(cfg):
                 table.q.tolist(), table.v_eff.tolist(), table.lam.tolist()))
             files[f"veff_table_m{tag}.json"] = {
                 "meta": {"e1": ts.e1, "e2": ts.e2, "d": ts.d, "model": ts.model.to_dict(),
-                         **table.meta},
-                "bounded_support": table.bounded_support}
+                         **table.meta}}
             print(f"m={ts.model.mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
     return EXIT_OK, files
 
@@ -316,9 +315,9 @@ def cmd_twostate(cfg):
     section, files, summary = cfg["twostate"], {}, {}
     for ts in _doublets(cfg, section):
         tag = _tag(ts.model.mass)
-        table = twostate.two_state_table(ts, section["n_q"])
-        files[f"two_state_m{tag}.csv"] = ("q,v_eff", zip(table.q.tolist(),
-                                                         table.v_eff.tolist()))
+        q = np.linspace(-ts.d, ts.d, section["n_q"])
+        files[f"two_state_m{tag}.csv"] = ("q,v_eff", zip(q.tolist(),
+                                                         twostate.two_state_veff(ts, q).tolist()))
         summary[str(ts.model.mass)] = {"e1": ts.e1, "e2": ts.e2, "d": ts.d}
         print(f"m={ts.model.mass}: E1={ts.e1:.9g} E2={ts.e2:.9g} d={ts.d:.9g}")
     files["two_state.json"] = summary
@@ -333,13 +332,9 @@ def cmd_fluct(cfg):
     def curves(ts):
         betas = 2.0 / (t_grid * ts.splitting)
         table = thermal.table_for_betas(ts, betas, section["n_q"], cfg["grid"])
-        # restricted variant: same V_eff and slopes confined to |q| <= d
-        q_res = np.linspace(-ts.d, ts.d, 201)
-        clipped = constrain.EffectivePotentialTable(
-            q_res, table.interpolate(q_res), np.interp(q_res, table.q, table.lam), ts,
-            bounded_support=True)
+        # restricted variant: the same V_eff confined to |q| <= d
         return (table, thermal.fluctuation_curve(table, betas),
-                thermal.fluctuation_curve(clipped, betas))
+                thermal.fluctuation_curve(table, betas, restricted=True))
 
     with contextlib.closing(_per_mass(curves, _doublets(cfg, section))) as results:
         for ts, (table, curve, restricted) in results:
@@ -362,7 +357,7 @@ def cmd_fluct(cfg):
                   f"[{curve.delta_q_over_d.min():.4g}, {curve.delta_q_over_d.max():.4g}]")
 
     # the rescaled two-state curve is universal: any doublet gives the same
-    reference = thermal.fluctuation_curve(twostate.two_state_table(ts, 801), curve.beta)
+    reference = thermal.two_state_curve(ts, curve.beta)
     files["fluct_two_state.csv"] = ("rescaled_temperature,delta_q_over_d",
                                     zip(t_grid.tolist(), reference.delta_q_over_d.tolist()))
     files["fluct.json"] = summary

@@ -5,7 +5,9 @@ momentum marginal with variance m/beta and a position marginal
 proportional to exp(-beta V_eff(q)). This module computes moments and
 fluctuation curves from an effective-potential table, the V_eff law of
 the paper, interpolated between nodes by the table (cubic Hermite on the
-exact slopes -lambda); the exact law of the N-level measure is sampling's.
+exact slopes -lambda), and from the closed-form two-state arc; the exact
+law of the N-level measure is sampling's. Every integral of exp(-beta V)
+here is one rule, _gauss, on intervals between ascending cuts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constrain import EffectivePotentialTable, lambda_walk_table
-from .errors import CoverageError, UsageError
+from .errors import CoverageError, SolverError, UsageError
 from .lattice import GridSpec, ModelParams
 from .twostate import TwoStateModel
 
@@ -24,8 +26,10 @@ BOUNDARY_TAIL = 1e-8  # coverage criterion: tail density / peak density
 # beta (V - min V) at the ends of required_q_range: exp(-25) ~ 1.4e-11 lies
 # below BOUNDARY_TAIL
 Q_RANGE_MARGIN = 25.0
-FINE_POINTS = 4001  # points of position_marginal's grid
-GAUSS_POINTS = 6  # of fluctuation_curve's Gauss-Legendre rule on each table segment
+GAUSS_POINTS = 6  # of the Gauss-Legendre rule on each interval between cuts
+CURVE_RTOL = 1e-9  # agreement of delta_q between a curve's rule and its halving
+MAX_HALVINGS = 8  # of a curve's intervals before its rule is given up
+ARC_SEGMENTS = 64  # of the two-state arc's angle on [-pi/2, pi/2]
 MAX_GRID_POINTS = 1 << 20  # of a widened grid: 8 MiB per grid vector
 
 
@@ -46,67 +50,90 @@ def _check_beta(beta: float) -> None:
         raise UsageError(f"beta must be positive and finite, got {beta}")
 
 
-def position_marginal(table: EffectivePotentialTable, beta: float):
-    """Normalized density of <q>, exp(-beta V_eff), on a grid of FINE_POINTS
-    points over the table's range: V_eff is the table's interpolate, not the
-    density, which preserves convexity and positivity, and the
-    normalization is the trapezoid rule."""
+def _check_table(table: EffectivePotentialTable) -> None:
     if len(table.q) < 2:
         raise UsageError("effective-potential table needs at least two points")
-    _check_beta(beta)
-    qq = np.linspace(table.q[0], table.q[-1], FINE_POINTS)
-    v = table.interpolate(qq)
-    dens = np.exp(-beta * (v - v.min()))
-    return qq, dens / np.trapezoid(dens, qq)
+
+
+def _gauss(cuts):
+    """Nodes and weights of the GAUSS_POINTS-point Gauss-Legendre rule on
+    each interval between ascending cuts, one row per interval."""
+    x, w = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+    half = 0.5 * np.diff(cuts)[:, None]
+    return 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * x, half * w
+
+
+def _halved(cuts):
+    """cuts with the midpoint of each interval between them added."""
+    finer = np.empty(2 * len(cuts) - 1)
+    finer[::2], finer[1::2] = cuts, 0.5 * (cuts[:-1] + cuts[1:])
+    return finer
 
 
 def bin_masses(table: EffectivePotentialTable, beta: float, edges) -> np.ndarray:
-    """Probability of each bin between consecutive edges under the marginal.
-
-    The cumulative trapezoid integral of position_marginal is interpolated
-    at the edges, so mass outside the table's range counts as zero.
-    """
-    qq, dens = position_marginal(table, beta)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(qq))])
-    return np.diff(np.interp(edges, qq, cdf))
-
-
-def fluctuation_curve(table: EffectivePotentialTable, betas) -> ThermalCurve:
-    """Mean and dispersion of <q> at each beta under exp(-beta V_eff), V_eff
-    the table's interpolate, by the GAUSS_POINTS-point Gauss-Legendre rule
-    on each segment between table nodes; the three forms (1, q, q^2) are
-    weighted once per curve and each beta costs one exponential.
-
-    The Gaussian momentum dispersion sqrt(m/beta) is reported alongside.
-    Raises CoverageError naming the first beta, in the given order, at which
-    the density at the table's ends exceeds BOUNDARY_TAIL of its peak
-    (skipped for tables with intrinsically bounded support, e.g. the
-    two-state arc on [-d, d]).
-    """
+    """Probability of each bin between consecutive ascending edges under
+    exp(-beta V_eff), V_eff the table's interpolate, normalized over the
+    table's range: the rule on the table's nodes merged with the edges, so
+    mass outside the table's range counts as zero."""
+    _check_table(table)
+    _check_beta(beta)
     q = table.q
-    if len(q) < 2:
-        raise UsageError("effective-potential table needs at least two points")
-    betas = np.asarray(betas, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(GAUSS_POINTS)
-    half = 0.5 * np.diff(q)[:, None]
-    points = (0.5 * (q[:-1] + q[1:])[:, None] + half * x).ravel()
-    forms = (half * w).ravel() * np.array([np.ones_like(points), points, points**2])
-    v = table.interpolate(points)
-    low = min(v.min(), table.v_eff.min())
-    excess, edge = v - low, min(table.v_eff[0], table.v_eff[-1]) - low
+    edges = np.clip(np.asarray(edges, dtype=float), q[0], q[-1])
+    cuts = np.union1d(q, edges)
+    nodes, weights = _gauss(cuts)
+    v = table.interpolate(nodes)
+    mass = (weights * np.exp(-beta * (v - v.min()))).sum(axis=1)
+    cdf = np.concatenate([[0.0], np.cumsum(mass)])
+    return np.diff(cdf[np.searchsorted(cuts, edges)]) / cdf[-1]
+
+
+def _moments(betas, cuts, law, floor, ends=np.inf):
+    """(mean_q, delta_q) at each beta under exp(-beta V), by the rule on
+    cuts in a variable s, law(s) giving (q, V, dq/ds) at its nodes: the
+    forms (1, q, q^2) dq/ds are weighted once and each beta costs one
+    exponential of V - low, low the least of floor and V at the nodes.
+    Raises CoverageError naming the first beta, in the given order, at which
+    the density at the ends of the cuts, exp(-beta (ends - low)), exceeds
+    BOUNDARY_TAIL of its peak (never at the default ends: bounded support).
+    """
+    nodes, weights = _gauss(cuts)
+    q, v, jacobian = law(nodes.ravel())
+    forms = (weights.ravel() * jacobian) * np.array([np.ones_like(q), q, q**2])
+    low = min(v.min(), floor)
+    excess, edge = v - low, ends - low
     mean_q, delta_q = np.empty(len(betas)), np.empty(len(betas))
     for i, beta in enumerate(betas):
         _check_beta(beta)
         tail = np.exp(-beta * edge)
-        if not table.bounded_support and tail > BOUNDARY_TAIL:
-            raise CoverageError(f"table range [{q[0]}, {q[-1]}] too narrow at beta={beta}: "
+        if tail > BOUNDARY_TAIL:
+            raise CoverageError(f"table range [{cuts[0]}, {cuts[-1]}] too narrow at beta={beta}: "
                                 f"boundary density {tail:.2e} of peak exceeds {BOUNDARY_TAIL}",
                                 beta=beta)
         m0, m1, m2 = forms @ np.exp(-beta * excess)
         mean_q[i] = m1 / m0
         delta_q[i] = np.sqrt(max(m2 / m0 - mean_q[i] ** 2, 0.0))
+    return mean_q, delta_q
 
-    doublet = table.doublet
+
+def _curve(doublet: TwoStateModel, betas, cuts, law, floor, ends=np.inf) -> ThermalCurve:
+    """_moments rescaled by doublet and checked against the rule on halved
+    intervals, halved again until delta_q agrees to CURVE_RTOL at every
+    beta: the coarser curve of the agreeing pair, or SolverError after
+    MAX_HALVINGS halvings."""
+    betas = np.asarray(betas, dtype=float)
+    mean_q, delta_q = _moments(betas, cuts, law, floor, ends)
+    for _ in range(MAX_HALVINGS):
+        cuts = _halved(cuts)
+        finer = _moments(betas, cuts, law, floor)
+        # a nan (a density that underflows at every node) never agrees
+        moved = ~(np.abs(finer[1] - delta_q) <= CURVE_RTOL * finer[1])
+        if not moved.any():
+            break
+        mean_q, delta_q = finer
+    else:
+        raise SolverError(f"delta_q by the {GAUSS_POINTS}-point rule on {len(cuts) - 1} "
+                          f"intervals is off by more than {CURVE_RTOL} of itself from half as "
+                          f"many at beta={betas[moved][0]}, after {MAX_HALVINGS} halvings")
     return ThermalCurve(
         beta=betas,
         rescaled_temperature=2.0 / (betas * doublet.splitting),
@@ -115,6 +142,40 @@ def fluctuation_curve(table: EffectivePotentialTable, betas) -> ThermalCurve:
         delta_q_over_d=delta_q / doublet.d,
         delta_p=np.sqrt(doublet.model.mass / betas),
     )
+
+
+def fluctuation_curve(table: EffectivePotentialTable, betas, *,
+                      restricted: bool = False) -> ThermalCurve:
+    """Mean and dispersion of <q> at each beta under exp(-beta V_eff), V_eff
+    the table's interpolate, by the rule on the table's segments, or with
+    restricted on those segments cut at +-d (the doublet's d, which the
+    table must reach), a law of bounded support.
+
+    The Gaussian momentum dispersion sqrt(m/beta) is reported alongside.
+    Over the whole table, CoverageError names the first beta at which the
+    density at its end nodes exceeds BOUNDARY_TAIL of its peak.
+    """
+    _check_table(table)
+    q, d = table.q, table.doublet.d
+    cuts, ends = q, min(table.v_eff[0], table.v_eff[-1])
+    if restricted:
+        if not q[0] <= -d < d <= q[-1]:
+            raise UsageError(f"table range [{q[0]}, {q[-1]}] does not reach +-d = {d}")
+        cuts, ends = np.concatenate([[-d], q[np.abs(q) < d], [d]]), np.inf
+    return _curve(table.doublet, betas, cuts, lambda s: (s, table.interpolate(s), 1.0),
+                  table.v_eff.min(), ends)
+
+
+def two_state_curve(ts: TwoStateModel, betas) -> ThermalCurve:
+    """fluctuation_curve of the closed-form two-state arc on [-d, d], by the
+    rule on ARC_SEGMENTS equal segments of theta in [-pi/2, pi/2], q =
+    d sin theta (twice twostate's mixing angle): there V_eff, taken from
+    the mean level, is -(E2 - E1)/2 cos theta and the integrand is smooth,
+    where in q the arc's slope diverges at +-d."""
+    half = 0.5 * ts.splitting
+    theta = np.linspace(-0.5 * np.pi, 0.5 * np.pi, ARC_SEGMENTS + 1)
+    return _curve(ts, betas, theta,
+                  lambda t: (ts.d * np.sin(t), -half * np.cos(t), ts.d * np.cos(t)), -half)
 
 
 def required_q_range(mp: ModelParams, beta: float) -> float:

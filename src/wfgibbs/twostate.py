@@ -10,6 +10,10 @@ Constrained states are parametrized in the energy eigenbasis by
 theta = arcsin(q/d)/2 with coefficients (cos theta, sin theta), which
 satisfies both the position constraint 2 a1 a2 d = q and the energy
 identity a1^2 E1 + a2^2 E2 = V_eff(q).
+
+The arc is evaluated in closed form and never tabulated: its slope
+diverges at +-d, and its thermal law is thermal.two_state_curve, which
+integrates in the angle 2 theta.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrain import CoherentState, EffectivePotentialTable
+from .constrain import CoherentState
 from .errors import UsageError
 from .lattice import GridSpec, ModelParams, assemble_hamiltonian, position_element
 from .spectra import lowest_eigenpairs
@@ -78,14 +82,6 @@ def two_state_veff(ts: TwoStateModel, q):
     return ts.mean_level - 0.5 * ts.splitting * np.sqrt(1.0 - u * u)
 
 
-def two_state_lambda(ts: TwoStateModel, q):
-    """Analytic multiplier -dV_eff/dq of the two-state arc, at a q or an
-    array of them."""
-    _check_domain(ts, q)
-    u = q / ts.d
-    return -ts.splitting * q / (2.0 * ts.d**2 * np.sqrt(1.0 - u * u))
-
-
 def two_state_coefficients(ts: TwoStateModel, q: float):
     """Eigenbasis coefficients (a1, a2) of the constrained minimizer."""
     _check_domain(ts, q)
@@ -98,18 +94,6 @@ def two_state_coherent(ts: TwoStateModel, q: float, p: float) -> CoherentState:
     a1, a2 = two_state_coefficients(ts, q)
     psi = np.exp(1j * p * ts.grid.x / ts.model.hbar) * (a1 * ts.phi1 + a2 * ts.phi2)
     return CoherentState(q, p, psi)
-
-
-def two_state_table(ts: TwoStateModel, n: int = 401) -> EffectivePotentialTable:
-    """Tabulated arc on [-d, d], flagged as having bounded support.
-
-    The analytic multiplier diverges at the endpoints and is stored as nan
-    there, so the table interpolates V_eff piecewise-linearly.
-    """
-    q = np.linspace(-ts.d, ts.d, n)
-    lam = np.full(n, np.nan)
-    lam[1:-1] = two_state_lambda(ts, q[1:-1])
-    return EffectivePotentialTable(q, two_state_veff(ts, q), lam, ts, bounded_support=True)
 
 
 def rescale(ts: TwoStateModel, v_eff, q):

@@ -17,11 +17,10 @@ from wfgibbs import (
     canonical_atoms,
     effective_potential,
     exact_moments,
-    fluctuation_curve,
     lowest_eigenpairs,
     sample_ensemble,
     table_for_betas,
-    two_state_table,
+    two_state_curve,
 )
 from wfgibbs.constrain import solve_lambda
 from wfgibbs.lattice import assemble_hamiltonian, position_element
@@ -103,10 +102,9 @@ def test_criterion_3_harmonic_closed_forms(harmonic_grid):
 
 def test_criterion_4_two_state_asymptotes(two_state_models):
     ts = two_state_models[0.2]
-    table = two_state_table(ts)
     t = np.array([0.01, 100.0])
     betas = 2.0 / (t * ts.splitting)
-    curve = fluctuation_curve(table, betas)
+    curve = two_state_curve(ts, betas)
     cold, hot = curve.delta_q_over_d
     ok_hot = abs(hot - 1.0 / np.sqrt(3.0)) < 1e-3
     ok_cold = abs(cold - np.sqrt(0.01)) / np.sqrt(0.01) < 0.05

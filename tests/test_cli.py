@@ -200,7 +200,7 @@ def test_veff_command(tmp_path):
     assert (out / "veff_table_m0p5.csv").read_text().startswith("# wfgibbs-csv v1")
     assert b"\r" not in (out / "veff_table_m0p5.csv").read_bytes()  # as in every other CSV
     sidecar = json.loads((out / "veff_table_m0p5.json").read_text())
-    assert "bounded_support" in sidecar
+    assert set(sidecar) == {"meta"}
     meta = sidecar["meta"]
     assert {"e1", "e2", "d"} <= set(meta)
     assert meta["failed_points"] == []
@@ -1062,6 +1062,17 @@ def test_only_cli_starts_processes():
     for path in sorted(Path(wfgibbs.__file__).parent.glob("*.py")):
         found = process & _identifiers(path)
         assert found == (fork if path.stem == "cli" else set()), path.name
+
+
+def test_only_constrain_builds_tables():
+    # every EffectivePotentialTable is a solved table of constrain's
+    # builders, whose nodes hold finite exact slopes, so interpolate is
+    # cubic Hermite on every table
+    for path in sorted(Path(wfgibbs.__file__).parent.glob("*.py")):
+        built = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and getattr(
+                     node.func, "id", getattr(node.func, "attr", None)) == "EffectivePotentialTable"]
+        assert bool(built) == (path.stem == "constrain"), (path.name, built)
 
 
 def test_thermal_and_twostate_never_read_meta():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from wfgibbs import (
     ModelParams,
     Polynomial,
     QuarticDoubleWell,
+    SolverError,
     Tilted,
     UsageError,
     build_truncated_model,
@@ -25,10 +25,10 @@ from wfgibbs import (
     effective_potential,
     fluctuation_curve,
     table_for_betas,
-    two_state_table,
+    two_state_curve,
 )
 from wfgibbs.cli import load_config
-from wfgibbs.thermal import Q_RANGE_MARGIN, bin_masses, position_marginal, required_q_range
+from wfgibbs.thermal import Q_RANGE_MARGIN, bin_masses, required_q_range
 
 from conftest import DOUBLE_WELL_MASSES, double_well, harmonic
 
@@ -41,32 +41,36 @@ def harmonic_table(harmonic_grid):
 
 
 def test_marginal_is_normalized_and_even(dw_tables):
-    qq, dens = position_marginal(dw_tables[0.5], beta=20.0)
-    assert np.trapezoid(dens, qq) == pytest.approx(1.0, abs=1e-10)
-    assert np.allclose(dens, dens[::-1], rtol=1e-8)
-    assert np.all(dens >= 0)
+    # bins over the table's range hold all of the marginal, mirrored on the
+    # mirrored table of the symmetric well
+    table = dw_tables[0.5]
+    edges = np.linspace(table.q[0], table.q[-1], 52)
+    mass = bin_masses(table, 20.0, edges)
+    assert mass.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(mass, mass[::-1], rtol=1e-12, atol=0.0)
+    assert np.all(mass > 0)
 
 
 def test_marginal_narrows_as_temperature_drops(dw_tables):
     # V_eff is convex with its minimum at q = 0, so the marginal is unimodal
     # there and its width shrinks with cooling
     table = dw_tables[0.2]
+    edges = np.linspace(table.q[0], table.q[-1], 402)
+    centres = 0.5 * (edges[1:] + edges[:-1])
 
     def width(beta):
-        qq, dens = position_marginal(table, beta)
-        m1 = np.trapezoid(dens * qq, qq)
-        m2 = np.trapezoid(dens * qq**2, qq)
-        return np.sqrt(m2 - m1**2)
+        mass = bin_masses(table, beta, edges)
+        return np.sqrt(mass @ centres**2 - (mass @ centres) ** 2)
 
-    qq, dens = position_marginal(table, beta=50.0)
-    assert qq[np.argmax(dens)] == pytest.approx(0.0, abs=qq[1] - qq[0])
+    assert centres[np.argmax(bin_masses(table, 50.0, edges))] == pytest.approx(
+        0.0, abs=edges[1] - edges[0])
     assert width(200.0) < width(50.0) < width(20.0)
 
 
 def test_marginal_rejects_bad_beta(dw_tables):
     for beta in (0.0, np.inf):
         with pytest.raises(UsageError):
-            position_marginal(dw_tables[0.2], beta=beta)
+            bin_masses(dw_tables[0.2], beta, [-0.1, 0.0, 0.1])
 
 
 def test_bin_masses_match_gaussian_cdf():
@@ -78,7 +82,7 @@ def test_bin_masses_match_gaussian_cdf():
     table = EffectivePotentialTable(q, 0.5 + 0.5 * q**2, -q, doublet)
     edges = np.linspace(-2.0, 2.5, 31)
     expected = np.diff(ndtr(edges * np.sqrt(beta)))
-    assert np.max(np.abs(bin_masses(table, beta, edges) - expected)) < 1e-6
+    assert np.max(np.abs(bin_masses(table, beta, edges) - expected)) < 1e-12
     assert bin_masses(table, beta, [-7.0, 0.0, 7.0]).sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -99,37 +103,31 @@ def test_interpolation_is_hermite_on_exact_slopes(harmonic_table):
     assert np.max(np.abs(harmonic_table.interpolate(qq) - (0.5 + 0.5 * qq**2))) < 1e-6
     assert np.array_equal(harmonic_table.interpolate([-7.0, 7.0]),
                           harmonic_table.v_eff[[0, -1]])
-    # one missing slope, as at the two-state arc's ends: the chords
-    lam = harmonic_table.lam.copy()
-    lam[0] = np.nan
-    chords = dataclasses.replace(harmonic_table, lam=lam)
-    assert np.array_equal(chords.interpolate(qq),
-                          np.interp(qq, harmonic_table.q, harmonic_table.v_eff))
 
 
 def test_two_state_low_temperature_asymptote(two_state_models):
     # on the arc, delta_q/d -> sqrt(t) as the rescaled temperature t -> 0
-    table = two_state_table(two_state_models[0.5])
+    ts = two_state_models[0.5]
     t = np.array([1e-4, 4e-4])
-    betas = 2.0 / (t * table.doublet.splitting)
-    curve = fluctuation_curve(table, betas)
+    betas = 2.0 / (t * ts.splitting)
+    curve = two_state_curve(ts, betas)
     assert np.allclose(curve.rescaled_temperature, t, rtol=1e-12)
     assert np.allclose(curve.delta_q_over_d, np.sqrt(t), rtol=2e-2)
 
 
 def test_two_state_high_temperature_asymptote(two_state_models):
     # beta -> 0 gives a uniform density on [-d, d]: delta_q/d -> 1/sqrt(3)
-    table = two_state_table(two_state_models[0.5])
-    betas = 2.0 / (np.array([1e3, 1e4]) * table.doublet.splitting)
-    curve = fluctuation_curve(table, betas)
+    ts = two_state_models[0.5]
+    betas = 2.0 / (np.array([1e3, 1e4]) * ts.splitting)
+    curve = two_state_curve(ts, betas)
     assert np.allclose(curve.delta_q_over_d, 1.0 / np.sqrt(3.0), rtol=1e-3)
 
 
 def test_fluctuations_increase_with_temperature(two_state_models):
-    table = two_state_table(two_state_models[1.0])
+    ts = two_state_models[1.0]
     t = np.logspace(-2, 2, 25)
-    betas = 2.0 / (t * table.doublet.splitting)
-    curve = fluctuation_curve(table, betas)
+    betas = 2.0 / (t * ts.splitting)
+    curve = two_state_curve(ts, betas)
     assert np.all(np.diff(curve.delta_q_over_d) > 0)
     assert curve.delta_q_over_d[0] > 0
     assert curve.delta_q_over_d[-1] < 1.0 / np.sqrt(3.0) + 1e-3
@@ -145,6 +143,28 @@ def test_coverage_error_names_beta(dw_tables):
         with pytest.raises(CoverageError) as err:
             fluctuation_curve(dw_tables[0.2], betas)
         assert err.value.beta == betas[1]
+
+
+def _gauss_curve(cuts, law, betas, points):
+    """(mean_q, delta_q) under exp(-beta V) by the points-point
+    Gauss-Legendre rule on each interval between cuts in a variable s,
+    law(s) giving (q, V, dq/ds)."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    half = 0.5 * np.diff(cuts)[:, None]
+    s = (0.5 * (cuts[1:] + cuts[:-1])[:, None] + half * x).ravel()
+    q, v, jacobian = law(s)
+    weights = (half * w).ravel() * jacobian
+    mean_q, delta_q = [], []
+    for beta in betas:
+        dens = weights * np.exp(-beta * (v - v.min()))
+        m1, m2 = dens @ q / dens.sum(), dens @ q**2 / dens.sum()
+        mean_q.append(m1)
+        delta_q.append(np.sqrt(max(m2 - m1**2, 0.0)))
+    return np.array(mean_q), np.array(delta_q)
+
+
+def _hermite_law(table):
+    return lambda s: (s, table.interpolate(s), 1.0)
 
 
 def _trapezoid_curve(table, betas, n_points=200001):
@@ -165,30 +185,67 @@ def _trapezoid_curve(table, betas, n_points=200001):
 
 def test_curve_quadrature_matches_fine_trapezoid_of_the_interpolant(two_state_models,
                                                                      dw_grid):
-    # the Gauss rule on each segment integrates the table's own interpolant:
-    # Hermite on the full walk table and its restriction to |q| <= d,
-    # piecewise-linear on the two-state arc, as fluct builds them at its
-    # default n_q (measured 2.5e-11 and 5e-11 on the last two, the
-    # trapezoid's error; a 41-node walk, whose segments are wider than the
-    # coldest density, reads 1.4e-8)
+    # the Gauss rule on each segment integrates the table's own Hermite
+    # interpolant, as fluct builds it at its default n_q: over its range
+    # against a fine trapezoid (measured 2.5e-11, the trapezoid's error),
+    # and over |q| <= d against a 24-point rule on 8 pieces of each
+    # segment cut at +-d
     ts = two_state_models[0.5]
     betas = 2.0 / (np.logspace(-2, 2, 9) * ts.splitting)
     full = table_for_betas(ts, betas, 161, dw_grid)
-    q_res = np.linspace(-ts.d, ts.d, 201)
-    clipped = EffectivePotentialTable(q_res, full.interpolate(q_res),
-                                      np.interp(q_res, full.q, full.lam), ts,
-                                      bounded_support=True)
-    for table in (full, clipped, two_state_table(ts, 801)):
-        curve = fluctuation_curve(table, betas)
-        mean_q, delta_q = _trapezoid_curve(table, betas)
-        assert np.max(np.abs(curve.mean_q - mean_q)) < 1e-9
-        assert np.max(np.abs(curve.delta_q / delta_q - 1.0)) < 1e-9
-        assert np.array_equal(curve.delta_q_over_d, curve.delta_q / ts.d)
-        qq, dens = position_marginal(table, betas[3])
-        assert np.array_equal(qq, np.linspace(table.q[0], table.q[-1], 4001))
-        v = table.interpolate(qq)
-        reference = np.exp(-betas[3] * (v - v.min()))
-        assert np.array_equal(dens, reference / np.trapezoid(reference, qq))
+    curve = fluctuation_curve(full, betas)
+    mean_q, delta_q = _trapezoid_curve(full, betas)
+    assert np.max(np.abs(curve.mean_q - mean_q)) < 1e-9
+    assert np.max(np.abs(curve.delta_q / delta_q - 1.0)) < 1e-9
+    assert np.array_equal(curve.delta_q_over_d, curve.delta_q / ts.d)
+
+    restricted = fluctuation_curve(full, betas, restricted=True)
+    cuts = np.concatenate([[-ts.d], full.q[np.abs(full.q) < ts.d], [ts.d]])
+    fine = np.linspace(cuts[:-1], cuts[1:], 9, axis=1)[:, :-1].ravel()
+    mean_q, delta_q = _gauss_curve(np.append(fine, ts.d), _hermite_law(full), betas, 24)
+    assert np.max(np.abs(restricted.mean_q - mean_q)) < 1e-9
+    assert np.max(np.abs(restricted.delta_q / delta_q - 1.0)) < 1e-9
+
+
+def test_restricted_curve_needs_the_table_to_reach_d(dw_tables):
+    # the exact table spans only |q| <= 0.995 d
+    with pytest.raises(UsageError, match="does not reach"):
+        fluctuation_curve(dw_tables[0.5], [1.0], restricted=True)
+
+
+def test_two_state_curve_matches_fine_angle_rule(two_state_models):
+    # the arc in the angle theta, q = d sin theta: 64 segments of the
+    # 6-point rule against 4096 of a 12-point rule (measured 1e-15)
+    ts = two_state_models[0.5]
+    betas = 2.0 / (np.logspace(-2, 2, 9) * ts.splitting)
+    curve = two_state_curve(ts, betas)
+    mean_q, delta_q = _gauss_curve(
+        np.linspace(-0.5 * np.pi, 0.5 * np.pi, 4097),
+        lambda t: (ts.d * np.sin(t), -0.5 * ts.splitting * np.cos(t), ts.d * np.cos(t)),
+        betas, 12)
+    assert np.max(np.abs(curve.mean_q - mean_q)) < 1e-13 * ts.d
+    assert np.max(np.abs(curve.delta_q / delta_q - 1.0)) < 1e-13
+    assert curve.delta_q_over_d[0] == pytest.approx(0.1, rel=5e-2)
+
+
+def test_coarse_table_curve_refines_itself(two_state_models, dw_grid):
+    # 11 target nodes over the fluct range at m = 0.2: the 6-point rule on
+    # the table's segments is off by 9.1e-3 at the coldest beta, and the
+    # curve halves them until it agrees with itself (3 halvings, 6e-13 off a
+    # 24-point rule)
+    ts = two_state_models[0.2]
+    betas = 2.0 / (np.logspace(-2, 2, 60) * ts.splitting)
+    table = table_for_betas(ts, betas, 11, dw_grid)
+    curve = fluctuation_curve(table, betas)
+    _, delta_q = _gauss_curve(table.q, _hermite_law(table), betas, 24)
+    assert np.max(np.abs(curve.delta_q / delta_q - 1.0)) < 1e-9
+
+
+def test_curve_rule_that_cannot_agree_with_itself_raises(harmonic_table):
+    # a density 3e-4 wide on segments of 0.25: eight halvings leave it
+    # unresolved, and the error names the beta
+    with pytest.raises(SolverError, match="half as many at beta=10000000.0"):
+        fluctuation_curve(harmonic_table, [2.0, 1e7])
 
 
 def _mpmath_q_range(model, beta):

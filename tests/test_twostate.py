@@ -5,11 +5,9 @@ from wfgibbs import (
     GridSpec,
     UsageError,
     build_two_state,
-    two_state_table,
     two_state_veff,
 )
-from wfgibbs.twostate import (rescale, two_state_coefficients, two_state_coherent,
-                              two_state_lambda)
+from wfgibbs.twostate import rescale, two_state_coefficients, two_state_coherent
 
 from conftest import (DOUBLE_WELL_MASSES, DOUBLE_WELL_REFERENCE, harmonic, inner_product,
                       momentum_expectation)
@@ -45,15 +43,7 @@ def test_domain_guard(two_state_models):
     with pytest.raises(UsageError, match="exceeds the dipole"):
         two_state_veff(ts, 1.01 * ts.d)
     with pytest.raises(UsageError, match="exceeds the dipole"):
-        two_state_lambda(ts, -1.5 * ts.d)
-
-
-def test_lambda_is_minus_arc_gradient(two_state_models):
-    ts = two_state_models[0.5]
-    for q in (-0.8, -0.2, 0.3, 0.9):
-        h = 1e-6
-        grad = (two_state_veff(ts, q + h) - two_state_veff(ts, q - h)) / (2 * h)
-        assert two_state_lambda(ts, q) == pytest.approx(-grad, abs=1e-7)
+        two_state_coefficients(ts, -1.5 * ts.d)
 
 
 def test_coefficients_satisfy_constraints(two_state_models):
@@ -86,17 +76,6 @@ def test_coherent_state_expectations(two_state_models, dw_grid):
     q = position_element(state.psi, state.psi, dw_grid)
     assert np.real(q) == pytest.approx(0.4 * ts.d, abs=1e-8)
     assert momentum_expectation(state.psi, dw_grid, 1.0) == pytest.approx(0.9, abs=1e-4)
-
-
-def test_table_covers_full_domain(two_state_models):
-    ts = two_state_models[1.5]
-    table = two_state_table(ts, n=201)
-    assert table.bounded_support
-    assert table.q[0] == pytest.approx(-ts.d)
-    assert table.q[-1] == pytest.approx(ts.d)
-    assert np.isnan(table.lam[0]) and np.isnan(table.lam[-1])
-    assert np.all(np.isfinite(table.lam[1:-1]))
-    assert table.doublet is ts and table.meta == {}
 
 
 def test_rescale_maps_arc_to_unit_circle(two_state_models):
