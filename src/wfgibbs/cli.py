@@ -332,7 +332,6 @@ def cmd_fluct(cfg):
     def curves(ts):
         betas = 2.0 / (t_grid * ts.splitting)
         table = thermal.table_for_betas(ts, betas, section["n_q"], cfg["grid"])
-        # restricted variant: the same V_eff confined to |q| <= d
         return (table, thermal.fluctuation_curve(table, betas),
                 thermal.fluctuation_curve(table, betas, restricted=True))
 

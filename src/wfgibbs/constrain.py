@@ -19,9 +19,8 @@ an exact node (q, E0 - lambda q, lambda). Prescribed nodes
 (effective_potential) are hit to the root tolerance, free ones
 (lambda_walk_table) wherever an advance of h/8 to 3h/2 lands; a symmetric
 problem is solved on one side and mirrored. A node that cannot be solved
-raises out of either builder: a table with a hole is not V_eff. The two
-builders make every EffectivePotentialTable, so each node holds its exact,
-finite slope -lambda and a table interpolates by cubic Hermite throughout.
+raises out of either builder: a table with a hole is not V_eff. Only they
+build tables, so every node holds its exact, finite slope -lambda.
 
 Each node starts from one rule, _lagrange: the polynomial through the last
 (at most three) nodes, sum_i w_i y_i with scalar or vector y_i. It predicts
@@ -112,9 +111,11 @@ class EffectivePotentialTable:
 
     def interpolate(self, qq):
         """V_eff at qq, the end values outside the table's range: cubic
-        Hermite on the nodes' values and exact slopes dV_eff/dq = -lambda,
-        between at least two nodes."""
+        Hermite on the nodes' values and exact slopes dV_eff/dq = -lambda
+        (a lone node's value everywhere)."""
         q, v, lam = self.q, self.v_eff, self.lam
+        if len(q) < 2:
+            return np.interp(qq, q, v)
         x = np.clip(qq, q[0], q[-1])
         i = np.clip(np.searchsorted(q, x, side="right") - 1, 0, len(q) - 2)
         h = q[i + 1] - q[i]

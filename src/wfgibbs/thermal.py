@@ -2,12 +2,10 @@
 
 The low-temperature density of (<q>, <p>) factorizes into a Gaussian
 momentum marginal with variance m/beta and a position marginal
-proportional to exp(-beta V_eff(q)). This module computes moments and
-fluctuation curves from an effective-potential table, the V_eff law of
-the paper, interpolated between nodes by the table (cubic Hermite on the
-exact slopes -lambda), and from the closed-form two-state arc; the exact
-law of the N-level measure is sampling's. Every integral of exp(-beta V)
-here is one rule, _gauss, on intervals between ascending cuts.
+proportional to exp(-beta V_eff(q)). Each integral of exp(-beta V) here
+is one rule, _gauss, on intervals between ascending cuts: of a table's
+V_eff (cubic Hermite on the exact slopes -lambda) or of the closed-form
+two-state arc; the exact law of the N-level measure is sampling's.
 """
 
 from __future__ import annotations
@@ -63,13 +61,6 @@ def _gauss(cuts):
     return 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * x, half * w
 
 
-def _halved(cuts):
-    """cuts with the midpoint of each interval between them added."""
-    finer = np.empty(2 * len(cuts) - 1)
-    finer[::2], finer[1::2] = cuts, 0.5 * (cuts[:-1] + cuts[1:])
-    return finer
-
-
 def bin_masses(table: EffectivePotentialTable, beta: float, edges) -> np.ndarray:
     """Probability of each bin between consecutive ascending edges under
     exp(-beta V_eff), V_eff the table's interpolate, normalized over the
@@ -77,63 +68,44 @@ def bin_masses(table: EffectivePotentialTable, beta: float, edges) -> np.ndarray
     mass outside the table's range counts as zero."""
     _check_table(table)
     _check_beta(beta)
-    q = table.q
-    edges = np.clip(np.asarray(edges, dtype=float), q[0], q[-1])
-    cuts = np.union1d(q, edges)
+    edges = np.clip(np.asarray(edges, dtype=float), table.q[0], table.q[-1])
+    cuts = np.union1d(table.q, edges)
     nodes, weights = _gauss(cuts)
     v = table.interpolate(nodes)
-    mass = (weights * np.exp(-beta * (v - v.min()))).sum(axis=1)
-    cdf = np.concatenate([[0.0], np.cumsum(mass)])
+    cdf = np.cumsum(np.r_[0.0, (weights * np.exp(-beta * (v - v.min()))).sum(axis=1)])
     return np.diff(cdf[np.searchsorted(cuts, edges)]) / cdf[-1]
 
 
-def _moments(betas, cuts, law, floor, ends=np.inf):
-    """(mean_q, delta_q) at each beta under exp(-beta V), by the rule on
-    cuts in a variable s, law(s) giving (q, V, dq/ds) at its nodes: the
-    forms (1, q, q^2) dq/ds are weighted once and each beta costs one
-    exponential of V - low, low the least of floor and V at the nodes.
-    Raises CoverageError naming the first beta, in the given order, at which
-    the density at the ends of the cuts, exp(-beta (ends - low)), exceeds
-    BOUNDARY_TAIL of its peak (never at the default ends: bounded support).
-    """
-    nodes, weights = _gauss(cuts)
-    q, v, jacobian = law(nodes.ravel())
-    forms = (weights.ravel() * jacobian) * np.array([np.ones_like(q), q, q**2])
-    low = min(v.min(), floor)
-    excess, edge = v - low, ends - low
-    mean_q, delta_q = np.empty(len(betas)), np.empty(len(betas))
-    for i, beta in enumerate(betas):
+def _curve(doublet: TwoStateModel, betas, cuts, law, floor, ends=np.inf) -> ThermalCurve:
+    """Mean and dispersion of q at each beta under exp(-beta V), by the rule
+    on cuts in a variable s, law(s) giving (q, V, dq/ds), with V shifted by
+    min(V, floor); halved until delta_q agrees with the last rule to
+    CURVE_RTOL at every beta, the coarser of the two, or SolverError after
+    MAX_HALVINGS halvings. CoverageError names the first beta, in the given
+    order, at which exp(-beta (ends - floor)) exceeds BOUNDARY_TAIL."""
+    betas = np.asarray(betas, dtype=float)
+    for beta in betas:
         _check_beta(beta)
-        tail = np.exp(-beta * edge)
-        if tail > BOUNDARY_TAIL:
+        if (tail := np.exp(-beta * (ends - floor))) > BOUNDARY_TAIL:
             raise CoverageError(f"table range [{cuts[0]}, {cuts[-1]}] too narrow at beta={beta}: "
                                 f"boundary density {tail:.2e} of peak exceeds {BOUNDARY_TAIL}",
                                 beta=beta)
-        m0, m1, m2 = forms @ np.exp(-beta * excess)
-        mean_q[i] = m1 / m0
-        delta_q[i] = np.sqrt(max(m2 / m0 - mean_q[i] ** 2, 0.0))
-    return mean_q, delta_q
-
-
-def _curve(doublet: TwoStateModel, betas, cuts, law, floor, ends=np.inf) -> ThermalCurve:
-    """_moments rescaled by doublet and checked against the rule on halved
-    intervals, halved again until delta_q agrees to CURVE_RTOL at every
-    beta: the coarser curve of the agreeing pair, or SolverError after
-    MAX_HALVINGS halvings."""
-    betas = np.asarray(betas, dtype=float)
-    mean_q, delta_q = _moments(betas, cuts, law, floor, ends)
-    for _ in range(MAX_HALVINGS):
-        cuts = _halved(cuts)
-        finer = _moments(betas, cuts, law, floor)
-        # a nan (a density that underflows at every node) never agrees
-        moved = ~(np.abs(finer[1] - delta_q) <= CURVE_RTOL * finer[1])
+    curve = np.full((2, len(betas)), np.nan)  # which no rule agrees with
+    for _ in range(MAX_HALVINGS + 1):
+        nodes, weights = _gauss(cuts)
+        q, v, jacobian = law(nodes.ravel())
+        forms = (weights.ravel() * jacobian) * np.array([np.ones_like(q), q, q**2])
+        excess = v - min(v.min(), floor)
+        m0, m1, m2 = np.reshape([forms @ np.exp(-beta * excess) for beta in betas], (-1, 3)).T
+        finer = m1 / m0, np.sqrt(np.maximum(m2 / m0 - (m1 / m0) ** 2, 0.0))
+        moved = ~(np.abs(finer[1] - curve[1]) <= CURVE_RTOL * finer[1])  # nan never agrees
         if not moved.any():
             break
-        mean_q, delta_q = finer
+        curve, cuts = finer, np.sort(np.r_[cuts, 0.5 * (cuts[1:] + cuts[:-1])])
     else:
-        raise SolverError(f"delta_q by the {GAUSS_POINTS}-point rule on {len(cuts) - 1} "
-                          f"intervals is off by more than {CURVE_RTOL} of itself from half as "
-                          f"many at beta={betas[moved][0]}, after {MAX_HALVINGS} halvings")
+        raise SolverError(f"delta_q is off by more than {CURVE_RTOL} of itself from half as many "
+                          f"at beta={betas[moved][0]}, after {MAX_HALVINGS} halvings")
+    mean_q, delta_q = curve
     return ThermalCurve(
         beta=betas,
         rescaled_temperature=2.0 / (betas * doublet.splitting),
@@ -146,32 +118,24 @@ def _curve(doublet: TwoStateModel, betas, cuts, law, floor, ends=np.inf) -> Ther
 
 def fluctuation_curve(table: EffectivePotentialTable, betas, *,
                       restricted: bool = False) -> ThermalCurve:
-    """Mean and dispersion of <q> at each beta under exp(-beta V_eff), V_eff
-    the table's interpolate, by the rule on the table's segments, or with
-    restricted on those segments cut at +-d (the doublet's d, which the
-    table must reach), a law of bounded support.
-
-    The Gaussian momentum dispersion sqrt(m/beta) is reported alongside.
-    Over the whole table, CoverageError names the first beta at which the
-    density at its end nodes exceeds BOUNDARY_TAIL of its peak.
-    """
+    """_curve of the table's interpolate V_eff on its segments, with
+    restricted cut at +-d (the doublet's d), or at the table's ends where it
+    falls short of them, which must then hold the density to BOUNDARY_TAIL
+    as the whole table must; sqrt(m/beta) is the momentum dispersion."""
     _check_table(table)
-    q, d = table.q, table.doublet.d
-    cuts, ends = q, min(table.v_eff[0], table.v_eff[-1])
-    if restricted:
-        if not q[0] <= -d < d <= q[-1]:
-            raise UsageError(f"table range [{q[0]}, {q[-1]}] does not reach +-d = {d}")
-        cuts, ends = np.concatenate([[-d], q[np.abs(q) < d], [d]]), np.inf
+    q, v, d = table.q, table.v_eff, table.doublet.d
+    lo, hi = (max(-d, q[0]), min(d, q[-1])) if restricted else (q[0], q[-1])
+    cuts = np.concatenate([[lo], q[(lo < q) & (q < hi)], [hi]])
+    ends = np.inf if restricted and (lo, hi) == (-d, d) else min(v[0], v[-1])
     return _curve(table.doublet, betas, cuts, lambda s: (s, table.interpolate(s), 1.0),
-                  table.v_eff.min(), ends)
+                  v.min(), ends)
 
 
 def two_state_curve(ts: TwoStateModel, betas) -> ThermalCurve:
-    """fluctuation_curve of the closed-form two-state arc on [-d, d], by the
-    rule on ARC_SEGMENTS equal segments of theta in [-pi/2, pi/2], q =
-    d sin theta (twice twostate's mixing angle): there V_eff, taken from
-    the mean level, is -(E2 - E1)/2 cos theta and the integrand is smooth,
-    where in q the arc's slope diverges at +-d."""
+    """_curve of the closed-form two-state arc on ARC_SEGMENTS equal
+    segments of theta in [-pi/2, pi/2], q = d sin theta (twice twostate's
+    mixing angle): V_eff less the mean level is -(E2 - E1)/2 cos theta,
+    smooth, where in q the arc's slope diverges at +-d."""
     half = 0.5 * ts.splitting
     theta = np.linspace(-0.5 * np.pi, 0.5 * np.pi, ARC_SEGMENTS + 1)
     return _curve(ts, betas, theta,

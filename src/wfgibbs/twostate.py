@@ -9,11 +9,8 @@ gives the closed-form effective potential
 Constrained states are parametrized in the energy eigenbasis by
 theta = arcsin(q/d)/2 with coefficients (cos theta, sin theta), which
 satisfies both the position constraint 2 a1 a2 d = q and the energy
-identity a1^2 E1 + a2^2 E2 = V_eff(q).
-
-The arc is evaluated in closed form and never tabulated: its slope
-diverges at +-d, and its thermal law is thermal.two_state_curve, which
-integrates in the angle 2 theta.
+identity a1^2 E1 + a2^2 E2 = V_eff(q). The arc's slope diverges at +-d,
+so its thermal law, thermal.two_state_curve, integrates in the angle 2 theta.
 """
 
 from __future__ import annotations

@@ -261,6 +261,20 @@ def test_fluct_command(tmp_path):
     assert record["grid"]["x_min"] == -record["grid"]["x_max"]
 
 
+def test_fluct_restricted_curve_of_a_table_inside_d(tmp_path):
+    # cold enough that the table's range, about 5 sqrt(T), stops short of
+    # d = 0.707: the restricted curve is cut at the table's own ends
+    cfg = write_config(tmp_path, {
+        "model": HARMONIC_MODEL,
+        "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 801},
+        "fluct": {"t_min": 0.001, "t_max": 0.01, "n_t": 3, "n_q": 41},
+    })
+    out = tmp_path / "out"
+    assert main(["fluct", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "fluct_m1.csv")
+    assert [r[1] for r in rows] == [r[2] for r in rows]
+
+
 def test_fluct_solves_its_doublet_once(tmp_path, monkeypatch):
     from wfgibbs import constrain, twostate
 
@@ -1069,9 +1083,10 @@ def test_only_constrain_builds_tables():
     # builders, whose nodes hold finite exact slopes, so interpolate is
     # cubic Hermite on every table
     for path in sorted(Path(wfgibbs.__file__).parent.glob("*.py")):
-        built = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.Call) and getattr(
-                     node.func, "id", getattr(node.func, "attr", None)) == "EffectivePotentialTable"]
+        calls = [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)]
+        built = [node.lineno for node in calls if "EffectivePotentialTable" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))]
         assert bool(built) == (path.stem == "constrain"), (path.name, built)
 
 

@@ -105,6 +105,11 @@ def test_interpolation_is_hermite_on_exact_slopes(harmonic_table):
                           harmonic_table.v_eff[[0, -1]])
 
 
+def test_one_node_table_interpolates_to_its_value(harmonic_grid):
+    table = effective_potential(build_two_state(harmonic(), harmonic_grid), [0.5], harmonic_grid)
+    assert np.array_equal(table.interpolate([-1.0, 0.5, 2.0]), np.full(3, table.v_eff[0]))
+
+
 def test_two_state_low_temperature_asymptote(two_state_models):
     # on the arc, delta_q/d -> sqrt(t) as the rescaled temperature t -> 0
     ts = two_state_models[0.5]
@@ -207,10 +212,18 @@ def test_curve_quadrature_matches_fine_trapezoid_of_the_interpolant(two_state_mo
     assert np.max(np.abs(restricted.delta_q / delta_q - 1.0)) < 1e-9
 
 
-def test_restricted_curve_needs_the_table_to_reach_d(dw_tables):
-    # the exact table spans only |q| <= 0.995 d
-    with pytest.raises(UsageError, match="does not reach"):
-        fluctuation_curve(dw_tables[0.5], [1.0], restricted=True)
+def test_restricted_curve_of_a_table_inside_d_is_the_full_curve(dw_tables):
+    # the exact table spans only |q| <= 0.995 d: cut at its own ends, the
+    # restricted curve is the full one, coverage check included
+    table = dw_tables[0.5]
+    betas = [500.0, 2000.0]
+    restricted = fluctuation_curve(table, betas, restricted=True)
+    full = fluctuation_curve(table, betas)
+    assert np.array_equal(restricted.delta_q, full.delta_q)
+    assert np.array_equal(restricted.mean_q, full.mean_q)
+    with pytest.raises(CoverageError) as err:
+        fluctuation_curve(table, [0.05], restricted=True)
+    assert err.value.beta == pytest.approx(0.05)
 
 
 def test_two_state_curve_matches_fine_angle_rule(two_state_models):
