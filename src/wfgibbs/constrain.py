@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -57,9 +56,7 @@ from .lattice import (
     tilt_hamiltonian,
 )
 from .spectra import lowest_eigenpairs, tilt_response
-
-if TYPE_CHECKING:
-    from .twostate import TwoStateModel
+from .twostate import TwoStateModel
 
 DEFAULT_ROOT_TOL_SCALE = 1e-8
 MAX_NEWTON_STEPS = 100
@@ -89,13 +86,6 @@ class ConstrainedState:
     wavefunction: np.ndarray
     constraint_residual: float
     work: Counter
-
-
-@dataclass(frozen=True)
-class CoherentState:
-    q: float
-    p: float
-    psi: np.ndarray
 
 
 @dataclass
@@ -161,12 +151,12 @@ def solve_lambda(op: TridiagonalOperator, q_target: float, start: np.ndarray | N
     the bounds is replaced by their midpoint. The slope only steers: a
     multiplier is accepted when |g| <= 1e-8 max(1, |q_target|), so an
     inexact slope costs eigensolves, not accuracy. While the root is not
-    yet bracketed, a step that does not bring <q> closer to q_target means
-    the target is out of reach (SolverError). Each eigensolve is
-    warm-started from start, then from the first-order change of the last
-    ground state (see the module docstring). The lambda continuation passes
-    _band, the (low, high) g it accepts for a free node, which is recorded
-    at the <q> it reaches.
+    yet bracketed, a step that does not bring <q> closer to q_target, or a
+    slope that gives no finite step, means the target is out of reach
+    (SolverError). Each eigensolve is warm-started from start, then from
+    the first-order change of the last ground state (see the module
+    docstring). The lambda continuation passes _band, the (low, high) g it
+    accepts for a free node, which is recorded at the <q> it reaches.
     """
     tol = DEFAULT_ROOT_TOL_SCALE * max(1.0, abs(q_target))
     band = (-tol, tol) if _band is None else _band
@@ -178,7 +168,7 @@ def solve_lambda(op: TridiagonalOperator, q_target: float, start: np.ndarray | N
         work.update(pair.work)
         phi = pair.wavefunction
         q = position_element(phi, phi, op.grid)
-        resid = q - q_target
+        resid = float(q - q_target)  # a Python float: its step past the float range is inf
         if band[0] <= resid <= band[1]:
             at = q_target if _band is None else q
             return ConstrainedState(at, lam, pair.energy, pair.energy - lam * at, phi,
@@ -187,14 +177,20 @@ def solve_lambda(op: TridiagonalOperator, q_target: float, start: np.ndarray | N
             lo = lam
         else:
             hi = lam
-        if abs(resid) >= best and (np.isinf(lo) or np.isinf(hi)):
+        unbracketed = np.isinf(lo) or np.isinf(hi)
+        # while the root is unbracketed, a residual that does not shrink gives
+        # no step, and neither does a zero slope: either is a stall. Once it
+        # is bracketed, a step that is not finite leaves the bracket
+        lam_next = math.nan
+        if abs(resid) < best or not unbracketed:
+            best = min(best, abs(resid))
+            chi, tangent, slope_work = tilt_response(tilted, pair)
+            work.update(slope_work)
+            lam_next = lam - resid / chi if chi else math.nan
+        if unbracketed and not math.isfinite(lam_next):
             raise SolverError(
                 f"<q> stalls {abs(resid):.3g} short of {q_target} (grid too narrow?)",
                 residual=abs(resid))
-        best = min(best, abs(resid))
-        chi, tangent, slope_work = tilt_response(tilted, pair)
-        work.update(slope_work)
-        lam_next = lam - resid / chi
         if not lo < lam_next < hi:
             lam_next = 0.5 * (lo + hi)
         start, lam = _first_order(phi, lam_next - lam, tangent), lam_next

@@ -2,9 +2,11 @@
 
 A Hamiltonian H = p^2/2m + V(q) is discretized with second-order central
 finite differences on a uniform grid with Dirichlet (hard-wall) boundaries,
-giving a real symmetric tridiagonal operator. Inner products use the
-trapezoid rule on the same grid, so quadrature and discretization share the
-same O(dx^2) order.
+giving a real symmetric tridiagonal operator. The walls sit one step outside
+the grid, at x_min - dx and x_max + dx, where every wavefunction vanishes.
+The one inner product on grid vectors is the one H is symmetric in,
+<a, b> = dx sum_i a_i b_i: the trapezoid rule on [x_min - dx, x_max + dx],
+so quadrature and discretization share the same O(dx^2) order.
 """
 
 from __future__ import annotations
@@ -45,15 +47,9 @@ class GridSpec:
     @cached_property
     def x(self) -> np.ndarray:
         """The grid nodes, computed once per grid and read-only."""
-        return _read_only(np.linspace(self.x_min, self.x_max, self.n_points))
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Trapezoid weights, computed once per grid and read-only."""
-        w = np.full(self.n_points, self.dx)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return _read_only(w)
+        x = np.linspace(self.x_min, self.x_max, self.n_points)
+        x.flags.writeable = False
+        return x
 
     def to_dict(self) -> dict:
         return {"x_min": self.x_min, "x_max": self.x_max, "n_points": self.n_points}
@@ -61,11 +57,6 @@ class GridSpec:
     @staticmethod
     def from_dict(d: dict) -> "GridSpec":
         return GridSpec(float(d["x_min"]), float(d["x_max"]), int(d["n_points"]))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 # --- potentials -------------------------------------------------------------
@@ -269,14 +260,9 @@ def _check_same_grid(a, b, grid):
 
 
 def position_element(phi_a, phi_b, grid: GridSpec) -> float:
-    """<phi_a, q phi_b> with trapezoid weights.
-
-    The quadratic form is real for real wavefunctions and for phi_a = phi_b;
-    any imaginary residue beyond roundoff is rejected.
-    """
+    """<phi_a, q phi_b> = dx sum_i phi_a x phi_b of two real wavefunctions
+    (UsageError otherwise)."""
     _check_same_grid(phi_a, phi_b, grid)
-    val = np.sum(np.conj(phi_a) * grid.x * phi_b * grid.weights)
-    val = complex(val)
-    if abs(val.imag) > 1e-10:
-        raise UsageError(f"position element has imaginary residue {val.imag}")
-    return val.real
+    if not (np.isrealobj(phi_a) and np.isrealobj(phi_b)):
+        raise UsageError("position_element takes real wavefunctions")
+    return float(np.sum(phi_a * grid.x * phi_b) * grid.dx)

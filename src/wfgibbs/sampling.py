@@ -56,7 +56,7 @@ class TruncatedModel:
     q_matrix: np.ndarray
     p_matrix_imag: np.ndarray
     # the lowest doublet of the levels, which anchors the V_eff table of
-    # validate: marginal, and the top level's trapezoid weight within
+    # validate: marginal, and the top level's weight within
     # _WALL_ROWS rows of the grid's walls; None for a model given as matrices
     doublet: TwoStateModel | None = None
     top_level_wall_weight: float | None = None
@@ -119,20 +119,20 @@ def build_truncated_model(mp: ModelParams, n_basis: int, grid: GridSpec) -> Trun
         raise UsageError(f"n_basis must be >= 2, got {n_basis}")
     op = assemble_hamiltonian(mp, grid)
     pairs = lowest_eigenpairs(op, n_basis)
-    wts = grid.weights
+    dx = grid.dx
     phis = np.stack([p.wavefunction for p in pairs])  # (N, n_grid)
 
-    q_matrix = (phis * wts * grid.x) @ phis.T
+    q_matrix = (phis * (dx * grid.x)) @ phis.T
     q_matrix = 0.5 * (q_matrix + q_matrix.T)
 
     dphis = np.zeros_like(phis)
-    dphis[:, 1:-1] = (phis[:, 2:] - phis[:, :-2]) / (2.0 * grid.dx)
+    dphis[:, 1:-1] = (phis[:, 2:] - phis[:, :-2]) / (2.0 * dx)
     # <phi_k, p phi_l> = -i hbar <phi_k, phi_l'> = i * A_kl
-    a = -mp.hbar * (phis * wts) @ dphis.T
+    a = -mp.hbar * dx * (phis @ dphis.T)
     a = 0.5 * (a - a.T)
 
     energies = np.array([p.energy for p in pairs])
-    density = phis[-1] ** 2 * wts
+    density = dx * phis[-1] ** 2
     wall_weight = float(density[:_WALL_ROWS].sum() + density[-_WALL_ROWS:].sum())
     return TruncatedModel(energies, q_matrix, a, two_state_from_pairs(mp, grid, pairs),
                           wall_weight)

@@ -100,7 +100,8 @@ _lapack = _load_flapack()
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Energy and grid wavefunction, normalized with trapezoid weights.
+    """Energy and grid wavefunction, unit in the grid's inner product
+    dx sum_i (lattice): the unit eigenvector divided by sqrt(dx).
 
     Sign convention: the first component exceeding 1e-8 in magnitude is
     positive. ``method`` names the path that produced the pair: "lapack"
@@ -282,9 +283,6 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, start: np.ndarray | None 
                 residual=resid,
             )
         phi = _fix_sign(vec / np.sqrt(dx))
-        # renormalize in the trapezoid norm (endpoint weights)
-        norm2 = np.sum(phi * phi * op.grid.weights)
-        phi = phi / np.sqrt(norm2)
         work = Counter(eigensolves=1, lapack_fallbacks=int(start is not None and warm is None),
                        factorizations=factorizations, factorized_rows=rows)
         pairs.append(EigenPair(float(energies[i]), phi, resid, method, work))

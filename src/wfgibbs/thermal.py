@@ -36,7 +36,6 @@ class ThermalCurve:
     """Fluctuations of <q> versus temperature, with rescaled axes."""
 
     beta: np.ndarray
-    rescaled_temperature: np.ndarray
     mean_q: np.ndarray
     delta_q: np.ndarray
     delta_q_over_d: np.ndarray
@@ -108,7 +107,6 @@ def _curve(doublet: TwoStateModel, betas, cuts, law, floor, ends=np.inf) -> Ther
     mean_q, delta_q = curve
     return ThermalCurve(
         beta=betas,
-        rescaled_temperature=2.0 / (betas * doublet.splitting),
         mean_q=mean_q,
         delta_q=delta_q,
         delta_q_over_d=delta_q / doublet.d,

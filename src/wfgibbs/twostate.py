@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrain import CoherentState
 from .errors import UsageError
 from .lattice import GridSpec, ModelParams, assemble_hamiltonian, position_element
 from .spectra import lowest_eigenpairs
@@ -86,11 +85,11 @@ def two_state_coefficients(ts: TwoStateModel, q: float):
     return float(np.cos(theta)), float(np.sin(theta))
 
 
-def two_state_coherent(ts: TwoStateModel, q: float, p: float) -> CoherentState:
-    """Coherent state exp(ipx/hbar) (a1 phi_1 + a2 phi_2), hbar of ts.model."""
+def two_state_coherent(ts: TwoStateModel, q: float, p: float) -> np.ndarray:
+    """Coherent state exp(ipx/hbar) (a1 phi_1 + a2 phi_2) on ts.grid, hbar of
+    ts.model."""
     a1, a2 = two_state_coefficients(ts, q)
-    psi = np.exp(1j * p * ts.grid.x / ts.model.hbar) * (a1 * ts.phi1 + a2 * ts.phi2)
-    return CoherentState(q, p, psi)
+    return np.exp(1j * p * ts.grid.x / ts.model.hbar) * (a1 * ts.phi1 + a2 * ts.phi2)
 
 
 def rescale(ts: TwoStateModel, v_eff, q):

@@ -14,7 +14,6 @@ from wfgibbs import (
     build_two_state,
     effective_potential,
 )
-from wfgibbs.constrain import CoherentState
 from wfgibbs.lattice import _check_same_grid
 
 # Reference doublet values for the quartic double well with hbar = 1,
@@ -39,9 +38,9 @@ def harmonic(mass: float = 1.0, omega: float = 1.0) -> ModelParams:
 
 
 def inner_product(a, b, grid: GridSpec) -> complex:
-    """Trapezoid inner product <a, b> on the grid."""
+    """The grid's inner product <a, b> = dx sum_i conj(a_i) b_i."""
     _check_same_grid(a, b, grid)
-    return np.sum(np.conj(a) * b * grid.weights)
+    return np.sum(np.conj(a) * b) * grid.dx
 
 
 def momentum_expectation(psi, grid: GridSpec, hbar: float) -> float:
@@ -65,10 +64,9 @@ def momentum_expectation(psi, grid: GridSpec, hbar: float) -> float:
     return float(val.real)
 
 
-def coherent_state(cs, p: float, model: ModelParams, grid: GridSpec) -> CoherentState:
+def coherent_state(cs, p: float, model: ModelParams, grid: GridSpec) -> np.ndarray:
     """exp(i p x / hbar) times the constrained ground state cs."""
-    psi = np.exp(1j * p * grid.x / model.hbar) * cs.wavefunction
-    return CoherentState(cs.q_target, p, psi)
+    return np.exp(1j * p * grid.x / model.hbar) * cs.wavefunction
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from wfgibbs import (
     two_state_curve,
 )
 from wfgibbs.constrain import solve_lambda
-from wfgibbs.lattice import assemble_hamiltonian, position_element
+from wfgibbs.lattice import assemble_hamiltonian
 from wfgibbs.sampling import unitary_flow_check
 from wfgibbs.thermal import bin_masses
 from wfgibbs.twostate import two_state_coherent
@@ -269,16 +269,15 @@ def test_criterion_9_structural_invariants(dw_tables, two_state_models, dw_grid)
         np.max(np.abs(grad[5:-5] + table.lam[5:-5])) < 2e-3)
 
     ts = two_state_models[0.5]
-    state = two_state_coherent(ts, 0.4 * ts.d, 0.8)
+    psi = two_state_coherent(ts, 0.4 * ts.d, 0.8)
     checks["coherent-state closure"] = (
-        abs(inner_product(state.psi, state.psi, dw_grid) - 1.0) < 1e-9
-        and abs(position_element(state.psi, state.psi, dw_grid) - 0.4 * ts.d) < 1e-8
-        and abs(momentum_expectation(state.psi, dw_grid, 1.0) - 0.8) < 1e-4)
+        abs(inner_product(psi, psi, dw_grid) - 1.0) < 1e-9
+        and abs(inner_product(psi, dw_grid.x * psi, dw_grid) - 0.4 * ts.d) < 1e-8
+        and abs(momentum_expectation(psi, dw_grid, 1.0) - 0.8) < 1e-4)
 
     pairs = lowest_eigenpairs(assemble_hamiltonian(double_well(0.5), dw_grid), 6)
-    wts = dw_grid.weights
     phis = np.stack([p.wavefunction for p in pairs])
-    gram = (phis * wts) @ phis.T
+    gram = dw_grid.dx * (phis @ phis.T)
     checks["orthonormality"] = bool(np.max(np.abs(gram - np.eye(6))) < 1e-8)
 
     tm = build_truncated_model(double_well(0.5), 8, dw_grid)

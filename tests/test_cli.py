@@ -1019,6 +1019,25 @@ def test_only_cli_catches_library_errors():
                 assert not names & caught, f"{path.name}:{node.lineno}"
 
 
+def test_package_imports_are_unconditional_and_acyclic():
+    # every module imports what it uses at import time, none under
+    # TYPE_CHECKING, and the graph of its `from .x import` edges has no cycle
+    edges = {}
+    for path in sorted(Path(wfgibbs.__file__).parent.glob("*.py")):
+        edges[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.If):
+                assert "TYPE_CHECKING" not in ast.unparse(node.test), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.ImportFrom) and node.level:
+                edges[path.stem] |= ({node.module} if node.module
+                                     else {alias.name for alias in node.names})
+    # peel off the modules that import none of those left: a cycle is never peeled
+    while edges:
+        leaves = {name for name, imported in edges.items() if not imported & edges.keys()}
+        assert leaves, f"import cycle among {sorted(edges)}"
+        edges = {name: imported for name, imported in edges.items() if name not in leaves}
+
+
 def test_every_library_raise_is_a_leaf():
     # one base and four leaves, each mapped to an exit code by cli.main, so
     # no failed run ends in a traceback: every raise in the package builds a

@@ -20,7 +20,7 @@ from wfgibbs.constrain import default_grid, lambda_walk_table, solve_lambda
 from wfgibbs.lattice import assemble_hamiltonian, position_element, tilt_hamiltonian
 from wfgibbs.spectra import lowest_eigenpairs, tilt_response
 
-from conftest import (DOUBLE_WELL_MASSES, coherent_state, double_well, harmonic,
+from conftest import (DOUBLE_WELL_MASSES, coherent_state, double_well, harmonic, inner_product,
                       momentum_expectation)
 
 
@@ -71,6 +71,22 @@ def test_unreachable_table_node_raises(potential):
     ts = build_two_state(mp, grid)
     with pytest.raises(SolverError, match="stalls .* short of -?10.0"):
         effective_potential(ts, q_grid, grid)
+
+
+@pytest.mark.parametrize("q_target", [0.6, np.float64(0.6)], ids=["float", "numpy"])
+def test_zero_susceptibility_is_a_stall(q_target, monkeypatch):
+    # a zero slope gives no Newton step: before the root is bracketed that
+    # is the stall SolverError, not a ZeroDivisionError or a divide warning
+    response = constrain.tilt_response
+
+    def flat(op, ground):
+        return (0.0, *response(op, ground)[1:])
+
+    monkeypatch.setattr(constrain, "tilt_response", flat)
+    grid = GridSpec(-6.0, 6.0, 301)
+    with pytest.raises(SolverError, match="stalls .* short of 0.6") as err:
+        solve_lambda(assemble_hamiltonian(double_well(0.5), grid), q_target)
+    assert err.value.residual == pytest.approx(0.6)
 
 
 def test_newton_step_cap_raises(dw_grid, monkeypatch):
@@ -336,9 +352,10 @@ def test_interpolation_matches_nodes(dw_tables):
 def test_coherent_state_expectations(dw_grid):
     mp = double_well(0.5)
     cs = solve_lambda(assemble_hamiltonian(mp, dw_grid), 0.6)
-    state = coherent_state(cs, 1.7, mp, dw_grid)
-    assert state.q == 0.6
-    assert momentum_expectation(state.psi, dw_grid, 1.0) == pytest.approx(1.7, abs=1e-4)
+    psi = coherent_state(cs, 1.7, mp, dw_grid)
+    # the phase leaves <q> at the constrained state's, to the root tolerance
+    assert inner_product(psi, dw_grid.x * psi, dw_grid).real == pytest.approx(0.6, abs=1e-8)
+    assert momentum_expectation(psi, dw_grid, 1.0) == pytest.approx(1.7, abs=1e-4)
 
 
 def test_default_grid_choices():

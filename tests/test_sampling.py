@@ -58,13 +58,33 @@ def test_truncated_model_harmonic_structure(harmonic_grid):
     ("dw_m0.2.json", 96, 1e-4, 1e-2),
 ])
 def test_top_level_wall_weight_order_of_magnitude(preset, n_basis, low, high):
-    # the top level's trapezoid weight within 8 rows of the walls: measured
+    # the top level's weight within 8 rows of the walls: measured
     # 4.0e-17 (harmonic, N = 24, top level 23.5 below V(+-10) = 50) and
     # 1.8e-21 (double well m = 0.2, N = 24, 241 below V(+-6) = 1139); at
     # N = 96 the double well's top level, 1804, is above the wall: 7.1e-4
     cfg = load_config(Path(__file__).parents[1] / "configs" / preset)
     tm = build_truncated_model(cfg["model"], n_basis, cfg["grid"])
     assert low < tm.top_level_wall_weight < high
+
+
+@pytest.mark.parametrize("model, n_basis, half", [(harmonic(), 24, 4.0),
+                                                  (double_well(0.2), 401, 6.0)],
+                         ids=["harmonic", "double_well"])
+def test_truncated_levels_are_orthonormal_at_the_walls(model, n_basis, half, monkeypatch):
+    # the levels reach the walls (the double well's span the whole lattice),
+    # where halved end weights would break orthonormality by up to 5e-3
+    grid = GridSpec(-half, half, 401)
+    solve, levels = sampling.lowest_eigenpairs, []
+
+    def kept(*args, **kwargs):
+        levels[:] = solve(*args, **kwargs)
+        return levels
+
+    monkeypatch.setattr(sampling, "lowest_eigenpairs", kept)
+    build_truncated_model(model, n_basis, grid)
+    phis = np.stack([pair.wavefunction for pair in levels])
+    assert len(phis) == n_basis
+    assert np.max(np.abs(grid.dx * (phis @ phis.T) - np.eye(n_basis))) <= 1e-13
 
 
 def test_expectations_of_simple_states(tm8):

@@ -116,7 +116,6 @@ def test_two_state_low_temperature_asymptote(two_state_models):
     t = np.array([1e-4, 4e-4])
     betas = 2.0 / (t * ts.splitting)
     curve = two_state_curve(ts, betas)
-    assert np.allclose(curve.rescaled_temperature, t, rtol=1e-12)
     assert np.allclose(curve.delta_q_over_d, np.sqrt(t), rtol=2e-2)
 
 

@@ -68,14 +68,12 @@ def test_coefficients_limits(two_state_models):
 
 def test_coherent_state_expectations(two_state_models, dw_grid):
     ts = two_state_models[0.5]
-    state = two_state_coherent(ts, 0.4 * ts.d, 0.9)
-    from wfgibbs.lattice import position_element
-
-    norm = inner_product(state.psi, state.psi, dw_grid)
+    psi = two_state_coherent(ts, 0.4 * ts.d, 0.9)
+    norm = inner_product(psi, psi, dw_grid)
     assert norm == pytest.approx(1.0, abs=1e-9)
-    q = position_element(state.psi, state.psi, dw_grid)
+    q = inner_product(psi, dw_grid.x * psi, dw_grid)
     assert np.real(q) == pytest.approx(0.4 * ts.d, abs=1e-8)
-    assert momentum_expectation(state.psi, dw_grid, 1.0) == pytest.approx(0.9, abs=1e-4)
+    assert momentum_expectation(psi, dw_grid, 1.0) == pytest.approx(0.9, abs=1e-4)
 
 
 def test_rescale_maps_arc_to_unit_circle(two_state_models):
