@@ -7,7 +7,7 @@ file or to the payload of a JSON file. main alone creates the output
 directory and writes them, so a failed run writes nothing. Exit codes: 0
 success, 1 validation failure, usage error or coverage error, 2
 configuration error, 3 solver error (errors.py).
-veff and fluct may build their per-mass tables in forked processes (_per_mass).
+veff and fluct solve each mass's doublet and table in forked processes (_per_mass).
 """
 
 from __future__ import annotations
@@ -191,17 +191,16 @@ def write_csv(path, columns: str, rows) -> None:
             fh.write(fmt * (len(batch) // len(first)) % batch)
 
 
-def _doublets(cfg, section) -> list:
-    """The two-state model of each mass of a section, in mass order. The
-    two-state reduction behind veff, twostate and fluct needs a symmetric
-    potential; anything else is a configuration error, raised before any
-    work."""
+def _doublet_models(cfg, section) -> list:
+    """The model of each mass of a section, in mass order, whose doublet
+    veff, twostate and fluct solve. The two-state reduction needs a
+    symmetric potential; anything else is a configuration error, raised
+    before any work."""
     mp = cfg["model"]
     if not mp.potential.is_symmetric:
         raise ConfigurationError(f"a symmetric potential is required for the two-state "
                                  f"reduction, got {mp.potential.to_dict()}")
-    return [twostate.build_two_state(ModelParams(mass, mp.hbar, mp.potential), cfg["grid"])
-            for mass in section["masses"]]
+    return [ModelParams(mass, mp.hbar, mp.potential) for mass in section["masses"]]
 
 
 def _usable_cpus() -> int:
@@ -211,9 +210,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _per_mass(work, doublets):
-    """Yield (ts, work(ts)) for each doublet in mass order, work running on
-    min(len(doublets), usable CPUs) processes: the masses are dealt in turn
+def _per_mass(work, models):
+    """Yield work(mp) for each model in mass order, work running on
+    min(len(models), usable CPUs) processes: the masses are dealt in turn
     to this process and to forked children, each of which pickles back its
     results one mass at a time, or the library error that ended it, through
     a pipe. A child's error is raised at its mass's turn, so the masses
@@ -229,7 +228,7 @@ def _per_mass(work, doublets):
     and it would pickle work, a closure. Threads do not help: a table walk
     is small numpy calls that hold the GIL, and two threads built veff's
     tables in 0.10-0.18 s, against 0.09-0.13 s one after the other."""
-    workers = min(len(doublets), _usable_cpus()) if hasattr(os, "fork") else 1
+    workers = min(len(models), _usable_cpus()) if hasattr(os, "fork") else 1
     pids, readers = [], []  # of the children, in worker order
     try:
         for index in range(1, workers):
@@ -239,8 +238,8 @@ def _per_mass(work, doublets):
                 pid = os.fork()
                 if pid == 0:  # the child sends its masses' results and never returns
                     try:
-                        for ts in doublets[index::workers]:
-                            pickle.dump((True, work(ts)), sink)
+                        for mp in models[index::workers]:
+                            pickle.dump((True, work(mp)), sink)
                             sink.flush()
                     except BaseException as exc:
                         pickle.dump((False, exc), sink)
@@ -248,18 +247,18 @@ def _per_mass(work, doublets):
                     finally:
                         os._exit(0)
             pids.append(pid)
-        for i, ts in enumerate(doublets):
+        for i, mp in enumerate(models):
             if i % workers == 0:
-                yield ts, work(ts)
+                yield work(mp)
                 continue
             try:
                 ok, result = pickle.load(readers[i % workers - 1])
             except (EOFError, pickle.UnpicklingError):
-                raise SolverError(f"the process solving mass {ts.model.mass} "
+                raise SolverError(f"the process solving mass {mp.mass} "
                                   f"ended without a result") from None
             if not ok:
                 raise result
-            yield ts, result
+            yield result
     finally:
         for reader in readers:
             reader.close()
@@ -291,11 +290,12 @@ def cmd_eig(cfg):
 def cmd_veff(cfg):
     section, files = cfg["veff"], {}
 
-    def solve(ts):
+    def solve(mp):
+        ts = twostate.build_two_state(mp, cfg["grid"])
         q_grid = np.linspace(-section["frac"] * ts.d, section["frac"] * ts.d, section["n_q"])
-        return constrain.effective_potential(ts, q_grid, cfg["grid"])
+        return ts, constrain.effective_potential(ts, q_grid, cfg["grid"])
 
-    with contextlib.closing(_per_mass(solve, _doublets(cfg, section))) as tables:
+    with contextlib.closing(_per_mass(solve, _doublet_models(cfg, section))) as tables:
         for ts, table in tables:
             tag = _tag(ts.model.mass)
             u, rescaled_exact = twostate.rescale(ts, table.v_eff, table.q)
@@ -313,7 +313,8 @@ def cmd_veff(cfg):
 
 def cmd_twostate(cfg):
     section, files, summary = cfg["twostate"], {}, {}
-    for ts in _doublets(cfg, section):
+    for mp in _doublet_models(cfg, section):
+        ts = twostate.build_two_state(mp, cfg["grid"])
         tag = _tag(ts.model.mass)
         q = np.linspace(-ts.d, ts.d, section["n_q"])
         files[f"two_state_m{tag}.csv"] = ("q,v_eff", zip(q.tolist(),
@@ -329,14 +330,15 @@ def cmd_fluct(cfg):
     # log-spaced rescaled temperatures exposing both asymptotes
     t_grid = np.logspace(np.log10(section["t_min"]), np.log10(section["t_max"]), section["n_t"])
 
-    def curves(ts):
+    def curves(mp):
+        ts = twostate.build_two_state(mp, cfg["grid"])
         betas = 2.0 / (t_grid * ts.splitting)
         table = thermal.table_for_betas(ts, betas, section["n_q"], cfg["grid"])
-        return (table, thermal.fluctuation_curve(table, betas),
+        return (ts, table, thermal.fluctuation_curve(table, betas),
                 thermal.fluctuation_curve(table, betas, restricted=True))
 
-    with contextlib.closing(_per_mass(curves, _doublets(cfg, section))) as results:
-        for ts, (table, curve, restricted) in results:
+    with contextlib.closing(_per_mass(curves, _doublet_models(cfg, section))) as results:
+        for ts, table, curve, restricted in results:
             files[f"fluct_m{_tag(ts.model.mass)}.csv"] = (
                 "rescaled_temperature,delta_q_over_d,delta_q_over_d_restricted,mean_q",
                 zip(t_grid.tolist(), curve.delta_q_over_d.tolist(),

@@ -68,7 +68,8 @@ class _PowerSeries:
     """A potential given by power_series(mass) alone."""
 
     def evaluate(self, x, mass):
-        return np.polynomial.polynomial.polyval(np.asarray(x), self.power_series(mass))
+        # bit for bit numpy.polynomial's polyval, without importing that package
+        return np.polyval(self.power_series(mass)[::-1], x)
 
     @property
     def is_symmetric(self) -> bool:

@@ -13,10 +13,13 @@ shift sigma = rho - max(r, 1e3 eps ||H||) sits below the Rayleigh quotient
 rho by its residual r, and a successful LDL^T factorization of H - sigma
 certifies that H - sigma is positive definite, i.e. that sigma lies below
 the whole spectrum (Parlett, The Symmetric Eigenvalue Problem, ch. 4), so
-the iteration can only converge to the ground state. Once the residual is
-at roundoff (at most 1e3 eps ||H||) the iteration stops at the first step
-that fails to halve it, and returns the vector whose own shift was
-certified; started from an exact eigenvector it takes one factorization.
+the iteration can only converge to the ground state. The first vector at
+roundoff (residual at most f = 1e3 eps ||H||) is certified when its shift
+rho - f factors, and nothing more is factored: one step from it at that
+shift shrinks every excited component relative to the ground one, so the
+successor's Rayleigh quotient is at most rho < E0 + f, and the successor
+is returned if it halves the vector's residual, the vector otherwise.
+Started from an exact eigenvector the iteration takes one factorization.
 
 A tilted ground state decays exponentially where the potential exceeds its
 energy, so the iteration runs on the window [lo, hi) of rows where the
@@ -185,9 +188,11 @@ def _iterate(op: TridiagonalOperator, start: np.ndarray, lo: int, hi: int):
         # the residual of vec padded with zeros: the window rows and the two
         # rows just outside
         resid = math.sqrt(r.dot(r) + (left * vec[0]) ** 2 + (right * vec[-1]) ** 2)
-        # best's own shift was certified, so its rho < E0 + max(r, floor); at
-        # roundoff a step that fails to halve the residual ends the iteration
-        if best is not None and resid > 0.5 * best[2] and (best[2] <= floor or resid >= best[2]):
+        # best's shift was certified below E0; once best is at roundoff, vec
+        # is one step from it at that shift, so its rho is at most best's
+        if best is not None and (best[2] <= floor or resid >= best[2]):
+            if best[2] <= floor and resid <= 0.5 * best[2]:
+                best = (rho, vec, resid)
             found = (best[0], padded(best[1]), best[2]) if best[2] <= floor else None
             return found, padded(best[1]), step
         best = (rho, vec, resid)
@@ -255,13 +260,22 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, start: np.ndarray | None 
 
     With k == 1 and a start vector the ground state is refined from start
     by certified shifted inverse iteration, falling back to the cold LAPACK
-    solve when that fails (see the module docstring). Raises SolverError if
-    any residual ||H phi - E phi|| exceeds DEFAULT_TOL * max(1, ||H||).
+    solve when that fails (see the module docstring); a start that is not a
+    real, finite vector of op.n entries with a nonzero norm is a UsageError.
+    Raises SolverError if any residual ||H phi - E phi|| exceeds
+    DEFAULT_TOL * max(1, ||H||).
     """
     if k < 1 or k > op.n:
         raise UsageError(f"k={k} outside [1, {op.n}]")
-    if start is not None and k != 1:
-        raise UsageError(f"a start vector needs k=1, got k={k}")
+    if start is not None:
+        if k != 1:
+            raise UsageError(f"a start vector needs k=1, got k={k}")
+        start = np.asarray(start)
+        # start @ start is nan for a nan entry and inf for an infinite one
+        if (start.shape != (op.n,) or start.dtype.kind not in "iuf"
+                or not 0.0 < start @ start < np.inf):
+            raise UsageError(f"a start vector needs {op.n} real, finite entries and a "
+                             f"nonzero norm, got shape {start.shape} of {start.dtype}")
     warm, factorizations, rows = (None, 0, 0) if start is None else _inverse_iteration(op, start)
     if warm is not None:
         energies, vectors = [warm[0]], warm[1][:, None]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wfgibbs
-from wfgibbs import GridSpec, ModelParams, build_two_state, sampling
+from wfgibbs import GridSpec, ModelParams, SolverError, build_two_state, sampling
 from wfgibbs import cli
 from wfgibbs.cli import main
 
@@ -303,9 +303,11 @@ def test_fluct_solves_its_doublet_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["veff", "fluct"])
 def test_one_cold_solve_per_mass(command, tmp_path, monkeypatch):
     # the doublet solve is the only cold LAPACK solve: the untilted ground
-    # state of each table starts warm from the doublet's even state
+    # state of each table starts warm from the doublet's even state. One
+    # worker, so that both masses' solves run where they are counted
     from wfgibbs import spectra
 
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     cold = []
 
     def counted(op, k, solve=spectra._cold_solve):
@@ -455,6 +457,39 @@ def test_failed_mass_fails_the_run_in_mass_order(failing, tmp_path, capsys, monk
     assert captured.err.startswith("solver error:") and f"{first}" in captured.err
     assert [line.split(":")[0] for line in captured.out.splitlines()] == (
         ["m=0.5"] if failing == 1.5 else [])
+    _no_child_left()
+
+
+@pytest.mark.parametrize("command", ["veff", "fluct"])
+def test_failed_doublet_in_child_fails_the_run_in_mass_order(command, tmp_path, capsys,
+                                                              monkeypatch, forks):
+    # each worker solves its own masses' doublets: the child's fails, exit 3
+    # at its mass's turn, the mass before it printed, no output directory
+    # and no child left
+    from wfgibbs import twostate
+
+    parent = os.getpid()
+
+    def build(mp, grid, real=twostate.build_two_state):
+        if mp.mass == 1.5:
+            assert os.getpid() != parent
+            raise SolverError("no doublet for mass 1.5")
+        return real(mp, grid)
+
+    monkeypatch.setattr(twostate, "build_two_state", build)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, {
+        "model": DOUBLE_WELL_MODEL,
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        "veff": {"masses": [0.5, 1.5], "n_q": 11},
+        "fluct": {"masses": [0.5, 1.5], "t_min": 0.1, "t_max": 10.0, "n_t": 5, "n_q": 41},
+    })
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists() and len(forks) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "solver error: no doublet for mass 1.5\n"
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["m=0.5"]
     _no_child_left()
 
 
@@ -1165,6 +1200,22 @@ def test_cli_import_leaves_out_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def test_veff_run_leaves_out_numpy_polynomial(tmp_path):
+    # importing numpy.polynomial takes milliseconds of a fresh process, and
+    # the potentials evaluate their power series by np.polyval
+    cfg = write_config(tmp_path, {"model": DOUBLE_WELL_MODEL,
+                                  "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+                                  "veff": {"n_q": 11}})
+    probe = (f"import sys, wfgibbs.cli; "
+             f"code = wfgibbs.cli.main(['veff', '--config', {str(cfg)!r}, "
+             f"'--out', {str(tmp_path / 'out')!r}]); "
+             f"print(code, 'numpy.polynomial' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.splitlines()[-1] == "0 False"
 
 
 def _per_float_rows(samples):

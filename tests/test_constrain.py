@@ -250,22 +250,33 @@ def test_fluct_preset_table_work(two_state_models, dw_grid, monkeypatch):
         assert np.allclose(getattr(table, column), getattr(whole, column), rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("mass, q_target", [(0.2, 0.3), (0.5, 0.9), (1.5, -1.2)])
-def test_newton_first_order_start_is_closer(mass, q_target, dw_grid):
-    # one Newton step from a multiplier 10% past the root: u + dlam dphi/dlambda
-    # lies closer to the ground state at the new multiplier than u itself
-    # (measured 13-150 times), and the warm solve from it takes fewer
-    # factorizations (measured 3 against 4)
-    op = assemble_hamiltonian(double_well(mass), dw_grid)
+NEWTON_CASES = [(0.2, 0.3), (0.5, 0.9), (1.5, -1.2)]
+
+
+def _newton_step_starts(mass, q_target, grid):
+    """(the tilted operator one Newton step from a multiplier 10% past the
+    root, the ground state phi there, the first-order start
+    u + dlam dphi/dlambda, and the tilt response's tangent)."""
+    op = assemble_hamiltonian(double_well(mass), grid)
     lam = 1.1 * solve_lambda(op, q_target).lam
     tilted = tilt_hamiltonian(op, lam)
     pair = lowest_eigenpairs(tilted, 1)[0]
     phi = pair.wavefunction
     chi, tangent, _ = tilt_response(tilted, pair)
-    step = -(position_element(phi, phi, dw_grid) - q_target) / chi
+    step = -(position_element(phi, phi, grid) - q_target) / chi
     target = tilt_hamiltonian(op, lam + step)
+    return target, phi, constrain._first_order(phi, step, tangent), tangent
+
+
+@pytest.mark.parametrize("mass, q_target", NEWTON_CASES)
+def test_newton_first_order_start_is_closer(mass, q_target, dw_grid):
+    # the first-order start lies closer to the ground state at the new
+    # multiplier than u itself (measured 13-150 times), and the warm solve
+    # from it takes no more factorizations (measured 2, 3 and 3 against 3,
+    # 4 and 3: at m=1.5 the first-order start's second residual, 6.1e-8,
+    # is just above that operator's roundoff floor of 3.3e-8)
+    target, phi, first_order, tangent = _newton_step_starts(mass, q_target, dw_grid)
     exact = lowest_eigenpairs(target, 1)[0].wavefunction
-    first_order = constrain._first_order(phi, step, tangent)
     assert first_order is not phi  # a perturbation, not the guarded fallback
 
     def distance(v):
@@ -275,9 +286,32 @@ def test_newton_first_order_start_is_closer(mass, q_target, dw_grid):
     warm = lowest_eigenpairs(target, 1, start=first_order)[0]
     plain = lowest_eigenpairs(target, 1, start=phi)[0]
     assert warm.method == plain.method == "inverse_iteration"
-    assert warm.work["factorizations"] < plain.work["factorizations"]
+    assert warm.work["factorizations"] <= plain.work["factorizations"]
     # a correction as large as the state itself is not used
     assert constrain._first_order(phi, 1.0 / np.linalg.norm(tangent), tangent) is phi
+
+
+def test_newton_first_order_starts_save_factorizations(dw_grid):
+    # over the three cases the first-order starts take fewer factorizations
+    # than the plain ones (measured 8 against 10)
+    warm = plain = 0
+    for mass, q_target in NEWTON_CASES:
+        target, phi, first_order, _ = _newton_step_starts(mass, q_target, dw_grid)
+        warm += lowest_eigenpairs(target, 1, start=first_order)[0].work["factorizations"]
+        plain += lowest_eigenpairs(target, 1, start=phi)[0].work["factorizations"]
+    assert warm < plain
+
+
+def test_certified_warm_solve_factors_no_more(dw_grid):
+    # m=0.2, q=0.3: the first-order start's residuals run 2.2e-4, then
+    # 1.9e-8, below the roundoff floor 2.5e-7, whose shift the second
+    # factorization certifies; the step from it (residual 5.6e-11) halves
+    # that and is returned without a third factorization
+    target, _, first_order, _ = _newton_step_starts(0.2, 0.3, dw_grid)
+    warm = lowest_eigenpairs(target, 1, start=first_order)[0]
+    assert warm.method == "inverse_iteration"
+    assert warm.work["factorizations"] == 2
+    assert warm.residual <= 0.5 * spectra.SHIFT_FLOOR * target.norm_estimate
 
 
 @pytest.mark.parametrize("mass", [0.2, 1.5])
