@@ -348,6 +348,8 @@ def cmd_fluct(cfg):
                 "delta_p": curve.delta_p.tolist(),
                 "max_full_vs_restricted": float(
                     np.max(np.abs(curve.delta_q_over_d - restricted.delta_q_over_d))),
+                "quadrature": {name: {"evaluations": c.evaluations, "agreement": c.agreement}
+                               for name, c in (("full", curve), ("restricted", restricted))},
                 "table": {"nodes": len(table.q),
                           **{key: table.meta[key]
                              for key in ("eigensolves", "lapack_fallbacks", "factorizations",
@@ -361,6 +363,8 @@ def cmd_fluct(cfg):
     reference = thermal.two_state_curve(ts, curve.beta)
     files["fluct_two_state.csv"] = ("rescaled_temperature,delta_q_over_d",
                                     zip(t_grid.tolist(), reference.delta_q_over_d.tolist()))
+    summary["two_state_quadrature"] = {"evaluations": reference.evaluations,
+                                       "agreement": reference.agreement}
     files["fluct.json"] = summary
     return EXIT_OK, files
 

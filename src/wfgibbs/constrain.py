@@ -8,8 +8,7 @@ is strictly decreasing in lambda. The effective potential is
     V_eff(q) = E0_lambda(q) - lambda(q) * q,
 
 a Legendre-type transform of the concave map lambda -> E0_lambda; it is
-convex with dV_eff/dq = -lambda(q). Generalized coherent states are
-exp(i p x / hbar) * phi_lambda(q)(x).
+convex with dV_eff/dq = -lambda(q).
 
 Both tables come from one continuation in lambda, outward from the
 untilted node (q0, E0, 0), whose ground state is refined warm from the even

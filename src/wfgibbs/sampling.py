@@ -80,15 +80,6 @@ class TruncatedModel:
         return np.hstack([np.kron(0.5 * (q + q.T), np.eye(2)),
                           np.kron(-0.5 * (a - a.T), j)])
 
-    def expectations(self, c: np.ndarray):
-        """(<q>, <p>) for unit-norm coefficient vectors stacked on the last axis.
-
-        For c of shape (..., N) both results have shape (...).
-        """
-        c = np.ascontiguousarray(c, dtype=np.complex128)
-        q, p = self._real_expectations(c.view(np.float64).reshape(-1, 2 * self.n))
-        return q.reshape(c.shape[:-1])[()], p.reshape(c.shape[:-1])[()]
-
     def _real_expectations(self, x: np.ndarray):
         """(<q>, <p>) for the rows of x, float64 views (m, 2N) of coefficient
         vectors: one gemm against the stacked forms and two row dots per
@@ -144,11 +135,12 @@ class ChainConfig:
     steps_per_chain: int = 50_000
     burn_in: int = 5_000
     seed: int = 0
-    keep_coefficients: bool = False
 
     def __post_init__(self):
         if self.chain_count < 1 or self.steps_per_chain < 1:
             raise ConfigurationError("chain_count and steps_per_chain must be >= 1")
+        if self.chain_count * self.steps_per_chain < 2:  # two batches for a standard error
+            raise ConfigurationError("chain_count * steps_per_chain must be >= 2")
         if self.burn_in < 0:
             raise ConfigurationError("burn_in must be >= 0")
 
@@ -166,7 +158,6 @@ class SampleRun:
     chain_acceptance: np.ndarray  # (chains,) acceptance after burn-in
     chain_iat: np.ndarray  # (chains,) integrated autocorrelation time of <q>
     proposal_scales: np.ndarray  # (chains,) tuned sigma
-    coefficients: np.ndarray | None = None  # (chains, steps, N) when retained
 
     @property
     def acceptance_rate(self) -> float:
@@ -284,8 +275,6 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
     sigma = np.full((n_chains, 1), _PROPOSAL_SCALE)
 
     samples = np.empty((n_chains, cfg.steps_per_chain, 2))
-    coeffs = (np.empty((n_chains, cfg.steps_per_chain, n), dtype=np.complex128)
-              if cfg.keep_coefficients else None)
 
     total = cfg.burn_in + cfg.steps_per_chain
     width = min(_NOISE_BLOCK, total)
@@ -357,8 +346,6 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
                                    out=noise.reshape(-1, 2 * n)[:len(rows)])
                 q, p = tm._real_expectations(retained)
                 samples[i, lo:hi, 0], samples[i, lo:hi, 1] = np.repeat(q, runs), np.repeat(p, runs)
-                if coeffs is not None:
-                    coeffs[i, lo:hi] = kept[first:block, i].view(np.complex128)
 
     return SampleRun(
         beta=beta,
@@ -370,7 +357,6 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
         chain_acceptance=accepted / cfg.steps_per_chain,
         chain_iat=np.array([integrated_autocorrelation(s[:, 0]) for s in samples]),
         proposal_scales=sigma[:, 0],
-        coefficients=coeffs,
     )
 
 
@@ -506,35 +492,3 @@ def canonical_atoms(tm: TruncatedModel, beta: float) -> CanonicalAtoms:
     z = float(np.exp(-beta * energies[0]) * rel.sum())
     return CanonicalAtoms(weights, np.diag(tm.q_matrix), z)
 
-
-def unitary_flow_check(run: SampleRun, tm: TruncatedModel, t: float, hbar: float) -> dict:
-    """Compare sample moments before and after the free Schroedinger flow.
-
-    Applies c_k -> exp(-i E_k t / hbar) c_k to every retained coefficient
-    vector, recomputes (<q>, <p>), and reports the first four moments of
-    both clouds. Invariance of the measure means agreement within Monte
-    Carlo error.
-    """
-    if run.coefficients is None:
-        raise UsageError("run did not retain coefficient vectors; "
-                         "set keep_coefficients in the chain config")
-    phases = np.exp(-1j * tm.energies * t / hbar)
-    # one chain at a time: no copy of all retained coefficients at once
-    q_new, p_new = np.array([tm.expectations(chain * phases)
-                             for chain in run.coefficients]).transpose(1, 0, 2)
-
-    report = {"t": t, "moments": {}}
-    for name, before, after in (
-        ("q", run.samples[:, :, 0], q_new),
-        ("p", run.samples[:, :, 1], p_new),
-    ):
-        for order in (1, 2, 3, 4):
-            b, a = before**order, after**order
-            se = max(_batch_se(b), _batch_se(a))
-            report["moments"][f"{name}^{order}"] = {
-                "before": float(b.mean()),
-                "after": float(a.mean()),
-                "diff": float(a.mean() - b.mean()),
-                "se": se,
-            }
-    return report

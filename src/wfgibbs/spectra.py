@@ -107,19 +107,16 @@ class EigenPair:
     dx sum_i (lattice): the unit eigenvector divided by sqrt(dx).
 
     Sign convention: the first component exceeding 1e-8 in magnitude is
-    positive. ``method`` names the path that produced the pair: "lapack"
-    (cold dstebz/dstein solve) or "inverse_iteration" (warm start, dptsv
-    solves at certified shifts). ``work`` is the record of the call that
-    made it, the same for each of its k pairs: ``eigensolves`` (1),
-    ``lapack_fallbacks`` (1 when a start was given and the cold solve ran),
-    ``factorizations`` (the dptsv calls, those of a warm start that fell
-    back included) and ``factorized_rows`` (the rows they factored).
+    positive. ``work`` is the record of the call that made it, the same
+    for each of its k pairs: ``eigensolves`` (1), ``lapack_fallbacks`` (1
+    when a start was given and the cold solve ran), ``factorizations``
+    (the dptsv calls, those of a warm start that fell back included) and
+    ``factorized_rows`` (the rows they factored).
     """
 
     energy: float
     wavefunction: np.ndarray
     residual: float
-    method: str
     work: Counter
 
 
@@ -279,9 +276,7 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, start: np.ndarray | None 
     warm, factorizations, rows = (None, 0, 0) if start is None else _inverse_iteration(op, start)
     if warm is not None:
         energies, vectors = [warm[0]], warm[1][:, None]
-        method = "inverse_iteration"
     else:
-        method = "lapack"
         energies, vectors = _cold_solve(op, k)
 
     dx = op.grid.dx
@@ -299,7 +294,7 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, start: np.ndarray | None 
         phi = _fix_sign(vec / np.sqrt(dx))
         work = Counter(eigensolves=1, lapack_fallbacks=int(start is not None and warm is None),
                        factorizations=factorizations, factorized_rows=rows)
-        pairs.append(EigenPair(float(energies[i]), phi, resid, method, work))
+        pairs.append(EigenPair(float(energies[i]), phi, resid, work))
     return pairs
 
 

@@ -33,13 +33,18 @@ MAX_GRID_POINTS = 1 << 20  # of a widened grid: 8 MiB per grid vector
 
 @dataclass(frozen=True)
 class ThermalCurve:
-    """Fluctuations of <q> versus temperature, with rescaled axes."""
+    """Fluctuations of <q> versus temperature, with rescaled axes, and the
+    quadrature's self-check: the rules evaluated, each on twice the
+    intervals of the last, and the largest relative change of delta_q over
+    beta between the last two."""
 
     beta: np.ndarray
     mean_q: np.ndarray
     delta_q: np.ndarray
     delta_q_over_d: np.ndarray
     delta_p: np.ndarray
+    evaluations: int
+    agreement: float
 
 
 def _check_beta(beta: float) -> None:
@@ -90,14 +95,15 @@ def _curve(doublet: TwoStateModel, betas, cuts, law, floor, ends=np.inf) -> Ther
                                 f"boundary density {tail:.2e} of peak exceeds {BOUNDARY_TAIL}",
                                 beta=beta)
     curve = np.full((2, len(betas)), np.nan)  # which no rule agrees with
-    for _ in range(MAX_HALVINGS + 1):
+    for evaluations in range(1, MAX_HALVINGS + 2):
         nodes, weights = _gauss(cuts)
         q, v, jacobian = law(nodes.ravel())
         forms = (weights.ravel() * jacobian) * np.array([np.ones_like(q), q, q**2])
         excess = v - min(v.min(), floor)
         m0, m1, m2 = np.reshape([forms @ np.exp(-beta * excess) for beta in betas], (-1, 3)).T
         finer = m1 / m0, np.sqrt(np.maximum(m2 / m0 - (m1 / m0) ** 2, 0.0))
-        moved = ~(np.abs(finer[1] - curve[1]) <= CURVE_RTOL * finer[1])  # nan never agrees
+        change = np.abs(finer[1] - curve[1])
+        moved = ~(change <= CURVE_RTOL * finer[1])  # nan never agrees
         if not moved.any():
             break
         curve, cuts = finer, np.sort(np.r_[cuts, 0.5 * (cuts[1:] + cuts[:-1])])
@@ -111,6 +117,10 @@ def _curve(doublet: TwoStateModel, betas, cuts, law, floor, ends=np.inf) -> Ther
         delta_q=delta_q,
         delta_q_over_d=delta_q / doublet.d,
         delta_p=np.sqrt(doublet.model.mass / betas),
+        evaluations=evaluations,
+        # a delta_q of 0 that did not change agrees exactly
+        agreement=float(np.max(np.divide(change, finer[1], out=np.zeros_like(change),
+                                         where=change > 0), initial=0.0)),
     )
 
 

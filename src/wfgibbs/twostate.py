@@ -78,20 +78,6 @@ def two_state_veff(ts: TwoStateModel, q):
     return ts.mean_level - 0.5 * ts.splitting * np.sqrt(1.0 - u * u)
 
 
-def two_state_coefficients(ts: TwoStateModel, q: float):
-    """Eigenbasis coefficients (a1, a2) of the constrained minimizer."""
-    _check_domain(ts, q)
-    theta = 0.5 * np.arcsin(np.clip(q / ts.d, -1.0, 1.0))
-    return float(np.cos(theta)), float(np.sin(theta))
-
-
-def two_state_coherent(ts: TwoStateModel, q: float, p: float) -> np.ndarray:
-    """Coherent state exp(ipx/hbar) (a1 phi_1 + a2 phi_2) on ts.grid, hbar of
-    ts.model."""
-    a1, a2 = two_state_coefficients(ts, q)
-    return np.exp(1j * p * ts.grid.x / ts.model.hbar) * (a1 * ts.phi1 + a2 * ts.phi2)
-
-
 def rescale(ts: TwoStateModel, v_eff, q):
     """(q/d, (v - mean)/half-splitting): positions and energies in the
     doublet's units."""

@@ -14,7 +14,9 @@ from wfgibbs import (
     build_two_state,
     effective_potential,
 )
+from wfgibbs import sampling
 from wfgibbs.lattice import _check_same_grid
+from wfgibbs.twostate import _check_domain
 
 # Reference doublet values for the quartic double well with hbar = 1,
 # w0 = 1, x0 = 1.5 (independent high-accuracy eigensolves; these are the
@@ -67,6 +69,96 @@ def momentum_expectation(psi, grid: GridSpec, hbar: float) -> float:
 def coherent_state(cs, p: float, model: ModelParams, grid: GridSpec) -> np.ndarray:
     """exp(i p x / hbar) times the constrained ground state cs."""
     return np.exp(1j * p * grid.x / model.hbar) * cs.wavefunction
+
+
+def two_state_coefficients(ts, q: float):
+    """Eigenbasis coefficients (a1, a2) = (cos theta, sin theta) of the
+    two-state constrained minimizer at q, theta = arcsin(q/d)/2."""
+    _check_domain(ts, q)
+    theta = 0.5 * np.arcsin(np.clip(q / ts.d, -1.0, 1.0))
+    return float(np.cos(theta)), float(np.sin(theta))
+
+
+def two_state_coherent(ts, q: float, p: float) -> np.ndarray:
+    """Coherent state exp(ipx/hbar) (a1 phi_1 + a2 phi_2) on ts.grid, hbar of
+    ts.model."""
+    a1, a2 = two_state_coefficients(ts, q)
+    return np.exp(1j * p * ts.grid.x / ts.model.hbar) * (a1 * ts.phi1 + a2 * ts.phi2)
+
+
+def expectations(tm, c):
+    """(<q>, <p>) of a truncated model for unit-norm coefficient vectors
+    stacked on the last axis, by the sampler's own forms: for c of shape
+    (..., N) both results have shape (...)."""
+    c = np.ascontiguousarray(c, dtype=np.complex128)
+    q, p = tm._real_expectations(c.view(np.float64).reshape(-1, 2 * tm.n))
+    return q.reshape(c.shape[:-1])[()], p.reshape(c.shape[:-1])[()]
+
+
+def retained_states(tm, beta, cfg):
+    """(run, states): sample_ensemble(tm, beta, cfg) and the (chains, steps,
+    N) coefficient vectors of its retained states.
+
+    A spy on TruncatedModel._real_expectations keeps a copy of the rows
+    each call evaluates: per noise block with retained steps, one call per
+    chain, in chain order, on the chain's first retained state of the block
+    and the state of each accepted step after it. A rejected step repeats
+    its state bit for bit, so within a block a new state begins at its
+    first retained step and wherever consecutive samples differ bitwise.
+    """
+    rows = []
+    evaluate = sampling.TruncatedModel._real_expectations
+
+    def spy(self, x):
+        rows.append(x.copy())
+        return evaluate(self, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling.TruncatedModel, "_real_expectations", spy)
+        run = sampling.sample_ensemble(tm, beta, cfg)
+    calls = iter(rows)
+    states = np.empty((cfg.chain_count, cfg.steps_per_chain, tm.n), dtype=np.complex128)
+    total = cfg.burn_in + cfg.steps_per_chain
+    for start in range(0, total, sampling._NOISE_BLOCK):
+        lo = max(start - cfg.burn_in, 0)
+        hi = min(start + sampling._NOISE_BLOCK, total) - cfg.burn_in
+        for chain in range(cfg.chain_count if lo < hi else 0):
+            bits = run.samples[chain, lo:hi].view(np.uint64)
+            fresh = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
+            evaluated = next(calls).view(np.complex128)
+            assert len(evaluated) == fresh.sum()
+            states[chain, lo:hi] = evaluated[np.cumsum(fresh) - 1]
+    assert next(calls, None) is None
+    return run, states
+
+
+def unitary_flow_check(run, states, tm, t: float, hbar: float) -> dict:
+    """Compare sample moments before and after the free Schroedinger flow.
+
+    Applies c_k -> exp(-i E_k t / hbar) c_k to every retained coefficient
+    vector of run (states, from retained_states), recomputes (<q>, <p>),
+    and reports the first four moments of both clouds. Invariance of the
+    measure means agreement within Monte Carlo error.
+    """
+    phases = np.exp(-1j * tm.energies * t / hbar)
+    q_new, p_new = np.array([expectations(tm, chain * phases)
+                             for chain in states]).transpose(1, 0, 2)
+
+    report = {"t": t, "moments": {}}
+    for name, before, after in (
+        ("q", run.samples[:, :, 0], q_new),
+        ("p", run.samples[:, :, 1], p_new),
+    ):
+        for order in (1, 2, 3, 4):
+            b, a = before**order, after**order
+            se = max(sampling._batch_se(b), sampling._batch_se(a))
+            report["moments"][f"{name}^{order}"] = {
+                "before": float(b.mean()),
+                "after": float(a.mean()),
+                "diff": float(a.mean() - b.mean()),
+                "se": se,
+            }
+    return report
 
 
 @pytest.fixture(scope="session")

@@ -24,12 +24,11 @@ from wfgibbs import (
 )
 from wfgibbs.constrain import solve_lambda
 from wfgibbs.lattice import assemble_hamiltonian
-from wfgibbs.sampling import unitary_flow_check
 from wfgibbs.thermal import bin_masses
-from wfgibbs.twostate import two_state_coherent
 
 from conftest import (DOUBLE_WELL_MASSES, DOUBLE_WELL_REFERENCE, double_well,
-                      exact_sphere_variance, harmonic, inner_product, momentum_expectation)
+                      exact_sphere_variance, harmonic, inner_product, momentum_expectation,
+                      retained_states, two_state_coherent, unitary_flow_check)
 
 
 def report(n, ok, detail):
@@ -281,10 +280,9 @@ def test_criterion_9_structural_invariants(dw_tables, two_state_models, dw_grid)
     checks["orthonormality"] = bool(np.max(np.abs(gram - np.eye(6))) < 1e-8)
 
     tm = build_truncated_model(double_well(0.5), 8, dw_grid)
-    cfg = ChainConfig(chain_count=4, steps_per_chain=10_000, burn_in=2000,
-                      seed=19, keep_coefficients=True)
-    run = sample_ensemble(tm, 2.0, cfg)
-    flow = unitary_flow_check(run, tm, t=0.9, hbar=1.0)
+    cfg = ChainConfig(chain_count=4, steps_per_chain=10_000, burn_in=2000, seed=19)
+    run, states = retained_states(tm, 2.0, cfg)
+    flow = unitary_flow_check(run, states, tm, t=0.9, hbar=1.0)
     checks["unitary-flow invariance"] = all(
         abs(e["diff"]) < 6 * e["se"] + 1e-10 for e in flow["moments"].values())
 

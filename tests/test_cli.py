@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wfgibbs
-from wfgibbs import GridSpec, ModelParams, SolverError, build_two_state, sampling
+from wfgibbs import GridSpec, ModelParams, SolverError, build_two_state, sampling, thermal
 from wfgibbs import cli
 from wfgibbs.cli import main
 
@@ -261,6 +261,29 @@ def test_fluct_command(tmp_path):
     assert record["grid"]["x_min"] == -record["grid"]["x_max"]
 
 
+@pytest.mark.parametrize("preset, masses, evaluations", [
+    ("dw_all_masses.json", ["0.2", "0.5", "1.0", "1.5"], 2),
+    ("harmonic_sample.json", ["1.0"], 5),
+])
+def test_fluct_records_its_quadrature(preset, masses, evaluations, tmp_path):
+    # measured: every dw_all_masses curve agrees with its halving at the
+    # second rule, the harmonic walk's two at the fifth (2592 intervals),
+    # and the two-state arc, written once, at the second
+    out = tmp_path / "out"
+    config = Path(__file__).parents[1] / "configs" / preset
+    assert main(["fluct", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "fluct.json").read_text())
+    records = [summary[mass]["quadrature"][curve]
+               for mass in masses for curve in ("full", "restricted")]
+    assert [r["evaluations"] for r in records] == [evaluations] * len(records)
+    two_state = summary["two_state_quadrature"]
+    assert two_state["evaluations"] == 2
+    assert set(summary) == {*masses, "two_state_quadrature"}
+    for record in [*records, two_state]:
+        assert set(record) == {"evaluations", "agreement"}
+        assert 0 <= record["agreement"] <= thermal.CURVE_RTOL
+
+
 def test_fluct_restricted_curve_of_a_table_inside_d(tmp_path):
     # cold enough that the table's range, about 5 sqrt(T), stops short of
     # d = 0.707: the restricted curve is cut at the table's own ends
@@ -328,8 +351,8 @@ def test_one_cold_solve_per_mass(command, tmp_path, monkeypatch):
         records = [json.loads((out / f"veff_table_m{tag}.json").read_text())["meta"]
                    for tag in ("0p5", "1p5")]
     else:
-        records = [record["table"] for record in
-                   json.loads((out / "fluct.json").read_text()).values()]
+        summary = json.loads((out / "fluct.json").read_text())
+        records = [summary[mass]["table"] for mass in ("0.5", "1.5")]
     for record in records:
         assert record["lapack_fallbacks"] == 0 and "cold_solves" not in record
         assert record["eigensolves"] <= record["factorizations"]
@@ -1142,6 +1165,36 @@ def test_only_constrain_builds_tables():
         built = [node.lineno for node in calls if "EffectivePotentialTable" in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None))]
         assert bool(built) == (path.stem == "constrain"), (path.name, built)
+
+
+def test_every_library_name_has_a_package_caller():
+    # each top-level function and class of the package is referenced, as a
+    # name, an attribute or an import, by package code outside its own
+    # definition: code that only tests call lives in the tests
+    package = sorted(Path(wfgibbs.__file__).parent.glob("*.py"))
+    statements = [(path.stem, node) for path in package
+                  for node in ast.parse(path.read_text()).body]
+    referenced = [{getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+                  for _, node in statements]
+    uncalled = [f"{stem}.{node.name}" for i, (stem, node) in enumerate(statements)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not any(node.name in names for j, names in enumerate(referenced) if j != i)]
+    assert uncalled == []
+
+
+def test_cmd_sample_sets_every_chain_setting():
+    # every ChainConfig field is a setting that a sample run passes on
+    # from its config, so no knob of the sampler is left to tests alone
+    tree = ast.parse(Path(sampling.__file__).read_text())
+    config = next(node for node in tree.body if getattr(node, "name", None) == "ChainConfig")
+    fields = {node.target.id for node in config.body if isinstance(node, ast.AnnAssign)}
+    command = next(node for node in ast.parse(Path(cli.__file__).read_text()).body
+                   if getattr(node, "name", None) == "cmd_sample")
+    call = next(node for node in ast.walk(command) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "ChainConfig")
+    assert {keyword.arg for keyword in call.keywords} == fields
+    assert not call.args
 
 
 def test_thermal_and_twostate_never_read_meta():

@@ -27,9 +27,10 @@ from wfgibbs import (
 from wfgibbs import sampling
 from wfgibbs.cli import load_config
 from wfgibbs.sampling import (_PROPOSAL_SCALE, _batch_se, _weight_moments,
-                              integrated_autocorrelation, unitary_flow_check)
+                              integrated_autocorrelation)
 
-from conftest import double_well, exact_sphere_variance, harmonic
+from conftest import (double_well, exact_sphere_variance, expectations, harmonic,
+                      retained_states, unitary_flow_check)
 from test_acceptance import two_level_quadrature
 
 
@@ -90,10 +91,10 @@ def test_truncated_levels_are_orthonormal_at_the_walls(model, n_basis, half, mon
 def test_expectations_of_simple_states(tm8):
     e0 = np.zeros(8, dtype=complex)
     e0[0] = 1.0
-    assert tm8.expectations(e0) == (pytest.approx(0.0, abs=1e-9),) * 2
+    assert expectations(tm8, e0) == (pytest.approx(0.0, abs=1e-9),) * 2
     plus = np.zeros(8, dtype=complex)
     plus[0] = plus[1] = 1 / np.sqrt(2)
-    q, p = tm8.expectations(plus)
+    q, p = expectations(tm8, plus)
     assert q == pytest.approx(tm8.q_matrix[0, 1], abs=1e-12)
     assert p == pytest.approx(0.0, abs=1e-12)
 
@@ -103,6 +104,17 @@ def test_chain_config_validation():
         ChainConfig(chain_count=0)
     with pytest.raises(ConfigurationError):
         ChainConfig(burn_in=-1)
+
+
+def test_one_step_chain_rejected(tm8):
+    # one retained sample has no batch-means standard error (numpy's
+    # "Degrees of freedom <= 0" and a nan): the two-batch rule of load_config
+    with pytest.raises(ConfigurationError, match=re.escape("chain_count * steps_per_chain")):
+        ChainConfig(chain_count=1, steps_per_chain=1)
+    for chains, steps in ((1, 2), (2, 1)):
+        run = sample_ensemble(tm8, 2.0, ChainConfig(chain_count=chains, steps_per_chain=steps,
+                                                    burn_in=0))
+        assert np.isfinite(list(run.moment_summary().values())).all()
 
 
 def test_negative_beta_rejected(tm8):
@@ -135,25 +147,21 @@ def test_acceptance_rate_tuned(tm8):
 
 def test_chain_states_stay_normalized(tm8):
     # the first 4096-step noise block straddles the end of burn-in
-    cfg = ChainConfig(chain_count=2, steps_per_chain=5000, burn_in=4000, seed=7,
-                      keep_coefficients=True)
-    run = sample_ensemble(tm8, 2.0, cfg)
-    norms = np.linalg.norm(run.coefficients, axis=2)
+    cfg = ChainConfig(chain_count=2, steps_per_chain=5000, burn_in=4000, seed=7)
+    run, states = retained_states(tm8, 2.0, cfg)
+    norms = np.linalg.norm(states, axis=2)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
     # every retained sample is the quadratic form of its own retained state
-    assert np.array_equal(np.stack(tm8.expectations(run.coefficients), axis=-1),
-                          run.samples)
+    assert np.array_equal(np.stack(expectations(tm8, states), axis=-1), run.samples)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_samples_are_the_forms_of_their_states_with_lone_rows(tm8, seed):
     # 1025 retained steps per chain: chunking a chain's rows can leave a
     # lone row, which numpy would hand to gemv, not gemm
-    cfg = ChainConfig(chain_count=2, steps_per_chain=1025, burn_in=0, seed=seed,
-                      keep_coefficients=True)
-    run = sample_ensemble(tm8, 2.0, cfg)
-    assert np.array_equal(np.stack(tm8.expectations(run.coefficients), axis=-1),
-                          run.samples)
+    cfg = ChainConfig(chain_count=2, steps_per_chain=1025, burn_in=0, seed=seed)
+    run, states = retained_states(tm8, 2.0, cfg)
+    assert np.array_equal(np.stack(expectations(tm8, states), axis=-1), run.samples)
 
 
 def _replay_chain0(tm, beta, cfg, arithmetic):
@@ -255,21 +263,20 @@ def _lockstep_reference(tm, beta, cfg):
             accepted += accept
             kept.append(c)
     coefficients = np.stack(kept, axis=1).view(np.complex128)
-    samples = np.stack(tm.expectations(coefficients), axis=-1)
+    samples = np.stack(expectations(tm, coefficients), axis=-1)
     return samples, accepted / cfg.steps_per_chain, sigma, coefficients
 
 
 @pytest.mark.parametrize("beta", [2.0, 0.0])
 def test_engine_matches_lockstep_reference(tm8, beta):
     # burn-in ends inside the second 4096-step noise block
-    cfg = ChainConfig(chain_count=3, steps_per_chain=4000, burn_in=5000, seed=21,
-                      keep_coefficients=True)
-    run = sample_ensemble(tm8, beta, cfg)
+    cfg = ChainConfig(chain_count=3, steps_per_chain=4000, burn_in=5000, seed=21)
+    run, states = retained_states(tm8, beta, cfg)
     samples, acceptance, sigma, coefficients = _lockstep_reference(tm8, beta, cfg)
     assert np.array_equal(run.samples, samples)
     assert np.array_equal(run.chain_acceptance, acceptance)
     assert np.array_equal(run.proposal_scales, sigma)
-    assert np.array_equal(run.coefficients, coefficients)
+    assert np.array_equal(states, coefficients)
     assert np.all(acceptance == 1.0) if beta == 0 else np.all(acceptance < 0.9)
 
 
@@ -286,7 +293,7 @@ def test_engine_matches_step_by_step_replay(tm8):
     run = sample_ensemble(tm8, 2.0, cfg)
     accepts, kept = _replay_chain0(tm8, 2.0, cfg, "engine")
     assert run.acceptance_rate == sum(accepts[cfg.burn_in:]) / cfg.steps_per_chain
-    assert np.array_equal(np.stack(tm8.expectations(kept), axis=-1), run.samples[0])
+    assert np.array_equal(np.stack(expectations(tm8, kept), axis=-1), run.samples[0])
 
 
 @pytest.mark.parametrize("seed", [9, 10])
@@ -321,11 +328,11 @@ def test_expectations_match_naive_einsum():
     # 3 x 2000 vectors: more rows than one gemm chunk
     c = rng.standard_normal((3, 2000, 2 * n)).view(np.complex128)
     c /= np.linalg.norm(c, axis=-1, keepdims=True)
-    got, want = tm.expectations(c), _naive_expectations(tm, c)
+    got, want = expectations(tm, c), _naive_expectations(tm, c)
     for g, w in zip(got, want):
         assert g.shape == (3, 2000)
         assert np.max(np.abs(g - w)) < 1e-13
-    single = tm.expectations(c[1, 7])
+    single = expectations(tm, c[1, 7])
     assert np.shape(single[0]) == () and np.shape(single[1]) == ()
     assert np.allclose(single, (want[0][1, 7], want[1][1, 7]), rtol=0, atol=1e-13)
 
@@ -339,8 +346,8 @@ def test_each_row_alone_equals_its_row_in_a_batch(n, rows):
     tm = TruncatedModel(np.arange(n, dtype=float), 0.5 * (q + q.T), 0.5 * (a - a.T))
     c = rng.standard_normal((rows, 2 * n)).view(np.complex128)
     c /= np.linalg.norm(c, axis=-1, keepdims=True)
-    batch = np.stack(tm.expectations(c), axis=-1)
-    alone = np.array([tm.expectations(row) for row in c])
+    batch = np.stack(expectations(tm, c), axis=-1)
+    alone = np.array([expectations(tm, row) for row in c])
     assert np.array_equal(alone, batch)
 
 
@@ -506,18 +513,11 @@ def test_truncation_converges_from_below(harmonic_grid):
 
 
 def test_unitary_flow_leaves_moments_invariant(tm8):
-    cfg = ChainConfig(chain_count=4, steps_per_chain=8000, burn_in=2000, seed=9,
-                      keep_coefficients=True)
-    run = sample_ensemble(tm8, 2.0, cfg)
-    report = unitary_flow_check(run, tm8, t=0.7, hbar=1.0)
+    cfg = ChainConfig(chain_count=4, steps_per_chain=8000, burn_in=2000, seed=9)
+    run, states = retained_states(tm8, 2.0, cfg)
+    report = unitary_flow_check(run, states, tm8, t=0.7, hbar=1.0)
     for key, entry in report["moments"].items():
         assert abs(entry["diff"]) < 6 * entry["se"] + 1e-10, (key, entry)
-
-
-def test_unitary_flow_requires_coefficients(tm8):
-    run = sample_ensemble(tm8, 2.0, ChainConfig(chain_count=1, steps_per_chain=100))
-    with pytest.raises(UsageError):
-        unitary_flow_check(run, tm8, t=0.5, hbar=1.0)
 
 
 def test_iat_of_white_noise_is_one():

@@ -140,7 +140,7 @@ def test_warm_start_matches_lapack(mass, lam, near, dw_grid):
     tilted = tilt_hamiltonian(op, lam)
     warm = lowest_eigenpairs(tilted, 1, start=start)[0]
     cold = lowest_eigenpairs(tilted, 1)[0]
-    assert warm.method == "inverse_iteration" and cold.method == "lapack"
+    assert warm.work["lapack_fallbacks"] == 0 and cold.work["factorizations"] == 0
     assert abs(warm.energy - cold.energy) <= 1e-9 * max(1.0, abs(cold.energy))
     overlap = inner_product(warm.wavefunction, cold.wavefunction, dw_grid).real
     assert overlap >= 1.0 - 1e-12
@@ -156,7 +156,7 @@ def test_warm_start_from_exact_eigenvector_stops_at_roundoff(mass, lam, dw_grid)
     tilted = tilt_hamiltonian(assemble_hamiltonian(double_well(mass), dw_grid), lam)
     cold = lowest_eigenpairs(tilted, 1)[0]
     warm = lowest_eigenpairs(tilted, 1, start=cold.wavefunction)[0]
-    assert warm.method == "inverse_iteration" and cold.work["factorizations"] == 0
+    assert warm.work["lapack_fallbacks"] == 0 and cold.work["factorizations"] == 0
     assert warm.work["factorizations"] == 1
     assert abs(warm.energy - cold.energy) <= 1e-10 * max(1.0, abs(cold.energy))
     assert np.max(np.abs(warm.wavefunction - cold.wavefunction)) <= 1e-10
@@ -186,7 +186,7 @@ def test_failed_factorization_falls_back_to_lapack(mass, dw_grid):
     odd = lowest_eigenpairs(op, 2)[1]
     pair = lowest_eigenpairs(op, 1, start=odd.wavefunction)[0]
     cold = lowest_eigenpairs(op, 1)[0]
-    assert pair.method == "lapack"
+    assert pair.work["lapack_fallbacks"] == 1
     assert pair.energy == cold.energy
     assert np.array_equal(pair.wavefunction, cold.wavefunction)
     assert pair.residual == cold.residual
@@ -261,7 +261,7 @@ def test_window_that_cuts_the_ground_state_is_finished_on_the_whole_grid(lam):
     lo, hi = spectra._window(op, start)
     cold = lowest_eigenpairs(op, 1)[0]
     warm = lowest_eigenpairs(op, 1, start=start)[0]
-    assert warm.method == "inverse_iteration"
+    assert warm.work["lapack_fallbacks"] == 0
     # some factorizations of the window, then some of the whole grid
     rows, factorizations = warm.work["factorized_rows"], warm.work["factorizations"]
     assert any(rows == (factorizations - k) * (hi - lo) + k * op.n
@@ -281,7 +281,7 @@ def _check_cold_path(k, mass, grid):
         phi = vec / np.sqrt(grid.dx)
         if phi[np.abs(phi) > 1e-8][0] < 0:
             phi = -phi
-        assert pair.method == "lapack"
+        assert pair.work["factorizations"] == 0
         assert pair.energy == float(energies[i])
         assert np.array_equal(pair.wavefunction, phi)
         assert pair.residual == float(np.linalg.norm(op.apply(vec) - energies[i] * vec))
@@ -318,7 +318,9 @@ def test_loader_falls_back_to_scipy_linalg_lapack(monkeypatch, dw_grid):
     for module in (loaded, fallback):
         monkeypatch.setattr(spectra, "_lapack", module)
         runs.append(lowest_eigenpairs(op, 3) + lowest_eigenpairs(tilted, 1, start=start))
-    assert [p.method for p in runs[1]] == ["lapack"] * 3 + ["inverse_iteration"]
+    # three cold pairs, then a warm one that did not fall back
+    assert [p.work["factorizations"] > 0 for p in runs[1]] == [False] * 3 + [True]
+    assert runs[1][3].work["lapack_fallbacks"] == 0
     for a, b in zip(*runs):
-        assert a.energy == b.energy and a.residual == b.residual and a.method == b.method
+        assert a.energy == b.energy and a.residual == b.residual and a.work == b.work
         assert np.array_equal(a.wavefunction, b.wavefunction)

@@ -7,10 +7,10 @@ from wfgibbs import (
     build_two_state,
     two_state_veff,
 )
-from wfgibbs.twostate import rescale, two_state_coefficients, two_state_coherent
+from wfgibbs.twostate import rescale
 
 from conftest import (DOUBLE_WELL_MASSES, DOUBLE_WELL_REFERENCE, harmonic, inner_product,
-                      momentum_expectation)
+                      momentum_expectation, two_state_coefficients, two_state_coherent)
 
 
 @pytest.mark.parametrize("mass", DOUBLE_WELL_MASSES)
@@ -43,7 +43,7 @@ def test_domain_guard(two_state_models):
     with pytest.raises(UsageError, match="exceeds the dipole"):
         two_state_veff(ts, 1.01 * ts.d)
     with pytest.raises(UsageError, match="exceeds the dipole"):
-        two_state_coefficients(ts, -1.5 * ts.d)
+        two_state_veff(ts, -1.5 * ts.d)
 
 
 def test_coefficients_satisfy_constraints(two_state_models):
