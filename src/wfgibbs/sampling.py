@@ -226,7 +226,8 @@ def integrated_autocorrelation(series: np.ndarray) -> float:
     return float(max(taus[window[0] + 1 if len(window) else n - 1], 1.0))
 
 
-def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> SampleRun:
+def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
+                    on_block=None) -> SampleRun:
     """Run independent Metropolis chains in lockstep and merge their samples.
 
     The states are held as the float64 view (chains, 2N) of the
@@ -248,7 +249,11 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
     steps alike. At the end of a block (<q>, <p>) is evaluated only for each
     chain's first retained state and the states of accepted steps, and
     repeated over the rejected steps after them, which repeat their state
-    bit for bit.
+    bit for bit. The samples go into out, a (chains, steps, 2) float64
+    array, when one is given, and on_block(lo, hi), when given, is called at
+    the end of each block that retains a step, once the retained steps
+    lo <= step < hi of every chain are in place (cli formats them in
+    another process while the chains run on).
 
     Each chain draws all its randomness from a private generator seeded by
     (seed, chain index), in blocks of normals then uniforms, so the chain
@@ -274,7 +279,11 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
     energy = norm2_e[:, 1] / norm2_e[:, 0]
     sigma = np.full((n_chains, 1), _PROPOSAL_SCALE)
 
-    samples = np.empty((n_chains, cfg.steps_per_chain, 2))
+    shape = (n_chains, cfg.steps_per_chain, 2)
+    samples = np.empty(shape) if out is None else out
+    if samples.shape != shape or samples.dtype != np.float64:
+        raise UsageError(f"out must be a float64 array of shape {shape}, "
+                         f"got {samples.dtype} {samples.shape}")
 
     total = cfg.burn_in + cfg.steps_per_chain
     width = min(_NOISE_BLOCK, total)
@@ -346,6 +355,8 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig) -> Sample
                                    out=noise.reshape(-1, 2 * n)[:len(rows)])
                 q, p = tm._real_expectations(retained)
                 samples[i, lo:hi, 0], samples[i, lo:hi, 1] = np.repeat(q, runs), np.repeat(p, runs)
+            if on_block is not None:
+                on_block(lo, hi)
 
     return SampleRun(
         beta=beta,

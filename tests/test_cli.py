@@ -112,7 +112,10 @@ def test_commands_return_their_files_and_write_none(command, tmp_path, monkeypat
         else:
             assert isinstance(content, dict)
     if command == "sample":  # 1M rows of samples.csv stay lazy until main writes them
-        assert not isinstance(files["samples.csv"][1], (list, tuple))
+        rows = files["samples.csv"][1]
+        assert not isinstance(rows, (list, tuple))
+        rows.close()  # and closing them reaps the process that formats them
+        _no_child_left()
 
 
 def test_missing_config_is_config_error(tmp_path, capsys):
@@ -558,6 +561,118 @@ def test_interrupt_reaps_every_child(tmp_path, monkeypatch, forks):
     with pytest.raises(KeyboardInterrupt):
         main(["veff", "--config", cfg, "--out", str(out)])
     assert not out.exists() and len(forks) == 1
+    _no_child_left()
+
+
+def _sample_config(tmp_path, **section):
+    # 2 chains whose 9000 retained steps span three noise blocks, the first
+    # cut by a burn-in that ends inside it
+    assert 2 * sampling._NOISE_BLOCK < 9000 and 0 < 1000 < sampling._NOISE_BLOCK
+    return write_config(tmp_path, {
+        "model": DOUBLE_WELL_MODEL,
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        "sample": {"n_basis": 4, "beta": 5.0, "chains": 2, "steps_per_chain": 9000,
+                   "burn_in": 1000, "validate": "marginal", "tv_tolerance": 1.0, **section},
+    })
+
+
+def test_forked_and_in_process_formatting_write_the_same_files(tmp_path, monkeypatch, capsys,
+                                                                forks):
+    # with two CPUs a forked child formats samples.csv while the chains
+    # run; with one, this process formats it after them: the same bytes
+    cfg = _sample_config(tmp_path)
+    runs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+        runs.append(({p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr()))
+        assert len(forks) == 1
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][0]) == ["sample_run.json", "samples.csv"]
+    assert runs[0][0]["samples.csv"].count(b"\n") == 2 + 2 * 9000
+    _no_child_left()
+
+
+@pytest.mark.parametrize("raised", [SolverError, KeyboardInterrupt])
+def test_failed_engine_reaps_the_formatter(raised, tmp_path, capsys, monkeypatch, forks):
+    # the engine fails in its second block, after the formatter has been
+    # handed the first: exit 3, or the interrupt, no output directory and
+    # no child left
+    calls = []
+
+    def expectations(tm, x, real=sampling.TruncatedModel._real_expectations):
+        calls.append(len(x))
+        if len(calls) == 3:
+            raise raised("engine stopped")
+        return real(tm, x)
+
+    monkeypatch.setattr(sampling.TruncatedModel, "_real_expectations", expectations)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    argv = ["sample", "--config", _sample_config(tmp_path), "--out", str(out)]
+    if raised is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt) as interrupt:
+            main(argv)
+        # the run reaps it, not the collection of the traceback, which holds
+        # every frame of the run
+        assert interrupt.tb is not None
+        _no_child_left()
+    else:
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "solver error: engine stopped\n"
+    assert not out.exists() and len(forks) == 1 and len(calls) == 3
+    _no_child_left()
+
+
+def test_interrupted_write_reaps_the_formatter(tmp_path, monkeypatch, forks):
+    # main closes the rows it was given on every path: an interrupt before
+    # samples.csv is read reaps the formatter that holds its text
+    def interrupted(path, columns, rows):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_csv", interrupted)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = ["sample", "--config", _sample_config(tmp_path), "--out", str(tmp_path / "out")]
+    with pytest.raises(KeyboardInterrupt) as interrupt:
+        main(argv)
+    assert interrupt.tb is not None and len(forks) == 1
+    _no_child_left()
+
+
+def test_killed_formatter_fails_the_run(tmp_path, capsys, monkeypatch, forks):
+    # a formatter killed before it confirms every block, as by the OOM
+    # killer: exit 3 naming it, no output directory and no child left
+    parent = os.getpid()
+
+    def lines(samples, chain, lo, hi, real=cli._sample_lines):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(samples, chain, lo, hi)
+
+    monkeypatch.setattr(cli, "_sample_lines", lines)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert main(["sample", "--config", _sample_config(tmp_path), "--out", str(out)]) == 3
+    assert not out.exists() and len(forks) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("solver error: the process formatting samples.csv ended "
+                            "before it sent the text\n")
+    assert captured.out.startswith("PASS total-variation")
+    _no_child_left()
+
+
+def test_failed_validation_still_writes_both_files(tmp_path, capsys, monkeypatch, forks):
+    # validate: marginal fails (exit 1) and the run is written as it is,
+    # formatted by the child
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    cfg = _sample_config(tmp_path, tv_tolerance=1e-9)
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["sample_run.json", "samples.csv"]
+    assert (out / "samples.csv").read_bytes().count(b"\n") == 2 + 2 * 9000
+    assert capsys.readouterr().out.startswith("FAIL total-variation")
+    assert len(forks) == 1
     _no_child_left()
 
 
@@ -1229,7 +1344,9 @@ def test_canonical_reads_only_the_n_level_model():
 def test_preset_configs_parse():
     from wfgibbs.cli import load_config
 
-    for preset in sorted(Path("configs").glob("*.json")):
+    presets = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+    assert len(presets) == 7
+    for preset in presets:
         cfg = load_config(preset)
         assert cfg["model"].mass > 0
         assert cfg["sample"]["validate"] in {"none", "exact", "marginal"}
@@ -1288,10 +1405,24 @@ def _hand_built_samples():
     return np.stack([chain, chain[::-1]])
 
 
-@pytest.mark.parametrize("case", ["seeded", "beta_zero", "hand_built"])
+def _block_boundary_samples():
+    # 2 * _NOISE_BLOCK + 3 distinct rows, but across each block boundary
+    # the first chain repeats a row four times and the second has q = -0.0
+    # then 0.0 (equal as floats, different as text)
+    block = sampling._NOISE_BLOCK
+    samples = np.random.default_rng(3).standard_normal((2, 2 * block + 3, 2))
+    for edge in (block, 2 * block):
+        samples[0, edge - 2:edge + 2] = samples[0, edge - 2]
+        samples[1, edge - 1:edge + 1] = [[-0.0, 0.5], [0.0, 0.5]]
+    return samples
+
+
+@pytest.mark.parametrize("case", ["seeded", "beta_zero", "hand_built", "block_boundaries"])
 def test_sample_rows_match_per_float_formatting(case, tmp_path, harmonic_grid):
     if case == "hand_built":
         samples = _hand_built_samples()
+    elif case == "block_boundaries":
+        samples = _block_boundary_samples()
     else:
         tm = sampling.build_truncated_model(ModelParams.from_dict(HARMONIC_MODEL), 6,
                                             harmonic_grid)
@@ -1303,7 +1434,7 @@ def test_sample_rows_match_per_float_formatting(case, tmp_path, harmonic_grid):
         # rejected steps repeat their state; at beta = 0 none is rejected
         assert repeats > 0.3 if case == "seeded" else repeats == 0.0
     cli.write_csv(tmp_path / "per_float.csv", "q,p,chain,step", _per_float_rows(samples))
-    cli.write_csv(tmp_path / "runs.csv", "q,p,chain,step", cli._sample_rows(samples))
+    cli.write_csv(tmp_path / "runs.csv", "q,p,chain,step", cli._sample_text(samples))
     expected = (tmp_path / "per_float.csv").read_bytes()
     assert (tmp_path / "runs.csv").read_bytes() == expected
     assert expected.count(b"\n") == 2 + samples.shape[0] * samples.shape[1]
@@ -1330,7 +1461,7 @@ def test_sampler_and_csv_writer_memory_stay_bounded(tmp_path, harmonic_grid):
             samples = np.concatenate([run.samples[:, :2500]] * copies)
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            cli.write_csv(tmp_path / "samples.csv", "q,p,chain,step", cli._sample_rows(samples))
+            cli.write_csv(tmp_path / "samples.csv", "q,p,chain,step", cli._sample_text(samples))
             writer_peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -136,6 +137,30 @@ def test_bitwise_reproducibility(tm8):
     c = sample_ensemble(tm8, 2.0, ChainConfig(chain_count=3, steps_per_chain=2000,
                                               burn_in=500, seed=12))
     assert not np.array_equal(a.samples, c.samples)
+
+
+def test_output_array_and_block_hook_leave_the_run_unchanged(tm8):
+    # the samples go into the array given, bit for bit those of a run
+    # without it; the hook is called once per noise block that retains a
+    # step, with retained steps that tile the chain in order, each block's
+    # samples final when it is called
+    block = sampling._NOISE_BLOCK
+    cfg = ChainConfig(chain_count=2, steps_per_chain=2 * block + 100, burn_in=300, seed=4)
+    plain = sample_ensemble(tm8, 2.0, cfg)
+    out = np.full((2, cfg.steps_per_chain, 2), np.nan)
+    seen = []
+
+    def on_block(lo, hi):
+        seen.append((lo, hi, out[:, lo:hi].copy()))
+
+    run = sample_ensemble(tm8, 2.0, cfg, out=out, on_block=on_block)
+    assert run.samples is out and np.array_equal(out, plain.samples)
+    assert [(lo, hi) for lo, hi, _ in seen] == [
+        (0, block - 300), (block - 300, 2 * block - 300), (2 * block - 300, 2 * block + 100)]
+    for lo, hi, filled in seen:
+        assert np.array_equal(filled, plain.samples[:, lo:hi])
+    with pytest.raises(UsageError, match="shape"):
+        sample_ensemble(tm8, 2.0, cfg, out=np.empty((2, cfg.steps_per_chain, 3)))
 
 
 def test_acceptance_rate_tuned(tm8):
@@ -377,14 +402,35 @@ def test_exact_oracle_agrees_with_quadrature(harmonic_grid, dw_grid):
                 assert exact[key] == pytest.approx(quad[key], abs=1e-9), (beta, key)
 
 
+# truncated models and the mpmath variances of <q> and <p> on them, by
+# tests/make_mpmath_reference.py (conftest.exact_sphere_variance)
+MPMATH_REFERENCE = json.loads((Path(__file__).parent / "mpmath_reference.json").read_text())
+
+
+def _reference_model(name):
+    case = MPMATH_REFERENCE[name]
+    tm = TruncatedModel(*(np.array(case[key]) for key in ("energies", "q_matrix",
+                                                         "p_matrix_imag")))
+    return tm, zip(case["betas"], case["var_q"], case["var_p"])
+
+
+def test_reference_models_are_current():
+    # the committed models are the ones build_truncated_model makes today
+    for case in MPMATH_REFERENCE.values():
+        tm = build_truncated_model(ModelParams.from_dict(case["model"]), case["levels"],
+                                   GridSpec.from_dict(case["grid"]))
+        for key in ("energies", "q_matrix", "p_matrix_imag"):
+            np.testing.assert_allclose(getattr(tm, key), case[key], rtol=1e-12, atol=1e-14)
+
+
 @pytest.mark.parametrize("n", [2, 8, 24])
-def test_exact_moments_match_mpmath_reference(n, harmonic_grid):
-    tm = build_truncated_model(harmonic(), n, harmonic_grid)
-    # beta = 0.01 clusters the nodes beta (E - E0), where a Pade expm fails
-    for beta in (0.0, 0.01, 1.0, 2.0, 10.0):
+def test_exact_moments_match_mpmath_reference(n):
+    # harmonic levels; beta = 0.01 clusters the nodes beta (E - E0), where a
+    # Pade expm fails
+    tm, reference = _reference_model(f"harmonic_n{n}")
+    assert tm.n == n
+    for beta, var_q, var_p in reference:
         exact = exact_moments(tm, beta)
-        var_q = exact_sphere_variance(tm.energies, tm.q_matrix, beta)
-        var_p = exact_sphere_variance(tm.energies, np.abs(tm.p_matrix_imag), beta)
         assert exact["var_q"] == pytest.approx(var_q, rel=1e-12, abs=0), beta
         assert exact["var_p"] == pytest.approx(var_p, rel=1e-12, abs=0), beta
         assert abs(exact["mean_q"]) < 1e-9 and exact["mean_p"] == 0.0
@@ -394,11 +440,9 @@ def test_exact_moments_at_huge_beta_match_mpmath():
     # N=24 double well: the weights exp(-beta (E - E_0)) are subnormal at
     # beta = 1e12 and zero at 1e15, but the contour's terms are taken
     # relative to the largest, in logarithms, and stay in range
-    tm = build_truncated_model(double_well(0.5), 24, GridSpec(-6.0, 6.0, 801))
-    for beta in (1e11, 1e12, 1e15, 1e19):
+    tm, reference = _reference_model("double_well_m0.5_n24")
+    for beta, var_q, var_p in reference:
         exact = exact_moments(tm, beta)
-        var_q = exact_sphere_variance(tm.energies, tm.q_matrix, beta)
-        var_p = exact_sphere_variance(tm.energies, np.abs(tm.p_matrix_imag), beta)
         assert exact["var_q"] == pytest.approx(var_q, rel=1e-12, abs=0), beta
         assert exact["var_p"] == pytest.approx(var_p, rel=1e-12, abs=0), beta
 
