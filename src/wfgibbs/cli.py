@@ -4,25 +4,34 @@ Subcommands: eig, veff, twostate, fluct, sample, canonical. Each reads a
 single JSON configuration file (unknown keys rejected) and returns (exit
 code, files): files maps each output file name to (columns, rows) for a .csv
 file or to the payload of a JSON file. main alone creates the output
-directory and writes them, so a failed run writes nothing. Exit codes: 0
-success, 1 validation failure, usage error or coverage error, 2
-configuration error, 3 solver error (errors.py).
+directory and writes them, into a staging directory that becomes the
+output only once every file is complete, so a failed run writes nothing.
+Exit codes: 0 success, 1 validation failure, usage error or coverage
+error, 2 configuration error, 3 solver error (errors.py).
 veff and fluct solve each mass's doublet and table in forked processes
-(_per_mass); sample formats samples.csv in a forked process while its chains
-run (_formatter). Each runs in this process alone on one usable CPU.
+(_per_mass). sample forks one child (_formatter) with two jobs: it draws
+the chains' random numbers one block ahead of the engine, and it formats
+samples.csv while the chains run. Each block's request for draws reaches
+it before the block's text is asked for, and it draws before it formats,
+so the engine's step loop does nothing but the Metropolis steps and
+waits for no text. Each runs in this process alone on one usable CPU.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import itertools
 import json
 import mmap
 import os
 import pickle
+import select
+import shutil
 import signal
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -445,47 +454,106 @@ def _sample_text(samples: np.ndarray):
             for chain in range(len(samples)) for lo in range(0, steps, block))
 
 
-def _formatter(samples: np.ndarray):
+def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: float):
     """Yield, for samples, a (chains, steps, 2) array in shared memory that
-    the engine fills: first the engine's hook on_block; then None, once
-    every block handed to on_block is formatted; then the samples.csv text.
+    the engine fills with cfg's chains on n levels at beta: first the
+    engine's (draws, on_block); then None, once every block handed to
+    on_block is formatted; then the samples.csv text.
 
     With os.fork and two usable CPUs, the rule of _per_mass, a forked child
-    formats steps lo <= step < hi of every chain (_sample_lines) as soon as
-    the engine calls on_block(lo, hi), and keeps the text. The second item
-    waits for the child's word that it has formatted every block. The text
-    then comes back through a pipe, chain by chain in the child's blocks,
-    so this process holds one block's text at a time. A child that ends
-    before it has sent all of it (killed, say, for want of memory) raises
-    SolverError. Close the generator to reap the child: on every path, no
-    child outlives it. Otherwise on_block is None, and the text is
-    formatted in this process as it is read (_sample_text).
+    has two jobs. It draws the chains' random numbers
+    (sampling.chain_draws) into two block slots of shared memory, one block
+    ahead of the engine, and it formats steps lo <= step < hi of every chain
+    (_sample_lines) once the engine calls on_block(lo, hi), and keeps the
+    text. It draws the start vectors and the first two blocks, each followed
+    by a byte on the ready pipe, then serves the engine's messages: "d" when
+    the engine takes the next block, which frees the slot of the block
+    before it for the block after it, and "lo hi" per on_block. The engine
+    takes the next block right after a block's steps, before it evaluates
+    their samples and calls on_block, and the child draws as soon as it
+    reads "d"; it formats one chain's steps of a block at a time, and only
+    while no message waits, so a draw waits for at most one chain's text
+    and the text catches up once the engine has taken its last block (on
+    dw_m0.2_sample.json's settings, draws queued behind whole blocks of
+    text cost the engine up to 0.2 s of waiting). The second item waits for
+    the child's word that it has formatted every block. The text then comes
+    back through a pipe, chain by chain in the child's blocks, so this
+    process holds one block's text at a time. A child that ends before it
+    has drawn a block the engine takes, or before it has sent all of the
+    text (killed, say, for want of memory), raises SolverError. Close the
+    generator to reap the child: on every path, no child outlives it. Once
+    the engine has taken its last block, this process drops the slots from
+    its resident memory, which the validation and the write that follow
+    would otherwise carry. Otherwise draws and on_block are None, the
+    engine draws in this process, and the text is formatted in this
+    process as it is read (_sample_text).
 
-    On 2 cores (sample_dw, 1M rows) the engine takes 1.3-1.7 s and the
-    formatting about 0.8 s, and the child slows the engine by at most a
-    few percent. Splitting the chains between processes would not pay: a
-    lockstep step costs about 10 us for any chain count from 1 to 8."""
+    On 2 cores, in this process, drawing takes about a quarter of the
+    engine's time (0.15 s of 0.6 s on harmonic_sample.json's 4 chains of
+    N = 24), and formatting the 1M rows of dw_m0.2_sample.json about 0.8
+    s against its engine's 1.3 s; the child does both beside the engine.
+    Splitting the chains between processes would not pay: a lockstep step
+    costs about the same for any chain count from 1 to 8."""
     if not hasattr(os, "fork") or _usable_cpus() < 2:
-        yield None
+        yield None, None
         yield None
         yield from _sample_text(samples)
         return
-    read, write = os.pipe()  # the engine's blocks, unbuffered
+    n2, total = 2 * n, cfg.burn_in + cfg.steps_per_chain
+    width = min(sampling._NOISE_BLOCK, total)
+    slot_size = width * cfg.chain_count * (n2 + 1)
+    region = mmap.mmap(-1, 8 * (cfg.chain_count * n2 + 2 * slot_size))
+    shared = np.ndarray(cfg.chain_count * n2 + 2 * slot_size, buffer=region)
+    starts = shared[:cfg.chain_count * n2].reshape(cfg.chain_count, n2)
+    slots = [(slot[:width * cfg.chain_count * n2].reshape(width, cfg.chain_count, n2),
+              slot[width * cfg.chain_count * n2:].reshape(width, cfg.chain_count))
+             for slot in shared[starts.size:].reshape(2, slot_size)]
+    read, write = os.pipe()  # the engine's messages, unbuffered
     blocks, feed = os.fdopen(read, "rb"), os.fdopen(write, "wb", buffering=0)
+    read, write = os.pipe()  # a byte per item drawn
+    ready, drew = os.fdopen(read, "rb", buffering=0), os.fdopen(write, "wb", buffering=0)
     read, write = os.pipe()  # the child's text
     text, sink = os.fdopen(read, "rb"), os.fdopen(write, "wb")
     pid = 0
     try:
         pid = os.fork()
-        for end in (feed, text) if pid == 0 else (blocks, sink):
+        for end in (feed, ready, text) if pid == 0 else (blocks, drew, sink):
             end.close()
-        if pid == 0:  # the child formats each block it is handed, sends the text, never returns
+        if pid == 0:  # the child draws and formats as the engine asks, never returns
             try:
-                chains = [[] for _ in samples]
-                for line in blocks:
-                    lo, hi = map(int, line.split())
-                    for chain, chunks in enumerate(chains):
-                        chunks.append(_sample_lines(samples, chain, lo, hi))
+                stream = sampling.chain_draws(cfg, n, beta)
+                starts[...] = next(stream)
+                drew.write(b"s")
+                pending = zip(itertools.cycle(slots), stream)
+
+                def draw():  # the next block, if one is left, into its slot
+                    for (normals, thresholds), (z, t) in itertools.islice(pending, 1):
+                        normals[:len(z)], thresholds[:len(t)] = z, t
+                        drew.write(b"b")
+
+                draw()
+                draw()
+                chains, tasks = [[] for _ in samples], collections.deque()
+                fd, tail = blocks.fileno(), b""
+                while True:
+                    # a chain's text of a block at a time, and only while no
+                    # message waits: a request to draw never waits for more
+                    if tasks and not select.select([fd], [], [], 0)[0]:
+                        chain, lo, hi = tasks.popleft()
+                        chains[chain].append(_sample_lines(samples, chain, lo, hi))
+                        continue
+                    data = os.read(fd, 1 << 16)
+                    if not data:
+                        break
+                    *lines, tail = (tail + data).split(b"\n")
+                    for line in lines:
+                        if line == b"d":
+                            draw()
+                        else:
+                            lo, hi = map(int, line.split())
+                            tasks.extend((chain, lo, hi) for chain in range(len(chains)))
+                for chain, lo, hi in tasks:
+                    chains[chain].append(_sample_lines(samples, chain, lo, hi))
                 pickle.dump(len(chains[0]), sink)  # its word: every block is formatted
                 sink.flush()
                 for chunk in itertools.chain(*chains):
@@ -494,11 +562,31 @@ def _formatter(samples: np.ndarray):
             finally:
                 os._exit(0)
 
-        def on_block(lo, hi):
-            with contextlib.suppress(BrokenPipeError):  # a dead child fails at its word
-                feed.write(b"%d %d\n" % (lo, hi))
+        def send(message):
+            with contextlib.suppress(BrokenPipeError):  # a dead child fails at its next word
+                feed.write(message)
 
-        yield on_block
+        def taken(what):
+            if not ready.read(1):
+                raise SolverError(f"the process drawing the chains' random numbers "
+                                  f"ended before it drew {what}")
+
+        def draws():
+            taken("the start vectors")
+            yield starts
+            for index, start in enumerate(range(0, total, sampling._NOISE_BLOCK)):
+                if index:  # the block before is spent: its slot takes the block after
+                    send(b"d\n")
+                taken(f"block {index}")
+                normals, thresholds = slots[index % 2]
+                block = min(sampling._NOISE_BLOCK, total - start)
+                yield normals[:block], thresholds[:block]
+            # the engine has spent every block: its slots need not stay in
+            # this process's memory through validation and the write
+            if hasattr(mmap, "MADV_DONTNEED"):
+                region.madvise(mmap.MADV_DONTNEED)
+
+        yield draws(), lambda lo, hi: send(b"%d %d\n" % (lo, hi))
         feed.close()  # the end of the blocks
         try:
             blocks_formatted = pickle.load(text)
@@ -509,7 +597,7 @@ def _formatter(samples: np.ndarray):
             raise SolverError("the process formatting samples.csv ended "
                               "before it sent the text") from None
     finally:
-        for end in (blocks, feed, text, sink):
+        for end in (blocks, feed, ready, drew, text, sink):
             end.close()
         # a child that has sent its text has nothing left to do
         if pid:
@@ -520,21 +608,22 @@ def _formatter(samples: np.ndarray):
 def cmd_sample(cfg):
     section = cfg["sample"]
     mp = cfg["model"]
-    tm = sampling.build_truncated_model(mp, section["n_basis"], cfg["grid"])
     chain_cfg = sampling.ChainConfig(
         chain_count=section["chains"],
         steps_per_chain=section["steps_per_chain"],
         burn_in=section["burn_in"],
         seed=cfg["seed"],
     )
-    # the engine writes its samples into memory shared with the formatter
+    # the engine writes its samples into memory shared with the formatter,
+    # which draws the first blocks of random numbers while the model is built
     shape = (chain_cfg.chain_count, chain_cfg.steps_per_chain, 2)
     samples = np.ndarray(shape, buffer=mmap.mmap(-1, 16 * shape[0] * shape[1]))
-    text = _formatter(samples)
+    text = _formatter(samples, chain_cfg, section["n_basis"], section["beta"])
     try:
-        on_block = next(text)
+        draws, on_block = next(text)
+        tm = sampling.build_truncated_model(mp, section["n_basis"], cfg["grid"])
         run = sampling.sample_ensemble(tm, section["beta"], chain_cfg, out=samples,
-                                       on_block=on_block)
+                                       on_block=on_block, draws=draws)
         passed, report = _validate_sample(run, tm, cfg, section)
         print(f"acceptance={run.acceptance_rate:.3f} "
               f"iat={run.integrated_autocorrelation_time:.1f}")
@@ -597,12 +686,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and write the files it returns, all or none: a run
-    that fails creates no output directory."""
+    that fails, in its command or while its files are written, creates no
+    output directory and no file in one that exists. The files are written
+    into a fresh staging directory in the nearest existing directory of
+    the output path (the output directory itself, when it exists) and
+    moved into the output directory only once every one is complete; the
+    staging directory is removed on every path."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.seed, args.command)
         out = Path(args.out) if args.out is not None else cfg["output"]
-        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
             raise ConfigurationError(f"output directory {out}: a file is in its way")
         code, files = COMMANDS[args.command](cfg)
         with contextlib.ExitStack() as stack:
@@ -611,13 +706,17 @@ def main(argv=None) -> int:
             for name, content in files.items():
                 if name.endswith(".csv") and hasattr(content[1], "close"):
                     stack.callback(content[1].close)
-            out.mkdir(parents=True, exist_ok=True)
+            staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=nearest))
+            stack.callback(shutil.rmtree, staging, ignore_errors=True)
             for name, content in files.items():
                 if name.endswith(".csv"):
-                    write_csv(out / name, *content)
+                    write_csv(staging / name, *content)
                 else:
-                    with open(out / name, "w") as fh:
+                    with open(staging / name, "w") as fh:
                         json.dump(content, fh, indent=2, default=float)
+            out.mkdir(parents=True, exist_ok=True)
+            for name in files:
+                os.replace(staging / name, out / name)
         return code
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -226,41 +226,88 @@ def integrated_autocorrelation(series: np.ndarray) -> float:
     return float(max(taus[window[0] + 1 if len(window) else n - 1], 1.0))
 
 
+def chain_draws(cfg: ChainConfig, n: int, beta: float):
+    """Yield the random stream of cfg's chains on n levels: first the start
+    vectors, a (chains, 2N) array, then for each block of _NOISE_BLOCK steps
+    (the last may be shorter) the step-major normals (block, chains, 2N) and
+    the thresholds -log(u) / beta (block, chains) of the rule dE < -log(u) /
+    beta (+inf at beta = 0, where every step is accepted).
+
+    Each chain draws from a private generator seeded by (seed, chain index):
+    its start, then per block its normals and then its uniforms, so the
+    chain count does not change any chain's stream. A chain draws into a
+    (block, 2N) scratch that is copied into its column of the step-major
+    array. The arrays yielded are reused: each is valid until the next item
+    is drawn."""
+    n_chains, n2 = cfg.chain_count, 2 * n
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
+            for i in range(n_chains)]
+    yield np.stack([rng.standard_normal(n2) for rng in rngs])
+    total = cfg.burn_in + cfg.steps_per_chain
+    width = min(_NOISE_BLOCK, total)
+    normals, thresholds = np.empty((width, n_chains, n2)), np.empty((width, n_chains))
+    scratch, uniforms = np.empty((width, n2)), np.empty(width)
+    for start in range(0, total, _NOISE_BLOCK):
+        block = min(_NOISE_BLOCK, total - start)
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=scratch[:block])
+            normals[:block, i] = scratch[:block]
+            u = rng.random(out=uniforms[:block])
+            # u = 0, beta = 0 or a beta below about 1e-307 gives t = +inf
+            with np.errstate(divide="ignore", over="ignore"):
+                np.divide(np.negative(np.log(u, out=u), out=u), beta, out=thresholds[:block, i])
+        yield normals[:block], thresholds[:block]
+
+
+def _checked(array, shape: tuple, name: str):
+    """array, when it is a float64 array of the given shape; else UsageError."""
+    if not isinstance(array, np.ndarray) or array.shape != shape or array.dtype != np.float64:
+        raise UsageError(f"{name} must be a float64 array of shape {shape}, got "
+                         f"{getattr(array, 'dtype', type(array).__name__)} "
+                         f"{getattr(array, 'shape', '')}")
+    return array
+
+
 def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
-                    on_block=None) -> SampleRun:
+                    on_block=None, draws=None) -> SampleRun:
     """Run independent Metropolis chains in lockstep and merge their samples.
 
     The states are held as the float64 view (chains, 2N) of the
     coefficients, real and imaginary parts interleaved. One step of every
     chain is a handful of numpy calls on contiguous (chains, 2N) slabs and
-    (chains,) vectors: prop = c + sigma z, then one dot of prop**2 against
+    (chains,) vectors: the proposal c + sigma z goes straight into its row
+    of the block's proposals, then one dot of its square against
     F = [1, E - E0] (each energy repeated for the real and the imaginary
     part) gives |prop|^2 and sum_k (E_k - E0) |prop_k|^2, whose ratio is
-    the energy of normalize(prop). The rule u < exp(-beta max(dE, 0)) is
-    applied as dE < -log(u) / beta, with the thresholds taken per noise
-    block (+inf at beta = 0, where every step is accepted). An exactly zero
-    proposal, which has probability zero, gets the energy 0/0 = nan and is
-    rejected. Sigma only changes at the tuning boundaries of burn-in, so the
-    noise is scaled in place once per tuning segment, and acceptances are
-    counted per segment.
+    the energy of normalize(prop), and |prop| goes into its row of the
+    block's norms. The rule u < exp(-beta max(dE, 0)) is applied as
+    dE < -log(u) / beta, and an accepted step sets c = prop / |prop|. An
+    exactly zero proposal, which has probability zero, gets the energy
+    0/0 = nan and is rejected. Sigma only changes at the tuning boundaries
+    of burn-in, so the noise is scaled in place once per tuning segment,
+    and acceptances are counted per segment.
 
-    The noise, thresholds, accept flags and retained states of a block are
+    The noise, thresholds, accept flags, proposals and norms of a block are
     step-major, (steps, chains, ...), and one loop runs burn-in and retained
-    steps alike. At the end of a block (<q>, <p>) is evaluated only for each
-    chain's first retained state and the states of accepted steps, and
-    repeated over the rejected steps after them, which repeat their state
-    bit for bit. The samples go into out, a (chains, steps, 2) float64
-    array, when one is given, and on_block(lo, hi), when given, is called at
-    the end of each block that retains a step, once the retained steps
-    lo <= step < hi of every chain are in place (cli formats them in
-    another process while the chains run on).
+    steps alike, with no copy of the state: only at the block's first
+    retained step is the state entering it copied. At the end of a block
+    (<q>, <p>) is evaluated only for each chain's first retained state and
+    the states of accepted steps, rebuilt as proposal / norm (the very
+    division the step made), and repeated over the rejected steps after
+    them, which repeat their state bit for bit. The samples go into out, a
+    (chains, steps, 2) float64 array, when one is given, and on_block(lo,
+    hi), when given, is called at the end of each block that retains a
+    step, once the retained steps lo <= step < hi of every chain are in
+    place (cli formats them in another process while the chains run on).
 
-    Each chain draws all its randomness from a private generator seeded by
-    (seed, chain index), in blocks of normals then uniforms, so the chain
-    count does not change any chain's random stream. (The BLAS kernel behind
-    the dot depends on the chain count, gemv for one chain and gemm for
-    more, so a chain's states can differ in the last bit between runs with
-    different chain counts.)
+    The random numbers come from draws, an iterator over the items of
+    chain_draws(cfg, tm.n, beta), which is the default (cli draws them in
+    another process, one block ahead). The next block is taken right after
+    a block's steps, before its samples are evaluated, so the draws of a
+    block are not read after that; an item of the wrong shape or dtype is a
+    UsageError. (The BLAS kernel behind the dot depends on the chain count,
+    gemv for one chain and gemm for more, so a chain's states can differ in
+    the last bit between runs with different chain counts.)
     """
     if not 0 <= beta < np.inf:
         raise UsageError(f"beta must be finite and >= 0, got {beta}")
@@ -270,68 +317,62 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
     if not np.all(np.isfinite(e_shift)):
         raise ConfigurationError("non-finite energies in truncated model")
     forms = np.column_stack([np.ones(2 * n), np.repeat(e_shift, 2)])
-    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
-            for i in range(n_chains)]
 
-    c = np.stack([rng.standard_normal(2 * n) for rng in rngs])
+    shape = (n_chains, cfg.steps_per_chain, 2)
+    samples = _checked(np.empty(shape) if out is None else out, shape, "out")
+    draws = chain_draws(cfg, n, beta) if draws is None else draws
+    c = _checked(next(draws, None), (n_chains, 2 * n), "draws' start").copy()
     norm2_e = (c * c) @ forms
     c /= np.sqrt(norm2_e[:, :1])
     energy = norm2_e[:, 1] / norm2_e[:, 0]
     sigma = np.full((n_chains, 1), _PROPOSAL_SCALE)
 
-    shape = (n_chains, cfg.steps_per_chain, 2)
-    samples = np.empty(shape) if out is None else out
-    if samples.shape != shape or samples.dtype != np.float64:
-        raise UsageError(f"out must be a float64 array of shape {shape}, "
-                         f"got {samples.dtype} {samples.shape}")
-
     total = cfg.burn_in + cfg.steps_per_chain
     width = min(_NOISE_BLOCK, total)
     # step-major block buffers: each step reads and writes (chains, 2N) slabs
     # and (chains,) vectors
-    noise = np.empty((width, n_chains, 2 * n))
-    kept = np.empty((width, n_chains, 2 * n))  # retained states of the block
-    uniforms, thresholds = np.empty((n_chains, width)), np.empty((width, n_chains))
+    kept = np.empty((width, n_chains, 2 * n))  # each step's proposal
+    roots = np.empty((width, n_chains, 1))  # and its norm
     accepts = np.empty((width, n_chains), dtype=bool)
-    prop, sq = np.empty((n_chains, 2 * n)), np.empty((n_chains, 2 * n))
-    r, root = np.empty((n_chains, 2)), np.empty((n_chains, 1))
-    norm2, e_sum, root_flat = r[:, 0], r[:, 1], root[:, 0]
+    entering = np.empty((n_chains, 2 * n))  # the state entering the first retained step
+    sq, r = np.empty((n_chains, 2 * n)), np.empty((n_chains, 2))
+    norm2, e_sum = r[:, 0], r[:, 1]
     e, de = np.empty(n_chains), np.empty(n_chains)
     accepted = np.zeros(n_chains, dtype=np.int64)
     window_accepted = np.zeros(n_chains, dtype=np.int64)
     # cuts between tuning segments: every tuning boundary and the end of burn-in
     cuts = [*range(_TUNE_WINDOW, cfg.burn_in + 1, _TUNE_WINDOW), cfg.burn_in]
+    # the step's ufuncs are bound to locals and take their outputs
+    # positionally: the lookups and keyword parsing they skip cost about
+    # 0.6 us of a 6 us step
+    add, multiply, dot, divide, subtract, less, sqrt, copyto = (
+        np.add, np.multiply, np.dot, np.divide, np.subtract, np.less, np.sqrt, np.copyto)
+    drawn = next(draws, None)
     for start in range(0, total, _NOISE_BLOCK):
         block = min(_NOISE_BLOCK, total - start)
-        # each chain draws its normals into a contiguous chain-major slab of
-        # kept (free until the block's steps run), then its uniforms
-        drawn = kept.reshape(-1)[:n_chains * block * 2 * n].reshape(n_chains, block, 2 * n)
-        for i, rng in enumerate(rngs):
-            rng.standard_normal(out=drawn[i])
-            rng.random(out=uniforms[i, :block])
-        noise[:block] = drawn.transpose(1, 0, 2)
-        # u = 0, beta = 0 or a beta below about 1e-307 gives t = +inf
-        with np.errstate(divide="ignore", over="ignore"):
-            np.divide(-np.log(uniforms[:, :block].T), beta, out=thresholds[:block])
+        noise, thresholds = (None, None) if drawn is None else drawn
+        noise = _checked(noise, (block, n_chains, 2 * n), "draws' normals")
+        thresholds = _checked(thresholds, (block, n_chains), "draws' thresholds")
+        first = max(cfg.burn_in - start, 0)  # the block's first retained step
         bounds = sorted({0, block, *(k - start for k in cuts if start < k < start + block)})
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             noise[lo:hi] *= sigma
-            keep = start + lo >= cfg.burn_in
+            if lo == first:
+                np.copyto(entering, c)
             with np.errstate(invalid="ignore", divide="ignore"):
-                for step, t, acc, acc_col, state in zip(
+                for step, t, acc, acc_col, prop, root, root_flat in zip(
                         noise[lo:hi], thresholds[lo:hi], accepts[lo:hi],
-                        accepts[lo:hi, :, None], kept[lo:hi]):
-                    np.add(c, step, out=prop)
-                    np.multiply(prop, prop, out=sq)
-                    np.dot(sq, forms, out=r)
-                    np.divide(e_sum, norm2, out=e)
-                    np.less(np.subtract(e, energy, out=de), t, out=acc)
-                    np.sqrt(norm2, out=root_flat)
-                    np.divide(prop, root, out=c, where=acc_col)
-                    np.copyto(energy, e, where=acc)
-                    if keep:
-                        state[...] = c
-            if keep:
+                        accepts[lo:hi, :, None], kept[lo:hi], roots[lo:hi],
+                        roots[lo:hi, :, 0]):
+                    add(c, step, prop)
+                    multiply(prop, prop, sq)
+                    dot(sq, forms, r)
+                    divide(e_sum, norm2, e)
+                    less(subtract(e, energy, de), t, acc)
+                    sqrt(norm2, root_flat)
+                    divide(prop, root, out=c, where=acc_col)
+                    copyto(energy, e, where=acc)
+            if start + lo >= cfg.burn_in:
                 continue
             window_accepted += accepts[lo:hi].sum(axis=0)
             if (start + hi) % _TUNE_WINDOW == 0:
@@ -340,7 +381,7 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
                 tune = (rate < 0.3) | (rate > 0.5)
                 sigma[tune, 0] = np.clip(sigma[tune, 0] * np.exp(rate[tune] - 0.4), 1e-4, 10.0)
                 window_accepted[:] = 0
-        first = max(cfg.burn_in - start, 0)
+        drawn = next(draws, None)  # this block's draws are spent
         if first < block:
             accepted += accepts[first:block].sum(axis=0)
             lo, hi = start + first - cfg.burn_in, start + block - cfg.burn_in
@@ -349,11 +390,11 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
             for i in range(n_chains):
                 rows = np.flatnonzero(fresh[:, i])
                 runs = np.diff(rows, append=block - first)
-                # gathered into the spent noise; "clip" (rows are in range)
-                # lets take write to out without an intermediate buffer
-                retained = np.take(kept[first:block, i], rows, axis=0, mode="clip",
-                                   out=noise.reshape(-1, 2 * n)[:len(rows)])
-                q, p = tm._real_expectations(retained)
+                states = kept[first + rows, i]
+                states /= roots[first + rows, i]
+                if not accepts[first, i]:
+                    states[0] = entering[i]
+                q, p = tm._real_expectations(states)
                 samples[i, lo:hi, 0], samples[i, lo:hi, 1] = np.repeat(q, runs), np.repeat(p, runs)
             if on_block is not None:
                 on_block(lo, hi)

@@ -633,10 +633,125 @@ def test_interrupted_write_reaps_the_formatter(tmp_path, monkeypatch, forks):
 
     monkeypatch.setattr(cli, "write_csv", interrupted)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    argv = ["sample", "--config", _sample_config(tmp_path), "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    argv = ["sample", "--config", _sample_config(tmp_path), "--out", str(out)]
     with pytest.raises(KeyboardInterrupt) as interrupt:
         main(argv)
     assert interrupt.tb is not None and len(forks) == 1
+    assert not out.exists() and _staged(tmp_path) == []
+    _no_child_left()
+
+
+def _staged(tmp_path):
+    """The hidden staging directories main left in tmp_path, the nearest
+    existing directory of an output directory inside it."""
+    return [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+
+def test_formatter_killed_after_its_word_leaves_no_output(tmp_path, capsys, monkeypatch,
+                                                          forks):
+    # the child dies once write_csv has read the first chunk of its text:
+    # exit 3 naming it, and neither the output directory nor a file cut
+    # short in it
+    def write(path, columns, rows, real=cli.write_csv):
+        rows = iter(rows)
+        first = next(rows)
+        os.kill(forks[0], signal.SIGKILL)
+        return real(path, columns, itertools.chain([first], rows))
+
+    monkeypatch.setattr(cli, "write_csv", write)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert main(["sample", "--config", _sample_config(tmp_path), "--out", str(out)]) == 3
+    assert not out.exists() and _staged(tmp_path) == [] and len(forks) == 1
+    assert capsys.readouterr().err == ("solver error: the process formatting samples.csv "
+                                       "ended before it sent the text\n")
+    _no_child_left()
+
+
+def test_failed_write_leaves_no_output(tmp_path, monkeypatch, forks):
+    # a full disk while the second file is written: the error propagates,
+    # the first file written is not left behind, nor is the staging
+    # directory
+    def write(path, *args, real=open, **kwargs):
+        if Path(path).name == "sample_run.json":
+            raise OSError(28, "No space left on device")
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", write, raising=False)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="No space left"):
+        main(["sample", "--config", _sample_config(tmp_path), "--out", str(out)])
+    assert not out.exists() and _staged(tmp_path) == [] and len(forks) == 1
+    _no_child_left()
+
+
+def test_files_are_moved_into_an_existing_output_directory(tmp_path, capsys):
+    # a file of another run stays; the run's own files replace theirs
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "other.txt").write_text("kept")
+    (out / "eig.csv").write_text("stale")
+    cfg = write_config(tmp_path, {"model": HARMONIC_MODEL, "eig": {"k": 2},
+                                  "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 201}})
+    assert main(["eig", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["eig.csv", "eig.json", "other.txt"]
+    assert (out / "other.txt").read_text() == "kept"
+    assert (out / "eig.csv").read_text().startswith(cli.CSV_SCHEMA_HEADER)
+    assert _staged(tmp_path) == []
+
+
+def test_child_killed_while_drawing_fails_the_run(tmp_path, capsys, monkeypatch, forks):
+    # the child dies drawing the third and last block, as by the OOM
+    # killer: exit 3 naming it and the block, no output directory and no
+    # child left
+    parent = os.getpid()
+
+    def draws(cfg, n, beta, real=sampling.chain_draws):
+        for index, item in enumerate(real(cfg, n, beta)):
+            if index == 3 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield item
+
+    monkeypatch.setattr(sampling, "chain_draws", draws)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert main(["sample", "--config", _sample_config(tmp_path), "--out", str(out)]) == 3
+    assert not out.exists() and _staged(tmp_path) == [] and len(forks) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("solver error: the process drawing the chains' random numbers "
+                            "ended before it drew block 2\n")
+    assert captured.out == ""
+    _no_child_left()
+
+
+def test_child_ending_before_it_draws_is_an_error_not_a_hang(tmp_path, capsys, monkeypatch,
+                                                              forks):
+    # a child whose stream fails at once exits without a byte on the ready
+    # pipe: the engine reads its end, exit 3, within the alarm
+    parent = os.getpid()
+
+    def draws(cfg, n, beta):
+        assert os.getpid() == parent
+        yield
+
+    def hung(signum, frame):
+        raise TimeoutError("the engine waited for a child that had ended")
+
+    monkeypatch.setattr(sampling, "chain_draws", draws)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        out = tmp_path / "out"
+        assert main(["sample", "--config", _sample_config(tmp_path), "--out", str(out)]) == 3
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not out.exists() and _staged(tmp_path) == [] and len(forks) == 1
+    assert capsys.readouterr().err == ("solver error: the process drawing the chains' random "
+                                       "numbers ended before it drew the start vectors\n")
     _no_child_left()
 
 
@@ -1442,9 +1557,12 @@ def test_sample_rows_match_per_float_formatting(case, tmp_path, harmonic_grid):
 
 def test_sampler_and_csv_writer_memory_stay_bounded(tmp_path, harmonic_grid):
     # numpy reports its buffers to tracemalloc. The bound is the samples
-    # array, the engine's step-major block buffers (noise, retained states,
-    # uniforms, thresholds, accept flags) and 4 MiB, which holds the IAT's
-    # FFT temporaries (about 2 MiB) but not one more noise-sized buffer
+    # array, five step-major block buffers (the stream's normals and
+    # thresholds, the engine's proposals, norms and accept flags) and 4 MiB,
+    # which holds the stream's (block, 2N) scratch of one chain, one chain's
+    # retained states of a block and the IAT's FFT temporaries (about 2
+    # MiB), but not one more noise-sized buffer: a chain-major scratch of
+    # every chain's normals would not fit
     tm = sampling.build_truncated_model(ModelParams.from_dict(HARMONIC_MODEL), 8,
                                         harmonic_grid)
     cfg = sampling.ChainConfig(chain_count=8, steps_per_chain=20_000, burn_in=1000, seed=5)

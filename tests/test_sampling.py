@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -244,19 +245,14 @@ def _replay_chain0(tm, beta, cfg, arithmetic):
     return accepts, kept.view(np.complex128) if arithmetic == "engine" else kept
 
 
-def _lockstep_reference(tm, beta, cfg):
-    """sample_ensemble written out one lockstep step at a time: every chain
-    advances through the same (chains, 2N) @ (2N, 2) product, sigma is tuned
-    every 200 burn-in steps, and there are no step blocks or buffers. Each
-    chain's stream is drawn up front, in the engine's order: per 4096-step
-    block, its normals, then its uniforms. Returns (samples, acceptance,
-    tuned sigma, retained coefficients)."""
-    chains, n2, total = cfg.chain_count, 2 * tm.n, cfg.burn_in + cfg.steps_per_chain
-    e_shift = tm.energies - tm.energies[0]
-    forms = np.column_stack([np.ones(n2), np.repeat(e_shift, 2)])
+def _reference_stream(cfg, n, beta):
+    """Each chain's whole stream, drawn up front in the engine's order: its
+    start, then per 4096-step block its normals, then its uniforms. Returns
+    the chain-major (starts, noise, thresholds -log(u) / beta)."""
+    chains, n2, total = cfg.chain_count, 2 * n, cfg.burn_in + cfg.steps_per_chain
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
             for i in range(chains)]
-    c = np.stack([rng.standard_normal(n2) for rng in rngs])
+    starts = np.stack([rng.standard_normal(n2) for rng in rngs])
     noise, uniforms = np.empty((chains, total, n2)), np.empty((chains, total))
     for i, rng in enumerate(rngs):
         for start in range(0, total, 4096):
@@ -264,7 +260,19 @@ def _lockstep_reference(tm, beta, cfg):
             noise[i, start:stop] = rng.standard_normal((stop - start, n2))
             uniforms[i, start:stop] = rng.random(stop - start)
     with np.errstate(divide="ignore"):
-        thresholds = -np.log(uniforms) / beta
+        return starts, noise, -np.log(uniforms) / beta
+
+
+def _lockstep_reference(tm, beta, cfg):
+    """sample_ensemble written out one lockstep step at a time: every chain
+    advances through the same (chains, 2N) @ (2N, 2) product, sigma is tuned
+    every 200 burn-in steps, and there are no step blocks or buffers. Each
+    chain's stream is drawn up front (_reference_stream). Returns (samples,
+    acceptance, tuned sigma, retained coefficients)."""
+    chains, n2, total = cfg.chain_count, 2 * tm.n, cfg.burn_in + cfg.steps_per_chain
+    e_shift = tm.energies - tm.energies[0]
+    forms = np.column_stack([np.ones(n2), np.repeat(e_shift, 2)])
+    c, noise, thresholds = _reference_stream(cfg, tm.n, beta)
     r = (c * c) @ forms
     c, energy = c / np.sqrt(r[:, :1]), r[:, 1] / r[:, 0]
     sigma = np.full(chains, _PROPOSAL_SCALE)
@@ -303,6 +311,70 @@ def test_engine_matches_lockstep_reference(tm8, beta):
     assert np.array_equal(run.proposal_scales, sigma)
     assert np.array_equal(states, coefficients)
     assert np.all(acceptance == 1.0) if beta == 0 else np.all(acceptance < 0.9)
+
+
+@pytest.mark.parametrize("beta", [2.0, 0.0])
+def test_chain_draws_are_the_reference_stream(beta):
+    # burn-in ends inside the second 4096-step block and the last block is
+    # short (808 steps): chain_draws yields, bit for bit, the starts, then
+    # each block's step-major normals and thresholds of the stream drawn
+    # up front
+    cfg = ChainConfig(chain_count=3, steps_per_chain=4000, burn_in=5000, seed=21)
+    starts, noise, thresholds = _reference_stream(cfg, 8, beta)
+    stream = sampling.chain_draws(cfg, 8, beta)
+    assert np.array_equal(next(stream), starts)
+    blocks = [(normals.copy(), t.copy()) for normals, t in stream]
+    assert [len(normals) for normals, _ in blocks] == [4096, 4096, 808]
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), noise.transpose(1, 0, 2))
+    assert np.array_equal(np.concatenate([b[1] for b in blocks]), thresholds.T)
+    assert np.all(thresholds == np.inf) if beta == 0 else np.all(np.isfinite(thresholds))
+
+
+def test_explicit_draws_give_the_default_run(tm8):
+    # the stream handed in, whether chain_draws itself or its items copied
+    # out one by one, gives the default run bit for bit
+    cfg = ChainConfig(chain_count=2, steps_per_chain=5000, burn_in=4000, seed=3)
+    plain = sample_ensemble(tm8, 2.0, cfg)
+    copies = [item.copy() if isinstance(item, np.ndarray) else tuple(a.copy() for a in item)
+              for item in sampling.chain_draws(cfg, tm8.n, 2.0)]
+    for draws in (sampling.chain_draws(cfg, tm8.n, 2.0), iter(copies)):
+        run = sample_ensemble(tm8, 2.0, cfg, draws=draws)
+        assert np.array_equal(run.samples, plain.samples)
+        assert np.array_equal(run.chain_acceptance, plain.chain_acceptance)
+        assert np.array_equal(run.proposal_scales, plain.proposal_scales)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda items: [items[0][:, :-1], *items[1:]],
+    lambda items: [items[0].astype(np.float32), *items[1:]],
+    lambda items: [items[0], (items[1][0][:-1], items[1][1]), *items[2:]],
+    lambda items: [items[0], (items[1][0], items[1][1][:, :1]), *items[2:]],
+    lambda items: [*items[:2], (items[2][0], items[2][1].tolist())],
+    lambda items: items[:2],
+    lambda items: [],
+], ids=["start_shape", "start_dtype", "normals_steps", "thresholds_chains", "thresholds_list",
+        "ended_early", "empty"])
+def test_draws_of_the_wrong_shape_are_usage_errors(tm8, bad):
+    # as a wrong out does: a start or block of the wrong shape or type, or
+    # a stream that ends before the run does
+    cfg = ChainConfig(chain_count=2, steps_per_chain=5000, burn_in=4000, seed=3)
+    items = bad(list(sampling.chain_draws(cfg, tm8.n, 2.0)))
+    with pytest.raises(UsageError, match="shape"):
+        sample_ensemble(tm8, 2.0, cfg, draws=iter(items))
+
+
+def test_only_chain_draws_seeds_generators():
+    # every random number of the package comes from one stream per chain
+    seeding = {"default_rng", "SeedSequence"}
+    found = []
+    for path in sorted(Path(sampling.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "chain_draws"
+                  for node in ast.walk(fn)}
+        found += [(path.stem, node.lineno, id(node) in inside) for node in ast.walk(tree)
+                  if seeding & {getattr(node, "id", None), getattr(node, "attr", None)}]
+    assert found and all(stem == "sampling" and inside for stem, _, inside in found), found
 
 
 def _naive_expectations(tm, c):
