@@ -8,13 +8,17 @@ directory and writes them, into a staging directory that becomes the
 output only once every file is complete, so a failed run writes nothing.
 Exit codes: 0 success, 1 validation failure, usage error or coverage
 error, 2 configuration error, 3 solver error (errors.py).
-veff and fluct solve each mass's doublet and table in forked processes
-(_per_mass). sample forks one child (_formatter) with two jobs: it draws
-the chains' random numbers one block ahead of the engine, and it formats
-samples.csv while the chains run. Each block's request for draws reaches
-it before the block's text is asked for, and it draws before it formats,
-so the engine's step loop does nothing but the Metropolis steps and
-waits for no text. Each runs in this process alone on one usable CPU.
+Every child process is started by _fork, the one fork: the child pickles
+back each item of its job, then the error that ended it, which this
+process raises as itself (_receive). veff and fluct solve each mass's
+doublet and table in children (_per_mass). sample forks one child
+(_formatter) with two jobs: it draws the chains' random numbers one block
+ahead of the engine, and it formats samples.csv while the chains run. One
+pipe carries the engine's requests to it; each block's request for draws
+reaches it before the block's text is asked for, and it draws before it
+formats, so the engine's step loop does nothing but the Metropolis steps
+and waits for no text. Each runs in this process alone with one usable
+CPU or without os.fork.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 CSV_SCHEMA_HEADER = "# wfgibbs-csv v1"
-_CSV_BATCH = 512  # rows per % operation in write_csv
 _TOLERANCE_SE = 3.0  # validate: exact passes a moment within this many standard errors
 
 _TOP_KEYS = {"model", "grid", "seed", "output",
@@ -188,24 +191,20 @@ def load_config(path, seed=None, command=None) -> dict:
 def write_csv(path, columns: str, rows) -> None:
     """Write rows under the schema and column header lines, each line ending
     in \\n. Rows are tuples (any iterable of them), floats as .17g: the
-    first row's value types fix the format of every row, and rows are
-    formatted _CSV_BATCH at a time by one % operation. Or they are str
+    first row's value types fix the format of every row. Or they are str
     chunks of lines already formatted (samples.csv's), written as they come."""
     rows = iter(rows)
     first = next(rows, None)
     with open(path, "w", newline="") as fh:
         fh.write(CSV_SCHEMA_HEADER + "\n")
         fh.write(f"# columns: {columns}\n")
-        if isinstance(first, str):
-            fh.write(first)
-            fh.writelines(rows)
-            return
         if first is None:
             return
-        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
-        fh.write(fmt % first)
-        while batch := tuple(itertools.chain.from_iterable(itertools.islice(rows, _CSV_BATCH))):
-            fh.write(fmt * (len(batch) // len(first)) % batch)
+        if not isinstance(first, str):
+            fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+            first, rows = fmt % first, (fmt % row for row in rows)
+        fh.write(first)
+        fh.writelines(rows)
 
 
 def _doublet_models(cfg, section) -> list:
@@ -221,23 +220,75 @@ def _doublet_models(cfg, section) -> list:
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The most processes a run may use, this one included: the CPUs it may
+    run on, or one without os.fork. The one rule of _per_mass and
+    _formatter."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
+def _fork(job):
+    """Fork a child that runs job(), an iterable, and return (pid,
+    results), the file this process reads the child's pipe through: the
+    child pickles (True, item) for each item, flushed as it comes, then
+    (False, exc) for the exception that ends the job, if one does, and
+    exits. Read it with _receive, and end it with _reap on every path. The
+    package's only fork."""
+    read, write = os.pipe()
+    results = os.fdopen(read, "rb")
+    with os.fdopen(write, "wb") as sink:
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            results.close()
+            raise exc
+        if pid == 0:  # the child never returns
+            try:
+                results.close()  # so that a write fails once this process is gone
+                for item in job():
+                    pickle.dump((True, item), sink)
+                    sink.flush()
+            except BaseException as exc:
+                pickle.dump((False, exc), sink)
+                sink.flush()
+            finally:
+                os._exit(0)
+    return pid, results
+
+
+def _receive(results, lost: str):
+    """The next item from a child of _fork. The exception that ended the
+    child is raised here as itself; the end of the pipe (a child killed,
+    say, for want of memory) raises SolverError(lost)."""
+    try:
+        ok, item = pickle.load(results)
+    except (EOFError, pickle.UnpicklingError):
+        raise SolverError(lost) from None
+    if not ok:
+        raise item
+    return item
+
+
+def _reap(pid: int, results) -> None:
+    """Close the pipe from a child of _fork, kill the child and wait for
+    it: a child that has sent all it has to send has nothing left to do."""
+    results.close()
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
 def _per_mass(work, models):
     """Yield work(mp) for each model in mass order, work running on
-    min(len(models), usable CPUs) processes: the masses are dealt in turn
-    to this process and to forked children, each of which pickles back its
-    results one mass at a time, or the library error that ended it, through
-    a pipe. A child's error is raised at its mass's turn, so the masses
-    before it have been yielded; a child that dies before it sends a mass's
-    result (killed, say, for want of memory) raises SolverError there. Close
-    the generator to reap every child: on every path, no child outlives it.
-    With one worker, or without os.fork, the work runs in this process and
-    starts none.
+    min(len(models), _usable_cpus()) processes: the masses are dealt in
+    turn to this process and to children of _fork, each of which sends its
+    masses' results one at a time. A child's error is raised at its mass's
+    turn, so the masses before it have been yielded; a child that dies
+    before it sends a mass's result raises SolverError there. Close the
+    generator to reap every child: on every path, no child outlives it.
+    With one worker the work runs in this process and starts none.
 
     Forked by hand: on 2 cores (Python 3.11) importing concurrent.futures'
     ProcessPoolExecutor took 17-22 ms, and starting it and mapping two
@@ -245,44 +296,21 @@ def _per_mass(work, models):
     and it would pickle work, a closure. Threads do not help: a table walk
     is small numpy calls that hold the GIL, and two threads built veff's
     tables in 0.10-0.18 s, against 0.09-0.13 s one after the other."""
-    workers = min(len(models), _usable_cpus()) if hasattr(os, "fork") else 1
-    pids, readers = [], []  # of the children, in worker order
+    workers = min(len(models), _usable_cpus())
+    children = []  # (pid, results), in worker order
     try:
         for index in range(1, workers):
-            read, write = os.pipe()
-            readers.append(os.fdopen(read, "rb"))
-            with os.fdopen(write, "wb") as sink:
-                pid = os.fork()
-                if pid == 0:  # the child sends its masses' results and never returns
-                    try:
-                        for mp in models[index::workers]:
-                            pickle.dump((True, work(mp)), sink)
-                            sink.flush()
-                    except BaseException as exc:
-                        pickle.dump((False, exc), sink)
-                        sink.flush()
-                    finally:
-                        os._exit(0)
-            pids.append(pid)
+            # job runs in the child at once, while index is this worker's
+            children.append(_fork(lambda: map(work, models[index::workers])))
         for i, mp in enumerate(models):
             if i % workers == 0:
                 yield work(mp)
-                continue
-            try:
-                ok, result = pickle.load(readers[i % workers - 1])
-            except (EOFError, pickle.UnpicklingError):
-                raise SolverError(f"the process solving mass {mp.mass} "
-                                  f"ended without a result") from None
-            if not ok:
-                raise result
-            yield result
+            else:
+                yield _receive(children[i % workers - 1][1],
+                               f"the process solving mass {mp.mass} ended without a result")
     finally:
-        for reader in readers:
-            reader.close()
-        # a child that has sent all its results has nothing left to do
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for child in children:
+            _reap(*child)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -457,36 +485,38 @@ def _sample_text(samples: np.ndarray):
 def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: float):
     """Yield, for samples, a (chains, steps, 2) array in shared memory that
     the engine fills with cfg's chains on n levels at beta: first the
-    engine's (draws, on_block); then None, once every block handed to
-    on_block is formatted; then the samples.csv text.
+    engine's (draws, on_block), then the samples.csv text, chain by chain
+    in blocks of sampling._NOISE_BLOCK steps.
 
-    With os.fork and two usable CPUs, the rule of _per_mass, a forked child
-    has two jobs. It draws the chains' random numbers
-    (sampling.chain_draws) into two block slots of shared memory, one block
-    ahead of the engine, and it formats steps lo <= step < hi of every chain
-    (_sample_lines) once the engine calls on_block(lo, hi), and keeps the
-    text. It draws the start vectors and the first two blocks, each followed
-    by a byte on the ready pipe, then serves the engine's messages: "d" when
-    the engine takes the next block, which frees the slot of the block
-    before it for the block after it, and "lo hi" per on_block. The engine
-    takes the next block right after a block's steps, before it evaluates
-    their samples and calls on_block, and the child draws as soon as it
-    reads "d"; it formats one chain's steps of a block at a time, and only
-    while no message waits, so a draw waits for at most one chain's text
-    and the text catches up once the engine has taken its last block (on
-    dw_m0.2_sample.json's settings, draws queued behind whole blocks of
-    text cost the engine up to 0.2 s of waiting). The second item waits for
-    the child's word that it has formatted every block. The text then comes
-    back through a pipe, chain by chain in the child's blocks, so this
-    process holds one block's text at a time. A child that ends before it
-    has drawn a block the engine takes, or before it has sent all of the
-    text (killed, say, for want of memory), raises SolverError. Close the
-    generator to reap the child: on every path, no child outlives it. Once
-    the engine has taken its last block, this process drops the slots from
-    its resident memory, which the validation and the write that follow
-    would otherwise carry. Otherwise draws and on_block are None, the
-    engine draws in this process, and the text is formatted in this
-    process as it is read (_sample_text).
+    With two usable CPUs (_usable_cpus) a child of _fork has two jobs. It
+    draws the chains' random numbers (sampling.chain_draws) into two block
+    slots of shared memory, one block ahead of the engine, and it formats
+    steps lo <= step < hi of every chain (_sample_lines) once the engine
+    calls on_block(lo, hi), and keeps the text. One pipe carries the
+    engine's messages to it: "d" when the engine takes the next block,
+    which frees the slot of the block before it for the block after it,
+    and "lo hi" per on_block. Its items come back through _fork's pipe:
+    one per item drawn (the start vectors, then each block) as soon as it
+    is drawn, then, once the engine's messages end, the text. It draws the
+    start vectors and the first two blocks, then serves the messages. The
+    engine takes the next block right after a block's steps, before it
+    evaluates their samples and calls on_block, and the child draws as soon
+    as it reads "d"; it formats one chain's steps of a block at a time, and
+    only while no message waits, so a draw waits for at most one chain's
+    text (on dw_m0.2_sample.json's settings, draws queued behind whole
+    blocks of text cost the engine up to 0.2 s of waiting). Asking for the
+    second item ends the messages, and this process then reads one chunk
+    of text per chain and block handed to on_block, so it holds one
+    block's text at a time. An error that ends the child is raised as itself where this
+    process next reads; a child that ends before it has drawn a block the
+    engine takes, or before it has sent all of the text (killed, say, for
+    want of memory), raises SolverError. Close the generator to reap the
+    child: on every path, no child outlives it. Once the engine has taken
+    its last block, this process drops the slots from its resident memory,
+    which the validation and the write that follow would otherwise carry.
+    Otherwise draws and on_block are None, the engine draws in this
+    process, and the text is formatted in this process as it is read
+    (_sample_text).
 
     On 2 cores, in this process, drawing takes about a quarter of the
     engine's time (0.15 s of 0.6 s on harmonic_sample.json's 4 chains of
@@ -494,9 +524,8 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     s against its engine's 1.3 s; the child does both beside the engine.
     Splitting the chains between processes would not pay: a lockstep step
     costs about the same for any chain count from 1 to 8."""
-    if not hasattr(os, "fork") or _usable_cpus() < 2:
+    if _usable_cpus() < 2:
         yield None, None
-        yield None
         yield from _sample_text(samples)
         return
     n2, total = 2 * n, cfg.burn_in + cfg.steps_per_chain
@@ -510,99 +539,81 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
              for slot in shared[starts.size:].reshape(2, slot_size)]
     read, write = os.pipe()  # the engine's messages, unbuffered
     blocks, feed = os.fdopen(read, "rb"), os.fdopen(write, "wb", buffering=0)
-    read, write = os.pipe()  # a byte per item drawn
-    ready, drew = os.fdopen(read, "rb", buffering=0), os.fdopen(write, "wb", buffering=0)
-    read, write = os.pipe()  # the child's text
-    text, sink = os.fdopen(read, "rb"), os.fdopen(write, "wb")
-    pid = 0
+
+    def job():  # the child's: None per item drawn, then the text
+        feed.close()  # the messages end when this process closes its end
+        stream = sampling.chain_draws(cfg, n, beta)
+        starts[...] = next(stream)
+        yield
+        pending = zip(itertools.cycle(slots), stream)
+
+        def draw(count):  # the next count blocks that are left, into their slots
+            for (normals, thresholds), (z, t) in itertools.islice(pending, count):
+                normals[:len(z)], thresholds[:len(t)] = z, t
+                yield
+
+        yield from draw(2)
+        chains, tasks = [[] for _ in samples], collections.deque()
+        fd, tail = blocks.fileno(), b""
+        while True:
+            # a chain's text of a block at a time, and only while no
+            # message waits: a request to draw never waits for more
+            if tasks and not select.select([fd], [], [], 0)[0]:
+                chain, lo, hi = tasks.popleft()
+                chains[chain].append(_sample_lines(samples, chain, lo, hi))
+                continue
+            data = os.read(fd, 1 << 16)
+            if not data:
+                break
+            *lines, tail = (tail + data).split(b"\n")
+            for line in lines:
+                if line == b"d":
+                    yield from draw(1)
+                else:
+                    lo, hi = map(int, line.split())
+                    tasks.extend((chain, lo, hi) for chain in range(len(chains)))
+        for chain, lo, hi in tasks:
+            chains[chain].append(_sample_lines(samples, chain, lo, hi))
+        yield from itertools.chain(*chains)
+
+    def send(message):
+        with contextlib.suppress(BrokenPipeError):  # a dead child fails at its next item
+            feed.write(message)
+
+    def on_block(lo, hi):
+        handed.append(lo)
+        send(b"%d %d\n" % (lo, hi))
+
+    def draws():
+        lost = "the process drawing the chains' random numbers ended before it drew "
+        _receive(results, lost + "the start vectors")
+        yield starts
+        for index, start in enumerate(range(0, total, sampling._NOISE_BLOCK)):
+            if index:  # the block before is spent: its slot takes the block after
+                send(b"d\n")
+            _receive(results, lost + f"block {index}")
+            normals, thresholds = slots[index % 2]
+            block = min(sampling._NOISE_BLOCK, total - start)
+            yield normals[:block], thresholds[:block]
+        # the engine has spent every block: its slots need not stay in
+        # this process's memory through validation and the write
+        if hasattr(mmap, "MADV_DONTNEED"):
+            region.madvise(mmap.MADV_DONTNEED)
+
+    pid, handed = 0, []  # handed: the blocks handed to on_block
     try:
-        pid = os.fork()
-        for end in (feed, ready, text) if pid == 0 else (blocks, drew, sink):
-            end.close()
-        if pid == 0:  # the child draws and formats as the engine asks, never returns
-            try:
-                stream = sampling.chain_draws(cfg, n, beta)
-                starts[...] = next(stream)
-                drew.write(b"s")
-                pending = zip(itertools.cycle(slots), stream)
-
-                def draw():  # the next block, if one is left, into its slot
-                    for (normals, thresholds), (z, t) in itertools.islice(pending, 1):
-                        normals[:len(z)], thresholds[:len(t)] = z, t
-                        drew.write(b"b")
-
-                draw()
-                draw()
-                chains, tasks = [[] for _ in samples], collections.deque()
-                fd, tail = blocks.fileno(), b""
-                while True:
-                    # a chain's text of a block at a time, and only while no
-                    # message waits: a request to draw never waits for more
-                    if tasks and not select.select([fd], [], [], 0)[0]:
-                        chain, lo, hi = tasks.popleft()
-                        chains[chain].append(_sample_lines(samples, chain, lo, hi))
-                        continue
-                    data = os.read(fd, 1 << 16)
-                    if not data:
-                        break
-                    *lines, tail = (tail + data).split(b"\n")
-                    for line in lines:
-                        if line == b"d":
-                            draw()
-                        else:
-                            lo, hi = map(int, line.split())
-                            tasks.extend((chain, lo, hi) for chain in range(len(chains)))
-                for chain, lo, hi in tasks:
-                    chains[chain].append(_sample_lines(samples, chain, lo, hi))
-                pickle.dump(len(chains[0]), sink)  # its word: every block is formatted
-                sink.flush()
-                for chunk in itertools.chain(*chains):
-                    pickle.dump(chunk, sink)
-                sink.flush()
-            finally:
-                os._exit(0)
-
-        def send(message):
-            with contextlib.suppress(BrokenPipeError):  # a dead child fails at its next word
-                feed.write(message)
-
-        def taken(what):
-            if not ready.read(1):
-                raise SolverError(f"the process drawing the chains' random numbers "
-                                  f"ended before it drew {what}")
-
-        def draws():
-            taken("the start vectors")
-            yield starts
-            for index, start in enumerate(range(0, total, sampling._NOISE_BLOCK)):
-                if index:  # the block before is spent: its slot takes the block after
-                    send(b"d\n")
-                taken(f"block {index}")
-                normals, thresholds = slots[index % 2]
-                block = min(sampling._NOISE_BLOCK, total - start)
-                yield normals[:block], thresholds[:block]
-            # the engine has spent every block: its slots need not stay in
-            # this process's memory through validation and the write
-            if hasattr(mmap, "MADV_DONTNEED"):
-                region.madvise(mmap.MADV_DONTNEED)
-
-        yield draws(), lambda lo, hi: send(b"%d %d\n" % (lo, hi))
-        feed.close()  # the end of the blocks
-        try:
-            blocks_formatted = pickle.load(text)
-            yield None
-            for _ in range(len(samples) * blocks_formatted):
-                yield pickle.load(text)
-        except (EOFError, pickle.UnpicklingError):
-            raise SolverError("the process formatting samples.csv ended "
-                              "before it sent the text") from None
+        pid, results = _fork(job)
+        blocks.close()
+        yield draws(), on_block
+        feed.close()  # the end of the messages
+        for _ in range(len(samples) * len(handed)):
+            yield _receive(results, "the process formatting samples.csv ended "
+                                    "before it sent the text")
     finally:
-        for end in (blocks, feed, ready, drew, text, sink):
-            end.close()
-        # a child that has sent its text has nothing left to do
+        blocks.close()
+        feed.close()
         if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            _reap(pid, results)
 
 
 def cmd_sample(cfg):
@@ -627,7 +638,6 @@ def cmd_sample(cfg):
         passed, report = _validate_sample(run, tm, cfg, section)
         print(f"acceptance={run.acceptance_rate:.3f} "
               f"iat={run.integrated_autocorrelation_time:.1f}")
-        next(text)  # every block is formatted
     except BaseException as exc:  # KeyboardInterrupt too: the formatter is reaped
         text.close()
         raise exc

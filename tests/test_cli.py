@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import wfgibbs
-from wfgibbs import GridSpec, ModelParams, SolverError, build_two_state, sampling, thermal
+from wfgibbs import (GridSpec, ModelParams, SolverError, UsageError, build_two_state, sampling,
+                     thermal)
 from wfgibbs import cli
 from wfgibbs.cli import main
 
@@ -648,8 +649,8 @@ def _staged(tmp_path):
     return [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
 
-def test_formatter_killed_after_its_word_leaves_no_output(tmp_path, capsys, monkeypatch,
-                                                          forks):
+def test_formatter_killed_while_it_sends_the_text_leaves_no_output(tmp_path, capsys,
+                                                                  monkeypatch, forks):
     # the child dies once write_csv has read the first chunk of its text:
     # exit 3 naming it, and neither the output directory nor a file cut
     # short in it
@@ -728,12 +729,13 @@ def test_child_killed_while_drawing_fails_the_run(tmp_path, capsys, monkeypatch,
 
 def test_child_ending_before_it_draws_is_an_error_not_a_hang(tmp_path, capsys, monkeypatch,
                                                               forks):
-    # a child whose stream fails at once exits without a byte on the ready
-    # pipe: the engine reads its end, exit 3, within the alarm
+    # a child that exits before its first draw sends nothing: the engine
+    # reads the end of its pipe, exit 3, within the alarm
     parent = os.getpid()
 
     def draws(cfg, n, beta):
-        assert os.getpid() == parent
+        if os.getpid() != parent:
+            os._exit(0)
         yield
 
     def hung(signum, frame):
@@ -756,8 +758,8 @@ def test_child_ending_before_it_draws_is_an_error_not_a_hang(tmp_path, capsys, m
 
 
 def test_killed_formatter_fails_the_run(tmp_path, capsys, monkeypatch, forks):
-    # a formatter killed before it confirms every block, as by the OOM
-    # killer: exit 3 naming it, no output directory and no child left
+    # a formatter killed before it sends the text, as by the OOM killer:
+    # exit 3 naming it, no output directory and no child left
     parent = os.getpid()
 
     def lines(samples, chain, lo, hi, real=cli._sample_lines):
@@ -774,6 +776,33 @@ def test_killed_formatter_fails_the_run(tmp_path, capsys, monkeypatch, forks):
     assert captured.err == ("solver error: the process formatting samples.csv ended "
                             "before it sent the text\n")
     assert captured.out.startswith("PASS total-variation")
+    _no_child_left()
+
+
+@pytest.mark.parametrize("raised", [UsageError, ValueError])
+def test_error_in_the_sample_child_is_raised_as_itself(raised, tmp_path, capsys, monkeypatch,
+                                                       forks):
+    # the child's error, not the end of its pipe: a library error ends in
+    # its exit code and any other propagates, as a worker's does in
+    # _per_mass; no output directory and no child left either way
+    parent = os.getpid()
+
+    def lines(samples, chain, lo, hi, real=cli._sample_lines):
+        if os.getpid() != parent:
+            raise raised("boom")
+        return real(samples, chain, lo, hi)
+
+    monkeypatch.setattr(cli, "_sample_lines", lines)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    argv = ["sample", "--config", _sample_config(tmp_path), "--out", str(out)]
+    if raised is ValueError:
+        with pytest.raises(ValueError, match="^boom$"):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists() and _staged(tmp_path) == [] and len(forks) == 1
     _no_child_left()
 
 
@@ -1376,13 +1405,21 @@ def test_only_spectra_references_lapack():
 
 
 def test_only_cli_starts_processes():
-    # cli forks the per-mass workers; the numerics modules start no process,
-    # as they do no I/O
+    # cli forks the per-mass workers and the sample child, each through
+    # _fork, its one os.fork() and os._exit call; the numerics modules start
+    # no process, as they do no I/O
     fork = {"fork", "pipe", "_exit"}
     process = fork | {"multiprocessing", "concurrent", "subprocess"}
     for path in sorted(Path(wfgibbs.__file__).parent.glob("*.py")):
         found = process & _identifiers(path)
         assert found == (fork if path.stem == "cli" else set()), path.name
+    calls = [(statement.name, node.func.attr)
+             for statement in ast.parse(Path(cli.__file__).read_text()).body
+             for node in ast.walk(statement)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and getattr(node.func.value, "id", None) == "os"
+             and node.func.attr in {"fork", "_exit"}]
+    assert calls == [("_fork", "fork"), ("_fork", "_exit")]
 
 
 def test_only_constrain_builds_tables():
