@@ -14,11 +14,10 @@ process raises as itself (_receive). veff and fluct solve each mass's
 doublet and table in children (_per_mass). sample forks one child
 (_formatter) with two jobs: it draws the chains' random numbers one block
 ahead of the engine, and it formats samples.csv while the chains run. One
-pipe carries the engine's requests to it; each block's request for draws
-reaches it before the block's text is asked for, and it draws before it
-formats, so the engine's step loop does nothing but the Metropolis steps
-and waits for no text. Each runs in this process alone with one usable
-CPU or without os.fork.
+pipe carries a byte to it per block the engine takes; on each it draws
+first, then queues the samples that block makes final, so the engine's
+step loop does nothing but the Metropolis steps and waits for no text.
+Each runs in this process alone with one usable CPU or without os.fork.
 """
 
 from __future__ import annotations
@@ -235,8 +234,11 @@ def _fork(job):
     results), the file this process reads the child's pipe through: the
     child pickles (True, item) for each item, flushed as it comes, then
     (False, exc) for the exception that ends the job, if one does, and
-    exits. Read it with _receive, and end it with _reap on every path. The
-    package's only fork."""
+    exits. Each message is pickled whole before it is written, and an
+    exception that cannot be pickled (a class defined in a function, say)
+    is sent as a SolverError naming its type and text, so the pipe never
+    ends in part of a message. Read it with _receive, and end it with
+    _reap on every path. The package's only fork."""
     read, write = os.pipe()
     results = os.fdopen(read, "rb")
     with os.fdopen(write, "wb") as sink:
@@ -249,10 +251,15 @@ def _fork(job):
             try:
                 results.close()  # so that a write fails once this process is gone
                 for item in job():
-                    pickle.dump((True, item), sink)
+                    sink.write(pickle.dumps((True, item)))
                     sink.flush()
             except BaseException as exc:
-                pickle.dump((False, exc), sink)
+                try:
+                    message = pickle.dumps((False, exc))
+                except Exception:  # PicklingError, AttributeError, TypeError, ...
+                    message = pickle.dumps((False, SolverError(
+                        f"a child process raised {type(exc).__name__}: {exc}")))
+                sink.write(message)
                 sink.flush()
             finally:
                 os._exit(0)
@@ -485,38 +492,39 @@ def _sample_text(samples: np.ndarray):
 def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: float):
     """Yield, for samples, a (chains, steps, 2) array in shared memory that
     the engine fills with cfg's chains on n levels at beta: first the
-    engine's (draws, on_block), then the samples.csv text, chain by chain
-    in blocks of sampling._NOISE_BLOCK steps.
+    engine's draws, then the samples.csv text, chain by chain in blocks of
+    at most sampling._NOISE_BLOCK steps.
 
     With two usable CPUs (_usable_cpus) a child of _fork has two jobs. It
     draws the chains' random numbers (sampling.chain_draws) into two block
     slots of shared memory, one block ahead of the engine, and it formats
-    steps lo <= step < hi of every chain (_sample_lines) once the engine
-    calls on_block(lo, hi), and keeps the text. One pipe carries the
-    engine's messages to it: "d" when the engine takes the next block,
-    which frees the slot of the block before it for the block after it,
-    and "lo hi" per on_block. Its items come back through _fork's pipe:
-    one per item drawn (the start vectors, then each block) as soon as it
-    is drawn, then, once the engine's messages end, the text. It draws the
-    start vectors and the first two blocks, then serves the messages. The
-    engine takes the next block right after a block's steps, before it
-    evaluates their samples and calls on_block, and the child draws as soon
-    as it reads "d"; it formats one chain's steps of a block at a time, and
-    only while no message waits, so a draw waits for at most one chain's
-    text (on dw_m0.2_sample.json's settings, draws queued behind whole
-    blocks of text cost the engine up to 0.2 s of waiting). Asking for the
-    second item ends the messages, and this process then reads one chunk
-    of text per chain and block handed to on_block, so it holds one
-    block's text at a time. An error that ends the child is raised as itself where this
-    process next reads; a child that ends before it has drawn a block the
-    engine takes, or before it has sent all of the text (killed, say, for
-    want of memory), raises SolverError. Close the generator to reap the
-    child: on every path, no child outlives it. Once the engine has taken
-    its last block, this process drops the slots from its resident memory,
-    which the validation and the write that follow would otherwise carry.
-    Otherwise draws and on_block are None, the engine draws in this
-    process, and the text is formatted in this process as it is read
-    (_sample_text).
+    the samples (_sample_lines) once they are final, and keeps the text.
+    One pipe carries a byte to it each time the engine takes block k >= 1
+    (k = the block count: the item after the last block), the one message
+    it reads: the slot of block k - 1 is then free for block k + 1, and
+    every retained step of block k - 2 is final (sample_ensemble's
+    draws). Its items come back through _fork's pipe: one per item drawn
+    (the start vectors, then each block) as soon as it is drawn, then,
+    once the pipe in ends, the text. It draws the start vectors and the
+    first two blocks; then on block k's byte it draws block k + 1, if there
+    is one, and queues block k - 2's chains for formatting, and at the end
+    of the pipe in it queues the block that is left, the last. It formats
+    one chain's steps of a block at a time, and only while no byte waits,
+    so a draw waits for at most one chain's text (on dw_m0.2_sample.json's
+    settings, draws queued behind whole blocks of text cost the engine up
+    to 0.2 s of waiting). Asking for the second item ends the pipe in, and
+    this process then reads one chunk of text per chain and block that
+    retains a step (sampling.retained_spans), a count known before the
+    run, so it holds one block's text at a time. An error that ends the
+    child is raised as itself where this process next reads; a child that
+    ends before it has drawn a block the engine takes, or before it has
+    sent all of the text (killed, say, for want of memory), raises
+    SolverError. Close the generator to reap the child: on every path, no
+    child outlives it. Once the engine has taken its last block, this
+    process drops the slots from its resident memory, which the validation
+    and the write that follow would otherwise carry. Otherwise draws is
+    None, the engine draws in this process, and the text is formatted in
+    this process as it is read (_sample_text).
 
     On 2 cores, in this process, drawing takes about a quarter of the
     engine's time (0.15 s of 0.6 s on harmonic_sample.json's 4 chains of
@@ -525,9 +533,10 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     Splitting the chains between processes would not pay: a lockstep step
     costs about the same for any chain count from 1 to 8."""
     if _usable_cpus() < 2:
-        yield None, None
+        yield None
         yield from _sample_text(samples)
         return
+    spans = sampling.retained_spans(cfg)
     n2, total = 2 * n, cfg.burn_in + cfg.steps_per_chain
     width = min(sampling._NOISE_BLOCK, total)
     slot_size = width * cfg.chain_count * (n2 + 1)
@@ -537,11 +546,11 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     slots = [(slot[:width * cfg.chain_count * n2].reshape(width, cfg.chain_count, n2),
               slot[width * cfg.chain_count * n2:].reshape(width, cfg.chain_count))
              for slot in shared[starts.size:].reshape(2, slot_size)]
-    read, write = os.pipe()  # the engine's messages, unbuffered
-    blocks, feed = os.fdopen(read, "rb"), os.fdopen(write, "wb", buffering=0)
+    read, write = os.pipe()  # a byte per block the engine takes, unbuffered
+    taken, feed = os.fdopen(read, "rb"), os.fdopen(write, "wb", buffering=0)
 
     def job():  # the child's: None per item drawn, then the text
-        feed.close()  # the messages end when this process closes its end
+        feed.close()  # the pipe in ends when this process closes its end
         stream = sampling.chain_draws(cfg, n, beta)
         starts[...] = next(stream)
         yield
@@ -554,10 +563,15 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
 
         yield from draw(2)
         chains, tasks = [[] for _ in samples], collections.deque()
-        fd, tail = blocks.fileno(), b""
+        # block k's byte makes block k - 2 final: the tasks it readies are
+        # every chain's steps of that block (none for burn-in alone), and
+        # the end of the pipe in readies the rest
+        ready = iter([[], *([(chain, *span) for chain in range(len(chains))] if span else []
+                            for span in spans)])
+        fd = taken.fileno()
         while True:
-            # a chain's text of a block at a time, and only while no
-            # message waits: a request to draw never waits for more
+            # a chain's text of a block at a time, and only while no byte
+            # waits: a request to draw never waits for more
             if tasks and not select.select([fd], [], [], 0)[0]:
                 chain, lo, hi = tasks.popleft()
                 chains[chain].append(_sample_lines(samples, chain, lo, hi))
@@ -565,52 +579,43 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
             data = os.read(fd, 1 << 16)
             if not data:
                 break
-            *lines, tail = (tail + data).split(b"\n")
-            for line in lines:
-                if line == b"d":
-                    yield from draw(1)
-                else:
-                    lo, hi = map(int, line.split())
-                    tasks.extend((chain, lo, hi) for chain in range(len(chains)))
+            for readied in itertools.islice(ready, len(data)):
+                yield from draw(1)
+                tasks.extend(readied)
+        tasks.extend(itertools.chain(*ready))
         for chain, lo, hi in tasks:
             chains[chain].append(_sample_lines(samples, chain, lo, hi))
         yield from itertools.chain(*chains)
-
-    def send(message):
-        with contextlib.suppress(BrokenPipeError):  # a dead child fails at its next item
-            feed.write(message)
-
-    def on_block(lo, hi):
-        handed.append(lo)
-        send(b"%d %d\n" % (lo, hi))
 
     def draws():
         lost = "the process drawing the chains' random numbers ended before it drew "
         _receive(results, lost + "the start vectors")
         yield starts
         for index, start in enumerate(range(0, total, sampling._NOISE_BLOCK)):
-            if index:  # the block before is spent: its slot takes the block after
-                send(b"d\n")
             _receive(results, lost + f"block {index}")
             normals, thresholds = slots[index % 2]
             block = min(sampling._NOISE_BLOCK, total - start)
             yield normals[:block], thresholds[:block]
+            # the engine takes the next item: this block is spent, and its
+            # slot takes the block after the next
+            with contextlib.suppress(BrokenPipeError):  # a dead child fails at its next item
+                feed.write(b"d")
         # the engine has spent every block: its slots need not stay in
         # this process's memory through validation and the write
         if hasattr(mmap, "MADV_DONTNEED"):
             region.madvise(mmap.MADV_DONTNEED)
 
-    pid, handed = 0, []  # handed: the blocks handed to on_block
+    pid = 0
     try:
         pid, results = _fork(job)
-        blocks.close()
-        yield draws(), on_block
-        feed.close()  # the end of the messages
-        for _ in range(len(samples) * len(handed)):
+        taken.close()
+        yield draws()
+        feed.close()  # the end of the pipe in
+        for _ in range(len(samples) * sum(span is not None for span in spans)):
             yield _receive(results, "the process formatting samples.csv ended "
                                     "before it sent the text")
     finally:
-        blocks.close()
+        taken.close()
         feed.close()
         if pid:
             _reap(pid, results)
@@ -631,10 +636,9 @@ def cmd_sample(cfg):
     samples = np.ndarray(shape, buffer=mmap.mmap(-1, 16 * shape[0] * shape[1]))
     text = _formatter(samples, chain_cfg, section["n_basis"], section["beta"])
     try:
-        draws, on_block = next(text)
+        draws = next(text)
         tm = sampling.build_truncated_model(mp, section["n_basis"], cfg["grid"])
-        run = sampling.sample_ensemble(tm, section["beta"], chain_cfg, out=samples,
-                                       on_block=on_block, draws=draws)
+        run = sampling.sample_ensemble(tm, section["beta"], chain_cfg, out=samples, draws=draws)
         passed, report = _validate_sample(run, tm, cfg, section)
         print(f"acceptance={run.acceptance_rate:.3f} "
               f"iat={run.integrated_autocorrelation_time:.1f}")

@@ -259,6 +259,18 @@ def chain_draws(cfg: ChainConfig, n: int, beta: float):
         yield normals[:block], thresholds[:block]
 
 
+def retained_spans(cfg: ChainConfig) -> list:
+    """The retained steps lo <= step < hi of each block of _NOISE_BLOCK
+    steps of cfg's chains, as (lo, hi) in the samples' own indices, or None
+    for a block of burn-in alone. The spans tile [0, steps_per_chain) in
+    order, and each ends with its block: the engine evaluates the samples
+    of a block by them, and cli formats samples.csv by them."""
+    total = cfg.burn_in + cfg.steps_per_chain
+    return [None if start + _NOISE_BLOCK <= cfg.burn_in else
+            (max(start - cfg.burn_in, 0), min(start + _NOISE_BLOCK, total) - cfg.burn_in)
+            for start in range(0, total, _NOISE_BLOCK)]
+
+
 def _checked(array, shape: tuple, name: str):
     """array, when it is a float64 array of the given shape; else UsageError."""
     if not isinstance(array, np.ndarray) or array.shape != shape or array.dtype != np.float64:
@@ -269,7 +281,7 @@ def _checked(array, shape: tuple, name: str):
 
 
 def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
-                    on_block=None, draws=None) -> SampleRun:
+                    draws=None) -> SampleRun:
     """Run independent Metropolis chains in lockstep and merge their samples.
 
     The states are held as the float64 view (chains, 2N) of the
@@ -294,20 +306,22 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
     (<q>, <p>) is evaluated only for each chain's first retained state and
     the states of accepted steps, rebuilt as proposal / norm (the very
     division the step made), and repeated over the rejected steps after
-    them, which repeat their state bit for bit. The samples go into out, a
-    (chains, steps, 2) float64 array, when one is given, and on_block(lo,
-    hi), when given, is called at the end of each block that retains a
-    step, once the retained steps lo <= step < hi of every chain are in
-    place (cli formats them in another process while the chains run on).
+    them, which repeat their state bit for bit. A block's retained steps
+    are those of its span in retained_spans(cfg). The samples go into out,
+    a (chains, steps, 2) float64 array, when one is given.
 
     The random numbers come from draws, an iterator over the items of
     chain_draws(cfg, tm.n, beta), which is the default (cli draws them in
-    another process, one block ahead). The next block is taken right after
-    a block's steps, before its samples are evaluated, so the draws of a
-    block are not read after that; an item of the wrong shape or dtype is a
-    UsageError. (The BLAS kernel behind the dot depends on the chain count,
-    gemv for one chain and gemm for more, so a chain's states can differ in
-    the last bit between runs with different chain counts.)
+    another process, one block ahead, and formats the samples there while
+    the chains run on); an item of the wrong shape or dtype is a
+    UsageError. The next block is taken right after a block's steps,
+    before its samples are evaluated, so the draws of a block are not read
+    after that, and when the engine takes block k (k = the block count:
+    the item after the last block), every retained step of the blocks
+    before block k - 1 is final in out. (The BLAS kernel behind the dot
+    depends on the chain count, gemv for one chain and gemm for more, so a
+    chain's states can differ in the last bit between runs with different
+    chain counts.)
     """
     if not 0 <= beta < np.inf:
         raise UsageError(f"beta must be finite and >= 0, got {beta}")
@@ -348,12 +362,12 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
     add, multiply, dot, divide, subtract, less, sqrt, copyto = (
         np.add, np.multiply, np.dot, np.divide, np.subtract, np.less, np.sqrt, np.copyto)
     drawn = next(draws, None)
-    for start in range(0, total, _NOISE_BLOCK):
+    for start, span in zip(range(0, total, _NOISE_BLOCK), retained_spans(cfg)):
         block = min(_NOISE_BLOCK, total - start)
         noise, thresholds = (None, None) if drawn is None else drawn
         noise = _checked(noise, (block, n_chains, 2 * n), "draws' normals")
         thresholds = _checked(thresholds, (block, n_chains), "draws' thresholds")
-        first = max(cfg.burn_in - start, 0)  # the block's first retained step
+        first = block - (span[1] - span[0]) if span else block  # the first retained step
         bounds = sorted({0, block, *(k - start for k in cuts if start < k < start + block)})
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             noise[lo:hi] *= sigma
@@ -382,9 +396,9 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
                 sigma[tune, 0] = np.clip(sigma[tune, 0] * np.exp(rate[tune] - 0.4), 1e-4, 10.0)
                 window_accepted[:] = 0
         drawn = next(draws, None)  # this block's draws are spent
-        if first < block:
+        if span:
+            lo, hi = span
             accepted += accepts[first:block].sum(axis=0)
-            lo, hi = start + first - cfg.burn_in, start + block - cfg.burn_in
             fresh = accepts[first:block].copy()
             fresh[0] = True
             for i in range(n_chains):
@@ -396,8 +410,6 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
                     states[0] = entering[i]
                 q, p = tm._real_expectations(states)
                 samples[i, lo:hi, 0], samples[i, lo:hi, 1] = np.repeat(q, runs), np.repeat(p, runs)
-            if on_block is not None:
-                on_block(lo, hi)
 
     return SampleRun(
         beta=beta,

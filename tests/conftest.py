@@ -31,6 +31,21 @@ DOUBLE_WELL_REFERENCE = {
 DOUBLE_WELL_MASSES = sorted(DOUBLE_WELL_REFERENCE)
 
 
+# (burn_in, steps_per_chain) of chains whose retained steps meet the noise
+# blocks in each way: burn-in ending inside a block, burn-in longer than a
+# block (a block of burn-in alone), burn-in ending with a block, no
+# burn-in, and fewer retained steps than a block
+_BLOCK = sampling._NOISE_BLOCK
+BLOCK_LAYOUTS = {
+    "burn_in_inside_a_block": (1000, 9000),
+    "burn_in_past_a_block": (_BLOCK + 500, _BLOCK + 200),
+    "burn_in_ending_a_block": (_BLOCK, _BLOCK + 300),
+    "no_burn_in": (0, 2 * _BLOCK + 7),
+    "short_chain": (300, 100),
+}
+assert 2 * _BLOCK < 9000 and 0 < 1000 < _BLOCK
+
+
 def double_well(mass: float) -> ModelParams:
     return ModelParams(mass, 1.0, QuarticDoubleWell(1.0, 1.5))
 

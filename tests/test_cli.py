@@ -18,6 +18,8 @@ from wfgibbs import (GridSpec, ModelParams, SolverError, UsageError, build_two_s
 from wfgibbs import cli
 from wfgibbs.cli import main
 
+from conftest import BLOCK_LAYOUTS
+
 HARMONIC_MODEL = {
     "mass": 1.0,
     "hbar": 1.0,
@@ -567,8 +569,7 @@ def test_interrupt_reaps_every_child(tmp_path, monkeypatch, forks):
 
 def _sample_config(tmp_path, **section):
     # 2 chains whose 9000 retained steps span three noise blocks, the first
-    # cut by a burn-in that ends inside it
-    assert 2 * sampling._NOISE_BLOCK < 9000 and 0 < 1000 < sampling._NOISE_BLOCK
+    # cut by a burn-in that ends inside it (BLOCK_LAYOUTS' first layout)
     return write_config(tmp_path, {
         "model": DOUBLE_WELL_MODEL,
         "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
@@ -577,11 +578,14 @@ def _sample_config(tmp_path, **section):
     })
 
 
-def test_forked_and_in_process_formatting_write_the_same_files(tmp_path, monkeypatch, capsys,
-                                                                forks):
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+def test_forked_and_in_process_formatting_write_the_same_files(layout, tmp_path, monkeypatch,
+                                                                capsys, forks):
     # with two CPUs a forked child formats samples.csv while the chains
-    # run; with one, this process formats it after them: the same bytes
-    cfg = _sample_config(tmp_path)
+    # run, each block once the engine's draws say it is final; with one,
+    # this process formats it after them: the same bytes
+    burn_in, steps = BLOCK_LAYOUTS[layout]
+    cfg = _sample_config(tmp_path, burn_in=burn_in, steps_per_chain=steps)
     runs = []
     for cpus in (2, 1):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -591,7 +595,7 @@ def test_forked_and_in_process_formatting_write_the_same_files(tmp_path, monkeyp
         assert len(forks) == 1
     assert runs[0] == runs[1]
     assert sorted(runs[0][0]) == ["sample_run.json", "samples.csv"]
-    assert runs[0][0]["samples.csv"].count(b"\n") == 2 + 2 * 9000
+    assert runs[0][0]["samples.csv"].count(b"\n") == 2 + 2 * steps
     _no_child_left()
 
 
@@ -802,6 +806,33 @@ def test_error_in_the_sample_child_is_raised_as_itself(raised, tmp_path, capsys,
     else:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists() and _staged(tmp_path) == [] and len(forks) == 1
+    _no_child_left()
+
+
+def _local_error():
+    class LocalError(ValueError):  # defined in a function: it cannot be pickled
+        pass
+
+    return LocalError
+
+
+def test_error_the_sample_child_cannot_pickle_is_named(tmp_path, capsys, monkeypatch, forks):
+    # the child sends a SolverError naming the class and text of an error
+    # it cannot pickle, not the end of its pipe: exit 3, no output
+    # directory and no child left
+    parent, raised = os.getpid(), _local_error()
+
+    def lines(samples, chain, lo, hi, real=cli._sample_lines):
+        if os.getpid() != parent:
+            raise raised("boom")
+        return real(samples, chain, lo, hi)
+
+    monkeypatch.setattr(cli, "_sample_lines", lines)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert main(["sample", "--config", _sample_config(tmp_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "solver error: a child process raised LocalError: boom\n"
     assert not out.exists() and _staged(tmp_path) == [] and len(forks) == 1
     _no_child_left()
 
@@ -1049,8 +1080,8 @@ def no_work(monkeypatch):
         monkeypatch.setattr(module, name, started)
 
 
-# each case under a fixed id, so that a case can be added or removed
-# without renaming the others
+# each case under a fixed id (ids=), so that a case can be added or
+# removed without renaming the others
 OUT_OF_RANGE = {
     "fluct-section0": ("fluct", {"t_min": 0.0}),
     "fluct-section1": ("fluct", {"t_min": -0.5}),
@@ -1099,11 +1130,10 @@ OUT_OF_RANGE = {
 }
 
 
-@pytest.mark.parametrize("case", OUT_OF_RANGE)
-def test_out_of_range_values_are_config_errors(tmp_path, capsys, no_work, case):
+@pytest.mark.parametrize("command, section", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, no_work, command, section):
     # rejected while the config is read: exit 2, before any work, and
     # nothing written
-    command, section = OUT_OF_RANGE[case]
     cfg = write_config(tmp_path, {
         "model": HARMONIC_MODEL,
         "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 401},

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import math
 import os
@@ -31,8 +32,8 @@ from wfgibbs.cli import load_config
 from wfgibbs.sampling import (_PROPOSAL_SCALE, _batch_se, _weight_moments,
                               integrated_autocorrelation)
 
-from conftest import (double_well, exact_sphere_variance, expectations, harmonic,
-                      retained_states, unitary_flow_check)
+from conftest import (BLOCK_LAYOUTS, double_well, exact_sphere_variance, expectations,
+                      harmonic, retained_states, unitary_flow_check)
 from test_acceptance import two_level_quadrature
 
 
@@ -140,28 +141,54 @@ def test_bitwise_reproducibility(tm8):
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_output_array_and_block_hook_leave_the_run_unchanged(tm8):
+def test_output_array_leaves_the_run_unchanged(tm8):
     # the samples go into the array given, bit for bit those of a run
-    # without it; the hook is called once per noise block that retains a
-    # step, with retained steps that tile the chain in order, each block's
-    # samples final when it is called
+    # without it
     block = sampling._NOISE_BLOCK
     cfg = ChainConfig(chain_count=2, steps_per_chain=2 * block + 100, burn_in=300, seed=4)
     plain = sample_ensemble(tm8, 2.0, cfg)
     out = np.full((2, cfg.steps_per_chain, 2), np.nan)
-    seen = []
-
-    def on_block(lo, hi):
-        seen.append((lo, hi, out[:, lo:hi].copy()))
-
-    run = sample_ensemble(tm8, 2.0, cfg, out=out, on_block=on_block)
+    run = sample_ensemble(tm8, 2.0, cfg, out=out)
     assert run.samples is out and np.array_equal(out, plain.samples)
-    assert [(lo, hi) for lo, hi, _ in seen] == [
-        (0, block - 300), (block - 300, 2 * block - 300), (2 * block - 300, 2 * block + 100)]
-    for lo, hi, filled in seen:
-        assert np.array_equal(filled, plain.samples[:, lo:hi])
     with pytest.raises(UsageError, match="shape"):
         sample_ensemble(tm8, 2.0, cfg, out=np.empty((2, cfg.steps_per_chain, 3)))
+
+
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+def test_taking_block_k_finds_the_blocks_before_k_minus_1_final(tm8, layout):
+    # the retained spans tile the chain in order, a block of burn-in alone
+    # having none; when the engine takes block k (k = the block count: the
+    # item after the last block), every span of the blocks before block
+    # k - 1 is final in out, and block k - 1's samples are not yet written
+    burn_in, steps = BLOCK_LAYOUTS[layout]
+    cfg = ChainConfig(chain_count=2, steps_per_chain=steps, burn_in=burn_in, seed=4)
+    spans = sampling.retained_spans(cfg)
+    kept = [span for span in spans if span]
+    assert len(spans) == -(-(burn_in + steps) // sampling._NOISE_BLOCK)
+    assert spans == [None] * (len(spans) - len(kept)) + kept
+    assert [lo for lo, _ in kept] == [0] + [hi for _, hi in kept[:-1]]
+    assert kept[-1][1] == steps and all(lo < hi for lo, hi in kept)
+
+    plain = sample_ensemble(tm8, 2.0, cfg)
+    out = np.full((2, steps, 2), np.nan)
+    taken = []
+
+    def spy():
+        stream = sampling.chain_draws(cfg, tm8.n, 2.0)
+        yield next(stream)
+        for k, item in enumerate(itertools.chain(stream, [None])):  # arrays are reused
+            final = [span for span in spans[:max(k - 1, 0)] if span]
+            for lo, hi in final:
+                assert np.array_equal(out[:, lo:hi], plain.samples[:, lo:hi])
+            if k and spans[k - 1]:
+                assert np.isnan(out[:, slice(*spans[k - 1])]).all()
+            taken.append(k)
+            if item is not None:
+                yield item
+
+    assert np.array_equal(sample_ensemble(tm8, 2.0, cfg, out=out, draws=spy()).samples,
+                          plain.samples)
+    assert taken == list(range(len(spans) + 1))
 
 
 def test_acceptance_rate_tuned(tm8):
