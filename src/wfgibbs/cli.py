@@ -14,9 +14,11 @@ process raises as itself (_receive). veff and fluct solve each mass's
 doublet and table in children (_per_mass). sample forks one child
 (_formatter) with two jobs: it draws the chains' random numbers one block
 ahead of the engine, and it formats samples.csv while the chains run. One
-pipe carries a byte to it per block the engine takes; on each it draws
-first, then queues the samples that block makes final, so the engine's
-step loop does nothing but the Metropolis steps and waits for no text.
+pipe carries a byte to it per block the engine takes, which it takes only
+once the block before is evaluated; on each byte the child draws first,
+then queues the block the engine has just evaluated for formatting, so the
+engine's step loop does nothing but the Metropolis steps and waits for no
+text.
 Each runs in this process alone with one usable CPU or without os.fork.
 """
 
@@ -234,11 +236,13 @@ def _fork(job):
     results), the file this process reads the child's pipe through: the
     child pickles (True, item) for each item, flushed as it comes, then
     (False, exc) for the exception that ends the job, if one does, and
-    exits. Each message is pickled whole before it is written, and an
-    exception that cannot be pickled (a class defined in a function, say)
-    is sent as a SolverError naming its type and text, so the pipe never
-    ends in part of a message. Read it with _receive, and end it with
-    _reap on every path. The package's only fork."""
+    exits. Each message is pickled whole before it is written, so the pipe
+    never ends in part of a message, and the error's message is unpickled
+    once before it is sent: an exception that cannot be pickled (a class
+    defined in a function, say) or not unpickled (one whose __init__ wants
+    other arguments than its args) is sent as a SolverError naming its
+    type and text. Read it with _receive, and end it with _reap on every
+    path. The package's only fork."""
     read, write = os.pipe()
     results = os.fdopen(read, "rb")
     with os.fdopen(write, "wb") as sink:
@@ -256,6 +260,7 @@ def _fork(job):
             except BaseException as exc:
                 try:
                     message = pickle.dumps((False, exc))
+                    pickle.loads(message)  # as _receive will
                 except Exception:  # PicklingError, AttributeError, TypeError, ...
                     message = pickle.dumps((False, SolverError(
                         f"a child process raised {type(exc).__name__}: {exc}")))
@@ -474,26 +479,18 @@ def _formatted_qp(qp: np.ndarray) -> np.ndarray:
 def _sample_lines(samples: np.ndarray, chain: int, lo: int, hi: int) -> str:
     """The samples.csv lines "q,p,chain,step" of the steps lo <= step < hi
     of one chain of the (chains, steps, 2) samples; the text of q and p is
-    _formatted_qp's. The one formatter of samples.csv, in the formatter
-    process (_formatter) and in this one (_sample_text) alike."""
+    _formatted_qp's. The one formatter of samples.csv, in the formatter's
+    child and in this process alike (_formatter)."""
     text = _formatted_qp(samples[chain, lo:hi]).tolist()
     return "".join([f"{qp},{chain},{step}\n" for qp, step in zip(text, range(lo, hi))])
-
-
-def _sample_text(samples: np.ndarray):
-    """The samples.csv text of the (chains, steps, 2) samples, formatted in
-    this process one block of sampling._NOISE_BLOCK steps of one chain at a
-    time: 1M rows of text would double the peak memory of a large run."""
-    steps, block = samples.shape[1], sampling._NOISE_BLOCK
-    return (_sample_lines(samples, chain, lo, min(lo + block, steps))
-            for chain in range(len(samples)) for lo in range(0, steps, block))
 
 
 def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: float):
     """Yield, for samples, a (chains, steps, 2) array in shared memory that
     the engine fills with cfg's chains on n levels at beta: first the
-    engine's draws, then the samples.csv text, chain by chain in blocks of
-    at most sampling._NOISE_BLOCK steps.
+    engine's draws, then the samples.csv text, chain by chain, one chunk
+    per chain and block that retains a step (sampling.retained_spans), in
+    the block's span.
 
     With two usable CPUs (_usable_cpus) a child of _fork has two jobs. It
     draws the chains' random numbers (sampling.chain_draws) into two block
@@ -502,20 +499,19 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     One pipe carries a byte to it each time the engine takes block k >= 1
     (k = the block count: the item after the last block), the one message
     it reads: the slot of block k - 1 is then free for block k + 1, and
-    every retained step of block k - 2 is final (sample_ensemble's
+    every retained step before block k is final (sample_ensemble's
     draws). Its items come back through _fork's pipe: one per item drawn
     (the start vectors, then each block) as soon as it is drawn, then,
     once the pipe in ends, the text. It draws the start vectors and the
     first two blocks; then on block k's byte it draws block k + 1, if there
-    is one, and queues block k - 2's chains for formatting, and at the end
-    of the pipe in it queues the block that is left, the last. It formats
-    one chain's steps of a block at a time, and only while no byte waits,
-    so a draw waits for at most one chain's text (on dw_m0.2_sample.json's
-    settings, draws queued behind whole blocks of text cost the engine up
-    to 0.2 s of waiting). Asking for the second item ends the pipe in, and
-    this process then reads one chunk of text per chain and block that
-    retains a step (sampling.retained_spans), a count known before the
-    run, so it holds one block's text at a time. An error that ends the
+    is one, and queues block k - 1's chains for formatting, so the last
+    byte has queued every block. It formats one chain's steps of a block
+    at a time, and only while no byte waits, so a draw waits for at most
+    one chain's text (on dw_m0.2_sample.json's settings, draws queued
+    behind whole blocks of text cost the engine up to 0.2 s of waiting).
+    Asking for the second item ends the pipe in, and this process then
+    reads the chunks, a count known before the run, so it holds one
+    block's text at a time. An error that ends the
     child is raised as itself where this process next reads; a child that
     ends before it has drawn a block the engine takes, or before it has
     sent all of the text (killed, say, for want of memory), raises
@@ -523,8 +519,9 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     child outlives it. Once the engine has taken its last block, this
     process drops the slots from its resident memory, which the validation
     and the write that follow would otherwise carry. Otherwise draws is
-    None, the engine draws in this process, and the text is formatted in
-    this process as it is read (_sample_text).
+    None, the engine draws in this process, and the same chunks are
+    formatted in this process as they are read: 1M rows of text at once
+    would double the peak memory of a large run.
 
     On 2 cores, in this process, drawing takes about a quarter of the
     engine's time (0.15 s of 0.6 s on harmonic_sample.json's 4 chains of
@@ -532,11 +529,12 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     s against its engine's 1.3 s; the child does both beside the engine.
     Splitting the chains between processes would not pay: a lockstep step
     costs about the same for any chain count from 1 to 8."""
+    spans = sampling.retained_spans(cfg)
     if _usable_cpus() < 2:
         yield None
-        yield from _sample_text(samples)
+        yield from (_sample_lines(samples, chain, *span)
+                    for chain in range(len(samples)) for span in spans if span)
         return
-    spans = sampling.retained_spans(cfg)
     n2, total = 2 * n, cfg.burn_in + cfg.steps_per_chain
     width = min(sampling._NOISE_BLOCK, total)
     slot_size = width * cfg.chain_count * (n2 + 1)
@@ -563,11 +561,10 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
 
         yield from draw(2)
         chains, tasks = [[] for _ in samples], collections.deque()
-        # block k's byte makes block k - 2 final: the tasks it readies are
-        # every chain's steps of that block (none for burn-in alone), and
-        # the end of the pipe in readies the rest
-        ready = iter([[], *([(chain, *span) for chain in range(len(chains))] if span else []
-                            for span in spans)])
+        # block k's byte makes block k - 1 final: the tasks it readies are
+        # every chain's steps of that block (none for burn-in alone)
+        ready = iter([[(chain, *span) for chain in range(len(chains))] if span else []
+                      for span in spans])
         fd = taken.fileno()
         while True:
             # a chain's text of a block at a time, and only while no byte
@@ -582,7 +579,6 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
             for readied in itertools.islice(ready, len(data)):
                 yield from draw(1)
                 tasks.extend(readied)
-        tasks.extend(itertools.chain(*ready))
         for chain, lo, hi in tasks:
             chains[chain].append(_sample_lines(samples, chain, lo, hi))
         yield from itertools.chain(*chains)

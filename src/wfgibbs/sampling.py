@@ -238,7 +238,7 @@ def chain_draws(cfg: ChainConfig, n: int, beta: float):
     chain count does not change any chain's stream. A chain draws into a
     (block, 2N) scratch that is copied into its column of the step-major
     array. The arrays yielded are reused: each is valid until the next item
-    is drawn."""
+    is drawn, and the consumer may overwrite what it takes."""
     n_chains, n2 = cfg.chain_count, 2 * n
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
             for i in range(n_chains)]
@@ -272,11 +272,14 @@ def retained_spans(cfg: ChainConfig) -> list:
 
 
 def _checked(array, shape: tuple, name: str):
-    """array, when it is a float64 array of the given shape; else UsageError."""
-    if not isinstance(array, np.ndarray) or array.shape != shape or array.dtype != np.float64:
-        raise UsageError(f"{name} must be a float64 array of shape {shape}, got "
-                         f"{getattr(array, 'dtype', type(array).__name__)} "
-                         f"{getattr(array, 'shape', '')}")
+    """array, when it is a writable float64 array of the given shape (the
+    engine writes into each); else UsageError."""
+    if not (isinstance(array, np.ndarray) and array.shape == shape
+            and array.dtype == np.float64 and array.flags.writeable):
+        got = (f"{'read-only ' * (not array.flags.writeable)}{array.dtype} {array.shape}"
+               if isinstance(array, np.ndarray) else type(array).__name__)
+        raise UsageError(f"{name} must be a writable float64 array of shape {shape}, "
+                         f"got {got}")
     return array
 
 
@@ -287,38 +290,41 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
     The states are held as the float64 view (chains, 2N) of the
     coefficients, real and imaginary parts interleaved. One step of every
     chain is a handful of numpy calls on contiguous (chains, 2N) slabs and
-    (chains,) vectors: the proposal c + sigma z goes straight into its row
-    of the block's proposals, then one dot of its square against
+    (chains,) vectors: the proposal c + sigma z goes straight over z, its
+    row of the block's normals, then one dot of its square against
     F = [1, E - E0] (each energy repeated for the real and the imaginary
     part) gives |prop|^2 and sum_k (E_k - E0) |prop_k|^2, whose ratio is
-    the energy of normalize(prop), and |prop| goes into its row of the
-    block's norms. The rule u < exp(-beta max(dE, 0)) is applied as
-    dE < -log(u) / beta, and an accepted step sets c = prop / |prop|. An
-    exactly zero proposal, which has probability zero, gets the energy
-    0/0 = nan and is rejected. Sigma only changes at the tuning boundaries
-    of burn-in, so the noise is scaled in place once per tuning segment,
-    and acceptances are counted per segment.
+    the energy of normalize(prop). The rule u < exp(-beta max(dE, 0)) is
+    applied as dE < -log(u) / beta, then |prop| goes over the step's
+    threshold, and an accepted step sets c = prop / |prop|. An exactly zero
+    proposal, which has probability zero, gets the energy 0/0 = nan and is
+    rejected. Sigma only changes at the tuning boundaries of burn-in, so
+    the noise is scaled in place once per tuning segment, and acceptances
+    are counted per segment.
 
-    The noise, thresholds, accept flags, proposals and norms of a block are
-    step-major, (steps, chains, ...), and one loop runs burn-in and retained
-    steps alike, with no copy of the state: only at the block's first
-    retained step is the state entering it copied. At the end of a block
-    (<q>, <p>) is evaluated only for each chain's first retained state and
-    the states of accepted steps, rebuilt as proposal / norm (the very
-    division the step made), and repeated over the rejected steps after
-    them, which repeat their state bit for bit. A block's retained steps
+    The draws and accept flags of a block are step-major, (steps, chains,
+    ...), and one loop runs burn-in and retained steps alike, with no copy
+    of the state: only at the block's first retained step is the state
+    entering it copied. After a block's steps, one call of
+    TruncatedModel._real_expectations evaluates (<q>, <p>) for the block's
+    fresh rows of every chain in step-major order: each chain's first
+    retained state (the state entering it when that step was rejected) and
+    the states of its accepted steps after it, rebuilt as proposal / norm
+    (the very division the step made). Each retained step then takes the
+    last fresh row of its chain, a running maximum of row indices, since a
+    rejected step repeats its state bit for bit. A block's retained steps
     are those of its span in retained_spans(cfg). The samples go into out,
     a (chains, steps, 2) float64 array, when one is given.
 
     The random numbers come from draws, an iterator over the items of
     chain_draws(cfg, tm.n, beta), which is the default (cli draws them in
     another process, one block ahead, and formats the samples there while
-    the chains run on); an item of the wrong shape or dtype is a
-    UsageError. The next block is taken right after a block's steps,
-    before its samples are evaluated, so the draws of a block are not read
-    after that, and when the engine takes block k (k = the block count:
-    the item after the last block), every retained step of the blocks
-    before block k - 1 is final in out. (The BLAS kernel behind the dot
+    the chains run on); an item of the wrong shape or dtype, or one that is
+    not writable, is a UsageError, as is such an out. The engine writes
+    over the normals and thresholds it takes. Block k + 1 is taken only
+    after block k is evaluated, so when the engine takes block k (k = the
+    block count: the item after the last block), every retained step
+    before block k is final in out. (The BLAS kernel behind the dot
     depends on the chain count, gemv for one chain and gemm for more, so a
     chain's states can differ in the last bit between runs with different
     chain counts.)
@@ -342,12 +348,7 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
     sigma = np.full((n_chains, 1), _PROPOSAL_SCALE)
 
     total = cfg.burn_in + cfg.steps_per_chain
-    width = min(_NOISE_BLOCK, total)
-    # step-major block buffers: each step reads and writes (chains, 2N) slabs
-    # and (chains,) vectors
-    kept = np.empty((width, n_chains, 2 * n))  # each step's proposal
-    roots = np.empty((width, n_chains, 1))  # and its norm
-    accepts = np.empty((width, n_chains), dtype=bool)
+    accepts = np.empty((min(_NOISE_BLOCK, total), n_chains), dtype=bool)
     entering = np.empty((n_chains, 2 * n))  # the state entering the first retained step
     sq, r = np.empty((n_chains, 2 * n)), np.empty((n_chains, 2))
     norm2, e_sum = r[:, 0], r[:, 1]
@@ -361,10 +362,9 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
     # 0.6 us of a 6 us step
     add, multiply, dot, divide, subtract, less, sqrt, copyto = (
         np.add, np.multiply, np.dot, np.divide, np.subtract, np.less, np.sqrt, np.copyto)
-    drawn = next(draws, None)
     for start, span in zip(range(0, total, _NOISE_BLOCK), retained_spans(cfg)):
         block = min(_NOISE_BLOCK, total - start)
-        noise, thresholds = (None, None) if drawn is None else drawn
+        noise, thresholds = next(draws, (None, None))
         noise = _checked(noise, (block, n_chains, 2 * n), "draws' normals")
         thresholds = _checked(thresholds, (block, n_chains), "draws' thresholds")
         first = block - (span[1] - span[0]) if span else block  # the first retained step
@@ -374,16 +374,15 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
             if lo == first:
                 np.copyto(entering, c)
             with np.errstate(invalid="ignore", divide="ignore"):
-                for step, t, acc, acc_col, prop, root, root_flat in zip(
-                        noise[lo:hi], thresholds[lo:hi], accepts[lo:hi],
-                        accepts[lo:hi, :, None], kept[lo:hi], roots[lo:hi],
-                        roots[lo:hi, :, 0]):
-                    add(c, step, prop)
+                for prop, t, root, acc, acc_col in zip(
+                        noise[lo:hi], thresholds[lo:hi], thresholds[lo:hi, :, None],
+                        accepts[lo:hi], accepts[lo:hi, :, None]):
+                    add(c, prop, prop)
                     multiply(prop, prop, sq)
                     dot(sq, forms, r)
                     divide(e_sum, norm2, e)
                     less(subtract(e, energy, de), t, acc)
-                    sqrt(norm2, root_flat)
+                    sqrt(norm2, t)
                     divide(prop, root, out=c, where=acc_col)
                     copyto(energy, e, where=acc)
             if start + lo >= cfg.burn_in:
@@ -395,21 +394,21 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
                 tune = (rate < 0.3) | (rate > 0.5)
                 sigma[tune, 0] = np.clip(sigma[tune, 0] * np.exp(rate[tune] - 0.4), 1e-4, 10.0)
                 window_accepted[:] = 0
-        drawn = next(draws, None)  # this block's draws are spent
         if span:
-            lo, hi = span
             accepted += accepts[first:block].sum(axis=0)
             fresh = accepts[first:block].copy()
             fresh[0] = True
-            for i in range(n_chains):
-                rows = np.flatnonzero(fresh[:, i])
-                runs = np.diff(rows, append=block - first)
-                states = kept[first + rows, i]
-                states /= roots[first + rows, i]
-                if not accepts[first, i]:
-                    states[0] = entering[i]
-                q, p = tm._real_expectations(states)
-                samples[i, lo:hi, 0], samples[i, lo:hi, 1] = np.repeat(q, runs), np.repeat(p, runs)
+            steps, chains = np.nonzero(fresh)  # step-major
+            states = noise[first + steps, chains]
+            states /= thresholds[first + steps, chains, None]
+            np.copyto(states[:n_chains], entering, where=~accepts[first, :, None])
+            q, p = tm._real_expectations(states)
+            # each retained step takes the last fresh row of its chain
+            rows = np.zeros(fresh.shape, dtype=np.int64)
+            rows[fresh] = np.arange(len(states))
+            rows = np.maximum.accumulate(rows).T
+            samples[:, slice(*span), 0], samples[:, slice(*span), 1] = q[rows], p[rows]
+    next(draws, None)  # the item after the last block: every block is spent
 
     return SampleRun(
         beta=beta,

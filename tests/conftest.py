@@ -115,11 +115,12 @@ def retained_states(tm, beta, cfg):
     N) coefficient vectors of its retained states.
 
     A spy on TruncatedModel._real_expectations keeps a copy of the rows
-    each call evaluates: per noise block with retained steps, one call per
-    chain, in chain order, on the chain's first retained state of the block
-    and the state of each accepted step after it. A rejected step repeats
-    its state bit for bit, so within a block a new state begins at its
-    first retained step and wherever consecutive samples differ bitwise.
+    each call evaluates: one call per noise block with retained steps, on
+    the block's fresh rows of every chain in step-major order (each chain's
+    first retained state of the block and the state of each accepted step
+    after it). A rejected step repeats its state bit for bit, so within a
+    block a new state begins at its first retained step and wherever
+    consecutive samples differ bitwise.
     """
     rows = []
     evaluate = sampling.TruncatedModel._real_expectations
@@ -133,16 +134,15 @@ def retained_states(tm, beta, cfg):
         run = sampling.sample_ensemble(tm, beta, cfg)
     calls = iter(rows)
     states = np.empty((cfg.chain_count, cfg.steps_per_chain, tm.n), dtype=np.complex128)
-    total = cfg.burn_in + cfg.steps_per_chain
-    for start in range(0, total, sampling._NOISE_BLOCK):
-        lo = max(start - cfg.burn_in, 0)
-        hi = min(start + sampling._NOISE_BLOCK, total) - cfg.burn_in
-        for chain in range(cfg.chain_count if lo < hi else 0):
-            bits = run.samples[chain, lo:hi].view(np.uint64)
-            fresh = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
-            evaluated = next(calls).view(np.complex128)
-            assert len(evaluated) == fresh.sum()
-            states[chain, lo:hi] = evaluated[np.cumsum(fresh) - 1]
+    for lo, hi in filter(None, sampling.retained_spans(cfg)):
+        bits = run.samples[:, lo:hi].view(np.uint64)
+        fresh = np.ones((cfg.chain_count, hi - lo), dtype=bool)
+        fresh[:, 1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=2)
+        evaluated = next(calls).view(np.complex128)
+        assert len(evaluated) == fresh.sum()
+        owner = np.nonzero(fresh.T)[1]  # the chain of each row, step-major
+        for chain in range(cfg.chain_count):
+            states[chain, lo:hi] = evaluated[owner == chain][np.cumsum(fresh[chain]) - 1]
     assert next(calls, None) is None
     return run, states
 

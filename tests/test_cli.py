@@ -601,14 +601,14 @@ def test_forked_and_in_process_formatting_write_the_same_files(layout, tmp_path,
 
 @pytest.mark.parametrize("raised", [SolverError, KeyboardInterrupt])
 def test_failed_engine_reaps_the_formatter(raised, tmp_path, capsys, monkeypatch, forks):
-    # the engine fails in its second block, after the formatter has been
-    # handed the first: exit 3, or the interrupt, no output directory and
-    # no child left
+    # the engine fails evaluating its second block, after the formatter has
+    # been handed the first: exit 3, or the interrupt, no output directory
+    # and no child left
     calls = []
 
     def expectations(tm, x, real=sampling.TruncatedModel._real_expectations):
         calls.append(len(x))
-        if len(calls) == 3:
+        if len(calls) == 2:  # one call per block
             raise raised("engine stopped")
         return real(tm, x)
 
@@ -626,7 +626,7 @@ def test_failed_engine_reaps_the_formatter(raised, tmp_path, capsys, monkeypatch
     else:
         assert main(argv) == 3
         assert capsys.readouterr().err == "solver error: engine stopped\n"
-    assert not out.exists() and len(forks) == 1 and len(calls) == 3
+    assert not out.exists() and len(forks) == 1 and len(calls) == 2
     _no_child_left()
 
 
@@ -833,6 +833,33 @@ def test_error_the_sample_child_cannot_pickle_is_named(tmp_path, capsys, monkeyp
     out = tmp_path / "out"
     assert main(["sample", "--config", _sample_config(tmp_path), "--out", str(out)]) == 3
     assert capsys.readouterr().err == "solver error: a child process raised LocalError: boom\n"
+    assert not out.exists() and _staged(tmp_path) == [] and len(forks) == 1
+    _no_child_left()
+
+
+class TwoArgError(Exception):
+    # pickles, but unpickling calls TwoArgError(*args), which lacks where
+    def __init__(self, message, where):
+        super().__init__(message)
+        self.where = where
+
+
+def test_error_the_sample_child_cannot_unpickle_is_named(tmp_path, capsys, monkeypatch, forks):
+    # an error that pickles but cannot be unpickled is named by the child,
+    # as one it cannot pickle is, not a traceback out of _receive: exit 3,
+    # no output directory and no child left
+    parent = os.getpid()
+
+    def lines(samples, chain, lo, hi, real=cli._sample_lines):
+        if os.getpid() != parent:
+            raise TwoArgError("boom", chain)
+        return real(samples, chain, lo, hi)
+
+    monkeypatch.setattr(cli, "_sample_lines", lines)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert main(["sample", "--config", _sample_config(tmp_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "solver error: a child process raised TwoArgError: boom\n"
     assert not out.exists() and _staged(tmp_path) == [] and len(forks) == 1
     _no_child_left()
 
@@ -1587,6 +1614,17 @@ def _hand_built_samples():
     return np.stack([chain, chain[::-1]])
 
 
+def _sample_chunks(samples, monkeypatch):
+    # the samples.csv chunks of the (chains, steps, 2) samples by the one
+    # rule of cli._formatter, formatted in this process: one chain's span of
+    # each block of a run without burn-in at a time
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    chains, steps = samples.shape[:2]
+    text = cli._formatter(samples, sampling.ChainConfig(chains, steps, burn_in=0), 1, 1.0)
+    assert next(text) is None
+    return text
+
+
 def _block_boundary_samples():
     # 2 * _NOISE_BLOCK + 3 distinct rows, but across each block boundary
     # the first chain repeats a row four times and the second has q = -0.0
@@ -1600,7 +1638,7 @@ def _block_boundary_samples():
 
 
 @pytest.mark.parametrize("case", ["seeded", "beta_zero", "hand_built", "block_boundaries"])
-def test_sample_rows_match_per_float_formatting(case, tmp_path, harmonic_grid):
+def test_sample_rows_match_per_float_formatting(case, tmp_path, harmonic_grid, monkeypatch):
     if case == "hand_built":
         samples = _hand_built_samples()
     elif case == "block_boundaries":
@@ -1616,19 +1654,20 @@ def test_sample_rows_match_per_float_formatting(case, tmp_path, harmonic_grid):
         # rejected steps repeat their state; at beta = 0 none is rejected
         assert repeats > 0.3 if case == "seeded" else repeats == 0.0
     cli.write_csv(tmp_path / "per_float.csv", "q,p,chain,step", _per_float_rows(samples))
-    cli.write_csv(tmp_path / "runs.csv", "q,p,chain,step", cli._sample_text(samples))
+    cli.write_csv(tmp_path / "runs.csv", "q,p,chain,step", _sample_chunks(samples, monkeypatch))
     expected = (tmp_path / "per_float.csv").read_bytes()
     assert (tmp_path / "runs.csv").read_bytes() == expected
     assert expected.count(b"\n") == 2 + samples.shape[0] * samples.shape[1]
 
 
-def test_sampler_and_csv_writer_memory_stay_bounded(tmp_path, harmonic_grid):
+def test_sampler_and_csv_writer_memory_stay_bounded(tmp_path, harmonic_grid, monkeypatch):
     # numpy reports its buffers to tracemalloc. The bound is the samples
-    # array, five step-major block buffers (the stream's normals and
-    # thresholds, the engine's proposals, norms and accept flags) and 4 MiB,
-    # which holds the stream's (block, 2N) scratch of one chain, one chain's
-    # retained states of a block and the IAT's FFT temporaries (about 2
-    # MiB), but not one more noise-sized buffer: a chain-major scratch of
+    # array, five step-major block buffers' worth (the stream's normals and
+    # thresholds, the engine's accept flags, and a block's fresh states and
+    # their row indices, at most one normals and one thresholds buffer) and
+    # 4 MiB, which holds the stream's (block, 2N) scratch of one chain, the
+    # block's other index temporaries and the IAT's FFT temporaries (about
+    # 2 MiB), but not one more noise-sized buffer: a chain-major scratch of
     # every chain's normals would not fit
     tm = sampling.build_truncated_model(ModelParams.from_dict(HARMONIC_MODEL), 8,
                                         harmonic_grid)
@@ -1646,7 +1685,8 @@ def test_sampler_and_csv_writer_memory_stay_bounded(tmp_path, harmonic_grid):
             samples = np.concatenate([run.samples[:, :2500]] * copies)
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            cli.write_csv(tmp_path / "samples.csv", "q,p,chain,step", cli._sample_text(samples))
+            cli.write_csv(tmp_path / "samples.csv", "q,p,chain,step",
+                          _sample_chunks(samples, monkeypatch))
             writer_peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()

@@ -155,11 +155,11 @@ def test_output_array_leaves_the_run_unchanged(tm8):
 
 
 @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
-def test_taking_block_k_finds_the_blocks_before_k_minus_1_final(tm8, layout):
+def test_taking_block_k_finds_the_blocks_before_k_final(tm8, layout):
     # the retained spans tile the chain in order, a block of burn-in alone
     # having none; when the engine takes block k (k = the block count: the
-    # item after the last block), every span of the blocks before block
-    # k - 1 is final in out, and block k - 1's samples are not yet written
+    # item after the last block), every span of the blocks before block k
+    # is final in out, and block k's samples are not yet written
     burn_in, steps = BLOCK_LAYOUTS[layout]
     cfg = ChainConfig(chain_count=2, steps_per_chain=steps, burn_in=burn_in, seed=4)
     spans = sampling.retained_spans(cfg)
@@ -177,11 +177,10 @@ def test_taking_block_k_finds_the_blocks_before_k_minus_1_final(tm8, layout):
         stream = sampling.chain_draws(cfg, tm8.n, 2.0)
         yield next(stream)
         for k, item in enumerate(itertools.chain(stream, [None])):  # arrays are reused
-            final = [span for span in spans[:max(k - 1, 0)] if span]
-            for lo, hi in final:
+            for lo, hi in filter(None, spans[:k]):
                 assert np.array_equal(out[:, lo:hi], plain.samples[:, lo:hi])
-            if k and spans[k - 1]:
-                assert np.isnan(out[:, slice(*spans[k - 1])]).all()
+            if k < len(spans) and spans[k]:
+                assert np.isnan(out[:, slice(*spans[k])]).all()
             taken.append(k)
             if item is not None:
                 yield item
@@ -371,23 +370,38 @@ def test_explicit_draws_give_the_default_run(tm8):
         assert np.array_equal(run.proposal_scales, plain.proposal_scales)
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+def _out_read_only(items, out):
+    _read_only(out)
+    return items
+
+
 @pytest.mark.parametrize("bad", [
-    lambda items: [items[0][:, :-1], *items[1:]],
-    lambda items: [items[0].astype(np.float32), *items[1:]],
-    lambda items: [items[0], (items[1][0][:-1], items[1][1]), *items[2:]],
-    lambda items: [items[0], (items[1][0], items[1][1][:, :1]), *items[2:]],
-    lambda items: [*items[:2], (items[2][0], items[2][1].tolist())],
-    lambda items: items[:2],
-    lambda items: [],
+    lambda items, out: [items[0][:, :-1], *items[1:]],
+    lambda items, out: [items[0].astype(np.float32), *items[1:]],
+    lambda items, out: [items[0], (items[1][0][:-1], items[1][1]), *items[2:]],
+    lambda items, out: [items[0], (items[1][0], items[1][1][:, :1]), *items[2:]],
+    lambda items, out: [*items[:2], (items[2][0], items[2][1].tolist())],
+    lambda items, out: items[:2],
+    lambda items, out: [],
+    lambda items, out: [items[0], (_read_only(items[1][0]), items[1][1]), *items[2:]],
+    lambda items, out: [items[0], (items[1][0], _read_only(items[1][1])), *items[2:]],
+    _out_read_only,
 ], ids=["start_shape", "start_dtype", "normals_steps", "thresholds_chains", "thresholds_list",
-        "ended_early", "empty"])
+        "ended_early", "empty", "normals_read_only", "thresholds_read_only", "out_read_only"])
 def test_draws_of_the_wrong_shape_are_usage_errors(tm8, bad):
     # as a wrong out does: a start or block of the wrong shape or type, or
-    # a stream that ends before the run does
+    # a stream that ends before the run does; and the engine writes into
+    # the normals, the thresholds and out, so each must be writable
     cfg = ChainConfig(chain_count=2, steps_per_chain=5000, burn_in=4000, seed=3)
-    items = bad(list(sampling.chain_draws(cfg, tm8.n, 2.0)))
+    out = np.empty((2, cfg.steps_per_chain, 2))
+    items = bad(list(sampling.chain_draws(cfg, tm8.n, 2.0)), out)
     with pytest.raises(UsageError, match="shape"):
-        sample_ensemble(tm8, 2.0, cfg, draws=iter(items))
+        sample_ensemble(tm8, 2.0, cfg, out=out, draws=iter(items))
 
 
 def test_only_chain_draws_seeds_generators():
