@@ -13,9 +13,11 @@ back each item of its job, then the error that ended it, which this
 process raises as itself (_receive). veff and fluct solve each mass's
 doublet and table in children (_per_mass). sample forks one child
 (_formatter) with two jobs: it draws the chains' random numbers one block
-ahead of the engine, and it formats samples.csv while the chains run. One
-pipe carries a byte to it per block the engine takes, which it takes only
-once the block before is evaluated; on each byte the child draws first,
+ahead of the engine, straight into two block slots of memory it shares
+with this process (the start vectors come back by value), and it formats
+samples.csv while the chains run. One pipe carries a byte to it per
+block the engine takes, which it takes only once the block before is
+evaluated; on each byte the child draws first,
 then queues the block the engine has just evaluated for formatting, so the
 engine's step loop does nothing but the Metropolis steps and waits for no
 text.
@@ -489,21 +491,24 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     """Yield, for samples, a (chains, steps, 2) array in shared memory that
     the engine fills with cfg's chains on n levels at beta: first the
     engine's draws, then the samples.csv text, chain by chain, one chunk
-    per chain and block that retains a step (sampling.retained_spans), in
-    the block's span.
+    per chain and block that retains a step, in the block's span
+    (sampling.noise_blocks, which also lays out the slots below).
 
     With two usable CPUs (_usable_cpus) a child of _fork has two jobs. It
-    draws the chains' random numbers (sampling.chain_draws) into two block
-    slots of shared memory, one block ahead of the engine, and it formats
-    the samples (_sample_lines) once they are final, and keeps the text.
-    One pipe carries a byte to it each time the engine takes block k >= 1
-    (k = the block count: the item after the last block), the one message
-    it reads: the slot of block k - 1 is then free for block k + 1, and
-    every retained step before block k is final (sample_ensemble's
-    draws). Its items come back through _fork's pipe: one per item drawn
-    (the start vectors, then each block) as soon as it is drawn, then,
-    once the pipe in ends, the text. It draws the start vectors and the
-    first two blocks; then on block k's byte it draws block k + 1, if there
+    draws the chains' random numbers (sampling.chain_draws) straight into
+    two block slots of shared memory, as wide as the first block, one
+    block ahead of the engine, and it formats the samples (_sample_lines)
+    once they are final, and keeps the text. It keeps no block of its own
+    and copies none, and this process slices each block from its slot by
+    the block's row count. One pipe carries a byte to it each time the
+    engine takes block k >= 1 (k = the block count: the item after the
+    last block), the one message it reads: the slot of block k - 1 is then
+    free for block k + 1, and every retained step before block k is final
+    (sample_ensemble's draws). Its items come back through _fork's pipe:
+    the start vectors themselves (chains x 2N floats), then a mark per
+    block as soon as it is drawn, then, once the pipe in ends, the text.
+    It draws the start vectors and the first two blocks; then on block
+    k's byte it draws block k + 1, if there
     is one, and queues block k - 1's chains for formatting, so the last
     byte has queued every block. It formats one chain's steps of a block
     at a time, and only while no byte waits, so a draw waits for at most
@@ -529,49 +534,44 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     s against its engine's 1.3 s; the child does both beside the engine.
     Splitting the chains between processes would not pay: a lockstep step
     costs about the same for any chain count from 1 to 8."""
-    spans = sampling.retained_spans(cfg)
+    blocks = sampling.noise_blocks(cfg)
     if _usable_cpus() < 2:
         yield None
         yield from (_sample_lines(samples, chain, *span)
-                    for chain in range(len(samples)) for span in spans if span)
+                    for chain in range(len(samples)) for _, _, span in blocks if span)
         return
-    n2, total = 2 * n, cfg.burn_in + cfg.steps_per_chain
-    width = min(sampling._NOISE_BLOCK, total)
-    slot_size = width * cfg.chain_count * (n2 + 1)
-    region = mmap.mmap(-1, 8 * (cfg.chain_count * n2 + 2 * slot_size))
-    shared = np.ndarray(cfg.chain_count * n2 + 2 * slot_size, buffer=region)
-    starts = shared[:cfg.chain_count * n2].reshape(cfg.chain_count, n2)
-    slots = [(slot[:width * cfg.chain_count * n2].reshape(width, cfg.chain_count, n2),
-              slot[width * cfg.chain_count * n2:].reshape(width, cfg.chain_count))
-             for slot in shared[starts.size:].reshape(2, slot_size)]
+    # two slots, each as wide as the first block (the widest): its
+    # normals, then its thresholds
+    width, chains, n2 = blocks[0][1], cfg.chain_count, 2 * n
+    region = mmap.mmap(-1, 8 * 2 * width * chains * (n2 + 1))
+    slots = [(slot[:width * chains * n2].reshape(width, chains, n2),
+              slot[width * chains * n2:].reshape(width, chains))
+             for slot in np.ndarray((2, width * chains * (n2 + 1)), buffer=region)]
     read, write = os.pipe()  # a byte per block the engine takes, unbuffered
     taken, feed = os.fdopen(read, "rb"), os.fdopen(write, "wb", buffering=0)
 
-    def job():  # the child's: None per item drawn, then the text
+    def job():  # the child's: the start vectors, None per block drawn, then the text
         feed.close()  # the pipe in ends when this process closes its end
-        stream = sampling.chain_draws(cfg, n, beta)
-        starts[...] = next(stream)
-        yield
-        pending = zip(itertools.cycle(slots), stream)
+        stream = sampling.chain_draws(cfg, n, beta, slots)
+        yield next(stream)
 
         def draw(count):  # the next count blocks that are left, into their slots
-            for (normals, thresholds), (z, t) in itertools.islice(pending, count):
-                normals[:len(z)], thresholds[:len(t)] = z, t
+            for _ in itertools.islice(stream, count):
                 yield
 
         yield from draw(2)
-        chains, tasks = [[] for _ in samples], collections.deque()
+        texts, tasks = [[] for _ in samples], collections.deque()
         # block k's byte makes block k - 1 final: the tasks it readies are
         # every chain's steps of that block (none for burn-in alone)
-        ready = iter([[(chain, *span) for chain in range(len(chains))] if span else []
-                      for span in spans])
+        ready = iter([[(chain, *span) for chain in range(len(texts))] if span else []
+                      for _, _, span in blocks])
         fd = taken.fileno()
         while True:
             # a chain's text of a block at a time, and only while no byte
             # waits: a request to draw never waits for more
             if tasks and not select.select([fd], [], [], 0)[0]:
                 chain, lo, hi = tasks.popleft()
-                chains[chain].append(_sample_lines(samples, chain, lo, hi))
+                texts[chain].append(_sample_lines(samples, chain, lo, hi))
                 continue
             data = os.read(fd, 1 << 16)
             if not data:
@@ -580,18 +580,16 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
                 yield from draw(1)
                 tasks.extend(readied)
         for chain, lo, hi in tasks:
-            chains[chain].append(_sample_lines(samples, chain, lo, hi))
-        yield from itertools.chain(*chains)
+            texts[chain].append(_sample_lines(samples, chain, lo, hi))
+        yield from itertools.chain(*texts)
 
     def draws():
         lost = "the process drawing the chains' random numbers ended before it drew "
-        _receive(results, lost + "the start vectors")
-        yield starts
-        for index, start in enumerate(range(0, total, sampling._NOISE_BLOCK)):
-            _receive(results, lost + f"block {index}")
-            normals, thresholds = slots[index % 2]
-            block = min(sampling._NOISE_BLOCK, total - start)
-            yield normals[:block], thresholds[:block]
+        yield _receive(results, lost + "the start vectors")
+        for k, (_, rows, _) in enumerate(blocks):
+            _receive(results, lost + f"block {k}")
+            normals, thresholds = slots[k % 2]
+            yield normals[:rows], thresholds[:rows]
             # the engine takes the next item: this block is spent, and its
             # slot takes the block after the next
             with contextlib.suppress(BrokenPipeError):  # a dead child fails at its next item
@@ -607,7 +605,7 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
         taken.close()
         yield draws()
         feed.close()  # the end of the pipe in
-        for _ in range(len(samples) * sum(span is not None for span in spans)):
+        for _ in range(len(samples) * sum(span is not None for _, _, span in blocks)):
             yield _receive(results, "the process formatting samples.csv ended "
                                     "before it sent the text")
     finally:

@@ -226,49 +226,57 @@ def integrated_autocorrelation(series: np.ndarray) -> float:
     return float(max(taus[window[0] + 1 if len(window) else n - 1], 1.0))
 
 
-def chain_draws(cfg: ChainConfig, n: int, beta: float):
+def noise_blocks(cfg: ChainConfig) -> list:
+    """The blocks that cut the random stream of cfg's chains, the one rule
+    of the blocks: for each, in order, (start, rows, span), its first step,
+    its step count and the retained steps lo <= step < hi it holds, as
+    (lo, hi) in the samples' own indices, or None for a block of burn-in
+    alone. The blocks tile the burn_in + steps_per_chain steps, every one
+    but the last _NOISE_BLOCK long, so the first is the widest; the spans
+    tile [0, steps_per_chain), each ending with its block. chain_draws
+    draws by them, the engine steps and evaluates by them, and cli lays
+    out its shared slots and formats samples.csv by them."""
+    total = cfg.burn_in + cfg.steps_per_chain
+    blocks = [(start, min(_NOISE_BLOCK, total - start)) for start in range(0, total, _NOISE_BLOCK)]
+    return [(start, rows, None if start + rows <= cfg.burn_in else
+             (max(start - cfg.burn_in, 0), start + rows - cfg.burn_in))
+            for start, rows in blocks]
+
+
+def chain_draws(cfg: ChainConfig, n: int, beta: float, slots=None):
     """Yield the random stream of cfg's chains on n levels: first the start
-    vectors, a (chains, 2N) array, then for each block of _NOISE_BLOCK steps
-    (the last may be shorter) the step-major normals (block, chains, 2N) and
-    the thresholds -log(u) / beta (block, chains) of the rule dE < -log(u) /
-    beta (+inf at beta = 0, where every step is accepted).
+    vectors, a (chains, 2N) array, then for each block of noise_blocks(cfg)
+    the step-major normals (rows, chains, 2N) and the thresholds -log(u) /
+    beta (rows, chains) of the rule dE < -log(u) / beta (+inf at beta = 0,
+    where every step is accepted).
 
     Each chain draws from a private generator seeded by (seed, chain index):
     its start, then per block its normals and then its uniforms, so the
     chain count does not change any chain's stream. A chain draws into a
-    (block, 2N) scratch that is copied into its column of the step-major
-    array. The arrays yielded are reused: each is valid until the next item
-    is drawn, and the consumer may overwrite what it takes."""
+    (rows, 2N) scratch that is copied into its column of the step-major
+    normals. Block k is drawn straight into the first rows of slots[k %
+    len(slots)], each slot a (normals, thresholds) pair of arrays as wide
+    as the first block; by default one slot of its own. A block is valid
+    until its slot is drawn into again, and the consumer may overwrite
+    what it takes."""
     n_chains, n2 = cfg.chain_count, 2 * n
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
             for i in range(n_chains)]
     yield np.stack([rng.standard_normal(n2) for rng in rngs])
-    total = cfg.burn_in + cfg.steps_per_chain
-    width = min(_NOISE_BLOCK, total)
-    normals, thresholds = np.empty((width, n_chains, n2)), np.empty((width, n_chains))
+    blocks = noise_blocks(cfg)
+    width = blocks[0][1]
+    if slots is None:
+        slots = [(np.empty((width, n_chains, n2)), np.empty((width, n_chains)))]
     scratch, uniforms = np.empty((width, n2)), np.empty(width)
-    for start in range(0, total, _NOISE_BLOCK):
-        block = min(_NOISE_BLOCK, total - start)
+    for k, (_, rows, _) in enumerate(blocks):
+        normals, thresholds = (array[:rows] for array in slots[k % len(slots)])
         for i, rng in enumerate(rngs):
-            rng.standard_normal(out=scratch[:block])
-            normals[:block, i] = scratch[:block]
-            u = rng.random(out=uniforms[:block])
+            normals[:, i] = rng.standard_normal(out=scratch[:rows])
+            u = rng.random(out=uniforms[:rows])
             # u = 0, beta = 0 or a beta below about 1e-307 gives t = +inf
             with np.errstate(divide="ignore", over="ignore"):
-                np.divide(np.negative(np.log(u, out=u), out=u), beta, out=thresholds[:block, i])
-        yield normals[:block], thresholds[:block]
-
-
-def retained_spans(cfg: ChainConfig) -> list:
-    """The retained steps lo <= step < hi of each block of _NOISE_BLOCK
-    steps of cfg's chains, as (lo, hi) in the samples' own indices, or None
-    for a block of burn-in alone. The spans tile [0, steps_per_chain) in
-    order, and each ends with its block: the engine evaluates the samples
-    of a block by them, and cli formats samples.csv by them."""
-    total = cfg.burn_in + cfg.steps_per_chain
-    return [None if start + _NOISE_BLOCK <= cfg.burn_in else
-            (max(start - cfg.burn_in, 0), min(start + _NOISE_BLOCK, total) - cfg.burn_in)
-            for start in range(0, total, _NOISE_BLOCK)]
+                np.divide(np.negative(np.log(u, out=u), out=u), beta, out=thresholds[:, i])
+        yield normals, thresholds
 
 
 def _checked(array, shape: tuple, name: str):
@@ -312,19 +320,22 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
     the states of its accepted steps after it, rebuilt as proposal / norm
     (the very division the step made). Each retained step then takes the
     last fresh row of its chain, a running maximum of row indices, since a
-    rejected step repeats its state bit for bit. A block's retained steps
-    are those of its span in retained_spans(cfg). The samples go into out,
-    a (chains, steps, 2) float64 array, when one is given.
+    rejected step repeats its state bit for bit. The blocks, their steps
+    and the retained steps of each are those of noise_blocks(cfg). The
+    samples go into out, a (chains, steps, 2) float64 array, when one is
+    given.
 
     The random numbers come from draws, an iterator over the items of
     chain_draws(cfg, tm.n, beta), which is the default (cli draws them in
     another process, one block ahead, and formats the samples there while
-    the chains run on); an item of the wrong shape or dtype, or one that is
-    not writable, is a UsageError, as is such an out. The engine writes
-    over the normals and thresholds it takes. Block k + 1 is taken only
-    after block k is evaluated, so when the engine takes block k (k = the
-    block count: the item after the last block), every retained step
-    before block k is final in out. (The BLAS kernel behind the dot
+    the chains run on): the start vectors, then one (normals, thresholds)
+    tuple per block. An item that is not such a tuple, or an array of the
+    wrong shape or dtype, or one that is not writable, is a UsageError
+    naming it, as is such an out. The engine writes over the normals and
+    thresholds it takes. Block k + 1 is taken only after block k is
+    evaluated, so when the engine takes block k (k = the block count: the
+    item after the last block), every retained step before block k is
+    final in out. (The BLAS kernel behind the dot
     depends on the chain count, gemv for one chain and gemm for more, so a
     chain's states can differ in the last bit between runs with different
     chain counts.)
@@ -347,8 +358,8 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
     energy = norm2_e[:, 1] / norm2_e[:, 0]
     sigma = np.full((n_chains, 1), _PROPOSAL_SCALE)
 
-    total = cfg.burn_in + cfg.steps_per_chain
-    accepts = np.empty((min(_NOISE_BLOCK, total), n_chains), dtype=bool)
+    blocks = noise_blocks(cfg)
+    accepts = np.empty((blocks[0][1], n_chains), dtype=bool)
     entering = np.empty((n_chains, 2 * n))  # the state entering the first retained step
     sq, r = np.empty((n_chains, 2 * n)), np.empty((n_chains, 2))
     norm2, e_sum = r[:, 0], r[:, 1]
@@ -362,13 +373,17 @@ def sample_ensemble(tm: TruncatedModel, beta: float, cfg: ChainConfig, out=None,
     # 0.6 us of a 6 us step
     add, multiply, dot, divide, subtract, less, sqrt, copyto = (
         np.add, np.multiply, np.dot, np.divide, np.subtract, np.less, np.sqrt, np.copyto)
-    for start, span in zip(range(0, total, _NOISE_BLOCK), retained_spans(cfg)):
-        block = min(_NOISE_BLOCK, total - start)
-        noise, thresholds = next(draws, (None, None))
-        noise = _checked(noise, (block, n_chains, 2 * n), "draws' normals")
-        thresholds = _checked(thresholds, (block, n_chains), "draws' thresholds")
+    for k, (start, block, span) in enumerate(blocks):
+        item = next(draws, None)
+        if not (isinstance(item, tuple) and len(item) == 2):
+            got = f"a {len(item)}-tuple" if isinstance(item, tuple) else type(item).__name__
+            raise UsageError(f"draws' block {k} must be a (normals, thresholds) tuple of arrays "
+                             f"of shape {(block, n_chains, 2 * n)} and {(block, n_chains)}, "
+                             f"got {got}")
+        noise = _checked(item[0], (block, n_chains, 2 * n), f"draws' block {k} normals")
+        thresholds = _checked(item[1], (block, n_chains), f"draws' block {k} thresholds")
         first = block - (span[1] - span[0]) if span else block  # the first retained step
-        bounds = sorted({0, block, *(k - start for k in cuts if start < k < start + block)})
+        bounds = sorted({0, block, *(cut - start for cut in cuts if start < cut < start + block)})
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             noise[lo:hi] *= sigma
             if lo == first:

@@ -134,7 +134,7 @@ def retained_states(tm, beta, cfg):
         run = sampling.sample_ensemble(tm, beta, cfg)
     calls = iter(rows)
     states = np.empty((cfg.chain_count, cfg.steps_per_chain, tm.n), dtype=np.complex128)
-    for lo, hi in filter(None, sampling.retained_spans(cfg)):
+    for lo, hi in (span for _, _, span in sampling.noise_blocks(cfg) if span):
         bits = run.samples[:, lo:hi].view(np.uint64)
         fresh = np.ones((cfg.chain_count, hi - lo), dtype=bool)
         fresh[:, 1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=2)

@@ -713,8 +713,8 @@ def test_child_killed_while_drawing_fails_the_run(tmp_path, capsys, monkeypatch,
     # child left
     parent = os.getpid()
 
-    def draws(cfg, n, beta, real=sampling.chain_draws):
-        for index, item in enumerate(real(cfg, n, beta)):
+    def draws(cfg, n, beta, slots=None, real=sampling.chain_draws):
+        for index, item in enumerate(real(cfg, n, beta, slots)):
             if index == 3 and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             yield item
@@ -737,7 +737,7 @@ def test_child_ending_before_it_draws_is_an_error_not_a_hang(tmp_path, capsys, m
     # reads the end of its pipe, exit 3, within the alarm
     parent = os.getpid()
 
-    def draws(cfg, n, beta):
+    def draws(cfg, n, beta, slots=None):
         if os.getpid() != parent:
             os._exit(0)
         yield
@@ -1410,6 +1410,33 @@ def test_package_imports_are_unconditional_and_acyclic():
         leaves = {name for name, imported in edges.items() if not imported & edges.keys()}
         assert leaves, f"import cycle among {sorted(edges)}"
         edges = {name: imported for name, imported in edges.items() if name not in leaves}
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a name with a leading underscore belongs to its module: no other
+    # module of the package reads it, as an attribute of the module
+    # (sampling._X) or by import (from .sampling import _X)
+    package = Path(wfgibbs.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    found, bindings = [], {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # the names this module binds to other modules of the package
+        bindings[path.stem] = bound = {
+            alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and not node.module
+            for alias in node.names if alias.name in modules}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in bound):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith("_") and not name.endswith("__")]
+    assert "sampling" in bindings["cli"] and not found, found
 
 
 def test_every_library_raise_is_a_leaf():

@@ -156,15 +156,22 @@ def test_output_array_leaves_the_run_unchanged(tm8):
 
 @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
 def test_taking_block_k_finds_the_blocks_before_k_final(tm8, layout):
-    # the retained spans tile the chain in order, a block of burn-in alone
-    # having none; when the engine takes block k (k = the block count: the
-    # item after the last block), every span of the blocks before block k
-    # is final in out, and block k's samples are not yet written
+    # the blocks tile the steps in order, each but the last _NOISE_BLOCK
+    # long, and their retained spans tile the chain, each ending with its
+    # block, a block of burn-in alone having none; when the engine takes
+    # block k (k = the block count: the item after the last block), every
+    # span of the blocks before block k is final in out, and block k's
+    # samples are not yet written
     burn_in, steps = BLOCK_LAYOUTS[layout]
     cfg = ChainConfig(chain_count=2, steps_per_chain=steps, burn_in=burn_in, seed=4)
-    spans = sampling.retained_spans(cfg)
+    blocks = sampling.noise_blocks(cfg)
+    starts, rows, spans = (list(column) for column in zip(*blocks))
     kept = [span for span in spans if span]
     assert len(spans) == -(-(burn_in + steps) // sampling._NOISE_BLOCK)
+    assert sum(rows) == burn_in + steps
+    assert rows[:-1] == [sampling._NOISE_BLOCK] * (len(rows) - 1)
+    assert starts == list(itertools.accumulate(rows[:-1], initial=0))
+    assert all(start + n - burn_in == span[1] for start, n, span in blocks if span)
     assert spans == [None] * (len(spans) - len(kept)) + kept
     assert [lo for lo, _ in kept] == [0] + [hi for _, hi in kept[:-1]]
     assert kept[-1][1] == steps and all(lo < hi for lo, hi in kept)
@@ -344,15 +351,22 @@ def test_chain_draws_are_the_reference_stream(beta):
     # burn-in ends inside the second 4096-step block and the last block is
     # short (808 steps): chain_draws yields, bit for bit, the starts, then
     # each block's step-major normals and thresholds of the stream drawn
-    # up front
+    # up front, whether into its own slot or straight into the first rows
+    # of two slots given, block k into slot k % 2
     cfg = ChainConfig(chain_count=3, steps_per_chain=4000, burn_in=5000, seed=21)
     starts, noise, thresholds = _reference_stream(cfg, 8, beta)
-    stream = sampling.chain_draws(cfg, 8, beta)
-    assert np.array_equal(next(stream), starts)
-    blocks = [(normals.copy(), t.copy()) for normals, t in stream]
-    assert [len(normals) for normals, _ in blocks] == [4096, 4096, 808]
-    assert np.array_equal(np.concatenate([b[0] for b in blocks]), noise.transpose(1, 0, 2))
-    assert np.array_equal(np.concatenate([b[1] for b in blocks]), thresholds.T)
+    for slots in (None, [(np.empty((4096, 3, 16)), np.empty((4096, 3))) for _ in range(2)]):
+        stream = sampling.chain_draws(cfg, 8, beta, slots)
+        assert np.array_equal(next(stream), starts)
+        blocks = []
+        for k, block in enumerate(stream):
+            if slots:
+                assert all(array.base is slot and array.ctypes.data == slot.ctypes.data
+                           for array, slot in zip(block, slots[k % 2]))
+            blocks.append(tuple(array.copy() for array in block))
+        assert [len(normals) for normals, _ in blocks] == [4096, 4096, 808]
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]), noise.transpose(1, 0, 2))
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), thresholds.T)
     assert np.all(thresholds == np.inf) if beta == 0 else np.all(np.isfinite(thresholds))
 
 
@@ -388,15 +402,20 @@ def _out_read_only(items, out):
     lambda items, out: [*items[:2], (items[2][0], items[2][1].tolist())],
     lambda items, out: items[:2],
     lambda items, out: [],
+    lambda items, out: [items[0], items[1][0], *items[2:]],
+    lambda items, out: [items[0], items[1][:1], *items[2:]],
+    lambda items, out: [items[0], 7, *items[2:]],
     lambda items, out: [items[0], (_read_only(items[1][0]), items[1][1]), *items[2:]],
     lambda items, out: [items[0], (items[1][0], _read_only(items[1][1])), *items[2:]],
     _out_read_only,
 ], ids=["start_shape", "start_dtype", "normals_steps", "thresholds_chains", "thresholds_list",
-        "ended_early", "empty", "normals_read_only", "thresholds_read_only", "out_read_only"])
+        "ended_early", "empty", "bare_normals", "one_tuple", "int", "normals_read_only",
+        "thresholds_read_only", "out_read_only"])
 def test_draws_of_the_wrong_shape_are_usage_errors(tm8, bad):
-    # as a wrong out does: a start or block of the wrong shape or type, or
-    # a stream that ends before the run does; and the engine writes into
-    # the normals, the thresholds and out, so each must be writable
+    # as a wrong out does: a start or block of the wrong shape or type, a
+    # block that is not a (normals, thresholds) tuple, or a stream that
+    # ends before the run does; and the engine writes into the normals,
+    # the thresholds and out, so each must be writable
     cfg = ChainConfig(chain_count=2, steps_per_chain=5000, burn_in=4000, seed=3)
     out = np.empty((2, cfg.steps_per_chain, 2))
     items = bad(list(sampling.chain_draws(cfg, tm8.n, 2.0)), out)
