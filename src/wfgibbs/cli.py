@@ -20,8 +20,11 @@ block the engine takes, which it takes only once the block before is
 evaluated; on each byte the child draws first,
 then queues the block the engine has just evaluated for formatting, so the
 engine's step loop does nothing but the Metropolis steps and waits for no
-text.
-Each runs in this process alone with one usable CPU or without os.fork.
+text. _sample_lines formats each chain's rows of a block: one % per run of
+equal rows, with the chain in its template, then each row's step from the
+block's step column, built once for all of the block's chains.
+Each runs in this process alone with one usable CPU, without os.fork, or
+when the system refuses a fork (the outputs are the same bytes).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import functools
 import itertools
 import json
 import mmap
@@ -225,7 +229,8 @@ def _doublet_models(cfg, section) -> list:
 def _usable_cpus() -> int:
     """The most processes a run may use, this one included: the CPUs it may
     run on, or one without os.fork. The one rule of _per_mass and
-    _formatter."""
+    _formatter, which also run in this process alone when the system
+    refuses a fork."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -302,7 +307,9 @@ def _per_mass(work, models):
     turn, so the masses before it have been yielded; a child that dies
     before it sends a mass's result raises SolverError there. Close the
     generator to reap every child: on every path, no child outlives it.
-    With one worker the work runs in this process and starts none.
+    With one worker the work runs in this process and starts none, and so
+    it does, after reaping the children already started, when the system
+    refuses a fork (an OSError such as EAGAIN under a limit on processes).
 
     Forked by hand: on 2 cores (Python 3.11) importing concurrent.futures'
     ProcessPoolExecutor took 17-22 ms, and starting it and mapping two
@@ -313,9 +320,14 @@ def _per_mass(work, models):
     workers = min(len(models), _usable_cpus())
     children = []  # (pid, results), in worker order
     try:
-        for index in range(1, workers):
-            # job runs in the child at once, while index is this worker's
-            children.append(_fork(lambda: map(work, models[index::workers])))
+        try:
+            for index in range(1, workers):
+                # job runs in the child at once, while index is this worker's
+                children.append(_fork(lambda: map(work, models[index::workers])))
+        except OSError:  # a fork the system refuses: this process takes every mass
+            while children:
+                _reap(*children.pop())
+            workers = 1
         for i, mp in enumerate(models):
             if i % workers == 0:
                 yield work(mp)
@@ -467,24 +479,31 @@ def _validate_marginal(run, moments, tm, cfg, section):
                 "moments": moments}
 
 
-def _formatted_qp(qp: np.ndarray) -> np.ndarray:
-    """The "q,p" text at .17g of each row of one chain's (steps, 2) samples,
-    as an object array. A rejected Metropolis step repeats its state bit for
-    bit, so each run of equal rows is formatted once (by one % operation)
-    and repeated."""
-    bits = np.ascontiguousarray(qp).view(np.uint64)
-    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
-    text = ("%.17g,%.17g\n" * len(starts) % tuple(qp[starts].ravel().tolist())).split("\n")
-    return np.repeat(np.array(text[:-1], dtype=object), np.diff(np.r_[starts, len(qp)]))
+@functools.lru_cache(maxsize=1)
+def _step_column(lo: int, hi: int) -> list:
+    """The "<step>\n" tails of the samples.csv lines of the steps lo <= step
+    < hi, built once per block: the formatter's child takes a block's chains
+    one after another."""
+    return [f"{step}\n" for step in range(lo, hi)]
 
 
 def _sample_lines(samples: np.ndarray, chain: int, lo: int, hi: int) -> str:
     """The samples.csv lines "q,p,chain,step" of the steps lo <= step < hi
-    of one chain of the (chains, steps, 2) samples; the text of q and p is
-    _formatted_qp's. The one formatter of samples.csv, in the formatter's
+    of one chain of the (chains, steps, 2) samples, q and p at .17g. A
+    rejected Metropolis step repeats its state bit for bit, so each run of
+    equal rows is formatted once, by one % whose template holds the chain,
+    and its head "q,p,chain," goes before each of its steps' tails
+    (_step_column). The one formatter of samples.csv, in the formatter's
     child and in this process alike (_formatter)."""
-    text = _formatted_qp(samples[chain, lo:hi]).tolist()
-    return "".join([f"{qp},{chain},{step}\n" for qp, step in zip(text, range(lo, hi))])
+    qp = samples[chain, lo:hi]
+    bits = np.ascontiguousarray(qp).view(np.uint64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    heads = (f"%.17g,%.17g,{chain},\n" * len(starts)
+             % tuple(qp[starts].ravel().tolist())).split("\n")[:-1]
+    lines = [""] * (2 * len(qp))
+    lines[::2] = np.repeat(np.array(heads, dtype=object), np.diff(np.r_[starts, len(qp)])).tolist()
+    lines[1::2] = _step_column(lo, hi)
+    return "".join(lines)
 
 
 def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: float):
@@ -497,8 +516,9 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     With two usable CPUs (_usable_cpus) a child of _fork has two jobs. It
     draws the chains' random numbers (sampling.chain_draws) straight into
     two block slots of shared memory, as wide as the first block, one
-    block ahead of the engine, and it formats the samples (_sample_lines)
-    once they are final, and keeps the text. It keeps no block of its own
+    block ahead of the engine, and it formats the samples once they are
+    final (_sample_lines, whose step column a block's chains share), and
+    keeps the text. It keeps no block of its own
     and copies none, and this process slices each block from its slot by
     the block's row count. One pipe carries a byte to it each time the
     engine takes block k >= 1 (k = the block count: the item after the
@@ -523,10 +543,11 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     SolverError. Close the generator to reap the child: on every path, no
     child outlives it. Once the engine has taken its last block, this
     process drops the slots from its resident memory, which the validation
-    and the write that follow would otherwise carry. Otherwise draws is
-    None, the engine draws in this process, and the same chunks are
-    formatted in this process as they are read: 1M rows of text at once
-    would double the peak memory of a large run.
+    and the write that follow would otherwise carry. Otherwise, or when
+    the system refuses the fork, draws is None, the engine draws in this
+    process, and the same chunks are formatted in this process as they
+    are read: 1M rows of text at once would double the peak memory of a
+    large run.
 
     On 2 cores, in this process, drawing takes about a quarter of the
     engine's time (0.15 s of 0.6 s on harmonic_sample.json's 4 chains of
@@ -535,10 +556,11 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     Splitting the chains between processes would not pay: a lockstep step
     costs about the same for any chain count from 1 to 8."""
     blocks = sampling.noise_blocks(cfg)
+    in_process = (_sample_lines(samples, chain, *span)
+                  for chain in range(len(samples)) for _, _, span in blocks if span)
     if _usable_cpus() < 2:
         yield None
-        yield from (_sample_lines(samples, chain, *span)
-                    for chain in range(len(samples)) for _, _, span in blocks if span)
+        yield from in_process
         return
     # two slots, each as wide as the first block (the widest): its
     # normals, then its thresholds
@@ -599,9 +621,15 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
         if hasattr(mmap, "MADV_DONTNEED"):
             region.madvise(mmap.MADV_DONTNEED)
 
-    pid = 0
     try:
         pid, results = _fork(job)
+    except OSError:  # a fork the system refuses: the work runs as with one usable CPU
+        taken.close()
+        feed.close()
+        yield None
+        yield from in_process
+        return
+    try:
         taken.close()
         yield draws()
         feed.close()  # the end of the pipe in
@@ -611,8 +639,7 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     finally:
         taken.close()
         feed.close()
-        if pid:
-            _reap(pid, results)
+        _reap(pid, results)
 
 
 def cmd_sample(cfg):

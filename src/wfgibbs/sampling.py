@@ -102,6 +102,16 @@ class TruncatedModel:
         return q, p
 
 
+def _serial_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in blocks of rows of a, each product of at most
+    _SERIAL_GEMM_SIZE multiply-adds when a row fits, so that each runs on
+    one BLAS thread and the bits do not depend on the thread count (one
+    gemm of 24 levels on 4001 points differs between one and two
+    threads)."""
+    rows = max(_SERIAL_GEMM_SIZE // b.size, 1)
+    return np.concatenate([a[lo:lo + rows] @ b for lo in range(0, len(a), rows)])
+
+
 def build_truncated_model(mp: ModelParams, n_basis: int, grid: GridSpec) -> TruncatedModel:
     """Project q and p onto the span of the lowest n_basis eigenstates,
     whose two lowest give the model its doublet. The top level's weight
@@ -113,13 +123,13 @@ def build_truncated_model(mp: ModelParams, n_basis: int, grid: GridSpec) -> Trun
     dx = grid.dx
     phis = np.stack([p.wavefunction for p in pairs])  # (N, n_grid)
 
-    q_matrix = (phis * (dx * grid.x)) @ phis.T
+    q_matrix = _serial_product(phis * (dx * grid.x), phis.T)
     q_matrix = 0.5 * (q_matrix + q_matrix.T)
 
     dphis = np.zeros_like(phis)
     dphis[:, 1:-1] = (phis[:, 2:] - phis[:, :-2]) / (2.0 * dx)
     # <phi_k, p phi_l> = -i hbar <phi_k, phi_l'> = i * A_kl
-    a = -mp.hbar * dx * (phis @ dphis.T)
+    a = -mp.hbar * dx * _serial_product(phis, dphis.T)
     a = 0.5 * (a - a.T)
 
     energies = np.array([p.energy for p in pairs])
@@ -481,12 +491,9 @@ def _weight_moments(s: np.ndarray):
     b[0] *= 0.5  # t < 0 is the conjugate half
     ba = b[:, None] * a
     d = b.real.sum()
-    # Re(a^T diag(b) a) as real products of row blocks that each run on
-    # one thread
-    left = np.concatenate([ba.real, -ba.imag]).T
-    right = np.concatenate([a.real, a.imag])
-    rows = max(_SERIAL_GEMM_SIZE // right.size, 1)
-    eww = np.concatenate([left[lo:lo + rows] @ right for lo in range(0, len(s), rows)]) / d
+    # Re(a^T diag(b) a) as one real product
+    eww = _serial_product(np.concatenate([ba.real, -ba.imag]).T,
+                          np.concatenate([a.real, a.imag])) / d
     eww[np.diag_indices_from(eww)] *= 2.0
     return ba.real.sum(axis=0) / d, eww
 

@@ -1,4 +1,5 @@
 import ast
+import errno
 import itertools
 import json
 import os
@@ -597,6 +598,41 @@ def test_forked_and_in_process_formatting_write_the_same_files(layout, tmp_path,
     assert sorted(runs[0][0]) == ["sample_run.json", "samples.csv"]
     assert runs[0][0]["samples.csv"].count(b"\n") == 2 + 2 * steps
     _no_child_left()
+
+
+@pytest.mark.parametrize("command, masses, refused", [
+    ("sample", [0.5], 1), ("veff", [0.5, 1.5], 1), ("veff", [0.5, 1.0, 1.5], 2)],
+    ids=["sample", "veff_first_fork", "veff_second_fork"])
+def test_refused_fork_runs_in_this_process(command, masses, refused, tmp_path, monkeypatch,
+                                           capsys):
+    # a fork the system refuses (EAGAIN under a limit on processes, say)
+    # runs the work in this process, after reaping any child already
+    # started: the same bytes as a run with one usable CPU
+    cfg = write_config(tmp_path, {
+        "model": DOUBLE_WELL_MODEL,
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n_points": 801},
+        "veff": {"masses": masses, "n_q": 11},
+        "sample": {"n_basis": 4, "beta": 5.0, "chains": 2, "steps_per_chain": 9000,
+                   "burn_in": 1000},
+    })
+    forks = []
+
+    def fork(real=os.fork):
+        forks.append(len(forks) + 1)
+        if forks[-1] == refused:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real()
+
+    runs = []
+    for cpus in (len(masses) + (command == "sample"), 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", fork)
+        out = tmp_path / f"cpus{cpus}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        runs.append(({p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr()))
+        _no_child_left()
+    assert forks == list(range(1, refused + 1))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("raised", [SolverError, KeyboardInterrupt])
@@ -1664,22 +1700,25 @@ def _block_boundary_samples():
     return samples
 
 
-@pytest.mark.parametrize("case", ["seeded", "beta_zero", "hand_built", "block_boundaries"])
+@pytest.mark.parametrize("case", ["seeded", "beta_zero", "hand_built", "block_boundaries",
+                                  "many_chains"])
 def test_sample_rows_match_per_float_formatting(case, tmp_path, harmonic_grid, monkeypatch):
     if case == "hand_built":
         samples = _hand_built_samples()
     elif case == "block_boundaries":
         samples = _block_boundary_samples()
     else:
+        # many_chains: chains 10 and 11 put two digits in the line template
         tm = sampling.build_truncated_model(ModelParams.from_dict(HARMONIC_MODEL), 6,
                                             harmonic_grid)
-        beta = 2.0 if case == "seeded" else 0.0
+        beta = 0.0 if case == "beta_zero" else 2.0
         run = sampling.sample_ensemble(tm, beta, sampling.ChainConfig(
-            chain_count=3, steps_per_chain=2000, burn_in=200, seed=13))
+            chain_count=12 if case == "many_chains" else 3, steps_per_chain=2000,
+            burn_in=200, seed=13))
         samples = run.samples
         repeats = np.mean(np.all(samples[:, 1:] == samples[:, :-1], axis=2))
         # rejected steps repeat their state; at beta = 0 none is rejected
-        assert repeats > 0.3 if case == "seeded" else repeats == 0.0
+        assert repeats == 0.0 if case == "beta_zero" else repeats > 0.3
     cli.write_csv(tmp_path / "per_float.csv", "q,p,chain,step", _per_float_rows(samples))
     cli.write_csv(tmp_path / "runs.csv", "q,p,chain,step", _sample_chunks(samples, monkeypatch))
     expected = (tmp_path / "per_float.csv").read_bytes()

@@ -746,6 +746,24 @@ def test_iat_matches_sequential_window_loop(case):
     assert integrated_autocorrelation(series) == sequential_iat(series)
 
 
+def test_truncated_model_does_not_depend_on_blas_threads():
+    # one gemm of 24 levels on 4001 points runs on two OpenBLAS threads and
+    # its last bits change with the thread count; row blocks that each run
+    # on one thread do not
+    probe = ("from wfgibbs import GridSpec, build_truncated_model\n"
+             "from conftest import double_well\n"
+             "tm = build_truncated_model(double_well(0.2), 24, GridSpec(-6.0, 6.0, 4001))\n"
+             "print(tm.q_matrix.tobytes().hex(), tm.p_matrix_imag.tobytes().hex())")
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": threads}
+        out.append(subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                  text=True, check=True, env=env).stdout)
+    assert len(out[0]) > 2 * 8 * 2 * 24 * 24
+    assert out[0] == out[1]
+
+
 def test_iat_does_not_depend_on_blas_threads():
     # a threaded ddot changes the variance in its last digit with the thread count
     probe = ("from wfgibbs import (ChainConfig, GridSpec, Harmonic, ModelParams,\n"
