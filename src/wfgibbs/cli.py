@@ -500,10 +500,8 @@ def _sample_lines(samples: np.ndarray, chain: int, lo: int, hi: int) -> str:
     starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
     heads = (f"%.17g,%.17g,{chain},\n" * len(starts)
              % tuple(qp[starts].ravel().tolist())).split("\n")[:-1]
-    lines = [""] * (2 * len(qp))
-    lines[::2] = np.repeat(np.array(heads, dtype=object), np.diff(np.r_[starts, len(qp)])).tolist()
-    lines[1::2] = _step_column(lo, hi)
-    return "".join(lines)
+    heads = np.repeat(np.array(heads, dtype=object), np.diff(np.r_[starts, len(qp)])).tolist()
+    return "".join(itertools.chain.from_iterable(zip(heads, _step_column(lo, hi))))
 
 
 def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: float):
@@ -556,21 +554,6 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
     Splitting the chains between processes would not pay: a lockstep step
     costs about the same for any chain count from 1 to 8."""
     blocks = sampling.noise_blocks(cfg)
-    in_process = (_sample_lines(samples, chain, *span)
-                  for chain in range(len(samples)) for _, _, span in blocks if span)
-    if _usable_cpus() < 2:
-        yield None
-        yield from in_process
-        return
-    # two slots, each as wide as the first block (the widest): its
-    # normals, then its thresholds
-    width, chains, n2 = blocks[0][1], cfg.chain_count, 2 * n
-    region = mmap.mmap(-1, 8 * 2 * width * chains * (n2 + 1))
-    slots = [(slot[:width * chains * n2].reshape(width, chains, n2),
-              slot[width * chains * n2:].reshape(width, chains))
-             for slot in np.ndarray((2, width * chains * (n2 + 1)), buffer=region)]
-    read, write = os.pipe()  # a byte per block the engine takes, unbuffered
-    taken, feed = os.fdopen(read, "rb"), os.fdopen(write, "wb", buffering=0)
 
     def job():  # the child's: the start vectors, None per block drawn, then the text
         feed.close()  # the pipe in ends when this process closes its end
@@ -621,23 +604,34 @@ def _formatter(samples: np.ndarray, cfg: sampling.ChainConfig, n: int, beta: flo
         if hasattr(mmap, "MADV_DONTNEED"):
             region.madvise(mmap.MADV_DONTNEED)
 
-    try:
-        pid, results = _fork(job)
-    except OSError:  # a fork the system refuses: the work runs as with one usable CPU
+    pid = 0
+    if _usable_cpus() >= 2:  # lay out what job and draws share, and fork
+        # two slots, each as wide as the first block (the widest): its
+        # normals, then its thresholds
+        width, chains, n2 = blocks[0][1], cfg.chain_count, 2 * n
+        region = mmap.mmap(-1, 8 * 2 * width * chains * (n2 + 1))
+        slots = [(slot[:width * chains * n2].reshape(width, chains, n2),
+                  slot[width * chains * n2:].reshape(width, chains))
+                 for slot in np.ndarray((2, width * chains * (n2 + 1)), buffer=region)]
+        read, write = os.pipe()  # a byte per block the engine takes, unbuffered
+        taken, feed = os.fdopen(read, "rb"), os.fdopen(write, "wb", buffering=0)
+        try:
+            pid, results = _fork(job)
+        except OSError:  # a fork the system refuses: the work runs as with one usable CPU
+            feed.close()
         taken.close()
-        feed.close()
+    if not pid:
         yield None
-        yield from in_process
+        yield from (_sample_lines(samples, chain, *span)
+                    for chain in range(len(samples)) for _, _, span in blocks if span)
         return
     try:
-        taken.close()
         yield draws()
         feed.close()  # the end of the pipe in
         for _ in range(len(samples) * sum(span is not None for _, _, span in blocks)):
             yield _receive(results, "the process formatting samples.csv ended "
                                     "before it sent the text")
     finally:
-        taken.close()
         feed.close()
         _reap(pid, results)
 
