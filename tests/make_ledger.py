@@ -9,6 +9,9 @@ exit code, the sha256 of its stdout, its stderr and each output file, and
 for each numeric CSV column its row count, min, max and sum, so that a
 changed hash comes with a readable size. It also records the Python, numpy
 and scipy versions it was made with: bit-identity holds on one build.
+It is made with ``OPENBLAS_NUM_THREADS=2``, as CI runs it: 1-D dots over
+more than 10000 grid points change their last bits with the thread count
+and move ``harmonic_sample.json``'s ``fluct`` run on one thread.
 ``test_ledger.py`` reruns every run against it. A change that moves an
 output runs this script and commits the new ledger with its reason.
 """
